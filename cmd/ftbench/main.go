@@ -44,12 +44,9 @@ func main() {
 	chaosFlag := flag.Bool("chaos", false, "shorthand for -exp chaos")
 	seed := flag.Uint64("seed", 1, "chaos master seed (reproduces a sweep exactly)")
 	schedules := flag.Int("schedules", 20, "chaos kill schedules per application")
-	placementFlag := flag.String("placement", "", "checkpoint-copy placement policy for recovery/chaos/-json runs: ring|affinity|spread (default ring)")
-	ecFlag := flag.String("ec", "", "erasure-code checkpoint copies as k,m Reed-Solomon shards for recovery/chaos/-json runs (default off)")
+	placementFlag := flag.String("placement", "", "checkpoint-copy placement policy for recovery/chaos runs: ring|affinity|spread (default ring)")
+	ecFlag := flag.String("ec", "", "erasure-code checkpoint copies as k,m Reed-Solomon shards for recovery/chaos runs (default off)")
 	traceDir := flag.String("trace", "", "dump virtual-time traces (Chrome JSON + recovery report) under this directory")
-	jsonFlag := flag.Bool("json", false, "emit the benchmark trajectory file (BENCH_<date>.json) instead of figures")
-	outFlag := flag.String("out", "", "output path for -json (default BENCH_<date>.json)")
-	baselineFlag := flag.String("baseline", "", "committed BENCH_*.json to gate against: fail on >20% msgs/s regression")
 	flag.Parse()
 	if *chaosFlag {
 		*exp = "chaos"
@@ -67,19 +64,13 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	ecK, ecM, err := parseEC(*ecFlag)
+	ec, err := ckptstore.ParseEC(*ecFlag)
 	if err != nil {
 		fatal(err)
 	}
-	store := storeConfig{placement: placement, ecK: ecK, ecM: ecM}
+	store := storeConfig{placement: placement, ecK: ec.K, ecM: ec.M}
 	if *par > 0 {
 		experiments.SetParallelism(*par)
-	}
-	if *jsonFlag {
-		if err := benchJSON(*outFlag, *baselineFlag, *scaleFlag, scale, procs, store); err != nil {
-			fatal(err)
-		}
-		return
 	}
 
 	run := func(name string, f func() error) {
@@ -111,7 +102,7 @@ func main() {
 }
 
 // storeConfig bundles the -placement / -ec flags: the checkpoint-store
-// configuration applied to the recovery, chaos, and -json runs.
+// configuration applied to the recovery and chaos runs.
 type storeConfig struct {
 	placement ckptstore.Kind
 	ecK, ecM  int
@@ -124,24 +115,6 @@ func (s storeConfig) label() string {
 		out += fmt.Sprintf("+ec(%d,%d)", s.ecK, s.ecM)
 	}
 	return out
-}
-
-func parseEC(s string) (k, m int, err error) {
-	if s == "" {
-		return 0, 0, nil
-	}
-	parts := strings.Split(s, ",")
-	if len(parts) != 2 {
-		return 0, 0, fmt.Errorf("bad -ec %q: want k,m (e.g. -ec 2,1)", s)
-	}
-	k, err = strconv.Atoi(strings.TrimSpace(parts[0]))
-	if err == nil {
-		m, err = strconv.Atoi(strings.TrimSpace(parts[1]))
-	}
-	if err != nil || k < 1 || m < 1 {
-		return 0, 0, fmt.Errorf("bad -ec %q: want two positive integers k,m", s)
-	}
-	return k, m, nil
 }
 
 func parseProcs(s string) ([]int, error) {
@@ -175,49 +148,67 @@ func figure(app experiments.AppKind, scale experiments.Scale, procs []int) error
 	return nil
 }
 
+// runTraced runs specs (through RunAll) with a fresh tracer on each and
+// reports, per spec, the result, the tracer, and the recovery time read
+// off the trace.
+func runTraced(specs []experiments.Spec) ([]experiments.Result, []*trace.Tracer, []float64, error) {
+	tracers := make([]*trace.Tracer, len(specs))
+	for i := range specs {
+		tracers[i] = trace.New(0)
+		specs[i].Tracer = tracers[i]
+	}
+	results, err := experiments.RunAll(specs)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	recoverySec := make([]float64, len(specs))
+	for i, t := range tracers {
+		recoverySec[i] = experiments.RecoveryWindowSec(t)
+	}
+	return results, tracers, recoverySec, nil
+}
+
 // recovery reproduces the "recovery takes on the order of a few seconds"
-// result (E4): kill one of the processes mid-run for each application.
-// RecoverySec is measured on the modeled clock, so these cells could
-// share the machine; they run sequentially to keep output ordering tidy.
-// With -trace, each killed run records its virtual-time timeline; the
-// phase-decomposed recovery report is printed and the Chrome trace dumped.
+// result (E4): kill one of the processes mid-run for each application and
+// report the replacement's recovery window on the modeled clock. With
+// -trace, the phase-decomposed recovery report is printed and the Chrome
+// trace dumped.
 func recovery(scale experiments.Scale, traceDir string, store storeConfig) error {
 	fmt.Printf("== Recovery (kill one process mid-run, E4; placement=%s) ==\n", store.label())
 	fmt.Printf("%-12s %8s %10s %14s %12s\n", "app", "procs", "killed", "recovery(s)", "answer-ok")
-	type traced struct {
-		app    experiments.AppKind
-		tracer *trace.Tracer
-	}
-	var tracers []traced
-	for _, app := range []experiments.AppKind{experiments.GPS, experiments.Water, experiments.Barnes} {
-		base, err := experiments.Run(experiments.Spec{App: app, N: 4, Policy: ft.PolicyOff, Scale: scale})
-		if err != nil {
-			return err
-		}
-		spec := experiments.Spec{
+	apps := []experiments.AppKind{experiments.GPS, experiments.Water, experiments.Barnes}
+	var bases, kills []experiments.Spec
+	for _, app := range apps {
+		bases = append(bases, experiments.Spec{App: app, N: 4, Policy: ft.PolicyOff, Scale: scale})
+		kills = append(kills, experiments.Spec{
 			App: app, N: 4, Policy: ft.PolicySAM, Scale: scale,
 			Placement: store.placement, ECData: store.ecK, ECParity: store.ecM,
 			Kills: []experiments.KillEvent{{Rank: 2, Step: 2}},
-		}
-		if traceDir != "" {
-			spec.Tracer = trace.New(0)
-			tracers = append(tracers, traced{app, spec.Tracer})
-		}
-		res, err := experiments.Run(spec)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%-12s %8d %10s %14.3f %12v\n", app, 4, "rank 2", res.RecoverySec, res.Answer == base.Answer)
+		})
+	}
+	baseRes, err := experiments.RunAll(bases)
+	if err != nil {
+		return err
+	}
+	killRes, tracers, recoverySec, err := runTraced(kills)
+	if err != nil {
+		return err
+	}
+	for i, app := range apps {
+		fmt.Printf("%-12s %8d %10s %14.3f %12v\n", app, 4, "rank 2", recoverySec[i], killRes[i].Answer == baseRes[i].Answer)
 	}
 	fmt.Println()
-	for _, t := range tracers {
-		dir := fmt.Sprintf("%s/recovery-%s", traceDir, t.app)
-		paths, err := trace.Dump(t.tracer, dir)
+	if traceDir == "" {
+		return nil
+	}
+	for i, app := range apps {
+		dir := fmt.Sprintf("%s/recovery-%s", traceDir, app)
+		paths, err := trace.Dump(tracers[i], dir)
 		if err != nil {
 			return fmt.Errorf("trace dump %s: %w", dir, err)
 		}
-		fmt.Printf("-- %s recovery timeline (trace: %s) --\n", t.app, strings.Join(paths, ", "))
-		trace.AnalyzeRecovery(t.tracer).Fprint(os.Stdout)
+		fmt.Printf("-- %s recovery timeline (trace: %s) --\n", app, strings.Join(paths, ", "))
+		trace.AnalyzeRecovery(tracers[i]).Fprint(os.Stdout)
 		fmt.Println()
 	}
 	return nil
@@ -313,7 +304,7 @@ func ablationForce(scale experiments.Scale) error {
 	fmt.Printf("%8s %14s %18s %16s\n", "mode", "T(FT) s", "force-msgs/ps", "forced/proc/s")
 	specs := []experiments.Spec{
 		{App: experiments.Water, N: 4, Policy: ft.PolicySAM, Scale: scale},
-		{App: experiments.Water, N: 4, Policy: ft.PolicySAM, Eager: true, Scale: scale},
+		{App: experiments.Water, N: 4, Policy: ft.PolicySAM, EagerFree: true, Scale: scale},
 	}
 	results, err := experiments.RunAll(specs)
 	if err != nil {
@@ -321,7 +312,7 @@ func ablationForce(scale experiments.Scale) error {
 	}
 	for _, res := range results {
 		mode := "lazy"
-		if res.Spec.Eager {
+		if res.Spec.EagerFree {
 			mode = "eager"
 		}
 		fmt.Printf("%8s %14.4f %18.4f %16.4f\n", mode, res.ModeledSec,
@@ -362,7 +353,7 @@ func ablationSnapCache(scale experiments.Scale) error {
 // placement policies at full replication plus Reed-Solomon (k,m) cells,
 // all on GPS at N=5 with a mid-run kill. Columns map to the EXPERIMENTS.md
 // ablation table: replica bytes are the memory/network overhead of the
-// redundancy, recovery(s) the modeled restore time after the kill,
+// redundancy, recovery(s) the replacement's modeled recovery window,
 // survivable the number of simultaneous failures the configuration is
 // guaranteed to survive (copies: min(Degree, N-1); EC: m), and the repair
 // columns the proactive re-replication traffic that restores coverage
@@ -392,7 +383,7 @@ func ablationPlacement(scale experiments.Scale) error {
 			Kills: []experiments.KillEvent{{Rank: 2, Step: 2}},
 		})
 	}
-	results, err := experiments.RunAll(specs)
+	results, _, recoverySec, err := runTraced(specs)
 	if err != nil {
 		return err
 	}
@@ -403,7 +394,7 @@ func ablationPlacement(scale experiments.Scale) error {
 			survivable = c.ecM
 		}
 		fmt.Printf("%-16s %10d %14d %12.3f %12d %14d %12v\n",
-			c.label(), survivable, res.Report.Total.ReplicaBytes, res.RecoverySec,
+			c.label(), survivable, res.Report.Total.ReplicaBytes, recoverySec[i],
 			res.Report.Total.RepairObjects, res.Report.Total.RepairBytes,
 			res.Answer == base.Answer)
 	}

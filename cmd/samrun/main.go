@@ -1,71 +1,67 @@
-// Command samrun runs the paper's applications on the simulated cluster.
+// Command samrun runs declarative scenarios on the simulated cluster.
 //
 // Subcommands:
 //
 //	samrun run scenario.json        execute one declarative scenario
 //	samrun validate a.json b.json   check scenario files, print positioned errors
 //	samrun campaign scenarios/      run every scenario in a directory
-//	samrun single [flags]           one ad-hoc run from flags (also the
-//	                                default when the first arg is a flag)
 //
-// Legacy flag invocations (samrun -app water -n 8 -ft sam) keep working
-// via the implicit "single" subcommand.
+// An ad-hoc run is a scenario file: scenarios/single-kill-water.json is
+// the one-kill Water run to copy and edit.
 //
 // Exit status: 0 success; 1 a scenario failed its assertions or the run
-// errored; 2 bad usage (unknown flag value, malformed scenario file).
+// errored; 2 bad usage (unknown subcommand, malformed scenario file).
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strings"
 
-	"samft/internal/experiments"
-	"samft/internal/ft"
 	"samft/internal/scenario"
 )
 
-func main() {
-	args := os.Args[1:]
-	cmd := "single"
-	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
-		cmd, args = args[0], args[1:]
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run dispatches on the subcommand; stdout/stderr receive only the
+// dispatcher's own output (usage, unknown-subcommand errors).
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) == 0 {
+		usage(stderr)
+		return 2
 	}
-	switch cmd {
-	case "single":
-		os.Exit(runSingle(args))
+	switch cmd, rest := args[0], args[1:]; cmd {
 	case "run":
-		os.Exit(runScenarios(args, false))
+		return runScenarios(rest, false)
 	case "campaign":
-		os.Exit(runScenarios(args, true))
+		return runScenarios(rest, true)
 	case "validate":
-		os.Exit(runValidate(args))
+		return runValidate(rest)
 	case "help", "-h", "-help", "--help":
-		usage(os.Stdout)
+		usage(stdout)
+		return 0
 	default:
-		fmt.Fprintf(os.Stderr, "samrun: unknown subcommand %q\n\n", cmd)
-		usage(os.Stderr)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "samrun: unknown subcommand %q\n\n", cmd)
+		usage(stderr)
+		return 2
 	}
 }
 
-func usage(w *os.File) {
+func usage(w io.Writer) {
 	fmt.Fprint(w, `usage:
   samrun run <scenario.json> [...]     execute scenario files
   samrun validate <scenario.json> [...]  check files without running
   samrun campaign <dir>                run every *.json scenario in dir
-  samrun single [flags]                one ad-hoc run (default subcommand)
+
+An ad-hoc run is a scenario file; copy scenarios/single-kill-water.json.
 
 run/campaign flags:
   -trace-dir DIR   dump every run's trace under DIR (default: only failing
                    runs dump, under $SAMFT_TRACE_DIR or chaos-traces)
-
-single flags:
+  -v               print each run's stats line, and trace locations for
+                   passing runs too
 `)
-	fs := singleFlags()
-	fs.SetOutput(w)
-	fs.PrintDefaults()
 }
 
 // runValidate loads each file and prints every positioned diagnostic.
@@ -98,7 +94,7 @@ func runScenarios(args []string, campaign bool) int {
 	}
 	fs := flag.NewFlagSet("samrun "+name, flag.ContinueOnError)
 	traceDir := fs.String("trace-dir", "", "dump every run's trace under this directory (not just failing runs)")
-	verbose := fs.Bool("v", false, "print trace locations for passing runs too")
+	verbose := fs.Bool("v", false, "print each run's stats line, and trace locations for passing runs too")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -110,15 +106,6 @@ func runScenarios(args []string, campaign bool) int {
 
 	var compiled []scenario.Compiled
 	bad := 0
-	load := func(path string) {
-		s, err := scenario.LoadFile(path)
-		if err != nil {
-			bad++
-			fmt.Fprintln(os.Stderr, err)
-			return
-		}
-		compiled = append(compiled, scenario.Compile(s, path))
-	}
 	if campaign {
 		if len(args) != 1 {
 			fmt.Fprintln(os.Stderr, "samrun campaign: want exactly one scenario directory")
@@ -134,7 +121,13 @@ func runScenarios(args []string, campaign bool) int {
 		}
 	} else {
 		for _, path := range args {
-			load(path)
+			s, err := scenario.LoadFile(path)
+			if err != nil {
+				bad++
+				fmt.Fprintln(os.Stderr, err)
+				continue
+			}
+			compiled = append(compiled, scenario.Compile(s, path))
 		}
 	}
 	if bad > 0 {
@@ -156,96 +149,6 @@ func runScenarios(args []string, campaign bool) int {
 	fmt.Printf("%d scenarios, %d failed\n", len(outs), failed)
 	if failed > 0 {
 		return 1
-	}
-	return 0
-}
-
-// singleOpts holds the ad-hoc "single" subcommand's flags; singleFlags
-// binds them so usage and parsing share one definition.
-type singleOpts struct {
-	app, ft, scale string
-	n, degree      int
-	kill           int
-}
-
-func singleFlags() *flag.FlagSet {
-	fs, _ := bindSingleFlags()
-	return fs
-}
-
-func bindSingleFlags() (*flag.FlagSet, *singleOpts) {
-	fs := flag.NewFlagSet("samrun single", flag.ContinueOnError)
-	o := &singleOpts{}
-	fs.StringVar(&o.app, "app", "gps", "application: gps|water|barnes")
-	fs.IntVar(&o.n, "n", 4, "number of simulated workstations")
-	fs.StringVar(&o.ft, "ft", "sam", "fault tolerance: off|sam|naive")
-	fs.StringVar(&o.scale, "scale", "small", "workload scale: small|paper")
-	fs.IntVar(&o.degree, "degree", 1, "replication degree")
-	fs.IntVar(&o.kill, "kill", -1, "rank to kill mid-run (-1: none)")
-	return fs, o
-}
-
-func runSingle(args []string) int {
-	fs, o := bindSingleFlags()
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	appFlag, ftFlag, scaleFlag := o.app, o.ft, o.scale
-	n, degree, kill := o.n, o.degree, o.kill
-
-	spec := experiments.Spec{N: n, Degree: degree}
-	switch appFlag {
-	case "gps":
-		spec.App = experiments.GPS
-	case "water":
-		spec.App = experiments.Water
-	case "barnes":
-		spec.App = experiments.Barnes
-	default:
-		fmt.Fprintln(os.Stderr, "samrun: unknown app:", appFlag)
-		return 2
-	}
-	switch ftFlag {
-	case "off":
-		spec.Policy = ft.PolicyOff
-	case "sam":
-		spec.Policy = ft.PolicySAM
-	case "naive":
-		spec.Policy = ft.PolicyNaive
-	default:
-		fmt.Fprintln(os.Stderr, "samrun: unknown ft policy:", ftFlag)
-		return 2
-	}
-	switch scaleFlag {
-	case "small":
-	case "paper":
-		spec.Scale = experiments.Paper
-	default:
-		fmt.Fprintln(os.Stderr, "samrun: unknown scale:", scaleFlag, `(want "small" or "paper")`)
-		return 2
-	}
-	if n < 1 {
-		fmt.Fprintln(os.Stderr, "samrun: -n must be >= 1")
-		return 2
-	}
-	if kill >= n {
-		fmt.Fprintf(os.Stderr, "samrun: -kill rank %d out of range [0,%d)\n", kill, n)
-		return 2
-	}
-	if kill >= 0 {
-		spec.Kills = []experiments.KillEvent{{Rank: kill, Step: 2}}
-	}
-
-	res, err := experiments.Run(spec)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "samrun:", err)
-		return 1
-	}
-	fmt.Printf("app=%v n=%d ft=%v answer=%.6f\n", spec.App, spec.N, spec.Policy, res.Answer)
-	fmt.Printf("modeled time: %.4f s (wall %.2f s)\n", res.ModeledSec, res.WallSec)
-	fmt.Printf("stats: %s\n", res.Report)
-	if res.RecoverySec > 0 {
-		fmt.Printf("recovery completed %.3f modeled s after the kill\n", res.RecoverySec)
 	}
 	return 0
 }

@@ -38,8 +38,6 @@ type Config struct {
 	ECParity int
 	// EagerFree disables the §4.3 lazy-free protocol (ablation).
 	EagerFree bool
-	// CacheCapacity bounds each process's cached-object count (0 = off).
-	CacheCapacity int
 	// HostSlowdown, when non-nil, scales rank r's modeled compute costs by
 	// HostSlowdown[r] (> 1 = slower workstation; see Endpoint.SetSlowdown).
 	// A replacement process respawned after a failure lands on the same
@@ -159,21 +157,20 @@ func (c *Cluster) spawn(rank int, recovering bool) *pvm.Task {
 		st := c.stats[rank]
 		c.mu.Unlock()
 		cfg := sam.Config{
-			Rank:          rank,
-			N:             c.cfg.N,
-			Ranks:         ranks,
-			Policy:        c.cfg.Policy,
-			Degree:        c.cfg.Degree,
-			Placement:     c.cfg.Placement,
-			ECData:        c.cfg.ECData,
-			ECParity:      c.cfg.ECParity,
-			LazyFree:      !c.cfg.EagerFree,
-			CacheCapacity: c.cfg.CacheCapacity,
-			NoSnapCache:   c.cfg.NoSnapCache,
-			Stats:         st,
-			Recovering:    recovering,
-			Respawn:       c.respawn,
-			Trace:         c.cfg.Trace,
+			Rank:        rank,
+			N:           c.cfg.N,
+			Ranks:       ranks,
+			Policy:      c.cfg.Policy,
+			Degree:      c.cfg.Degree,
+			Placement:   c.cfg.Placement,
+			ECData:      c.cfg.ECData,
+			ECParity:    c.cfg.ECParity,
+			EagerFree:   c.cfg.EagerFree,
+			NoSnapCache: c.cfg.NoSnapCache,
+			Stats:       st,
+			Recovering:  recovering,
+			Respawn:     c.respawn,
+			Trace:       c.cfg.Trace,
 		}
 		p := sam.NewProc(t, cfg)
 		c.mu.Lock()

@@ -3,9 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"math"
-	"os"
-	"path/filepath"
 	"sort"
 
 	"samft/internal/ckptstore"
@@ -50,15 +47,10 @@ type ChaosSpec struct {
 	ECParity int
 	// TraceDir, when set, dumps every schedule's virtual-time trace under
 	// it (one subdirectory per schedule). Failing schedules are dumped
-	// even when TraceDir is empty, to DefaultTraceDir (or the
-	// SAMFT_TRACE_DIR environment variable), so every red seed comes with
-	// its timeline.
+	// even when TraceDir is empty (see TraceRoot), so every red seed comes
+	// with its timeline.
 	TraceDir string
 }
-
-// DefaultTraceDir receives failing chaos schedules' auto-dumped traces
-// when no explicit TraceDir is configured and SAMFT_TRACE_DIR is unset.
-const DefaultTraceDir = "chaos-traces"
 
 func (s *ChaosSpec) fill() {
 	if s.N <= 0 {
@@ -83,17 +75,7 @@ type ChaosSchedule struct {
 	Index  int
 	Kills  []KillEvent
 	Result Result
-	// Problems lists everything wrong with this schedule's run: an answer
-	// mismatch vs. the fault-free baseline, invariant violations, errors.
-	// A failing schedule whose trace dump also failed records that here,
-	// so a red seed either keeps its timeline or says why not.
-	Problems []string
-	// Warnings lists harness-side defects that do not fail the schedule
-	// (e.g. a requested trace dump failing on a passing run).
-	Warnings []string
-	// TraceDir is where this schedule's trace was dumped ("" if it was
-	// not), with trace.json (Perfetto loadable) and recovery.txt inside.
-	TraceDir string
+	Verdict
 }
 
 // ChaosResult is one application's sweep outcome.
@@ -162,8 +144,8 @@ func chaosSchedule(spec ChaosSpec, i int) []KillEvent {
 
 // ecActive mirrors ckptstore.NewStore's feasibility rule: an infeasible
 // (k,m) code is silently dropped and full replication applies.
-func ecActive(spec ChaosSpec) bool {
-	return spec.ECData >= 1 && spec.ECParity >= 1 && spec.ECData+spec.ECParity <= spec.N-1
+func ecActive(n, ecK, ecM int) bool {
+	return ecK >= 1 && ecM >= 1 && ecK+ecM <= n-1
 }
 
 // killBudget is the number of distinct ranks a schedule may take down
@@ -175,7 +157,7 @@ func killBudget(spec ChaosSpec) int {
 	if spec.N-1 < budget {
 		budget = spec.N - 1
 	}
-	if ecActive(spec) {
+	if ecActive(spec.N, spec.ECData, spec.ECParity) {
 		budget = spec.ECParity
 	}
 	if budget < 1 {
@@ -273,48 +255,14 @@ func RunChaos(spec ChaosSpec) (ChaosResult, error) {
 	}
 	for i, res := range results {
 		sched := ChaosSchedule{Index: i, Kills: schedules[i], Result: res}
-		if math.Float64bits(res.Answer) != math.Float64bits(baseline.Answer) {
-			sched.Problems = append(sched.Problems, fmt.Sprintf(
-				"answer mismatch: got %v, fault-free run produced %v", res.Answer, baseline.Answer))
-		}
-		sched.Problems = append(sched.Problems, res.InvariantViolations...)
-		if len(sched.Problems) > 0 {
+		sched.Verdict = Judge(res, &baseline, nil, tracers[i], spec.TraceDir,
+			fmt.Sprintf("%s-seed%d-schedule%02d", spec.App, spec.Seed, i))
+		if sched.Failed() {
 			out.Failed++
-		}
-		if len(sched.Problems) > 0 || spec.TraceDir != "" {
-			dir := filepath.Join(TraceRoot(spec.TraceDir), fmt.Sprintf("%s-seed%d-schedule%02d", spec.App, spec.Seed, i))
-			if _, derr := trace.Dump(tracers[i], dir); derr != nil {
-				// Never lose a red seed's timeline silently: a failing
-				// schedule records the dump failure alongside its problems;
-				// a passing one downgrades it to a warning (the simulation
-				// itself was fine).
-				msg := fmt.Sprintf("trace dump to %s failed: %v", dir, derr)
-				if len(sched.Problems) > 0 {
-					sched.Problems = append(sched.Problems, msg)
-				} else {
-					sched.Warnings = append(sched.Warnings, msg)
-				}
-			} else {
-				sched.TraceDir = dir
-			}
 		}
 		out.Schedules = append(out.Schedules, sched)
 	}
 	return out, nil
-}
-
-// TraceRoot resolves where auto-dumped traces land: the explicit
-// directory when set, else SAMFT_TRACE_DIR, else DefaultTraceDir. The
-// chaos sweep and the scenario campaign runner share this resolution so
-// CI's failing-trace artifact upload covers both.
-func TraceRoot(explicit string) string {
-	if explicit != "" {
-		return explicit
-	}
-	if d := os.Getenv("SAMFT_TRACE_DIR"); d != "" {
-		return d
-	}
-	return DefaultTraceDir
 }
 
 // CheckInvariants validates the paper's end-state guarantees over a
@@ -337,9 +285,7 @@ func CheckInvariants(snaps []sam.InvariantSnapshot, n, degree, ecK, ecM int) []s
 		seq         int64
 		shard       int
 	}
-	// Mirror ckptstore.NewStore's feasibility rule: an infeasible code is
-	// silently dropped and full replication applies.
-	ec := ecK >= 1 && ecM >= 1 && ecK+ecM <= n-1
+	ec := ecActive(n, ecK, ecM)
 	mains := make(map[uint64][]int)
 	copies := make(map[uint64][]copyRec)
 	for _, s := range snaps {
@@ -419,7 +365,7 @@ func (r ChaosResult) Print(w io.Writer) {
 	fmt.Fprintf(w, "fault-free answer: %v\n", r.Baseline)
 	for _, s := range r.Schedules {
 		status := "ok"
-		if len(s.Problems) > 0 {
+		if s.Failed() {
 			status = "FAIL"
 		}
 		fmt.Fprintf(w, "%4d %-4s kills=%d applied=%d %s\n",

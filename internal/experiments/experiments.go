@@ -89,7 +89,9 @@ type Spec struct {
 	N      int
 	Policy ft.Policy
 	Degree int
-	Eager  bool // eager-free ablation (A4)
+	// EagerFree selects the eager-free ablation (A4); the zero value is the
+	// paper's lazy §4.3 protocol.
+	EagerFree bool
 	// Consistent wraps the app with the global-checkpointing baseline (A3).
 	Consistent bool
 	Scale      Scale
@@ -130,19 +132,11 @@ type Spec struct {
 type Result struct {
 	Spec       Spec
 	ModeledSec float64
-	// WallSec is host wall-clock duration of the whole run — a
-	// diagnostic throughput number, never part of the simulation result.
-	WallSec float64
-	Report  stats.Report
+	Report     stats.Report
 	// Answer is an application-level scalar used to cross-check that
 	// different configurations compute the same thing (GPS best fitness,
 	// Water final potential energy, Barnes-Hut final tree mass).
 	Answer float64
-	// RecoverySec is the modeled (virtual) time from failure injection to
-	// the first completed recovery (0 when no failure was injected).
-	// Modeled rather than wall-clock so the number is reproducible across
-	// hosts and runs with identical seeds.
-	RecoverySec float64
 	// KillsApplied counts kill events that actually took down a live
 	// process (an event can be a no-op, e.g. an OnRecovery trigger whose
 	// subject never failed).
@@ -232,23 +226,9 @@ func Run(spec Spec) (Result, error) {
 	var cl *cluster.Cluster
 	killOnces := make([]sync.Once, len(spec.Kills))
 	var killsApplied atomic.Int64
-	// Kill/recovery instants are read off the cluster's modeled clock, so
-	// RecoverySec is a property of the simulated schedule (reproducible
-	// under a fixed seed), not of host scheduling.
-	var killAtSec, recoveredAtSec float64
-	var killSeen, recoverySeen bool
-	var recMu sync.Mutex
-
 	// fire executes kill event i exactly once.
 	fire := func(i int) {
 		killOnces[i].Do(func() {
-			now := cl.ElapsedModeledSec()
-			recMu.Lock()
-			if !killSeen {
-				killSeen = true
-				killAtSec = now
-			}
-			recMu.Unlock()
 			if cl.Kill(spec.Kills[i].Rank) {
 				killsApplied.Add(1)
 			}
@@ -265,16 +245,7 @@ func Run(spec Spec) (Result, error) {
 			}
 			a := gps.New(rank, spec.N, gp)
 			if rank == 0 {
-				a.OnResult = func(best float64) {
-					ans.put(best)
-					now := cl.ElapsedModeledSec()
-					recMu.Lock()
-					if killSeen && !recoverySeen {
-						recoverySeen = true
-						recoveredAtSec = now
-					}
-					recMu.Unlock()
-				}
+				a.OnResult = ans.put
 			}
 			app = a
 		case Water:
@@ -344,7 +315,7 @@ func Run(spec Spec) (Result, error) {
 		N:            spec.N,
 		Policy:       spec.Policy,
 		Degree:       spec.Degree,
-		EagerFree:    spec.Eager,
+		EagerFree:    spec.EagerFree,
 		NoSnapCache:  spec.NoSnapCache,
 		Placement:    spec.Placement,
 		ECData:       spec.ECData,
@@ -370,7 +341,6 @@ func Run(spec Spec) (Result, error) {
 			}
 		},
 	})
-	start := time.Now() //samlint:allow wallclock -- WallSec is a host-side diagnostic
 	var rep stats.Report
 	var violations []string
 	if spec.CheckInvariants {
@@ -401,26 +371,14 @@ func Run(spec Spec) (Result, error) {
 			return Result{}, err
 		}
 	}
-	wall := time.Since(start).Seconds() //samlint:allow wallclock -- WallSec is a host-side diagnostic
-	res := Result{
+	return Result{
 		Spec:                spec,
 		ModeledSec:          rep.Elapsed,
-		WallSec:             wall,
 		Report:              rep,
 		Answer:              ans.get(),
 		KillsApplied:        int(killsApplied.Load()),
 		InvariantViolations: violations,
-	}
-	recMu.Lock()
-	if killSeen && recoverySeen {
-		res.RecoverySec = recoveredAtSec - killAtSec
-	} else if killSeen {
-		// No recovery marker observed (e.g. the app finished without
-		// re-reporting): charge up to the end of the modeled run.
-		res.RecoverySec = rep.Elapsed - killAtSec
-	}
-	recMu.Unlock()
-	return res, nil
+	}, nil
 }
 
 // FigureRow is one (procs, variant) cell of a speedup figure.

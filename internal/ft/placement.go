@@ -52,13 +52,3 @@ func PrivateStateRanks(rank, n, degree int) []int {
 	}
 	return out
 }
-
-// CoordinatorRank returns the rank that coordinates recovery when failed
-// crashes: process 0, or process 1 if process 0 is the one that failed
-// (§4.5).
-func CoordinatorRank(failed int) int {
-	if failed == 0 {
-		return 1
-	}
-	return 0
-}

@@ -61,9 +61,6 @@ func NewClocks(self, n int) *Clocks {
 // N returns the number of processes tracked.
 func (c *Clocks) N() int { return len(c.T) }
 
-// Self returns the owning process rank.
-func (c *Clocks) Self() int { return c.self }
-
 // Now returns the process's current virtual time.
 func (c *Clocks) Now() int64 { return c.T[c.self] }
 

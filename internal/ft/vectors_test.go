@@ -367,12 +367,3 @@ func TestPrivateStateRanks(t *testing.T) {
 		t.Fatalf("n=1 = %v", got)
 	}
 }
-
-func TestCoordinatorRank(t *testing.T) {
-	if CoordinatorRank(3) != 0 {
-		t.Fatal("coordinator should be 0")
-	}
-	if CoordinatorRank(0) != 1 {
-		t.Fatal("coordinator should fall back to 1 when 0 fails")
-	}
-}

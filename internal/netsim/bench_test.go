@@ -2,29 +2,192 @@ package netsim_test
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
-	"samft/internal/benchkit"
+	"samft/internal/netsim"
+	"samft/internal/pvm"
 )
 
-// The benchmark bodies live in internal/benchkit so that `ftbench
-// -json` can drive the very same loops through testing.Benchmark when
-// it emits the committed trajectory file; these wrappers keep them
-// runnable with plain `go test -bench`.
+// Benchmark fabric tags, registered in the module-wide Tag* namespace
+// (samlint tagunique).
+const (
+	// TagBench marks the messages a benchmark measures.
+	TagBench = pvm.TagUserBase + 8
+	// TagBenchFill marks never-matched filler messages (deep-queue runs).
+	TagBenchFill = pvm.TagUserBase + 9
+)
 
-func BenchmarkSendRecv(b *testing.B)      { benchkit.SendRecv(b) }
-func BenchmarkSendRecvExact(b *testing.B) { benchkit.SendRecvExact(b) }
+// msgsPerSec is the unit under which throughput benchmarks report their
+// headline metric.
+const msgsPerSec = "msgs/s"
 
-func BenchmarkMatchDeepQueue(b *testing.B) {
-	for _, depth := range []int{16, 256, 1024} {
-		b.Run(fmt.Sprintf("depth%d", depth), benchkit.MatchDeepQueue(depth))
+// BenchmarkSendRecv measures the steady-state cost of one send plus one
+// wildcard receive between a single pair of endpoints. The allocs/op
+// number is the send path's allocation budget: it must stay at (or very
+// near) one — the Message handed to the receiver.
+func BenchmarkSendRecv(b *testing.B) {
+	n := netsim.New(netsim.DefaultConfig())
+	defer n.Close()
+	a, dst := n.NewEndpoint(), n.NewEndpoint()
+	payload := make([]byte, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := a.Send(dst.TID(), TagBench, payload); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := dst.Recv(netsim.AnySrc, netsim.AnyTag); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
-// BenchmarkAllToAll64 is the 64-process all-to-all exchange from the
-// ISSUE 6 acceptance criteria; BenchmarkAllToAll8 is the paper-scale
-// (8 workstations) variant for the scaling comparison.
-func BenchmarkAllToAll64(b *testing.B) { benchkit.AllToAll(64, 4)(b) }
-func BenchmarkAllToAll8(b *testing.B)  { benchkit.AllToAll(8, 4)(b) }
+// BenchmarkSendRecvExact is BenchmarkSendRecv with an exact (src, tag)
+// match instead of wildcards, exercising the per-source/per-tag mailbox
+// index.
+func BenchmarkSendRecvExact(b *testing.B) {
+	n := netsim.New(netsim.DefaultConfig())
+	defer n.Close()
+	a, dst := n.NewEndpoint(), n.NewEndpoint()
+	payload := make([]byte, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := a.Send(dst.TID(), TagBench, payload); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := dst.Recv(a.TID(), TagBench); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
-func BenchmarkFanIn(b *testing.B) { benchkit.FanIn(b) }
+// matchDeepQueue returns a benchmark that receives by exact tag from a
+// mailbox holding depth non-matching messages — the PVM-style matching
+// cost the mailbox index turns from O(queue) into O(1) amortized.
+func matchDeepQueue(depth int) func(b *testing.B) {
+	return func(b *testing.B) {
+		n := netsim.New(netsim.DefaultConfig())
+		defer n.Close()
+		a, dst := n.NewEndpoint(), n.NewEndpoint()
+		// Fill the mailbox with filler-tagged messages that never match.
+		for i := 0; i < depth; i++ {
+			//samlint:allow tagflow -- the fill tag is deliberately never received; the benchmark measures matching past it
+			if err := a.Send(dst.TID(), TagBenchFill, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+		payload := make([]byte, 16)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := a.Send(dst.TID(), TagBench, payload); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := dst.Recv(a.TID(), TagBench); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// allToAll returns a benchmark running rounds of a procs-wide all-to-all
+// exchange: each endpoint sends one message to every other endpoint,
+// then receives one from every other endpoint by exact source match.
+// The msgs/s metric is the headline fabric-scaling number.
+func allToAll(procs, rounds int) func(b *testing.B) {
+	return func(b *testing.B) {
+		n := netsim.New(netsim.DefaultConfig())
+		defer n.Close()
+		eps := make([]*netsim.Endpoint, procs)
+		for i := range eps {
+			eps[i] = n.NewEndpoint()
+		}
+		payload := make([]byte, 32)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for iter := 0; iter < b.N; iter++ {
+			var wg sync.WaitGroup
+			for i := range eps {
+				wg.Add(1)
+				go func(self int) {
+					defer wg.Done()
+					e := eps[self]
+					for r := 0; r < rounds; r++ {
+						for j := range eps {
+							if j == self {
+								continue
+							}
+							if err := e.Send(eps[j].TID(), TagBench, payload); err != nil {
+								b.Error(err)
+								return
+							}
+						}
+						for j := range eps {
+							if j == self {
+								continue
+							}
+							if _, err := e.Recv(eps[j].TID(), TagBench); err != nil {
+								b.Error(err)
+								return
+							}
+						}
+					}
+				}(i)
+			}
+			wg.Wait()
+		}
+		b.StopTimer()
+		msgs := float64(b.N) * float64(rounds) * float64(procs) * float64(procs-1)
+		b.ReportMetric(msgs/b.Elapsed().Seconds(), msgsPerSec)
+	}
+}
+
+// BenchmarkFanIn measures many concurrent senders feeding one receiver — the
+// pattern of a SAM home directory or a recovery coordinator.
+func BenchmarkFanIn(b *testing.B) {
+	const senders = 32
+	n := netsim.New(netsim.DefaultConfig())
+	defer n.Close()
+	recv := n.NewEndpoint()
+	srcs := make([]*netsim.Endpoint, senders)
+	for i := range srcs {
+		srcs[i] = n.NewEndpoint()
+	}
+	payload := make([]byte, 32)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for iter := 0; iter < b.N; iter++ {
+		var wg sync.WaitGroup
+		for _, e := range srcs {
+			wg.Add(1)
+			go func(e *netsim.Endpoint) {
+				defer wg.Done()
+				if err := e.Send(recv.TID(), TagBench, payload); err != nil {
+					b.Error(err)
+				}
+			}(e)
+		}
+		for i := 0; i < senders; i++ {
+			if _, err := recv.Recv(netsim.AnySrc, TagBench); err != nil {
+				b.Fatal(err)
+			}
+		}
+		wg.Wait()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.N)*senders/b.Elapsed().Seconds(), msgsPerSec)
+}
+
+func BenchmarkMatchDeepQueue(b *testing.B) {
+	for _, depth := range []int{16, 256, 1024} {
+		b.Run(fmt.Sprintf("depth%d", depth), matchDeepQueue(depth))
+	}
+}
+
+// BenchmarkAllToAll64 is the 64-process all-to-all exchange;
+// BenchmarkAllToAll8 is the paper-scale (8 workstations) variant for the
+// scaling comparison.
+func BenchmarkAllToAll64(b *testing.B) { allToAll(64, 4)(b) }
+func BenchmarkAllToAll8(b *testing.B)  { allToAll(8, 4)(b) }

@@ -326,7 +326,7 @@ func (e *Endpoint) deliver(src, dst TID, tag int, id int64, payload []byte, arri
 		e.mu.Unlock()
 		return false
 	}
-	//samlint:allow noalloc -- ingress queue append; capacity converges after warm-up (allocs/op pinned by benchkit)
+	//samlint:allow noalloc -- ingress queue append; capacity converges after warm-up (allocs/op pinned by BenchmarkSendRecv)
 	e.queue = append(e.queue, Message{Src: src, Dst: dst, Tag: tag, ID: id, Payload: payload, ArrivalUS: arrival})
 	wake := e.waiting
 	e.waiting = false

@@ -34,7 +34,6 @@ func (p *Proc) cmdCreateAccum(c *cmd) {
 	o.dirty = true
 	o.dirtySeq++
 	o.accessesDeclared = Unlimited
-	p.touch(o)
 	p.stepTainted = true
 	p.taint.OnNonReexecutable()
 
@@ -70,7 +69,6 @@ func (p *Proc) drainPendingGrants(o *object) {
 func (p *Proc) cmdUpdateAccum(c *cmd) {
 	p.st.SharedAccesses.Add(1)
 	o := p.obj(c.name)
-	p.touch(o)
 	if o.isMain && o.created && o.state == stPresent && !o.accLocked && o.pendingMove < 0 {
 		// Fast path: we own the accumulator and no migration is pending.
 		p.grantAccumLock(o, c)
@@ -124,7 +122,6 @@ func (p *Proc) cmdReleaseAccum(c *cmd) {
 	o.dirtySeq++
 	o.accSnapSeq++
 	o.version++
-	p.touch(o)
 	// Serve a migration that arrived while the application held the lock.
 	p.tryMigrate(o)
 	// Serve chaotic-read snapshots deferred during the update.
@@ -141,7 +138,6 @@ func (p *Proc) cmdReleaseAccum(c *cmd) {
 func (p *Proc) cmdChaoticRead(c *cmd) {
 	p.st.SharedAccesses.Add(1)
 	o := p.obj(c.name)
-	p.touch(o)
 	if o.usable() && o.kind == ft.KindAccum {
 		p.serveChaoticLocal(o, c)
 		return
@@ -372,7 +368,6 @@ func (p *Proc) onAccData(w *wire) {
 	}
 	o.pendingMove = -1
 	o.migrationQueued = false
-	p.touch(o)
 	if w.Inactive {
 		// Ownership commits with the sender's checkpoint; if the sender
 		// dies first, kRecovery reverts this entry and the acquisition is
@@ -459,7 +454,6 @@ func (p *Proc) onAccSnap(w *wire) {
 	o.data = data
 	o.ownerRank = w.SrcRank
 	o.invalidatePackCache()
-	p.touch(o)
 	if w.Inactive {
 		o.state = stInactive
 		o.inactiveFrom = w.SrcRank

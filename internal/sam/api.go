@@ -212,7 +212,6 @@ func (p *Proc) cmdGate(c *cmd) {
 	p.stepsDone = c.step
 	p.stepTainted = false
 	p.flushUseNotices()
-	p.evictIfNeeded()
 
 	if !p.ftEnabled() {
 		p.reply(c, nil, nil)

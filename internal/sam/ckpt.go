@@ -460,7 +460,7 @@ func (p *Proc) markFreeable(o *object) {
 	}
 	o.freeableAt = p.clocks.Tick()
 	p.freePending[o.name] = true
-	if !p.cfg.LazyFree {
+	if p.cfg.EagerFree {
 		// Eager ablation: round-trip to every other process immediately.
 		for j := 0; j < p.cfg.N; j++ {
 			if j == p.cfg.Rank {
@@ -503,7 +503,7 @@ func (p *Proc) retryFrees() {
 	for _, n := range freed {
 		delete(p.freePending, n)
 	}
-	if p.cfg.LazyFree && len(p.freePending) > maxFreeBacklog {
+	if !p.cfg.EagerFree && len(p.freePending) > maxFreeBacklog {
 		p.forceOldestFrees()
 	}
 }
@@ -683,7 +683,6 @@ func (p *Proc) applyCkptCopy(o *object, w *wire) {
 		o.data = data
 		o.state = stPresent
 		o.ownerRank = w.Owner
-		p.touch(o)
 		p.serveLocalWaiters(o)
 	}
 }
@@ -740,7 +739,6 @@ func (p *Proc) onActivate(w *wire) {
 			}
 		}
 	}
-	p.evictIfNeeded()
 }
 
 func (p *Proc) onForceCkpt(w *wire) {

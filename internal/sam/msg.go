@@ -17,13 +17,11 @@ const TagSAM = pvm.TagUserBase + 1
 // readable).
 const (
 	// Values.
-	kValReg     = iota + 1 // creator -> home: value exists, owner = SrcRank
-	kValReq                // requester -> home: locate and fetch a value
-	kValReqFwd             // home -> owner: forward of kValReq (Target = requester)
-	kValData               // owner -> requester: value contents
-	kValUsed               // consumer -> owner: batched use counts (Names/Counts)
-	kValFree               // owner -> cached-copy holders: drop your copy (eager-free ablation)
-	kValFreeAck            // reply to kValFree
+	kValReg    = iota + 1 // creator -> home: value exists, owner = SrcRank
+	kValReq               // requester -> home: locate and fetch a value
+	kValReqFwd            // home -> owner: forward of kValReq (Target = requester)
+	kValData              // owner -> requester: value contents
+	kValUsed              // consumer -> owner: batched use counts (Names/Counts)
 
 	// Accumulators.
 	kAccReg     // creator -> home: accumulator exists, owner = SrcRank
@@ -61,26 +59,27 @@ const (
 	kOwnerDeny   // home -> new process: you do not own the queried object; drop the hint
 )
 
+// kindNames is indexed by message kind.
+var kindNames = [...]string{
+	kValReg: "ValReg", kValReq: "ValReq", kValReqFwd: "ValReqFwd",
+	kValData: "ValData", kValUsed: "ValUsed",
+	kAccReg: "AccReg", kAccAcq: "AccAcq", kAccGrant: "AccGrant",
+	kAccData: "AccData", kAccOwner: "AccOwner", kAccSnapReq: "AccSnapReq",
+	kAccSnapFwd: "AccSnapFwd", kAccSnap: "AccSnap",
+	kPush:     "Push",
+	kCkptPriv: "CkptPriv", kCkptCopy: "CkptCopy", kCkptAck: "CkptAck",
+	kActivate: "Activate", kForceCkpt: "ForceCkpt", kForceAck: "ForceAck",
+	kFreeCkpt: "FreeCkpt",
+	kFailed:   "Failed", kRecovery: "Recovery", kRecoverPriv: "RecoverPriv",
+	kRecoverData: "RecoverData", kDirReport: "DirReport",
+	kOwnerReport: "OwnerReport", kOwnerHint: "OwnerHint", kRecoverFin: "RecoverFin",
+	kRecoverReq: "RecoverReq",
+	kOwnerQuery: "OwnerQuery", kOwnerDeny: "OwnerDeny",
+}
+
 func kindName(k int) string {
-	names := map[int]string{
-		kValReg: "ValReg", kValReq: "ValReq", kValReqFwd: "ValReqFwd",
-		kValData: "ValData", kValUsed: "ValUsed", kValFree: "ValFree",
-		kValFreeAck: "ValFreeAck",
-		kAccReg:     "AccReg", kAccAcq: "AccAcq", kAccGrant: "AccGrant",
-		kAccData: "AccData", kAccOwner: "AccOwner", kAccSnapReq: "AccSnapReq",
-		kAccSnapFwd: "AccSnapFwd", kAccSnap: "AccSnap",
-		kPush:     "Push",
-		kCkptPriv: "CkptPriv", kCkptCopy: "CkptCopy", kCkptAck: "CkptAck",
-		kActivate: "Activate", kForceCkpt: "ForceCkpt", kForceAck: "ForceAck",
-		kFreeCkpt: "FreeCkpt",
-		kFailed:   "Failed", kRecovery: "Recovery", kRecoverPriv: "RecoverPriv",
-		kRecoverData: "RecoverData", kDirReport: "DirReport",
-		kOwnerReport: "OwnerReport", kOwnerHint: "OwnerHint", kRecoverFin: "RecoverFin",
-		kRecoverReq: "RecoverReq",
-		kOwnerQuery: "OwnerQuery", kOwnerDeny: "OwnerDeny",
-	}
-	if n, ok := names[k]; ok {
-		return n
+	if k > 0 && k < len(kindNames) {
+		return kindNames[k]
 	}
 	return "?"
 }

@@ -148,9 +148,6 @@ type object struct {
 	// recovery restore) and implicitly by any dirtySeq bump.
 	packCache    []byte
 	packCacheSeq int64
-
-	// lru is a monotonically increasing touch counter for eviction.
-	lru int64
 }
 
 // usable reports whether the local contents can satisfy an access.

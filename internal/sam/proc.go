@@ -36,9 +36,8 @@ type Proc struct {
 
 	ranks []pvm.TID // rank -> current tid
 
-	objs    map[Name]*object
-	dir     map[Name]*dirEntry
-	lruTick int64
+	objs map[Name]*object
+	dir  map[Name]*dirEntry
 
 	// Application coordination.
 	app          App
@@ -348,15 +347,6 @@ func (p *Proc) park(c *cmd) {
 	p.maybeStartTx()
 }
 
-// unpark completes the parked command.
-func (p *Proc) unpark(obj interface{}, err error) {
-	c := p.appParked
-	p.appParked = nil
-	if c != nil {
-		p.reply(c, obj, err)
-	}
-}
-
 // handleMessage dispatches one network message.
 func (p *Proc) handleMessage(m netsim.Message) {
 	if m.Tag == pvm.TagTaskExit {
@@ -392,16 +382,11 @@ func (p *Proc) emit(e trace.Event) {
 	p.rec.Emit(e)
 }
 
-// trace logs one protocol event when tracing is enabled.
-func (p *Proc) trace(format string, args ...interface{}) {
-	if p.cfg.Trace != nil {
-		p.cfg.Trace("[rank%d] "+format, append([]interface{}{p.cfg.Rank}, args...)...)
-	}
-}
-
 func (p *Proc) dispatch(w *wire) {
-	p.trace("recv %s from %d name=%v seq=%d inactive=%v target=%d",
-		kindName(w.Kind), w.SrcRank, Name(w.Name), w.Seq, w.Inactive, w.Target)
+	if p.cfg.Trace != nil {
+		p.cfg.Trace("[rank%d] recv %s from %d name=%v seq=%d inactive=%v target=%d",
+			p.cfg.Rank, kindName(w.Kind), w.SrcRank, Name(w.Name), w.Seq, w.Inactive, w.Target)
+	}
 	if p.rec != nil {
 		switch w.Kind {
 		case kRecoverPriv, kRecoverData, kDirReport, kOwnerReport, kOwnerHint, kRecoverFin:
@@ -520,12 +505,6 @@ func (p *Proc) send(rank int, w *wire) {
 	}
 }
 
-// touch updates an object's LRU stamp.
-func (p *Proc) touch(o *object) {
-	p.lruTick++
-	o.lru = p.lruTick
-}
-
 // obj returns the local entry for name, creating a placeholder if absent.
 func (p *Proc) obj(name Name) *object {
 	o, ok := p.objs[name]
@@ -548,33 +527,6 @@ func (p *Proc) dirEnt(name Name) *dirEntry {
 
 // home returns the rank holding directory information for name.
 func (p *Proc) home(name Name) int { return ft.HomeRank(uint64(name), p.cfg.N) }
-
-// evictIfNeeded enforces the cache capacity by dropping the least
-// recently used unpinned, non-main, non-checkpoint entries. Dropping a
-// consumer copy reports its outstanding uses to the owner first.
-func (p *Proc) evictIfNeeded() {
-	if p.cfg.CacheCapacity <= 0 {
-		return
-	}
-	for {
-		cached := 0
-		var victim *object
-		for _, o := range p.objs {
-			if o.isMain || o.ckptCopy || o.pins > 0 || o.state != stPresent || o.kind != ft.KindValue {
-				continue
-			}
-			cached++
-			if victim == nil || o.lru < victim.lru {
-				victim = o
-			}
-		}
-		if cached <= p.cfg.CacheCapacity || victim == nil {
-			return
-		}
-		p.noteUse(victim) // report outstanding uses before dropping
-		delete(p.objs, victim.name)
-	}
-}
 
 // finish marks the application complete; the runtime keeps serving other
 // processes until the harness halts the machine.

@@ -785,7 +785,6 @@ func (p *Proc) installRecoveredMain(w *wire, meta *ft.ObjectMeta) {
 	p.store.Record(uint64(name), w.Seq, p.takeRecoverHolders(name, w.Seq))
 	p.repairPending[name] = true
 	o.pendingMove = -1
-	p.touch(o)
 
 	if p.home(name) == p.cfg.Rank {
 		d := p.dirEnt(name)

@@ -81,13 +81,10 @@ type Config struct {
 	// Private state stays fully replicated at Degree either way.
 	ECData   int
 	ECParity int
-	// LazyFree enables the §4.3 virtual-time protocol for freeing main
-	// copies (default). When false, every free performs an eager
-	// round-trip to all processes — the ablation baseline.
-	LazyFree bool
-	// CacheCapacity bounds the number of cached (non-main, non-checkpoint)
-	// objects before LRU eviction; 0 means unbounded.
-	CacheCapacity int
+	// EagerFree replaces the §4.3 virtual-time protocol for freeing main
+	// copies with an eager round-trip to all processes on every free — the
+	// ablation baseline. The zero value is the paper's lazy protocol.
+	EagerFree bool
 	// NoSnapCache disables the version-keyed snapshot cache: every send or
 	// checkpoint of an owned object then re-packs its contents, as the
 	// original reproduction did. The cache is on by default; this knob

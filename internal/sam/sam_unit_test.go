@@ -101,61 +101,6 @@ func TestPrefetchAndPushProduceHits(t *testing.T) {
 	}
 }
 
-// evictApp fills the cache beyond capacity and re-reads everything.
-type evictApp struct {
-	rank, n int
-	vals    int
-	st      emptyState
-}
-
-func evVal(i int) sam.Name { return sam.MkName(51, i, 0) }
-
-func (a *evictApp) Init(p *sam.Proc) {
-	if a.rank == 0 {
-		for i := 0; i < a.vals; i++ {
-			p.CreateValue(evVal(i), &vecBox{Vals: []float64{float64(i)}}, sam.Unlimited)
-		}
-	}
-}
-
-func (a *evictApp) Step(p *sam.Proc, step int64) bool {
-	if step > 3 {
-		return false
-	}
-	if a.rank == 1 {
-		for i := 0; i < a.vals; i++ {
-			v := p.UseValue(evVal(i)).(*vecBox)
-			if v.Vals[0] != float64(i) {
-				panic("wrong value after eviction refetch")
-			}
-			p.DoneValue(evVal(i))
-		}
-	}
-	return true
-}
-
-func (a *evictApp) Snapshot() interface{} { return &a.st }
-func (a *evictApp) Restore(s interface{}) { a.st = *(s.(*emptyState)) }
-
-func TestCacheEvictionRefetches(t *testing.T) {
-	c := cluster.New(cluster.Config{
-		N:             2,
-		Policy:        ft.PolicyOff,
-		CacheCapacity: 4, // far fewer than the 16 values touched per pass
-		AppFactory: func(rank int) sam.App {
-			return &evictApp{rank: rank, n: 2, vals: 16}
-		},
-	})
-	rep, err := c.Run(30 * time.Second)
-	if err != nil {
-		t.Fatalf("cluster: %v", err)
-	}
-	// With capacity 4 and a 16-value scan, most re-reads must refetch.
-	if rep.Total.Misses < 20 {
-		t.Fatalf("eviction did not force refetches: misses = %d", rep.Total.Misses)
-	}
-}
-
 // TestChaoticReadAfterMigration checks that a stale cached version serves
 // chaotic reads after the accumulator has migrated away.
 type staleApp struct {

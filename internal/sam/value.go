@@ -33,7 +33,6 @@ func (p *Proc) cmdCreateValue(c *cmd) {
 	o.dirty = true
 	o.dirtySeq++
 	o.accessesDeclared = c.accesses
-	p.touch(o)
 
 	// Register with the home so queued requesters find us.
 	if h := p.home(c.name); h != p.cfg.Rank {
@@ -50,7 +49,6 @@ func (p *Proc) cmdCreateValue(c *cmd) {
 func (p *Proc) cmdUseValue(c *cmd) {
 	p.st.SharedAccesses.Add(1)
 	o := p.obj(c.name)
-	p.touch(o)
 	if o.usable() {
 		p.grantUse(o)
 		p.reply(c, o.data, nil)
@@ -413,7 +411,6 @@ func (p *Proc) installValueCopy(w *wire) {
 	if p.rec != nil {
 		p.emit(trace.Event{Kind: trace.SamFetchData, Name: w.Name, Src: int64(w.SrcRank), Bytes: len(w.Body)})
 	}
-	p.touch(o)
 	if w.Inactive {
 		// Usable (and the fetch satisfied) only once the sender's
 		// checkpoint commits; if the sender dies first, kRecovery drops
@@ -426,7 +423,6 @@ func (p *Proc) installValueCopy(w *wire) {
 	o.fetchOutstanding = false
 	o.state = stPresent
 	p.serveLocalWaiters(o)
-	p.evictIfNeeded()
 }
 
 func (p *Proc) onValUsed(w *wire) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"path/filepath"
 
 	"samft/internal/experiments"
 	"samft/internal/trace"
@@ -14,23 +13,18 @@ import (
 type Outcome struct {
 	Path string
 	Name string
-	// Problems lists every failed assertion (and harness errors such as a
-	// failed trace dump on an already-failing scenario). Empty = green.
-	Problems []string
-	// Warnings lists harness defects on a passing scenario (e.g. a
-	// requested trace dump that could not be written).
-	Warnings []string
+	// Verdict holds every failed assertion (Problems; empty = green),
+	// harness warnings, and where the faulted run's trace was dumped.
+	experiments.Verdict
 	// Result is the faulted run; BaselineAnswer the fault-free twin's
 	// answer (NaN when the answer assertion is off).
 	Result         experiments.Result
 	BaselineAnswer float64
-	// TraceDir is where the faulted run's virtual-time trace was dumped
-	// ("" if it was not).
-	TraceDir string
+	// RecoveryModeledSec is the faulted run's recovery time, read off its
+	// trace (experiments.RecoveryWindowSec); max_recovery_modeled_sec
+	// bounds it.
+	RecoveryModeledSec float64
 }
-
-// Failed reports whether the scenario missed any assertion.
-func (o Outcome) Failed() bool { return len(o.Problems) > 0 }
 
 // RunOne executes a single compiled scenario.
 func RunOne(c Compiled, traceDir string) (Outcome, error) {
@@ -76,47 +70,41 @@ func RunSet(cs []Compiled, traceDir string) ([]Outcome, error) {
 
 	outs := make([]Outcome, len(cs))
 	for i, c := range cs {
-		o := Outcome{
-			Path:           c.Path,
-			Name:           c.Scenario.Name,
-			Result:         results[runIdx[i]],
-			BaselineAnswer: math.NaN(),
-		}
-		res := o.Result
+		var baseline *experiments.Result
 		if baseIdx[i] >= 0 {
-			o.BaselineAnswer = results[baseIdx[i]].Answer
-			if math.Float64bits(res.Answer) != math.Float64bits(o.BaselineAnswer) {
-				o.Problems = append(o.Problems, fmt.Sprintf(
-					"answer mismatch: got %v, fault-free run produced %v", res.Answer, o.BaselineAnswer))
-			}
+			baseline = &results[baseIdx[i]]
 		}
-		for _, v := range res.InvariantViolations {
-			o.Problems = append(o.Problems, "invariant: "+v)
-		}
-		if c.MaxRecoverySec > 0 && res.RecoverySec > c.MaxRecoverySec {
-			o.Problems = append(o.Problems, fmt.Sprintf(
-				"recovery took %.4f modeled s, bound is %.4f", res.RecoverySec, c.MaxRecoverySec))
-		}
-		if res.KillsApplied < c.MinKills {
-			o.Problems = append(o.Problems, fmt.Sprintf(
-				"only %d/%d kills hit a live process (a scheduled kill was a no-op)", res.KillsApplied, c.MinKills))
-		}
-		if len(o.Problems) > 0 || traceDir != "" {
-			dir := filepath.Join(experiments.TraceRoot(traceDir), "scenario-"+o.Name)
-			if _, derr := trace.Dump(tracers[i], dir); derr != nil {
-				msg := fmt.Sprintf("trace dump to %s failed: %v", dir, derr)
-				if len(o.Problems) > 0 {
-					o.Problems = append(o.Problems, msg)
-				} else {
-					o.Warnings = append(o.Warnings, msg)
-				}
-			} else {
-				o.TraceDir = dir
-			}
-		}
-		outs[i] = o
+		outs[i] = assess(c, results[runIdx[i]], baseline, tracers[i], traceDir)
 	}
 	return outs, nil
+}
+
+// assess evaluates one scenario over its finished runs: the scenario-level
+// assertions (recovery bound, kills applied) here, everything else by the
+// judge shared with the chaos sweep. baseline is nil when the answer
+// assertion is off; tracer recorded the faulted run res.
+func assess(c Compiled, res experiments.Result, baseline *experiments.Result, tracer *trace.Tracer, traceDir string) Outcome {
+	o := Outcome{
+		Path:               c.Path,
+		Name:               c.Scenario.Name,
+		Result:             res,
+		BaselineAnswer:     math.NaN(),
+		RecoveryModeledSec: experiments.RecoveryWindowSec(tracer),
+	}
+	if baseline != nil {
+		o.BaselineAnswer = baseline.Answer
+	}
+	var missed []string
+	if c.MaxRecoverySec > 0 && o.RecoveryModeledSec > c.MaxRecoverySec {
+		missed = append(missed, fmt.Sprintf(
+			"recovery took %.4f modeled s, bound is %.4f", o.RecoveryModeledSec, c.MaxRecoverySec))
+	}
+	if res.KillsApplied < c.MinKills {
+		missed = append(missed, fmt.Sprintf(
+			"only %d/%d kills hit a live process (a scheduled kill was a no-op)", res.KillsApplied, c.MinKills))
+	}
+	o.Verdict = experiments.Judge(res, baseline, missed, tracer, traceDir, "scenario-"+o.Name)
+	return o
 }
 
 // Print renders one outcome in the campaign report format.
@@ -130,7 +118,10 @@ func (o Outcome) Print(w io.Writer, verbose bool) {
 		name = o.Path
 	}
 	fmt.Fprintf(w, "%-4s %-44s answer=%v modeled=%.4fs kills=%d recovery=%.4fs\n",
-		status, name, o.Result.Answer, o.Result.ModeledSec, o.Result.KillsApplied, o.Result.RecoverySec)
+		status, name, o.Result.Answer, o.Result.ModeledSec, o.Result.KillsApplied, o.RecoveryModeledSec)
+	if verbose {
+		fmt.Fprintf(w, "       stats: %s\n", o.Result.Report)
+	}
 	for _, p := range o.Problems {
 		fmt.Fprintf(w, "       %s\n", p)
 	}

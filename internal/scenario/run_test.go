@@ -1,10 +1,14 @@
 package scenario
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"samft/internal/experiments"
+	"samft/internal/trace"
 )
 
 // TestRunOnePasses executes a small real scenario end-to-end: kills
@@ -127,5 +131,66 @@ func TestRunDumpFailureIsWarning(t *testing.T) {
 	}
 	if out.TraceDir != "" {
 		t.Errorf("TraceDir = %q despite failed dump", out.TraceDir)
+	}
+}
+
+// TestRecoveryFigureIsTraceWindow pins the one recovery clock: the figure
+// a scenario reports is the longest complete window trace.AnalyzeRecovery
+// finds in the faulted run's tracer (the benchmark's recovery_modeled_ms),
+// the dumped recovery.txt is that same analysis, and
+// max_recovery_modeled_sec bounds exactly that figure.
+func TestRecoveryFigureIsTraceWindow(t *testing.T) {
+	s := mustLoad(t, `{
+		"name": "recovery-clock",
+		"fleet": { "procs": 4, "app": "water" },
+		"events": [
+			{ "kill": { "rank": 1, "at_step": 2 } },
+			{ "kill": { "rank": 3, "at_step": 3 } }
+		],
+		"assert": { "answer_matches_baseline": false }
+	}`)
+	c := Compile(s, "")
+	tracer := trace.New(0)
+	c.Spec.Tracer = tracer
+	res, err := experiments.Run(c.Spec)
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+
+	rep := trace.AnalyzeRecovery(tracer)
+	wantUS := 0.0
+	for _, inc := range rep.Incarnations {
+		if inc.Complete && inc.WindowUS() > wantUS {
+			wantUS = inc.WindowUS()
+		}
+	}
+	if wantUS <= 0 {
+		t.Fatalf("no complete recovery in the trace:\n%s", rep)
+	}
+
+	dir := t.TempDir()
+	out := assess(c, res, nil, tracer, dir)
+	if out.Failed() {
+		t.Fatalf("unbounded scenario failed: %v", out.Problems)
+	}
+	if out.RecoveryModeledSec != wantUS/1e6 {
+		t.Errorf("reported recovery %v s, trace's longest complete window is %v s", out.RecoveryModeledSec, wantUS/1e6)
+	}
+	dumped, err := os.ReadFile(filepath.Join(out.TraceDir, "recovery.txt"))
+	if err != nil {
+		t.Fatalf("dumped recovery report: %v", err)
+	}
+	if string(dumped) != rep.String() {
+		t.Errorf("dumped recovery.txt differs from AnalyzeRecovery on the run's tracer:\n%s\nvs\n%s", dumped, rep)
+	}
+
+	c.MaxRecoverySec = out.RecoveryModeledSec
+	if at := assess(c, res, nil, tracer, dir); at.Failed() {
+		t.Errorf("bound equal to the figure failed: %v", at.Problems)
+	}
+	c.MaxRecoverySec = math.Nextafter(out.RecoveryModeledSec, 0)
+	below := assess(c, res, nil, tracer, dir)
+	if !below.Failed() || !strings.Contains(below.Problems[0], "recovery took") {
+		t.Errorf("bound just below the figure did not fail the scenario: %v", below.Problems)
 	}
 }

@@ -106,8 +106,9 @@ type Assert struct {
 	// min(degree, procs-1) (or k+m distinct shards under EC), no leaked
 	// provisional state (default true).
 	Invariants *bool `json:"invariants,omitempty"`
-	// MaxRecoveryModeledSec bounds the modeled time from the first kill to
-	// the first completed recovery (0 = unchecked).
+	// MaxRecoveryModeledSec bounds the faulted run's recovery time: the
+	// longest complete recovery window in its trace, a replacement's first
+	// event through sam.rec-done (0 = unchecked).
 	MaxRecoveryModeledSec float64 `json:"max_recovery_modeled_sec,omitempty"`
 	// MinKillsApplied requires at least this many kill events to have
 	// taken down a live process. Omitted, it defaults to the number of
