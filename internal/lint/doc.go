@@ -33,7 +33,9 @@
 //     //samlint:lockclass-annotated mutexes, verifies every observed
 //     nesting (including through any depth of cross-package calls) is
 //     declared with a //samlint:lockorder directive, and rejects cycles
-//     in the declared∪observed order — the classic deadlock shape.
+//     in the declared∪observed order — the classic deadlock shape. It
+//     and lockheld decide "which mutexes are held here" with one shared
+//     path-sensitive walker, package lockflow.
 //   - noalloc — functions annotated //samlint:hotpath, and everything
 //     they transitively call, must be free of heap allocation: make/new,
 //     growing appends, composite literals, closures, interface boxing,

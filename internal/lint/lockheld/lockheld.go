@@ -10,11 +10,8 @@
 //   - every call to a *Locked function must hold the corresponding
 //     mutex on every path reaching the call.
 //
-// Hold tracking is a conservative abstract interpretation over the
-// enclosing function body: Lock/RLock raise the held depth, a plain
-// Unlock lowers it, a deferred Unlock keeps it raised until return, and
-// branches merge pessimistically (a path that terminates — return,
-// break, continue, panic — does not leak its state past the branch).
+// Hold tracking is package lockflow's conservative, path-sensitive
+// interpretation of the enclosing function body, shared with lockorder.
 package lockheld
 
 import (
@@ -23,6 +20,7 @@ import (
 	"strings"
 
 	"samft/internal/lint/analysis"
+	"samft/internal/lint/lockflow"
 )
 
 // Analyzer is the lockheld check.
@@ -49,18 +47,10 @@ func run(pass *analysis.Pass) error {
 
 type checker struct {
 	pass *analysis.Pass
-	// queue holds function literals discovered while walking a body;
-	// each is analyzed with a fresh lock state (it runs later, under
-	// whatever locks its eventual caller holds — unknowable statically,
-	// so only locks taken inside the literal count).
-	queue []*ast.FuncLit
 	// fn is the function currently being checked.
 	fnName   string
 	recvName string
 }
-
-// lockState maps a mutex expression (e.g. "c.mu") to its held depth.
-type lockState map[string]int
 
 func (c *checker) checkFunc(fd *ast.FuncDecl) {
 	c.fnName = fd.Name.Name
@@ -69,17 +59,13 @@ func (c *checker) checkFunc(fd *ast.FuncDecl) {
 	if strings.HasSuffix(c.fnName, "Locked") {
 		c.checkNoSelfLock(fd)
 	}
-
-	st := make(lockState)
-	c.queue = nil
-	c.block(fd.Body, st)
-	// Function literals get their own empty-state walk (and may queue
-	// more literals of their own).
-	for len(c.queue) > 0 {
-		lit := c.queue[0]
-		c.queue = c.queue[1:]
-		c.block(lit.Body, make(lockState))
+	// Second half of the contract: every *Locked call site, including a
+	// spawned one, against the locks held on every path reaching it.
+	w := &lockflow.Walker{
+		Info: c.pass.Pkg.Info,
+		Call: func(st lockflow.State, call *ast.CallExpr, _ bool) { c.checkLockedCall(call, st) },
 	}
+	w.Func(fd.Body)
 }
 
 // checkNoSelfLock enforces the first half of the contract: inside
@@ -91,10 +77,11 @@ func (c *checker) checkNoSelfLock(fd *ast.FuncDecl) {
 		if !ok {
 			return true
 		}
-		mutex, op := c.mutexOp(call)
-		if mutex == "" {
+		mutexExpr, op := lockflow.MutexOp(c.pass.Pkg.Info, call)
+		if mutexExpr == nil {
 			return true
 		}
+		mutex := types.ExprString(mutexExpr)
 		selfOwned := false
 		if c.recvName != "" {
 			selfOwned = strings.HasPrefix(mutex, c.recvName+".")
@@ -110,208 +97,9 @@ func (c *checker) checkNoSelfLock(fd *ast.FuncDecl) {
 	})
 }
 
-// block interprets a statement list, returning whether every path
-// through it terminates (return/branch/panic) before falling off the end.
-func (c *checker) block(b *ast.BlockStmt, st lockState) (terminated bool) {
-	for _, s := range b.List {
-		if c.stmt(s, st) {
-			return true
-		}
-	}
-	return false
-}
-
-// stmt interprets one statement, mutating st in place; the return value
-// reports that control cannot continue past it.
-func (c *checker) stmt(s ast.Stmt, st lockState) (terminated bool) {
-	switch s := s.(type) {
-	case *ast.ExprStmt:
-		if call, ok := s.X.(*ast.CallExpr); ok {
-			if mutex, op := c.mutexOp(call); mutex != "" {
-				c.applyMutexOp(st, mutex, op)
-				return false
-			}
-			if isPanic(call) {
-				c.exprs(st, call.Args...)
-				return true
-			}
-		}
-		c.exprs(st, s.X)
-	case *ast.DeferStmt:
-		// A deferred Unlock keeps the lock held for the rest of the
-		// body; any other deferred call is checked against the current
-		// state (an approximation — it actually runs at return).
-		if mutex, op := c.mutexOp(s.Call); mutex != "" {
-			if op == "Lock" || op == "RLock" {
-				c.applyMutexOp(st, mutex, op)
-			}
-			return false
-		}
-		c.exprs(st, s.Call)
-	case *ast.GoStmt:
-		// The goroutine runs outside this critical section: its literal
-		// body is analyzed with a fresh state via the queue.
-		c.exprs(st, s.Call)
-	case *ast.AssignStmt:
-		c.exprs(st, s.Rhs...)
-		c.exprs(st, s.Lhs...)
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					c.exprs(st, vs.Values...)
-				}
-			}
-		}
-	case *ast.ReturnStmt:
-		c.exprs(st, s.Results...)
-		return true
-	case *ast.BranchStmt:
-		return true
-	case *ast.BlockStmt:
-		return c.block(s, st)
-	case *ast.LabeledStmt:
-		return c.stmt(s.Stmt, st)
-	case *ast.IfStmt:
-		if s.Init != nil {
-			c.stmt(s.Init, st)
-		}
-		c.exprs(st, s.Cond)
-		thenSt := cloneState(st)
-		thenTerm := c.block(s.Body, thenSt)
-		elseSt := cloneState(st)
-		elseTerm := false
-		if s.Else != nil {
-			elseTerm = c.stmt(s.Else, elseSt)
-		}
-		switch {
-		case thenTerm && elseTerm:
-			return true
-		case thenTerm:
-			replaceState(st, elseSt)
-		case elseTerm:
-			replaceState(st, thenSt)
-		default:
-			replaceState(st, mergeMin(thenSt, elseSt))
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			c.stmt(s.Init, st)
-		}
-		if s.Cond != nil {
-			c.exprs(st, s.Cond)
-		}
-		bodySt := cloneState(st)
-		c.block(s.Body, bodySt)
-		if s.Post != nil {
-			c.stmt(s.Post, bodySt)
-		}
-		replaceState(st, mergeMin(st, bodySt)) // body may run zero times
-	case *ast.RangeStmt:
-		c.exprs(st, s.X)
-		bodySt := cloneState(st)
-		c.block(s.Body, bodySt)
-		replaceState(st, mergeMin(st, bodySt))
-	case *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
-		c.branches(s, st)
-	case *ast.SendStmt:
-		c.exprs(st, s.Chan, s.Value)
-	case *ast.IncDecStmt:
-		c.exprs(st, s.X)
-	}
-	return false
-}
-
-// branches interprets switch/select statements: each clause runs on a
-// clone of the incoming state and the outgoing state is the pessimistic
-// merge of the clauses that can fall through.
-func (c *checker) branches(s ast.Stmt, st lockState) {
-	var clauses []ast.Stmt
-	hasDefault := false
-	switch s := s.(type) {
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			c.stmt(s.Init, st)
-		}
-		if s.Tag != nil {
-			c.exprs(st, s.Tag)
-		}
-		clauses = s.Body.List
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			c.stmt(s.Init, st)
-		}
-		c.stmt(s.Assign, st)
-		clauses = s.Body.List
-	case *ast.SelectStmt:
-		clauses = s.Body.List
-	}
-	var outs []lockState
-	for _, cl := range clauses {
-		var body []ast.Stmt
-		switch cl := cl.(type) {
-		case *ast.CaseClause:
-			c.exprs(st, cl.List...)
-			if cl.List == nil {
-				hasDefault = true
-			}
-			body = cl.Body
-		case *ast.CommClause:
-			if cl.Comm == nil {
-				hasDefault = true
-			} else {
-				c.stmt(cl.Comm, st)
-			}
-			body = cl.Body
-		}
-		clSt := cloneState(st)
-		term := false
-		for _, bs := range body {
-			if c.stmt(bs, clSt) {
-				term = true
-				break
-			}
-		}
-		if !term {
-			outs = append(outs, clSt)
-		}
-	}
-	if !hasDefault {
-		outs = append(outs, cloneState(st)) // no clause may match
-	}
-	if len(outs) == 0 {
-		return // every clause terminates; state past the switch is moot
-	}
-	merged := outs[0]
-	for _, o := range outs[1:] {
-		merged = mergeMin(merged, o)
-	}
-	replaceState(st, merged)
-}
-
-// exprs walks expressions for *Locked call sites and queues function
-// literals for independent analysis.
-func (c *checker) exprs(st lockState, exprs ...ast.Expr) {
-	for _, e := range exprs {
-		if e == nil {
-			continue
-		}
-		ast.Inspect(e, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncLit:
-				c.queue = append(c.queue, n)
-				return false
-			case *ast.CallExpr:
-				c.checkLockedCall(n, st)
-			}
-			return true
-		})
-	}
-}
-
 // checkLockedCall verifies one call of a *Locked function against the
 // current lock state.
-func (c *checker) checkLockedCall(call *ast.CallExpr, st lockState) {
+func (c *checker) checkLockedCall(call *ast.CallExpr, st lockflow.State) {
 	name, owner, ok := lockedCallee(call)
 	if !ok {
 		return
@@ -359,9 +147,9 @@ func lockedCallee(call *ast.CallExpr) (name, owner string, ok bool) {
 // holdsFor reports whether st holds any mutex belonging to owner: a
 // field mutex like "c.mu" for owner "c", or a package-level mutex
 // (dotless key) for owner "".
-func holdsFor(st lockState, owner string) bool {
-	for key, depth := range st {
-		if depth <= 0 {
+func holdsFor(st lockflow.State, owner string) bool {
+	for key, e := range st {
+		if e.Depth <= 0 {
 			continue
 		}
 		if owner == "" {
@@ -375,98 +163,9 @@ func holdsFor(st lockState, owner string) bool {
 	return false
 }
 
-// mutexOp decodes a call of the form <expr>.Lock() / Unlock / RLock /
-// RUnlock where <expr> has type sync.Mutex or sync.RWMutex, returning
-// the mutex expression string and the operation.
-func (c *checker) mutexOp(call *ast.CallExpr) (mutex, op string) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return "", ""
-	}
-	switch sel.Sel.Name {
-	case "Lock", "Unlock", "RLock", "RUnlock":
-	default:
-		return "", ""
-	}
-	tv, ok := c.pass.Pkg.Info.Types[sel.X]
-	if !ok || !isSyncMutex(tv.Type) {
-		return "", ""
-	}
-	return types.ExprString(sel.X), sel.Sel.Name
-}
-
-func (c *checker) applyMutexOp(st lockState, mutex, op string) {
-	switch op {
-	case "Lock", "RLock":
-		st[mutex]++
-	case "Unlock", "RUnlock":
-		if st[mutex] > 0 {
-			st[mutex]--
-		}
-	}
-}
-
-func isSyncMutex(t types.Type) bool {
-	for {
-		if p, ok := t.(*types.Pointer); ok {
-			t = p.Elem()
-			continue
-		}
-		break
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
-		return false
-	}
-	return obj.Name() == "Mutex" || obj.Name() == "RWMutex"
-}
-
-func isPanic(call *ast.CallExpr) bool {
-	id, ok := call.Fun.(*ast.Ident)
-	return ok && id.Name == "panic"
-}
-
 func receiverName(fd *ast.FuncDecl) string {
 	if fd.Recv == nil || len(fd.Recv.List) == 0 || len(fd.Recv.List[0].Names) == 0 {
 		return ""
 	}
 	return fd.Recv.List[0].Names[0].Name
-}
-
-func cloneState(st lockState) lockState {
-	out := make(lockState, len(st))
-	for k, v := range st {
-		out[k] = v
-	}
-	return out
-}
-
-// replaceState overwrites dst's contents with src's.
-func replaceState(dst, src lockState) {
-	for k := range dst {
-		delete(dst, k)
-	}
-	for k, v := range src {
-		dst[k] = v
-	}
-}
-
-// mergeMin is the pessimistic join: a lock counts as held only if both
-// paths hold it.
-func mergeMin(a, b lockState) lockState {
-	out := make(lockState)
-	for k, v := range a {
-		bv := b[k]
-		if bv < v {
-			v = bv
-		}
-		if v > 0 {
-			out[k] = v
-		}
-	}
-	return out
 }

@@ -11,7 +11,7 @@
 //
 // meaning "a trace.tracer lock may be acquired while a netsim.network
 // lock is held". The analyzer interprets every function body with the
-// same conservative flow tracking lockheld uses, propagates
+// held-mutex walker it shares with lockheld (package lockflow), propagates
 // "may acquire" summaries through the call graph as cross-package facts
 // (so a nesting hidden behind any depth of calls — even across package
 // boundaries — is still observed), and reports
@@ -41,6 +41,7 @@ import (
 	"strings"
 
 	"samft/internal/lint/analysis"
+	"samft/internal/lint/lockflow"
 )
 
 // Analyzer is the lockorder check.
@@ -102,8 +103,9 @@ func run(pass *analysis.Pass) error {
 	for fn := range c.decls {
 		c.summarize(fn, nil)
 	}
+	walker := c.walker()
 	for _, fd := range c.orderedDecls() {
-		c.emitEdges(fd)
+		walker.Func(fd.Body)
 	}
 
 	gf := &graphFact{Decls: declared}
@@ -171,7 +173,7 @@ func (c *checker) collectClasses() {
 			if obj == nil {
 				continue
 			}
-			if !isSyncMutex(obj.Type()) {
+			if !lockflow.IsSyncMutex(obj.Type()) {
 				c.pass.Reportf(name.Pos(),
 					"//samlint:lockclass %s on %s, which is not a sync.Mutex or sync.RWMutex", class, name.Name)
 				continue
@@ -342,7 +344,7 @@ func (c *checker) summarize(fn *types.Func, visiting map[*types.Func]bool) []str
 				// literal as an independent root.
 				return false
 			case *ast.CallExpr:
-				if mutexExpr, op := c.mutexOp(n); mutexExpr != nil {
+				if mutexExpr, op := lockflow.MutexOp(c.pass.Pkg.Info, n); mutexExpr != nil {
 					if op == "Lock" || op == "RLock" {
 						if cl := c.classOf(mutexExpr); cl != "" {
 							set[cl] = true
@@ -390,46 +392,45 @@ func (c *checker) acquiresOf2(call *ast.CallExpr, visiting map[*types.Func]bool)
 }
 
 // --- flow-sensitive edge emission -----------------------------------
-//
-// The walker below mirrors lockheld's conservative interpreter: held
-// depth per mutex expression, deferred Unlock pins the lock to function
-// exit, branches merge pessimistically. On every acquisition (direct
-// Lock/RLock or a call with a non-empty acquires summary) it records an
-// edge from each currently-held class.
 
-type heldEntry struct {
-	depth int
-	class string
-}
-
-type lockState map[string]*heldEntry
-
-func (c *checker) emitEdges(fd *ast.FuncDecl) {
-	st := make(lockState)
-	c.block(fd.Body, st)
-}
-
-func (c *checker) heldClasses(st lockState) []string {
-	var out []string
-	for _, e := range st {
-		if e.depth > 0 && e.class != "" {
-			out = append(out, e.class)
-		}
+// walker builds the lockflow interpreter that records edges: on every
+// acquisition (a direct Lock/RLock, or a call with a non-empty acquires
+// summary) an edge from each currently-held class.
+func (c *checker) walker() *lockflow.Walker {
+	return &lockflow.Walker{
+		Info:    c.pass.Pkg.Info,
+		ClassOf: c.classOf,
+		Acquire: func(st lockflow.State, class string, pos token.Pos, relock bool) {
+			// Same-class nesting through a *different* expression is a real
+			// ordering edge; through the same expression it is a relock.
+			if class != "" {
+				c.recordAcquire(st, []string{class}, pos, relock)
+			}
+		},
+		Call: func(st lockflow.State, call *ast.CallExpr, spawned bool) {
+			if spawned {
+				return // the goroutine acquires its locks on its own stack
+			}
+			if acq := c.acquiresOf(c.calleeFunc(call)); len(acq) > 0 {
+				c.recordAcquire(st, acq, call.Pos(), false)
+			}
+		},
 	}
-	sort.Strings(out)
-	return out
 }
 
 // recordAcquire notes that the classes in acquired are taken at pos
 // while st's classes are held.
-func (c *checker) recordAcquire(st lockState, acquired []string, pos token.Pos, sameExpr string) {
-	held := c.heldClasses(st)
-	if len(held) == 0 || len(acquired) == 0 {
-		return
+func (c *checker) recordAcquire(st lockflow.State, acquired []string, pos token.Pos, relock bool) {
+	var held []string
+	for _, e := range st {
+		if e.Depth > 0 && e.Class != "" {
+			held = append(held, e.Class)
+		}
 	}
+	sort.Strings(held)
 	for _, from := range held {
 		for _, to := range acquired {
-			if sameExpr != "" && from == to {
+			if relock && from == to {
 				// Re-locking the very same mutex expression is a plain
 				// deadlock, not an ordering question; depth bookkeeping
 				// already models it and lockheld's domain covers it.
@@ -441,313 +442,6 @@ func (c *checker) recordAcquire(st lockState, acquired []string, pos token.Pos, 
 			}
 		}
 	}
-}
-
-func (c *checker) applyLock(st lockState, mutexExpr ast.Expr, op string, pos token.Pos) {
-	key := types.ExprString(mutexExpr)
-	class := c.classOf(mutexExpr)
-	switch op {
-	case "Lock", "RLock":
-		// Same-class nesting through a *different* expression is a real
-		// ordering edge; through the same expression it is a relock.
-		if class != "" {
-			same := ""
-			if e, ok := st[key]; ok && e.depth > 0 {
-				same = class
-			}
-			c.recordAcquire(st, []string{class}, pos, same)
-		}
-		e := st[key]
-		if e == nil {
-			e = &heldEntry{class: class}
-			st[key] = e
-		}
-		e.depth++
-	case "Unlock", "RUnlock":
-		if e := st[key]; e != nil && e.depth > 0 {
-			e.depth--
-		}
-	}
-}
-
-func (c *checker) block(b *ast.BlockStmt, st lockState) (terminated bool) {
-	for _, s := range b.List {
-		if c.stmt(s, st) {
-			return true
-		}
-	}
-	return false
-}
-
-func (c *checker) stmt(s ast.Stmt, st lockState) (terminated bool) {
-	switch s := s.(type) {
-	case *ast.ExprStmt:
-		if call, ok := s.X.(*ast.CallExpr); ok {
-			if mutexExpr, op := c.mutexOp(call); mutexExpr != nil {
-				c.applyLock(st, mutexExpr, op, call.Pos())
-				return false
-			}
-			if isPanic(call) {
-				c.exprs(st, call.Args...)
-				return true
-			}
-		}
-		c.exprs(st, s.X)
-	case *ast.DeferStmt:
-		if mutexExpr, op := c.mutexOp(s.Call); mutexExpr != nil {
-			if op == "Lock" || op == "RLock" {
-				c.applyLock(st, mutexExpr, op, s.Call.Pos())
-			}
-			return false // deferred Unlock: lock stays held to exit
-		}
-		c.exprs(st, s.Call)
-	case *ast.GoStmt:
-		// The spawned goroutine runs outside this critical section; its
-		// literal body (if any) is walked as an independent root.
-		for _, arg := range s.Call.Args {
-			c.exprs(st, arg)
-		}
-		if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
-			c.block(lit.Body, make(lockState))
-		}
-	case *ast.AssignStmt:
-		c.exprs(st, s.Rhs...)
-		c.exprs(st, s.Lhs...)
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					c.exprs(st, vs.Values...)
-				}
-			}
-		}
-	case *ast.ReturnStmt:
-		c.exprs(st, s.Results...)
-		return true
-	case *ast.BranchStmt:
-		return true
-	case *ast.BlockStmt:
-		return c.block(s, st)
-	case *ast.LabeledStmt:
-		return c.stmt(s.Stmt, st)
-	case *ast.IfStmt:
-		if s.Init != nil {
-			c.stmt(s.Init, st)
-		}
-		c.exprs(st, s.Cond)
-		thenSt := cloneState(st)
-		thenTerm := c.block(s.Body, thenSt)
-		elseSt := cloneState(st)
-		elseTerm := false
-		if s.Else != nil {
-			elseTerm = c.stmt(s.Else, elseSt)
-		}
-		switch {
-		case thenTerm && elseTerm:
-			return true
-		case thenTerm:
-			replaceState(st, elseSt)
-		case elseTerm:
-			replaceState(st, thenSt)
-		default:
-			replaceState(st, mergeMin(thenSt, elseSt))
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			c.stmt(s.Init, st)
-		}
-		if s.Cond != nil {
-			c.exprs(st, s.Cond)
-		}
-		bodySt := cloneState(st)
-		c.block(s.Body, bodySt)
-		if s.Post != nil {
-			c.stmt(s.Post, bodySt)
-		}
-		replaceState(st, mergeMin(st, bodySt))
-	case *ast.RangeStmt:
-		c.exprs(st, s.X)
-		bodySt := cloneState(st)
-		c.block(s.Body, bodySt)
-		replaceState(st, mergeMin(st, bodySt))
-	case *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
-		c.branchStmt(s, st)
-	case *ast.SendStmt:
-		c.exprs(st, s.Chan, s.Value)
-	case *ast.IncDecStmt:
-		c.exprs(st, s.X)
-	}
-	return false
-}
-
-func (c *checker) branchStmt(s ast.Stmt, st lockState) {
-	var clauses []ast.Stmt
-	hasDefault := false
-	switch s := s.(type) {
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			c.stmt(s.Init, st)
-		}
-		if s.Tag != nil {
-			c.exprs(st, s.Tag)
-		}
-		clauses = s.Body.List
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			c.stmt(s.Init, st)
-		}
-		c.stmt(s.Assign, st)
-		clauses = s.Body.List
-	case *ast.SelectStmt:
-		clauses = s.Body.List
-	}
-	var outs []lockState
-	for _, cl := range clauses {
-		var body []ast.Stmt
-		switch cl := cl.(type) {
-		case *ast.CaseClause:
-			c.exprs(st, cl.List...)
-			if cl.List == nil {
-				hasDefault = true
-			}
-			body = cl.Body
-		case *ast.CommClause:
-			if cl.Comm == nil {
-				hasDefault = true
-			} else {
-				c.stmt(cl.Comm, st)
-			}
-			body = cl.Body
-		}
-		clSt := cloneState(st)
-		term := false
-		for _, bs := range body {
-			if c.stmt(bs, clSt) {
-				term = true
-				break
-			}
-		}
-		if !term {
-			outs = append(outs, clSt)
-		}
-	}
-	if !hasDefault {
-		outs = append(outs, cloneState(st))
-	}
-	if len(outs) == 0 {
-		return
-	}
-	merged := outs[0]
-	for _, o := range outs[1:] {
-		merged = mergeMin(merged, o)
-	}
-	replaceState(st, merged)
-}
-
-// exprs walks expressions: calls emit edges against the current state,
-// and function literals are analyzed as independent roots (they may run
-// under unknown locks, so only the locks they take internally count).
-func (c *checker) exprs(st lockState, exprs ...ast.Expr) {
-	for _, e := range exprs {
-		if e == nil {
-			continue
-		}
-		ast.Inspect(e, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncLit:
-				c.block(n.Body, make(lockState))
-				return false
-			case *ast.CallExpr:
-				if mutexExpr, op := c.mutexOp(n); mutexExpr != nil {
-					c.applyLock(st, mutexExpr, op, n.Pos())
-					return false
-				}
-				if acq := c.acquiresOf(c.calleeFunc(n)); len(acq) > 0 {
-					c.recordAcquire(st, acq, n.Pos(), "")
-				}
-			}
-			return true
-		})
-	}
-}
-
-// mutexOp decodes <expr>.Lock()/Unlock/RLock/RUnlock on a sync mutex.
-func (c *checker) mutexOp(call *ast.CallExpr) (mutexExpr ast.Expr, op string) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return nil, ""
-	}
-	switch sel.Sel.Name {
-	case "Lock", "Unlock", "RLock", "RUnlock":
-	default:
-		return nil, ""
-	}
-	tv, ok := c.pass.Pkg.Info.Types[sel.X]
-	if !ok || !isSyncMutex(tv.Type) {
-		return nil, ""
-	}
-	return sel.X, sel.Sel.Name
-}
-
-func isSyncMutex(t types.Type) bool {
-	for {
-		if p, ok := t.(*types.Pointer); ok {
-			t = p.Elem()
-			continue
-		}
-		break
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
-		return false
-	}
-	return obj.Name() == "Mutex" || obj.Name() == "RWMutex"
-}
-
-func isPanic(call *ast.CallExpr) bool {
-	id, ok := call.Fun.(*ast.Ident)
-	return ok && id.Name == "panic"
-}
-
-func cloneState(st lockState) lockState {
-	out := make(lockState, len(st))
-	for k, v := range st {
-		cp := *v
-		out[k] = &cp
-	}
-	return out
-}
-
-func replaceState(dst, src lockState) {
-	for k := range dst {
-		delete(dst, k)
-	}
-	for k, v := range src {
-		dst[k] = v
-	}
-}
-
-// mergeMin joins two states pessimistically: held only if held on both.
-func mergeMin(a, b lockState) lockState {
-	out := make(lockState)
-	for k, av := range a {
-		bv := b[k]
-		if bv == nil {
-			continue
-		}
-		d := av.depth
-		if bv.depth < d {
-			d = bv.depth
-		}
-		if d > 0 {
-			out[k] = &heldEntry{depth: d, class: av.class}
-		}
-	}
-	return out
 }
 
 // --- module-wide correlation ----------------------------------------

@@ -37,11 +37,7 @@ func (p *Proc) cmdCreateAccum(c *cmd) {
 	p.stepTainted = true
 	p.taint.OnNonReexecutable()
 
-	if h := p.home(c.name); h != p.cfg.Rank {
-		p.send(h, &wire{Kind: kAccReg, Name: uint64(c.name)})
-	} else {
-		p.registerLocalOwner(c.name, ft.KindAccum)
-	}
+	p.send(p.home(c.name), &wire{Kind: kAccReg, Name: uint64(c.name)})
 	// A recovering creator may have received a re-driven migration grant
 	// before this (re-)creation: the home believes that grant is in
 	// flight and will not issue another until it completes, so serve it
@@ -85,14 +81,7 @@ func (p *Proc) cmdUpdateAccum(c *cmd) {
 	// acquire then queues at the home and is served when the accumulator
 	// migrates back, preserving the home's FIFO order.
 	if !o.fetchOutstanding {
-		o.fetchOutstanding = true
-		o.reqKind = kAccAcq
-		h := p.home(c.name)
-		if h == p.cfg.Rank {
-			p.localAccAcq(c.name, p.cfg.Rank)
-		} else {
-			p.send(h, &wire{Kind: kAccAcq, Name: uint64(c.name)})
-		}
+		p.request(o, kAccAcq)
 	}
 	o.waiters = append(o.waiters, c)
 	p.park(c)
@@ -120,7 +109,6 @@ func (p *Proc) cmdReleaseAccum(c *cmd) {
 	o.accLocked = false
 	o.dirty = true
 	o.dirtySeq++
-	o.accSnapSeq++
 	o.version++
 	// Serve a migration that arrived while the application held the lock.
 	p.tryMigrate(o)
@@ -129,7 +117,7 @@ func (p *Proc) cmdReleaseAccum(c *cmd) {
 		rw := o.remoteWaiters
 		o.remoteWaiters = nil
 		for _, r := range rw {
-			p.serveAccumSnapshot(o, r)
+			p.deliver(o, kAccSnap, r)
 		}
 	}
 	p.reply(c, nil, nil)
@@ -144,14 +132,7 @@ func (p *Proc) cmdChaoticRead(c *cmd) {
 	}
 	p.st.Misses.Add(1)
 	if !o.fetchOutstanding {
-		o.fetchOutstanding = true
-		o.reqKind = kAccSnapReq
-		h := p.home(c.name)
-		if h == p.cfg.Rank {
-			p.localAccSnapReq(c.name, p.cfg.Rank)
-		} else {
-			p.send(h, &wire{Kind: kAccSnapReq, Name: uint64(c.name)})
-		}
+		p.request(o, kAccSnapReq)
 	}
 	o.waiters = append(o.waiters, c)
 	p.park(c)
@@ -171,13 +152,6 @@ func (p *Proc) serveChaoticLocal(o *object, c *cmd) {
 
 // ---- home-side arbitration ----
 
-func (p *Proc) localAccAcq(name Name, requester int) {
-	d := p.dirEnt(name)
-	d.kind = ft.KindAccum
-	d.enqueueAcq(requester)
-	p.pumpAccumQueue(d)
-}
-
 // pumpAccumQueue issues the next migration grant if the owner is known
 // and no grant is outstanding.
 func (p *Proc) pumpAccumQueue(d *dirEntry) {
@@ -194,27 +168,7 @@ func (p *Proc) pumpAccumQueue(d *dirEntry) {
 	}
 	d.grantInFlight = true
 	d.grantTarget = next
-	if d.owner == p.cfg.Rank {
-		p.handleGrant(d.name, next)
-		return
-	}
 	p.send(d.owner, &wire{Kind: kAccGrant, Name: uint64(d.name), Target: next})
-}
-
-func (p *Proc) localAccSnapReq(name Name, requester int) {
-	d := p.dirEnt(name)
-	if !d.known {
-		d.enqueueSnap(requester)
-		return
-	}
-	if d.owner == p.cfg.Rank {
-		o := p.objs[name]
-		if o != nil && o.isMain {
-			p.queueOrServeSnapshot(o, requester)
-		}
-		return
-	}
-	p.send(d.owner, &wire{Kind: kAccSnapFwd, Name: uint64(name), Target: requester})
 }
 
 // ---- owner-side migration ----
@@ -232,12 +186,7 @@ func (p *Proc) handleGrant(name Name, target int) {
 			return
 		}
 		oo := p.obj(name)
-		for _, g := range oo.pendingGrants {
-			if g == target {
-				return
-			}
-		}
-		oo.pendingGrants = append(oo.pendingGrants, target)
+		oo.pendingGrants = enqueue(oo.pendingGrants, target)
 		return
 	}
 	o.pendingMove = target
@@ -261,31 +210,22 @@ func (p *Proc) tryMigrate(o *object) {
 		p.addTrigger(trigger{kind: kAccData, name: o.name, target: o.pendingMove})
 		return
 	}
-	target := o.pendingMove
-	o.pendingMove = -1
-	p.completeMigration(o, target, false, 0)
+	p.sendObject(o, kAccData, o.pendingMove, nil)
 }
 
-// completeMigration performs the actual ownership transfer.
-func (p *Proc) completeMigration(o *object, target int, inactive bool, seq int64) {
-	body := p.packObject(o)
-	p.st.ObjectSends.Add(1)
-	if inactive {
-		p.st.CkptCausingSends.Add(1)
-	}
-	if p.rec != nil {
-		p.emit(trace.Event{Kind: trace.SamMigrateOut, Name: uint64(o.name), Dst: int64(target), Bytes: len(body)})
-	}
-	p.send(target, &wire{Kind: kAccData, Name: uint64(o.name), Body: body, Inactive: inactive, Seq: seq, Target: target, Meta: o.meta(), HasMeta: true})
-	// The local entry becomes a stale cached version for chaotic reads;
-	// record the successor so stale grants can be re-routed.
+// handOff gives up ownership of a migrated accumulator: at once when fault
+// tolerance is off, at commit when the transfer rode a checkpoint
+// transaction. The local entry becomes a stale cached version for chaotic
+// reads, and records the successor so stale grants can be re-routed.
+func (p *Proc) handOff(o *object, target int) {
 	o.isMain = false
 	o.accLocked = false
 	o.dirty = false
+	o.pendingMove = -1
+	o.migrationQueued = false
 	o.ownerRank = target
 	// Ownership left: the new owner packs from here on.
 	o.invalidatePackCache()
-	// Both ends inform the home; either message suffices and they agree.
 	p.send(p.home(o.name), &wire{Kind: kAccOwner, Name: uint64(o.name), Target: target})
 }
 
@@ -296,46 +236,24 @@ func (p *Proc) completeMigration(o *object, target int, inactive bool, seq int64
 // mutated); deferred snapshots are served at release.
 func (p *Proc) queueOrServeSnapshot(o *object, requester int) {
 	if o.accLocked {
-		for _, r := range o.remoteWaiters {
-			if r == requester {
-				return
-			}
-		}
-		o.remoteWaiters = append(o.remoteWaiters, requester)
+		o.remoteWaiters = enqueue(o.remoteWaiters, requester)
 		return
 	}
-	p.serveAccumSnapshot(o, requester)
-}
-
-// serveAccumSnapshot sends the accumulator's current contents as a
-// (stale-allowed) snapshot. Nonreproducible uncovered contents ride a
-// checkpoint transaction.
-func (p *Proc) serveAccumSnapshot(o *object, requester int) {
-	if requester == p.cfg.Rank {
-		return
-	}
-	if p.unstable(o) {
-		p.addTrigger(trigger{kind: kAccSnap, name: o.name, target: requester})
-		return
-	}
-	body := p.packObject(o)
-	p.st.ObjectSends.Add(1)
-	o.noteSentTo(requester)
-	p.send(requester, &wire{Kind: kAccSnap, Name: uint64(o.name), Body: body})
+	p.deliver(o, kAccSnap, requester)
 }
 
 // ---- message handlers ----
 
 func (p *Proc) onAccReg(w *wire) {
-	d := p.dirEnt(Name(w.Name))
-	d.known = true
-	d.owner = w.SrcRank
-	d.kind = ft.KindAccum
-	p.drainDirQueues(d)
+	p.setOwner(Name(w.Name), w.SrcRank, ft.KindAccum)
 }
 
+// onAccAcq queues an acquisition at the name's home (FIFO).
 func (p *Proc) onAccAcq(w *wire) {
-	p.localAccAcq(Name(w.Name), w.SrcRank)
+	d := p.dirEnt(Name(w.Name))
+	d.kind = ft.KindAccum
+	d.acqQueue = enqueue(d.acqQueue, w.SrcRank)
+	p.pumpAccumQueue(d)
 }
 
 func (p *Proc) onAccGrant(w *wire) {
@@ -420,8 +338,14 @@ func (p *Proc) onAccOwner(w *wire) {
 	p.pumpAccumQueue(d)
 }
 
+// onAccSnapReq routes a chaotic-read request at the name's home.
 func (p *Proc) onAccSnapReq(w *wire) {
-	p.localAccSnapReq(Name(w.Name), w.SrcRank)
+	d := p.dirEnt(Name(w.Name))
+	if !d.known {
+		d.pendingSnap = enqueue(d.pendingSnap, w.SrcRank)
+		return
+	}
+	p.send(d.owner, &wire{Kind: kAccSnapFwd, Name: w.Name, Target: w.SrcRank})
 }
 
 func (p *Proc) onAccSnapFwd(w *wire) {

@@ -137,7 +137,9 @@ func (p *Proc) ChaoticRead(name Name) interface{} {
 // Push proactively sends a copy of an owned value to another process's
 // cache, overlapping communication with computation. Push is
 // asynchronous: if the value is nonreproducible and uncovered, the copy
-// rides the next checkpoint transaction.
+// rides the next checkpoint transaction. It is only a delivery hint:
+// pushing a value that has already been reclaimed (every declared use
+// happened before the Push was reached) does nothing.
 func (p *Proc) Push(name Name, rank int) {
 	p.call(&cmd{op: opPush, name: name, rank: rank})
 }
@@ -233,17 +235,13 @@ func (p *Proc) cmdGate(c *cmd) {
 		p.pendingTriggers = append(p.pendingTriggers, trigger{kind: 0}) // bare checkpoint
 	}
 	if len(p.pendingTriggers) > 0 && p.tx == nil {
-		p.atGate = true
 		p.gateCmd = c
 		p.startTx()
 		return
 	}
-	if p.tx != nil {
-		// A transaction is mid-flight (started while the app was parked).
-		// The boundary completes independently; the app may proceed.
-		p.reply(c, nil, nil)
-		return
-	}
+	// Nothing to checkpoint, or a transaction is already mid-flight (started
+	// while the app was parked): the boundary completes independently and
+	// the app may proceed.
 	p.reply(c, nil, nil)
 }
 
@@ -252,7 +250,6 @@ func (p *Proc) releaseGate() {
 	if p.gateCmd != nil {
 		g := p.gateCmd
 		p.gateCmd = nil
-		p.atGate = false
 		p.reply(g, nil, nil)
 	}
 }

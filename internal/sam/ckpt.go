@@ -200,49 +200,21 @@ func (p *Proc) startTx() {
 		if !o.dirty && !isMigrating {
 			continue
 		}
-		holders := p.store.Plan(uint64(o.name), owner)
+		holders := p.planCopies(o.name, owner)
 		ob := p.packObject(o)
 		if o.kind == ft.KindAccum {
 			o.ckptBytes = ob // frozen image for copy re-supply
 		}
 		o.ckptMeta = o.meta()
 		o.ckptSeq = seq
-		ec := p.store.EC()
+		p.sendCkptCopies(o, ob, holders, owner, tx)
 		hs := make(map[int]bool, len(holders))
-		recorded := make([]ckptstore.Holder, 0, len(holders))
-		if ec.Enabled() {
-			shards, err := ckptstore.Encode(ec, ob)
-			if err != nil {
-				panic(fmt.Errorf("sam: erasure-encode %v: %w", o.name, err))
-			}
-			for i, h := range holders {
-				hs[h] = true
-				w := &wire{
-					Kind: kCkptCopy, Name: uint64(o.name), Body: shards[i], Seq: seq,
-					Inactive: o.nonrepro, Meta: o.ckptMeta, HasMeta: true, Owner: owner,
-					Shard: i + 1, ShardK: ec.K, ShardM: ec.M, FrameLen: len(ob),
-				}
-				p.txSend(h, w, o.nonrepro)
-				p.st.ReplicaObjects.Add(1)
-				p.st.ReplicaBytes.Add(int64(len(shards[i])))
-				recorded = append(recorded, ckptstore.Holder{Rank: h, Shard: i + 1})
-			}
+		for _, h := range holders {
+			hs[h.Rank] = true
+		}
+		if !p.store.EC().Enabled() {
 			// Shards are not usable data, so step 4's "already sent as a
-			// checkpoint copy" dedup must not apply: copyHolders stays
-			// unset for this object.
-		} else {
-			for _, h := range holders {
-				hs[h] = true
-				w := &wire{
-					Kind: kCkptCopy, Name: uint64(o.name), Body: ob, Seq: seq,
-					Inactive: o.nonrepro, Meta: o.ckptMeta, HasMeta: true, Owner: owner,
-				}
-				p.txSend(h, w, o.nonrepro)
-				p.st.ReplicaObjects.Add(1)
-				p.st.ReplicaBytes.Add(int64(len(ob)))
-				o.noteSentTo(h) // the copy doubles as a cached frame there
-				recorded = append(recorded, ckptstore.Holder{Rank: h})
-			}
+			// checkpoint copy" dedup applies to full copies only.
 			copyHolders[o.name] = hs
 		}
 		// Stale holders from a previous placement drop their copies at
@@ -256,67 +228,27 @@ func (p *Proc) startTx() {
 		if isMigrating {
 			// The ledger entry travels to the new owner on the kAccData
 			// wire (step 4); ours is dropped when the migration commits.
-			tx.migrHolders[o.name] = recorded
+			tx.migrHolders[o.name] = holders
 		} else {
-			p.store.Record(uint64(o.name), seq, recorded)
+			p.store.Record(uint64(o.name), seq, holders)
 		}
 		tx.dirtyAt[o.name] = o.dirtySeq
 	}
 
 	// Step 4: execute the sends that caused the checkpoint, inactive.
 	for _, t := range trigs {
-		switch t.kind {
-		case 0:
-			// Bare checkpoint (initial or forced): nothing to send.
-		case kValData, kPush:
-			o := p.objs[t.name]
-			if o == nil || !o.created {
-				continue
-			}
-			if copyHolders[t.name][t.target] {
-				// Already sent to that process as a checkpoint copy; the
-				// activation will make it usable there (§4.4).
-				p.st.ObjectSends.Add(1)
-				p.st.CkptCausingSends.Add(1)
-				continue
-			}
-			ob := p.packObject(o)
-			p.st.ObjectSends.Add(1)
-			p.st.CkptCausingSends.Add(1)
-			o.noteSentTo(t.target)
-			w := &wire{Kind: t.kind, Name: uint64(t.name), Body: ob, Inactive: true, Seq: seq, Target: t.target}
-			p.txSend(t.target, w, true)
-		case kAccData:
-			o := p.objs[t.name]
-			if o == nil || !o.isMain {
-				continue
-			}
-			ob := o.ckptBytes // packed above (accums are always dirty pre-migration)
-			if ob == nil {
-				ob = p.packObject(o)
-			}
-			p.st.ObjectSends.Add(1)
-			p.st.CkptCausingSends.Add(1)
-			w := &wire{
-				Kind: kAccData, Name: uint64(t.name), Body: ob, Inactive: true, Seq: seq,
-				Target: t.target, Meta: o.meta(), HasMeta: true,
-				Holders: packHolders(tx.migrHolders[t.name]),
-			}
-			p.txSend(t.target, w, true)
-			o.pendingMove = t.target // block further local locks until commit
-			tx.migrations = append(tx.migrations, txMigration{name: t.name, target: t.target})
-		case kAccSnap:
-			o := p.objs[t.name]
-			if o == nil || !o.isMain {
-				continue
-			}
-			ob := p.packObject(o)
-			p.st.ObjectSends.Add(1)
-			p.st.CkptCausingSends.Add(1)
-			o.noteSentTo(t.target)
-			w := &wire{Kind: kAccSnap, Name: uint64(t.name), Body: ob, Inactive: true, Seq: seq}
-			p.txSend(t.target, w, true)
+		o := p.objs[t.name]
+		if t.kind == 0 || o == nil || !o.isMain || !o.created {
+			continue // bare checkpoint (initial or forced), or the object is gone
 		}
+		if t.kind == kValData && copyHolders[t.name][t.target] {
+			// Already sent to that process as a checkpoint copy; the
+			// activation will make it usable there (§4.4).
+			p.st.ObjectSends.Add(1)
+			p.st.CkptCausingSends.Add(1)
+			continue
+		}
+		p.sendObject(o, t.kind, t.target, tx)
 	}
 
 	if tx.acksNeeded == 0 {
@@ -397,14 +329,7 @@ func (p *Proc) commitTx() {
 	for _, m := range tx.migrations {
 		p.store.Forget(uint64(m.name))
 		if o := p.objs[m.name]; o != nil && o.isMain {
-			o.isMain = false
-			o.accLocked = false
-			o.dirty = false
-			o.pendingMove = -1
-			o.migrationQueued = false
-			o.ownerRank = m.target
-			o.invalidatePackCache() // ownership left: the new owner packs from here on
-			p.send(p.home(m.name), &wire{Kind: kAccOwner, Name: uint64(m.name), Target: m.target})
+			p.handOff(o, m.target)
 		}
 	}
 	for _, r := range sortedKeys(tx.inactive) {
@@ -424,12 +349,7 @@ func (p *Proc) commitTx() {
 	p.tx = nil
 	p.releaseGate()
 
-	// Replay messages deferred during the transaction.
-	msgs := p.deferredMsgs
-	p.deferredMsgs = nil
-	for _, w := range msgs {
-		p.dispatch(w)
-	}
+	p.applyDeferred()
 
 	p.retryFrees()
 	// Coverage repairs deferred while this transaction was open (its
@@ -462,20 +382,13 @@ func (p *Proc) markFreeable(o *object) {
 	p.freePending[o.name] = true
 	if p.cfg.EagerFree {
 		// Eager ablation: round-trip to every other process immediately.
+		var others []int
 		for j := 0; j < p.cfg.N; j++ {
-			if j == p.cfg.Rank {
-				continue
+			if j != p.cfg.Rank {
+				others = append(others, j)
 			}
-			p.st.ForceCkptMsgsSent.Add(1)
-			if p.rec != nil {
-				p.emit(trace.Event{Kind: trace.SamForceSend, Dst: int64(j), Name: uint64(o.name), Aux: o.freeableAt})
-			}
-			p.send(j, &wire{Kind: kForceCkpt, Name: uint64(o.name), F: o.freeableAt})
 		}
-		o.forcedSent = true
-		if !p.clocks.SelfCovered(o.freeableAt) {
-			p.addTrigger(trigger{kind: 0})
-		}
+		p.forceCheckpoints(o, others)
 	}
 	p.retryFrees()
 }
@@ -512,21 +425,26 @@ func (p *Proc) retryFrees() {
 // freeable objects (modeled cache replacement).
 func (p *Proc) forceOldestFrees() {
 	for _, name := range sortedKeys(p.freePending) {
-		o := p.objs[name]
-		if o == nil || o.forcedSent {
-			continue
+		if o := p.objs[name]; o != nil && !o.forcedSent {
+			p.forceCheckpoints(o, p.clocks.Laggards(o.freeableAt))
 		}
-		o.forcedSent = true
-		for _, j := range p.clocks.Laggards(o.freeableAt) {
-			p.st.ForceCkptMsgsSent.Add(1)
-			if p.rec != nil {
-				p.emit(trace.Event{Kind: trace.SamForceSend, Dst: int64(j), Name: uint64(name), Aux: o.freeableAt})
-			}
-			p.send(j, &wire{Kind: kForceCkpt, Name: uint64(name), F: o.freeableAt})
+	}
+}
+
+// forceCheckpoints asks ranks to checkpoint past o's freeable mark (at most
+// once per object), and checkpoints here as well if our own last checkpoint
+// does not cover it.
+func (p *Proc) forceCheckpoints(o *object, ranks []int) {
+	o.forcedSent = true
+	for _, j := range ranks {
+		p.st.ForceCkptMsgsSent.Add(1)
+		if p.rec != nil {
+			p.emit(trace.Event{Kind: trace.SamForceSend, Dst: int64(j), Name: uint64(o.name), Aux: o.freeableAt})
 		}
-		if !p.clocks.SelfCovered(o.freeableAt) {
-			p.addTrigger(trigger{kind: 0})
-		}
+		p.send(j, &wire{Kind: kForceCkpt, Name: uint64(o.name), F: o.freeableAt})
+	}
+	if !p.clocks.SelfCovered(o.freeableAt) {
+		p.addTrigger(trigger{kind: 0})
 	}
 }
 
@@ -551,13 +469,25 @@ func (p *Proc) onCkptPriv(w *wire) {
 		// Provisional: promoted to the committed store by the activation.
 		// If the checkpointer dies first, kRecovery drops it and the
 		// previous committed state remains authoritative.
-		p.privStaging[r] = w
+		p.privStaging[r] = p.keep(w)
 	} else if w.Seq >= p.privStoreSeq[r] {
 		// Out-of-transaction re-replication (recovery path): committed.
 		p.privStore[r] = w.Body
 		p.privStoreSeq[r] = w.Seq
 	}
 	p.ackPiece(w)
+}
+
+// keep returns a wire the handler may hold on to past its return: w itself
+// when it was decoded from the network (nobody else has it), a shallow copy
+// when it is self-addressed — then w is the sender's own struct, which a
+// transaction keeps as a piece and rewrites (sender, stamp) when re-sending.
+func (p *Proc) keep(w *wire) *wire {
+	if w.SrcRank != p.cfg.Rank {
+		return w
+	}
+	kept := *w
+	return &kept
 }
 
 // ackPiece acknowledges an ack-requiring transaction piece. Receiving and
@@ -571,36 +501,18 @@ func (p *Proc) ackPiece(w *wire) {
 	p.send(w.SrcRank, &wire{Kind: kCkptAck, Seq: w.Seq, Target: w.Piece})
 }
 
+// onCkptCopy handles a checkpoint copy of another process's object: a full
+// replica of the owner's packed frame (Shard 0), or under erasure coding one
+// Reed–Solomon shard of it. Both follow the same protocol — the holder-side
+// freshness rule, then two-phase inactive/activate for nonreproducible
+// contents.
 func (p *Proc) onCkptCopy(w *wire) {
-	if w.Shard > 0 {
-		p.onCkptShard(w)
-		return
-	}
-	name := Name(w.Name)
-	o := p.obj(name)
-	if w.HasMeta && ft.ObjKind(w.Meta.Kind) == ft.KindAccum {
-	}
-	// Accept unless we hold the main copy *and* the copy backs our own
-	// ownership (then our live object is authoritative). A copy naming a
-	// different owner is accepted even while we are still the owner: it
-	// arises when our own transaction migrates the object away and the
-	// placement lands back on us as the old owner.
-	if !o.isMain || w.Owner != p.cfg.Rank {
-		// Accept a strictly newer object version; fall back to the
-		// owner/sender-time rule for versionless (value) copies.
-		accept := o.copyData == nil
-		if !accept && w.HasMeta {
-			accept = w.Meta.Version >= o.savedMeta.Version
-		}
-		if !accept {
-			accept = w.Owner != o.copyOwner || w.Seq >= o.copySeq
-		}
-		if accept {
-			if w.Inactive {
-				o.pendingCopy = w
-			} else {
-				p.applyCkptCopy(o, w)
-			}
+	o := p.obj(Name(w.Name))
+	if p.acceptsCopy(o, w) {
+		if w.Inactive {
+			o.pendingCopy = p.keep(w)
+		} else {
+			p.applyCkptCopy(o, w)
 		}
 	}
 	if w.Inactive {
@@ -608,78 +520,62 @@ func (p *Proc) onCkptCopy(w *wire) {
 	}
 }
 
-// onCkptShard handles an erasure-coded checkpoint piece: same acceptance
-// protocol as a full copy (including two-phase inactive/activate), but
-// the stored bytes are one Reed–Solomon shard of the owner's frame, not
-// a usable image.
-func (p *Proc) onCkptShard(w *wire) {
-	name := Name(w.Name)
-	o := p.obj(name)
-	if !o.isMain || w.Owner != p.cfg.Rank {
-		// A shard never carries usable data, so the acceptance rule keys
-		// on whether any backing copy exists rather than copyData.
-		accept := !o.ckptCopy
-		if !accept && w.HasMeta {
-			accept = w.Meta.Version >= o.savedMeta.Version
-		}
-		if !accept {
-			accept = w.Owner != o.copyOwner || w.Seq >= o.copySeq
-		}
-		if accept {
-			if w.Inactive {
-				o.pendingCopy = w
-			} else {
-				p.applyCkptShard(o, w)
-			}
-		}
+// acceptsCopy is the holder-side freshness rule: whether checkpoint copy w
+// replaces what this process holds for the object. (The recovering side's
+// rule, for competing kRecoverData contributions, is keepNewer.)
+func (p *Proc) acceptsCopy(o *object, w *wire) bool {
+	// Our own live main copy is authoritative over a copy backing our own
+	// ownership. A copy naming a different owner is accepted even while we
+	// are still the owner: it arises when our own transaction migrates the
+	// object away and the placement lands back on us as the old owner.
+	if o.isMain && w.Owner == p.cfg.Rank {
+		return false
 	}
-	if w.Inactive {
-		p.ackPiece(w)
+	// Nothing held yet; or a full frame, which always replaces a shard (a
+	// shard is opaque, so there is no usable image to protect).
+	if !o.ckptCopy || (w.Shard == 0 && o.shardIdx > 0) {
+		return true
 	}
+	// An object version at least as new as the held copy's wins outright.
+	if w.HasMeta && w.Meta.Version >= o.savedMeta.Version {
+		return true
+	}
+	// Otherwise — an older version as much as a versionless (value) copy —
+	// the owner/sender-time rule decides: a copy backing a different owner
+	// than the held one is accepted, as is one no older by checkpoint seq.
+	return w.Owner != o.copyOwner || w.Seq >= o.copySeq
 }
 
-// applyCkptShard installs an erasure shard as the backing checkpoint
-// copy. Unlike a full copy it is opaque: it never populates the cache
-// (copyData stays nil, o.data untouched) and only participates in
-// recovery reassembly.
-func (p *Proc) applyCkptShard(o *object, w *wire) {
-	o.ckptCopy = true
-	o.copyOwner = w.Owner
-	o.copySeq = w.Seq
-	o.copyData = nil
-	o.copyBytes = w.Body
-	o.shardIdx, o.shardK, o.shardM, o.frameLen = w.Shard, w.ShardK, w.ShardM, w.FrameLen
-	if w.HasMeta {
-		o.savedMeta = w.Meta
-		o.kind = ft.ObjKind(w.Meta.Kind)
-	}
-}
-
-// applyCkptCopy installs a checkpoint copy. The copy lives in the cache
-// and is usable for local reads like any cached data — the paper's core
-// efficiency argument.
+// applyCkptCopy installs a checkpoint copy as the backing copy for its
+// owner. A full frame lives in the cache and is usable for local reads like
+// any cached data — the paper's core efficiency argument. A shard is opaque:
+// it never populates the cache (copyData stays nil, o.data untouched) and
+// only participates in recovery reassembly.
 func (p *Proc) applyCkptCopy(o *object, w *wire) {
-	data, err := codec.Unpack(w.Body)
-	if err != nil {
-		return
+	var data interface{}
+	if w.Shard == 0 {
+		var err error
+		if data, err = codec.Unpack(w.Body); err != nil {
+			return
+		}
+		o.invalidatePackCache() // contents now come from the owner's frame
 	}
 	o.ckptCopy = true
 	o.copyOwner = w.Owner
 	o.copySeq = w.Seq
 	o.copyData = data
 	o.copyBytes = w.Body
-	o.shardIdx, o.shardK, o.shardM, o.frameLen = 0, 0, 0, 0
-	o.invalidatePackCache() // contents now come from the owner's frame
+	o.shardIdx, o.shardK, o.shardM, o.frameLen = w.Shard, w.ShardK, w.ShardM, w.FrameLen
 	if w.HasMeta {
 		o.savedMeta = w.Meta
 		o.kind = ft.ObjKind(w.Meta.Kind)
 	}
-	// Make it usable as a cached copy when we do not hold newer local
-	// contents (values are immutable; accumulator copies are as fresh as
-	// the owner's last checkpoint — exactly a "recent version"). An
+	// Make a full frame usable as a cached copy when we do not hold newer
+	// local contents (values are immutable; accumulator copies are as fresh
+	// as the owner's last checkpoint — exactly a "recent version"). An
 	// accumulator copy must not wake a parked UpdateAccum, though: only
 	// the migrated main copy grants the lock.
-	if !o.isMain && !o.usable() {
+	if w.Shard == 0 && !o.isMain && !o.usable() {
 		o.data = data
 		o.state = stPresent
 		o.ownerRank = w.Owner
@@ -707,6 +603,17 @@ func (p *Proc) onCkptAck(w *wire) {
 	}
 }
 
+// applyDeferred performs the activations dispatch held back while a
+// checkpoint transaction was open: at its commit, or early when a peer's
+// failure makes their effect on what we hold for it matter now.
+func (p *Proc) applyDeferred() {
+	msgs := p.deferredMsgs
+	p.deferredMsgs = nil
+	for _, w := range msgs {
+		p.onActivate(w)
+	}
+}
+
 func (p *Proc) onActivate(w *wire) {
 	// Promote a provisional private state from this checkpointer.
 	if st := p.privStaging[w.SrcRank]; st != nil && st.Seq == w.Seq {
@@ -721,8 +628,6 @@ func (p *Proc) onActivate(w *wire) {
 		if o.state == stInactive && o.inactiveFrom == w.SrcRank && o.inactiveSeq == w.Seq {
 			o.state = stPresent
 			o.fetchOutstanding = false
-			if o.kind == ft.KindAccum {
-			}
 			p.serveLocalWaiters(o) // grants a parked local acquire first
 			p.serveRemoteWaiters(o)
 			if o.kind == ft.KindAccum && o.isMain {
@@ -732,11 +637,7 @@ func (p *Proc) onActivate(w *wire) {
 		if o.pendingCopy != nil && o.pendingCopy.SrcRank == w.SrcRank && o.pendingCopy.Seq == w.Seq {
 			pc := o.pendingCopy
 			o.pendingCopy = nil
-			if pc.Shard > 0 {
-				p.applyCkptShard(o, pc)
-			} else {
-				p.applyCkptCopy(o, pc)
-			}
+			p.applyCkptCopy(o, pc)
 		}
 	}
 }
@@ -773,20 +674,32 @@ func (p *Proc) onForceAck(w *wire) {
 	p.retryFrees()
 }
 
+// onFreeCkpt drops the checkpoint copy held for the sender. An owner frees
+// only copies its own ledger lists, and those all back its own ownership —
+// so a free never touches a copy that names another owner. It must not: a
+// holder keeps one copy per object, and a free from a previous owner (sent
+// at the commit of the transaction that migrated the object away) can be
+// overtaken by the next owner's whole transaction placing a newer copy in
+// the same slot; dropping that one would destroy the object's only backup.
 func (p *Proc) onFreeCkpt(w *wire) {
 	o := p.objs[Name(w.Name)]
-	if o == nil || !o.ckptCopy {
+	if o == nil {
+		return
+	}
+	if o.pendingCopy != nil && o.pendingCopy.Owner == w.SrcRank {
+		o.pendingCopy = nil
+	}
+	if !o.ckptCopy || o.copyOwner != w.SrcRank {
 		return
 	}
 	o.ckptCopy = false
 	o.copyData = nil
 	o.copyBytes = nil
-	o.pendingCopy = nil
 	o.shardIdx, o.shardK, o.shardM, o.frameLen = 0, 0, 0, 0
 	// If the entry is nothing but the dropped copy, remove it entirely;
 	// if it also serves as a cached copy, the cache keeps it until LRU
 	// eviction, like any other cached object.
-	if !o.isMain && o.pins == 0 && len(o.waiters) == 0 {
+	if !o.isMain && o.pins == 0 && len(o.waiters) == 0 && o.pendingCopy == nil {
 		delete(p.objs, Name(w.Name))
 	}
 }

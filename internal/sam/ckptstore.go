@@ -190,7 +190,8 @@ func (p *Proc) repairCoverage() {
 			return dead
 		})
 		if len(plan) > 0 {
-			if p.sendRepairs(o, plan) {
+			if body := p.ckptImage(o); body != nil {
+				p.sendCkptCopies(o, body, plan, p.cfg.Rank, nil)
 				repaired++
 			}
 		}
@@ -205,37 +206,60 @@ func (p *Proc) repairCoverage() {
 	}
 }
 
-// sendRepairs transmits the planned repair copies for one object and
-// ledgers them. Reports whether anything was sent.
-func (p *Proc) sendRepairs(o *object, plan []ckptstore.Holder) bool {
-	body := p.ckptImage(o)
-	if body == nil {
-		return false
+// planCopies returns the holders for the named object's next checkpoint
+// copies on behalf of owner, in placement order: full frames, or under
+// erasure coding shard i+1 at the i-th rank.
+func (p *Proc) planCopies(name Name, owner int) []ckptstore.Holder {
+	ranks := p.store.Plan(uint64(name), owner)
+	holders := make([]ckptstore.Holder, len(ranks))
+	for i, r := range ranks {
+		holders[i] = ckptstore.Holder{Rank: r}
+		if p.store.EC().Enabled() {
+			holders[i].Shard = i + 1
+		}
 	}
+	return holders
+}
+
+// sendCkptCopies is the one place a checkpoint copy leaves its owner: it
+// sends body — o's image as of checkpoint o.ckptSeq — to each holder, whole
+// (Shard 0) or as that holder's Reed–Solomon shard. Inside a transaction the
+// copies are pieces of tx, inactive when the contents are nonreproducible,
+// and the caller ledgers them under owner (the migration target when o is
+// changing hands). With tx nil they repair the committed image: Piece -1,
+// committed on arrival, ledgered here as they go.
+func (p *Proc) sendCkptCopies(o *object, body []byte, holders []ckptstore.Holder, owner int, tx *ckptTx) {
 	ec := p.store.EC()
 	var shards [][]byte
 	if ec.Enabled() {
 		var err error
-		shards, err = ckptstore.Encode(ec, body)
-		if err != nil {
-			return false
+		if shards, err = ckptstore.Encode(ec, body); err != nil {
+			panic(fmt.Errorf("sam: erasure-encode %v: %w", o.name, err))
 		}
 	}
-	for _, h := range plan {
+	for _, h := range holders {
 		w := &wire{
-			Kind: kCkptCopy, Name: uint64(o.name), Seq: o.ckptSeq,
-			Meta: o.ckptMeta, HasMeta: true, Piece: -1, Owner: p.cfg.Rank,
+			Kind: kCkptCopy, Name: uint64(o.name), Body: body, Seq: o.ckptSeq,
+			Meta: o.ckptMeta, HasMeta: true, Piece: -1, Owner: owner,
 		}
-		note := ""
 		if h.Shard > 0 {
 			w.Body = shards[h.Shard-1]
 			w.Shard, w.ShardK, w.ShardM, w.FrameLen = h.Shard, ec.K, ec.M, len(body)
-			note = fmt.Sprintf("shard%d", h.Shard)
 		} else {
-			w.Body = body
-			o.noteSentTo(h.Rank)
+			o.noteSentTo(h.Rank) // the copy doubles as a cached frame there
+		}
+		if tx != nil {
+			w.Inactive = o.nonrepro
+			p.st.ReplicaObjects.Add(1)
+			p.st.ReplicaBytes.Add(int64(len(w.Body)))
+			p.txSend(h.Rank, w, o.nonrepro)
+			continue
 		}
 		if p.rec != nil {
+			note := ""
+			if h.Shard > 0 {
+				note = fmt.Sprintf("shard%d", h.Shard)
+			}
 			p.emit(trace.Event{
 				Kind: trace.SamRepairSend, Name: uint64(o.name), Dst: int64(h.Rank),
 				Bytes: len(w.Body), Aux: o.ckptSeq, Note: note,
@@ -246,5 +270,4 @@ func (p *Proc) sendRepairs(o *object, plan []ckptstore.Holder) bool {
 		p.send(h.Rank, w)
 		p.store.AddHolder(uint64(o.name), o.ckptSeq, h)
 	}
-	return true
 }

@@ -11,16 +11,17 @@ import (
 // TagSAM is the PVM message tag carrying all SAM protocol traffic.
 const TagSAM = pvm.TagUserBase + 1
 
-// Message kinds. One wire struct carries every kind; unused fields stay at
-// their zero values (the codec encodes them compactly enough for a
-// simulation, and a single self-describing struct keeps the protocol
-// readable).
+// Message kinds. One wire struct carries every kind and unused fields stay
+// at their zero values — but they are still encoded: the codec writes ints
+// at fixed width, so every frame carries the whole struct (192 bytes packed
+// for the smallest control message, 216 with a one-entry stamp). Renumbering
+// kinds therefore never moves a frame size.
 const (
 	// Values.
 	kValReg    = iota + 1 // creator -> home: value exists, owner = SrcRank
 	kValReq               // requester -> home: locate and fetch a value
 	kValReqFwd            // home -> owner: forward of kValReq (Target = requester)
-	kValData              // owner -> requester: value contents
+	kValData              // owner -> Target: value contents (fetch reply or Push)
 	kValUsed              // consumer -> owner: batched use counts (Names/Counts)
 
 	// Accumulators.
@@ -32,9 +33,6 @@ const (
 	kAccSnapReq // requester -> home: chaotic read snapshot request
 	kAccSnapFwd // home -> owner: forward of kAccSnapReq
 	kAccSnap    // owner -> requester: snapshot of accumulator contents
-
-	// Push.
-	kPush // owner -> Target: unsolicited value copy
 
 	// Checkpointing (§4.4).
 	kCkptPriv  // checkpointer -> designated: private state (ack required)
@@ -66,7 +64,6 @@ var kindNames = [...]string{
 	kAccReg: "AccReg", kAccAcq: "AccAcq", kAccGrant: "AccGrant",
 	kAccData: "AccData", kAccOwner: "AccOwner", kAccSnapReq: "AccSnapReq",
 	kAccSnapFwd: "AccSnapFwd", kAccSnap: "AccSnap",
-	kPush:     "Push",
 	kCkptPriv: "CkptPriv", kCkptCopy: "CkptCopy", kCkptAck: "CkptAck",
 	kActivate: "Activate", kForceCkpt: "ForceCkpt", kForceAck: "ForceAck",
 	kFreeCkpt: "FreeCkpt",
@@ -161,7 +158,6 @@ func init() {
 
 // encodeWire packs a wire message, attaching the sender's stamp for dst.
 func (p *Proc) encodeWire(w *wire, dstRank int) []byte {
-	w.SrcRank = p.cfg.Rank
 	if p.cfg.Policy != 0 { // any FT policy: piggyback clocks
 		st := p.clocks.DeltaStampFor(dstRank)
 		w.HasStamp = true

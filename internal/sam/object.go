@@ -1,6 +1,8 @@
 package sam
 
 import (
+	"slices"
+
 	"samft/internal/ft"
 )
 
@@ -57,10 +59,9 @@ type object struct {
 	pins int
 
 	// Accumulator state (owner side).
-	accLocked       bool  // application holds the update lock
-	accSnapSeq      int64 // bump on each update; versions snapshots
-	pendingMove     int   // rank to migrate to when quiescent, -1 if none
-	migrationQueued bool  // a migration trigger is queued/in a transaction
+	accLocked       bool // application holds the update lock
+	pendingMove     int  // rank to migrate to when quiescent, -1 if none
+	migrationQueued bool // a migration trigger is queued/in a transaction
 
 	// ckptCopy entries: replica held on behalf of copyOwner. copyBytes is
 	// the owner's packed frame, retained verbatim so recovery restores the
@@ -217,29 +218,12 @@ type dirEntry struct {
 	pendingSnapsFwd []int
 }
 
-func (d *dirEntry) enqueueAcq(rank int) {
-	for _, r := range d.acqQueue {
-		if r == rank {
-			return // duplicate request (replay); queue membership is idempotent
-		}
+// enqueue parks rank in a queue of waiting ranks. Requests are re-issued
+// after failures and replayed by recovery, so membership is idempotent: a
+// rank already waiting keeps its place.
+func enqueue(queue []int, rank int) []int {
+	if slices.Contains(queue, rank) {
+		return queue
 	}
-	d.acqQueue = append(d.acqQueue, rank)
-}
-
-func (d *dirEntry) enqueueFetch(rank int) {
-	for _, r := range d.pendingFetch {
-		if r == rank {
-			return
-		}
-	}
-	d.pendingFetch = append(d.pendingFetch, rank)
-}
-
-func (d *dirEntry) enqueueSnap(rank int) {
-	for _, r := range d.pendingSnap {
-		if r == rank {
-			return
-		}
-	}
-	d.pendingSnap = append(d.pendingSnap, rank)
+	return append(queue, rank)
 }

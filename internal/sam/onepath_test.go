@@ -1,0 +1,342 @@
+package sam
+
+// White-box tests for the paths every caller now shares: the two copy
+// freshness rules, self-addressed messages dispatched in send, the wire a
+// handler keeps versus the wire its sender re-sends, and Push of a value
+// that has already been reclaimed.
+
+import (
+	"testing"
+
+	"samft/internal/ft"
+	"samft/internal/pvm"
+)
+
+// held describes the checkpoint copy a holder already has.
+type held struct {
+	owner   int
+	seq     int64
+	version int64
+	shard   int // 0 = full frame
+}
+
+func (h held) install(t *testing.T, p *Proc, o *object) {
+	w := &wire{
+		Kind: kCkptCopy, Name: uint64(o.name), Owner: h.owner, Seq: h.seq,
+		Meta: ft.ObjectMeta{Version: h.version}, HasMeta: true, Body: packPayload(t, 1),
+	}
+	if h.shard > 0 {
+		w.Shard, w.ShardK, w.ShardM, w.FrameLen = h.shard, 2, 1, len(w.Body)
+	}
+	p.applyCkptCopy(o, w)
+	if !o.ckptCopy || o.shardIdx != h.shard || (h.shard == 0) != (o.copyData != nil) {
+		t.Fatalf("setup: copy %+v installed as ckptCopy=%v shardIdx=%d copyData=%v", h, o.ckptCopy, o.shardIdx, o.copyData)
+	}
+}
+
+// TestHolderFreshnessRule pins acceptsCopy, the one holder-side rule for
+// full replicas and erasure shards alike.
+func TestHolderFreshnessRule(t *testing.T) {
+	const self, ownerA, ownerB = 0, 1, 2
+	ver := func(v int64) (ft.ObjectMeta, bool) { return ft.ObjectMeta{Version: v}, true }
+	cases := []struct {
+		name   string
+		isMain bool
+		have   *held
+		w      wire
+		hasVer int64 // incoming version; <0 = versionless
+		want   bool
+	}{
+		{name: "nothing held", w: wire{Owner: ownerA, Seq: 1}, hasVer: -1, want: true},
+		{name: "own live main is authoritative", isMain: true, w: wire{Owner: self, Seq: 9}, hasVer: 9, want: false},
+		{name: "main, but the copy backs the migration target", isMain: true, w: wire{Owner: ownerA, Seq: 1}, hasVer: 1, want: true},
+		{name: "newer version", have: &held{ownerA, 5, 3, 0}, w: wire{Owner: ownerA, Seq: 6}, hasVer: 4, want: true},
+		{name: "same version re-sent", have: &held{ownerA, 5, 3, 0}, w: wire{Owner: ownerA, Seq: 5}, hasVer: 3, want: true},
+		{name: "older version, same owner, older seq", have: &held{ownerA, 5, 3, 0}, w: wire{Owner: ownerA, Seq: 4}, hasVer: 2, want: false},
+		// The fall-through: the version test does not reject, it hands an
+		// older version to the owner/seq test, which accepts a different
+		// owner (and a same-owner copy no older by seq).
+		{name: "older version, different owner", have: &held{ownerA, 5, 3, 0}, w: wire{Owner: ownerB, Seq: 1}, hasVer: 2, want: true},
+		{name: "older version, same owner, newer seq", have: &held{ownerA, 5, 3, 0}, w: wire{Owner: ownerA, Seq: 6}, hasVer: 2, want: true},
+		{name: "versionless, same owner, older seq", have: &held{ownerA, 5, 0, 0}, w: wire{Owner: ownerA, Seq: 4}, hasVer: -1, want: false},
+		{name: "versionless, same owner, same seq", have: &held{ownerA, 5, 0, 0}, w: wire{Owner: ownerA, Seq: 5}, hasVer: -1, want: true},
+		{name: "versionless, different owner", have: &held{ownerA, 5, 0, 0}, w: wire{Owner: ownerB, Seq: 1}, hasVer: -1, want: true},
+		// One holder, both copy shapes.
+		{name: "full after shard, even when older", have: &held{ownerA, 5, 3, 2}, w: wire{Owner: ownerA, Seq: 4}, hasVer: 2, want: true},
+		{name: "shard after full, newer", have: &held{ownerA, 5, 3, 0}, w: wire{Owner: ownerA, Seq: 6, Shard: 1}, hasVer: 4, want: true},
+		{name: "shard after full, older", have: &held{ownerA, 5, 3, 0}, w: wire{Owner: ownerA, Seq: 4, Shard: 1}, hasVer: 2, want: false},
+		{name: "shard after shard, older", have: &held{ownerA, 5, 3, 2}, w: wire{Owner: ownerA, Seq: 4, Shard: 2}, hasVer: 2, want: false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p, _ := testProc(t, self, 4, false)
+			o := p.obj(MkName(7, 1, 0))
+			if tc.have != nil {
+				tc.have.install(t, p, o)
+			}
+			o.isMain = tc.isMain
+			w := tc.w
+			if tc.hasVer >= 0 {
+				w.Meta, w.HasMeta = ver(tc.hasVer)
+			}
+			if got := p.acceptsCopy(o, &w); got != tc.want {
+				t.Errorf("acceptsCopy = %v, want %v", got, tc.want)
+			}
+		})
+	}
+}
+
+// TestRecoveringFreshnessRule pins keepNewer, the one recovering-side rule
+// (restore.data and unconfirmedData both go through it). Unlike the holder
+// side there is no fall-through: with metadata on both, the version decides.
+func TestRecoveringFreshnessRule(t *testing.T) {
+	const name = 42
+	meta := func(src int, seq, version int64) *wire {
+		return &wire{Name: name, SrcRank: src, Seq: seq, Meta: ft.ObjectMeta{Version: version}, HasMeta: true}
+	}
+	bare := func(src int, seq int64) *wire { return &wire{Name: name, SrcRank: src, Seq: seq} }
+	cases := []struct {
+		name    string
+		prev, w *wire
+		want    bool // w replaces prev
+	}{
+		{"first contribution", nil, bare(1, 1), true},
+		{"newer version", meta(1, 5, 3), meta(2, 1, 4), true},
+		{"same version", meta(1, 5, 3), meta(2, 1, 3), true},
+		{"older version, different survivor, newer seq", meta(1, 5, 3), meta(2, 9, 2), false},
+		{"versionless, different survivor", bare(1, 5), bare(2, 1), true},
+		{"versionless, same survivor, older seq", bare(1, 5), bare(1, 4), false},
+		{"versionless, same survivor, same seq", bare(1, 5), bare(1, 5), true},
+		{"metadata on one side only, same survivor, older seq", meta(1, 5, 3), bare(1, 4), false},
+		{"metadata on one side only, different survivor", bare(1, 5), meta(2, 1, 0), true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			best := map[Name]*wire{}
+			if tc.prev != nil {
+				best[name] = tc.prev
+			}
+			keepNewer(best, tc.w)
+			if got := best[name] == tc.w; got != tc.want {
+				t.Errorf("replaced = %v, want %v", got, tc.want)
+			}
+		})
+	}
+}
+
+// appCmd submits an application command straight to the runtime's handler
+// and returns it; done reports whether (and how) it has completed.
+func appCmd(p *Proc, c *cmd) *cmd {
+	c.res = make(chan cmdResult, 1)
+	p.handleCmd(c)
+	return c
+}
+
+func done(c *cmd) (cmdResult, bool) {
+	select {
+	case r := <-c.res:
+		return r, true
+	default:
+		return cmdResult{}, false
+	}
+}
+
+// TestSelfHomedRequestsStayLocal runs the three request kinds with rank 0
+// as both home and requester and rank 1 as owner: the request leg is a
+// self-addressed message, so it must reach the directory without touching
+// the network, and each access must complete once the owner's reply is in.
+func TestSelfHomedRequestsStayLocal(t *testing.T) {
+	const owner = 1
+	body := func(t *testing.T) []byte { return packPayload(t, 7) }
+	cases := []struct {
+		name             string
+		op               cmdOp
+		reg, fwd, answer int
+	}{
+		{"value fetch", opUseValue, kValReg, kValReqFwd, kValData},
+		{"accumulator acquire", opUpdateAccum, kAccReg, kAccGrant, kAccData},
+		{"chaotic read", opChaoticRead, kAccReg, kAccSnapFwd, kAccSnap},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p, tasks := testProcCfg(t, 2, Config{Rank: 0, Policy: ft.PolicyOff})
+			name := nameHomedAt(t, 2, 0)
+			sent := func() int64 { return tasks[0].Endpoint().Stats().MsgsSent }
+
+			before := sent()
+			c := appCmd(p, &cmd{op: tc.op, name: name})
+			if _, ok := done(c); ok {
+				t.Fatal("access completed before any owner existed")
+			}
+			if got := sent() - before; got != 0 {
+				t.Fatalf("request leg to a self-homed name put %d message(s) on the network", got)
+			}
+			d := p.dirEnt(name)
+			if len(d.pendingFetch)+len(d.pendingSnap)+len(d.acqQueue) != 1 {
+				t.Fatalf("request not parked in our own directory: %+v", d)
+			}
+
+			// The owner registers: the parked request is forwarded to it —
+			// the one network message of the whole exchange from this side.
+			p.dispatch(&wire{Kind: tc.reg, SrcRank: owner, Name: uint64(name)})
+			if got := sent() - before; got != 1 {
+				t.Fatalf("messages sent after registration = %d, want 1 (the forward)", got)
+			}
+			if w := recvWire(t, tasks[owner]); w.Kind != tc.fwd || w.Target != 0 || Name(w.Name) != name {
+				t.Fatalf("forward = %s target %d, want %s target 0", kindName(w.Kind), w.Target, kindName(tc.fwd))
+			}
+
+			p.dispatch(&wire{Kind: tc.answer, SrcRank: owner, Name: uint64(name), Target: 0, Body: body(t)})
+			r, ok := done(c)
+			if !ok || r.err != nil {
+				t.Fatalf("access did not complete after the owner's reply: done=%v err=%v", ok, r.err)
+			}
+			if v, _ := r.obj.(*recoveryPayload); v == nil || v.X != 7 {
+				t.Fatalf("access returned %#v, want payload 7", r.obj)
+			}
+		})
+	}
+}
+
+// TestKeptWireIsNotTheSendersWire covers direct dispatch's one hazard: a
+// transaction piece addressed to ourselves is handed to the handler as the
+// very struct the transaction keeps for re-sending, and re-sending rewrites
+// its sender and stamp fields. What the handler keeps must be its own copy.
+func TestKeptWireIsNotTheSendersWire(t *testing.T) {
+	p, tasks := testProc(t, 0, 4, false)
+	name := nameHomedAt(t, 4, 2)
+	// One ack is outstanding elsewhere (as step 1's private-state pieces
+	// always are), so the self-addressed pieces' synchronous acks do not
+	// commit this skeleton transaction.
+	p.tx = &ckptTx{seq: 5, inactive: map[int]bool{}, acksNeeded: 1}
+
+	copyPiece := &wire{
+		Kind: kCkptCopy, Name: uint64(name), Body: packPayload(t, 1), Seq: 5,
+		Inactive: true, Owner: 3, Meta: ft.ObjectMeta{Version: 1}, HasMeta: true,
+	}
+	privPiece := &wire{Kind: kCkptPriv, Body: packPayload(t, 2), Seq: 5, Inactive: true}
+	p.txSend(0, copyPiece, true)
+	p.txSend(0, privPiece, true)
+
+	kept := map[string]*wire{"pendingCopy": p.obj(name).pendingCopy, "privStaging": p.privStaging[0]}
+	for what, w := range kept {
+		if w == nil {
+			t.Fatalf("%s: self-addressed piece was not retained", what)
+		}
+	}
+	if p.tx.acksNeeded != 1 {
+		t.Fatalf("self-addressed pieces left %d acks outstanding, want only the foreign one", p.tx.acksNeeded)
+	}
+	before := map[string]wire{"pendingCopy": *kept["pendingCopy"], "privStaging": *kept["privStaging"]}
+
+	// A recipient failure re-sends the transaction's pieces (§4.5); here the
+	// sender's structs go out again, to a peer, and pick up a stamp.
+	for i := range p.tx.pieces {
+		p.send(1, p.tx.pieces[i].w)
+	}
+	if !copyPiece.HasStamp || !privPiece.HasStamp {
+		t.Fatal("setup: re-sending did not rewrite the sender's wires")
+	}
+	for range p.tx.pieces {
+		recvWire(t, tasks[1])
+	}
+	for what, w := range kept {
+		b := before[what]
+		if w.HasStamp != b.HasStamp || len(w.StampT) != len(b.StampT) || w.StampC != b.StampC || w.SrcRank != b.SrcRank {
+			t.Errorf("%s changed when the sender re-sent its piece: %+v", what, *w)
+		}
+		if w == copyPiece || w == privPiece {
+			t.Errorf("%s aliases the transaction's piece", what)
+		}
+	}
+}
+
+// TestPushAfterReclaimIsNoOp is the regression test for the no-FT GPS
+// crash: with fault tolerance off a value is reclaimed the moment its
+// declared uses are all reported, which consumers that fetched it
+// themselves can do while the creator is still working through its Push
+// calls. Push is a delivery hint, so pushing the reclaimed value is a
+// no-op; pushing something this process holds but did not create stays an
+// error.
+func TestPushAfterReclaimIsNoOp(t *testing.T) {
+	p, tasks := testProcCfg(t, 3, Config{Rank: 0, Policy: ft.PolicyOff})
+	name := nameHomedAt(t, 3, 0)
+
+	if r, _ := done(appCmd(p, &cmd{op: opCreateValue, name: name, obj: &recoveryPayload{X: 5}, accesses: 2})); r.err != nil {
+		t.Fatalf("create: %v", r.err)
+	}
+	// Both consumers fetch the value, use it, and report the use at their
+	// step boundary — all before the creator's first Push.
+	for _, consumer := range []int{1, 2} {
+		p.dispatch(&wire{Kind: kValReq, SrcRank: consumer, Name: uint64(name)})
+		if w := recvWire(t, tasks[consumer]); w.Kind != kValData {
+			t.Fatalf("consumer %d got %s, want ValData", consumer, kindName(w.Kind))
+		}
+		p.dispatch(&wire{Kind: kValUsed, SrcRank: consumer, Names: []uint64{uint64(name)}, Counts: []int64{1}})
+	}
+	if p.objs[name] != nil {
+		t.Fatal("setup: value not reclaimed after its declared uses")
+	}
+
+	for _, dst := range []int{1, 2} {
+		r, ok := done(appCmd(p, &cmd{op: opPush, name: name, rank: dst}))
+		if !ok || r.err != nil {
+			t.Fatalf("Push of a reclaimed value to %d: done=%v err=%v, want a no-op", dst, ok, r.err)
+		}
+	}
+	if tasks[1].Probe(pvm.AnySrc, TagSAM) || tasks[2].Probe(pvm.AnySrc, TagSAM) {
+		t.Error("Push of a reclaimed value sent something")
+	}
+
+	// An entry that exists but is not an owned, created value: still an error.
+	cached := nameHomedAt(t, 3, 1)
+	p.dispatch(&wire{Kind: kValData, SrcRank: 1, Name: uint64(cached), Body: packPayload(t, 9)})
+	if r, _ := done(appCmd(p, &cmd{op: opPush, name: cached, rank: 2})); r.err == nil {
+		t.Error("Push of a value cached from another owner did not fail")
+	}
+}
+
+// TestFreeCkptOnlyDropsTheSendersCopy is the regression test for a recovery
+// hang (TestCounterSurvives* under -race): a holder keeps one checkpoint
+// copy per object, and a previous owner's kFreeCkpt — sent when the
+// transaction that migrated the object away commits — can arrive after the
+// next owner's transaction has already put a newer copy, or a still-inactive
+// one, in that slot. Dropping it destroys the object's only backup; if the
+// new owner then dies, nobody can restore the object.
+func TestFreeCkptOnlyDropsTheSendersCopy(t *testing.T) {
+	const self, oldOwner, newOwner = 1, 0, 2
+	p, _ := testProc(t, self, 4, false)
+	name := nameHomedAt(t, 4, 3)
+	o := p.obj(name)
+	held{owner: newOwner, seq: 20, version: 8}.install(t, p, o)
+
+	free := func(from int) { p.dispatch(&wire{Kind: kFreeCkpt, SrcRank: from, Name: uint64(name), Seq: 17}) }
+
+	free(oldOwner)
+	if !o.ckptCopy || o.copyOwner != newOwner || o.copyBytes == nil {
+		t.Fatal("a previous owner's free dropped the copy backing the new owner")
+	}
+
+	// Same race one step earlier: the new owner's copy is still inactive,
+	// behind an older committed copy that does back the freeing rank.
+	o.copyOwner = oldOwner
+	o.pendingCopy = &wire{Kind: kCkptCopy, SrcRank: self, Owner: newOwner, Seq: 20, Inactive: true, Body: packPayload(t, 2)}
+	free(oldOwner)
+	if o.ckptCopy {
+		t.Error("the freeing owner's own committed copy was kept")
+	}
+	if p.objs[name] != o || o.pendingCopy == nil {
+		t.Fatal("a previous owner's free dropped the new owner's pending copy")
+	}
+
+	// The owner a copy backs does free it, pending or committed.
+	p.onActivate(&wire{Kind: kActivate, SrcRank: self, Seq: 20})
+	if !o.ckptCopy || o.copyOwner != newOwner {
+		t.Fatalf("setup: pending copy not activated (ckptCopy=%v owner=%d)", o.ckptCopy, o.copyOwner)
+	}
+	o.pendingCopy = &wire{Kind: kCkptCopy, SrcRank: newOwner, Owner: newOwner, Seq: 21, Inactive: true}
+	free(newOwner)
+	if _, ok := p.objs[name]; ok {
+		t.Errorf("the owner's free left its copies behind: ckptCopy=%v pendingCopy=%v", o.ckptCopy, o.pendingCopy)
+	}
+}

@@ -1,7 +1,6 @@
 package sam
 
 import (
-	"errors"
 	"fmt"
 	"sync/atomic"
 
@@ -42,7 +41,6 @@ type Proc struct {
 	// Application coordination.
 	app          App
 	appParked    *cmd   // the command the app is currently blocked on, if any
-	atGate       bool   // app is parked at a step boundary
 	gateCmd      *cmd   // the gate command to release
 	stepsDone    int64  // completed steps (boundary index)
 	stepTainted  bool   // the in-progress step performed a non-reexecutable op
@@ -135,7 +133,7 @@ type failKey struct {
 // trigger is a send of nonreproducible data that must ride a checkpoint
 // transaction (§4.4 step 4).
 type trigger struct {
-	kind   int // kValData, kAccData, kAccSnap, kPush
+	kind   int // kValData, kAccData, kAccSnap; 0 = bare checkpoint
 	name   Name
 	target int // destination rank
 }
@@ -441,8 +439,6 @@ func (p *Proc) dispatch(w *wire) {
 		p.onAccSnapFwd(w)
 	case kAccSnap:
 		p.onAccSnap(w)
-	case kPush:
-		p.onPushData(w)
 	case kCkptPriv:
 		p.onCkptPriv(w)
 	case kCkptCopy:
@@ -484,25 +480,22 @@ func (p *Proc) dispatch(w *wire) {
 
 // send transmits a wire message to a rank's current tid. Messages to dead
 // incarnations vanish in the network; the recovery protocol re-issues what
-// matters.
+// matters. A message to our own rank (1/N of all names are homed here, and
+// placements and ownership reports land here too) is dispatched directly —
+// no frame, no stamp, no network — and this is the only place that tells
+// the two apart: callers address the home, owner or holder without asking
+// whether it is this process. The handler runs on w itself; see keep.
 func (p *Proc) send(rank int, w *wire) {
+	w.SrcRank = p.cfg.Rank
 	if rank == p.cfg.Rank {
-		// Loopback without the network: dispatch directly. This happens
-		// for degenerate placements (home == self is handled inline by
-		// callers, so loopbacks are rare).
-		b := p.encodeWire(w, rank)
-		if ww, err := decodeWire(b); err == nil {
-			p.dispatch(ww)
-		}
+		p.dispatch(w)
 		return
 	}
 	b := p.encodeWire(w, rank)
-	err := p.task.Send(p.ranks[rank], TagSAM, b)
-	if err != nil && !errors.Is(err, netsim.ErrUnknownDest) {
-		// ErrKilled: we are dead; the receiver goroutine will shut the
-		// runtime down momentarily. Drop the send.
-		return
-	}
+	// ErrKilled means we are dead and the receiver goroutine is about to shut
+	// the runtime down; ErrUnknownDest is a dead incarnation. Either way the
+	// message is dropped.
+	_ = p.task.Send(p.ranks[rank], TagSAM, b)
 }
 
 // obj returns the local entry for name, creating a placeholder if absent.

@@ -1,8 +1,6 @@
 package sam
 
 import (
-	"sort"
-
 	"samft/internal/codec"
 	"samft/internal/ft"
 	"samft/internal/netsim"
@@ -22,7 +20,6 @@ type restoreState struct {
 	privBytes  []byte // packed form of priv, kept for re-replication
 	freshVotes map[int]bool
 	data       map[Name]*wire // best kRecoverData per name
-	done       bool
 }
 
 func newRestoreState() *restoreState {
@@ -109,12 +106,7 @@ func (p *Proc) liveCoordinator(failed int) int {
 // incarnation is installed, so discovering a coordinator's death later
 // re-dispatches the failures it was responsible for — the takeover path.
 func (p *Proc) dispatchFailures() {
-	ranks := make([]int, 0, len(p.deadRanks))
-	for r := range p.deadRanks {
-		ranks = append(ranks, r)
-	}
-	sort.Ints(ranks)
-	for _, rank := range ranks {
+	for _, rank := range sortedKeys(p.deadRanks) {
 		dead := p.deadRanks[rank]
 		coord := p.liveCoordinator(rank)
 		if coord == p.cfg.Rank {
@@ -126,6 +118,12 @@ func (p *Proc) dispatchFailures() {
 			continue
 		}
 		p.relayedFail[k] = true
+		// The report is now in the coordinator's hands, so its death is our
+		// business even if the notification for it never reached us (exit
+		// notifications can be lost, and a coordinator killed together with
+		// the rank it should restart would swallow this report silently).
+		// Re-arming the watch answers at once when it is already dead.
+		p.task.Notify(p.ranks[coord])
 		p.send(coord, &wire{Kind: kFailed, Target: rank, Seq: int64(dead)})
 	}
 }
@@ -146,7 +144,7 @@ func (p *Proc) startRecovery(rank int, dead netsim.TID) {
 	if newTID == pvm.NoTID {
 		return // harness is shutting down
 	}
-	p.handleRecoveryLocal(rank, newTID)
+	p.noteIncarnation(rank, newTID, false)
 	for r := range p.ranks {
 		if r == p.cfg.Rank || r == rank {
 			continue
@@ -156,43 +154,35 @@ func (p *Proc) startRecovery(rank int, dead netsim.TID) {
 }
 
 func (p *Proc) onRecovery(w *wire) {
-	p.handleRecoveryLocal(w.Target, netsim.TID(w.NewTID))
+	p.noteIncarnation(w.Target, netsim.TID(w.NewTID), false)
 }
 
-// onRecoverReq handles a restarted process's own announcement: install
-// the incarnation if it is news, then (re)send our contribution. The
+// onRecoverReq handles a restarted process's own announcement. The
 // explicit request overrides the sent-once filter — the requester is
 // telling us it is still missing contributions, e.g. because an earlier
 // one went to a previous incarnation that died with it.
 func (p *Proc) onRecoverReq(w *wire) {
-	rank := w.Target
+	p.noteIncarnation(w.Target, netsim.TID(w.NewTID), true)
+}
+
+// noteIncarnation is each surviving process's part of §4.5, however it
+// learns that rank restarted as newTID (the coordinator's broadcast, the new
+// process's own request, or being the coordinator): update the rank table if
+// this is news, then supply the new process with everything it needs — once
+// per incarnation, or again when resend is set. TIDs increase monotonically,
+// so ordering resolves races between competing announcements for one rank.
+func (p *Proc) noteIncarnation(rank int, newTID netsim.TID, resend bool) {
 	if rank < 0 || rank >= p.cfg.N || rank == p.cfg.Rank {
 		return
 	}
-	newTID := netsim.TID(w.NewTID)
 	if newTID < p.ranks[rank] {
-		return // stale incarnation announcing itself after its own death
+		return // stale: an incarnation we already outlived
 	}
 	if newTID > p.ranks[rank] {
 		p.installNewIncarnation(rank, newTID)
 	}
-	delete(p.contributedTo, rank)
-	p.contributeIfNeeded(rank)
-}
-
-// handleRecoveryLocal is each surviving process's part of §4.5: update the
-// rank table, then supply the new process with everything it needs. TIDs
-// increase monotonically, so ordering resolves races between competing
-// recovery broadcasts for the same rank.
-func (p *Proc) handleRecoveryLocal(rank int, newTID netsim.TID) {
-	if rank == p.cfg.Rank {
-		return
-	}
-	if newTID < p.ranks[rank] {
-		return // stale broadcast about an incarnation we already outlived
-	}
-	if newTID > p.ranks[rank] {
-		p.installNewIncarnation(rank, newTID)
+	if resend {
+		delete(p.contributedTo, rank)
 	}
 	p.contributeIfNeeded(rank)
 }
@@ -208,6 +198,13 @@ func (p *Proc) installNewIncarnation(rank int, newTID netsim.TID) {
 	// Stamps sent to the dead incarnation may be lost with it; the next
 	// piggyback to the replacement must carry the full T vector.
 	p.clocks.ResetPeer(rank)
+
+	// Activations held back behind our own open transaction are commits we
+	// have already been told of. Apply them before judging what is
+	// provisional and what we hold for the restarted process: the private
+	// state or checkpoint copy they commit may be exactly what it needs,
+	// and a checkpointer that has committed will not send it again.
+	p.applyDeferred()
 
 	// Drop everything provisional from the failed process's uncommitted
 	// checkpoint: it recovers from its last *committed* state.
@@ -270,12 +267,7 @@ func (p *Proc) contributeIfNeeded(rank int) {
 // own restore was in progress. Runs after checkRestoreComplete resumes
 // the application (either path).
 func (p *Proc) flushPendingContrib() {
-	ranks := make([]int, 0, len(p.pendingContrib))
-	for r := range p.pendingContrib {
-		ranks = append(ranks, r)
-	}
-	sort.Ints(ranks)
-	for _, r := range ranks {
+	for _, r := range sortedKeys(p.pendingContrib) {
 		p.contributeIfNeeded(r)
 	}
 }
@@ -336,19 +328,7 @@ func (p *Proc) contributeRecovery(rank int) {
 		// Requests outstanding to anyone are re-issued; the failed process
 		// may have lost them (queued at its directory or owner role).
 		if o.fetchOutstanding && o.reqKind != 0 {
-			h := p.home(o.name)
-			if h == p.cfg.Rank {
-				switch o.reqKind {
-				case kValReq:
-					p.localValReq(o.name, p.cfg.Rank)
-				case kAccAcq:
-					p.localAccAcq(o.name, p.cfg.Rank)
-				case kAccSnapReq:
-					p.localAccSnapReq(o.name, p.cfg.Rank)
-				}
-			} else {
-				p.send(h, &wire{Kind: o.reqKind, Name: uint64(o.name)})
-			}
+			p.request(o, o.reqKind)
 		}
 	}
 
@@ -411,19 +391,7 @@ func (p *Proc) dropProvisionalFrom(rank int) {
 			o.created = false
 			o.invalidatePackCache()
 			if len(o.waiters) > 0 && o.fetchOutstanding && o.reqKind != 0 {
-				h := p.home(o.name)
-				if h == p.cfg.Rank {
-					switch o.reqKind {
-					case kValReq:
-						p.localValReq(o.name, p.cfg.Rank)
-					case kAccAcq:
-						p.localAccAcq(o.name, p.cfg.Rank)
-					case kAccSnapReq:
-						p.localAccSnapReq(o.name, p.cfg.Rank)
-					}
-				} else {
-					p.send(h, &wire{Kind: o.reqKind, Name: uint64(o.name)})
-				}
+				p.request(o, o.reqKind)
 			}
 		}
 	}
@@ -432,7 +400,7 @@ func (p *Proc) dropProvisionalFrom(rank int) {
 // ---- recovering-process side ----
 
 func (p *Proc) onRecoverPriv(w *wire) {
-	if p.restore == nil || p.restore.done {
+	if p.restore == nil {
 		return
 	}
 	if w.Fresh {
@@ -469,18 +437,8 @@ func (p *Proc) onRecoverData(w *wire) {
 			return
 		}
 	}
-	if p.restore != nil && !p.restore.done {
-		name := Name(w.Name)
-		prev := p.restore.data[name]
-		better := prev == nil
-		if !better && w.HasMeta && prev.HasMeta {
-			better = w.Meta.Version >= prev.Meta.Version
-		} else if !better {
-			better = w.SrcRank != prev.SrcRank || w.Seq >= prev.Seq
-		}
-		if better {
-			p.restore.data[name] = w
-		}
+	if p.restore != nil {
+		keepNewer(p.restore.data, w)
 		p.checkRestoreComplete()
 		return
 	}
@@ -508,16 +466,27 @@ func (p *Proc) stashOrInstall(w *wire) {
 		p.installRecoveredMain(w, nil)
 		return
 	}
-	prev := p.unconfirmedData[name]
-	better := prev == nil
-	if !better && w.HasMeta && prev.HasMeta {
-		better = w.Meta.Version >= prev.Meta.Version
-	} else if !better {
-		better = w.SrcRank != prev.SrcRank || w.Seq >= prev.Seq
+	keepNewer(p.unconfirmedData, w)
+}
+
+// keepNewer is the recovering-side freshness rule: best holds the best
+// kRecoverData contribution seen so far per name, and w replaces the entry
+// for its name unless that one is newer. When both carry metadata the object
+// version alone decides; otherwise a contribution from a different survivor
+// wins, as does one no older by checkpoint seq. (The holder side's rule, for
+// incoming checkpoint copies, is acceptsCopy.)
+func keepNewer(best map[Name]*wire, w *wire) {
+	prev := best[Name(w.Name)]
+	switch {
+	case prev == nil:
+	case w.HasMeta && prev.HasMeta:
+		if w.Meta.Version < prev.Meta.Version {
+			return
+		}
+	case w.SrcRank == prev.SrcRank && w.Seq < prev.Seq:
+		return
 	}
-	if better {
-		p.unconfirmedData[name] = w
-	}
+	best[Name(w.Name)] = w
 }
 
 // onOwnerReport records that a surviving home asserts we own the named
@@ -662,17 +631,7 @@ func (p *Proc) onDirReport(w *wire) {
 	if w.HasMeta {
 		d.kind = ft.ObjKind(w.Meta.Kind)
 	}
-	pf := d.pendingFetch
-	d.pendingFetch = nil
-	for _, r := range pf {
-		p.localValReq(d.name, r)
-	}
-	ps := d.pendingSnap
-	d.pendingSnap = nil
-	for _, r := range ps {
-		p.localAccSnapReq(d.name, r)
-	}
-	p.pumpAccumQueue(d)
+	p.drainDirQueues(d)
 }
 
 // checkRestoreComplete resumes the application once the private state and
@@ -681,7 +640,7 @@ func (p *Proc) onDirReport(w *wire) {
 // since; the replay never touches them.
 func (p *Proc) checkRestoreComplete() {
 	rs := p.restore
-	if rs == nil || rs.done {
+	if rs == nil {
 		return
 	}
 	if rs.priv == nil {
@@ -691,7 +650,6 @@ func (p *Proc) checkRestoreComplete() {
 		if len(rs.freshVotes) < len(holders) {
 			return
 		}
-		rs.done = true
 		p.restore = nil
 		if p.rec != nil {
 			p.emit(trace.Event{Kind: trace.SamRecRestore, Note: "fresh"})
@@ -734,7 +692,6 @@ func (p *Proc) checkRestoreComplete() {
 			p.stashOrInstall(w)
 		}
 	}
-	rs.done = true
 	p.restore = nil
 	if p.rec != nil {
 		p.emit(trace.Event{

@@ -38,6 +38,13 @@ func packPayload(t *testing.T, x int64) []byte {
 // task at the given rank. Peer tasks double as message sinks.
 func testProc(t *testing.T, rank, n int, recovering bool) (*Proc, []*pvm.Task) {
 	t.Helper()
+	return testProcCfg(t, n, Config{Rank: rank, Policy: ft.PolicySAM, Degree: 2, Recovering: recovering})
+}
+
+// testProcCfg is testProc with the caller's policy knobs; N and the rank
+// table are filled in here.
+func testProcCfg(t *testing.T, n int, cfg Config) (*Proc, []*pvm.Task) {
+	t.Helper()
 	m := pvm.NewMachine(netsim.Config{})
 	block := make(chan struct{})
 	tasks := make([]*pvm.Task, n)
@@ -50,15 +57,8 @@ func testProc(t *testing.T, rank, n int, recovering bool) (*Proc, []*pvm.Task) {
 		close(block)
 		m.Halt()
 	})
-	p := NewProc(tasks[rank], Config{
-		Rank:       rank,
-		N:          n,
-		Ranks:      tids,
-		Policy:     ft.PolicySAM,
-		Degree:     2,
-		Recovering: recovering,
-	})
-	return p, tasks
+	cfg.N, cfg.Ranks = n, tids
+	return NewProc(tasks[cfg.Rank], cfg), tasks
 }
 
 // recvWire receives and decodes the next SAM protocol message at a task.
@@ -412,5 +412,104 @@ func TestOwnerQueryDeferredAtRecoveringHome(t *testing.T) {
 	}
 	if d := p.dirEnt(taken); d.owner != 1 {
 		t.Errorf("taken name directory owner = %d, want rank 1", d.owner)
+	}
+}
+
+// TestRelayToDeadCoordinatorIsNoticed covers simultaneous failures with
+// lossy exit notifications (the chaos sweeps' schedule 0): ranks 0 and 1 die
+// together and this process hears only about rank 1. It relays the report
+// to the coordinator it believes in — rank 0 — which is dead too; unless
+// the relay also (re-)arms a watch on the coordinator, nobody ever restarts
+// either rank.
+func TestRelayToDeadCoordinatorIsNoticed(t *testing.T) {
+	p, tasks := testProc(t, 3, 4, false)
+	// No watches are registered (the runtime loop is not running), which
+	// models every notification to this process having been dropped.
+	m := tasks[0].Machine()
+	m.Kill(tasks[0].TID())
+	m.Kill(tasks[1].TID())
+
+	p.handleTaskExit(tasks[1].TID())
+	if tasks[2].Probe(pvm.AnySrc, TagSAM) {
+		t.Fatal("setup: with rank 0 believed alive the report should go to rank 0, not rank 2")
+	}
+
+	// The coordinator's death must come back to us without further help.
+	msg, ok, err := tasks[3].TryRecv(pvm.AnySrc, pvm.TagTaskExit)
+	if err != nil || !ok {
+		t.Fatalf("relaying to a dead coordinator raised no exit notification (ok=%v err=%v)", ok, err)
+	}
+	p.handleMessage(msg)
+
+	// Both failures now go to the next coordinator in line.
+	got := map[int]bool{}
+	for i := 0; i < 2; i++ {
+		w := recvWire(t, tasks[2])
+		if w.Kind != kFailed {
+			t.Fatalf("rank 2 got %s, want Failed", kindName(w.Kind))
+		}
+		got[w.Target] = true
+	}
+	if !got[0] || !got[1] {
+		t.Fatalf("failures relayed to rank 2 = %v, want ranks 0 and 1", got)
+	}
+}
+
+// TestDeferredActivationsCountAtRecovery is the regression test for a
+// recovery hang and a wrong-answer flake in TestCounterSurvives*: a holder
+// in the middle of its own checkpoint transaction defers other processes'
+// activations, so a private state and a checkpoint copy that their
+// checkpointer has long committed still look provisional when the process
+// they restore dies. Dropping them as uncommitted (or contributing without
+// them) restarts that process fresh, or leaves it waiting forever for an
+// object nobody will send again.
+func TestDeferredActivationsCountAtRecovery(t *testing.T) {
+	const checkpointer, failed = 0, 3
+	p, tasks := testProc(t, 1, 4, false)
+	name := nameHomedAt(t, 4, 0)
+	priv, err := codec.Pack(&ft.PrivateState{Rank: failed, Seq: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Our own transaction is open, waiting for an ack.
+	p.tx = &ckptTx{seq: 1, acksNeeded: 1, inactive: map[int]bool{}, dirtyAt: map[Name]int64{}}
+	// Rank 3 checkpointed (we hold its private state), and rank 0 migrated
+	// an object to rank 3 (we hold the copy for the new owner). Both have
+	// committed: the activations are here, held back behind p.tx.
+	p.dispatch(&wire{Kind: kCkptPriv, SrcRank: failed, Seq: 5, Piece: 0, Inactive: true, Body: priv})
+	p.dispatch(&wire{Kind: kActivate, SrcRank: failed, Seq: 5})
+	p.dispatch(&wire{
+		Kind: kCkptCopy, SrcRank: checkpointer, Name: uint64(name), Owner: failed, Seq: 2, Piece: 1,
+		Inactive: true, Body: packPayload(t, 7), Meta: ft.ObjectMeta{Version: 1}, HasMeta: true,
+	})
+	p.dispatch(&wire{Kind: kActivate, SrcRank: checkpointer, Seq: 2})
+	if o := p.objs[name]; o == nil || o.pendingCopy == nil || o.ckptCopy || p.privStaging[failed] == nil {
+		t.Fatal("setup: both pieces should still be pending behind the open transaction")
+	}
+
+	// Rank 3 dies and comes back under a new tid.
+	block := make(chan struct{})
+	t.Cleanup(func() { close(block) })
+	reborn := tasks[0].Machine().Spawn("t3b", func(*pvm.Task) { <-block })
+	p.noteIncarnation(failed, reborn.TID(), false)
+
+	var kinds []string
+	gotPriv, gotData := false, false
+	for {
+		w := recvWire(t, reborn)
+		kinds = append(kinds, kindName(w.Kind))
+		switch {
+		case w.Kind == kRecoverPriv && !w.Fresh && w.Seq == 5:
+			gotPriv = true
+		case w.Kind == kRecoverData && Name(w.Name) == name && w.Seq == 2:
+			gotData = true
+		}
+		if w.Kind == kRecoverFin {
+			break
+		}
+	}
+	if !gotPriv || !gotData {
+		t.Fatalf("contribution %v lacks the committed private state (%v) or object copy (%v)", kinds, gotPriv, gotData)
 	}
 }

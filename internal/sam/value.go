@@ -35,11 +35,7 @@ func (p *Proc) cmdCreateValue(c *cmd) {
 	o.accessesDeclared = c.accesses
 
 	// Register with the home so queued requesters find us.
-	if h := p.home(c.name); h != p.cfg.Rank {
-		p.send(h, &wire{Kind: kValReg, Name: uint64(c.name)})
-	} else {
-		p.registerLocalOwner(c.name, ft.KindValue)
-	}
+	p.send(p.home(c.name), &wire{Kind: kValReg, Name: uint64(c.name)})
 
 	p.serveLocalWaiters(o)
 	p.serveRemoteWaiters(o)
@@ -153,19 +149,19 @@ func (p *Proc) cmdPrefetch(c *cmd) {
 
 func (p *Proc) cmdPush(c *cmd) {
 	o := p.objs[c.name]
-	if o == nil || !o.isMain || !o.created {
-		p.reply(c, nil, fmt.Errorf("Push(%v): not the owner of a created value", c.name))
-		return
-	}
-	if c.rank == p.cfg.Rank {
+	if o == nil {
+		// Push is a delivery hint. No entry means the value this process
+		// created has already been reclaimed — every declared use was
+		// reported (consumers fetched it themselves) while the creator was
+		// still issuing its pushes — so there is nothing left to deliver.
 		p.reply(c, nil, nil)
 		return
 	}
-	if p.unstable(o) {
-		p.addTrigger(trigger{kind: kPush, name: c.name, target: c.rank})
-	} else {
-		p.sendValueData(o, c.rank, kPush, false, 0)
+	if !o.isMain || !o.created {
+		p.reply(c, nil, fmt.Errorf("Push(%v): not the owner of a created value", c.name))
+		return
 	}
+	p.deliver(o, kValData, c.rank)
 	p.reply(c, nil, nil)
 }
 
@@ -183,70 +179,87 @@ func (p *Proc) ensureFetch(o *object) {
 	if o.fetchOutstanding || o.usable() {
 		return
 	}
-	o.fetchOutstanding = true
-	o.reqKind = kValReq
 	if p.rec != nil {
 		p.emit(trace.Event{Kind: trace.SamFetch, Name: uint64(o.name), Dst: int64(p.home(o.name))})
 	}
-	h := p.home(o.name)
-	if h == p.cfg.Rank {
-		p.localValReq(o.name, p.cfg.Rank)
-		return
-	}
-	p.send(h, &wire{Kind: kValReq, Name: uint64(o.name)})
+	p.request(o, kValReq)
 }
 
-// localValReq handles a value request whose home is this process.
-func (p *Proc) localValReq(name Name, requester int) {
-	d := p.dirEnt(name)
-	if !d.known {
-		d.enqueueFetch(requester)
-		return
-	}
-	if d.owner == p.cfg.Rank {
-		p.serveValueFetch(name, requester)
-		return
-	}
-	p.send(d.owner, &wire{Kind: kValReqFwd, Name: uint64(name), Target: requester})
+// request issues — or, after a failure may have lost it, re-issues — o's
+// outstanding request (kValReq, kAccAcq or kAccSnapReq) to the name's home.
+func (p *Proc) request(o *object, kind int) {
+	o.fetchOutstanding = true
+	o.reqKind = kind
+	p.send(p.home(o.name), &wire{Kind: kind, Name: uint64(o.name)})
 }
 
 // serveValueFetch serves a fetch request at the owner.
 func (p *Proc) serveValueFetch(name Name, requester int) {
 	o := p.obj(name)
-	if requester == p.cfg.Rank {
-		return // degenerate loopback; local waiters are served on create
-	}
 	if !o.created || !(o.state == stPresent) {
 		// Not created yet (or mid-recovery); remember the requester.
-		for _, r := range o.remoteWaiters {
-			if r == requester {
-				return
-			}
-		}
-		o.remoteWaiters = append(o.remoteWaiters, requester)
+		o.remoteWaiters = enqueue(o.remoteWaiters, requester)
+		return
+	}
+	p.deliver(o, kValData, requester)
+}
+
+// deliver gets an owned object's contents to rank as kind: now, or — when
+// the contents are nonreproducible and uncovered (§4.1) — with the next
+// checkpoint transaction. Delivering to ourselves is a no-op: local waiters
+// are served where the contents become usable.
+func (p *Proc) deliver(o *object, kind, rank int) {
+	if rank == p.cfg.Rank {
 		return
 	}
 	if p.unstable(o) {
-		p.addTrigger(trigger{kind: kValData, name: name, target: requester})
+		p.addTrigger(trigger{kind: kind, name: o.name, target: rank})
 		return
 	}
-	p.sendValueData(o, requester, kValData, false, 0)
+	p.sendObject(o, kind, rank, nil)
 }
 
-// sendValueData transmits a value's contents to a rank. Values are
-// immutable once created, so after the first pack every further fetch
-// reply reuses the snapshot-cached frame.
-func (p *Proc) sendValueData(o *object, rank int, kind int, inactive bool, seq int64) {
-	body := p.packObject(o)
-	p.st.ObjectSends.Add(1)
-	if inactive {
-		p.st.CkptCausingSends.Add(1)
+// sendObject is the one place an owned object's contents leave for a
+// consumer: a fetch reply or push (kValData), a chaotic-read snapshot
+// (kAccSnap), or an ownership transfer (kAccData). With tx nil the send is
+// immediate; otherwise it is an inactive, acknowledged piece of that
+// checkpoint transaction, unusable at the receiver until the activation
+// (§4.4 step 4). A value, immutable once created, is packed once however
+// often it is served (packObject's snapshot cache).
+func (p *Proc) sendObject(o *object, kind, rank int, tx *ckptTx) {
+	migration := kind == kAccData
+	w := &wire{Kind: kind, Name: uint64(o.name), Target: rank}
+	if migration {
+		// An accumulator checkpointed in this transaction travels as the
+		// image steps 2–3 just replicated (nil when fault tolerance is off).
+		w.Body = o.ckptBytes
+		w.Meta, w.HasMeta = o.meta(), true
+	} else {
+		o.noteSentTo(rank)
 	}
-	o.noteSentTo(rank)
-	p.send(rank, &wire{
-		Kind: kind, Name: uint64(o.name), Body: body,
-		Inactive: inactive, Seq: seq, Target: rank,
-	})
+	if w.Body == nil {
+		w.Body = p.packObject(o)
+	}
+	p.st.ObjectSends.Add(1)
+	if migration && p.rec != nil {
+		p.emit(trace.Event{Kind: trace.SamMigrateOut, Name: uint64(o.name), Dst: int64(rank), Bytes: len(w.Body)})
+	}
+	if tx == nil {
+		p.send(rank, w)
+		if migration {
+			p.handOff(o, rank)
+		}
+		return
+	}
+	p.st.CkptCausingSends.Add(1)
+	w.Inactive, w.Seq = true, tx.seq
+	if migration {
+		// Ownership commits with the transaction (commitTx hands off).
+		w.Holders = packHolders(tx.migrHolders[o.name])
+		o.pendingMove = rank // block further local locks until commit
+		tx.migrations = append(tx.migrations, txMigration{name: o.name, target: rank})
+	}
+	p.txSend(rank, w, true)
 }
 
 // serveLocalWaiters wakes application commands parked on this object.
@@ -339,40 +352,44 @@ func (p *Proc) flushUseNotices() {
 // ---- message handlers ----
 
 func (p *Proc) onValReg(w *wire) {
-	d := p.dirEnt(Name(w.Name))
-	d.known = true
-	d.owner = w.SrcRank
-	d.kind = ft.KindValue
-	p.drainDirQueues(d)
+	p.setOwner(Name(w.Name), w.SrcRank, ft.KindValue)
 }
 
-// registerLocalOwner records this process as owner in its own directory
-// and serves requests queued before the creation.
-func (p *Proc) registerLocalOwner(name Name, kind ft.ObjKind) {
+// setOwner records an object's owner in this home's directory and routes
+// the requests that were waiting for one.
+func (p *Proc) setOwner(name Name, owner int, kind ft.ObjKind) {
 	d := p.dirEnt(name)
 	d.known = true
-	d.owner = p.cfg.Rank
+	d.owner = owner
 	d.kind = kind
 	p.drainDirQueues(d)
 }
 
-// drainDirQueues routes requests that arrived before the owner was known.
+// drainDirQueues routes requests that arrived before the owner was known,
+// replaying each queued requester through the handler that parked it.
 func (p *Proc) drainDirQueues(d *dirEntry) {
 	pf := d.pendingFetch
 	d.pendingFetch = nil
 	for _, r := range pf {
-		p.localValReq(d.name, r)
+		p.onValReq(&wire{Kind: kValReq, SrcRank: r, Name: uint64(d.name)})
 	}
 	ps := d.pendingSnap
 	d.pendingSnap = nil
 	for _, r := range ps {
-		p.localAccSnapReq(d.name, r)
+		p.onAccSnapReq(&wire{Kind: kAccSnapReq, SrcRank: r, Name: uint64(d.name)})
 	}
 	p.pumpAccumQueue(d)
 }
 
+// onValReq routes a value request at the name's home: to the owner, or into
+// the directory's queue until one registers.
 func (p *Proc) onValReq(w *wire) {
-	p.localValReq(Name(w.Name), w.SrcRank)
+	d := p.dirEnt(Name(w.Name))
+	if !d.known {
+		d.pendingFetch = enqueue(d.pendingFetch, w.SrcRank)
+		return
+	}
+	p.send(d.owner, &wire{Kind: kValReqFwd, Name: w.Name, Target: w.SrcRank})
 }
 
 func (p *Proc) onValReqFwd(w *wire) {
@@ -381,16 +398,9 @@ func (p *Proc) onValReqFwd(w *wire) {
 	p.serveValueFetch(Name(w.Name), w.Target)
 }
 
+// onValData installs received value contents — a fetch reply or an
+// unsolicited push — as a cached copy.
 func (p *Proc) onValData(w *wire) {
-	p.installValueCopy(w)
-}
-
-func (p *Proc) onPushData(w *wire) {
-	p.installValueCopy(w)
-}
-
-// installValueCopy installs received value contents as a cached copy.
-func (p *Proc) installValueCopy(w *wire) {
 	if w.Inactive {
 		p.ackPiece(w)
 	}
