@@ -355,7 +355,7 @@ func ablationSnapCache(scale experiments.Scale) error {
 // ablation table: replica bytes are the memory/network overhead of the
 // redundancy, recovery(s) the replacement's modeled recovery window,
 // survivable the number of simultaneous failures the configuration is
-// guaranteed to survive (copies: min(Degree, N-1); EC: m), and the repair
+// guaranteed to survive (ckptstore.Survivable), and the repair
 // columns the proactive re-replication traffic that restores coverage
 // after recovery.
 func ablationPlacement(scale experiments.Scale) error {
@@ -389,10 +389,7 @@ func ablationPlacement(scale experiments.Scale) error {
 	}
 	for i, res := range results {
 		c := cells[i]
-		survivable := 2 // Degree
-		if c.ecK > 0 {
-			survivable = c.ecM
-		}
+		survivable := ckptstore.Survivable(n, specs[i].Degree, ckptstore.ECParams{K: c.ecK, M: c.ecM})
 		fmt.Printf("%-16s %10d %14d %12.3f %12d %14d %12v\n",
 			c.label(), survivable, res.Report.Total.ReplicaBytes, recoverySec[i],
 			res.Report.Total.RepairObjects, res.Report.Total.RepairBytes,

@@ -51,6 +51,33 @@ func ParseEC(s string) (ECParams, error) {
 	return p, nil
 }
 
+// FeasibleFor reports whether the code can be used on n ranks: valid
+// parameters, and room for its k+m shards on distinct non-owner ranks. An
+// infeasible code is dropped and full replication applies.
+func (p ECParams) FeasibleFor(n int) bool {
+	return p.Enabled() && p.validate() == nil && p.Shards() <= n-1
+}
+
+// WantCopies is the number of copies a fully covered object has on n ranks:
+// min(degree, n-1) full frames, or k+m shards under a feasible code.
+func WantCopies(n, degree int, ec ECParams) int {
+	if ec.FeasibleFor(n) {
+		return ec.Shards()
+	}
+	return min(degree, n-1)
+}
+
+// Survivable is the number of distinct ranks that may be down at once with
+// recovery still guaranteed: min(degree, n-1) under full replication, m
+// under a feasible (k,m) code — and never less than the one failure the
+// paper's protocol is built for.
+func Survivable(n, degree int, ec ECParams) int {
+	if ec.FeasibleFor(n) {
+		return ec.M
+	}
+	return max(min(degree, n-1), 1)
+}
+
 func (p ECParams) validate() error {
 	if p.K < 1 || p.M < 1 {
 		return fmt.Errorf("erasure coding needs k >= 1 and m >= 1, got (%d,%d)", p.K, p.M)

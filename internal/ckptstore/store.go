@@ -59,7 +59,7 @@ func NewStore(cfg Config) *Store {
 	if cfg.Degree <= 0 {
 		cfg.Degree = 1
 	}
-	if cfg.EC.Enabled() && (cfg.EC.validate() != nil || cfg.EC.Shards() > cfg.N-1) {
+	if !cfg.EC.FeasibleFor(cfg.N) {
 		cfg.EC = ECParams{}
 	}
 	cfg.View.N = cfg.N
@@ -79,16 +79,7 @@ func (s *Store) EC() ECParams { return s.cfg.EC }
 
 // Want returns the number of copies (or shards) a fully covered object
 // has: min(Degree, N-1) full frames, or k+m shards under erasure coding.
-func (s *Store) Want() int {
-	if s.cfg.EC.Enabled() {
-		return s.cfg.EC.Shards()
-	}
-	w := s.cfg.Degree
-	if s.cfg.N-1 < w {
-		w = s.cfg.N - 1
-	}
-	return w
-}
+func (s *Store) Want() int { return WantCopies(s.cfg.N, s.cfg.Degree, s.cfg.EC) }
 
 // Plan returns the ranks that should receive the named object's next
 // checkpoint copies, in placement order. Under erasure coding the i-th

@@ -31,6 +31,36 @@ func TestStoreWant(t *testing.T) {
 	}
 }
 
+// TestSurvivableRule pins the one rule the store, the chaos budget, the
+// scenario validator and ftbench's survivable column share.
+func TestSurvivableRule(t *testing.T) {
+	cases := []struct {
+		n, degree        int
+		ec               ECParams
+		feasible         bool
+		want, survivable int
+	}{
+		{4, 2, ECParams{}, false, 2, 2},
+		{2, 3, ECParams{}, false, 1, 1},           // degree clamped by cluster size
+		{1, 1, ECParams{}, false, 0, 1},           // nobody to copy to; the budget is still one failure
+		{5, 2, ECParams{K: 2, M: 2}, true, 4, 2},  // k+m shards wanted, m losses survivable
+		{5, 2, ECParams{K: 3, M: 1}, true, 4, 1},  // a code can survive fewer failures than the degree
+		{4, 2, ECParams{K: 2, M: 2}, false, 2, 2}, // k+m > n-1: full replication applies
+		{9, 2, ECParams{K: 2}, false, 2, 2},       // half-configured
+	}
+	for _, c := range cases {
+		if got := c.ec.FeasibleFor(c.n); got != c.feasible {
+			t.Errorf("%+v: FeasibleFor = %v, want %v", c, got, c.feasible)
+		}
+		if got := WantCopies(c.n, c.degree, c.ec); got != c.want {
+			t.Errorf("%+v: WantCopies = %d, want %d", c, got, c.want)
+		}
+		if got := Survivable(c.n, c.degree, c.ec); got != c.survivable {
+			t.Errorf("%+v: Survivable = %d, want %d", c, got, c.survivable)
+		}
+	}
+}
+
 func TestStoreLedgerLifecycle(t *testing.T) {
 	s := newTestStore(Ring, 4, 2, ECParams{})
 	const name = 42

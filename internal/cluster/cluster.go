@@ -46,8 +46,6 @@ type Config struct {
 	HostSlowdown []float64
 	// NoSnapCache disables the version-keyed snapshot cache (ablation).
 	NoSnapCache bool
-	// Cost overrides the network cost model (default: the paper's AN2).
-	Cost netsim.CostModel
 	// AppFactory builds the per-rank application. It is called again with
 	// the same rank when a failed process is restarted.
 	AppFactory func(rank int) sam.App
@@ -58,7 +56,7 @@ type Config struct {
 	// trigger kills during recovery.
 	OnRespawn func(rank int, tid pvm.TID)
 	// Chaos, when non-nil, attaches a seeded netsim fault-injection plan
-	// (jitter, notification drop/duplication, scheduled kills) to the
+	// (jitter, notification drop/duplication) to the
 	// simulated network.
 	Chaos *netsim.FaultPlan
 	// Tracer, when non-nil, records every layer's events into one
@@ -107,10 +105,7 @@ func New(cfg Config) *Cluster {
 	if cfg.AppFactory == nil {
 		panic("cluster: AppFactory required")
 	}
-	if cfg.Chaos != nil && cfg.Chaos.NotifyTag == 0 {
-		cfg.Chaos.NotifyTag = pvm.TagTaskExit
-	}
-	netCfg := netsim.Config{Cost: cfg.Cost, Chaos: cfg.Chaos, Trace: cfg.Tracer}
+	netCfg := netsim.Config{Chaos: cfg.Chaos, Trace: cfg.Tracer}
 	c := &Cluster{
 		cfg:      cfg,
 		machine:  pvm.NewMachine(netCfg),

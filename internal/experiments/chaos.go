@@ -142,28 +142,10 @@ func chaosSchedule(spec ChaosSpec, i int) []KillEvent {
 	return clampSchedule(spec, kills)
 }
 
-// ecActive mirrors ckptstore.NewStore's feasibility rule: an infeasible
-// (k,m) code is silently dropped and full replication applies.
-func ecActive(n, ecK, ecM int) bool {
-	return ecK >= 1 && ecM >= 1 && ecK+ecM <= n-1
-}
-
 // killBudget is the number of distinct ranks a schedule may take down
-// before it leaves the guaranteed-survivable envelope: ECParity when
-// erasure coding is active (a (k,m) code tolerates at most m losses),
-// min(Degree, N-1) under full replication.
+// before it leaves the guaranteed-survivable envelope.
 func killBudget(spec ChaosSpec) int {
-	budget := spec.Degree
-	if spec.N-1 < budget {
-		budget = spec.N - 1
-	}
-	if ecActive(spec.N, spec.ECData, spec.ECParity) {
-		budget = spec.ECParity
-	}
-	if budget < 1 {
-		budget = 1
-	}
-	return budget
+	return ckptstore.Survivable(spec.N, spec.Degree, ckptstore.ECParams{K: spec.ECData, M: spec.ECParity})
 }
 
 // clampSchedule rewrites a generated schedule so every event is effective
@@ -285,7 +267,8 @@ func CheckInvariants(snaps []sam.InvariantSnapshot, n, degree, ecK, ecM int) []s
 		seq         int64
 		shard       int
 	}
-	ec := ecActive(n, ecK, ecM)
+	ecp := ckptstore.ECParams{K: ecK, M: ecM}
+	ec, want := ecp.FeasibleFor(n), ckptstore.WantCopies(n, degree, ecp)
 	mains := make(map[uint64][]int)
 	copies := make(map[uint64][]copyRec)
 	for _, s := range snaps {
@@ -319,13 +302,6 @@ func CheckInvariants(snaps []sam.InvariantSnapshot, n, degree, ecK, ecM int) []s
 			sort.Ints(ranks)
 			out = append(out, fmt.Sprintf("object %d forked: main copies at ranks %v", name, ranks))
 		}
-	}
-	want := degree
-	if n-1 < want {
-		want = n - 1
-	}
-	if ec {
-		want = ecK + ecM
 	}
 	for _, s := range snaps {
 		for _, o := range s.Objects {

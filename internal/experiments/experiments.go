@@ -66,8 +66,7 @@ type KillEvent struct {
 	Step int64
 	// AtModeledSec, when > 0, fires the kill once the cluster's modeled
 	// clock passes that instant. Checked at application step boundaries,
-	// so the kill lands at the first step at-or-after the threshold — the
-	// same at-the-next-activity semantics as netsim's clock triggers. A
+	// so the kill lands at the first step at-or-after the threshold. A
 	// threshold past the end of the run is a no-op.
 	AtModeledSec float64
 	// OnRecovery, instead, fires the kill the moment rank RecoveryOf's

@@ -17,10 +17,6 @@
 //     send or trace emit without an intervening sort: map order is
 //     random per process, so anything it feeds onto the wire or into a
 //     trace track breaks run-to-run reproducibility.
-//   - tagunique — collects every PVM/SAM message-tag constant (names
-//     matching Tag*), rejects duplicate tag values, tags below
-//     TagUserBase, and Send/Recv/TryRecv/Probe call sites whose constant
-//     tag argument is not a registered tag.
 //   - lockheld — enforces the *Locked naming convention: a function
 //     suffixed "Locked" must not lock its receiver's mutex (it runs with
 //     the lock already held), and a caller of a *Locked function must
@@ -43,11 +39,16 @@
 //     calls are all flagged. Error/panic paths are cold and exempt; a
 //     //samlint:coldpath function (one-time amortized work, like codec
 //     plan compilation) contributes nothing to its callers' budgets.
-//   - tagflow — every constant tag passed to Send must have receive
-//     evidence somewhere in the module (a Recv/TryRecv/Probe with that
-//     constant, a .Tag comparison, or a switch case), and where the
-//     payload's codec.Pack/Unpack provenance is visible the packed type
-//     must be among the types the tag's receivers assert.
+//   - tagflow — the message-tag namespace and the dataflow through it,
+//     from one module walk. Namespace: collects every PVM/SAM message-tag
+//     constant (names matching Tag*), rejects duplicate tag values, tags
+//     below TagUserBase, and Send/Recv/TryRecv/Probe call sites whose
+//     constant tag argument is not a registered tag. Dataflow: every
+//     constant tag passed to Send must have receive evidence somewhere in
+//     the module (a Recv/TryRecv/Probe with that constant, a .Tag
+//     comparison, or a switch case), and where the payload's
+//     codec.Pack/Unpack provenance is visible the packed type must be
+//     among the types the tag's receivers assert.
 //   - staleallow — runs last and audits the suppression system itself:
 //     a //samlint:allow directive that no longer suppresses anything is
 //     reported as stale, and a key naming no analyzer in the suite is

@@ -16,7 +16,6 @@ import (
 	"samft/internal/lint/nowallclock"
 	"samft/internal/lint/staleallow"
 	"samft/internal/lint/tagflow"
-	"samft/internal/lint/tagunique"
 )
 
 // Analyzers returns the full samlint suite. Order matters in two places:
@@ -27,7 +26,6 @@ func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		nowallclock.Analyzer,
 		detiter.Analyzer,
-		tagunique.Analyzer,
 		lockheld.Analyzer,
 		codecregistered.Analyzer,
 		lockorder.Analyzer,

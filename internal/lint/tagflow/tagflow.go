@@ -1,6 +1,15 @@
-// Package tagflow checks the module's message-tag dataflow end to end.
-// tagunique (PR 5) keeps the tag *namespace* collision-free; tagflow
-// closes the remaining silent-wedge holes:
+// Package tagflow checks the module's message tags end to end: the tag
+// namespace, and the dataflow through it.
+//
+// Namespace. PVM-style src/tag matching silently mis-routes when two
+// subsystems pick the same tag value, and a tag below TagUserBase collides
+// with the reserved notification range — neither failure is caught at
+// runtime, messages just match the wrong receives. So every tag constant
+// (package-level consts named Tag*) must have a unique value at or above
+// TagUserBase, and a constant tag argument at a Send/Recv/TryRecv/Probe call
+// site must name a registered tag (AnyTag in receive positions only).
+//
+// Dataflow. The remaining silent-wedge holes:
 //
 //   - a constant tag passed to Send must have receive evidence somewhere
 //     in the module — a Recv/TryRecv/Probe with that constant, a .Tag
@@ -15,7 +24,7 @@
 //     receivers of that tag assert. Packing *wire and asserting
 //     *otherThing is a guaranteed decode-drop.
 //
-// Both checks are interprocedural: per-function pack/unpack provenance
+// The dataflow checks are interprocedural: per-function pack/unpack provenance
 // ("returns bytes packed from T" / "asserts unpacked values to T")
 // travels as object facts, per-package send sites and receive evidence
 // travel as package facts, and the Finish hook correlates them
@@ -28,10 +37,12 @@
 package tagflow
 
 import (
+	"cmp"
 	"go/ast"
 	"go/constant"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 
@@ -41,8 +52,9 @@ import (
 // Analyzer is the tagflow check.
 var Analyzer = &analysis.Analyzer{
 	Name: "tagflow",
-	Doc: "every constant tag sent must have receive evidence, and packed " +
-		"payload types must match what receivers assert",
+	Doc: "tag constants are unique and at or above TagUserBase, call sites " +
+		"use registered tags, every constant tag sent has receive evidence, " +
+		"and packed payload types match what receivers assert",
 	FactTypes: []analysis.Fact{(*packsFact)(nil), (*unpacksFact)(nil), (*flowFact)(nil)},
 	Run:       run,
 	Finish:    finish,
@@ -77,16 +89,25 @@ type recvSite struct {
 	Types []string
 }
 
-// flowFact is one package's sends and receive evidence.
+// tagUse is one messaging call with a constant tag, wildcard included.
+type tagUse struct {
+	Pos    token.Pos
+	Method string
+	Tag    int64
+}
+
+// flowFact is one package's constant-tag call sites, and of those its
+// sends and receive evidence.
 type flowFact struct {
+	Uses  []tagUse
 	Sends []sendSite
 	Recvs []recvSite
 }
 
 func (*flowFact) AFact() {}
 
-// tagMethods maps messaging method names to their tag argument index
-// (mirrors tagunique).
+// tagMethods maps messaging method names to their tag argument index:
+// Send(dst, tag, payload), Recv/TryRecv/Probe(src, tag).
 var tagMethods = map[string]int{"Send": 1, "Recv": 1, "TryRecv": 1, "Probe": 1}
 
 func run(pass *analysis.Pass) error {
@@ -124,6 +145,7 @@ func run(pass *analysis.Pass) error {
 	for fn, fd := range c.decls {
 		c.collectFlow(fn, fd, &flow)
 	}
+	sort.Slice(flow.Uses, func(i, j int) bool { return flow.Uses[i].Pos < flow.Uses[j].Pos })
 	sort.Slice(flow.Sends, func(i, j int) bool { return flow.Sends[i].Pos < flow.Sends[j].Pos })
 	sort.Slice(flow.Recvs, func(i, j int) bool {
 		if flow.Recvs[i].Tag != flow.Recvs[j].Tag {
@@ -131,7 +153,7 @@ func run(pass *analysis.Pass) error {
 		}
 		return strings.Join(flow.Recvs[i].Types, ",") < strings.Join(flow.Recvs[j].Types, ",")
 	})
-	if len(flow.Sends) > 0 || len(flow.Recvs) > 0 {
+	if len(flow.Uses) > 0 || len(flow.Recvs) > 0 {
 		pass.ExportPackageFact(&flow)
 	}
 	return nil
@@ -398,7 +420,11 @@ func (c *checker) collectFlow(fn *types.Func, fd *ast.FuncDecl, flow *flowFact) 
 				return true
 			}
 			v, ok := constVal(n.Args[idx])
-			if !ok || v < 0 {
+			if !ok {
+				return true // dynamic tag: not statically checkable
+			}
+			flow.Uses = append(flow.Uses, tagUse{Pos: n.Args[idx].Pos(), Method: sel.Sel.Name, Tag: v})
+			if v < 0 {
 				return true
 			}
 			if sel.Sel.Name != "Send" {
@@ -458,18 +484,96 @@ func (c *checker) collectFlow(fn *types.Func, fd *ast.FuncDecl, flow *flowFact) 
 		return
 	}
 	asserted := c.unpacksOf(fn, nil)
-	for _, v := range sortedInts(evidence) {
+	for _, v := range sortedKeys(evidence) {
 		flow.Recvs = append(flow.Recvs, recvSite{Tag: v, Types: asserted})
 	}
 }
 
+// checkNamespace reports duplicate and below-base tag constants and call
+// sites whose constant tag is not a registered one, and returns the
+// registered values.
+func checkNamespace(pass *analysis.Pass, uses []tagUse) map[int64]bool {
+	// Package-level integer constants named Tag*. One ending in "Base" is an
+	// allocation origin, not a sendable tag; reserved system tags
+	// (TagTaskExit) register like any other.
+	var tags []*types.Const
+	val := make(map[*types.Const]int64)
+	var base int64
+	haveBase := false
+	for _, p := range pass.All {
+		if p.Types == nil {
+			continue
+		}
+		scope := p.Types.Scope()
+		for _, name := range scope.Names() {
+			if !strings.HasPrefix(name, "Tag") && !strings.HasPrefix(name, "tag") {
+				continue
+			}
+			c, ok := scope.Lookup(name).(*types.Const)
+			if !ok {
+				continue
+			}
+			v, ok := constant.Int64Val(constant.ToInt(c.Val()))
+			switch {
+			case !ok:
+			case name == "TagUserBase":
+				base, haveBase = v, true
+			case !strings.HasSuffix(name, "Base"):
+				tags = append(tags, c)
+				val[c] = v
+			}
+		}
+	}
+	sort.Slice(tags, func(i, j int) bool { return tags[i].Pos() < tags[j].Pos() })
+
+	// The first claimant of a value, in position order, is its legitimate
+	// owner. An application/SAM tag under TagUserBase lands in the reserved
+	// notification range.
+	owner := make(map[int64]*types.Const, len(tags))
+	for _, c := range tags {
+		v := val[c]
+		if first, dup := owner[v]; dup {
+			pass.Reportf(c.Pos(), "message tag %s = %d duplicates %s.%s (tags must be unique across the module)",
+				c.Name(), v, first.Pkg().Name(), first.Name())
+		} else {
+			owner[v] = c
+		}
+		if haveBase && v < base && c.Name() != "TagTaskExit" {
+			pass.Reportf(c.Pos(), "message tag %s = %d is below TagUserBase (%d); only the reserved TagTaskExit may live there",
+				c.Name(), v, base)
+		}
+	}
+
+	registered := make(map[int64]bool, len(owner))
+	for v := range owner {
+		registered[v] = true
+	}
+	for _, u := range uses {
+		switch {
+		case registered[u.Tag]:
+		case u.Tag != wildcardTag:
+			pass.Reportf(u.Pos, "%s with unregistered tag value %d; declare a Tag* constant so the tag namespace stays collision-checked",
+				u.Method, u.Tag)
+		case u.Method == "Send":
+			pass.Reportf(u.Pos, "Send with wildcard tag %d (AnyTag is receive-only)", u.Tag)
+		}
+	}
+	return registered
+}
+
+// wildcardTag is the pvm.AnyTag / netsim.AnyTag value, legal in receive
+// positions only.
+const wildcardTag = -1
+
 func finish(pass *analysis.Pass) error {
+	var uses []tagUse
 	var sends []sendSite
 	received := make(map[int64]bool)
 	recvTypes := make(map[int64]map[string]bool)
 	var f flowFact
 	for _, pf := range pass.AllPackageFacts(&f) {
 		flow := pf.Fact.(*flowFact)
+		uses = append(uses, flow.Uses...)
 		sends = append(sends, flow.Sends...)
 		for _, r := range flow.Recvs {
 			received[r.Tag] = true
@@ -482,8 +586,13 @@ func finish(pass *analysis.Pass) error {
 		}
 	}
 
+	registered := checkNamespace(pass, uses)
+
 	sort.Slice(sends, func(i, j int) bool { return sends[i].Pos < sends[j].Pos })
 	for _, s := range sends {
+		if !registered[s.Tag] {
+			continue // reported above; one finding per defect
+		}
 		if !received[s.Tag] {
 			pass.Report(analysis.Diagnostic{
 				Pos: s.Pos, Analyzer: pass.Analyzer.Name, Category: pass.Analyzer.Key(),
@@ -519,20 +628,11 @@ func finish(pass *analysis.Pass) error {
 // trips to an assertable *T, and fixtures may spell either.
 func derefName(t string) string { return strings.TrimLeft(t, "*") }
 
-func sortedKeys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
+func sortedKeys[K cmp.Ordered](m map[K]bool) []K {
+	out := make([]K, 0, len(m))
 	for k := range m {
 		out = append(out, k)
 	}
-	sort.Strings(out)
-	return out
-}
-
-func sortedInts(m map[int64]bool) []int64 {
-	out := make([]int64, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }

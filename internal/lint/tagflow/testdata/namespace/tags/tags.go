@@ -1,4 +1,4 @@
-// Package tags exercises the tagunique analyzer: the tag namespace with
+// Package tags exercises tagflow's namespace checks: the tag namespace with
 // a duplicate, a below-base value, the exempt reserved tag, and
 // constant/dynamic/wildcard call sites.
 package tags
@@ -23,6 +23,7 @@ func (t *Task) Recv(src, tag int) []byte              { return nil }
 
 func uses(t *Task) {
 	t.Send(1, TagSAM, nil)     // registered: ok
+	_ = t.Recv(0, TagSAM)      // (and received, for the dataflow check)
 	t.Send(1, 99, nil)         // want "unregistered tag value 99"
 	t.Send(1, -1, nil)         // want "wildcard tag"
 	_ = t.Recv(-1, -1)         // wildcard receive: ok

@@ -10,7 +10,7 @@ import (
 )
 
 // Benchmark fabric tags, registered in the module-wide Tag* namespace
-// (samlint tagunique).
+// (samlint tagflow).
 const (
 	// TagBench marks the messages a benchmark measures.
 	TagBench = pvm.TagUserBase + 8

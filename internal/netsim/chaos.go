@@ -8,31 +8,17 @@ import (
 )
 
 // This file implements the chaos fault-injection layer: a seeded FaultPlan
-// attached to a Network that kills endpoints when modeled-time or
-// message-count triggers fire, perturbs per-message latency with seeded
-// jitter, and (behind flags) drops or duplicates exit-notification
-// messages to exercise the failure-detection races in higher layers.
+// attached to a Network that perturbs per-message latency with seeded jitter
+// and (behind flags) drops or duplicates the exit-notification messages a
+// Kill fans out, to exercise the failure-detection races in higher layers.
+// Which endpoint dies when is the harness's business (Network.Kill).
 //
 // The plan is seeded so a schedule can be replayed, but the simulation is
-// driven by real goroutines, so trigger *interleavings* with application
+// driven by real goroutines, so *interleavings* of failures with application
 // messages are not bit-reproducible across runs. That is by design: the
 // fault-tolerance protocol under test must produce the same answer no
 // matter where in the exchange a failure lands, so the chaos suite checks
 // answers against a fault-free run rather than message traces.
-
-// KillTrigger kills one endpoint when a condition is first met. Exactly
-// one of AtMsgCount/AtClockUS should be positive.
-type KillTrigger struct {
-	// TID is the endpoint to kill.
-	TID TID
-	// AtMsgCount fires when the network-wide count of sent messages
-	// reaches this value (> 0).
-	AtMsgCount int64
-	// AtClockUS fires once the target endpoint's modeled clock reaches
-	// this many microseconds (> 0). Checked on message sends, so the kill
-	// lands at the next communication at-or-after the threshold.
-	AtClockUS float64
-}
 
 // FaultPlan is a seeded chaos schedule for one Network.
 type FaultPlan struct {
@@ -47,84 +33,30 @@ type FaultPlan struct {
 	// notifications twice, exercising receiver-side dedup.
 	DropNotify bool
 	DupNotify  bool
-	// NotifyTag is the tag used for exit notifications when a KillTrigger
-	// fires (the same tag Kill would be called with by the harness).
-	NotifyTag int
-	// Kills are the scheduled failures.
-	Kills []KillTrigger
 }
 
 // chaosState is the mutable runtime of a FaultPlan.
 type chaosState struct {
-	mu       sync.Mutex //samlint:lockclass netsim.chaos
-	plan     FaultPlan
-	rng      *xrand.Rand
-	msgCount int64
-	fired    []bool
-	pending  int // unfired triggers, so the fast path can skip scans
+	mu   sync.Mutex //samlint:lockclass netsim.chaos
+	plan FaultPlan
+	rng  *xrand.Rand
 }
 
 func newChaosState(plan *FaultPlan) *chaosState {
 	if plan == nil {
 		return nil
 	}
-	return &chaosState{
-		plan:    *plan,
-		rng:     xrand.New(plan.Seed),
-		fired:   make([]bool, len(plan.Kills)),
-		pending: len(plan.Kills),
-	}
+	return &chaosState{plan: *plan, rng: xrand.New(plan.Seed)}
 }
 
-// jitterUS returns the seeded extra latency for the next message and
-// advances the message counter, returning any triggers that are now due
-// by message count.
-func (c *chaosState) onSend(senderClock float64) (jitter float64, due []KillTrigger) {
+// onSend returns the seeded extra latency for the next message.
+func (c *chaosState) onSend() (jitter float64) {
+	if c.plan.JitterUS <= 0 {
+		return 0
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.plan.JitterUS > 0 {
-		jitter = c.rng.Float64() * c.plan.JitterUS
-	}
-	c.msgCount++
-	if c.pending == 0 {
-		return jitter, nil
-	}
-	for i, k := range c.plan.Kills {
-		if c.fired[i] {
-			continue
-		}
-		if (k.AtMsgCount > 0 && c.msgCount >= k.AtMsgCount) ||
-			(k.AtClockUS > 0 && senderClock >= k.AtClockUS) {
-			c.fired[i] = true
-			c.pending--
-			//samlint:allow noalloc -- runs only when a kill trigger fires, at most once per trigger
-			due = append(due, k)
-		}
-	}
-	return jitter, due
-}
-
-// clockDue returns unfired clock triggers whose target's modeled clock
-// (looked up by the caller) has passed the threshold.
-func (c *chaosState) clockDue(clockOf func(TID) (float64, bool)) []KillTrigger {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.pending == 0 {
-		return nil
-	}
-	var due []KillTrigger
-	for i, k := range c.plan.Kills {
-		if c.fired[i] || k.AtClockUS <= 0 {
-			continue
-		}
-		if clock, ok := clockOf(k.TID); ok && clock >= k.AtClockUS {
-			c.fired[i] = true
-			c.pending--
-			//samlint:allow noalloc -- runs only when a kill trigger fires, at most once per trigger
-			due = append(due, k)
-		}
-	}
-	return due
+	return c.rng.Float64() * c.plan.JitterUS
 }
 
 // notifyFates decides, for a kill's fan-out of n exit notifications, how
@@ -157,40 +89,6 @@ func (c *chaosState) notifyFates(n int) []int {
 		fates[0] = 1
 	}
 	return fates
-}
-
-// fireTriggers kills each due trigger's endpoint. Called with no locks
-// held (Kill takes the network and endpoint locks itself).
-func (n *Network) fireTriggers(due []KillTrigger) {
-	for _, k := range due {
-		n.Kill(k.TID, n.chaosNotifyTag())
-	}
-}
-
-func (n *Network) chaosNotifyTag() int {
-	if n.chaos != nil && n.chaos.plan.NotifyTag != 0 {
-		return n.chaos.plan.NotifyTag
-	}
-	return 1 // pvm.TagTaskExit
-}
-
-// CheckClockTriggers fires any chaos kill whose modeled-time threshold
-// has been passed by its target endpoint. The Send path calls this; the
-// harness may also call it from a step boundary so a trigger on an
-// endpoint that has gone quiet still fires.
-func (n *Network) CheckClockTriggers() {
-	if n.chaos == nil {
-		return
-	}
-	//samlint:allow noalloc -- the lookup closure never escapes clockDue; it stays on the stack
-	due := n.chaos.clockDue(func(tid TID) (float64, bool) {
-		e := n.route(tid)
-		if e == nil {
-			return 0, false
-		}
-		return e.ClockUS(), true
-	})
-	n.fireTriggers(due)
 }
 
 // sortedTIDs returns the watcher set in deterministic order so seeded

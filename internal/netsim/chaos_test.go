@@ -19,61 +19,6 @@ func chaosNet(t *testing.T, plan FaultPlan, eps int) (*Network, []*Endpoint) {
 	return n, out
 }
 
-func TestChaosKillAtMsgCount(t *testing.T) {
-	// TIDs are allocated deterministically (101, 102, ...), so the plan
-	// can name the second endpoint before it exists.
-	plan := FaultPlan{Seed: 1, NotifyTag: 1, Kills: []KillTrigger{{TID: 102, AtMsgCount: 3}}}
-	n, eps := chaosNet(t, plan, 3)
-	a, victim, w := eps[0], eps[1], eps[2]
-	n.Notify(w.TID(), victim.TID(), 1)
-
-	// Two sends: below the threshold, the victim stays alive.
-	for i := 0; i < 2; i++ {
-		if err := a.Send(victim.TID(), 7, []byte("x")); err != nil {
-			t.Fatalf("send %d: %v", i, err)
-		}
-	}
-	if !n.Alive(victim.TID()) {
-		t.Fatal("victim died before the message-count threshold")
-	}
-
-	// The third send crosses the threshold; the trigger fires before
-	// delivery, so the message itself is swallowed by the kill.
-	if err := a.Send(victim.TID(), 7, []byte("x")); err != nil {
-		t.Fatalf("send 3: %v", err)
-	}
-	if n.Alive(victim.TID()) {
-		t.Fatal("victim alive after the message-count trigger")
-	}
-	m, err := w.Recv(AnySrc, 1)
-	if err != nil {
-		t.Fatalf("recv exit notification: %v", err)
-	}
-	if dead, err := ParseExitPayload(m.Payload); err != nil || dead != victim.TID() {
-		t.Fatalf("exit notification names %v (%v), want %v", dead, err, victim.TID())
-	}
-}
-
-func TestChaosKillAtClock(t *testing.T) {
-	plan := FaultPlan{Seed: 1, NotifyTag: 1, Kills: []KillTrigger{{TID: 101, AtClockUS: 500}}}
-	n, eps := chaosNet(t, plan, 2)
-	victim := eps[0]
-
-	n.CheckClockTriggers()
-	if !n.Alive(victim.TID()) {
-		t.Fatal("victim died before its clock reached the threshold")
-	}
-
-	victim.Charge(600)
-	n.CheckClockTriggers()
-	if n.Alive(victim.TID()) {
-		t.Fatal("victim alive after its clock passed the threshold")
-	}
-
-	// A fired trigger stays fired: re-checking is a no-op.
-	n.CheckClockTriggers()
-}
-
 func TestChaosJitterPerturbsArrivalReproducibly(t *testing.T) {
 	run := func(seed uint64) []float64 {
 		_, eps := chaosNet(t, FaultPlan{Seed: seed, JitterUS: 200}, 2)
@@ -130,7 +75,7 @@ func TestChaosDropNotifyNeverDropsAll(t *testing.T) {
 	for seed := uint64(0); seed < 30; seed++ {
 		func() {
 			const watchers = 6
-			plan := FaultPlan{Seed: seed, DropNotify: true, NotifyTag: 1}
+			plan := FaultPlan{Seed: seed, DropNotify: true}
 			n, eps := chaosNet(t, plan, watchers+1)
 			victim := eps[0]
 			for _, w := range eps[1:] {
@@ -167,7 +112,7 @@ func TestChaosDropNotifyNeverDropsAll(t *testing.T) {
 func TestChaosDropNotifyDeadWatcherDoesNotAbsorbGuarantee(t *testing.T) {
 	for seed := uint64(0); seed < 40; seed++ {
 		func() {
-			plan := FaultPlan{Seed: seed, DropNotify: true, NotifyTag: 1}
+			plan := FaultPlan{Seed: seed, DropNotify: true}
 			n, eps := chaosNet(t, plan, 3)
 			victim, deadWatcher, liveWatcher := eps[0], eps[1], eps[2]
 			n.Notify(deadWatcher.TID(), victim.TID(), 1)
@@ -199,7 +144,7 @@ func TestChaosDupNotifyDuplicatesSome(t *testing.T) {
 	sawDup := false
 	for seed := uint64(0); seed < 30 && !sawDup; seed++ {
 		const watchers = 6
-		plan := FaultPlan{Seed: seed, DupNotify: true, NotifyTag: 1}
+		plan := FaultPlan{Seed: seed, DupNotify: true}
 		n, eps := chaosNet(t, plan, watchers+1)
 		victim := eps[0]
 		for _, w := range eps[1:] {

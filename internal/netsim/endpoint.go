@@ -266,19 +266,11 @@ func (e *Endpoint) Send(dst TID, tag int, payload []byte) error {
 	arrival := senderClock + e.latencyUS + float64(len(payload))*e.usPerByte
 	e.sent.Add(statOneMsg + uint64(len(payload)))
 
-	// Chaos hooks: seeded per-message jitter perturbs the arrival time,
-	// and this send may push a message-count or modeled-time kill trigger
-	// past its threshold. Triggers fire before delivery, so a kill
-	// scheduled "at message N" can swallow message N itself.
+	// Chaos hook: seeded per-message jitter perturbs the arrival time.
 	var jitter float64
 	if c := e.net.chaos; c != nil {
-		var due []KillTrigger
-		jitter, due = c.onSend(senderClock)
+		jitter = c.onSend()
 		arrival += jitter
-		if len(due) > 0 {
-			e.net.fireTriggers(due)
-		}
-		e.net.CheckClockTriggers()
 	}
 
 	var msgID int64

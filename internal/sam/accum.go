@@ -94,9 +94,6 @@ func (p *Proc) grantAccumLock(o *object, c *cmd) {
 	o.accLocked = true
 	p.stepTainted = true
 	p.taint.OnNonReexecutable()
-	if p.appParked == c {
-		p.appParked = nil
-	}
 	p.reply(c, o.data, nil)
 }
 
@@ -144,9 +141,6 @@ func (p *Proc) cmdChaoticRead(c *cmd) {
 func (p *Proc) serveChaoticLocal(o *object, c *cmd) {
 	p.stepTainted = true
 	p.taint.OnNonReexecutable()
-	if p.appParked == c {
-		p.appParked = nil
-	}
 	p.reply(c, o.data, nil)
 }
 
@@ -244,20 +238,11 @@ func (p *Proc) queueOrServeSnapshot(o *object, requester int) {
 
 // ---- message handlers ----
 
-func (p *Proc) onAccReg(w *wire) {
-	p.setOwner(Name(w.Name), w.SrcRank, ft.KindAccum)
-}
-
 // onAccAcq queues an acquisition at the name's home (FIFO).
 func (p *Proc) onAccAcq(w *wire) {
 	d := p.dirEnt(Name(w.Name))
-	d.kind = ft.KindAccum
 	d.acqQueue = enqueue(d.acqQueue, w.SrcRank)
 	p.pumpAccumQueue(d)
-}
-
-func (p *Proc) onAccGrant(w *wire) {
-	p.handleGrant(Name(w.Name), w.Target)
 }
 
 func (p *Proc) onAccData(w *wire) {
@@ -291,17 +276,14 @@ func (p *Proc) onAccData(w *wire) {
 		// dies first, kRecovery reverts this entry and the acquisition is
 		// re-driven by the home.
 		o.state = stInactive
-		o.inactiveFrom = w.SrcRank
-		o.inactiveSeq = w.Seq
+		o.awaits = activation{from: w.SrcRank, seq: w.Seq}
 		// The sender's transaction also places fresh checkpoint copies of
 		// this object under our ownership, stamped with the sender's
 		// sequence number. Adopt them as our backing checkpoint:
 		// bookkeeping left over from an earlier ownership epoch names
 		// copies that are gone or stale, and would poison the recovery
 		// re-supply path and free accounting.
-		o.ckptBytes = w.Body
-		o.ckptMeta = o.meta()
-		o.ckptSeq = w.Seq
+		o.setCommitted(w.Seq, w.Body)
 		p.store.Record(uint64(name), w.Seq, unpackHolders(w.Holders))
 		// Grants stashed while we were not the owner become a pending
 		// move now; tryMigrate waits for the activate.
@@ -317,7 +299,6 @@ func (p *Proc) onAccData(w *wire) {
 func (p *Proc) onAccOwner(w *wire) {
 	d := p.dirEnt(Name(w.Name))
 	d.known = true
-	d.kind = ft.KindAccum
 	if d.grantInFlight {
 		if w.Target == d.grantTarget {
 			// The grant we issued completed.
@@ -380,8 +361,7 @@ func (p *Proc) onAccSnap(w *wire) {
 	o.invalidatePackCache()
 	if w.Inactive {
 		o.state = stInactive
-		o.inactiveFrom = w.SrcRank
-		o.inactiveSeq = w.Seq
+		o.awaits = activation{from: w.SrcRank, seq: w.Seq}
 		return
 	}
 	o.state = stPresent

@@ -184,7 +184,7 @@ func (p *Proc) handleCmd(c *cmd) {
 	case opGate:
 		p.cmdGate(c)
 	case opInvariants:
-		p.reply(c, p.buildInvariants(), nil)
+		p.reply(c, p.Invariants(), nil)
 	case opFinish:
 		p.appFinished = true
 		p.flushUseNotices()

@@ -67,8 +67,9 @@ type forceReq struct {
 // maxFreeBacklog models cache replacement pressure: once this many
 // freeable main copies are awaiting reclamation, the process sends
 // force-checkpoint messages for the oldest instead of waiting for
-// piggybacked knowledge. The paper frees lazily "at some point later,
-// [when the copy] will be replaced in the cache".
+// piggybacked knowledge — or, with fault tolerance off, simply drops the
+// oldest. The paper frees lazily "at some point later, [when the copy] will
+// be replaced in the cache".
 const maxFreeBacklog = 256
 
 // packObject returns the packed frame for a locally held object's current
@@ -171,13 +172,11 @@ func (p *Proc) startTx() {
 	if err != nil {
 		panic(fmt.Errorf("sam: pack private state: %w", err))
 	}
-	p.lastPrivBytes = body
-	p.lastPrivSeq = seq
+	p.lastPriv = privImage{seq: seq, body: body}
 	p.task.Charge(float64(len(body)) / packBytesPerUS)
 	p.st.PrivBytes.Add(int64(len(body)))
 	for _, r := range ft.PrivateStateRanks(p.cfg.Rank, p.cfg.N, p.cfg.Degree) {
-		w := &wire{Kind: kCkptPriv, Body: body, Seq: seq, Inactive: true}
-		p.txSend(r, w, true)
+		p.txSend(r, &wire{Kind: kCkptPriv, Body: body, Seq: seq, Inactive: true}, true)
 	}
 
 	// Steps 2–3: replicate owned objects changed since the last
@@ -189,10 +188,9 @@ func (p *Proc) startTx() {
 		if !o.isMain || !o.created || o.state != stPresent {
 			continue
 		}
-		owner := p.cfg.Rank
-		_, isMigrating := migrating[o.name]
-		if isMigrating {
-			owner = migrating[o.name]
+		owner, isMigrating := migrating[o.name]
+		if !isMigrating {
+			owner = p.cfg.Rank
 		}
 		// A migrating object is replicated even when clean: its existing
 		// checkpoint copy names the old owner and would not restore to
@@ -202,11 +200,7 @@ func (p *Proc) startTx() {
 		}
 		holders := p.planCopies(o.name, owner)
 		ob := p.packObject(o)
-		if o.kind == ft.KindAccum {
-			o.ckptBytes = ob // frozen image for copy re-supply
-		}
-		o.ckptMeta = o.meta()
-		o.ckptSeq = seq
+		o.setCommitted(seq, ob)
 		p.sendCkptCopies(o, ob, holders, owner, tx)
 		hs := make(map[int]bool, len(holders))
 		for _, h := range holders {
@@ -363,7 +357,9 @@ func (p *Proc) commitTx() {
 // markFreeable transitions an owned object to freeable: all declared
 // accesses have occurred. A pending rename is served immediately (the
 // storage is logically handed over); the entry itself is retained until
-// every process has checkpointed since its last access.
+// every process has checkpointed since its last access — and with fault
+// tolerance off, until cache pressure replaces it: the creator may reach a
+// RenameValue or Push of the value only after the last use was reported.
 func (p *Proc) markFreeable(o *object) {
 	o.freeable = true
 	if o.renameWaiter != nil {
@@ -371,16 +367,9 @@ func (p *Proc) markFreeable(o *object) {
 		o.renameWaiter = nil
 		p.completeRename(o, c)
 	}
-	if !p.ftEnabled() {
-		if o.pins == 0 {
-			delete(p.objs, o.name)
-		}
-		// A pinned entry is removed when its last accessor ends.
-		return
-	}
 	o.freeableAt = p.clocks.Tick()
 	p.freePending[o.name] = true
-	if p.cfg.EagerFree {
+	if p.ftEnabled() && p.cfg.EagerFree {
 		// Eager ablation: round-trip to every other process immediately.
 		var others []int
 		for j := 0; j < p.cfg.N; j++ {
@@ -401,6 +390,10 @@ func (p *Proc) retryFrees() {
 	if len(p.freePending) == 0 {
 		return
 	}
+	if !p.ftEnabled() {
+		p.dropOldestFrees()
+		return
+	}
 	var freed []Name
 	for _, name := range sortedKeys(p.freePending) {
 		o := p.objs[name]
@@ -418,6 +411,24 @@ func (p *Proc) retryFrees() {
 	}
 	if !p.cfg.EagerFree && len(p.freePending) > maxFreeBacklog {
 		p.forceOldestFrees()
+	}
+}
+
+// dropOldestFrees is reclamation with fault tolerance off: nothing has to be
+// covered first, so the backlog beyond maxFreeBacklog just goes, oldest first.
+func (p *Proc) dropOldestFrees() {
+	for len(p.freePending) > maxFreeBacklog {
+		var oldest *object
+		for name := range p.freePending {
+			if o := p.objs[name]; o.pins == 0 && (oldest == nil || o.freeableAt < oldest.freeableAt) {
+				oldest = o
+			}
+		}
+		if oldest == nil {
+			return // everything left is in use
+		}
+		delete(p.objs, oldest.name)
+		delete(p.freePending, oldest.name)
 	}
 }
 
@@ -456,7 +467,7 @@ func (p *Proc) doFree(o *object) {
 	delete(p.repairPending, o.name)
 	p.clocks.Tick()
 	for _, h := range p.store.HolderRanks(uint64(o.name)) {
-		p.send(h, &wire{Kind: kFreeCkpt, Name: uint64(o.name), Seq: o.ckptSeq})
+		p.send(h, &wire{Kind: kFreeCkpt, Name: uint64(o.name), Seq: o.committed.seq})
 	}
 	p.store.Forget(uint64(o.name))
 }
@@ -464,30 +475,24 @@ func (p *Proc) doFree(o *object) {
 // ---- message handlers ----
 
 func (p *Proc) onCkptPriv(w *wire) {
-	r := w.SrcRank
+	priv := privImage{seq: w.Seq, body: w.Body}
 	if w.Inactive {
 		// Provisional: promoted to the committed store by the activation.
 		// If the checkpointer dies first, kRecovery drops it and the
 		// previous committed state remains authoritative.
-		p.privStaging[r] = p.keep(w)
-	} else if w.Seq >= p.privStoreSeq[r] {
+		p.privStaging[w.SrcRank] = priv
+	} else {
 		// Out-of-transaction re-replication (recovery path): committed.
-		p.privStore[r] = w.Body
-		p.privStoreSeq[r] = w.Seq
+		p.storePriv(w.SrcRank, priv)
 	}
 	p.ackPiece(w)
 }
 
-// keep returns a wire the handler may hold on to past its return: w itself
-// when it was decoded from the network (nobody else has it), a shallow copy
-// when it is self-addressed — then w is the sender's own struct, which a
-// transaction keeps as a piece and rewrites (sender, stamp) when re-sending.
-func (p *Proc) keep(w *wire) *wire {
-	if w.SrcRank != p.cfg.Rank {
-		return w
+// storePriv commits rank's private state here unless a newer one is held.
+func (p *Proc) storePriv(rank int, priv privImage) {
+	if priv.seq >= p.privStore[rank].seq {
+		p.privStore[rank] = priv
 	}
-	kept := *w
-	return &kept
 }
 
 // ackPiece acknowledges an ack-requiring transaction piece. Receiving and
@@ -508,11 +513,11 @@ func (p *Proc) ackPiece(w *wire) {
 // contents.
 func (p *Proc) onCkptCopy(w *wire) {
 	o := p.obj(Name(w.Name))
-	if p.acceptsCopy(o, w) {
+	if img := imageOf(w); p.acceptsCopy(o, img) {
 		if w.Inactive {
-			o.pendingCopy = p.keep(w)
+			o.pending = img
 		} else {
-			p.applyCkptCopy(o, w)
+			p.applyCkptCopy(o, img)
 		}
 	}
 	if w.Inactive {
@@ -520,65 +525,59 @@ func (p *Proc) onCkptCopy(w *wire) {
 	}
 }
 
-// acceptsCopy is the holder-side freshness rule: whether checkpoint copy w
+// acceptsCopy is the holder-side freshness rule: whether checkpoint image img
 // replaces what this process holds for the object. (The recovering side's
 // rule, for competing kRecoverData contributions, is keepNewer.)
-func (p *Proc) acceptsCopy(o *object, w *wire) bool {
+func (p *Proc) acceptsCopy(o *object, img *image) bool {
 	// Our own live main copy is authoritative over a copy backing our own
 	// ownership. A copy naming a different owner is accepted even while we
 	// are still the owner: it arises when our own transaction migrates the
 	// object away and the placement lands back on us as the old owner.
-	if o.isMain && w.Owner == p.cfg.Rank {
+	if o.isMain && img.owner == p.cfg.Rank {
 		return false
 	}
 	// Nothing held yet; or a full frame, which always replaces a shard (a
 	// shard is opaque, so there is no usable image to protect).
-	if !o.ckptCopy || (w.Shard == 0 && o.shardIdx > 0) {
+	if o.copy == nil || (img.shard == 0 && o.copy.shard > 0) {
 		return true
 	}
 	// An object version at least as new as the held copy's wins outright.
-	if w.HasMeta && w.Meta.Version >= o.savedMeta.Version {
+	if img.hasMeta && img.meta.Version >= o.copy.meta.Version {
 		return true
 	}
 	// Otherwise — an older version as much as a versionless (value) copy —
 	// the owner/sender-time rule decides: a copy backing a different owner
 	// than the held one is accepted, as is one no older by checkpoint seq.
-	return w.Owner != o.copyOwner || w.Seq >= o.copySeq
+	return img.owner != o.copy.owner || img.seq >= o.copy.seq
 }
 
-// applyCkptCopy installs a checkpoint copy as the backing copy for its
+// applyCkptCopy installs a checkpoint image as the backing copy for its
 // owner. A full frame lives in the cache and is usable for local reads like
 // any cached data — the paper's core efficiency argument. A shard is opaque:
-// it never populates the cache (copyData stays nil, o.data untouched) and
-// only participates in recovery reassembly.
-func (p *Proc) applyCkptCopy(o *object, w *wire) {
+// it never populates the cache (o.data untouched) and only participates in
+// recovery reassembly.
+func (p *Proc) applyCkptCopy(o *object, img *image) {
 	var data interface{}
-	if w.Shard == 0 {
+	if img.shard == 0 {
 		var err error
-		if data, err = codec.Unpack(w.Body); err != nil {
+		if data, err = codec.Unpack(img.body); err != nil {
 			return
 		}
 		o.invalidatePackCache() // contents now come from the owner's frame
 	}
-	o.ckptCopy = true
-	o.copyOwner = w.Owner
-	o.copySeq = w.Seq
-	o.copyData = data
-	o.copyBytes = w.Body
-	o.shardIdx, o.shardK, o.shardM, o.frameLen = w.Shard, w.ShardK, w.ShardM, w.FrameLen
-	if w.HasMeta {
-		o.savedMeta = w.Meta
-		o.kind = ft.ObjKind(w.Meta.Kind)
+	o.copy = img
+	if img.hasMeta {
+		o.kind = ft.ObjKind(img.meta.Kind)
 	}
 	// Make a full frame usable as a cached copy when we do not hold newer
 	// local contents (values are immutable; accumulator copies are as fresh
 	// as the owner's last checkpoint — exactly a "recent version"). An
 	// accumulator copy must not wake a parked UpdateAccum, though: only
 	// the migrated main copy grants the lock.
-	if w.Shard == 0 && !o.isMain && !o.usable() {
+	if img.shard == 0 && !o.isMain && !o.usable() {
 		o.data = data
 		o.state = stPresent
-		o.ownerRank = w.Owner
+		o.ownerRank = img.owner
 		p.serveLocalWaiters(o)
 	}
 }
@@ -603,29 +602,33 @@ func (p *Proc) onCkptAck(w *wire) {
 	}
 }
 
+// activation is a checkpointer's commit of its transaction seq, as one of
+// its recipients sees it.
+type activation struct {
+	from int
+	seq  int64
+}
+
 // applyDeferred performs the activations dispatch held back while a
 // checkpoint transaction was open: at its commit, or early when a peer's
 // failure makes their effect on what we hold for it matter now.
 func (p *Proc) applyDeferred() {
-	msgs := p.deferredMsgs
-	p.deferredMsgs = nil
-	for _, w := range msgs {
-		p.onActivate(w)
+	acts := p.deferredActs
+	p.deferredActs = nil
+	for _, a := range acts {
+		p.onActivate(a)
 	}
 }
 
-func (p *Proc) onActivate(w *wire) {
+func (p *Proc) onActivate(a activation) {
 	// Promote a provisional private state from this checkpointer.
-	if st := p.privStaging[w.SrcRank]; st != nil && st.Seq == w.Seq {
-		delete(p.privStaging, w.SrcRank)
-		if st.Seq >= p.privStoreSeq[w.SrcRank] {
-			p.privStore[w.SrcRank] = st.Body
-			p.privStoreSeq[w.SrcRank] = st.Seq
-		}
+	if st, ok := p.privStaging[a.from]; ok && st.seq == a.seq {
+		delete(p.privStaging, a.from)
+		p.storePriv(a.from, st)
 	}
 	for _, name := range sortedKeys(p.objs) {
 		o := p.objs[name]
-		if o.state == stInactive && o.inactiveFrom == w.SrcRank && o.inactiveSeq == w.Seq {
+		if o.state == stInactive && o.awaits == a {
 			o.state = stPresent
 			o.fetchOutstanding = false
 			p.serveLocalWaiters(o) // grants a parked local acquire first
@@ -634,9 +637,8 @@ func (p *Proc) onActivate(w *wire) {
 				p.tryMigrate(o)
 			}
 		}
-		if o.pendingCopy != nil && o.pendingCopy.SrcRank == w.SrcRank && o.pendingCopy.Seq == w.Seq {
-			pc := o.pendingCopy
-			o.pendingCopy = nil
+		if pc := o.pending; pc != nil && pc.sender == a.from && pc.seq == a.seq {
+			o.pending = nil
 			p.applyCkptCopy(o, pc)
 		}
 	}
@@ -668,12 +670,6 @@ func (p *Proc) addForcedTrigger() {
 	p.addTrigger(trigger{kind: 0})
 }
 
-func (p *Proc) onForceAck(w *wire) {
-	// The stamp absorbed in dispatch carried the sender's fresh c value;
-	// retryFrees re-evaluates coverage.
-	p.retryFrees()
-}
-
 // onFreeCkpt drops the checkpoint copy held for the sender. An owner frees
 // only copies its own ledger lists, and those all back its own ownership —
 // so a free never touches a copy that names another owner. It must not: a
@@ -686,20 +682,16 @@ func (p *Proc) onFreeCkpt(w *wire) {
 	if o == nil {
 		return
 	}
-	if o.pendingCopy != nil && o.pendingCopy.Owner == w.SrcRank {
-		o.pendingCopy = nil
+	if o.pending != nil && o.pending.owner == w.SrcRank {
+		o.pending = nil
 	}
-	if !o.ckptCopy || o.copyOwner != w.SrcRank {
+	if o.copy == nil || o.copy.owner != w.SrcRank {
 		return
 	}
-	o.ckptCopy = false
-	o.copyData = nil
-	o.copyBytes = nil
-	o.shardIdx, o.shardK, o.shardM, o.frameLen = 0, 0, 0, 0
-	// If the entry is nothing but the dropped copy, remove it entirely;
-	// if it also serves as a cached copy, the cache keeps it until LRU
-	// eviction, like any other cached object.
-	if !o.isMain && o.pins == 0 && len(o.waiters) == 0 && o.pendingCopy == nil {
+	o.copy = nil
+	// If the entry is nothing but the dropped copy, remove it entirely; if
+	// it also serves as a cached copy, it stays like any other cached object.
+	if !o.isMain && o.pins == 0 && len(o.waiters) == 0 && o.pending == nil {
 		delete(p.objs, Name(w.Name))
 	}
 }

@@ -20,15 +20,10 @@ import (
 // the named object's contents to. Runs on the runtime goroutine only (the
 // store is runtime-goroutine state).
 func (p *Proc) cachedRanks(name uint64) []int {
-	o := p.objs[Name(name)]
-	if o == nil || len(o.sentTo) == 0 {
-		return nil
+	if o := p.objs[Name(name)]; o != nil {
+		return sortedKeys(o.sentTo)
 	}
-	out := make([]int, 0, len(o.sentTo))
-	for r := range o.sentTo {
-		out = append(out, r)
-	}
-	return out // policies sort; order here does not matter
+	return nil
 }
 
 // packHolders / unpackHolders encode a ledger holder set for the wire
@@ -60,7 +55,7 @@ func unpackHolders(packed []int64) []ckptstore.Holder {
 // repack of a clean value (values are immutable, so the current contents
 // equal the checkpointed image). nil when no covered image exists.
 func (p *Proc) ckptImage(o *object) []byte {
-	body := o.ckptBytes
+	body := o.committed.body
 	if body == nil && !o.dirty && o.kind == ft.KindValue {
 		if b, err := codec.Pack(o.data); err == nil {
 			body = b
@@ -69,35 +64,27 @@ func (p *Proc) ckptImage(o *object) []byte {
 	return body
 }
 
-// holderAt records one recovery contribution: the shard (0 = full frame)
-// a rank supplied, at which checkpoint seq.
-type holderAt struct {
-	shard int
-	seq   int64
-}
-
-// noteRecoverContrib records a kRecoverData contributor so the rebuilt
-// ledger reflects the holders that actually exist.
-func (p *Proc) noteRecoverContrib(w *wire) {
-	if w.SrcRank == p.cfg.Rank {
+// noteRecoverContrib records who contributed which image (newest per
+// sender) so the rebuilt ledger reflects the holders that actually exist.
+func (p *Proc) noteRecoverContrib(img *image) {
+	if img.sender == p.cfg.Rank {
 		return
 	}
-	name := Name(w.Name)
-	m := p.recoverContrib[name]
+	m := p.inc.recoverContrib[img.name]
 	if m == nil {
-		m = make(map[int]holderAt)
-		p.recoverContrib[name] = m
+		m = make(map[int]*image)
+		p.inc.recoverContrib[img.name] = m
 	}
-	if prev, ok := m[w.SrcRank]; !ok || w.Seq >= prev.seq {
-		m[w.SrcRank] = holderAt{shard: w.Shard, seq: w.Seq}
+	if prev := m[img.sender]; prev == nil || img.seq >= prev.seq {
+		m[img.sender] = img
 	}
 }
 
 // takeRecoverHolders consumes the recorded contributors for name whose
 // copies match the installed checkpoint seq, in rank order.
 func (p *Proc) takeRecoverHolders(name Name, seq int64) []ckptstore.Holder {
-	m := p.recoverContrib[name]
-	delete(p.recoverContrib, name)
+	m := p.inc.recoverContrib[name]
+	delete(p.inc.recoverContrib, name)
 	var out []ckptstore.Holder
 	for _, r := range sortedKeys(m) {
 		if h := m[r]; h.seq == seq {
@@ -107,56 +94,53 @@ func (p *Proc) takeRecoverHolders(name Name, seq int64) []ckptstore.Holder {
 	return out
 }
 
-// shardAsm accumulates erasure shards of one object's kRecoverData until
-// k of them permit a decode.
+// shardAsm accumulates the erasure shards of one object's image until k of
+// them permit a decode.
 type shardAsm struct {
 	seq      int64
 	k, m     int
 	frameLen int
-	shards   map[int]*wire // 1-based shard index -> contribution
+	shards   map[int]*image // 1-based shard index -> contribution
 }
 
-// assembleShards folds one erasure-coded kRecoverData shard into the
-// per-object assembler. It returns a synthesized full-frame wire once k
-// shards (all from the same checkpoint seq) decode, and nil while the
-// object is still short — late duplicate shards after an install are
-// dropped by the caller's recoverInstalled check, like full-frame
-// duplicates.
-func (p *Proc) assembleShards(w *wire) *wire {
-	name := Name(w.Name)
-	a := p.shardAsm[name]
-	if a == nil || w.Seq > a.seq || a.k != w.ShardK || a.m != w.ShardM {
-		a = &shardAsm{seq: w.Seq, k: w.ShardK, m: w.ShardM, frameLen: w.FrameLen, shards: make(map[int]*wire)}
-		p.shardAsm[name] = a
-	} else if w.Seq < a.seq {
+// assembleShards folds one contributed shard into the per-object assembler.
+// It returns the full-frame image once k shards (all from the same checkpoint
+// seq) decode, and nil while the object is still short — late duplicate
+// shards after an install are dropped by the caller's recoverInstalled check,
+// like full-frame duplicates.
+func (p *Proc) assembleShards(img *image) *image {
+	asm := p.inc.shardAsm
+	a := asm[img.name]
+	if a == nil || img.seq > a.seq || a.k != img.k || a.m != img.m {
+		a = &shardAsm{seq: img.seq, k: img.k, m: img.m, frameLen: img.frameLen, shards: make(map[int]*image)}
+		asm[img.name] = a
+	} else if img.seq < a.seq {
 		return nil // stale shard from an older checkpoint
 	}
-	if w.Shard < 1 || w.Shard > a.k+a.m {
+	if img.shard < 1 || img.shard > a.k+a.m {
 		return nil
 	}
-	a.shards[w.Shard] = w
+	a.shards[img.shard] = img
 	if len(a.shards) < a.k {
 		return nil
 	}
 	ec := ckptstore.ECParams{K: a.k, M: a.m}
 	slots := make([][]byte, ec.Shards())
-	var member *wire
-	for _, idx := range sortedKeys(a.shards) {
-		sw := a.shards[idx]
-		slots[idx-1] = sw.Body
-		if member == nil {
-			member = sw
-		}
+	idxs := sortedKeys(a.shards)
+	for _, idx := range idxs {
+		slots[idx-1] = a.shards[idx].body
 	}
 	frame, err := ckptstore.Decode(ec, slots, a.frameLen)
 	if err != nil {
 		return nil // impossible with k shards of one seq; wait for more
 	}
-	delete(p.shardAsm, name)
-	fw := *member
-	fw.Shard, fw.ShardK, fw.ShardM, fw.FrameLen = 0, 0, 0, 0
-	fw.Body = frame
-	return &fw
+	delete(asm, img.name)
+	// The decoded image is the lowest-numbered shard's (sender, owner, seq,
+	// metadata — all shards of one checkpoint agree) with the whole frame.
+	full := *a.shards[idxs[0]]
+	full.shard, full.k, full.m, full.frameLen = 0, 0, 0, 0
+	full.body = frame
+	return &full
 }
 
 // repairCoverage drains the repair queue: for every owned object whose
@@ -174,7 +158,7 @@ func (p *Proc) assembleShards(w *wire) *wire {
 // coverage is still short, the shortfall is recorded as an invariant
 // violation for the chaos harness.
 func (p *Proc) repairCoverage() {
-	if !p.ftEnabled() || p.restore != nil || p.tx != nil || len(p.repairPending) == 0 {
+	if !p.ftEnabled() || p.restoring() || p.tx != nil || len(p.repairPending) == 0 {
 		return
 	}
 	repaired := 0
@@ -182,7 +166,7 @@ func (p *Proc) repairCoverage() {
 		delete(p.repairPending, name)
 		o := p.objs[name]
 		entry, ok := p.store.Lookup(uint64(name))
-		if o == nil || !o.isMain || !o.created || !ok || o.ckptSeq == 0 || entry.Seq != o.ckptSeq {
+		if o == nil || !o.isMain || !o.created || !ok || o.committed.seq == 0 || entry.Seq != o.committed.seq {
 			continue // freed, migrated away, or re-checkpointed since
 		}
 		plan := p.store.RepairPlan(uint64(name), p.cfg.Rank, func(r int) bool {
@@ -198,7 +182,7 @@ func (p *Proc) repairCoverage() {
 		if len(p.deadRanks) == 0 && !o.freeable && p.store.Coverage(uint64(name)) < p.store.Want() {
 			p.repairViolations = append(p.repairViolations, fmt.Sprintf(
 				"rank %d: object %v coverage %d < %d after repair (seq %d)",
-				p.cfg.Rank, name, p.store.Coverage(uint64(name)), p.store.Want(), o.ckptSeq))
+				p.cfg.Rank, name, p.store.Coverage(uint64(name)), p.store.Want(), o.committed.seq))
 		}
 	}
 	if repaired > 0 && p.rec != nil {
@@ -222,12 +206,12 @@ func (p *Proc) planCopies(name Name, owner int) []ckptstore.Holder {
 }
 
 // sendCkptCopies is the one place a checkpoint copy leaves its owner: it
-// sends body — o's image as of checkpoint o.ckptSeq — to each holder, whole
-// (Shard 0) or as that holder's Reed–Solomon shard. Inside a transaction the
-// copies are pieces of tx, inactive when the contents are nonreproducible,
-// and the caller ledgers them under owner (the migration target when o is
-// changing hands). With tx nil they repair the committed image: Piece -1,
-// committed on arrival, ledgered here as they go.
+// sends body — o's committed image — to each holder, whole (shard 0) or as
+// that holder's Reed–Solomon shard. Inside a transaction the copies are pieces
+// of tx, inactive when the contents are nonreproducible, and the caller
+// ledgers them under owner (the migration target when o is changing hands).
+// With tx nil they repair the committed image: committed on arrival, ledgered
+// here as they go.
 func (p *Proc) sendCkptCopies(o *object, body []byte, holders []ckptstore.Holder, owner int, tx *ckptTx) {
 	ec := p.store.EC()
 	var shards [][]byte
@@ -238,16 +222,15 @@ func (p *Proc) sendCkptCopies(o *object, body []byte, holders []ckptstore.Holder
 		}
 	}
 	for _, h := range holders {
-		w := &wire{
-			Kind: kCkptCopy, Name: uint64(o.name), Body: body, Seq: o.ckptSeq,
-			Meta: o.ckptMeta, HasMeta: true, Piece: -1, Owner: owner,
-		}
+		img := o.committed
+		img.owner, img.body = owner, body
 		if h.Shard > 0 {
-			w.Body = shards[h.Shard-1]
-			w.Shard, w.ShardK, w.ShardM, w.FrameLen = h.Shard, ec.K, ec.M, len(body)
+			img.body = shards[h.Shard-1]
+			img.shard, img.k, img.m, img.frameLen = h.Shard, ec.K, ec.M, len(body)
 		} else {
 			o.noteSentTo(h.Rank) // the copy doubles as a cached frame there
 		}
+		w := img.wire(kCkptCopy)
 		if tx != nil {
 			w.Inactive = o.nonrepro
 			p.st.ReplicaObjects.Add(1)
@@ -262,12 +245,12 @@ func (p *Proc) sendCkptCopies(o *object, body []byte, holders []ckptstore.Holder
 			}
 			p.emit(trace.Event{
 				Kind: trace.SamRepairSend, Name: uint64(o.name), Dst: int64(h.Rank),
-				Bytes: len(w.Body), Aux: o.ckptSeq, Note: note,
+				Bytes: len(w.Body), Aux: img.seq, Note: note,
 			})
 		}
 		p.st.RepairObjects.Add(1)
 		p.st.RepairBytes.Add(int64(len(w.Body)))
 		p.send(h.Rank, w)
-		p.store.AddHolder(uint64(o.name), o.ckptSeq, h)
+		p.store.AddHolder(uint64(o.name), img.seq, h)
 	}
 }

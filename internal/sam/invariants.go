@@ -58,43 +58,38 @@ type InvariantSnapshot struct {
 	Recoveries int64
 }
 
-func (p *Proc) buildInvariants() InvariantSnapshot {
+// Invariants summarizes this process's object table for post-run checks.
+// It touches runtime-goroutine state without locking, so outside that
+// goroutine it must only be called after the runtime has exited (wait on
+// Done(), e.g. after the harness halts the machine).
+func (p *Proc) Invariants() InvariantSnapshot {
 	s := InvariantSnapshot{
 		Rank:             p.cfg.Rank,
 		StagedPriv:       len(p.privStaging),
 		OpenTx:           p.tx != nil,
-		DeferredMsgs:     len(p.deferredMsgs),
+		DeferredMsgs:     len(p.deferredActs),
 		DeadRanks:        len(p.deadRanks),
 		RepairViolations: append([]string(nil), p.repairViolations...),
 		Recoveries:       p.st.Recoveries.Load(),
 	}
 	for _, name := range sortedKeys(p.objs) {
 		o := p.objs[name]
-		s.Objects = append(s.Objects, ObjectInvariant{
+		oi := ObjectInvariant{
 			Name:        uint64(o.name),
 			Main:        o.isMain,
 			Created:     o.created,
 			Freeable:    o.freeable,
-			CkptSeq:     o.ckptSeq,
-			CkptCopy:    o.ckptCopy,
-			CopyOwner:   o.copyOwner,
-			CopySeq:     o.copySeq,
-			Shard:       o.shardIdx,
-			ShardK:      o.shardK,
-			ShardM:      o.shardM,
+			CkptSeq:     o.committed.seq,
 			Inactive:    o.state == stInactive,
-			PendingCopy: o.pendingCopy != nil,
-		})
+			PendingCopy: o.pending != nil,
+		}
+		if c := o.copy; c != nil {
+			oi.CkptCopy, oi.CopyOwner, oi.CopySeq = true, c.owner, c.seq
+			oi.Shard, oi.ShardK, oi.ShardM = c.shard, c.k, c.m
+		}
+		s.Objects = append(s.Objects, oi)
 	}
 	return s
-}
-
-// Invariants summarizes this process's object table for post-run checks.
-// It touches runtime-goroutine state without locking, so it must only be
-// called after the runtime has exited (wait on Done(), e.g. after the
-// harness halts the machine).
-func (p *Proc) Invariants() InvariantSnapshot {
-	return p.buildInvariants()
 }
 
 // LiveInvariants takes a snapshot through the command queue while the

@@ -16,6 +16,13 @@ const TagSAM = pvm.TagUserBase + 1
 // at fixed width, so every frame carries the whole struct (192 bytes packed
 // for the smallest control message, 216 with a one-entry stamp). Renumbering
 // kinds therefore never moves a frame size.
+//
+// A wire is a frame and nothing else: a handler reads what it needs out of
+// the one it is given and keeps none (TestNoReceivedWireIsRetained).
+// Checkpointed state that outlives a message is an image or a privImage
+// (image.go), converted at the frame boundary by imageOf and image.wire —
+// so splitting this struct into a header plus per-kind payloads is a change
+// to this file and those two functions.
 const (
 	// Values.
 	kValReg    = iota + 1 // creator -> home: value exists, owner = SrcRank
@@ -45,14 +52,13 @@ const (
 
 	// Failure handling (§4.5).
 	kFailed      // any -> coordinator: rank T appears dead
-	kRecovery    // coordinator -> all: rank T restarts as tid NewTID
+	kRecovery    // coordinator -> all: rank Target restarted as tid NewTID; from the new process itself, also: (re)send your contribution
 	kRecoverPriv // priv-state holder -> new process: latest private state
 	kRecoverData // ckpt-copy holder -> new process: object main copy restoration
 	kDirReport   // object owner -> new process: directory info for names homed there
 	kOwnerReport // surviving home -> new process: you own this object (authoritative)
 	kOwnerHint   // previous holder -> new process: a migration sent this object to you (version-stamped)
 	kRecoverFin  // survivor -> new process: my recovery contribution is complete
-	kRecoverReq  // new process -> all: rank Target restarted as NewTID; (re)send your contribution
 	kOwnerQuery  // new process -> home: do I own this hinted object? (version-stamped)
 	kOwnerDeny   // home -> new process: you do not own the queried object; drop the hint
 )
@@ -70,7 +76,6 @@ var kindNames = [...]string{
 	kFailed:   "Failed", kRecovery: "Recovery", kRecoverPriv: "RecoverPriv",
 	kRecoverData: "RecoverData", kDirReport: "DirReport",
 	kOwnerReport: "OwnerReport", kOwnerHint: "OwnerHint", kRecoverFin: "RecoverFin",
-	kRecoverReq: "RecoverReq",
 	kOwnerQuery: "OwnerQuery", kOwnerDeny: "OwnerDeny",
 }
 

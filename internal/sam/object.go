@@ -63,22 +63,17 @@ type object struct {
 	pendingMove     int  // rank to migrate to when quiescent, -1 if none
 	migrationQueued bool // a migration trigger is queued/in a transaction
 
-	// ckptCopy entries: replica held on behalf of copyOwner. copyBytes is
-	// the owner's packed frame, retained verbatim so recovery restores the
-	// exact checkpointed image; copyData is the decoded form, which also
-	// serves local cache hits.
-	ckptCopy  bool
-	ownerRank int // for cached entries: last known owner
-	copyOwner int
-	copySeq   int64 // checkpoint seq of the copy (newest wins per owner)
-	copyData  interface{}
-	copyBytes []byte
-	savedMeta ft.ObjectMeta
-	// pendingCopy holds an inactive checkpoint copy until its activation.
-	pendingCopy *wire
-	// inactiveFrom groups inactive data by (srcRank, seq) for activation.
-	inactiveFrom int
-	inactiveSeq  int64
+	// ownerRank is, for cached entries, the last known owner.
+	ownerRank int
+	// copy is the committed checkpoint image held here on behalf of
+	// copy.owner; pending is one received inactive, awaiting its sender's
+	// activation. Both are nil until a copy actually arrives. A full-frame
+	// copy also populates data and serves local cache hits; a shard never
+	// does.
+	copy    *image
+	pending *image
+	// awaits is the activation that makes stInactive contents usable.
+	awaits activation
 
 	// forcedSent records that force-checkpoint messages for this freeable
 	// object have been sent (at most once per object).
@@ -113,13 +108,12 @@ type object struct {
 	// migrates with it; copies are ordered by it (see ft.ObjectMeta).
 	version int64
 
-	// ckptBytes/ckptMeta/ckptSeq retain the object exactly as of the last
-	// committed checkpoint, so a lost checkpoint copy can be re-sent
-	// without leaking uncovered mutations (accumulators mutate in place;
-	// values are immutable and skip the byte retention).
-	ckptBytes []byte
-	ckptMeta  ft.ObjectMeta
-	ckptSeq   int64
+	// committed is the object exactly as of this owner's last committed
+	// checkpoint (seq 0 = never checkpointed), so a lost checkpoint copy
+	// can be re-sent without leaking uncovered mutations. Accumulators
+	// mutate in place and keep the packed body; values are immutable and
+	// are repacked on demand, so theirs stays nil.
+	committed image
 
 	// sentTo records ranks this owner has sent the object's contents to
 	// (fetch replies, pushes, snapshots, full checkpoint copies). The
@@ -129,16 +123,6 @@ type object struct {
 	// checkpoint copies actually live is the ckptstore ledger's job, not
 	// this object's.
 	sentTo map[int]bool
-
-	// Erasure-shard bookkeeping for ckptCopy entries: shardIdx is the
-	// 1-based Reed–Solomon shard this process holds (0 = a full frame),
-	// cut as (shardK, shardM) over a packed frame of frameLen bytes. A
-	// shard is not usable data — it only participates in recovery
-	// reassembly — so shard copies never install into the cache.
-	shardIdx int
-	shardK   int
-	shardM   int
-	frameLen int
 
 	// packCache is the version-keyed snapshot cache: the packed frame of
 	// data as of mutation sequence packCacheSeq. While the object is
@@ -196,11 +180,19 @@ func (o *object) applyMeta(m ft.ObjectMeta) {
 	o.version = m.Version
 }
 
+// setCommitted records the object as it stands — metadata, and body, its
+// packed contents — as its image at checkpoint seq.
+func (o *object) setCommitted(seq int64, body []byte) {
+	if o.kind != ft.KindAccum {
+		body = nil // immutable: ckptImage repacks on demand
+	}
+	o.committed = image{name: o.name, seq: seq, meta: o.meta(), hasMeta: true, body: body}
+}
+
 // dirEntry is the directory record a name's home process keeps: where the
 // main copy lives and who is waiting for it.
 type dirEntry struct {
 	name  Name
-	kind  ft.ObjKind
 	known bool // owner is known
 	owner int  // rank of the current owner
 
@@ -212,10 +204,9 @@ type dirEntry struct {
 
 	// Accumulator arbitration: FIFO of ranks waiting for the lock, and
 	// whether a migration grant is outstanding.
-	acqQueue        []int
-	grantInFlight   bool
-	grantTarget     int
-	pendingSnapsFwd []int
+	acqQueue      []int
+	grantInFlight bool
+	grantTarget   int
 }
 
 // enqueue parks rank in a queue of waiting ranks. Requests are re-issued

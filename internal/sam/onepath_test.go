@@ -1,11 +1,12 @@
 package sam
 
 // White-box tests for the paths every caller now shares: the two copy
-// freshness rules, self-addressed messages dispatched in send, the wire a
+// freshness rules, self-addressed messages dispatched in send, the image a
 // handler keeps versus the wire its sender re-sends, and Push of a value
 // that has already been reclaimed.
 
 import (
+	"reflect"
 	"testing"
 
 	"samft/internal/ft"
@@ -28,9 +29,9 @@ func (h held) install(t *testing.T, p *Proc, o *object) {
 	if h.shard > 0 {
 		w.Shard, w.ShardK, w.ShardM, w.FrameLen = h.shard, 2, 1, len(w.Body)
 	}
-	p.applyCkptCopy(o, w)
-	if !o.ckptCopy || o.shardIdx != h.shard || (h.shard == 0) != (o.copyData != nil) {
-		t.Fatalf("setup: copy %+v installed as ckptCopy=%v shardIdx=%d copyData=%v", h, o.ckptCopy, o.shardIdx, o.copyData)
+	p.applyCkptCopy(o, imageOf(w))
+	if o.copy == nil || o.copy.shard != h.shard || (h.shard == 0) != o.usable() {
+		t.Fatalf("setup: copy %+v installed as %+v, usable=%v", h, o.copy, o.usable())
 	}
 }
 
@@ -43,29 +44,29 @@ func TestHolderFreshnessRule(t *testing.T) {
 		name   string
 		isMain bool
 		have   *held
-		w      wire
+		img    image
 		hasVer int64 // incoming version; <0 = versionless
 		want   bool
 	}{
-		{name: "nothing held", w: wire{Owner: ownerA, Seq: 1}, hasVer: -1, want: true},
-		{name: "own live main is authoritative", isMain: true, w: wire{Owner: self, Seq: 9}, hasVer: 9, want: false},
-		{name: "main, but the copy backs the migration target", isMain: true, w: wire{Owner: ownerA, Seq: 1}, hasVer: 1, want: true},
-		{name: "newer version", have: &held{ownerA, 5, 3, 0}, w: wire{Owner: ownerA, Seq: 6}, hasVer: 4, want: true},
-		{name: "same version re-sent", have: &held{ownerA, 5, 3, 0}, w: wire{Owner: ownerA, Seq: 5}, hasVer: 3, want: true},
-		{name: "older version, same owner, older seq", have: &held{ownerA, 5, 3, 0}, w: wire{Owner: ownerA, Seq: 4}, hasVer: 2, want: false},
+		{name: "nothing held", img: image{owner: ownerA, seq: 1}, hasVer: -1, want: true},
+		{name: "own live main is authoritative", isMain: true, img: image{owner: self, seq: 9}, hasVer: 9, want: false},
+		{name: "main, but the copy backs the migration target", isMain: true, img: image{owner: ownerA, seq: 1}, hasVer: 1, want: true},
+		{name: "newer version", have: &held{ownerA, 5, 3, 0}, img: image{owner: ownerA, seq: 6}, hasVer: 4, want: true},
+		{name: "same version re-sent", have: &held{ownerA, 5, 3, 0}, img: image{owner: ownerA, seq: 5}, hasVer: 3, want: true},
+		{name: "older version, same owner, older seq", have: &held{ownerA, 5, 3, 0}, img: image{owner: ownerA, seq: 4}, hasVer: 2, want: false},
 		// The fall-through: the version test does not reject, it hands an
 		// older version to the owner/seq test, which accepts a different
 		// owner (and a same-owner copy no older by seq).
-		{name: "older version, different owner", have: &held{ownerA, 5, 3, 0}, w: wire{Owner: ownerB, Seq: 1}, hasVer: 2, want: true},
-		{name: "older version, same owner, newer seq", have: &held{ownerA, 5, 3, 0}, w: wire{Owner: ownerA, Seq: 6}, hasVer: 2, want: true},
-		{name: "versionless, same owner, older seq", have: &held{ownerA, 5, 0, 0}, w: wire{Owner: ownerA, Seq: 4}, hasVer: -1, want: false},
-		{name: "versionless, same owner, same seq", have: &held{ownerA, 5, 0, 0}, w: wire{Owner: ownerA, Seq: 5}, hasVer: -1, want: true},
-		{name: "versionless, different owner", have: &held{ownerA, 5, 0, 0}, w: wire{Owner: ownerB, Seq: 1}, hasVer: -1, want: true},
+		{name: "older version, different owner", have: &held{ownerA, 5, 3, 0}, img: image{owner: ownerB, seq: 1}, hasVer: 2, want: true},
+		{name: "older version, same owner, newer seq", have: &held{ownerA, 5, 3, 0}, img: image{owner: ownerA, seq: 6}, hasVer: 2, want: true},
+		{name: "versionless, same owner, older seq", have: &held{ownerA, 5, 0, 0}, img: image{owner: ownerA, seq: 4}, hasVer: -1, want: false},
+		{name: "versionless, same owner, same seq", have: &held{ownerA, 5, 0, 0}, img: image{owner: ownerA, seq: 5}, hasVer: -1, want: true},
+		{name: "versionless, different owner", have: &held{ownerA, 5, 0, 0}, img: image{owner: ownerB, seq: 1}, hasVer: -1, want: true},
 		// One holder, both copy shapes.
-		{name: "full after shard, even when older", have: &held{ownerA, 5, 3, 2}, w: wire{Owner: ownerA, Seq: 4}, hasVer: 2, want: true},
-		{name: "shard after full, newer", have: &held{ownerA, 5, 3, 0}, w: wire{Owner: ownerA, Seq: 6, Shard: 1}, hasVer: 4, want: true},
-		{name: "shard after full, older", have: &held{ownerA, 5, 3, 0}, w: wire{Owner: ownerA, Seq: 4, Shard: 1}, hasVer: 2, want: false},
-		{name: "shard after shard, older", have: &held{ownerA, 5, 3, 2}, w: wire{Owner: ownerA, Seq: 4, Shard: 2}, hasVer: 2, want: false},
+		{name: "full after shard, even when older", have: &held{ownerA, 5, 3, 2}, img: image{owner: ownerA, seq: 4}, hasVer: 2, want: true},
+		{name: "shard after full, newer", have: &held{ownerA, 5, 3, 0}, img: image{owner: ownerA, seq: 6, shard: 1}, hasVer: 4, want: true},
+		{name: "shard after full, older", have: &held{ownerA, 5, 3, 0}, img: image{owner: ownerA, seq: 4, shard: 1}, hasVer: 2, want: false},
+		{name: "shard after shard, older", have: &held{ownerA, 5, 3, 2}, img: image{owner: ownerA, seq: 4, shard: 2}, hasVer: 2, want: false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -75,11 +76,11 @@ func TestHolderFreshnessRule(t *testing.T) {
 				tc.have.install(t, p, o)
 			}
 			o.isMain = tc.isMain
-			w := tc.w
+			img := tc.img
 			if tc.hasVer >= 0 {
-				w.Meta, w.HasMeta = ver(tc.hasVer)
+				img.meta, img.hasMeta = ver(tc.hasVer)
 			}
-			if got := p.acceptsCopy(o, &w); got != tc.want {
+			if got := p.acceptsCopy(o, &img); got != tc.want {
 				t.Errorf("acceptsCopy = %v, want %v", got, tc.want)
 			}
 		})
@@ -87,17 +88,17 @@ func TestHolderFreshnessRule(t *testing.T) {
 }
 
 // TestRecoveringFreshnessRule pins keepNewer, the one recovering-side rule
-// (restore.data and unconfirmedData both go through it). Unlike the holder
+// (the restore stash and unconfirmedData both go through it). Unlike the holder
 // side there is no fall-through: with metadata on both, the version decides.
 func TestRecoveringFreshnessRule(t *testing.T) {
 	const name = 42
-	meta := func(src int, seq, version int64) *wire {
-		return &wire{Name: name, SrcRank: src, Seq: seq, Meta: ft.ObjectMeta{Version: version}, HasMeta: true}
+	meta := func(src int, seq, version int64) *image {
+		return &image{name: name, sender: src, seq: seq, meta: ft.ObjectMeta{Version: version}, hasMeta: true}
 	}
-	bare := func(src int, seq int64) *wire { return &wire{Name: name, SrcRank: src, Seq: seq} }
+	bare := func(src int, seq int64) *image { return &image{name: name, sender: src, seq: seq} }
 	cases := []struct {
 		name    string
-		prev, w *wire
+		prev, w *image
 		want    bool // w replaces prev
 	}{
 		{"first contribution", nil, bare(1, 1), true},
@@ -112,7 +113,7 @@ func TestRecoveringFreshnessRule(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			best := map[Name]*wire{}
+			best := map[Name]*image{}
 			if tc.prev != nil {
 				best[name] = tc.prev
 			}
@@ -201,7 +202,8 @@ func TestSelfHomedRequestsStayLocal(t *testing.T) {
 // TestKeptWireIsNotTheSendersWire covers direct dispatch's one hazard: a
 // transaction piece addressed to ourselves is handed to the handler as the
 // very struct the transaction keeps for re-sending, and re-sending rewrites
-// its sender and stamp fields. What the handler keeps must be its own copy.
+// its sender and stamp fields. What the handler keeps is an image (or a
+// privImage), which has neither — and must stay as it was received.
 func TestKeptWireIsNotTheSendersWire(t *testing.T) {
 	p, tasks := testProc(t, 0, 4, false)
 	name := nameHomedAt(t, 4, 2)
@@ -218,16 +220,14 @@ func TestKeptWireIsNotTheSendersWire(t *testing.T) {
 	p.txSend(0, copyPiece, true)
 	p.txSend(0, privPiece, true)
 
-	kept := map[string]*wire{"pendingCopy": p.obj(name).pendingCopy, "privStaging": p.privStaging[0]}
-	for what, w := range kept {
-		if w == nil {
-			t.Fatalf("%s: self-addressed piece was not retained", what)
-		}
+	pending, staged := p.obj(name).pending, p.privStaging[0]
+	if pending == nil || staged.body == nil {
+		t.Fatalf("self-addressed pieces were not retained: pending=%v staged=%+v", pending, staged)
 	}
 	if p.tx.acksNeeded != 1 {
 		t.Fatalf("self-addressed pieces left %d acks outstanding, want only the foreign one", p.tx.acksNeeded)
 	}
-	before := map[string]wire{"pendingCopy": *kept["pendingCopy"], "privStaging": *kept["privStaging"]}
+	beforeCopy, beforePriv := *pending, staged
 
 	// A recipient failure re-sends the transaction's pieces (§4.5); here the
 	// sender's structs go out again, to a peer, and pick up a stamp.
@@ -240,22 +240,19 @@ func TestKeptWireIsNotTheSendersWire(t *testing.T) {
 	for range p.tx.pieces {
 		recvWire(t, tasks[1])
 	}
-	for what, w := range kept {
-		b := before[what]
-		if w.HasStamp != b.HasStamp || len(w.StampT) != len(b.StampT) || w.StampC != b.StampC || w.SrcRank != b.SrcRank {
-			t.Errorf("%s changed when the sender re-sent its piece: %+v", what, *w)
-		}
-		if w == copyPiece || w == privPiece {
-			t.Errorf("%s aliases the transaction's piece", what)
-		}
+	if got := p.obj(name).pending; got != pending || !reflect.DeepEqual(*got, beforeCopy) {
+		t.Errorf("pending copy changed when the sender re-sent its piece: %+v, was %+v", got, beforeCopy)
+	}
+	if got := p.privStaging[0]; !reflect.DeepEqual(got, beforePriv) {
+		t.Errorf("staged private state changed when the sender re-sent its piece: %+v, was %+v", got, beforePriv)
 	}
 }
 
 // TestPushAfterReclaimIsNoOp is the regression test for the no-FT GPS
-// crash: with fault tolerance off a value is reclaimed the moment its
-// declared uses are all reported, which consumers that fetched it
-// themselves can do while the creator is still working through its Push
-// calls. Push is a delivery hint, so pushing the reclaimed value is a
+// crash: a value's declared uses can all be reported — by consumers that
+// fetched it themselves — while the creator is still working through its
+// Push calls, and an exhausted value is reclaimed whenever cache pressure
+// replaces it. Push is a delivery hint, so pushing the reclaimed value is a
 // no-op; pushing something this process holds but did not create stays an
 // error.
 func TestPushAfterReclaimIsNoOp(t *testing.T) {
@@ -274,8 +271,20 @@ func TestPushAfterReclaimIsNoOp(t *testing.T) {
 		}
 		p.dispatch(&wire{Kind: kValUsed, SrcRank: consumer, Names: []uint64{uint64(name)}, Counts: []int64{1}})
 	}
+	// Cache pressure: a backlog's worth of younger exhausted values.
+	for a, made := 0, 0; made < maxFreeBacklog; a++ {
+		filler := MkName(8, a, 0)
+		if ft.HomeRank(uint64(filler), 3) != 0 {
+			continue // registering it would put a message on the network
+		}
+		made++
+		if r, _ := done(appCmd(p, &cmd{op: opCreateValue, name: filler, obj: &recoveryPayload{}, accesses: 1})); r.err != nil {
+			t.Fatalf("create filler: %v", r.err)
+		}
+		p.dispatch(&wire{Kind: kValUsed, SrcRank: 1, Names: []uint64{uint64(filler)}, Counts: []int64{1}})
+	}
 	if p.objs[name] != nil {
-		t.Fatal("setup: value not reclaimed after its declared uses")
+		t.Fatal("setup: value not reclaimed after its declared uses and a full backlog")
 	}
 
 	for _, dst := range []int{1, 2} {
@@ -313,30 +322,30 @@ func TestFreeCkptOnlyDropsTheSendersCopy(t *testing.T) {
 	free := func(from int) { p.dispatch(&wire{Kind: kFreeCkpt, SrcRank: from, Name: uint64(name), Seq: 17}) }
 
 	free(oldOwner)
-	if !o.ckptCopy || o.copyOwner != newOwner || o.copyBytes == nil {
+	if o.copy == nil || o.copy.owner != newOwner || o.copy.body == nil {
 		t.Fatal("a previous owner's free dropped the copy backing the new owner")
 	}
 
 	// Same race one step earlier: the new owner's copy is still inactive,
 	// behind an older committed copy that does back the freeing rank.
-	o.copyOwner = oldOwner
-	o.pendingCopy = &wire{Kind: kCkptCopy, SrcRank: self, Owner: newOwner, Seq: 20, Inactive: true, Body: packPayload(t, 2)}
+	o.copy.owner = oldOwner
+	o.pending = &image{name: name, sender: self, owner: newOwner, seq: 20, body: packPayload(t, 2)}
 	free(oldOwner)
-	if o.ckptCopy {
+	if o.copy != nil {
 		t.Error("the freeing owner's own committed copy was kept")
 	}
-	if p.objs[name] != o || o.pendingCopy == nil {
+	if p.objs[name] != o || o.pending == nil {
 		t.Fatal("a previous owner's free dropped the new owner's pending copy")
 	}
 
 	// The owner a copy backs does free it, pending or committed.
-	p.onActivate(&wire{Kind: kActivate, SrcRank: self, Seq: 20})
-	if !o.ckptCopy || o.copyOwner != newOwner {
-		t.Fatalf("setup: pending copy not activated (ckptCopy=%v owner=%d)", o.ckptCopy, o.copyOwner)
+	p.onActivate(activation{from: self, seq: 20})
+	if o.copy == nil || o.copy.owner != newOwner {
+		t.Fatalf("setup: pending copy not activated (copy=%+v)", o.copy)
 	}
-	o.pendingCopy = &wire{Kind: kCkptCopy, SrcRank: newOwner, Owner: newOwner, Seq: 21, Inactive: true}
+	o.pending = &image{name: name, sender: newOwner, owner: newOwner, seq: 21}
 	free(newOwner)
 	if _, ok := p.objs[name]; ok {
-		t.Errorf("the owner's free left its copies behind: ckptCopy=%v pendingCopy=%v", o.ckptCopy, o.pendingCopy)
+		t.Errorf("the owner's free left its copies behind: copy=%v pending=%v", o.copy, o.pending)
 	}
 }

@@ -59,60 +59,33 @@ type Proc struct {
 	// quiesced with no unreplaced dead ranks — an invariant breach the
 	// chaos harness turns into a failure.
 	repairViolations []string
-	// shardAsm reassembles erasure-coded kRecoverData shards per object
-	// until k of them allow a decode.
-	shardAsm map[Name]*shardAsm
-	// recoverContrib records which rank contributed which copy (and
-	// shard) for each recovered object, so the rebuilt ledger reflects
-	// the holders that actually exist rather than a recomputed placement.
-	recoverContrib  map[Name]map[int]holderAt
-	tx              *ckptTx
-	pendingTriggers []trigger
-	pendingForced   bool
-	deferredMsgs    []*wire
-	privStore       map[int][]byte // rank -> newest committed private state held here
-	privStoreSeq    map[int]int64
-	privStaging     map[int]*wire // provisional private states awaiting activation
-	lastPrivBytes   []byte        // our own last checkpointed private state
-	lastPrivSeq     int64
-	useNotices      map[int]map[Name]int64 // owner rank -> name -> unreported uses
-	freePending     map[Name]bool          // freeable mains awaiting coverage
-	forceReplies    []forceReq
-	hasCheckpointed bool
+	tx               *ckptTx
+	pendingTriggers  []trigger
+	pendingForced    bool
+	deferredActs     []activation           // other processes' commits held back while tx is open
+	privStore        map[int]privImage      // rank -> newest committed private state held here
+	privStaging      map[int]privImage      // provisional private states awaiting activation
+	lastPriv         privImage              // our own last checkpointed private state
+	useNotices       map[int]map[Name]int64 // owner rank -> name -> unreported uses
+	freePending      map[Name]bool          // freeable mains awaiting reclamation
+	forceReplies     []forceReq
+	hasCheckpointed  bool
 
-	// Recovery-mode restoration progress (only when cfg.Recovering).
-	restore  *restoreState
-	restorec chan restoreResult
-	// ownerConfirmed / unconfirmedData resolve recovery data for objects
-	// absent from the private state (acquired after the last checkpoint):
-	// a main copy is installed only once the home or the previous holder
-	// confirms this process owns it.
-	ownerConfirmed  map[Name]bool
-	unconfirmedData map[Name]*wire
-	orphanHints     map[Name]int64 // name -> max hinted version pointing at us
-	// pendingOwnerQueries defers answering other ranks' orphan-ownership
-	// queries until this (recovering) home's directory has been rebuilt
-	// from every survivor's reports.
-	pendingOwnerQueries []*wire
-	// recoverInstalled marks names whose recovery data has already been
-	// applied this incarnation. Re-solicited contributions (a survivor
-	// dying mid-recovery makes its replacement contribute again) can
-	// deliver duplicates long after the object migrated away; installing
-	// those would fork the object.
-	recoverInstalled map[Name]bool
-	finsGot          map[int]bool // survivors whose recovery contribution arrived
-	orphansDecided   bool
+	// inc is what only a replacement process has: the state it is being
+	// rebuilt from and the bookkeeping of its own recovery. nil in a process
+	// that started with the computation (cfg.Recovering false), and dispatch
+	// drops the message kinds that are only ever addressed to a restarted
+	// rank's new tid when it is.
+	inc *incarnation
 
 	// Multi-failure bookkeeping: deadRanks tracks incarnations known dead
 	// but not yet replaced (drives coordinator takeover when the recovery
 	// coordinator itself dies); relayedFail dedupes kFailed relays;
 	// contributedTo records the incarnation each recovery contribution was
-	// sent to; pendingContrib defers contributions while this process's
-	// own state is still being restored.
-	deadRanks      map[int]netsim.TID
-	relayedFail    map[failKey]bool
-	contributedTo  map[int]netsim.TID
-	pendingContrib map[int]bool
+	// sent to.
+	deadRanks     map[int]netsim.TID
+	relayedFail   map[failKey]bool
+	contributedTo map[int]netsim.TID
 
 	// nProcessed counts runtime-loop events (messages and commands); the
 	// harness samples it to detect quiescence before invariant checks.
@@ -146,37 +119,27 @@ func NewProc(task *pvm.Task, cfg Config) *Proc {
 		panic(fmt.Sprintf("sam: rank table has %d entries for N=%d", len(cfg.Ranks), cfg.N))
 	}
 	p := &Proc{
-		cfg:              cfg,
-		task:             task,
-		st:               cfg.Stats,
-		rec:              task.Endpoint().TraceRecorder(),
-		clocks:           ft.NewClocks(cfg.Rank, cfg.N),
-		taint:            ft.NewTaint(cfg.Policy),
-		cmdq:             make(chan *cmd),
-		netq:             make(chan netsim.Message, 4096),
-		deadc:            make(chan struct{}),
-		runDone:          make(chan struct{}),
-		ranks:            append([]pvm.TID(nil), cfg.Ranks...),
-		objs:             make(map[Name]*object),
-		dir:              make(map[Name]*dirEntry),
-		privStore:        make(map[int][]byte),
-		privStoreSeq:     make(map[int]int64),
-		privStaging:      make(map[int]*wire),
-		useNotices:       make(map[int]map[Name]int64),
-		freePending:      make(map[Name]bool),
-		restorec:         make(chan restoreResult, 1),
-		ownerConfirmed:   make(map[Name]bool),
-		unconfirmedData:  make(map[Name]*wire),
-		recoverInstalled: make(map[Name]bool),
-		orphanHints:      make(map[Name]int64),
-		finsGot:          make(map[int]bool),
-		deadRanks:        make(map[int]netsim.TID),
-		relayedFail:      make(map[failKey]bool),
-		contributedTo:    make(map[int]netsim.TID),
-		pendingContrib:   make(map[int]bool),
-		repairPending:    make(map[Name]bool),
-		shardAsm:         make(map[Name]*shardAsm),
-		recoverContrib:   make(map[Name]map[int]holderAt),
+		cfg:           cfg,
+		task:          task,
+		st:            cfg.Stats,
+		rec:           task.Endpoint().TraceRecorder(),
+		clocks:        ft.NewClocks(cfg.Rank, cfg.N),
+		taint:         ft.NewTaint(cfg.Policy),
+		cmdq:          make(chan *cmd),
+		netq:          make(chan netsim.Message, 4096),
+		deadc:         make(chan struct{}),
+		runDone:       make(chan struct{}),
+		ranks:         append([]pvm.TID(nil), cfg.Ranks...),
+		objs:          make(map[Name]*object),
+		dir:           make(map[Name]*dirEntry),
+		privStore:     make(map[int]privImage),
+		privStaging:   make(map[int]privImage),
+		useNotices:    make(map[int]map[Name]int64),
+		freePending:   make(map[Name]bool),
+		deadRanks:     make(map[int]netsim.TID),
+		relayedFail:   make(map[failKey]bool),
+		contributedTo: make(map[int]netsim.TID),
+		repairPending: make(map[Name]bool),
 	}
 	p.store = ckptstore.NewStore(ckptstore.Config{
 		Rank:   cfg.Rank,
@@ -187,7 +150,7 @@ func NewProc(task *pvm.Task, cfg Config) *Proc {
 		View:   ckptstore.View{N: cfg.N, CachedAt: p.cachedRanks},
 	})
 	if cfg.Recovering {
-		p.restore = newRestoreState()
+		p.inc = newIncarnation()
 	}
 	return p
 }
@@ -231,28 +194,25 @@ func (p *Proc) Run(app App) (finished bool) {
 		}
 	}()
 
-	start := int64(0)
-	if p.cfg.Recovering {
-		fresh, steps, snap := p.awaitRestore()
-		if fresh {
-			app.Init(p)
-			p.gate(0, true)
-			start = 0
-		} else {
-			state, err := codec.Unpack(snap)
-			if err != nil {
-				panic(fmt.Errorf("sam: rank %d cannot unpack recovered state: %w", p.cfg.Rank, err))
-			}
-			app.Restore(state)
-			start = steps
-		}
-	} else {
+	// A replacement process resumes from its restored state — unless the
+	// rank it replaces had never checkpointed, which starts like any other.
+	restored := restoreResult{fresh: true}
+	if p.inc != nil {
+		restored = p.awaitRestore()
+	}
+	if restored.fresh {
 		app.Init(p)
 		p.gate(0, true) // initial checkpoint so recovery has a base state
+	} else {
+		state, err := codec.Unpack(restored.snap)
+		if err != nil {
+			panic(fmt.Errorf("sam: rank %d cannot unpack recovered state: %w", p.cfg.Rank, err))
+		}
+		app.Restore(state)
 	}
 
-	replaying := p.cfg.Recovering
-	for step := start + 1; ; step++ {
+	replaying := p.inc != nil
+	for step := restored.steps + 1; ; step++ {
 		more := app.Step(p, step)
 		if replaying {
 			// The step that was in progress at the crash has now been
@@ -296,18 +256,18 @@ func (p *Proc) runtime() {
 		}
 	}
 	// A recovering process announces its own incarnation to every peer and
-	// asks for their contributions. The coordinator's kRecovery broadcast
-	// usually beats this, but the announcement is what keeps recovery
-	// going when the coordinator dies between respawning us and telling
-	// the others, or when a survivor's earlier contribution went to a
-	// previous (also failed) incarnation.
-	if p.cfg.Recovering {
+	// asks for their contributions. The coordinator's broadcast of the same
+	// kRecovery usually beats this, but the announcement is what keeps
+	// recovery going when the coordinator dies between respawning us and
+	// telling the others, or when a survivor's earlier contribution went to
+	// a previous (also failed) incarnation.
+	if p.inc != nil {
 		if p.rec != nil {
 			p.emit(trace.Event{Kind: trace.SamRecSolicit, Aux: int64(p.task.TID())})
 		}
 		for r := range p.ranks {
 			if r != p.cfg.Rank {
-				p.send(r, &wire{Kind: kRecoverReq, Target: p.cfg.Rank, NewTID: int(p.task.TID())})
+				p.send(r, &wire{Kind: kRecovery, Target: p.cfg.Rank, NewTID: int(p.task.TID())})
 			}
 		}
 	}
@@ -381,6 +341,14 @@ func (p *Proc) emit(e trace.Event) {
 }
 
 func (p *Proc) dispatch(w *wire) {
+	if p.inc == nil {
+		switch w.Kind {
+		case kRecoverPriv, kRecoverData, kOwnerReport, kOwnerHint, kRecoverFin, kOwnerDeny:
+			// Only ever addressed to a restarted rank's new tid, and this
+			// process is not a replacement.
+			return
+		}
+	}
 	if p.cfg.Trace != nil {
 		p.cfg.Trace("[rank%d] recv %s from %d name=%v seq=%d inactive=%v target=%d",
 			p.cfg.Rank, kindName(w.Kind), w.SrcRank, Name(w.Name), w.Seq, w.Inactive, w.Target)
@@ -408,27 +376,25 @@ func (p *Proc) dispatch(w *wire) {
 	// processes' inactive data is deferred to keep this checkpoint
 	// consistent (§4.4).
 	if p.tx != nil && w.Kind == kActivate {
-		p.deferredMsgs = append(p.deferredMsgs, w)
+		p.deferredActs = append(p.deferredActs, activation{from: w.SrcRank, seq: w.Seq})
 		return
 	}
 
 	switch w.Kind {
-	case kValReg:
-		p.onValReg(w)
+	case kValReg, kAccReg, kDirReport:
+		p.setOwner(Name(w.Name), w.SrcRank)
 	case kValReq:
 		p.onValReq(w)
 	case kValReqFwd:
-		p.onValReqFwd(w)
+		p.serveValueFetch(Name(w.Name), w.Target)
 	case kValData:
 		p.onValData(w)
 	case kValUsed:
 		p.onValUsed(w)
-	case kAccReg:
-		p.onAccReg(w)
 	case kAccAcq:
 		p.onAccAcq(w)
 	case kAccGrant:
-		p.onAccGrant(w)
+		p.handleGrant(Name(w.Name), w.Target)
 	case kAccData:
 		p.onAccData(w)
 	case kAccOwner:
@@ -446,11 +412,12 @@ func (p *Proc) dispatch(w *wire) {
 	case kCkptAck:
 		p.onCkptAck(w)
 	case kActivate:
-		p.onActivate(w)
+		p.onActivate(activation{from: w.SrcRank, seq: w.Seq})
 	case kForceCkpt:
 		p.onForceCkpt(w)
 	case kForceAck:
-		p.onForceAck(w)
+		// The stamp absorbed above carried the sender's fresh c value.
+		p.retryFrees()
 	case kFreeCkpt:
 		p.onFreeCkpt(w)
 	case kFailed:
@@ -461,8 +428,6 @@ func (p *Proc) dispatch(w *wire) {
 		p.onRecoverPriv(w)
 	case kRecoverData:
 		p.onRecoverData(w)
-	case kDirReport:
-		p.onDirReport(w)
 	case kOwnerReport:
 		p.onOwnerReport(w)
 	case kOwnerHint:
@@ -470,11 +435,9 @@ func (p *Proc) dispatch(w *wire) {
 	case kRecoverFin:
 		p.onRecoverFin(w)
 	case kOwnerQuery:
-		p.onOwnerQuery(w)
+		p.onOwnerQuery(ownerQuery{from: w.SrcRank, name: Name(w.Name)})
 	case kOwnerDeny:
 		p.onOwnerDeny(w)
-	case kRecoverReq:
-		p.onRecoverReq(w)
 	}
 }
 
@@ -484,7 +447,8 @@ func (p *Proc) dispatch(w *wire) {
 // placements and ownership reports land here too) is dispatched directly —
 // no frame, no stamp, no network — and this is the only place that tells
 // the two apart: callers address the home, owner or holder without asking
-// whether it is this process. The handler runs on w itself; see keep.
+// whether it is this process. The handler runs on w itself, which is safe
+// because no handler retains the wire it is given (image.go).
 func (p *Proc) send(rank int, w *wire) {
 	w.SrcRank = p.cfg.Rank
 	if rank == p.cfg.Rank {

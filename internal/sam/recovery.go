@@ -1,6 +1,8 @@
 package sam
 
 import (
+	"slices"
+
 	"samft/internal/codec"
 	"samft/internal/ft"
 	"samft/internal/netsim"
@@ -13,20 +15,87 @@ import (
 // and the restoration of its private state, owned objects, directory
 // information, and checkpoint copies by the surviving processes.
 
-// restoreState tracks a recovering process's progress toward resumption.
-type restoreState struct {
+// incarnation is the state only a replacement process has (cfg.Recovering):
+// what it is being rebuilt from, and the bookkeeping of its own recovery. It
+// lives as long as the process does — duplicates of its recovery traffic can
+// arrive long after it has resumed.
+//
+// Two independent predicates gate the handlers, and neither implies the
+// other: restoring (the private state and the objects it lists have not all
+// arrived; the application has not resumed) and orphansDecided (every
+// survivor's contribution is in, so ownership of objects absent from the
+// private state has been arbitrated).
+type incarnation struct {
+	restoring      bool
+	orphansDecided bool
+	restorec       chan restoreResult
+
+	// The restore stash, released when restoring ends: the newest private
+	// state contributed so far (decoded, and as received for
+	// re-replication), the holders that voted "never checkpointed", and the
+	// best image per object (keepNewer).
 	priv       *ft.PrivateState
-	privSeq    int64
-	privBytes  []byte // packed form of priv, kept for re-replication
+	privImg    privImage
 	freshVotes map[int]bool
-	data       map[Name]*wire // best kRecoverData per name
+	data       map[Name]*image
+
+	// ownerConfirmed / unconfirmedData resolve images of objects absent
+	// from the private state (acquired after the last checkpoint): a main
+	// copy is installed only once the home or the previous holder confirms
+	// this process owns it.
+	ownerConfirmed  map[Name]bool
+	unconfirmedData map[Name]*image
+	orphanHints     map[Name]int64 // name -> max hinted version pointing at us
+	// pendingOwnerQueries defers answering other ranks' orphan-ownership
+	// queries until this home's directory has been rebuilt from every
+	// survivor's reports.
+	pendingOwnerQueries []ownerQuery
+	// recoverInstalled marks names whose image has already been installed
+	// this incarnation. Re-solicited contributions (a survivor dying
+	// mid-recovery makes its replacement contribute again) can deliver
+	// duplicates long after the object migrated away; installing those
+	// would fork the object.
+	recoverInstalled map[Name]bool
+	finsGot          map[int]bool // survivors whose recovery contribution arrived
+	// shardAsm reassembles erasure-coded kRecoverData shards per object
+	// until k of them allow a decode.
+	shardAsm map[Name]*shardAsm
+	// recoverContrib records which rank contributed which copy (and shard)
+	// of each recovered object, so the rebuilt ledger reflects the holders
+	// that actually exist rather than a recomputed placement.
+	recoverContrib map[Name]map[int]*image
+	// pendingContrib defers our contributions to other restarted ranks
+	// while our own state is still being restored.
+	pendingContrib map[int]bool
 }
 
-func newRestoreState() *restoreState {
-	return &restoreState{
-		freshVotes: make(map[int]bool),
-		data:       make(map[Name]*wire),
+func newIncarnation() *incarnation {
+	return &incarnation{
+		restoring:        true,
+		restorec:         make(chan restoreResult, 1),
+		freshVotes:       make(map[int]bool),
+		data:             make(map[Name]*image),
+		ownerConfirmed:   make(map[Name]bool),
+		unconfirmedData:  make(map[Name]*image),
+		orphanHints:      make(map[Name]int64),
+		recoverInstalled: make(map[Name]bool),
+		finsGot:          make(map[int]bool),
+		shardAsm:         make(map[Name]*shardAsm),
+		recoverContrib:   make(map[Name]map[int]*image),
+		pendingContrib:   make(map[int]bool),
 	}
+}
+
+// restoring reports whether this process is a replacement whose own state
+// has not been restored yet: its tables are empty and what it would send
+// for them is not to be trusted.
+func (p *Proc) restoring() bool { return p.inc != nil && p.inc.restoring }
+
+// ownerQuery is a recovering process's claim, put to the name's home, that
+// the most recent committed migration of an orphan left the main copy there.
+type ownerQuery struct {
+	from int
+	name Name
 }
 
 type restoreResult struct {
@@ -37,10 +106,10 @@ type restoreResult struct {
 
 // awaitRestore blocks the application goroutine until the runtime has
 // assembled the recovered state.
-func (p *Proc) awaitRestore() (fresh bool, steps int64, snap []byte) {
+func (p *Proc) awaitRestore() restoreResult {
 	select {
-	case r := <-p.restorec:
-		return r.fresh, r.steps, r.snap
+	case r := <-p.inc.restorec:
+		return r
 	case <-p.deadc:
 		panic(procKilled{p.cfg.Rank})
 	}
@@ -153,16 +222,13 @@ func (p *Proc) startRecovery(rank int, dead netsim.TID) {
 	}
 }
 
+// onRecovery handles the announcement that rank Target restarted as NewTID:
+// the coordinator's, or the restarted process's own (SrcRank == Target). The
+// latter overrides the sent-once filter — the requester is telling us it is
+// still missing contributions, e.g. because an earlier one went to a previous
+// incarnation that died with it.
 func (p *Proc) onRecovery(w *wire) {
-	p.noteIncarnation(w.Target, netsim.TID(w.NewTID), false)
-}
-
-// onRecoverReq handles a restarted process's own announcement. The
-// explicit request overrides the sent-once filter — the requester is
-// telling us it is still missing contributions, e.g. because an earlier
-// one went to a previous incarnation that died with it.
-func (p *Proc) onRecoverReq(w *wire) {
-	p.noteIncarnation(w.Target, netsim.TID(w.NewTID), true)
+	p.noteIncarnation(w.Target, netsim.TID(w.NewTID), w.SrcRank == w.Target)
 }
 
 // noteIncarnation is each surviving process's part of §4.5, however it
@@ -223,21 +289,22 @@ func (p *Proc) installNewIncarnation(rank int, newTID netsim.TID) {
 	// it (sent to our current incarnation or never sent at all). Ask the
 	// replacement to contribute, re-deriving the fin quorum from the live
 	// incarnation set instead of waiting forever on a ghost.
-	if p.cfg.Recovering && (p.restore != nil || !p.orphansDecided) {
-		p.send(rank, &wire{Kind: kRecoverReq, Target: p.cfg.Rank, NewTID: int(p.task.TID())})
+	inc := p.inc
+	if inc != nil && (inc.restoring || !inc.orphansDecided) {
+		p.send(rank, &wire{Kind: kRecovery, Target: p.cfg.Rank, NewTID: int(p.task.TID())})
 	}
 
 	// Owner queries answered by nobody: if the home of a still-unresolved
 	// hint died (possibly with our query in its mailbox), ask its
 	// replacement once it is up.
-	if p.cfg.Recovering && p.orphansDecided {
-		for _, name := range sortedKeys(p.orphanHints) {
-			if p.home(name) == rank && !p.ownerConfirmed[name] {
+	if inc != nil && inc.orphansDecided {
+		for _, name := range sortedKeys(inc.orphanHints) {
+			if p.home(name) == rank && !inc.ownerConfirmed[name] {
 				p.sendOwnerQuery(name)
 			}
 		}
-		for _, name := range sortedKeys(p.unconfirmedData) {
-			if p.home(name) == rank && !p.ownerConfirmed[name] {
+		for _, name := range sortedKeys(inc.unconfirmedData) {
+			if p.home(name) == rank && !inc.ownerConfirmed[name] {
 				p.sendOwnerQuery(name)
 			}
 		}
@@ -254,59 +321,36 @@ func (p *Proc) contributeIfNeeded(rank int) {
 	if p.contributedTo[rank] == cur {
 		return
 	}
-	if p.restore != nil {
-		p.pendingContrib[rank] = true
+	if p.restoring() {
+		p.inc.pendingContrib[rank] = true
 		return
 	}
 	p.contributedTo[rank] = cur
-	delete(p.pendingContrib, rank)
 	p.contributeRecovery(rank)
-}
-
-// flushPendingContrib sends contributions deferred while this process's
-// own restore was in progress. Runs after checkRestoreComplete resumes
-// the application (either path).
-func (p *Proc) flushPendingContrib() {
-	for _, r := range sortedKeys(p.pendingContrib) {
-		p.contributeIfNeeded(r)
-	}
 }
 
 // contributeRecovery supplies a restarted process with everything this
 // survivor holds for it, ending with kRecoverFin.
 func (p *Proc) contributeRecovery(rank int) {
 	// Private state of the failed process.
-	if b, ok := p.privStore[rank]; ok {
-		p.send(rank, &wire{Kind: kRecoverPriv, Body: b, Seq: p.privStoreSeq[rank]})
-	} else {
-		for _, h := range ft.PrivateStateRanks(rank, p.cfg.N, p.cfg.Degree) {
-			if h == p.cfg.Rank {
-				p.send(rank, &wire{Kind: kRecoverPriv, Fresh: true})
-			}
-		}
+	if priv, ok := p.privStore[rank]; ok {
+		p.send(rank, &wire{Kind: kRecoverPriv, Body: priv.body, Seq: priv.seq})
+	} else if slices.Contains(ft.PrivateStateRanks(rank, p.cfg.N, p.cfg.Degree), p.cfg.Rank) {
+		p.send(rank, &wire{Kind: kRecoverPriv, Fresh: true})
 	}
 
 	// Re-replicate our own private state if its copy lived on the failed
 	// process (guards the window until our next checkpoint).
-	for _, h := range ft.PrivateStateRanks(p.cfg.Rank, p.cfg.N, p.cfg.Degree) {
-		if h == rank && p.lastPrivBytes != nil {
-			p.send(rank, &wire{Kind: kCkptPriv, Body: p.lastPrivBytes, Seq: p.lastPrivSeq, Piece: -1})
-		}
+	if p.lastPriv.body != nil && slices.Contains(ft.PrivateStateRanks(p.cfg.Rank, p.cfg.N, p.cfg.Degree), rank) {
+		p.send(rank, &wire{Kind: kCkptPriv, Body: p.lastPriv.body, Seq: p.lastPriv.seq, Piece: -1})
 	}
 
 	for _, name := range sortedKeys(p.objs) {
 		o := p.objs[name]
 		// Checkpoint copies whose main copy was at the failed process:
 		// restore them (the new process again holds the main copy).
-		if o.ckptCopy && o.copyOwner == rank {
-			w := &wire{
-				Kind: kRecoverData, Name: uint64(o.name), Body: o.copyBytes,
-				Meta: o.savedMeta, HasMeta: true, Seq: o.copySeq,
-			}
-			if o.shardIdx > 0 {
-				w.Shard, w.ShardK, w.ShardM, w.FrameLen = o.shardIdx, o.shardK, o.shardM, o.frameLen
-			}
-			p.send(rank, w)
+		if o.copy != nil && o.copy.owner == rank {
+			p.send(rank, o.copy.wire(kRecoverData))
 		}
 		if o.isMain && o.created {
 			// Directory information homed at the failed process. (Main
@@ -379,10 +423,10 @@ func (p *Proc) dropProvisionalFrom(rank int) {
 	delete(p.privStaging, rank)
 	for _, name := range sortedKeys(p.objs) {
 		o := p.objs[name]
-		if o.pendingCopy != nil && o.pendingCopy.SrcRank == rank {
-			o.pendingCopy = nil
+		if o.pending != nil && o.pending.sender == rank {
+			o.pending = nil
 		}
-		if o.state == stInactive && o.inactiveFrom == rank {
+		if o.state == stInactive && o.awaits.from == rank {
 			// Revert to absent and re-drive the request so the restored
 			// process serves it again after its replay.
 			o.state = stAbsent
@@ -400,15 +444,16 @@ func (p *Proc) dropProvisionalFrom(rank int) {
 // ---- recovering-process side ----
 
 func (p *Proc) onRecoverPriv(w *wire) {
-	if p.restore == nil {
+	inc := p.inc
+	if !inc.restoring {
 		return
 	}
 	if w.Fresh {
-		p.restore.freshVotes[w.SrcRank] = true
+		inc.freshVotes[w.SrcRank] = true
 		p.checkRestoreComplete()
 		return
 	}
-	if p.restore.priv == nil || w.Seq > p.restore.privSeq {
+	if inc.priv == nil || w.Seq > inc.privImg.seq {
 		v, err := codec.Unpack(w.Body)
 		if err != nil {
 			return
@@ -417,28 +462,27 @@ func (p *Proc) onRecoverPriv(w *wire) {
 		if !ok {
 			return
 		}
-		p.restore.priv = priv
-		p.restore.privSeq = w.Seq
-		p.restore.privBytes = w.Body
+		inc.priv = priv
+		inc.privImg = privImage{seq: w.Seq, body: w.Body}
 	}
 	p.checkRestoreComplete()
 }
 
 func (p *Proc) onRecoverData(w *wire) {
-	p.noteRecoverContrib(w)
-	if w.Shard > 0 {
+	inc, img := p.inc, imageOf(w)
+	p.noteRecoverContrib(img)
+	if img.shard > 0 {
 		// An erasure shard: fold it into the assembler; only a decoded
 		// full frame proceeds into the install paths below.
-		if p.recoverInstalled[Name(w.Name)] {
+		if inc.recoverInstalled[img.name] {
 			return
 		}
-		w = p.assembleShards(w)
-		if w == nil {
+		if img = p.assembleShards(img); img == nil {
 			return
 		}
 	}
-	if p.restore != nil {
-		keepNewer(p.restore.data, w)
+	if inc.restoring {
+		keepNewer(inc.data, img)
 		p.checkRestoreComplete()
 		return
 	}
@@ -446,47 +490,46 @@ func (p *Proc) onRecoverData(w *wire) {
 	// failed process's last checkpoint): install only once ownership is
 	// confirmed — a stale checkpoint copy naming us as owner must not fork
 	// the object (the real main may be alive elsewhere).
-	p.stashOrInstall(w)
+	p.stashOrInstall(img)
 }
 
-// stashOrInstall installs recovery data for a name missing from the
-// private state once (and only once) its ownership is confirmed.
-func (p *Proc) stashOrInstall(w *wire) {
-	name := Name(w.Name)
-	if p.recoverInstalled[name] {
+// stashOrInstall installs the image of an object missing from the private
+// state once (and only once) its ownership is confirmed.
+func (p *Proc) stashOrInstall(img *image) {
+	if p.inc.recoverInstalled[img.name] {
 		// Already restored once this incarnation. The object may since
 		// have migrated away (isMain is false again), so a duplicate
 		// contribution must not re-install it.
 		return
 	}
-	if o := p.objs[name]; o != nil && o.isMain && o.created {
+	if o := p.objs[img.name]; o != nil && o.isMain && o.created {
 		return
 	}
-	if p.ownerConfirmed[name] {
-		p.installRecoveredMain(w, nil)
+	if p.inc.ownerConfirmed[img.name] {
+		p.installRecoveredMain(img, nil)
 		return
 	}
-	keepNewer(p.unconfirmedData, w)
+	keepNewer(p.inc.unconfirmedData, img)
 }
 
 // keepNewer is the recovering-side freshness rule: best holds the best
-// kRecoverData contribution seen so far per name, and w replaces the entry
-// for its name unless that one is newer. When both carry metadata the object
-// version alone decides; otherwise a contribution from a different survivor
-// wins, as does one no older by checkpoint seq. (The holder side's rule, for
-// incoming checkpoint copies, is acceptsCopy.)
-func keepNewer(best map[Name]*wire, w *wire) {
-	prev := best[Name(w.Name)]
+// contributed image seen so far per name, and img replaces the entry for its
+// name unless that one is newer. When both carry metadata the object version
+// alone decides; otherwise a contribution from a different survivor wins, as
+// does one no older by checkpoint seq. (The holder side's rule, for incoming
+// checkpoint copies, is acceptsCopy.)
+func keepNewer(best map[Name]*image, img *image) {
+	prev := best[img.name]
 	switch {
 	case prev == nil:
-	case w.HasMeta && prev.HasMeta:
-		if w.Meta.Version < prev.Meta.Version {
+	case img.hasMeta && prev.hasMeta:
+		if img.meta.Version < prev.meta.Version {
 			return
 		}
-	case w.SrcRank == prev.SrcRank && w.Seq < prev.Seq:
+	case img.sender == prev.sender && img.seq < prev.seq:
 		return
 	}
-	best[Name(w.Name)] = w
+	best[img.name] = img
 }
 
 // onOwnerReport records that a surviving home asserts we own the named
@@ -497,10 +540,10 @@ func (p *Proc) onOwnerReport(w *wire) {
 	if p.rec != nil {
 		p.emit(trace.Event{Kind: trace.SamOwnerGrant, Name: w.Name, Src: int64(w.SrcRank)})
 	}
-	p.ownerConfirmed[name] = true
-	if d, ok := p.unconfirmedData[name]; ok {
-		delete(p.unconfirmedData, name)
-		p.installRecoveredMain(d, nil)
+	p.inc.ownerConfirmed[name] = true
+	if img, ok := p.inc.unconfirmedData[name]; ok {
+		delete(p.inc.unconfirmedData, name)
+		p.installRecoveredMain(img, nil)
 		p.repairCoverage()
 	}
 }
@@ -510,14 +553,14 @@ func (p *Proc) onOwnerReport(w *wire) {
 // survivor has reported and no live process claims the main copy.
 func (p *Proc) onOwnerHint(w *wire) {
 	name := Name(w.Name)
-	if w.Meta.Version >= p.orphanHints[name] {
-		p.orphanHints[name] = w.Meta.Version
+	if w.Meta.Version >= p.inc.orphanHints[name] {
+		p.inc.orphanHints[name] = w.Meta.Version
 	}
 	p.decideOrphans()
 }
 
 func (p *Proc) onRecoverFin(w *wire) {
-	p.finsGot[w.SrcRank] = true
+	p.inc.finsGot[w.SrcRank] = true
 	p.decideOrphans()
 }
 
@@ -528,18 +571,19 @@ func (p *Proc) onRecoverFin(w *wire) {
 // operation), the most recent committed migration pointed here, so this
 // process owns it. The quorum is per rank, not per incarnation: when a
 // contributor dies before its kRecoverFin lands, installNewIncarnation
-// re-solicits from the replacement via kRecoverReq, so the fin set is
+// re-solicits from the replacement (its own kRecovery), so the fin set is
 // effectively re-derived from the live incarnation set.
 func (p *Proc) decideOrphans() {
-	if p.orphansDecided || len(p.finsGot) < p.cfg.N-1 {
+	inc := p.inc
+	if inc.orphansDecided || len(inc.finsGot) < p.cfg.N-1 {
 		return
 	}
-	p.orphansDecided = true
-	names := make(map[Name]bool, len(p.orphanHints)+len(p.unconfirmedData))
-	for n := range p.orphanHints {
+	inc.orphansDecided = true
+	names := make(map[Name]bool, len(inc.orphanHints)+len(inc.unconfirmedData))
+	for n := range inc.orphanHints {
 		names[n] = true
 	}
-	for n := range p.unconfirmedData {
+	for n := range inc.unconfirmedData {
 		names[n] = true
 	}
 	if p.rec != nil {
@@ -561,17 +605,17 @@ func (p *Proc) decideOrphans() {
 		if d, ok := p.dir[name]; ok && d.known && d.owner != p.cfg.Rank {
 			continue // a live process claimed the main copy
 		}
-		p.ownerConfirmed[name] = true
-		if w, ok := p.unconfirmedData[name]; ok {
-			delete(p.unconfirmedData, name)
-			p.installRecoveredMain(w, nil)
+		inc.ownerConfirmed[name] = true
+		if img, ok := inc.unconfirmedData[name]; ok {
+			delete(inc.unconfirmedData, name)
+			p.installRecoveredMain(img, nil)
 		}
 	}
 	// Answer queries deferred while our own directory was being rebuilt.
-	qs := p.pendingOwnerQueries
-	p.pendingOwnerQueries = nil
-	for _, w := range qs {
-		p.onOwnerQuery(w)
+	qs := inc.pendingOwnerQueries
+	inc.pendingOwnerQueries = nil
+	for _, q := range qs {
+		p.onOwnerQuery(q)
 	}
 	p.repairCoverage()
 }
@@ -579,9 +623,9 @@ func (p *Proc) decideOrphans() {
 // sendOwnerQuery asks an object's home whether the most recent committed
 // migration left the main copy here.
 func (p *Proc) sendOwnerQuery(name Name) {
-	ver := p.orphanHints[name]
-	if w := p.unconfirmedData[name]; w != nil && w.HasMeta && w.Meta.Version > ver {
-		ver = w.Meta.Version
+	ver := p.inc.orphanHints[name]
+	if img := p.inc.unconfirmedData[name]; img != nil && img.hasMeta && img.meta.Version > ver {
+		ver = img.meta.Version
 	}
 	if p.rec != nil {
 		p.emit(trace.Event{Kind: trace.SamOwnerQuery, Name: uint64(name), Dst: int64(p.home(name)), Aux: ver})
@@ -594,24 +638,23 @@ func (p *Proc) sendOwnerQuery(name Name) {
 // simultaneous failures and Degree checkpoint-copy holders, at most one
 // dead rank can hold an object's committed main copy, so granting the
 // first otherwise-unclaimed query is sound.
-func (p *Proc) onOwnerQuery(w *wire) {
-	if p.cfg.Recovering && !p.orphansDecided {
+func (p *Proc) onOwnerQuery(q ownerQuery) {
+	if p.inc != nil && !p.inc.orphansDecided {
 		// Our directory is still being rebuilt from survivors' reports;
 		// answering now could grant an object a live process owns.
-		p.pendingOwnerQueries = append(p.pendingOwnerQueries, w)
+		p.inc.pendingOwnerQueries = append(p.inc.pendingOwnerQueries, q)
 		return
 	}
-	name := Name(w.Name)
-	d := p.dirEnt(name)
-	if d.known && d.owner != w.SrcRank {
-		p.send(w.SrcRank, &wire{Kind: kOwnerDeny, Name: w.Name})
+	d := p.dirEnt(q.name)
+	if d.known && d.owner != q.from {
+		p.send(q.from, &wire{Kind: kOwnerDeny, Name: uint64(q.name)})
 		return
 	}
 	// No live process claims the object: the most recent committed
 	// migration pointed at the querier, so it holds the main copy.
 	d.known = true
-	d.owner = w.SrcRank
-	p.send(w.SrcRank, &wire{Kind: kOwnerReport, Name: w.Name})
+	d.owner = q.from
+	p.send(q.from, &wire{Kind: kOwnerReport, Name: uint64(q.name)})
 	p.pumpAccumQueue(d)
 }
 
@@ -620,18 +663,8 @@ func (p *Proc) onOwnerDeny(w *wire) {
 	if p.rec != nil {
 		p.emit(trace.Event{Kind: trace.SamOwnerDeny, Name: w.Name, Src: int64(w.SrcRank)})
 	}
-	delete(p.unconfirmedData, name)
-	delete(p.orphanHints, name)
-}
-
-func (p *Proc) onDirReport(w *wire) {
-	d := p.dirEnt(Name(w.Name))
-	d.known = true
-	d.owner = w.SrcRank
-	if w.HasMeta {
-		d.kind = ft.ObjKind(w.Meta.Kind)
-	}
-	p.drainDirQueues(d)
+	delete(p.inc.unconfirmedData, name)
+	delete(p.inc.orphanHints, name)
 }
 
 // checkRestoreComplete resumes the application once the private state and
@@ -639,82 +672,90 @@ func (p *Proc) onDirReport(w *wire) {
 // marked freeable at the checkpoint may have been legitimately reclaimed
 // since; the replay never touches them.
 func (p *Proc) checkRestoreComplete() {
-	rs := p.restore
-	if rs == nil {
+	inc := p.inc
+	if !inc.restoring {
 		return
 	}
-	if rs.priv == nil {
+	priv := inc.priv
+	if priv == nil {
 		// Fresh restart only once every private-state holder has denied
 		// having a copy.
 		holders := ft.PrivateStateRanks(p.cfg.Rank, p.cfg.N, p.cfg.Degree)
-		if len(rs.freshVotes) < len(holders) {
+		if len(inc.freshVotes) < len(holders) {
 			return
 		}
-		p.restore = nil
 		if p.rec != nil {
 			p.emit(trace.Event{Kind: trace.SamRecRestore, Note: "fresh"})
 		}
-		p.restorec <- restoreResult{fresh: true}
-		p.flushPendingContrib()
-		p.repairCoverage()
+		p.resume(restoreResult{fresh: true})
 		return
 	}
-	metaFor := make(map[Name]ft.ObjectMeta, len(rs.priv.Owned))
-	for _, m := range rs.priv.Owned {
+	metaFor := make(map[Name]ft.ObjectMeta, len(priv.Owned))
+	for _, m := range priv.Owned {
 		metaFor[Name(m.Name)] = m
 		if m.Freeable {
 			continue
 		}
-		if _, ok := rs.data[Name(m.Name)]; !ok {
+		if _, ok := inc.data[Name(m.Name)]; !ok {
 			return // still waiting for this object's data
 		}
 	}
 
 	// Everything needed has arrived: restore.
-	priv := rs.priv
 	p.clocks.Restore(priv.T, priv.C, priv.D)
 	p.stepsDone = priv.StepsDone
 	p.boundarySnap = priv.AppState
 	p.hasCheckpointed = true
-	p.lastPrivSeq = priv.Seq
 	// Retain the packed image: if a holder of our private-state copy fails
 	// before our next checkpoint, the re-replication path needs the bytes.
-	p.lastPrivBytes = rs.privBytes
+	p.lastPriv = inc.privImg
 
-	for _, name := range sortedKeys(rs.data) {
-		w := rs.data[name]
+	for _, name := range sortedKeys(inc.data) {
+		img := inc.data[name]
 		if m, ok := metaFor[name]; ok {
-			p.installRecoveredMain(w, &m)
+			p.installRecoveredMain(img, &m)
 		} else {
 			// Not owned at the last checkpoint: only an ownership
 			// confirmation from the home or the previous holder may
 			// promote this data to a main copy.
-			p.stashOrInstall(w)
+			p.stashOrInstall(img)
 		}
 	}
-	p.restore = nil
 	if p.rec != nil {
 		p.emit(trace.Event{
 			Kind: trace.SamRecRestore, Aux: priv.StepsDone,
 			T: trace.CopyVec(priv.T), C: trace.CopyVec(priv.C), D: trace.CopyVec(priv.D),
 		})
 	}
-	p.restorec <- restoreResult{fresh: false, steps: priv.StepsDone, snap: priv.AppState}
-	p.flushPendingContrib()
+	p.resume(restoreResult{fresh: false, steps: priv.StepsDone, snap: priv.AppState})
+}
+
+// resume ends the restoring phase: the stash is released, the application
+// goroutine gets its state, and what waited for our tables to be usable —
+// contributions to other restarted ranks, coverage repair — proceeds.
+func (p *Proc) resume(res restoreResult) {
+	inc := p.inc
+	inc.restoring = false
+	inc.priv, inc.privImg, inc.freshVotes, inc.data = nil, privImage{}, nil, nil
+	inc.restorec <- res
+	for _, r := range sortedKeys(inc.pendingContrib) {
+		p.contributeIfNeeded(r)
+	}
+	inc.pendingContrib = nil
 	p.repairCoverage()
 }
 
 // installRecoveredMain re-creates the main copy of an object from a
 // checkpoint copy. meta, when non-nil, is the (newer) record from the
 // private state; otherwise the copy's carried metadata applies.
-func (p *Proc) installRecoveredMain(w *wire, meta *ft.ObjectMeta) {
-	name := Name(w.Name)
-	p.recoverInstalled[name] = true
+func (p *Proc) installRecoveredMain(img *image, meta *ft.ObjectMeta) {
+	name := img.name
+	p.inc.recoverInstalled[name] = true
 	o := p.obj(name)
 	if o.isMain && o.created {
 		return
 	}
-	data, err := codec.Unpack(w.Body)
+	data, err := codec.Unpack(img.body)
 	if err != nil {
 		return
 	}
@@ -728,18 +769,14 @@ func (p *Proc) installRecoveredMain(w *wire, meta *ft.ObjectMeta) {
 	o.invalidatePackCache()
 	if meta != nil {
 		o.applyMeta(*meta)
-	} else if w.HasMeta {
-		o.applyMeta(w.Meta)
+	} else if img.hasMeta {
+		o.applyMeta(img.meta)
 	}
-	if o.kind == ft.KindAccum {
-		o.ckptBytes = w.Body
-	}
-	o.ckptMeta = o.meta()
-	o.ckptSeq = w.Seq
+	o.setCommitted(img.seq, img.body)
 	// Rebuild the coverage ledger from the contributions that actually
 	// arrived — the holders that exist, not a recomputed placement — and
 	// queue a repair pass to top the set back up to full coverage.
-	p.store.Record(uint64(name), w.Seq, p.takeRecoverHolders(name, w.Seq))
+	p.store.Record(uint64(name), img.seq, p.takeRecoverHolders(name, img.seq))
 	p.repairPending[name] = true
 	o.pendingMove = -1
 
@@ -747,7 +784,6 @@ func (p *Proc) installRecoveredMain(w *wire, meta *ft.ObjectMeta) {
 		d := p.dirEnt(name)
 		d.known = true
 		d.owner = p.cfg.Rank
-		d.kind = o.kind
 		p.pumpAccumQueue(d)
 	}
 	if o.freeable {

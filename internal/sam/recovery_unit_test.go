@@ -118,7 +118,7 @@ func TestDropProvisionalFromReissuesFetch(t *testing.T) {
 	name := nameHomedAt(t, 4, homeRank)
 	o := p.obj(name)
 	o.state = stInactive
-	o.inactiveFrom = failed
+	o.awaits.from = failed
 	o.data = &recoveryPayload{X: 9}
 	o.isMain = false
 	o.fetchOutstanding = true
@@ -130,14 +130,14 @@ func TestDropProvisionalFromReissuesFetch(t *testing.T) {
 	quiet := nameHomedAt(t, 4, 3)
 	q := p.obj(quiet)
 	q.state = stInactive
-	q.inactiveFrom = failed
+	q.awaits.from = failed
 	q.data = &recoveryPayload{X: 1}
 
 	// Staged private state and a pending checkpoint copy from the failed
 	// rank must both be discarded.
-	p.privStaging[failed] = &wire{Kind: kCkptPriv, SrcRank: failed}
+	p.privStaging[failed] = privImage{seq: 1}
 	cp := p.obj(nameHomedAt(t, 4, 0))
-	cp.pendingCopy = &wire{Kind: kCkptCopy, SrcRank: failed}
+	cp.pending = &image{sender: failed}
 
 	p.dropProvisionalFrom(failed)
 
@@ -150,7 +150,7 @@ func TestDropProvisionalFromReissuesFetch(t *testing.T) {
 	if _, ok := p.privStaging[failed]; ok {
 		t.Error("staged private state from failed rank survived")
 	}
-	if cp.pendingCopy != nil {
+	if cp.pending != nil {
 		t.Error("pending checkpoint copy from failed rank survived")
 	}
 
@@ -178,7 +178,7 @@ func TestDropProvisionalFromReissuesLocalFetch(t *testing.T) {
 	name := nameHomedAt(t, 4, 0)
 	o := p.obj(name)
 	o.state = stInactive
-	o.inactiveFrom = failed
+	o.awaits.from = failed
 	o.data = &recoveryPayload{X: 3}
 	o.fetchOutstanding = true
 	o.reqKind = kValReq
@@ -210,12 +210,13 @@ func TestDropProvisionalFromReissuesLocalFetch(t *testing.T) {
 // replacement survivor re-sends everything) must not re-install the main
 // copy — the object may have legitimately migrated away in between.
 func TestDuplicateRecoveryDataDoesNotReinstall(t *testing.T) {
-	p, _ := testProc(t, 0, 4, false)
+	p, _ := testProc(t, 0, 4, true)
+	p.inc.restoring = false
 
 	name := nameHomedAt(t, 4, 2)
 	body := packPayload(t, 42)
-	p.ownerConfirmed[name] = true
-	p.stashOrInstall(&wire{Kind: kRecoverData, SrcRank: 1, Name: uint64(name), Body: body, Seq: 1})
+	p.inc.ownerConfirmed[name] = true
+	p.stashOrInstall(&image{name: name, sender: 1, body: body, seq: 1})
 
 	o := p.obj(name)
 	if !o.isMain || !o.created {
@@ -235,7 +236,7 @@ func TestDuplicateRecoveryDataDoesNotReinstall(t *testing.T) {
 	if o.isMain || o.created || o.data != nil {
 		t.Error("duplicate recovery data re-installed a migrated-away main copy (fork)")
 	}
-	if _, ok := p.unconfirmedData[name]; ok {
+	if _, ok := p.inc.unconfirmedData[name]; ok {
 		t.Error("duplicate recovery data was stashed despite prior install")
 	}
 }
@@ -248,7 +249,7 @@ func TestDuplicateRecoveryDataDoesNotReinstall(t *testing.T) {
 func TestDecideOrphansConflictingHints(t *testing.T) {
 	p, _ := testProc(t, 0, 4, true)
 	// Restore already completed; late arrivals go through stashOrInstall.
-	p.restore = nil
+	p.inc.restoring = false
 
 	claimed := nameHomedAt(t, 4, 0)
 	orphan := MkName(7, int(uint64(claimed)>>24&0xffffff)+1000, 0)
@@ -260,8 +261,8 @@ func TestDecideOrphansConflictingHints(t *testing.T) {
 	// migrations at different versions. The newest wins in the hint table.
 	p.onOwnerHint(&wire{Kind: kOwnerHint, SrcRank: 1, Name: uint64(claimed), Meta: ft.ObjectMeta{Version: 3}, HasMeta: true})
 	p.onOwnerHint(&wire{Kind: kOwnerHint, SrcRank: 2, Name: uint64(claimed), Meta: ft.ObjectMeta{Version: 5}, HasMeta: true})
-	if p.orphanHints[claimed] != 5 {
-		t.Fatalf("orphanHints = %d, want 5 (newest version wins)", p.orphanHints[claimed])
+	if p.inc.orphanHints[claimed] != 5 {
+		t.Fatalf("orphanHints = %d, want 5 (newest version wins)", p.inc.orphanHints[claimed])
 	}
 	p.onRecoverData(&wire{Kind: kRecoverData, SrcRank: 1, Name: uint64(claimed), Body: packPayload(t, 1), Seq: 1})
 
@@ -271,13 +272,13 @@ func TestDecideOrphansConflictingHints(t *testing.T) {
 
 	// A late directory report: rank 2 owns the claimed object (it fetched
 	// the main copy after our last checkpoint; the hints are stale).
-	p.onDirReport(&wire{Kind: kDirReport, SrcRank: 2, Name: uint64(claimed)})
+	p.dispatch(&wire{Kind: kDirReport, SrcRank: 2, Name: uint64(claimed)})
 
 	// All survivor contributions complete.
 	for r := 1; r < 4; r++ {
 		p.onRecoverFin(&wire{Kind: kRecoverFin, SrcRank: r})
 	}
-	if !p.orphansDecided {
+	if !p.inc.orphansDecided {
 		t.Fatal("orphan decision did not run after N-1 fins")
 	}
 
@@ -290,10 +291,10 @@ func TestDecideOrphansConflictingHints(t *testing.T) {
 	if o == nil || !o.isMain || !o.created {
 		t.Fatal("unclaimed self-homed orphan was not installed")
 	}
-	if !p.ownerConfirmed[orphan] {
+	if !p.inc.ownerConfirmed[orphan] {
 		t.Error("installed orphan not marked owner-confirmed")
 	}
-	if _, ok := p.unconfirmedData[orphan]; ok {
+	if _, ok := p.inc.unconfirmedData[orphan]; ok {
 		t.Error("installed orphan left in the unconfirmed stash")
 	}
 	d := p.dirEnt(orphan)
@@ -308,7 +309,7 @@ func TestDecideOrphansConflictingHints(t *testing.T) {
 // stashed data.
 func TestDecideOrphansQueriesRemoteHome(t *testing.T) {
 	p, tasks := testProc(t, 0, 4, true)
-	p.restore = nil
+	p.inc.restoring = false
 
 	homeRank := 2
 	denied := nameHomedAt(t, 4, homeRank)
@@ -341,10 +342,10 @@ func TestDecideOrphansQueriesRemoteHome(t *testing.T) {
 
 	// The home denies one claim and grants the other.
 	p.onOwnerDeny(&wire{Kind: kOwnerDeny, SrcRank: homeRank, Name: uint64(denied)})
-	if _, ok := p.unconfirmedData[denied]; ok {
+	if _, ok := p.inc.unconfirmedData[denied]; ok {
 		t.Error("denied claim left stashed data behind")
 	}
-	if _, ok := p.orphanHints[denied]; ok {
+	if _, ok := p.inc.orphanHints[denied]; ok {
 		t.Error("denied claim left its hint behind")
 	}
 	if o := p.objs[denied]; o != nil && o.isMain {
@@ -368,7 +369,7 @@ func TestDecideOrphansQueriesRemoteHome(t *testing.T) {
 // live process owns.
 func TestOwnerQueryDeferredAtRecoveringHome(t *testing.T) {
 	p, tasks := testProc(t, 0, 4, true)
-	p.restore = nil
+	p.inc.restoring = false
 
 	free := nameHomedAt(t, 4, 0)
 	taken := MkName(11, 0, 0)
@@ -378,17 +379,17 @@ func TestOwnerQueryDeferredAtRecoveringHome(t *testing.T) {
 
 	// Queries arrive from another recovering rank before our directory is
 	// rebuilt: they must be parked, not answered.
-	p.onOwnerQuery(&wire{Kind: kOwnerQuery, SrcRank: 3, Name: uint64(free), Meta: ft.ObjectMeta{Version: 1}, HasMeta: true})
-	p.onOwnerQuery(&wire{Kind: kOwnerQuery, SrcRank: 3, Name: uint64(taken), Meta: ft.ObjectMeta{Version: 1}, HasMeta: true})
+	p.dispatch(&wire{Kind: kOwnerQuery, SrcRank: 3, Name: uint64(free), Meta: ft.ObjectMeta{Version: 1}, HasMeta: true})
+	p.dispatch(&wire{Kind: kOwnerQuery, SrcRank: 3, Name: uint64(taken), Meta: ft.ObjectMeta{Version: 1}, HasMeta: true})
 	if tasks[3].Probe(pvm.AnySrc, TagSAM) {
 		t.Fatal("recovering home answered an owner query before rebuilding its directory")
 	}
-	if len(p.pendingOwnerQueries) != 2 {
-		t.Fatalf("parked queries = %d, want 2", len(p.pendingOwnerQueries))
+	if len(p.inc.pendingOwnerQueries) != 2 {
+		t.Fatalf("parked queries = %d, want 2", len(p.inc.pendingOwnerQueries))
 	}
 
 	// Directory rebuild: a survivor reports it owns one of the names.
-	p.onDirReport(&wire{Kind: kDirReport, SrcRank: 1, Name: uint64(taken)})
+	p.dispatch(&wire{Kind: kDirReport, SrcRank: 1, Name: uint64(taken)})
 	for r := 1; r < 4; r++ {
 		p.onRecoverFin(&wire{Kind: kRecoverFin, SrcRank: r})
 	}
@@ -484,7 +485,7 @@ func TestDeferredActivationsCountAtRecovery(t *testing.T) {
 		Inactive: true, Body: packPayload(t, 7), Meta: ft.ObjectMeta{Version: 1}, HasMeta: true,
 	})
 	p.dispatch(&wire{Kind: kActivate, SrcRank: checkpointer, Seq: 2})
-	if o := p.objs[name]; o == nil || o.pendingCopy == nil || o.ckptCopy || p.privStaging[failed] == nil {
+	if o := p.objs[name]; o == nil || o.pending == nil || o.copy != nil || p.privStaging[failed].body == nil {
 		t.Fatal("setup: both pieces should still be pending behind the open transaction")
 	}
 

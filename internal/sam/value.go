@@ -75,11 +75,7 @@ func (p *Proc) cmdDoneValue(c *cmd) {
 	}
 	o.pins--
 	if o.pins == 0 && o.freeable {
-		if !p.ftEnabled() {
-			delete(p.objs, c.name)
-		} else {
-			p.retryFrees()
-		}
+		p.retryFrees()
 	}
 	p.reply(c, nil, nil)
 }
@@ -232,7 +228,7 @@ func (p *Proc) sendObject(o *object, kind, rank int, tx *ckptTx) {
 	if migration {
 		// An accumulator checkpointed in this transaction travels as the
 		// image steps 2–3 just replicated (nil when fault tolerance is off).
-		w.Body = o.ckptBytes
+		w.Body = o.committed.body
 		w.Meta, w.HasMeta = o.meta(), true
 	} else {
 		o.noteSentTo(rank)
@@ -351,17 +347,13 @@ func (p *Proc) flushUseNotices() {
 
 // ---- message handlers ----
 
-func (p *Proc) onValReg(w *wire) {
-	p.setOwner(Name(w.Name), w.SrcRank, ft.KindValue)
-}
-
-// setOwner records an object's owner in this home's directory and routes
-// the requests that were waiting for one.
-func (p *Proc) setOwner(name Name, owner int, kind ft.ObjKind) {
+// setOwner records an object's owner in this home's directory — at its
+// registration, or as a survivor's report rebuilds the directory a restarted
+// home lost — and routes the requests that were waiting for one.
+func (p *Proc) setOwner(name Name, owner int) {
 	d := p.dirEnt(name)
 	d.known = true
 	d.owner = owner
-	d.kind = kind
 	p.drainDirQueues(d)
 }
 
@@ -392,12 +384,6 @@ func (p *Proc) onValReq(w *wire) {
 	p.send(d.owner, &wire{Kind: kValReqFwd, Name: w.Name, Target: w.SrcRank})
 }
 
-func (p *Proc) onValReqFwd(w *wire) {
-	// serveValueFetch handles all cases: created (serve now), not yet
-	// created or mid-recovery (queue the requester).
-	p.serveValueFetch(Name(w.Name), w.Target)
-}
-
 // onValData installs received value contents — a fetch reply or an
 // unsolicited push — as a cached copy.
 func (p *Proc) onValData(w *wire) {
@@ -426,8 +412,7 @@ func (p *Proc) onValData(w *wire) {
 		// checkpoint commits; if the sender dies first, kRecovery drops
 		// this and the fetch is re-issued.
 		o.state = stInactive
-		o.inactiveFrom = w.SrcRank
-		o.inactiveSeq = w.Seq
+		o.awaits = activation{from: w.SrcRank, seq: w.Seq}
 		return
 	}
 	o.fetchOutstanding = false

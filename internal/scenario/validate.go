@@ -2,6 +2,8 @@ package scenario
 
 import (
 	"fmt"
+
+	"samft/internal/ckptstore"
 )
 
 // validate performs every semantic check and returns all violations,
@@ -97,20 +99,11 @@ func validateEvents(s *Scenario, idx *posIndex, n int) ErrorList {
 	if degree == 0 {
 		degree = defaultDegree
 	}
-	// budget mirrors experiments.killBudget: the number of distinct ranks
-	// that may be down at once with recovery still guaranteed.
-	budget := degree
-	if n-1 < budget {
-		budget = n - 1
+	var ecp ckptstore.ECParams
+	if ec := s.Fleet.FT.EC; ec != nil {
+		ecp = ckptstore.ECParams{K: ec.Data, M: ec.Parity}
 	}
-	ecOn := false
-	if ec := s.Fleet.FT.EC; ec != nil && ec.Data >= 1 && ec.Parity >= 1 && ec.Data+ec.Parity <= n-1 {
-		ecOn = true
-		budget = ec.Parity
-	}
-	if budget < 1 {
-		budget = 1
-	}
+	ecOn, budget := ecp.FeasibleFor(n), ckptstore.Survivable(n, degree, ecp)
 
 	victims := make(map[int]bool)
 	stepVictims := make(map[int64]map[int]bool) // at_step -> distinct ranks
