@@ -86,7 +86,7 @@ type Cluster struct {
 	mu       sync.Mutex //samlint:lockclass cluster.cluster
 	tids     []pvm.TID
 	tasks    []*pvm.Task
-	allTasks []*pvm.Task // every incarnation, for error collection
+	allTasks []*pvm.Task // every incarnation, for error collection and endpoint counters
 	procs    []*sam.Proc // current incarnation's process per rank
 	stats    []*stats.Proc
 	finished []bool
@@ -438,6 +438,13 @@ func (c *Cluster) Report() stats.Report {
 	r := stats.Report{Procs: c.cfg.N, Elapsed: c.elapsedLocked()}
 	for _, s := range c.stats {
 		r.Total.Add(s.Snapshot())
+	}
+	// The receive waits are counted by the network endpoints, one per
+	// incarnation; a dead incarnation's endpoint keeps its totals.
+	for _, t := range c.allTasks {
+		es := t.Endpoint().Stats()
+		r.RecvIdleUS += es.RecvIdleUS
+		r.RecvQueuedUS += es.RecvQueuedUS
 	}
 	return r
 }

@@ -107,8 +107,8 @@ type flowFact struct {
 func (*flowFact) AFact() {}
 
 // tagMethods maps messaging method names to their tag argument index:
-// Send(dst, tag, payload), Recv/TryRecv/Probe(src, tag).
-var tagMethods = map[string]int{"Send": 1, "Recv": 1, "TryRecv": 1, "Probe": 1}
+// Send(dst, tag, payload), Recv/Take/TryRecv/Probe(src, tag).
+var tagMethods = map[string]int{"Send": 1, "Recv": 1, "Take": 1, "TryRecv": 1, "Probe": 1}
 
 func run(pass *analysis.Pass) error {
 	c := &checker{

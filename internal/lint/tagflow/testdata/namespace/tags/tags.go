@@ -20,6 +20,7 @@ type Task struct{}
 
 func (t *Task) Send(dst int, tag int, payload []byte) {}
 func (t *Task) Recv(src, tag int) []byte              { return nil }
+func (t *Task) Take(src, tag int) []byte              { return nil }
 
 func uses(t *Task) {
 	t.Send(1, TagSAM, nil)     // registered: ok
@@ -27,6 +28,8 @@ func uses(t *Task) {
 	t.Send(1, 99, nil)         // want "unregistered tag value 99"
 	t.Send(1, -1, nil)         // want "wildcard tag"
 	_ = t.Recv(-1, -1)         // wildcard receive: ok
+	_ = t.Take(-1, -1)         // the charge-free receive is a receive: wildcard ok
+	_ = t.Take(0, 98)          // want "Take with unregistered tag value 98"
 	_ = t.Recv(0, TagTaskExit) // reserved system tag: ok
 	dyn := 3
 	dyn++

@@ -53,6 +53,13 @@ type Endpoint struct {
 	sent  atomic.Uint64
 	recvd atomic.Uint64
 
+	// Receive-wait totals in modeled nanoseconds (integers so Accept pays
+	// one plain atomic add): recvIdleNS is how long the process waited for
+	// the network (arrival ahead of the clock), recvQueuedNS how long
+	// messages waited for the process (clock ahead of the arrival).
+	recvIdleNS   atomic.Uint64
+	recvQueuedNS atomic.Uint64
+
 	// Cost-model scalars copied from the network at registration, so the
 	// per-message paths read plain fields instead of chasing pointers.
 	sendOvUS  float64
@@ -97,6 +104,13 @@ type EndpointStats struct {
 	MsgsRecvd int64
 	BytesSent int64
 	BytesRecv int64
+	// RecvIdleUS is the modeled time the process spent waiting for the
+	// network: the sum over accepted messages of arrival − clock where the
+	// message arrived after the process turned to it. RecvQueuedUS is the
+	// converse: how long messages that had already arrived waited for the
+	// process to turn to them.
+	RecvIdleUS   float64
+	RecvQueuedUS float64
 }
 
 func newEndpoint(n *Network, tid TID) *Endpoint {
@@ -131,6 +145,9 @@ func (e *Endpoint) Stats() EndpointStats {
 		MsgsRecvd: int64(r >> statBytesBits),
 		BytesSent: int64(s & statBytesMask),
 		BytesRecv: int64(r & statBytesMask),
+
+		RecvIdleUS:   float64(e.recvIdleNS.Load()) / 1e3,
+		RecvQueuedUS: float64(e.recvQueuedNS.Load()) / 1e3,
 	}
 }
 
@@ -425,21 +442,27 @@ func (e *Endpoint) drainAll() {
 	e.qHead = 0
 }
 
-// consume finalizes a matched message: traffic counters, modeled-clock
-// synchronization, and the receive trace event. Everything it touches is
-// an atomic or the recorder's own leaf lock, so callers run it after
-// releasing mu — the receiver's critical section covers only the match
-// itself.
-func (e *Endpoint) consume(m *Message) {
+// Accept charges the receiver for a message Take handed out: traffic
+// counters, the receive-wait counters, modeled-clock synchronization
+// (clock = max(clock, ArrivalUS) + RecvOverheadUS) and the net.recv trace
+// event. A process calls it at the instant it turns to the message, so a
+// message dequeued early by a helper goroutine costs nothing until then.
+// Everything it touches is an atomic or the recorder's own leaf lock, so
+// Recv runs it after releasing mu — the receiver's critical section covers
+// only the match itself.
+//
+//samlint:hotpath
+func (e *Endpoint) Accept(m *Message) {
 	e.recvd.Add(statOneMsg + uint64(len(m.Payload)))
 	// Receiving synchronizes the modeled clocks: the receiver cannot have
 	// processed the message before it arrived. One CAS folds the
 	// raise-to-arrival and the receive overhead together.
 	ov := e.recvOvUS
-	var now float64
+	var was, now float64
 	for {
 		old := e.clockBits.Load()
-		t := math.Float64frombits(old)
+		was = math.Float64frombits(old)
+		t := was
 		if t < m.ArrivalUS {
 			t = m.ArrivalUS
 		}
@@ -447,6 +470,14 @@ func (e *Endpoint) consume(m *Message) {
 		if e.clockBits.CompareAndSwap(old, math.Float64bits(now)) {
 			break
 		}
+	}
+	// Who waited for whom: the process for the network (the clock was
+	// raised to the arrival) or the message for the process (it had
+	// already arrived when the process turned to it).
+	if d := m.ArrivalUS - was; d > 0 {
+		e.recvIdleNS.Add(uint64(d * 1e3))
+	} else {
+		e.recvQueuedNS.Add(uint64(-d * 1e3))
 	}
 	if e.rec != nil {
 		e.rec.Emit(trace.Event{
@@ -457,7 +488,9 @@ func (e *Endpoint) consume(m *Message) {
 	}
 }
 
-// Recv blocks until a message matching src/tag is available and returns it.
+// Take blocks until a message matching src/tag is available, removes it
+// from the mailbox and returns it — and does nothing else: no clock, no
+// counter, no trace event. The caller owes the endpoint one Accept for it.
 // It returns ErrKilled if the endpoint is killed while waiting and
 // ErrClosed if the network is shut down. Queued messages (in particular
 // exit notifications delivered during teardown) are matched before the
@@ -465,31 +498,49 @@ func (e *Endpoint) consume(m *Message) {
 // was promised even while the machine halts.
 //
 //samlint:hotpath
-func (e *Endpoint) Recv(src TID, tag int) (Message, error) {
+func (e *Endpoint) Take(src TID, tag int) (Message, error) {
 	var m Message
+	err := e.take(src, tag, &m)
+	return m, err
+}
+
+// take is Take writing into out, so Recv pays no second copy of the message.
+func (e *Endpoint) take(src TID, tag int, out *Message) error {
 	e.mu.Lock()
 	for {
 		if e.state.Load()&stateDead != 0 {
 			e.mu.Unlock()
-			return Message{}, ErrKilled
+			return ErrKilled
 		}
-		if e.fetch(src, tag, &m) {
+		if e.fetch(src, tag, out) {
 			e.mu.Unlock()
-			e.consume(&m)
-			return m, nil
+			return nil
 		}
 		if e.state.Load()&stateClosed != 0 {
 			e.mu.Unlock()
-			return Message{}, ErrClosed
+			return ErrClosed
 		}
 		e.waiting = true
 		e.cond.Wait()
 	}
 }
 
+// Recv is Take followed by Accept: the message is charged to the receiver
+// the instant it is matched.
+//
+//samlint:hotpath
+func (e *Endpoint) Recv(src TID, tag int) (Message, error) {
+	var m Message
+	err := e.take(src, tag, &m)
+	if err == nil {
+		e.Accept(&m)
+	}
+	return m, err
+}
+
 // TryRecv returns a matching message if one is queued (ok reports whether
-// it did). The error reports killed/closed states; like Recv, queued
-// matches win over ErrClosed.
+// it did), charged like Recv. The error reports killed/closed states; like
+// Recv, queued matches win over ErrClosed.
 //
 //samlint:hotpath
 func (e *Endpoint) TryRecv(src TID, tag int) (Message, bool, error) {
@@ -501,7 +552,7 @@ func (e *Endpoint) TryRecv(src TID, tag int) (Message, bool, error) {
 	}
 	if e.fetch(src, tag, &m) {
 		e.mu.Unlock()
-		e.consume(&m)
+		e.Accept(&m)
 		return m, true, nil
 	}
 	closed := e.state.Load()&stateClosed != 0

@@ -15,6 +15,10 @@
 //     Experiments report speedups in modeled time, which makes the
 //     communication/computation ratio — the quantity that shapes the
 //     paper's curves — independent of the machine running the simulation.
+//     A send is charged when it is issued; a receive is charged by Accept,
+//     at the instant the process turns to the message (Recv = Take +
+//     Accept does both at once). The net.recv trace event is therefore
+//     the handle instant, not the dequeue instant.
 //
 //   - Failure injection. Kill silences an endpoint atomically: queued and
 //     future messages to it are dropped, its blocked receivers unblock with

@@ -178,6 +178,18 @@ func (t *Task) Recv(src TID, tag int) (netsim.Message, error) {
 	return t.ep.Recv(src, tag)
 }
 
+// Take is Recv without the receive charge: it matches and dequeues, and
+// the caller owes one Accept when the process turns to the message. A
+// runtime that pulls messages off the mailbox on a helper goroutine uses
+// the pair so that a message costs modeled time when it is handled, not
+// when it is dequeued.
+func (t *Task) Take(src TID, tag int) (netsim.Message, error) {
+	return t.ep.Take(src, tag)
+}
+
+// Accept charges this task for a message Take returned.
+func (t *Task) Accept(m *netsim.Message) { t.ep.Accept(m) }
+
 // TryRecv is the non-blocking pvm_nrecv: ok reports whether a message
 // matched.
 func (t *Task) TryRecv(src TID, tag int) (netsim.Message, bool, error) {

@@ -30,7 +30,6 @@ const (
 type cmd struct {
 	op       cmdOp
 	name     Name
-	name2    Name // rename: new name
 	obj      interface{}
 	accesses int64
 	rank     int   // push destination
@@ -97,7 +96,7 @@ func (p *Proc) FreeValue(name Name) {
 // the contents for in-place update. The update must be completed and the
 // new value published with CreateRenamed before the step ends.
 func (p *Proc) RenameValue(old, new Name) interface{} {
-	return p.call(&cmd{op: opRenameValue, name: old, name2: new})
+	return p.call(&cmd{op: opRenameValue, name: old})
 }
 
 // CreateRenamed publishes the value obtained from RenameValue under its

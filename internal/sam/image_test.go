@@ -152,7 +152,7 @@ func TestRenameAfterLastUseReported(t *testing.T) {
 	}
 	p.dispatch(&wire{Kind: kValUsed, SrcRank: 1, Names: []uint64{uint64(name)}, Counts: []int64{1}})
 
-	r, ok := done(appCmd(p, &cmd{op: opRenameValue, name: name, name2: MkName(7, 999, 0)}))
+	r, ok := done(appCmd(p, &cmd{op: opRenameValue, name: name}))
 	if !ok || r.err != nil {
 		t.Fatalf("RenameValue after the last use was reported: done=%v err=%v", ok, r.err)
 	}

@@ -3,12 +3,15 @@ package sam
 // White-box tests for the paths every caller now shares: the two copy
 // freshness rules, self-addressed messages dispatched in send, the image a
 // handler keeps versus the wire its sender re-sends, and Push of a value
-// that has already been reclaimed.
+// that has already been reclaimed, and the instant a received message is
+// charged to the process's clock.
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
+	"samft/internal/codec"
 	"samft/internal/ft"
 	"samft/internal/pvm"
 )
@@ -347,5 +350,60 @@ func TestFreeCkptOnlyDropsTheSendersCopy(t *testing.T) {
 	free(newOwner)
 	if _, ok := p.objs[name]; ok {
 		t.Errorf("the owner's free left its copies behind: copy=%v pending=%v", o.copy, o.pending)
+	}
+}
+
+// TestReceiveIsChargedWhenHandled pins when a message costs the process
+// modeled time: when the runtime loop turns to it, not when the receiver
+// goroutine dequeues it. The process has one clock; a frame from a peer
+// whose clock is a second ahead, already moved into netq, must not raise it
+// under a handler that is in the middle of a burst of sends (that is what
+// serialised a checkpoint transaction's copies behind its own acks).
+func TestReceiveIsChargedWhenHandled(t *testing.T) {
+	const owner, late, parked = 1, 2, 3
+	p, tasks := testProcCfg(t, 4, Config{Rank: 0, Policy: ft.PolicyOff})
+	ep := tasks[0].Endpoint()
+	cost := ep.Network().Cost()
+	name := nameHomedAt(t, 4, 0)
+
+	// Three fetches parked in our directory: the owner's registration
+	// forwards all of them, one handler issuing three sends.
+	for r := 1; r <= parked; r++ {
+		p.dispatch(&wire{Kind: kValReq, SrcRank: r, Name: uint64(name)})
+	}
+	before := ep.ClockUS()
+
+	frame, err := codec.Pack(&wire{Kind: kValReq, SrcRank: late, Name: uint64(name)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tasks[late].Endpoint().AdvanceTo(1e6)
+	if err := tasks[late].Send(tasks[0].TID(), TagSAM, frame); err != nil {
+		t.Fatal(err)
+	}
+	go p.receiver() // exits when the machine halts
+	m := <-p.netq   // dequeued from the mailbox, not yet handled
+	if m.ArrivalUS < 1e6 {
+		t.Fatalf("setup: frame arrives at %.0f us, want a second ahead", m.ArrivalUS)
+	}
+
+	p.dispatch(&wire{Kind: kValReg, SrcRank: owner, Name: uint64(name)})
+	if got, want := ep.ClockUS()-before, parked*cost.SendOverheadUS; math.Abs(got-want) > 1e-6 {
+		t.Fatalf("handler with %d sends advanced the clock by %.1f us, want %.1f: the undelivered frame was charged at dequeue",
+			parked, got, want)
+	}
+	if got := ep.Stats().MsgsRecvd; got != 0 {
+		t.Fatalf("%d message(s) counted as received before any was handled", got)
+	}
+
+	p.handleMessage(m)
+	if got, floor := ep.ClockUS(), m.ArrivalUS+cost.RecvOverheadUS; got < floor {
+		t.Fatalf("clock after handling the frame = %.1f us, want >= arrival + receive overhead = %.1f", got, floor)
+	}
+	if got := ep.Stats().MsgsRecvd; got != 1 {
+		t.Fatalf("messages received after handling = %d, want 1", got)
+	}
+	if w := recvWire(t, tasks[owner]); w.Kind != kValReqFwd {
+		t.Fatalf("owner got %s, want the forwarded fetch", kindName(w.Kind))
 	}
 }

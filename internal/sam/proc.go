@@ -232,10 +232,13 @@ func (p *Proc) Run(app App) (finished bool) {
 	return true
 }
 
-// receiver moves messages from the PVM mailbox to the runtime queue.
+// receiver moves messages from the PVM mailbox to the runtime queue. It
+// only dequeues (Take): the process has one modeled clock, and charging
+// the receive here would raise it under a handler that is still sending.
+// handleMessage charges it when the runtime loop turns to the message.
 func (p *Proc) receiver() {
 	for {
-		m, err := p.task.Recv(pvm.AnySrc, pvm.AnyTag)
+		m, err := p.task.Take(pvm.AnySrc, pvm.AnyTag)
 		if err != nil {
 			close(p.netq)
 			return
@@ -305,8 +308,11 @@ func (p *Proc) park(c *cmd) {
 	p.maybeStartTx()
 }
 
-// handleMessage dispatches one network message.
+// handleMessage charges the process for one network message (the receive
+// overhead, and the wait for its arrival if the clock is behind it) and
+// dispatches it.
 func (p *Proc) handleMessage(m netsim.Message) {
+	p.task.Accept(&m)
 	if m.Tag == pvm.TagTaskExit {
 		dead, err := netsim.ParseExitPayload(m.Payload)
 		if err == nil {

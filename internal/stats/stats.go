@@ -154,6 +154,16 @@ type Report struct {
 	Procs   int
 	Total   Snapshot
 	Elapsed float64 // modeled seconds (max over process clocks)
+	// RecvIdleUS is the modeled time processes waited for the network,
+	// summed over all of them: for every message handled, how far its
+	// arrival was ahead of the process's clock. RecvQueuedUS is the
+	// converse — how long messages that had already arrived waited for
+	// their process to turn to them. A process's network endpoint counts
+	// both where it charges a receive (netsim.EndpointStats), which is why
+	// they are not Proc counters; the harness sums them over every
+	// incarnation.
+	RecvIdleUS   float64
+	RecvQueuedUS float64
 }
 
 // CheckpointsPerProcPerSec is the paper's "checkpoints executed on each
@@ -210,12 +220,31 @@ func (r Report) MissRatePct() float64 {
 	return 100 * float64(r.Total.Misses) / float64(r.Total.SharedAccesses)
 }
 
+// RecvIdleSecPerProc is the modeled time an average process spent waiting
+// for the network, in seconds (comparable with Elapsed).
+func (r Report) RecvIdleSecPerProc() float64 {
+	if r.Procs == 0 {
+		return 0
+	}
+	return r.RecvIdleUS / 1e6 / float64(r.Procs)
+}
+
+// RecvQueuedSecPerProc is the modeled time arrived messages spent waiting
+// for their process to turn to them, summed per message and averaged over
+// processes, in seconds.
+func (r Report) RecvQueuedSecPerProc() float64 {
+	if r.Procs == 0 {
+		return 0
+	}
+	return r.RecvQueuedUS / 1e6 / float64(r.Procs)
+}
+
 // String renders the report in the layout of the paper's per-figure
 // tables.
 func (r Report) String() string {
 	return fmt.Sprintf(
-		"procs=%d elapsed=%.3fs ckpts/proc/s=%.3f sends-ckpt%%=%.2f force-msgs/proc/s=%.4f forced-ckpts/proc/s=%.4f miss%%=%.2f snap-cache-hit%%=%.2f snap-cache-saved-B=%d",
+		"procs=%d elapsed=%.3fs ckpts/proc/s=%.3f sends-ckpt%%=%.2f force-msgs/proc/s=%.4f forced-ckpts/proc/s=%.4f miss%%=%.2f snap-cache-hit%%=%.2f snap-cache-saved-B=%d recv-idle-s/proc=%.4f recv-queued-s/proc=%.4f",
 		r.Procs, r.Elapsed, r.CheckpointsPerProcPerSec(), r.PctSendsCausingCheckpoint(),
 		r.ForceCkptMsgsPerProcPerSec(), r.ForcedCkptsPerProcPerSec(), r.MissRatePct(),
-		r.SnapCacheHitPct(), r.Total.SnapCacheBytesSaved)
+		r.SnapCacheHitPct(), r.Total.SnapCacheBytesSaved, r.RecvIdleSecPerProc(), r.RecvQueuedSecPerProc())
 }

@@ -39,6 +39,8 @@ func TestReportRates(t *testing.T) {
 			SharedAccesses:    10000,
 			Misses:            300,
 		},
+		RecvIdleUS:   6e6,
+		RecvQueuedUS: 1e6,
 	}
 	if got := r.CheckpointsPerProcPerSec(); got != 10 {
 		t.Fatalf("ckpts/proc/s = %v", got)
@@ -55,13 +57,16 @@ func TestReportRates(t *testing.T) {
 	if got := r.MissRatePct(); got != 3 {
 		t.Fatalf("miss rate = %v", got)
 	}
+	if idle, queued := r.RecvIdleSecPerProc(), r.RecvQueuedSecPerProc(); idle != 1.5 || queued != 0.25 {
+		t.Fatalf("receive waits = %v idle, %v queued s/proc", idle, queued)
+	}
 }
 
 func TestReportZeroDenominators(t *testing.T) {
 	var r Report
 	if r.CheckpointsPerProcPerSec() != 0 || r.PctSendsCausingCheckpoint() != 0 ||
 		r.MissRatePct() != 0 || r.ForceCkptMsgsPerProcPerSec() != 0 ||
-		r.ForcedCkptsPerProcPerSec() != 0 {
+		r.ForcedCkptsPerProcPerSec() != 0 || r.RecvIdleSecPerProc() != 0 || r.RecvQueuedSecPerProc() != 0 {
 		t.Fatal("zero report produced nonzero rates")
 	}
 }
@@ -69,7 +74,7 @@ func TestReportZeroDenominators(t *testing.T) {
 func TestStringContainsRows(t *testing.T) {
 	r := Report{Procs: 2, Elapsed: 1}
 	s := r.String()
-	for _, want := range []string{"ckpts/proc/s", "miss%", "force-msgs"} {
+	for _, want := range []string{"ckpts/proc/s", "miss%", "force-msgs", "recv-idle-s/proc", "recv-queued-s/proc"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("report %q missing %q", s, want)
 		}

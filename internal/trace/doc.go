@@ -7,7 +7,10 @@
 //
 // Every layer of the reproduction charges modeled microseconds to
 // per-endpoint clocks (see internal/netsim), and message receipt advances
-// the receiver's clock to at least the message's modeled arrival time.
+// the receiver's clock to at least the message's modeled arrival time —
+// at the instant the process handles the message (netsim's Accept), which
+// for a sam process is when its runtime loop turns to it, not when a
+// helper goroutine dequeued it.
 // The modeled clocks therefore form a Lamport-style order across
 // processes: any two events connected by a message chain are correctly
 // ordered by their VirtUS stamps. Merging per-process event buffers by
@@ -60,7 +63,8 @@
 // Event kinds:
 //
 //	net.send         message left the sender (Src→Dst, Tag, Bytes, MsgID; ExtraUS = chaos jitter)
-//	net.recv         message consumed by the receiver (matches net.send by MsgID)
+//	net.recv         message handled by the receiver: stamped after the receive charge, so
+//	                 VirtUS is the handle instant, not the dequeue (matches net.send by MsgID)
 //	net.drop         send discarded: destination dead or unknown
 //	net.kill         endpoint killed (on the victim's track; Aux = victim TID)
 //	net.exit         exit notification delivered to a watcher
