@@ -8,7 +8,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"os"
 	"time"
 
 	"samft/internal/cluster"
@@ -104,15 +103,9 @@ func (a *app) Snapshot() interface{} { return &a.st }
 func (a *app) Restore(s interface{}) { a.st = *(s.(*state)) }
 
 func main() {
-	trace := func(format string, args ...interface{}) {
-		if os.Getenv("SAM_TRACE") != "" {
-			fmt.Printf(format+"\n", args...)
-		}
-	}
 	c := cluster.New(cluster.Config{
 		N:      2,
 		Policy: ft.PolicySAM,
-		Trace:  trace,
 		AppFactory: func(rank int) sam.App {
 			return &app{rank: rank}
 		},

@@ -49,8 +49,6 @@ type Config struct {
 	// AppFactory builds the per-rank application. It is called again with
 	// the same rank when a failed process is restarted.
 	AppFactory func(rank int) sam.App
-	// Trace receives protocol event lines from every process (tests).
-	Trace func(format string, args ...interface{})
 	// OnRespawn, when non-nil, is invoked (outside the cluster lock) each
 	// time a failed rank is actually restarted. The chaos layer uses it to
 	// trigger kills during recovery.
@@ -165,7 +163,6 @@ func (c *Cluster) spawn(rank int, recovering bool) *pvm.Task {
 			Stats:       st,
 			Recovering:  recovering,
 			Respawn:     c.respawn,
-			Trace:       c.cfg.Trace,
 		}
 		p := sam.NewProc(t, cfg)
 		c.mu.Lock()

@@ -142,12 +142,6 @@ func chaosSchedule(spec ChaosSpec, i int) []KillEvent {
 	return clampSchedule(spec, kills)
 }
 
-// killBudget is the number of distinct ranks a schedule may take down
-// before it leaves the guaranteed-survivable envelope.
-func killBudget(spec ChaosSpec) int {
-	return ckptstore.Survivable(spec.N, spec.Degree, ckptstore.ECParams{K: spec.ECData, M: spec.ECParity})
-}
-
 // clampSchedule rewrites a generated schedule so every event is effective
 // and the schedule stays within the configuration's survivable envelope:
 //
@@ -156,14 +150,16 @@ func killBudget(spec ChaosSpec) int {
 //   - exact-duplicate events are dropped — the second Kill of a rank that
 //     just died at the same trigger is a guaranteed no-op and would make
 //     KillsApplied under-report the schedule's intent;
-//   - the distinct victim ranks are capped at killBudget: an excess kill
-//     is redirected into a re-kill of the first victim's replacement,
-//     which keeps recovery pressure without manufacturing a state the
-//     paper's guarantee never promised to survive (the EC false-failure
-//     fix: randomized sweeps with MaxKills > ECParity used to schedule
-//     more simultaneous losses than the code can decode).
+//   - the distinct victim ranks are capped at ckptstore.Survivable (how
+//     many a schedule may take down before it leaves the guaranteed-
+//     survivable envelope): an excess kill is redirected into a re-kill of
+//     the first victim's replacement, which keeps recovery pressure
+//     without manufacturing a state the paper's guarantee never promised
+//     to survive (the EC false-failure fix: randomized sweeps with
+//     MaxKills > ECParity used to schedule more simultaneous losses than
+//     the code can decode).
 func clampSchedule(spec ChaosSpec, kills []KillEvent) []KillEvent {
-	budget := killBudget(spec)
+	budget := ckptstore.Survivable(spec.N, spec.Degree, ckptstore.ECParams{K: spec.ECData, M: spec.ECParity})
 	mod := func(r int) int { return ((r % spec.N) + spec.N) % spec.N }
 	victims := make(map[int]bool)
 	seen := make(map[KillEvent]bool)
@@ -195,27 +191,25 @@ func clampSchedule(spec ChaosSpec, kills []KillEvent) []KillEvent {
 	return out
 }
 
-// RunChaos executes a fault-free baseline run and then every schedule,
-// comparing answers bit-for-bit and collecting invariant violations. The
-// schedules run concurrently under the RunAll worker bound.
+// RunChaos executes every schedule and a fault-free baseline run — one
+// RunAll batch, concurrent under its worker bound — comparing answers
+// bit-for-bit and collecting invariant violations. A run that errors out
+// (hangs until the run timeout) fails the sweep with its kill schedule,
+// chaos seed and dumped trace named in the error.
 func RunChaos(spec ChaosSpec) (ChaosResult, error) {
 	spec.fill()
 	base := Spec{
 		App: spec.App, N: spec.N, Policy: ft.PolicySAM, Degree: spec.Degree, Scale: spec.Scale,
 		Placement: spec.Placement, ECData: spec.ECData, ECParity: spec.ECParity,
 	}
-	baseline, err := Run(base)
-	if err != nil {
-		return ChaosResult{}, fmt.Errorf("chaos baseline: %w", err)
-	}
-
-	specs := make([]Spec, spec.Schedules)
-	schedules := make([][]KillEvent, spec.Schedules)
-	tracers := make([]*trace.Tracer, spec.Schedules)
-	for i := range specs {
-		schedules[i] = chaosSchedule(spec, i)
+	// Schedule i is specs[i]; the baseline rides last.
+	n := spec.Schedules
+	specs := make([]Spec, n+1)
+	names := make([]string, n+1)
+	specs[n], names[n] = base, fmt.Sprintf("%s-seed%d-baseline", spec.App, spec.Seed)
+	for i := range specs[:n] {
 		s := base
-		s.Kills = schedules[i]
+		s.Kills = chaosSchedule(spec, i)
 		s.CheckInvariants = true
 		s.ChaosSeed = spec.Seed + uint64(i)
 		if spec.Jitter {
@@ -225,20 +219,20 @@ func RunChaos(spec ChaosSpec) (ChaosResult, error) {
 		s.NotifyDup = spec.NotifyChaos
 		// Every schedule records its timeline so a failure can be dumped
 		// post-hoc; the ring buffers bound the cost on long runs.
-		tracers[i] = trace.New(0)
-		s.Tracer = tracers[i]
-		specs[i] = s
+		s.Tracer = trace.New(0)
+		specs[i], names[i] = s, fmt.Sprintf("%s-seed%d-schedule%02d", spec.App, spec.Seed, i)
 	}
 
-	out := ChaosResult{Spec: spec, Baseline: baseline.Answer}
+	out := ChaosResult{Spec: spec}
 	results, err := RunAll(specs)
 	if err != nil {
-		return out, err
+		return out, TraceRunError(err, spec.TraceDir, names)
 	}
-	for i, res := range results {
-		sched := ChaosSchedule{Index: i, Kills: schedules[i], Result: res}
-		sched.Verdict = Judge(res, &baseline, nil, tracers[i], spec.TraceDir,
-			fmt.Sprintf("%s-seed%d-schedule%02d", spec.App, spec.Seed, i))
+	baseline := results[n]
+	out.Baseline = baseline.Answer
+	for i, res := range results[:n] {
+		sched := ChaosSchedule{Index: i, Kills: res.Spec.Kills, Result: res}
+		sched.Verdict = Judge(res, &baseline, nil, res.Spec.Tracer, spec.TraceDir, names[i])
 		if sched.Failed() {
 			out.Failed++
 		}

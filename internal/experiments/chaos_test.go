@@ -148,7 +148,7 @@ func scheduleVictims(kills []KillEvent) map[int]bool {
 
 func checkSchedule(t *testing.T, spec ChaosSpec, i int, kills []KillEvent) {
 	t.Helper()
-	budget := killBudget(spec)
+	budget := ckptstore.Survivable(spec.N, spec.Degree, ckptstore.ECParams{K: spec.ECData, M: spec.ECParity})
 	victims := scheduleVictims(kills)
 	if len(victims) > budget {
 		t.Errorf("schedule %d: %d distinct victims exceeds budget %d (%s)",
@@ -182,8 +182,8 @@ func TestChaosScheduleECBudget(t *testing.T) {
 			Seed: chaosSeed(t), Schedules: 40, ECData: ec.k, ECParity: ec.m,
 		}
 		spec.fill()
-		if got := killBudget(spec); got != ec.m {
-			t.Fatalf("ec(%d,%d): killBudget = %d, want parity %d", ec.k, ec.m, got, ec.m)
+		if got := ckptstore.Survivable(spec.N, spec.Degree, ckptstore.ECParams{K: spec.ECData, M: spec.ECParity}); got != ec.m {
+			t.Fatalf("ec(%d,%d): survivable failures = %d, want parity %d", ec.k, ec.m, got, ec.m)
 		}
 		for i := 0; i < spec.Schedules; i++ {
 			checkSchedule(t, spec, i, chaosSchedule(spec, i))

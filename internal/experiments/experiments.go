@@ -216,7 +216,13 @@ func barnesParams(s Scale) barnes.Params {
 	return p
 }
 
-// Run executes one spec to completion and collects the metrics.
+// runTimeout bounds the host time Run waits for a run to finish. A
+// paper-scale run takes about half a second; a run still going after this
+// long is hung, and Run halts it and reports the timeout.
+var runTimeout = 2 * time.Minute
+
+// Run executes one spec to completion and collects the metrics. The cluster
+// is halted by the time Run returns, whatever the outcome.
 func Run(spec Spec) (Result, error) {
 	if spec.N <= 0 {
 		spec.N = 1
@@ -340,35 +346,26 @@ func Run(spec Spec) (Result, error) {
 			}
 		},
 	})
-	var rep stats.Report
 	var violations []string
-	if spec.CheckInvariants {
-		cl.Start()
-		err := cl.WaitFinished(10 * time.Minute)
-		if err == nil && !cl.Quiesce(10*time.Second) {
-			violations = append(violations, "quiesce: protocol traffic did not settle")
+	cl.Start()
+	err := cl.WaitFinished(runTimeout)
+	if err == nil && spec.CheckInvariants && !cl.Quiesce(10*time.Second) {
+		violations = append(violations, "quiesce: protocol traffic did not settle")
+	}
+	cl.Halt()
+	if err == nil {
+		err = cl.Err()
+	}
+	if err != nil {
+		return Result{}, err
+	}
+	rep := cl.Report()
+	if spec.CheckInvariants && len(violations) == 0 {
+		degree := spec.Degree
+		if degree <= 0 {
+			degree = 1
 		}
-		cl.Halt()
-		if err == nil {
-			err = cl.Err()
-		}
-		if err != nil {
-			return Result{}, err
-		}
-		rep = cl.Report()
-		if len(violations) == 0 {
-			degree := spec.Degree
-			if degree <= 0 {
-				degree = 1
-			}
-			violations = CheckInvariants(cl.InvariantSnapshots(), spec.N, degree, spec.ECData, spec.ECParity)
-		}
-	} else {
-		var err error
-		rep, err = cl.Run(10 * time.Minute)
-		if err != nil {
-			return Result{}, err
-		}
+		violations = CheckInvariants(cl.InvariantSnapshots(), spec.N, degree, spec.ECData, spec.ECParity)
 	}
 	return Result{
 		Spec:                spec,

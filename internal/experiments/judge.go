@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -76,6 +77,27 @@ func Judge(res Result, baseline *Result, assertions []string, tracer *trace.Trac
 		v.TraceDir = dir
 	}
 	return v
+}
+
+// TraceRunError dumps the timeline of the run a RunAll error is about under
+// TraceRoot(traceDir)/names[its index] — names is indexed like RunAll's
+// specs — and returns the error with the run and that directory named, so a
+// run that errored out (in practice: hung until the run timeout) is as
+// diagnosable as one that finished red. Other errors pass through.
+func TraceRunError(err error, traceDir string, names []string) error {
+	var re *RunError
+	if !errors.As(err, &re) {
+		return err
+	}
+	name := names[re.Index]
+	dir := filepath.Join(TraceRoot(traceDir), name)
+	switch paths, derr := trace.Dump(re.Spec.Tracer, dir); {
+	case derr != nil:
+		return fmt.Errorf("%s: %w (trace dump to %s failed: %v)", name, err, dir, derr)
+	case paths == nil:
+		return fmt.Errorf("%s: %w (the run recorded no trace)", name, err)
+	}
+	return fmt.Errorf("%s: %w (trace: %s)", name, err, dir)
 }
 
 // RecoveryWindowSec is a traced run's recovery time: the longest complete

@@ -47,9 +47,24 @@ func Parallelism() int {
 	return 1
 }
 
+// RunError is one cell of a RunAll batch that errored out: its application
+// failed, or it was still running at the run timeout (hung).
+type RunError struct {
+	Index int // the cell's index in RunAll's specs
+	Spec  Spec
+	Err   error
+}
+
+func (e *RunError) Error() string {
+	return fmt.Sprintf("%v n=%d policy=%v kills=[%s] chaos-seed=%d: %v",
+		e.Spec.App, e.Spec.N, e.Spec.Policy, formatKills(e.Spec.Kills), e.Spec.ChaosSeed, e.Err)
+}
+
+func (e *RunError) Unwrap() error { return e.Err }
+
 // RunAll executes every spec and returns the results in spec order. Cells
-// run concurrently up to Parallelism(); each failure is wrapped with its
-// spec, and the first (by spec order) is returned after all cells finish.
+// run concurrently up to Parallelism(); each failure is a *RunError, and the
+// first (by spec order) is returned after all cells finish.
 func RunAll(specs []Spec) ([]Result, error) {
 	results := make([]Result, len(specs))
 	errs := make([]error, len(specs))
@@ -63,8 +78,7 @@ func RunAll(specs []Spec) ([]Result, error) {
 			defer func() { <-sem }()
 			res, err := Run(specs[i])
 			if err != nil {
-				errs[i] = fmt.Errorf("%v n=%d policy=%v: %w",
-					specs[i].App, specs[i].N, specs[i].Policy, err)
+				errs[i] = &RunError{Index: i, Spec: specs[i], Err: err}
 				return
 			}
 			results[i] = res

@@ -37,7 +37,7 @@ func (p *Proc) cmdCreateAccum(c *cmd) {
 	p.stepTainted = true
 	p.taint.OnNonReexecutable()
 
-	p.send(p.home(c.name), &wire{Kind: kAccReg, Name: uint64(c.name)})
+	p.send(p.home(c.name), &wire{Kind: kReg, Name: uint64(c.name)})
 	// A recovering creator may have received a re-driven migration grant
 	// before this (re-)creation: the home believes that grant is in
 	// flight and will not issue another until it completes, so serve it
@@ -80,9 +80,7 @@ func (p *Proc) cmdUpdateAccum(c *cmd) {
 	// Note: an outbound migration may be pending (pendingMove >= 0); the
 	// acquire then queues at the home and is served when the accumulator
 	// migrates back, preserving the home's FIFO order.
-	if !o.fetchOutstanding {
-		p.request(o, kAccAcq)
-	}
+	p.ensureFetch(o, kAccAcq)
 	o.waiters = append(o.waiters, c)
 	p.park(c)
 }
@@ -107,16 +105,10 @@ func (p *Proc) cmdReleaseAccum(c *cmd) {
 	o.dirty = true
 	o.dirtySeq++
 	o.version++
-	// Serve a migration that arrived while the application held the lock.
+	// Serve the chaotic reads deferred during the update, then a migration
+	// that arrived while the application held the lock.
+	p.serveRemoteWaiters(o)
 	p.tryMigrate(o)
-	// Serve chaotic-read snapshots deferred during the update.
-	if len(o.remoteWaiters) > 0 && o.kind == ft.KindAccum {
-		rw := o.remoteWaiters
-		o.remoteWaiters = nil
-		for _, r := range rw {
-			p.deliver(o, kAccSnap, r)
-		}
-	}
 	p.reply(c, nil, nil)
 }
 
@@ -128,9 +120,7 @@ func (p *Proc) cmdChaoticRead(c *cmd) {
 		return
 	}
 	p.st.Misses.Add(1)
-	if !o.fetchOutstanding {
-		p.request(o, kAccSnapReq)
-	}
+	p.ensureFetch(o, kReadReq)
 	o.waiters = append(o.waiters, c)
 	p.park(c)
 }
@@ -223,19 +213,6 @@ func (p *Proc) handOff(o *object, target int) {
 	p.send(p.home(o.name), &wire{Kind: kAccOwner, Name: uint64(o.name), Target: target})
 }
 
-// ---- snapshots (chaotic reads) ----
-
-// queueOrServeSnapshot serves a chaotic-read snapshot unless the
-// application currently holds the update lock (the contents are being
-// mutated); deferred snapshots are served at release.
-func (p *Proc) queueOrServeSnapshot(o *object, requester int) {
-	if o.accLocked {
-		o.remoteWaiters = enqueue(o.remoteWaiters, requester)
-		return
-	}
-	p.deliver(o, kAccSnap, requester)
-}
-
 // ---- message handlers ----
 
 // onAccAcq queues an acquisition at the name's home (FIFO).
@@ -272,98 +249,39 @@ func (p *Proc) onAccData(w *wire) {
 	o.pendingMove = -1
 	o.migrationQueued = false
 	if w.Inactive {
-		// Ownership commits with the sender's checkpoint; if the sender
-		// dies first, kRecovery reverts this entry and the acquisition is
-		// re-driven by the home.
-		o.state = stInactive
-		o.awaits = activation{from: w.SrcRank, seq: w.Seq}
-		// The sender's transaction also places fresh checkpoint copies of
-		// this object under our ownership, stamped with the sender's
-		// sequence number. Adopt them as our backing checkpoint:
+		// Ownership commits with the sender's checkpoint (if the sender dies
+		// first, kRecovery reverts this entry and the home re-drives the
+		// acquisition), and that transaction also places fresh checkpoint
+		// copies of this object under our ownership, stamped with the
+		// sender's sequence number. Adopt them as our backing checkpoint:
 		// bookkeeping left over from an earlier ownership epoch names
 		// copies that are gone or stale, and would poison the recovery
 		// re-supply path and free accounting.
 		o.setCommitted(w.Seq, w.Body)
 		p.store.Record(uint64(name), w.Seq, unpackHolders(w.Holders))
-		// Grants stashed while we were not the owner become a pending
-		// move now; tryMigrate waits for the activate.
-		p.drainPendingGrants(o)
-		return
 	}
-	o.fetchOutstanding = false
-	o.state = stPresent
-	p.serveLocalWaiters(o)
+	p.arrived(o, w)
+	// Grants stashed while we were not the owner become a pending move now;
+	// tryMigrate waits for the activate if the contents are inactive.
 	p.drainPendingGrants(o)
 }
 
+// onAccOwner learns, at the name's home, that a migration to Target
+// completed.
 func (p *Proc) onAccOwner(w *wire) {
 	d := p.dirEnt(Name(w.Name))
-	d.known = true
-	if d.grantInFlight {
-		if w.Target == d.grantTarget {
-			// The grant we issued completed.
-			d.grantInFlight = false
-			d.grantTarget = -1
-		} else {
-			// A migration other than the one we granted completed (a
-			// stale grant that raced a recovery, or a pre-failure
-			// migration we only now learn about). Our grant chased a
-			// stale owner: re-drive it at the new owner so the queue
-			// keeps moving.
-			d.owner = w.Target
-			p.send(d.owner, &wire{Kind: kAccGrant, Name: uint64(d.name), Target: d.grantTarget})
-			return
-		}
+	// A migration other than the one we granted (a stale grant that raced a
+	// recovery, or a pre-failure migration we only now learn about) means our
+	// grant chased a stale owner.
+	stale := d.grantInFlight && w.Target != d.grantTarget
+	if d.grantInFlight && !stale {
+		// The grant we issued completed.
+		d.grantInFlight = false
+		d.grantTarget = -1
 	}
-	d.owner = w.Target
-	p.pumpAccumQueue(d)
-}
-
-// onAccSnapReq routes a chaotic-read request at the name's home.
-func (p *Proc) onAccSnapReq(w *wire) {
-	d := p.dirEnt(Name(w.Name))
-	if !d.known {
-		d.pendingSnap = enqueue(d.pendingSnap, w.SrcRank)
-		return
+	p.setOwner(d.name, w.Target)
+	if stale {
+		// Re-drive the grant at the new owner so the queue keeps moving.
+		p.send(d.owner, &wire{Kind: kAccGrant, Name: w.Name, Target: d.grantTarget})
 	}
-	p.send(d.owner, &wire{Kind: kAccSnapFwd, Name: w.Name, Target: w.SrcRank})
-}
-
-func (p *Proc) onAccSnapFwd(w *wire) {
-	o := p.objs[Name(w.Name)]
-	if o == nil || !o.isMain {
-		// Stale forward: point the home at the successor if known.
-		if o != nil && o.ownerRank >= 0 {
-			p.send(p.home(Name(w.Name)), &wire{Kind: kAccOwner, Name: w.Name, Target: o.ownerRank})
-		}
-		return
-	}
-	p.queueOrServeSnapshot(o, w.Target)
-}
-
-func (p *Proc) onAccSnap(w *wire) {
-	if w.Inactive {
-		p.ackPiece(w)
-	}
-	name := Name(w.Name)
-	o := p.obj(name)
-	o.fetchOutstanding = false
-	if o.isMain {
-		return // we became the owner meanwhile; our copy is fresher
-	}
-	data, err := codec.Unpack(w.Body)
-	if err != nil {
-		return
-	}
-	o.kind = ft.KindAccum
-	o.data = data
-	o.ownerRank = w.SrcRank
-	o.invalidatePackCache()
-	if w.Inactive {
-		o.state = stInactive
-		o.awaits = activation{from: w.SrcRank, seq: w.Seq}
-		return
-	}
-	o.state = stPresent
-	p.serveLocalWaiters(o)
 }

@@ -56,14 +56,6 @@ type txMigration struct {
 	target int
 }
 
-// forceReq is a force-checkpoint request we must answer after our next
-// committed checkpoint.
-type forceReq struct {
-	origin int
-	name   Name
-	f      int64
-}
-
 // maxFreeBacklog models cache replacement pressure: once this many
 // freeable main copies are awaiting reclamation, the process sends
 // force-checkpoint messages for the oldest instead of waiting for
@@ -235,7 +227,7 @@ func (p *Proc) startTx() {
 		if t.kind == 0 || o == nil || !o.isMain || !o.created {
 			continue // bare checkpoint (initial or forced), or the object is gone
 		}
-		if t.kind == kValData && copyHolders[t.name][t.target] {
+		if t.kind == kObjData && o.kind == ft.KindValue && copyHolders[t.name][t.target] {
 			// Already sent to that process as a checkpoint copy; the
 			// activation will make it usable there (§4.4).
 			p.st.ObjectSends.Add(1)
@@ -336,8 +328,8 @@ func (p *Proc) commitTx() {
 	// Answer force-checkpoint requests now covered by this checkpoint.
 	reqs := p.forceReplies
 	p.forceReplies = nil
-	for _, fr := range reqs {
-		p.send(fr.origin, &wire{Kind: kForceAck, Name: uint64(fr.name), F: fr.f})
+	for _, origin := range reqs {
+		p.send(origin, &wire{Kind: kForceAck})
 	}
 
 	p.tx = nil
@@ -649,14 +641,14 @@ func (p *Proc) onForceCkpt(w *wire) {
 		if p.rec != nil {
 			p.emit(trace.Event{Kind: trace.SamForceRecv, Src: int64(w.SrcRank), Name: w.Name, Aux: w.F, Note: "ckpt"})
 		}
-		p.forceReplies = append(p.forceReplies, forceReq{origin: w.SrcRank, name: Name(w.Name), f: w.F})
+		p.forceReplies = append(p.forceReplies, w.SrcRank)
 		p.addForcedTrigger()
 		return
 	}
 	if p.rec != nil {
 		p.emit(trace.Event{Kind: trace.SamForceRecv, Src: int64(w.SrcRank), Name: w.Name, Aux: w.F, Note: "covered"})
 	}
-	p.send(w.SrcRank, &wire{Kind: kForceAck, Name: w.Name, F: w.F})
+	p.send(w.SrcRank, &wire{Kind: kForceAck})
 }
 
 // addForcedTrigger queues a bare checkpoint marked as forced.

@@ -146,9 +146,9 @@ func TestRenameAfterLastUseReported(t *testing.T) {
 	if r, _ := done(appCmd(p, &cmd{op: opCreateValue, name: name, obj: &recoveryPayload{X: 5}, accesses: 1})); r.err != nil {
 		t.Fatalf("create: %v", r.err)
 	}
-	p.dispatch(&wire{Kind: kValReq, SrcRank: 1, Name: uint64(name)})
-	if w := recvWire(t, tasks[1]); w.Kind != kValData {
-		t.Fatalf("consumer got %s, want ValData", kindName(w.Kind))
+	p.dispatch(&wire{Kind: kReadReq, SrcRank: 1, Name: uint64(name)})
+	if w := recvWire(t, tasks[1]); w.Kind != kObjData {
+		t.Fatalf("consumer got %s, want ObjData", kindName(w.Kind))
 	}
 	p.dispatch(&wire{Kind: kValUsed, SrcRank: 1, Names: []uint64{uint64(name)}, Counts: []int64{1}})
 

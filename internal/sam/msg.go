@@ -17,6 +17,11 @@ const TagSAM = pvm.TagUserBase + 1
 // for the smallest control message, 216 with a one-entry stamp). Renumbering
 // kinds therefore never moves a frame size.
 //
+// Values and accumulators are registered (kReg) and read — a value fetch, a
+// chaotic read — by one exchange: requester -> home (kReadReq) -> owner
+// (kReadFwd) -> requester (kObjData, whose Meta names the object kind). Only
+// what accumulators alone do — migrate under mutual exclusion — has its own.
+//
 // A wire is a frame and nothing else: a handler reads what it needs out of
 // the one it is given and keeps none (TestNoReceivedWireIsRetained).
 // Checkpointed state that outlives a message is an image or a privImage
@@ -24,22 +29,18 @@ const TagSAM = pvm.TagUserBase + 1
 // so splitting this struct into a header plus per-kind payloads is a change
 // to this file and those two functions.
 const (
-	// Values.
-	kValReg    = iota + 1 // creator -> home: value exists, owner = SrcRank
-	kValReq               // requester -> home: locate and fetch a value
-	kValReqFwd            // home -> owner: forward of kValReq (Target = requester)
-	kValData              // owner -> Target: value contents (fetch reply or Push)
-	kValUsed              // consumer -> owner: batched use counts (Names/Counts)
+	// Objects of either kind.
+	kReg     = iota + 1 // creator -> home: object exists, owner = SrcRank
+	kReadReq            // requester -> home: locate the object and send me its contents
+	kReadFwd            // home (or a previous owner) -> owner: forward of kReadReq (Target = requester)
+	kObjData            // owner -> Target: object contents (read reply, or Push of a value)
+	kValUsed            // consumer -> owner: batched use counts (Names/Counts)
 
-	// Accumulators.
-	kAccReg     // creator -> home: accumulator exists, owner = SrcRank
-	kAccAcq     // requester -> home: request mutual exclusion + migration
-	kAccGrant   // home -> current owner: migrate accumulator to Target
-	kAccData    // old owner -> new owner: accumulator contents (ownership transfer)
-	kAccOwner   // old owner -> home: ownership moved to Target
-	kAccSnapReq // requester -> home: chaotic read snapshot request
-	kAccSnapFwd // home -> owner: forward of kAccSnapReq
-	kAccSnap    // owner -> requester: snapshot of accumulator contents
+	// Accumulator migration.
+	kAccAcq   // requester -> home: request mutual exclusion + migration
+	kAccGrant // home -> current owner: migrate accumulator to Target
+	kAccData  // old owner -> new owner: accumulator contents (ownership transfer)
+	kAccOwner // old owner -> home: ownership moved to Target
 
 	// Checkpointing (§4.4).
 	kCkptPriv  // checkpointer -> designated: private state (ack required)
@@ -47,7 +48,7 @@ const (
 	kCkptAck   // designated -> checkpointer: ack for priv state / inactive copy
 	kActivate  // checkpointer -> recipients: commit, activate Seq's objects
 	kForceCkpt // owner -> laggard: checkpoint so I can free (F = freeable time)
-	kForceAck  // laggard -> owner: done (stamp carries the new c value)
+	kForceAck  // laggard -> owner: done (the stamp carries the new c value; nothing else)
 	kFreeCkpt  // owner -> checkpoint-copy holder: copy can be dropped
 
 	// Failure handling (§4.5).
@@ -55,7 +56,7 @@ const (
 	kRecovery    // coordinator -> all: rank Target restarted as tid NewTID; from the new process itself, also: (re)send your contribution
 	kRecoverPriv // priv-state holder -> new process: latest private state
 	kRecoverData // ckpt-copy holder -> new process: object main copy restoration
-	kDirReport   // object owner -> new process: directory info for names homed there
+	kDirReport   // object owner -> new process: I own this name homed at you (kReg, but counted as a recovery contribution)
 	kOwnerReport // surviving home -> new process: you own this object (authoritative)
 	kOwnerHint   // previous holder -> new process: a migration sent this object to you (version-stamped)
 	kRecoverFin  // survivor -> new process: my recovery contribution is complete
@@ -65,11 +66,10 @@ const (
 
 // kindNames is indexed by message kind.
 var kindNames = [...]string{
-	kValReg: "ValReg", kValReq: "ValReq", kValReqFwd: "ValReqFwd",
-	kValData: "ValData", kValUsed: "ValUsed",
-	kAccReg: "AccReg", kAccAcq: "AccAcq", kAccGrant: "AccGrant",
-	kAccData: "AccData", kAccOwner: "AccOwner", kAccSnapReq: "AccSnapReq",
-	kAccSnapFwd: "AccSnapFwd", kAccSnap: "AccSnap",
+	kReg: "Reg", kReadReq: "ReadReq", kReadFwd: "ReadFwd",
+	kObjData: "ObjData", kValUsed: "ValUsed",
+	kAccAcq: "AccAcq", kAccGrant: "AccGrant",
+	kAccData: "AccData", kAccOwner: "AccOwner",
 	kCkptPriv: "CkptPriv", kCkptCopy: "CkptCopy", kCkptAck: "CkptAck",
 	kActivate: "Activate", kForceCkpt: "ForceCkpt", kForceAck: "ForceAck",
 	kFreeCkpt: "FreeCkpt",
@@ -114,7 +114,8 @@ type wire struct {
 	Inactive bool
 	// F is the freeable-mark time in force-checkpoint messages.
 	F int64
-	// Meta carries object metadata alongside checkpoint/recovery copies.
+	// Meta carries the owner's metadata alongside object contents: on every
+	// object frame (kObjData, kAccData) and checkpoint/recovery copy.
 	Meta ft.ObjectMeta
 	// HasMeta distinguishes a zero Meta from an absent one.
 	HasMeta bool

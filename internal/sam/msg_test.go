@@ -13,12 +13,37 @@ func TestKindNameNoAlloc(t *testing.T) {
 		t.Fatalf("kindName allocates %v times per call pair", n)
 	}
 	_ = sink
-	for k := kValReg; k <= kOwnerDeny; k++ {
+	for k := kReg; k <= kOwnerDeny; k++ {
 		if name := kindName(k); name == "" || name == "?" {
 			t.Errorf("kind %d has no name", k)
 		}
 	}
 	if got := kindName(0); got != "?" {
 		t.Errorf("kindName(0) = %q, want ?", got)
+	}
+}
+
+// TestEveryKindIsNamed pins the kind list against its name table: kinds are
+// numbered 1 … kOwnerDeny without a gap, each has a name of its own, and the
+// table holds no name left over from a kind that is gone. The list only ever
+// shrinks (ROADMAP: fewer message kinds, not more), so its length is pinned
+// as a ceiling.
+func TestEveryKindIsNamed(t *testing.T) {
+	const last = kOwnerDeny
+	if last > 26 {
+		t.Errorf("%d message kinds, want at most 26: fold the new exchange into an existing one", last)
+	}
+	if len(kindNames) != last+1 {
+		t.Errorf("kindNames has %d slots for %d kinds", len(kindNames), last)
+	}
+	seen := map[string]int{}
+	for k := 1; k <= last; k++ {
+		name := kindName(k)
+		if name == "" || name == "?" {
+			t.Errorf("kind %d has no name", k)
+		} else if prev, dup := seen[name]; dup {
+			t.Errorf("kinds %d and %d are both named %q", prev, k, name)
+		}
+		seen[name] = k
 	}
 }

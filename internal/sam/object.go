@@ -86,13 +86,13 @@ type object struct {
 	// waiters are application commands parked until this object becomes
 	// usable locally.
 	waiters []*cmd
-	// remoteWaiters are ranks whose fetch requests arrived before the
-	// value was (re)created here.
+	// remoteWaiters are ranks whose reads arrived while the main copy could
+	// not be sent from here (serveRead); serveRemoteWaiters replays them.
 	remoteWaiters []int
 
-	// fetchOutstanding marks an issued fetch/acquire request; used to
+	// fetchOutstanding marks an issued read/acquire request; used to
 	// avoid duplicates and to re-issue after an owner's failure. reqKind
-	// records which request to re-issue (kValReq, kAccAcq, kAccSnapReq).
+	// records which request to re-issue (kReadReq or kAccAcq).
 	fetchOutstanding bool
 	reqKind          int
 
@@ -116,7 +116,7 @@ type object struct {
 	committed image
 
 	// sentTo records ranks this owner has sent the object's contents to
-	// (fetch replies, pushes, snapshots, full checkpoint copies). The
+	// (read replies, pushes, full checkpoint copies). The
 	// ckptstore affinity policy prefers these ranks as copy holders: they
 	// already spend cache memory on the object, and a holder that is also
 	// a consumer can serve reads after a recovery. Where the newest
@@ -193,14 +193,11 @@ func (o *object) setCommitted(seq int64, body []byte) {
 // main copy lives and who is waiting for it.
 type dirEntry struct {
 	name  Name
-	known bool // owner is known
+	known bool // owner is known; setOwner is the one writer of both
 	owner int  // rank of the current owner
 
-	// pendingFetch are ranks whose kValReq arrived before registration.
-	pendingFetch []int
-	// pendingSnap are ranks whose chaotic-read request arrived before
-	// registration.
-	pendingSnap []int
+	// pendingRead are ranks whose kReadReq arrived before an owner was known.
+	pendingRead []int
 
 	// Accumulator arbitration: FIFO of ranks waiting for the lock, and
 	// whether a migration grant is outstanding.

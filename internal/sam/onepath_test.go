@@ -3,8 +3,10 @@ package sam
 // White-box tests for the paths every caller now shares: the two copy
 // freshness rules, self-addressed messages dispatched in send, the image a
 // handler keeps versus the wire its sender re-sends, and Push of a value
-// that has already been reclaimed, and the instant a received message is
-// charged to the process's clock.
+// that has already been reclaimed, the instant a received message is
+// charged to the process's clock, and the receive side's one read route
+// (serveRead), one arrival tail (arrived) and one directory-owner writer
+// (setOwner).
 
 import (
 	"math"
@@ -155,11 +157,12 @@ func TestSelfHomedRequestsStayLocal(t *testing.T) {
 	cases := []struct {
 		name             string
 		op               cmdOp
+		kind             ft.ObjKind
 		reg, fwd, answer int
 	}{
-		{"value fetch", opUseValue, kValReg, kValReqFwd, kValData},
-		{"accumulator acquire", opUpdateAccum, kAccReg, kAccGrant, kAccData},
-		{"chaotic read", opChaoticRead, kAccReg, kAccSnapFwd, kAccSnap},
+		{"value fetch", opUseValue, ft.KindValue, kReg, kReadFwd, kObjData},
+		{"accumulator acquire", opUpdateAccum, ft.KindAccum, kReg, kAccGrant, kAccData},
+		{"chaotic read", opChaoticRead, ft.KindAccum, kReg, kReadFwd, kObjData},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -176,7 +179,7 @@ func TestSelfHomedRequestsStayLocal(t *testing.T) {
 				t.Fatalf("request leg to a self-homed name put %d message(s) on the network", got)
 			}
 			d := p.dirEnt(name)
-			if len(d.pendingFetch)+len(d.pendingSnap)+len(d.acqQueue) != 1 {
+			if len(d.pendingRead)+len(d.acqQueue) != 1 {
 				t.Fatalf("request not parked in our own directory: %+v", d)
 			}
 
@@ -190,7 +193,10 @@ func TestSelfHomedRequestsStayLocal(t *testing.T) {
 				t.Fatalf("forward = %s target %d, want %s target 0", kindName(w.Kind), w.Target, kindName(tc.fwd))
 			}
 
-			p.dispatch(&wire{Kind: tc.answer, SrcRank: owner, Name: uint64(name), Target: 0, Body: body(t)})
+			p.dispatch(&wire{
+				Kind: tc.answer, SrcRank: owner, Name: uint64(name), Target: 0, Body: body(t),
+				Meta: ft.ObjectMeta{Kind: uint8(tc.kind)}, HasMeta: true,
+			})
 			r, ok := done(c)
 			if !ok || r.err != nil {
 				t.Fatalf("access did not complete after the owner's reply: done=%v err=%v", ok, r.err)
@@ -268,9 +274,9 @@ func TestPushAfterReclaimIsNoOp(t *testing.T) {
 	// Both consumers fetch the value, use it, and report the use at their
 	// step boundary — all before the creator's first Push.
 	for _, consumer := range []int{1, 2} {
-		p.dispatch(&wire{Kind: kValReq, SrcRank: consumer, Name: uint64(name)})
-		if w := recvWire(t, tasks[consumer]); w.Kind != kValData {
-			t.Fatalf("consumer %d got %s, want ValData", consumer, kindName(w.Kind))
+		p.dispatch(&wire{Kind: kReadReq, SrcRank: consumer, Name: uint64(name)})
+		if w := recvWire(t, tasks[consumer]); w.Kind != kObjData {
+			t.Fatalf("consumer %d got %s, want ObjData", consumer, kindName(w.Kind))
 		}
 		p.dispatch(&wire{Kind: kValUsed, SrcRank: consumer, Names: []uint64{uint64(name)}, Counts: []int64{1}})
 	}
@@ -302,7 +308,10 @@ func TestPushAfterReclaimIsNoOp(t *testing.T) {
 
 	// An entry that exists but is not an owned, created value: still an error.
 	cached := nameHomedAt(t, 3, 1)
-	p.dispatch(&wire{Kind: kValData, SrcRank: 1, Name: uint64(cached), Body: packPayload(t, 9)})
+	p.dispatch(&wire{
+		Kind: kObjData, SrcRank: 1, Name: uint64(cached), Body: packPayload(t, 9),
+		Meta: ft.ObjectMeta{Kind: uint8(ft.KindValue)}, HasMeta: true,
+	})
 	if r, _ := done(appCmd(p, &cmd{op: opPush, name: cached, rank: 2})); r.err == nil {
 		t.Error("Push of a value cached from another owner did not fail")
 	}
@@ -369,11 +378,11 @@ func TestReceiveIsChargedWhenHandled(t *testing.T) {
 	// Three fetches parked in our directory: the owner's registration
 	// forwards all of them, one handler issuing three sends.
 	for r := 1; r <= parked; r++ {
-		p.dispatch(&wire{Kind: kValReq, SrcRank: r, Name: uint64(name)})
+		p.dispatch(&wire{Kind: kReadReq, SrcRank: r, Name: uint64(name)})
 	}
 	before := ep.ClockUS()
 
-	frame, err := codec.Pack(&wire{Kind: kValReq, SrcRank: late, Name: uint64(name)})
+	frame, err := codec.Pack(&wire{Kind: kReadReq, SrcRank: late, Name: uint64(name)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +396,7 @@ func TestReceiveIsChargedWhenHandled(t *testing.T) {
 		t.Fatalf("setup: frame arrives at %.0f us, want a second ahead", m.ArrivalUS)
 	}
 
-	p.dispatch(&wire{Kind: kValReg, SrcRank: owner, Name: uint64(name)})
+	p.dispatch(&wire{Kind: kReg, SrcRank: owner, Name: uint64(name)})
 	if got, want := ep.ClockUS()-before, parked*cost.SendOverheadUS; math.Abs(got-want) > 1e-6 {
 		t.Fatalf("handler with %d sends advanced the clock by %.1f us, want %.1f: the undelivered frame was charged at dequeue",
 			parked, got, want)
@@ -403,7 +412,187 @@ func TestReceiveIsChargedWhenHandled(t *testing.T) {
 	if got := ep.Stats().MsgsRecvd; got != 1 {
 		t.Fatalf("messages received after handling = %d, want 1", got)
 	}
-	if w := recvWire(t, tasks[owner]); w.Kind != kValReqFwd {
+	if w := recvWire(t, tasks[owner]); w.Kind != kReadFwd {
 		t.Fatalf("owner got %s, want the forwarded fetch", kindName(w.Kind))
+	}
+}
+
+// onlyTo fails the test unless rank is the only peer with a protocol message
+// waiting. Sends are synchronous into the peer's mailbox, so a handler's
+// whole output is there to be probed the moment it returns.
+func onlyTo(t *testing.T, tasks []*pvm.Task, rank int) {
+	t.Helper()
+	for r, task := range tasks {
+		if got := task.Probe(pvm.AnySrc, TagSAM); got != (r == rank) {
+			t.Fatalf("message waiting at rank %d = %v, want messages at rank %d only", r, got, rank)
+		}
+	}
+}
+
+// TestInactiveSnapshotIsRefetchedWhenItsSenderDies pins the arrival tail both
+// kinds of object share: contents that arrive inactive leave the request
+// they answer outstanding, so when their sender dies before activating them
+// the entry is reverted and the read is re-issued — the reader is not left
+// parked on data that will never become usable. (The accumulator row hung
+// while snapshots had an arrival path of their own that cleared the request
+// on arrival.)
+func TestInactiveSnapshotIsRefetchedWhenItsSenderDies(t *testing.T) {
+	const home, sender = 2, 1
+	cases := []struct {
+		name string
+		op   cmdOp
+		kind ft.ObjKind
+	}{
+		{"chaotic read", opChaoticRead, ft.KindAccum},
+		{"value fetch", opUseValue, ft.KindValue},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p, tasks := testProc(t, 0, 4, false)
+			name := nameHomedAt(t, 4, home)
+			c := appCmd(p, &cmd{op: tc.op, name: name})
+			onlyTo(t, tasks, home)
+			if w := recvWire(t, tasks[home]); w.Kind != kReadReq || Name(w.Name) != name {
+				t.Fatalf("read request = %s %v, want ReadReq %v", kindName(w.Kind), Name(w.Name), name)
+			}
+
+			// The owner's reply rides its checkpoint transaction: acknowledged
+			// at once, unusable until the activation.
+			p.dispatch(&wire{
+				Kind: kObjData, SrcRank: sender, Name: uint64(name), Body: packPayload(t, 7),
+				Inactive: true, Seq: 5, Piece: 0, Meta: ft.ObjectMeta{Kind: uint8(tc.kind)}, HasMeta: true,
+			})
+			onlyTo(t, tasks, sender)
+			if w := recvWire(t, tasks[sender]); w.Kind != kCkptAck {
+				t.Fatalf("inactive contents answered with %s, want CkptAck", kindName(w.Kind))
+			}
+			if _, ok := done(c); ok {
+				t.Fatal("access served from contents that are not committed yet")
+			}
+
+			// The owner dies before activating and is restarted.
+			block := make(chan struct{})
+			t.Cleanup(func() { close(block) })
+			reborn := tasks[0].Machine().Spawn("t1b", func(*pvm.Task) { <-block })
+			p.noteIncarnation(sender, reborn.TID(), false)
+
+			if o := p.objs[name]; o.state != stAbsent || o.data != nil || !o.fetchOutstanding {
+				t.Fatalf("entry after its sender's death: state=%v data=%v outstanding=%v, want absent and re-requested",
+					o.state, o.data, o.fetchOutstanding)
+			}
+			if !tasks[home].Probe(pvm.AnySrc, TagSAM) {
+				t.Fatal("the read was not re-issued: the reader stays parked forever")
+			}
+			// dropProvisionalFrom re-issues it, and so does the contribution
+			// to the restarted rank (every outstanding request); the home's
+			// queues are idempotent. Nothing else goes to the home.
+			for tasks[home].Probe(pvm.AnySrc, TagSAM) {
+				if w := recvWire(t, tasks[home]); w.Kind != kReadReq || Name(w.Name) != name {
+					t.Fatalf("home got %s %v, want the re-issued ReadReq %v", kindName(w.Kind), Name(w.Name), name)
+				}
+			}
+			if _, ok := done(c); ok {
+				t.Fatal("access completed without any contents")
+			}
+		})
+	}
+}
+
+// TestStaleReadForwardFollowsTheAccumulator: the home forwards a read to the
+// owner it knows, and the accumulator can leave before the forward arrives.
+// The previous owner knows where it went; the read follows it there. (It
+// used to be dropped with only a kAccOwner to the home, which re-drives
+// stale grants but not reads: the reader hung.)
+func TestStaleReadForwardFollowsTheAccumulator(t *testing.T) {
+	const home, successor, reader = 2, 1, 3
+	p, tasks := testProcCfg(t, 4, Config{Rank: 0, Policy: ft.PolicyOff})
+	name := nameHomedAt(t, 4, home)
+	if r, _ := done(appCmd(p, &cmd{op: opCreateAccum, name: name, obj: &recoveryPayload{X: 7}})); r.err != nil {
+		t.Fatalf("create: %v", r.err)
+	}
+	if w := recvWire(t, tasks[home]); w.Kind != kReg {
+		t.Fatalf("creation sent %s to the home, want Reg", kindName(w.Kind))
+	}
+
+	// The home grants the accumulator to rank 1; with fault tolerance off it
+	// leaves at once.
+	p.dispatch(&wire{Kind: kAccGrant, SrcRank: home, Name: uint64(name), Target: successor})
+	if w := recvWire(t, tasks[successor]); w.Kind != kAccData {
+		t.Fatalf("grant made the owner send %s, want AccData", kindName(w.Kind))
+	}
+	if w := recvWire(t, tasks[home]); w.Kind != kAccOwner || w.Target != successor {
+		t.Fatalf("hand-off told the home %s target %d, want AccOwner target %d", kindName(w.Kind), w.Target, successor)
+	}
+	if o := p.objs[name]; o.isMain || o.ownerRank != successor {
+		t.Fatalf("setup: after the hand-off isMain=%v ownerRank=%d", o.isMain, o.ownerRank)
+	}
+
+	// A read the home forwarded before it heard of the migration.
+	p.dispatch(&wire{Kind: kReadFwd, SrcRank: home, Name: uint64(name), Target: reader})
+	onlyTo(t, tasks, successor)
+	if w := recvWire(t, tasks[successor]); w.Kind != kReadFwd || w.Target != reader || Name(w.Name) != name {
+		t.Fatalf("previous owner sent %s target %d, want the ReadFwd passed on with target %d",
+			kindName(w.Kind), w.Target, reader)
+	}
+	onlyTo(t, tasks, -1)
+}
+
+// TestSetOwnerIsTheOnlyDirectoryWriter: a read that reached the home before
+// it knew an owner waits in the directory entry, and every way the home can
+// learn the owner routes it — not only a registration. Each of these wrote
+// the entry by hand once and left the reader stranded.
+func TestSetOwnerIsTheOnlyDirectoryWriter(t *testing.T) {
+	const reader = 3
+	cases := []struct {
+		name       string
+		recovering bool
+		learn      func(t *testing.T, p *Proc, tasks []*pvm.Task, name Name)
+		// The read ends at rank dst as kind.
+		dst, kind int
+	}{
+		{"our own main copy is restored", true, func(t *testing.T, p *Proc, tasks []*pvm.Task, name Name) {
+			// A survivor re-issued its fetch to the new incarnation before
+			// the restore completed.
+			p.inc.restoring = false
+			p.inc.ownerConfirmed[name] = true
+			p.stashOrInstall(&image{
+				name: name, sender: 1, seq: 1, body: packPayload(t, 7),
+				meta: ft.ObjectMeta{Kind: uint8(ft.KindValue)}, hasMeta: true,
+			})
+		}, reader, kObjData},
+		{"an orphan-ownership query is granted", false, func(t *testing.T, p *Proc, tasks []*pvm.Task, name Name) {
+			p.dispatch(&wire{Kind: kOwnerQuery, SrcRank: 1, Name: uint64(name)})
+			if w := recvWire(t, tasks[1]); w.Kind != kOwnerReport {
+				t.Fatalf("query answered with %s, want OwnerReport", kindName(w.Kind))
+			}
+		}, 1, kReadFwd},
+		{"a migration completes", false, func(t *testing.T, p *Proc, tasks []*pvm.Task, name Name) {
+			p.dispatch(&wire{Kind: kAccOwner, SrcRank: 2, Name: uint64(name), Target: 1})
+		}, 1, kReadFwd},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p, tasks := testProc(t, 0, 4, tc.recovering)
+			name := nameHomedAt(t, 4, 0)
+			p.dispatch(&wire{Kind: kReadReq, SrcRank: reader, Name: uint64(name)})
+			d := p.dirEnt(name)
+			if d.known || len(d.pendingRead) != 1 {
+				t.Fatalf("setup: read not parked in the directory: %+v", d)
+			}
+			onlyTo(t, tasks, -1)
+
+			tc.learn(t, p, tasks, name)
+
+			if !d.known || len(d.pendingRead) != 0 {
+				t.Fatalf("directory after learning the owner: known=%v owner=%d pendingRead=%v, want the read routed",
+					d.known, d.owner, d.pendingRead)
+			}
+			onlyTo(t, tasks, tc.dst)
+			w := recvWire(t, tasks[tc.dst])
+			if w.Kind != tc.kind || Name(w.Name) != name || w.Target != reader {
+				t.Fatalf("rank %d got %s target %d, want %s target %d",
+					tc.dst, kindName(w.Kind), w.Target, kindName(tc.kind), reader)
+			}
+		})
 	}
 }

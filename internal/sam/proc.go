@@ -68,7 +68,7 @@ type Proc struct {
 	lastPriv         privImage              // our own last checkpointed private state
 	useNotices       map[int]map[Name]int64 // owner rank -> name -> unreported uses
 	freePending      map[Name]bool          // freeable mains awaiting reclamation
-	forceReplies     []forceReq
+	forceReplies     []int                  // ranks owed a kForceAck at our next commit
 	hasCheckpointed  bool
 
 	// inc is what only a replacement process has: the state it is being
@@ -106,7 +106,7 @@ type failKey struct {
 // trigger is a send of nonreproducible data that must ride a checkpoint
 // transaction (§4.4 step 4).
 type trigger struct {
-	kind   int // kValData, kAccData, kAccSnap; 0 = bare checkpoint
+	kind   int // kObjData, kAccData; 0 = bare checkpoint
 	name   Name
 	target int // destination rank
 }
@@ -355,10 +355,6 @@ func (p *Proc) dispatch(w *wire) {
 			return
 		}
 	}
-	if p.cfg.Trace != nil {
-		p.cfg.Trace("[rank%d] recv %s from %d name=%v seq=%d inactive=%v target=%d",
-			p.cfg.Rank, kindName(w.Kind), w.SrcRank, Name(w.Name), w.Seq, w.Inactive, w.Target)
-	}
 	if p.rec != nil {
 		switch w.Kind {
 		case kRecoverPriv, kRecoverData, kDirReport, kOwnerReport, kOwnerHint, kRecoverFin:
@@ -387,14 +383,14 @@ func (p *Proc) dispatch(w *wire) {
 	}
 
 	switch w.Kind {
-	case kValReg, kAccReg, kDirReport:
+	case kReg, kDirReport:
 		p.setOwner(Name(w.Name), w.SrcRank)
-	case kValReq:
-		p.onValReq(w)
-	case kValReqFwd:
-		p.serveValueFetch(Name(w.Name), w.Target)
-	case kValData:
-		p.onValData(w)
+	case kReadReq:
+		p.onReadReq(Name(w.Name), w.SrcRank)
+	case kReadFwd:
+		p.serveRead(Name(w.Name), w.Target)
+	case kObjData:
+		p.onObjData(w)
 	case kValUsed:
 		p.onValUsed(w)
 	case kAccAcq:
@@ -405,12 +401,6 @@ func (p *Proc) dispatch(w *wire) {
 		p.onAccData(w)
 	case kAccOwner:
 		p.onAccOwner(w)
-	case kAccSnapReq:
-		p.onAccSnapReq(w)
-	case kAccSnapFwd:
-		p.onAccSnapFwd(w)
-	case kAccSnap:
-		p.onAccSnap(w)
 	case kCkptPriv:
 		p.onCkptPriv(w)
 	case kCkptCopy:

@@ -352,14 +352,12 @@ func (p *Proc) contributeRecovery(rank int) {
 		if o.copy != nil && o.copy.owner == rank {
 			p.send(rank, o.copy.wire(kRecoverData))
 		}
-		if o.isMain && o.created {
+		if o.isMain && o.created && p.home(o.name) == rank {
 			// Directory information homed at the failed process. (Main
 			// copies whose checkpoint copies died with it are re-supplied
 			// by the ledger-driven repair pass below, which also covers
 			// non-ring placements the old recomputation could not name.)
-			if p.home(o.name) == rank {
-				p.send(rank, &wire{Kind: kDirReport, Name: uint64(o.name), Meta: o.meta(), HasMeta: true})
-			}
+			p.send(rank, &wire{Kind: kDirReport, Name: uint64(o.name)})
 		}
 		// As a previous holder of an accumulator whose last outbound
 		// migration went to the failed process, hint its ownership with
@@ -652,10 +650,8 @@ func (p *Proc) onOwnerQuery(q ownerQuery) {
 	}
 	// No live process claims the object: the most recent committed
 	// migration pointed at the querier, so it holds the main copy.
-	d.known = true
-	d.owner = q.from
 	p.send(q.from, &wire{Kind: kOwnerReport, Name: uint64(q.name)})
-	p.pumpAccumQueue(d)
+	p.setOwner(q.name, q.from)
 }
 
 func (p *Proc) onOwnerDeny(w *wire) {
@@ -781,10 +777,7 @@ func (p *Proc) installRecoveredMain(img *image, meta *ft.ObjectMeta) {
 	o.pendingMove = -1
 
 	if p.home(name) == p.cfg.Rank {
-		d := p.dirEnt(name)
-		d.known = true
-		d.owner = p.cfg.Rank
-		p.pumpAccumQueue(d)
+		p.setOwner(name, p.cfg.Rank)
 	}
 	if o.freeable {
 		p.freePending[name] = true

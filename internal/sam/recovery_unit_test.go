@@ -122,7 +122,7 @@ func TestDropProvisionalFromReissuesFetch(t *testing.T) {
 	o.data = &recoveryPayload{X: 9}
 	o.isMain = false
 	o.fetchOutstanding = true
-	o.reqKind = kValReq
+	o.reqKind = kReadReq
 	o.waiters = []*cmd{{op: opUseValue, name: name}}
 
 	// A second inactive object with no waiters must be reverted without
@@ -156,8 +156,8 @@ func TestDropProvisionalFromReissuesFetch(t *testing.T) {
 
 	// The fetch for the waited-on object must be re-issued to its home.
 	w := recvWire(t, tasks[homeRank])
-	if w.Kind != kValReq || Name(w.Name) != name {
-		t.Fatalf("re-issued fetch = %s %s, want ValReq %s", kindName(w.Kind), Name(w.Name), name)
+	if w.Kind != kReadReq || Name(w.Name) != name {
+		t.Fatalf("re-issued fetch = %s %s, want ReadReq %s", kindName(w.Kind), Name(w.Name), name)
 	}
 	if w.SrcRank != 0 {
 		t.Fatalf("re-issued fetch SrcRank = %d, want 0", w.SrcRank)
@@ -181,7 +181,7 @@ func TestDropProvisionalFromReissuesLocalFetch(t *testing.T) {
 	o.awaits.from = failed
 	o.data = &recoveryPayload{X: 3}
 	o.fetchOutstanding = true
-	o.reqKind = kValReq
+	o.reqKind = kReadReq
 	o.waiters = []*cmd{{op: opUseValue, name: name}}
 
 	p.dropProvisionalFrom(failed)
@@ -194,13 +194,13 @@ func TestDropProvisionalFromReissuesLocalFetch(t *testing.T) {
 		t.Fatal("directory should not know an owner yet")
 	}
 	found := false
-	for _, r := range d.pendingFetch {
+	for _, r := range d.pendingRead {
 		if r == 0 {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("local re-issued fetch not parked in directory: pendingFetch=%v", d.pendingFetch)
+		t.Fatalf("local re-issued fetch not parked in directory: pendingRead=%v", d.pendingRead)
 	}
 }
 

@@ -103,9 +103,6 @@ type Config struct {
 	// unchanged). Returns NoTID while the harness is shutting down.
 	// Supplied by the cluster harness.
 	Respawn func(rank int, dead pvm.TID) pvm.TID
-	// Trace, when non-nil, receives one line per protocol event. For
-	// debugging and tests.
-	Trace func(format string, args ...interface{})
 }
 
 func (c *Config) fill() {

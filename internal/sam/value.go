@@ -35,7 +35,7 @@ func (p *Proc) cmdCreateValue(c *cmd) {
 	o.accessesDeclared = c.accesses
 
 	// Register with the home so queued requesters find us.
-	p.send(p.home(c.name), &wire{Kind: kValReg, Name: uint64(c.name)})
+	p.send(p.home(c.name), &wire{Kind: kReg, Name: uint64(c.name)})
 
 	p.serveLocalWaiters(o)
 	p.serveRemoteWaiters(o)
@@ -51,7 +51,7 @@ func (p *Proc) cmdUseValue(c *cmd) {
 		return
 	}
 	p.st.Misses.Add(1)
-	p.ensureFetch(o)
+	p.ensureFetch(o, kReadReq)
 	o.waiters = append(o.waiters, c)
 	p.park(c)
 }
@@ -138,7 +138,7 @@ func (p *Proc) completeRename(o *object, c *cmd) {
 func (p *Proc) cmdPrefetch(c *cmd) {
 	o := p.obj(c.name)
 	if !o.usable() {
-		p.ensureFetch(o)
+		p.ensureFetch(o, kReadReq)
 	}
 	p.reply(c, nil, nil)
 }
@@ -157,7 +157,7 @@ func (p *Proc) cmdPush(c *cmd) {
 		p.reply(c, nil, fmt.Errorf("Push(%v): not the owner of a created value", c.name))
 		return
 	}
-	p.deliver(o, kValData, c.rank)
+	p.deliver(o, kObjData, c.rank)
 	p.reply(c, nil, nil)
 }
 
@@ -170,34 +170,46 @@ func (p *Proc) unstable(o *object) bool {
 	return p.ftEnabled() && o.nonrepro && o.dirty
 }
 
-// ensureFetch issues the fetch request for an absent value exactly once.
-func (p *Proc) ensureFetch(o *object) {
-	if o.fetchOutstanding || o.usable() {
+// ensureFetch asks the name's home for what a local access to o is waiting
+// for — its contents (kReadReq) or its main copy (kAccAcq) — unless a request
+// is already outstanding.
+func (p *Proc) ensureFetch(o *object, kind int) {
+	if o.fetchOutstanding {
 		return
 	}
-	if p.rec != nil {
+	if kind == kReadReq && p.rec != nil {
 		p.emit(trace.Event{Kind: trace.SamFetch, Name: uint64(o.name), Dst: int64(p.home(o.name))})
 	}
-	p.request(o, kValReq)
+	p.request(o, kind)
 }
 
 // request issues — or, after a failure may have lost it, re-issues — o's
-// outstanding request (kValReq, kAccAcq or kAccSnapReq) to the name's home.
+// outstanding request (kReadReq or kAccAcq) to the name's home.
 func (p *Proc) request(o *object, kind int) {
 	o.fetchOutstanding = true
 	o.reqKind = kind
 	p.send(p.home(o.name), &wire{Kind: kind, Name: uint64(o.name)})
 }
 
-// serveValueFetch serves a fetch request at the owner.
-func (p *Proc) serveValueFetch(name Name, requester int) {
+// serveRead serves a read — a value fetch or a chaotic read — where the home
+// believes the main copy to be.
+func (p *Proc) serveRead(name Name, requester int) {
 	o := p.obj(name)
-	if !o.created || !(o.state == stPresent) {
-		// Not created yet (or mid-recovery); remember the requester.
+	switch {
+	case !o.isMain && o.usable() && o.ownerRank >= 0 && o.ownerRank != p.cfg.Rank:
+		// The accumulator moved on; this is the stale version handOff left
+		// behind, and the read follows it. The kAccData left for the successor
+		// first and a pair of processes sees messages in order, so the main
+		// copy is there by then (the read parks below while it is inactive);
+		// each hop retraces one real migration, so the read cannot circle.
+		p.send(o.ownerRank, &wire{Kind: kReadFwd, Name: uint64(name), Target: requester})
+	case !o.created || o.state != stPresent || o.accLocked:
+		// Not (re)created yet, mid-recovery, awaiting its activation, or being
+		// mutated under the update lock: serveRemoteWaiters replays the read.
 		o.remoteWaiters = enqueue(o.remoteWaiters, requester)
-		return
+	default:
+		p.deliver(o, kObjData, requester)
 	}
-	p.deliver(o, kValData, requester)
 }
 
 // deliver gets an owned object's contents to rank as kind: now, or — when
@@ -216,20 +228,19 @@ func (p *Proc) deliver(o *object, kind, rank int) {
 }
 
 // sendObject is the one place an owned object's contents leave for a
-// consumer: a fetch reply or push (kValData), a chaotic-read snapshot
-// (kAccSnap), or an ownership transfer (kAccData). With tx nil the send is
+// consumer: a read reply or push (kObjData) or an ownership transfer
+// (kAccData), always with the owner's metadata. With tx nil the send is
 // immediate; otherwise it is an inactive, acknowledged piece of that
 // checkpoint transaction, unusable at the receiver until the activation
 // (§4.4 step 4). A value, immutable once created, is packed once however
 // often it is served (packObject's snapshot cache).
 func (p *Proc) sendObject(o *object, kind, rank int, tx *ckptTx) {
 	migration := kind == kAccData
-	w := &wire{Kind: kind, Name: uint64(o.name), Target: rank}
+	w := &wire{Kind: kind, Name: uint64(o.name), Target: rank, Meta: o.meta(), HasMeta: true}
 	if migration {
 		// An accumulator checkpointed in this transaction travels as the
 		// image steps 2–3 just replicated (nil when fault tolerance is off).
 		w.Body = o.committed.body
-		w.Meta, w.HasMeta = o.meta(), true
 	} else {
 		o.noteSentTo(rank)
 	}
@@ -289,15 +300,14 @@ func (p *Proc) serveLocalWaiters(o *object) {
 	}
 }
 
-// serveRemoteWaiters serves fetch requests that arrived before creation.
+// serveRemoteWaiters replays the reads serveRead parked, wherever what made
+// it park may have ended: creation, activation, restore, release of the
+// update lock. A read that still cannot be served parks again.
 func (p *Proc) serveRemoteWaiters(o *object) {
-	if !o.created || o.state != stPresent {
-		return
-	}
 	rw := o.remoteWaiters
 	o.remoteWaiters = nil
 	for _, r := range rw {
-		p.serveValueFetch(o.name, r)
+		p.serveRead(o.name, r)
 	}
 }
 
@@ -347,77 +357,76 @@ func (p *Proc) flushUseNotices() {
 
 // ---- message handlers ----
 
-// setOwner records an object's owner in this home's directory — at its
-// registration, or as a survivor's report rebuilds the directory a restarted
-// home lost — and routes the requests that were waiting for one.
+// setOwner is the one writer of a directory entry's owner at this home — at
+// registration, a completed migration, a survivor's report rebuilding the
+// directory a restarted home lost, an orphan-ownership grant, our own restored
+// main copy — and routes what was waiting for one: parked reads, acquisitions.
 func (p *Proc) setOwner(name Name, owner int) {
 	d := p.dirEnt(name)
 	d.known = true
 	d.owner = owner
-	p.drainDirQueues(d)
-}
-
-// drainDirQueues routes requests that arrived before the owner was known,
-// replaying each queued requester through the handler that parked it.
-func (p *Proc) drainDirQueues(d *dirEntry) {
-	pf := d.pendingFetch
-	d.pendingFetch = nil
-	for _, r := range pf {
-		p.onValReq(&wire{Kind: kValReq, SrcRank: r, Name: uint64(d.name)})
-	}
-	ps := d.pendingSnap
-	d.pendingSnap = nil
-	for _, r := range ps {
-		p.onAccSnapReq(&wire{Kind: kAccSnapReq, SrcRank: r, Name: uint64(d.name)})
+	reads := d.pendingRead
+	d.pendingRead = nil
+	for _, r := range reads {
+		p.onReadReq(name, r)
 	}
 	p.pumpAccumQueue(d)
 }
 
-// onValReq routes a value request at the name's home: to the owner, or into
-// the directory's queue until one registers.
-func (p *Proc) onValReq(w *wire) {
-	d := p.dirEnt(Name(w.Name))
+// onReadReq routes a read at the name's home: to the owner, or into the
+// directory's queue until setOwner names one.
+func (p *Proc) onReadReq(name Name, requester int) {
+	d := p.dirEnt(name)
 	if !d.known {
-		d.pendingFetch = enqueue(d.pendingFetch, w.SrcRank)
+		d.pendingRead = enqueue(d.pendingRead, requester)
 		return
 	}
-	p.send(d.owner, &wire{Kind: kValReqFwd, Name: w.Name, Target: w.SrcRank})
+	p.send(d.owner, &wire{Kind: kReadFwd, Name: uint64(name), Target: requester})
 }
 
-// onValData installs received value contents — a fetch reply or an
-// unsolicited push — as a cached copy.
-func (p *Proc) onValData(w *wire) {
+// onObjData installs received contents — a read reply or an unsolicited
+// push — as a cached copy. A value is immutable, so its first copy wins; a
+// later snapshot of an accumulator replaces an earlier one; neither
+// overwrites our own main copy, which is fresher than anything sent.
+func (p *Proc) onObjData(w *wire) {
 	if w.Inactive {
 		p.ackPiece(w)
 	}
-	name := Name(w.Name)
-	o := p.obj(name)
-	if o.usable() || o.isMain {
+	o := p.obj(Name(w.Name))
+	kind := ft.ObjKind(w.Meta.Kind)
+	if o.isMain || (kind == ft.KindValue && o.usable()) {
 		o.fetchOutstanding = false
-		return // duplicate delivery of an immutable value
+		return
 	}
 	data, err := codec.Unpack(w.Body)
 	if err != nil {
 		return // dropped like a corrupt frame; re-issue paths recover
 	}
-	o.kind = ft.KindValue
+	o.kind = kind
 	o.data = data
 	o.ownerRank = w.SrcRank
 	o.invalidatePackCache()
 	if p.rec != nil {
 		p.emit(trace.Event{Kind: trace.SamFetchData, Name: w.Name, Src: int64(w.SrcRank), Bytes: len(w.Body)})
 	}
+	p.arrived(o, w)
+}
+
+// arrived is the one tail of contents arriving for o, as a cached copy
+// (onObjData) or as the main copy (onAccData).
+func (p *Proc) arrived(o *object, w *wire) {
 	if w.Inactive {
-		// Usable (and the fetch satisfied) only once the sender's
-		// checkpoint commits; if the sender dies first, kRecovery drops
-		// this and the fetch is re-issued.
+		// Usable only once the sender's checkpoint commits, and until then
+		// the request this answers is still outstanding: if the sender dies
+		// first, dropProvisionalFrom reverts the entry and re-issues it.
 		o.state = stInactive
 		o.awaits = activation{from: w.SrcRank, seq: w.Seq}
 		return
 	}
 	o.fetchOutstanding = false
 	o.state = stPresent
-	p.serveLocalWaiters(o)
+	p.serveLocalWaiters(o) // grants a parked local acquire first
+	p.serveRemoteWaiters(o)
 }
 
 func (p *Proc) onValUsed(w *wire) {

@@ -45,27 +45,29 @@ func RunOne(c Compiled, traceDir string) (Outcome, error) {
 // scenario dumps it under TraceRoot(traceDir)/scenario-<name> (the
 // SAMFT_TRACE_DIR wiring CI uploads), and with an explicit traceDir
 // passing scenarios dump too. The returned error reports harness
-// failures (a run that errored out), not assertion misses.
+// failures, not assertion misses: a run that errored out (hung until the
+// run timeout), with its scenario, kill schedule and dumped trace named.
 func RunSet(cs []Compiled, traceDir string) ([]Outcome, error) {
 	specs := make([]experiments.Spec, 0, 2*len(cs))
-	baseIdx := make([]int, len(cs)) // index into specs, -1 when no baseline runs
+	names := make([]string, 0, 2*len(cs)) // trace directory per spec
+	baseIdx := make([]int, len(cs))       // index into specs, -1 when no baseline runs
 	runIdx := make([]int, len(cs))
-	tracers := make([]*trace.Tracer, len(cs))
 	for i := range cs {
 		baseIdx[i] = -1
 		if cs[i].CheckAnswer {
 			baseIdx[i] = len(specs)
 			specs = append(specs, cs[i].Baseline)
+			names = append(names, "scenario-"+cs[i].Scenario.Name+"-baseline")
 		}
-		tracers[i] = trace.New(0)
 		run := cs[i].Spec
-		run.Tracer = tracers[i]
+		run.Tracer = trace.New(0)
 		runIdx[i] = len(specs)
 		specs = append(specs, run)
+		names = append(names, "scenario-"+cs[i].Scenario.Name)
 	}
 	results, err := experiments.RunAll(specs)
 	if err != nil {
-		return nil, err
+		return nil, experiments.TraceRunError(err, traceDir, names)
 	}
 
 	outs := make([]Outcome, len(cs))
@@ -74,7 +76,8 @@ func RunSet(cs []Compiled, traceDir string) ([]Outcome, error) {
 		if baseIdx[i] >= 0 {
 			baseline = &results[baseIdx[i]]
 		}
-		outs[i] = assess(c, results[runIdx[i]], baseline, tracers[i], traceDir)
+		res := results[runIdx[i]]
+		outs[i] = assess(c, res, baseline, res.Spec.Tracer, traceDir)
 	}
 	return outs, nil
 }
