@@ -25,6 +25,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -33,88 +34,118 @@ import (
 	"samft/internal/ckptstore"
 	"samft/internal/experiments"
 	"samft/internal/ft"
+	"samft/internal/scenario"
 	"samft/internal/trace"
 )
 
-func main() {
-	exp := flag.String("exp", "all", "experiment: gps|water|barnes|recovery|chaos|ablation-naive|ablation-degree|ablation-force|ablation-snapcache|ablation-placement|baseline-consistent|all")
-	scaleFlag := flag.String("scale", "small", "workload scale: small|paper")
-	procsFlag := flag.String("procs", "1,2,4,8", "comma-separated processor counts")
-	par := flag.Int("par", 0, "max concurrent cluster simulations (0 = GOMAXPROCS)")
-	chaosFlag := flag.Bool("chaos", false, "shorthand for -exp chaos")
-	seed := flag.Uint64("seed", 1, "chaos master seed (reproduces a sweep exactly)")
-	schedules := flag.Int("schedules", 20, "chaos kill schedules per application")
-	placementFlag := flag.String("placement", "", "checkpoint-copy placement policy for recovery/chaos runs: ring|affinity|spread (default ring)")
-	ecFlag := flag.String("ec", "", "erasure-code checkpoint copies as k,m Reed-Solomon shards for recovery/chaos runs (default off)")
-	traceDir := flag.String("trace", "", "dump virtual-time traces (Chrome JSON + recovery report) under this directory")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// bench carries what every experiment needs: where the tables go and the
+// flags that shape the runs.
+type bench struct {
+	w     io.Writer
+	scale experiments.Scale
+	procs []int
+	// What the experiments that are scenario sets (recovery, chaos,
+	// ablation-placement) also take: -scale as the schema spells it, the
+	// checkpoint store of -placement/-ec, and -trace.
+	scaleName string
+	placement ckptstore.Kind
+	ec        ckptstore.ECParams
+	traceDir  string
+}
+
+// run is the whole command: tables on stdout, errors on stderr, and the
+// exit status (0 ok, 1 an experiment failed, 2 bad usage).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ftbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	exp := fs.String("exp", "all", "experiment: gps|water|barnes|recovery|chaos|ablation-naive|ablation-degree|ablation-force|ablation-snapcache|ablation-placement|baseline-consistent|all")
+	scaleFlag := fs.String("scale", "small", "workload scale: small|paper")
+	procsFlag := fs.String("procs", "1,2,4,8", "comma-separated processor counts")
+	par := fs.Int("par", 0, "max concurrent cluster simulations (0 = GOMAXPROCS)")
+	chaosFlag := fs.Bool("chaos", false, "shorthand for -exp chaos")
+	seed := fs.Uint64("seed", 1, "chaos master seed (reproduces a sweep exactly)")
+	schedules := fs.Int("schedules", 20, "chaos kill schedules per application")
+	placementFlag := fs.String("placement", "", "checkpoint-copy placement policy for recovery/chaos runs: ring|affinity|spread (default ring)")
+	ecFlag := fs.String("ec", "", "erasure-code checkpoint copies as k,m Reed-Solomon shards for recovery/chaos runs (default off)")
+	traceDir := fs.String("trace", "", "dump every recovery/chaos run (scenario.json, Chrome trace JSON, recovery report) under this directory")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	if *chaosFlag {
 		*exp = "chaos"
 	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "ftbench:", err)
+		return 1
+	}
 
-	scale := experiments.Small
+	b := &bench{w: stdout, scaleName: *scaleFlag, traceDir: *traceDir}
 	if *scaleFlag == "paper" {
-		scale = experiments.Paper
+		b.scale = experiments.Paper
 	}
-	procs, err := parseProcs(*procsFlag)
-	if err != nil {
-		fatal(err)
+	var err error
+	if b.procs, err = parseProcs(*procsFlag); err != nil {
+		return fail(err)
 	}
-	placement, err := ckptstore.ParseKind(*placementFlag)
-	if err != nil {
-		fatal(err)
+	if b.placement, err = ckptstore.ParseKind(*placementFlag); err != nil {
+		return fail(err)
 	}
-	ec, err := ckptstore.ParseEC(*ecFlag)
-	if err != nil {
-		fatal(err)
+	if b.ec, err = ckptstore.ParseEC(*ecFlag); err != nil {
+		return fail(err)
 	}
-	store := storeConfig{placement: placement, ecK: ec.K, ecM: ec.M}
 	if *par > 0 {
-		experiments.SetParallelism(*par)
+		defer experiments.SetParallelism(experiments.SetParallelism(*par))
 	}
 
-	run := func(name string, f func() error) {
-		if *exp != "all" && *exp != name {
+	var failure error
+	do := func(name string, f func() error) {
+		if failure != nil || (*exp != "all" && *exp != name) {
 			return
 		}
 		if err := f(); err != nil {
-			fatal(fmt.Errorf("%s: %w", name, err))
+			failure = fmt.Errorf("%s: %w", name, err)
 		}
 	}
-
-	run("gps", func() error { return figure(experiments.GPS, scale, procs) })
-	run("water", func() error { return figure(experiments.Water, scale, procs) })
-	run("barnes", func() error { return figure(experiments.Barnes, scale, procs) })
-	run("recovery", func() error { return recovery(scale, *traceDir, store) })
+	do("gps", func() error { return b.figure(experiments.GPS) })
+	do("water", func() error { return b.figure(experiments.Water) })
+	do("barnes", func() error { return b.figure(experiments.Barnes) })
+	do("recovery", b.recovery)
 	// Chaos is not part of -exp all: it runs 3 x -schedules full cluster
 	// simulations and is a correctness sweep, not a figure regeneration.
 	if *exp == "chaos" {
-		if err := chaos(scale, *seed, *schedules, *traceDir, store); err != nil {
-			fatal(fmt.Errorf("chaos: %w", err))
-		}
+		do("chaos", func() error { return b.chaos(*seed, *schedules) })
 	}
-	run("ablation-naive", func() error { return ablationNaive(scale, procs) })
-	run("ablation-degree", func() error { return ablationDegree(scale) })
-	run("ablation-force", func() error { return ablationForce(scale) })
-	run("ablation-snapcache", func() error { return ablationSnapCache(scale) })
-	run("ablation-placement", func() error { return ablationPlacement(scale) })
-	run("baseline-consistent", func() error { return baselineConsistent(scale, procs) })
+	do("ablation-naive", b.ablationNaive)
+	do("ablation-degree", b.ablationDegree)
+	do("ablation-force", b.ablationForce)
+	do("ablation-snapcache", b.ablationSnapCache)
+	do("ablation-placement", b.ablationPlacement)
+	do("baseline-consistent", b.baselineConsistent)
+	if failure != nil {
+		return fail(failure)
+	}
+	return 0
 }
 
-// storeConfig bundles the -placement / -ec flags: the checkpoint-store
-// configuration applied to the recovery and chaos runs.
-type storeConfig struct {
-	placement ckptstore.Kind
-	ecK, ecM  int
-}
-
-// label renders the configuration for table output ("ring", "spread+ec(2,1)").
-func (s storeConfig) label() string {
-	out := s.placement.String()
-	if s.ecK > 0 {
-		out += fmt.Sprintf("+ec(%d,%d)", s.ecK, s.ecM)
+// storeFT renders a checkpoint-store configuration (placement policy,
+// optional erasure code) as a scenario's ft block.
+func storeFT(degree int, placement ckptstore.Kind, ec ckptstore.ECParams) scenario.FT {
+	out := scenario.FT{Policy: "sam", Degree: degree, Placement: placement.String()}
+	if ec.Enabled() {
+		out.EC = &scenario.EC{Data: ec.K, Parity: ec.M}
 	}
 	return out
+}
+
+// storeLabel renders the configuration for table output ("ring",
+// "spread+ec(2,1)").
+func storeLabel(s scenario.FT) string {
+	if s.EC != nil {
+		return fmt.Sprintf("%s+ec(%d,%d)", s.Placement, s.EC.Data, s.EC.Parity)
+	}
+	return s.Placement
 }
 
 func parseProcs(s string) ([]int, error) {
@@ -129,138 +160,136 @@ func parseProcs(s string) ([]int, error) {
 	return out, nil
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "ftbench:", err)
-	os.Exit(1)
-}
-
 // figure reproduces one of Figures 3–5.
-func figure(app experiments.AppKind, scale experiments.Scale, procs []int) error {
+func (b *bench) figure(app experiments.AppKind) error {
 	start := time.Now()
-	fig, err := experiments.RunFigure(app, scale, procs)
+	fig, err := experiments.RunFigure(app, b.scale, b.procs)
 	if err != nil {
 		return err
 	}
 	wall := time.Since(start).Seconds()
-	fig.Print(os.Stdout)
-	fmt.Printf("(%d cells in %.2fs wall, parallelism=%d)\n\n",
-		2*len(procs), wall, experiments.Parallelism())
+	fig.Print(b.w)
+	fmt.Fprintf(b.w, "(%d cells in %.2fs wall, parallelism=%d)\n\n",
+		2*len(b.procs), wall, experiments.Parallelism())
 	return nil
 }
 
-// runTraced runs specs (through RunAll) with a fresh tracer on each and
-// reports, per spec, the result, the tracer, and the recovery time read
-// off the trace.
-func runTraced(specs []experiments.Spec) ([]experiments.Result, []*trace.Tracer, []float64, error) {
-	tracers := make([]*trace.Tracer, len(specs))
-	for i := range specs {
-		tracers[i] = trace.New(0)
-		specs[i].Tracer = tracers[i]
+// killOne is the faulted run E4 and A6 are made of: app on n workstations
+// under the given fault-tolerance configuration, rank 2 killed at step 2.
+// Its default assertions are the whole verdict: the answer equals the
+// fault-free twin's bit for bit and the end-state invariants hold.
+func (b *bench) killOne(name, app string, n int, store scenario.FT) *scenario.Scenario {
+	return &scenario.Scenario{
+		Name:   name,
+		Fleet:  scenario.Fleet{Procs: n, App: app, Scale: b.scaleName, FT: store},
+		Events: []scenario.Event{{Kill: &scenario.KillSpec{Rank: 2, AtStep: 2}}},
 	}
-	results, err := experiments.RunAll(specs)
+}
+
+// runScenarios builds a scenario set and runs it as one judged batch.
+func (b *bench) runScenarios(set []*scenario.Scenario) ([]scenario.Outcome, error) {
+	cs, err := scenario.Build(set...)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	recoverySec := make([]float64, len(specs))
-	for i, t := range tracers {
-		recoverySec[i] = experiments.RecoveryWindowSec(t)
+	return scenario.RunSet(cs, b.traceDir)
+}
+
+// failed prints the red outcomes — problems and dump directory — and
+// returns the error the experiment ends with (nil when all were green).
+func (b *bench) failed(outs []scenario.Outcome) error {
+	red := 0
+	for _, o := range outs {
+		if o.Failed() {
+			red++
+			o.Print(b.w, false)
+		}
 	}
-	return results, tracers, recoverySec, nil
+	if red > 0 {
+		return fmt.Errorf("%d of %d runs failed", red, len(outs))
+	}
+	return nil
 }
 
 // recovery reproduces the "recovery takes on the order of a few seconds"
 // result (E4): kill one of the processes mid-run for each application and
 // report the replacement's recovery window on the modeled clock. With
-// -trace, the phase-decomposed recovery report is printed and the Chrome
-// trace dumped.
-func recovery(scale experiments.Scale, traceDir string, store storeConfig) error {
-	fmt.Printf("== Recovery (kill one process mid-run, E4; placement=%s) ==\n", store.label())
-	fmt.Printf("%-12s %8s %10s %14s %12s\n", "app", "procs", "killed", "recovery(s)", "answer-ok")
-	apps := []experiments.AppKind{experiments.GPS, experiments.Water, experiments.Barnes}
-	var bases, kills []experiments.Spec
-	for _, app := range apps {
-		bases = append(bases, experiments.Spec{App: app, N: 4, Policy: ft.PolicyOff, Scale: scale})
-		kills = append(kills, experiments.Spec{
-			App: app, N: 4, Policy: ft.PolicySAM, Scale: scale,
-			Placement: store.placement, ECData: store.ecK, ECParity: store.ecM,
-			Kills: []experiments.KillEvent{{Rank: 2, Step: 2}},
-		})
+// -trace, every run is dumped (scenario.json replays it) and the
+// phase-decomposed recovery report is printed.
+func (b *bench) recovery() error {
+	store := storeFT(1, b.placement, b.ec)
+	fmt.Fprintf(b.w, "== Recovery (kill one process mid-run, E4; placement=%s) ==\n", storeLabel(store))
+	fmt.Fprintf(b.w, "%-12s %8s %10s %14s %12s\n", "app", "procs", "killed", "recovery(s)", "answer-ok")
+	var set []*scenario.Scenario
+	for _, app := range []string{"gps", "water", "barnes"} {
+		set = append(set, b.killOne("recovery-"+app, app, 4, store))
 	}
-	baseRes, err := experiments.RunAll(bases)
+	outs, err := b.runScenarios(set)
 	if err != nil {
 		return err
 	}
-	killRes, tracers, recoverySec, err := runTraced(kills)
-	if err != nil {
-		return err
+	for _, o := range outs {
+		fmt.Fprintf(b.w, "%-12s %8d %10s %14.3f %12v\n", o.Result.Spec.App, 4, "rank 2", o.RecoveryModeledSec, !o.Failed())
 	}
-	for i, app := range apps {
-		fmt.Printf("%-12s %8d %10s %14.3f %12v\n", app, 4, "rank 2", recoverySec[i], killRes[i].Answer == baseRes[i].Answer)
-	}
-	fmt.Println()
-	if traceDir == "" {
-		return nil
-	}
-	for i, app := range apps {
-		dir := fmt.Sprintf("%s/recovery-%s", traceDir, app)
-		paths, err := trace.Dump(tracers[i], dir)
-		if err != nil {
-			return fmt.Errorf("trace dump %s: %w", dir, err)
+	fmt.Fprintln(b.w)
+	if b.traceDir != "" {
+		for _, o := range outs {
+			fmt.Fprintf(b.w, "-- %s recovery timeline (dump: %s) --\n", o.Result.Spec.App, o.TraceDir)
+			trace.AnalyzeRecovery(o.Result.Spec.Tracer).Fprint(b.w)
+			fmt.Fprintln(b.w)
 		}
-		fmt.Printf("-- %s recovery timeline (trace: %s) --\n", app, strings.Join(paths, ", "))
-		trace.AnalyzeRecovery(tracers[i]).Fprint(os.Stdout)
-		fmt.Println()
 	}
-	return nil
+	return b.failed(outs)
 }
 
 // chaos runs the fault-injection sweep: for each application, N seeded
 // randomized multi-failure schedules (simultaneous kills, coordinator
 // takeover, re-kills during recovery) with message jitter and exit-
 // notification drop/duplication, each verified bit-for-bit against the
-// fault-free answer and checked for post-run state invariants.
-func chaos(scale experiments.Scale, seed uint64, schedules int, traceDir string, store storeConfig) error {
-	failed := 0
-	for _, app := range []experiments.AppKind{experiments.GPS, experiments.Water, experiments.Barnes} {
-		spec := experiments.ChaosSpec{
-			App: app, Scale: scale, Seed: seed, Schedules: schedules,
-			Placement: store.placement, ECData: store.ecK, ECParity: store.ecM,
-			Jitter: true, NotifyChaos: true, TraceDir: traceDir,
-		}
-		if store.ecK > 0 {
+// fault-free answer and checked for post-run state invariants. The
+// schedules are generated scenarios (scenario.ChaosSpec) run like any
+// campaign; a red one — or, with -trace, every one — leaves a
+// scenario.json that `samrun run` replays.
+func (b *bench) chaos(seed uint64, schedules int) error {
+	var all []scenario.Outcome
+	for _, app := range []string{"gps", "water", "barnes"} {
+		fleet := scenario.Fleet{App: app, Scale: b.scaleName, FT: storeFT(2, b.placement, b.ec)}
+		if b.ec.Enabled() {
 			// The shards need N-1 >= k+m non-owner ranks to land on. (The
 			// schedule generator itself caps distinct victims at the code's
 			// m-loss budget, so MaxKills needs no forcing here.)
-			spec.N = store.ecK + store.ecM + 1
+			fleet.Procs = b.ec.Shards() + 1
 		}
-		res, err := experiments.RunChaos(spec)
+		set := scenario.ChaosSpec{Fleet: fleet, Seed: seed, Schedules: schedules, Jitter: true, NotifyChaos: true}.Scenarios()
+		outs, err := b.runScenarios(set)
 		if err != nil {
 			return err
 		}
-		res.Print(os.Stdout)
-		fmt.Println()
-		failed += res.Failed
+		fmt.Fprintf(b.w, "== %s chaos: %d schedules, seed=%d ==\n", outs[0].Result.Spec.App, len(outs), seed)
+		for i, o := range outs {
+			o.Print(b.w, false)
+			fmt.Fprintf(b.w, "       schedule: %s\n", set[i].Description)
+		}
+		fmt.Fprintln(b.w)
+		all = append(all, outs...)
 	}
-	if failed > 0 {
-		return fmt.Errorf("%d chaos schedules failed", failed)
-	}
-	return nil
+	return b.failed(all)
 }
 
 // ablationNaive compares the paper's SAM-informed checkpoint policy with
 // a conventional DSM's checkpoint-on-every-send (A1).
-func ablationNaive(scale experiments.Scale, procs []int) error {
-	fmt.Println("== Ablation A1: SAM-informed policy vs naive every-send checkpointing ==")
-	fmt.Printf("%-12s %6s %14s %14s %16s %16s\n", "app", "procs", "T(sam) s", "T(naive) s", "ckpts/ps (sam)", "ckpts/ps (naive)")
+func (b *bench) ablationNaive() error {
+	fmt.Fprintln(b.w, "== Ablation A1: SAM-informed policy vs naive every-send checkpointing ==")
+	fmt.Fprintf(b.w, "%-12s %6s %14s %14s %16s %16s\n", "app", "procs", "T(sam) s", "T(naive) s", "ckpts/ps (sam)", "ckpts/ps (naive)")
 	var specs []experiments.Spec
 	for _, app := range []experiments.AppKind{experiments.GPS, experiments.Water, experiments.Barnes} {
-		for _, n := range procs {
+		for _, n := range b.procs {
 			if n < 2 {
 				continue
 			}
 			specs = append(specs,
-				experiments.Spec{App: app, N: n, Policy: ft.PolicySAM, Scale: scale},
-				experiments.Spec{App: app, N: n, Policy: ft.PolicyNaive, Scale: scale})
+				experiments.Spec{App: app, N: n, Policy: ft.PolicySAM, Scale: b.scale},
+				experiments.Spec{App: app, N: n, Policy: ft.PolicyNaive, Scale: b.scale})
 		}
 	}
 	results, err := experiments.RunAll(specs)
@@ -269,42 +298,42 @@ func ablationNaive(scale experiments.Scale, procs []int) error {
 	}
 	for i := 0; i < len(results); i += 2 {
 		samRes, naive := results[i], results[i+1]
-		fmt.Printf("%-12s %6d %14.4f %14.4f %16.3f %16.3f\n", samRes.Spec.App, samRes.Spec.N,
+		fmt.Fprintf(b.w, "%-12s %6d %14.4f %14.4f %16.3f %16.3f\n", samRes.Spec.App, samRes.Spec.N,
 			samRes.ModeledSec, naive.ModeledSec,
 			samRes.Report.CheckpointsPerProcPerSec(), naive.Report.CheckpointsPerProcPerSec())
 	}
-	fmt.Println()
+	fmt.Fprintln(b.w)
 	return nil
 }
 
 // ablationDegree varies the replication degree n of §4.2 (A2).
-func ablationDegree(scale experiments.Scale) error {
-	fmt.Println("== Ablation A2: replication degree (GPS, 4 procs) ==")
-	fmt.Printf("%8s %14s %16s %14s\n", "degree", "T(FT) s", "replica bytes", "ckpts/proc/s")
+func (b *bench) ablationDegree() error {
+	fmt.Fprintln(b.w, "== Ablation A2: replication degree (GPS, 4 procs) ==")
+	fmt.Fprintf(b.w, "%8s %14s %16s %14s\n", "degree", "T(FT) s", "replica bytes", "ckpts/proc/s")
 	var specs []experiments.Spec
 	for _, d := range []int{1, 2, 3} {
-		specs = append(specs, experiments.Spec{App: experiments.GPS, N: 4, Policy: ft.PolicySAM, Degree: d, Scale: scale})
+		specs = append(specs, experiments.Spec{App: experiments.GPS, N: 4, Policy: ft.PolicySAM, Degree: d, Scale: b.scale})
 	}
 	results, err := experiments.RunAll(specs)
 	if err != nil {
 		return err
 	}
 	for _, res := range results {
-		fmt.Printf("%8d %14.4f %16d %14.3f\n", res.Spec.Degree, res.ModeledSec,
+		fmt.Fprintf(b.w, "%8d %14.4f %16d %14.3f\n", res.Spec.Degree, res.ModeledSec,
 			res.Report.Total.ReplicaBytes, res.Report.CheckpointsPerProcPerSec())
 	}
-	fmt.Println()
+	fmt.Fprintln(b.w)
 	return nil
 }
 
 // ablationForce compares lazy freeing via the §4.3 vectors with the eager
 // round-trip variant (A4).
-func ablationForce(scale experiments.Scale) error {
-	fmt.Println("== Ablation A4: lazy free (T/C/D vectors) vs eager round-trips (Water, 4 procs) ==")
-	fmt.Printf("%8s %14s %18s %16s\n", "mode", "T(FT) s", "force-msgs/ps", "forced/proc/s")
+func (b *bench) ablationForce() error {
+	fmt.Fprintln(b.w, "== Ablation A4: lazy free (T/C/D vectors) vs eager round-trips (Water, 4 procs) ==")
+	fmt.Fprintf(b.w, "%8s %14s %18s %16s\n", "mode", "T(FT) s", "force-msgs/ps", "forced/proc/s")
 	specs := []experiments.Spec{
-		{App: experiments.Water, N: 4, Policy: ft.PolicySAM, Scale: scale},
-		{App: experiments.Water, N: 4, Policy: ft.PolicySAM, EagerFree: true, Scale: scale},
+		{App: experiments.Water, N: 4, Policy: ft.PolicySAM, Scale: b.scale},
+		{App: experiments.Water, N: 4, Policy: ft.PolicySAM, EagerFree: true, Scale: b.scale},
 	}
 	results, err := experiments.RunAll(specs)
 	if err != nil {
@@ -315,22 +344,22 @@ func ablationForce(scale experiments.Scale) error {
 		if res.Spec.EagerFree {
 			mode = "eager"
 		}
-		fmt.Printf("%8s %14.4f %18.4f %16.4f\n", mode, res.ModeledSec,
+		fmt.Fprintf(b.w, "%8s %14.4f %18.4f %16.4f\n", mode, res.ModeledSec,
 			res.Report.ForceCkptMsgsPerProcPerSec(), res.Report.ForcedCkptsPerProcPerSec())
 	}
-	fmt.Println()
+	fmt.Fprintln(b.w)
 	return nil
 }
 
 // ablationSnapCache compares the version-keyed snapshot cache against the
 // re-pack-every-time baseline (A5): same answer, fewer packed bytes, and
 // lower modeled checkpoint cost.
-func ablationSnapCache(scale experiments.Scale) error {
-	fmt.Println("== Ablation A5: snapshot cache vs re-pack on every checkpoint/send (Water, 4 procs) ==")
-	fmt.Printf("%8s %14s %12s %12s %14s %12s\n", "mode", "T(FT) s", "hits", "hit%", "saved bytes", "answer")
+func (b *bench) ablationSnapCache() error {
+	fmt.Fprintln(b.w, "== Ablation A5: snapshot cache vs re-pack on every checkpoint/send (Water, 4 procs) ==")
+	fmt.Fprintf(b.w, "%8s %14s %12s %12s %14s %12s\n", "mode", "T(FT) s", "hits", "hit%", "saved bytes", "answer")
 	specs := []experiments.Spec{
-		{App: experiments.Water, N: 4, Policy: ft.PolicySAM, Scale: scale},
-		{App: experiments.Water, N: 4, Policy: ft.PolicySAM, NoSnapCache: true, Scale: scale},
+		{App: experiments.Water, N: 4, Policy: ft.PolicySAM, Scale: b.scale},
+		{App: experiments.Water, N: 4, Policy: ft.PolicySAM, NoSnapCache: true, Scale: b.scale},
 	}
 	results, err := experiments.RunAll(specs)
 	if err != nil {
@@ -341,11 +370,11 @@ func ablationSnapCache(scale experiments.Scale) error {
 		if res.Spec.NoSnapCache {
 			mode = "repack"
 		}
-		fmt.Printf("%8s %14.4f %12d %12.2f %14d %12.4f\n", mode, res.ModeledSec,
+		fmt.Fprintf(b.w, "%8s %14.4f %12d %12.2f %14d %12.4f\n", mode, res.ModeledSec,
 			res.Report.Total.SnapCacheHits, res.Report.SnapCacheHitPct(),
 			res.Report.Total.SnapCacheBytesSaved, res.Answer)
 	}
-	fmt.Println()
+	fmt.Fprintln(b.w)
 	return nil
 }
 
@@ -358,64 +387,58 @@ func ablationSnapCache(scale experiments.Scale) error {
 // guaranteed to survive (ckptstore.Survivable), and the repair
 // columns the proactive re-replication traffic that restores coverage
 // after recovery.
-func ablationPlacement(scale experiments.Scale) error {
-	const n = 5
-	fmt.Println("== Ablation A6: checkpoint placement policy and erasure coding (GPS, 5 procs, 1 kill) ==")
-	fmt.Printf("%-16s %10s %14s %12s %12s %14s %12s\n",
+func (b *bench) ablationPlacement() error {
+	const n, degree = 5, 2
+	fmt.Fprintln(b.w, "== Ablation A6: checkpoint placement policy and erasure coding (GPS, 5 procs, 1 kill) ==")
+	fmt.Fprintf(b.w, "%-16s %10s %14s %12s %12s %14s %12s\n",
 		"config", "survivable", "replica bytes", "recovery(s)", "repair objs", "repair bytes", "answer-ok")
-	base, err := experiments.Run(experiments.Spec{App: experiments.GPS, N: n, Policy: ft.PolicyOff, Scale: scale})
-	if err != nil {
-		return err
+	cells := []struct {
+		name      string // the cell's scenario (and dump directory) name
+		placement ckptstore.Kind
+		ec        ckptstore.ECParams
+	}{
+		{"placement-ring", ckptstore.Ring, ckptstore.ECParams{}},
+		{"placement-affinity", ckptstore.Affinity, ckptstore.ECParams{}},
+		{"placement-spread", ckptstore.Spread, ckptstore.ECParams{}},
+		{"placement-ring-ec2-1", ckptstore.Ring, ckptstore.ECParams{K: 2, M: 1}},
+		{"placement-ring-ec2-2", ckptstore.Ring, ckptstore.ECParams{K: 2, M: 2}},
+		{"placement-ring-ec3-1", ckptstore.Ring, ckptstore.ECParams{K: 3, M: 1}},
 	}
-	cells := []storeConfig{
-		{placement: ckptstore.Ring},
-		{placement: ckptstore.Affinity},
-		{placement: ckptstore.Spread},
-		{placement: ckptstore.Ring, ecK: 2, ecM: 1},
-		{placement: ckptstore.Ring, ecK: 2, ecM: 2},
-		{placement: ckptstore.Ring, ecK: 3, ecM: 1},
-	}
-	var specs []experiments.Spec
+	var set []*scenario.Scenario
 	for _, c := range cells {
-		specs = append(specs, experiments.Spec{
-			App: experiments.GPS, N: n, Policy: ft.PolicySAM, Degree: 2, Scale: scale,
-			Placement: c.placement, ECData: c.ecK, ECParity: c.ecM,
-			Kills: []experiments.KillEvent{{Rank: 2, Step: 2}},
-		})
+		set = append(set, b.killOne(c.name, "gps", n, storeFT(degree, c.placement, c.ec)))
 	}
-	results, _, recoverySec, err := runTraced(specs)
+	outs, err := b.runScenarios(set)
 	if err != nil {
 		return err
 	}
-	for i, res := range results {
-		c := cells[i]
-		survivable := ckptstore.Survivable(n, specs[i].Degree, ckptstore.ECParams{K: c.ecK, M: c.ecM})
-		fmt.Printf("%-16s %10d %14d %12.3f %12d %14d %12v\n",
-			c.label(), survivable, res.Report.Total.ReplicaBytes, recoverySec[i],
-			res.Report.Total.RepairObjects, res.Report.Total.RepairBytes,
-			res.Answer == base.Answer)
+	for i, o := range outs {
+		total := o.Result.Report.Total
+		fmt.Fprintf(b.w, "%-16s %10d %14d %12.3f %12d %14d %12v\n",
+			storeLabel(set[i].Fleet.FT), ckptstore.Survivable(n, degree, cells[i].ec), total.ReplicaBytes,
+			o.RecoveryModeledSec, total.RepairObjects, total.RepairBytes, !o.Failed())
 	}
-	fmt.Println()
-	return nil
+	fmt.Fprintln(b.w)
+	return b.failed(outs)
 }
 
 // baselineConsistent compares against consistent global checkpointing to
 // disk (A3, the Orca-style baseline of §6).
-func baselineConsistent(scale experiments.Scale, procs []int) error {
-	fmt.Println("== Baseline A3: paper's method vs consistent global checkpointing to disk ==")
-	fmt.Printf("%-12s %6s %14s %18s\n", "app", "procs", "T(sam-ft) s", "T(consistent) s")
+func (b *bench) baselineConsistent() error {
+	fmt.Fprintln(b.w, "== Baseline A3: paper's method vs consistent global checkpointing to disk ==")
+	fmt.Fprintf(b.w, "%-12s %6s %14s %18s\n", "app", "procs", "T(sam-ft) s", "T(consistent) s")
 	// Water is excluded: its processes execute uneven step counts (dynamic
 	// task stealing), which the lock-step barrier baseline cannot handle —
 	// itself an illustration of why the paper avoids global coordination.
 	var specs []experiments.Spec
 	for _, app := range []experiments.AppKind{experiments.GPS, experiments.Barnes} {
-		for _, n := range procs {
+		for _, n := range b.procs {
 			if n < 2 {
 				continue
 			}
 			specs = append(specs,
-				experiments.Spec{App: app, N: n, Policy: ft.PolicySAM, Scale: scale},
-				experiments.Spec{App: app, N: n, Policy: ft.PolicyOff, Consistent: true, Scale: scale})
+				experiments.Spec{App: app, N: n, Policy: ft.PolicySAM, Scale: b.scale},
+				experiments.Spec{App: app, N: n, Policy: ft.PolicyOff, Consistent: true, Scale: b.scale})
 		}
 	}
 	results, err := experiments.RunAll(specs)
@@ -424,8 +447,8 @@ func baselineConsistent(scale experiments.Scale, procs []int) error {
 	}
 	for i := 0; i < len(results); i += 2 {
 		samRes, cons := results[i], results[i+1]
-		fmt.Printf("%-12s %6d %14.4f %18.4f\n", samRes.Spec.App, samRes.Spec.N, samRes.ModeledSec, cons.ModeledSec)
+		fmt.Fprintf(b.w, "%-12s %6d %14.4f %18.4f\n", samRes.Spec.App, samRes.Spec.N, samRes.ModeledSec, cons.ModeledSec)
 	}
-	fmt.Println()
+	fmt.Fprintln(b.w)
 	return nil
 }

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"sync"
 	"time"
 
 	"samft/internal/apps/gps"
@@ -26,12 +25,16 @@ func run(kill bool, tracer *trace.Tracer) (best float64, recoveries int64) {
 
 	const n = 4
 	res := make(chan float64, 8)
-	var cl *cluster.Cluster
-	var once sync.Once
-	cl = cluster.New(cluster.Config{
+	var kills []cluster.KillEvent
+	if kill {
+		fmt.Println("!! the workstation of rank 2 will fail at step 3")
+		kills = []cluster.KillEvent{{Rank: 2, Step: 3}}
+	}
+	cl := cluster.New(cluster.Config{
 		N:      n,
 		Policy: ft.PolicySAM,
 		Tracer: tracer,
+		Kills:  kills,
 		AppFactory: func(rank int) sam.App {
 			a := gps.New(rank, n, params)
 			if rank == 0 {
@@ -42,14 +45,7 @@ func run(kill bool, tracer *trace.Tracer) (best float64, recoveries int64) {
 					}
 				}
 			}
-			return &killer{App: a, rank: rank, kill: func(step int64) {
-				if kill && rank == 2 && step >= 3 {
-					once.Do(func() {
-						fmt.Println("!! killing workstation of rank 2")
-						cl.Kill(2)
-					})
-				}
-			}}
+			return a
 		},
 	})
 	if _, err := cl.Run(2 * time.Minute); err != nil {
@@ -59,17 +55,6 @@ func run(kill bool, tracer *trace.Tracer) (best float64, recoveries int64) {
 		recoveries += cl.ProcStats(r).Recoveries.Load()
 	}
 	return <-res, recoveries
-}
-
-type killer struct {
-	sam.App
-	rank int
-	kill func(step int64)
-}
-
-func (k *killer) Step(p *sam.Proc, step int64) bool {
-	k.kill(step)
-	return k.App.Step(p, step)
 }
 
 func main() {

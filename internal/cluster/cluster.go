@@ -8,6 +8,7 @@ package cluster
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"samft/internal/ckptstore"
@@ -18,6 +19,46 @@ import (
 	"samft/internal/stats"
 	"samft/internal/trace"
 )
+
+// KillEvent schedules one failure injection within a run.
+type KillEvent struct {
+	// Rank is the victim's logical rank.
+	Rank int
+	// Step, when > 0, fires the kill when the victim's application
+	// reaches that step.
+	Step int64
+	// AtModeledSec, when > 0, fires the kill once the cluster's modeled
+	// clock passes that instant. Checked at application step boundaries,
+	// so the kill lands at the first step at-or-after the threshold. A
+	// threshold past the end of the run is a no-op.
+	AtModeledSec float64
+	// OnRecovery, instead, fires the kill the moment rank RecoveryOf's
+	// replacement process is spawned — a failure injected mid-recovery.
+	// Rank == RecoveryOf re-kills the recovering process itself before it
+	// can finish restoring.
+	OnRecovery bool
+	RecoveryOf int
+	// RecoveryCount, when > 0, narrows an OnRecovery trigger to RecoveryOf's
+	// k-th respawn (1 = first). Zero fires on the first respawn observed.
+	// Distinct counts let a schedule kill successive replacements of the
+	// same rank deterministically (a flapping workstation).
+	RecoveryCount int
+}
+
+// String renders the event the way schedules are reported ("kill 2 at
+// step 2", "kill 3 during recovery of 2").
+func (k KillEvent) String() string {
+	switch {
+	case k.OnRecovery && k.RecoveryCount > 0:
+		return fmt.Sprintf("kill %d during recovery #%d of %d", k.Rank, k.RecoveryCount, k.RecoveryOf)
+	case k.OnRecovery:
+		return fmt.Sprintf("kill %d during recovery of %d", k.Rank, k.RecoveryOf)
+	case k.AtModeledSec > 0:
+		return fmt.Sprintf("kill %d at modeled %.4fs", k.Rank, k.AtModeledSec)
+	default:
+		return fmt.Sprintf("kill %d at step %d", k.Rank, k.Step)
+	}
+}
 
 // Config describes one cluster run.
 type Config struct {
@@ -49,10 +90,11 @@ type Config struct {
 	// AppFactory builds the per-rank application. It is called again with
 	// the same rank when a failed process is restarted.
 	AppFactory func(rank int) sam.App
-	// OnRespawn, when non-nil, is invoked (outside the cluster lock) each
-	// time a failed rank is actually restarted. The chaos layer uses it to
-	// trigger kills during recovery.
-	OnRespawn func(rank int, tid pvm.TID)
+	// Kills is the failure-injection schedule (empty = fault-free run). The
+	// cluster interprets it: step and modeled-time triggers are checked as
+	// each application step begins, on-recovery triggers as a replacement
+	// is spawned. Each event fires at most once.
+	Kills []KillEvent
 	// Chaos, when non-nil, attaches a seeded netsim fault-injection plan
 	// (jitter, notification drop/duplication) to the
 	// simulated network.
@@ -91,6 +133,9 @@ type Cluster struct {
 	appDone  []bool // rank's application has completed (any incarnation)
 	halted   bool
 
+	killFired    []atomic.Bool // per cfg.Kills event: already fired
+	killsApplied atomic.Int64
+
 	started  chan struct{}
 	finishCh chan int
 }
@@ -115,6 +160,8 @@ func New(cfg Config) *Cluster {
 		appDone:  make([]bool, cfg.N),
 		started:  make(chan struct{}),
 		finishCh: make(chan int, cfg.N*4),
+
+		killFired: make([]atomic.Bool, len(cfg.Kills)),
 	}
 	for i := range c.stats {
 		c.stats[i] = &stats.Proc{}
@@ -170,7 +217,11 @@ func (c *Cluster) spawn(rank int, recovering bool) *pvm.Task {
 			c.procs[rank] = p // current incarnation (a racing respawn wins)
 		}
 		c.mu.Unlock()
-		if p.Run(c.cfg.AppFactory(rank)) {
+		app := c.cfg.AppFactory(rank)
+		if len(c.cfg.Kills) > 0 {
+			app = &scheduled{App: app, c: c, rank: rank}
+		}
+		if p.Run(app) {
 			c.mu.Lock()
 			c.appDone[rank] = true
 			c.mu.Unlock()
@@ -214,23 +265,55 @@ func (c *Cluster) respawn(rank int, dead pvm.TID) pvm.TID {
 	task := c.spawn(rank, true)
 	c.tids[rank] = task.TID()
 	c.tasks[rank] = task
+	c.procs[rank] = nil // until the replacement's body registers its own
 	c.allTasks = append(c.allTasks, task)
-	c.stats[rank].Recoveries.Add(1)
-	cb := c.cfg.OnRespawn
+	nth := int(c.stats[rank].Recoveries.Add(1)) // this rank's k-th respawn
 	tid := task.TID()
 	c.mu.Unlock()
-	if cb != nil {
-		cb(rank, tid)
-	}
+	// The schedule's on-recovery triggers, outside the lock (Kill takes it).
+	c.fire(func(ev KillEvent) bool {
+		return ev.OnRecovery && ev.RecoveryOf == rank && (ev.RecoveryCount == 0 || ev.RecoveryCount == nth)
+	})
 	return tid
 }
+
+// scheduled wraps a rank's application when the run has a kill schedule:
+// the step and modeled-time triggers are checked as each step begins, on
+// the application's own goroutine.
+type scheduled struct {
+	sam.App
+	c    *Cluster
+	rank int
+}
+
+func (s *scheduled) Step(p *sam.Proc, step int64) bool {
+	s.c.fire(func(ev KillEvent) bool {
+		return !ev.OnRecovery && ((ev.Step > 0 && s.rank == ev.Rank && step >= ev.Step) ||
+			(ev.AtModeledSec > 0 && s.c.ElapsedModeledSec() >= ev.AtModeledSec))
+	})
+	return s.App.Step(p, step)
+}
+
+// fire executes the schedule's events that are due, each at most once.
+func (c *Cluster) fire(due func(KillEvent) bool) {
+	for i, ev := range c.cfg.Kills {
+		if due(ev) && c.killFired[i].CompareAndSwap(false, true) && c.Kill(ev.Rank) {
+			c.killsApplied.Add(1)
+		}
+	}
+}
+
+// KillsApplied counts the schedule's events that took down a live process
+// (an event can be a no-op, e.g. an on-recovery trigger whose subject never
+// failed).
+func (c *Cluster) KillsApplied() int { return int(c.killsApplied.Load()) }
 
 // Kill injects the failure of a rank's current incarnation, as if its
 // workstation rebooted. It is a documented safe no-op — returning false —
 // on an out-of-range rank, a rank whose application has already finished,
 // a never-started or already-dead incarnation, and a halted cluster; it
-// returns true only when a live process was actually killed. The chaos
-// runner uses the signal to count effective injections.
+// returns true only when a live process was actually killed, which is what
+// KillsApplied counts for the schedule's own events.
 func (c *Cluster) Kill(rank int) bool {
 	c.mu.Lock()
 	if rank < 0 || rank >= c.cfg.N || c.halted || c.appDone[rank] {
@@ -282,7 +365,7 @@ func (c *Cluster) WaitFinished(timeout time.Duration) error {
 			// Fail fast on an application error: a rank that died on a
 			// real panic (injected kills end without error) never
 			// finishes, and waiting out the full timeout hides the cause.
-			if err := c.firstError(); err != nil {
+			if err := c.Err(); err != nil {
 				return fmt.Errorf("cluster: application failed: %w", err)
 			}
 		case <-deadline.C:
@@ -296,59 +379,58 @@ func (c *Cluster) WaitFinished(timeout time.Duration) error {
 // the machine. It returns the first task error observed, if any.
 func (c *Cluster) Wait(timeout time.Duration) error {
 	err := c.WaitFinished(timeout)
-	c.halt()
+	c.Halt()
 	if err != nil {
 		return err
 	}
-	return c.firstError()
+	return c.Err()
 }
 
-// Quiesce waits for the cluster's protocol traffic to drain: every live
-// endpoint's mailbox empty and no process handling new events across a
-// few consecutive samples. Returns false if the traffic does not settle
-// within the timeout. Meaningful after WaitFinished (applications done,
-// runtimes still serving).
+// Quiesce waits for the cluster's protocol traffic to drain and reports
+// whether it did within the timeout. Meaningful after WaitFinished
+// (applications done, runtimes still serving), when only message handlers
+// send. It decides by counting: every frame delivered into a current
+// incarnation's mailbox (netsim Endpoint.Enqueued) against every frame
+// whose handler has returned (sam Proc.ProcessedCount). All the handled
+// counts are read first, then all the enqueued counts; both only grow and
+// handled never exceeds enqueued per process, so equal sums mean that at
+// the instant between the two passes every delivered frame had been
+// handled — no handler was running, and a send enqueues synchronously, so
+// there was nothing left to cause another frame.
 func (c *Cluster) Quiesce(timeout time.Duration) bool {
-	// Timer/ticker rather than time.Now polling: the deadline and sample
+	// Timer/ticker rather than time.Now polling: the deadline and poll
 	// cadence are host-side timeouts and never leak into simulation state.
 	deadline := time.NewTimer(timeout)
 	defer deadline.Stop()
-	sample := time.NewTicker(2 * time.Millisecond)
-	defer sample.Stop()
-	var last struct {
-		pending   int
-		processed int64
-	}
-	stable := 0
-	for {
-		c.mu.Lock()
-		pending := 0
-		var processed int64
-		for rank, t := range c.tasks {
-			if t == nil {
-				continue
-			}
-			pending += t.Endpoint().Pending()
-			if p := c.procs[rank]; p != nil {
-				processed += p.ProcessedCount()
-			}
-		}
-		c.mu.Unlock()
-		if pending == 0 && pending == last.pending && processed == last.processed {
-			stable++
-			if stable >= 3 {
-				return true
-			}
-		} else {
-			stable = 0
-		}
-		last.pending, last.processed = pending, processed
+	poll := time.NewTicker(time.Millisecond)
+	defer poll.Stop()
+	for !c.drained() {
 		select {
 		case <-deadline.C:
 			return false
-		case <-sample.C:
+		case <-poll.C:
 		}
 	}
+	return true
+}
+
+// drained is Quiesce's instantaneous test.
+func (c *Cluster) drained() bool {
+	c.mu.Lock()
+	procs := append([]*sam.Proc(nil), c.procs...)
+	tasks := append([]*pvm.Task(nil), c.tasks...)
+	c.mu.Unlock()
+	var handled, enqueued int64
+	for _, p := range procs {
+		if p == nil {
+			return false // a (replacement) process has not registered yet
+		}
+		handled += p.ProcessedCount()
+	}
+	for _, t := range tasks {
+		enqueued += t.Endpoint().Enqueued()
+	}
+	return handled == enqueued
 }
 
 // InvariantSnapshots collects each rank's end-of-run state summary. Call
@@ -392,20 +474,16 @@ func (c *Cluster) LiveInvariantSnapshots() []sam.InvariantSnapshot {
 	return snaps
 }
 
-// Err returns the first error any incarnation's task body reported.
-func (c *Cluster) Err() error { return c.firstError() }
-
-func (c *Cluster) halt() {
+// Halt force-stops the cluster.
+func (c *Cluster) Halt() {
 	c.mu.Lock()
 	c.halted = true
 	c.mu.Unlock()
 	c.machine.Halt()
 }
 
-// Halt force-stops the cluster (for tests that do not run to completion).
-func (c *Cluster) Halt() { c.halt() }
-
-func (c *Cluster) firstError() error {
+// Err returns the first error any incarnation's task body reported.
+func (c *Cluster) Err() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, t := range c.allTasks {

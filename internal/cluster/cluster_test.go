@@ -99,3 +99,81 @@ func TestClusterKillSemantics(t *testing.T) {
 		t.Fatalf("unexpected task error: %v", err)
 	}
 }
+
+// stallApp is TestQuiesceCountsUnhandledFrames' application. Rank 1's first
+// Snapshot — taken on its runtime goroutine, inside the initial
+// step-boundary command — closes stalled and blocks until release is
+// closed; rank 0 waits for stalled, then registers a value homed at rank 1,
+// so the registration reaches a runtime that cannot handle it.
+type stallApp struct {
+	rank       int
+	name       sam.Name        // homed at rank 1
+	stalled    chan struct{}   // closed by rank 1 once its runtime is inside Snapshot
+	registered chan<- struct{} // rank 0: the registration has been sent
+	release    <-chan struct{}
+	snapshots  int
+	st         killTestState
+}
+
+func (a *stallApp) Init(p *sam.Proc) {
+	if a.rank == 0 {
+		<-a.stalled
+		p.CreateValue(a.name, &killTestState{Step: 7}, sam.Unlimited)
+		close(a.registered)
+	}
+}
+
+func (a *stallApp) Step(p *sam.Proc, step int64) bool {
+	a.st.Step = step
+	return false
+}
+
+func (a *stallApp) Snapshot() interface{} {
+	a.snapshots++
+	if a.rank == 1 && a.snapshots == 1 {
+		close(a.stalled)
+		<-a.release
+	}
+	return &a.st
+}
+
+func (a *stallApp) Restore(s interface{}) { a.st = *(s.(*killTestState)) }
+
+// TestQuiesceCountsUnhandledFrames: a frame the receiver goroutine has
+// already moved out of the mailbox, bound for a runtime that is busy, is
+// neither pending in the endpoint nor a change in anyone's progress — a
+// cluster sampled for stability looks drained. Quiesce counts instead:
+// frames delivered against frames whose handler returned, so it cannot
+// report quiescence while rank 1 sits on rank 0's registration.
+func TestQuiesceCountsUnhandledFrames(t *testing.T) {
+	name := sam.Name(1)
+	for ft.HomeRank(uint64(name), 2) != 1 {
+		name++
+	}
+	registered, stalled, release := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	cl := cluster.New(cluster.Config{
+		N:      2,
+		Policy: ft.PolicySAM,
+		Degree: 1,
+		AppFactory: func(rank int) sam.App {
+			a := &stallApp{rank: rank, name: name, stalled: stalled, release: release}
+			if rank == 0 {
+				a.registered = registered
+			}
+			return a
+		},
+	})
+	cl.Start()
+	defer cl.Halt()
+	<-registered
+	if cl.Quiesce(50 * time.Millisecond) {
+		t.Error("Quiesce reported a drained cluster while rank 1 had not handled rank 0's registration")
+	}
+	close(release)
+	if err := cl.WaitFinished(2 * time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if !cl.Quiesce(10 * time.Second) {
+		t.Error("Quiesce never reported the finished cluster drained")
+	}
+}

@@ -1,4 +1,4 @@
-package experiments
+package experiments_test
 
 // The chaos suite: each application runs a sweep of seeded randomized
 // kill schedules (including the fixed hard archetypes: coordinator +
@@ -7,7 +7,11 @@ package experiments
 // reproduce the fault-free answer bit-for-bit and pass the end-state
 // invariants. CI runs these under -race across a seed matrix via
 // SAMFT_CHAOS_SEED; any failing schedule is reproducible from the printed
-// seed and index alone.
+// seed and index alone, and from the scenario.json dumped beside its trace.
+//
+// The sweeps are generated scenarios (scenario.ChaosSpec) run and judged by
+// scenario.RunSet like any campaign; they live in this directory, as an
+// external test package, beside the decay run and the run-timeout test.
 
 import (
 	"os"
@@ -17,7 +21,19 @@ import (
 	"testing"
 
 	"samft/internal/ckptstore"
+	"samft/internal/experiments"
+	"samft/internal/scenario"
 )
+
+// fleet is app on n workstations (0 = the generator's default, 4) at the
+// default degree 2, checkpoint copies erasure-coded when ec is set.
+func fleet(app string, n int, ec ckptstore.ECParams) scenario.Fleet {
+	f := scenario.Fleet{Procs: n, App: app}
+	if ec.Enabled() {
+		f.FT.EC = &scenario.EC{Data: ec.K, Parity: ec.M}
+	}
+	return f
+}
 
 // chaosSeed returns the sweep seed, overridable for CI's seed matrix.
 func chaosSeed(t *testing.T) uint64 {
@@ -43,15 +59,28 @@ func chaosPlacement(t *testing.T) ckptstore.Kind {
 	return k
 }
 
-func runChaosSweep(t *testing.T, app AppKind) {
-	runChaosSweepSpec(t, ChaosSpec{
-		App:       app,
-		Seed:      chaosSeed(t),
-		Placement: chaosPlacement(t),
-	})
+// runChaos generates spec's scenarios, holds them to the file format's
+// rules (scenario.Build), and runs them as one judged batch.
+func runChaos(t *testing.T, spec scenario.ChaosSpec, traceDir string) []scenario.Outcome {
+	t.Helper()
+	cs, err := scenario.Build(spec.Scenarios()...)
+	if err != nil {
+		t.Fatalf("generated scenario rejected by the validator: %v", err)
+	}
+	outs, err := scenario.RunSet(cs, traceDir)
+	if err != nil {
+		t.Fatalf("chaos sweep: %v", err)
+	}
+	return outs
 }
 
-func runChaosSweepSpec(t *testing.T, spec ChaosSpec) {
+func runChaosSweep(t *testing.T, app string) {
+	f := fleet(app, 0, ckptstore.ECParams{})
+	f.FT.Placement = chaosPlacement(t).String()
+	runChaosSweepSpec(t, scenario.ChaosSpec{Fleet: f, Seed: chaosSeed(t)})
+}
+
+func runChaosSweepSpec(t *testing.T, spec scenario.ChaosSpec) {
 	if spec.Schedules == 0 {
 		spec.Schedules = 20
 		if testing.Short() {
@@ -63,51 +92,50 @@ func runChaosSweepSpec(t *testing.T, spec ChaosSpec) {
 	}
 	spec.Jitter = true
 	spec.NotifyChaos = true
-	res, err := RunChaos(spec)
-	if err != nil {
-		t.Fatalf("chaos sweep: %v", err)
-	}
-	for _, s := range res.Schedules {
-		if len(s.Problems) == 0 {
+	outs := runChaos(t, spec, "")
+	failed := 0
+	for i, o := range outs {
+		if len(o.Problems) == 0 {
 			continue
 		}
-		t.Errorf("schedule %d (seed %d, kills: %s) failed:", s.Index, res.Spec.Seed, formatKills(s.Kills))
-		for _, p := range s.Problems {
+		failed++
+		t.Errorf("schedule %d (%s, kills: %s) failed:", i, o.Name, experiments.FormatKills(o.Result.Spec.Kills))
+		for _, p := range o.Problems {
 			t.Errorf("  %s", p)
 		}
+		t.Errorf("  replay: samrun run %s/scenario.json", o.TraceDir)
 	}
-	if res.Failed > 0 {
-		t.Fatalf("%d/%d schedules failed (seed %d)", res.Failed, len(res.Schedules), res.Spec.Seed)
+	if failed > 0 {
+		t.Fatalf("%d/%d schedules failed (seed %d)", failed, len(outs), spec.Seed)
 	}
 }
 
-func TestChaosGPS(t *testing.T)    { runChaosSweep(t, GPS) }
-func TestChaosWater(t *testing.T)  { runChaosSweep(t, Water) }
-func TestChaosBarnes(t *testing.T) { runChaosSweep(t, Barnes) }
+func TestChaosGPS(t *testing.T)    { runChaosSweep(t, "gps") }
+func TestChaosWater(t *testing.T)  { runChaosSweep(t, "water") }
+func TestChaosBarnes(t *testing.T) { runChaosSweep(t, "barnes") }
 
 // The non-default placement policies get a dedicated (shorter) sweep each
 // so every local run covers them even when SAMFT_PLACEMENT is unset; CI's
 // (seed, placement) matrix additionally runs the full per-app sweeps under
 // each policy.
 func TestChaosPlacementAffinity(t *testing.T) {
-	runChaosSweepSpec(t, ChaosSpec{
-		App: GPS, Seed: chaosSeed(t), Schedules: 8, Placement: ckptstore.Affinity,
-	})
+	f := fleet("gps", 0, ckptstore.ECParams{})
+	f.FT.Placement = "affinity"
+	runChaosSweepSpec(t, scenario.ChaosSpec{Fleet: f, Seed: chaosSeed(t), Schedules: 8})
 }
 
 func TestChaosPlacementSpread(t *testing.T) {
-	runChaosSweepSpec(t, ChaosSpec{
-		App: GPS, Seed: chaosSeed(t), Schedules: 8, Placement: ckptstore.Spread,
-	})
+	f := fleet("gps", 0, ckptstore.ECParams{})
+	f.FT.Placement = "spread"
+	runChaosSweepSpec(t, scenario.ChaosSpec{Fleet: f, Seed: chaosSeed(t), Schedules: 8})
 }
 
 // Erasure-coded checkpoint copies: N=5 so a (2,2) code fits on the four
 // non-owner ranks, and MaxKills=2 keeps every schedule within the code's
 // loss budget (m=2 simultaneous failures).
 func TestChaosErasureCoding(t *testing.T) {
-	runChaosSweepSpec(t, ChaosSpec{
-		App: GPS, Seed: chaosSeed(t), Schedules: 8,
-		N: 5, Degree: 2, MaxKills: 2, ECData: 2, ECParity: 2,
+	runChaosSweepSpec(t, scenario.ChaosSpec{
+		Fleet: fleet("gps", 5, ckptstore.ECParams{K: 2, M: 2}), Seed: chaosSeed(t), Schedules: 8, MaxKills: 2,
 	})
 }
 
@@ -117,7 +145,7 @@ func TestChaosErasureCoding(t *testing.T) {
 // checkpoint), surviving only because the coverage ledger proactively
 // re-replicates the copies each round destroys.
 func TestChaosRepeatedFailureDecay(t *testing.T) {
-	res, err := RunDecay(DecaySpec{Placement: chaosPlacement(t)})
+	res, err := experiments.RunDecay(chaosPlacement(t))
 	if err != nil {
 		t.Fatalf("decay run: %v", err)
 	}
@@ -138,7 +166,7 @@ func TestChaosRepeatedFailureDecay(t *testing.T) {
 // silently no-oped and the schedule tested less than it claimed.
 
 // scheduleVictims returns the distinct victim ranks of a schedule.
-func scheduleVictims(kills []KillEvent) map[int]bool {
+func scheduleVictims(kills []experiments.KillEvent) map[int]bool {
 	v := make(map[int]bool)
 	for _, k := range kills {
 		v[k.Rank] = true
@@ -146,18 +174,37 @@ func scheduleVictims(kills []KillEvent) map[int]bool {
 	return v
 }
 
-func checkSchedule(t *testing.T, spec ChaosSpec, i int, kills []KillEvent) {
+// generated returns the kill schedules spec generates, read back off the
+// compiled scenarios — what a run of them executes.
+func generated(t *testing.T, spec scenario.ChaosSpec) [][]experiments.KillEvent {
 	t.Helper()
-	budget := ckptstore.Survivable(spec.N, spec.Degree, ckptstore.ECParams{K: spec.ECData, M: spec.ECParity})
+	cs, err := scenario.Build(spec.Scenarios()...)
+	if err != nil {
+		t.Fatalf("generated scenario rejected by the validator: %v", err)
+	}
+	out := make([][]experiments.KillEvent, len(cs))
+	for i, c := range cs {
+		out[i] = c.Spec.Kills
+	}
+	return out
+}
+
+func checkSchedule(t *testing.T, spec scenario.ChaosSpec, i int, kills []experiments.KillEvent) {
+	t.Helper()
+	n, ec := spec.Fleet.Procs, ckptstore.ECParams{}
+	if c := spec.Fleet.FT.EC; c != nil {
+		ec = ckptstore.ECParams{K: c.Data, M: c.Parity}
+	}
+	budget := ckptstore.Survivable(n, 2, ec)
 	victims := scheduleVictims(kills)
 	if len(victims) > budget {
 		t.Errorf("schedule %d: %d distinct victims exceeds budget %d (%s)",
-			i, len(victims), budget, formatKills(kills))
+			i, len(victims), budget, experiments.FormatKills(kills))
 	}
-	seen := make(map[KillEvent]bool)
+	seen := make(map[experiments.KillEvent]bool)
 	for _, k := range kills {
-		if k.Rank < 0 || k.Rank >= spec.N {
-			t.Errorf("schedule %d: rank %d out of range [0,%d)", i, k.Rank, spec.N)
+		if k.Rank < 0 || k.Rank >= n {
+			t.Errorf("schedule %d: rank %d out of range [0,%d)", i, k.Rank, n)
 		}
 		if k.OnRecovery && !victims[k.RecoveryOf] {
 			t.Errorf("schedule %d: on-recovery trigger rides rank %d, which is never killed", i, k.RecoveryOf)
@@ -177,16 +224,15 @@ func checkSchedule(t *testing.T, spec ChaosSpec, i int, kills []KillEvent) {
 // victims (the pre-fix generator did at MaxKills > ECParity).
 func TestChaosScheduleECBudget(t *testing.T) {
 	for _, ec := range []struct{ k, m int }{{2, 1}, {2, 2}, {3, 1}} {
-		spec := ChaosSpec{
-			App: GPS, N: ec.k + ec.m + 1, Degree: 2, MaxKills: 4,
-			Seed: chaosSeed(t), Schedules: 40, ECData: ec.k, ECParity: ec.m,
+		spec := scenario.ChaosSpec{
+			Fleet:    fleet("gps", ec.k+ec.m+1, ckptstore.ECParams{K: ec.k, M: ec.m}),
+			MaxKills: 4, Seed: chaosSeed(t), Schedules: 40,
 		}
-		spec.fill()
-		if got := ckptstore.Survivable(spec.N, spec.Degree, ckptstore.ECParams{K: spec.ECData, M: spec.ECParity}); got != ec.m {
+		if got := ckptstore.Survivable(spec.Fleet.Procs, 2, ckptstore.ECParams{K: ec.k, M: ec.m}); got != ec.m {
 			t.Fatalf("ec(%d,%d): survivable failures = %d, want parity %d", ec.k, ec.m, got, ec.m)
 		}
-		for i := 0; i < spec.Schedules; i++ {
-			checkSchedule(t, spec, i, chaosSchedule(spec, i))
+		for i, kills := range generated(t, spec) {
+			checkSchedule(t, spec, i, kills)
 		}
 	}
 }
@@ -196,10 +242,9 @@ func TestChaosScheduleECBudget(t *testing.T) {
 // min(Degree, N-1) distinct victims.
 func TestChaosScheduleSmallN(t *testing.T) {
 	for _, n := range []int{2, 3} {
-		spec := ChaosSpec{App: Water, N: n, Degree: 2, MaxKills: 3, Seed: chaosSeed(t), Schedules: 20}
-		spec.fill()
-		for i := 0; i < spec.Schedules; i++ {
-			checkSchedule(t, spec, i, chaosSchedule(spec, i))
+		spec := scenario.ChaosSpec{Fleet: fleet("water", n, ckptstore.ECParams{}), MaxKills: 3, Seed: chaosSeed(t), Schedules: 20}
+		for i, kills := range generated(t, spec) {
+			checkSchedule(t, spec, i, kills)
 		}
 	}
 }
@@ -209,23 +254,19 @@ func TestChaosScheduleSmallN(t *testing.T) {
 // a live process: the schedule's intent must survive the clamp, not just
 // its shape.
 func TestChaosSmallClusterKillsApply(t *testing.T) {
-	spec := ChaosSpec{App: GPS, N: 3, Seed: chaosSeed(t), Schedules: 4}
-	res, err := RunChaos(spec)
-	if err != nil {
-		t.Fatalf("chaos sweep: %v", err)
-	}
-	if res.Failed > 0 {
-		for _, s := range res.Schedules {
-			for _, p := range s.Problems {
-				t.Errorf("schedule %d: %s", s.Index, p)
-			}
+	outs := runChaos(t, scenario.ChaosSpec{Fleet: fleet("gps", 3, ckptstore.ECParams{}), Seed: chaosSeed(t), Schedules: 4}, "")
+	for i, o := range outs {
+		for _, p := range o.Problems {
+			t.Errorf("schedule %d: %s", i, p)
 		}
-		t.Fatalf("%d/%d schedules failed at N=3", res.Failed, len(res.Schedules))
 	}
-	for _, s := range res.Schedules {
-		if s.Result.KillsApplied != len(s.Kills) {
+	if t.Failed() {
+		t.Fatalf("schedules failed at N=3")
+	}
+	for i, o := range outs {
+		if kills := o.Result.Spec.Kills; o.Result.KillsApplied != len(kills) {
 			t.Errorf("schedule %d: %d/%d kills applied — a scheduled kill was a silent no-op (%s)",
-				s.Index, s.Result.KillsApplied, len(s.Kills), formatKills(s.Kills))
+				i, o.Result.KillsApplied, len(kills), experiments.FormatKills(kills))
 		}
 	}
 }
@@ -236,9 +277,8 @@ func TestChaosSmallClusterKillsApply(t *testing.T) {
 // failures. Before the fix this configuration scheduled two simultaneous
 // losses the code cannot decode.
 func TestChaosECRandomizedNoFalseFailures(t *testing.T) {
-	runChaosSweepSpec(t, ChaosSpec{
-		App: GPS, Seed: chaosSeed(t), Schedules: 8,
-		N: 4, Degree: 2, MaxKills: 3, ECData: 2, ECParity: 1,
+	runChaosSweepSpec(t, scenario.ChaosSpec{
+		Fleet: fleet("gps", 4, ckptstore.ECParams{K: 2, M: 1}), Seed: chaosSeed(t), Schedules: 8, MaxKills: 3,
 	})
 }
 
@@ -250,11 +290,7 @@ func TestChaosTraceDumpFailureReported(t *testing.T) {
 	if err := os.WriteFile(blocked, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunChaos(ChaosSpec{App: GPS, Seed: chaosSeed(t), Schedules: 1, TraceDir: blocked})
-	if err != nil {
-		t.Fatalf("chaos sweep: %v", err)
-	}
-	s := res.Schedules[0]
+	s := runChaos(t, scenario.ChaosSpec{Fleet: fleet("gps", 0, ckptstore.ECParams{}), Seed: chaosSeed(t), Schedules: 1}, blocked)[0]
 	if s.TraceDir != "" {
 		t.Fatalf("schedule claims a trace at %s despite the blocked root", s.TraceDir)
 	}

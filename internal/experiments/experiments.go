@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"samft/internal/apps/barnes"
@@ -19,7 +18,6 @@ import (
 	"samft/internal/cluster"
 	"samft/internal/ft"
 	"samft/internal/netsim"
-	"samft/internal/pvm"
 	"samft/internal/sam"
 	"samft/internal/stats"
 	"samft/internal/trace"
@@ -57,30 +55,9 @@ const (
 	Paper
 )
 
-// KillEvent schedules one failure injection within a run.
-type KillEvent struct {
-	// Rank is the victim's logical rank.
-	Rank int
-	// Step, when > 0, fires the kill when the victim's application
-	// reaches that step.
-	Step int64
-	// AtModeledSec, when > 0, fires the kill once the cluster's modeled
-	// clock passes that instant. Checked at application step boundaries,
-	// so the kill lands at the first step at-or-after the threshold. A
-	// threshold past the end of the run is a no-op.
-	AtModeledSec float64
-	// OnRecovery, instead, fires the kill the moment rank RecoveryOf's
-	// replacement process is spawned — a failure injected mid-recovery.
-	// Rank == RecoveryOf re-kills the recovering process itself before it
-	// can finish restoring.
-	OnRecovery bool
-	RecoveryOf int
-	// RecoveryCount, when > 0, narrows an OnRecovery trigger to RecoveryOf's
-	// k-th respawn (1 = first). Zero fires on the first respawn observed.
-	// Distinct counts let a schedule kill successive replacements of the
-	// same rank deterministically (a flapping workstation).
-	RecoveryCount int
-}
+// KillEvent schedules one failure injection within a run; the cluster
+// interprets the schedule (cluster.Config.Kills).
+type KillEvent = cluster.KillEvent
 
 // Spec describes one cluster run.
 type Spec struct {
@@ -94,8 +71,8 @@ type Spec struct {
 	// Consistent wraps the app with the global-checkpointing baseline (A3).
 	Consistent bool
 	Scale      Scale
-	// Kills is the failure-injection schedule (empty = fault-free run).
-	// Each event fires at most once.
+	// Kills is the failure-injection schedule (empty = fault-free run);
+	// see cluster.Config.Kills.
 	Kills []KillEvent
 	// Chaos-network knobs: seeded per-message delay jitter (microseconds)
 	// and exit-notification drop/duplication. Any nonzero setting attaches
@@ -143,19 +120,6 @@ type Result struct {
 	// InvariantViolations holds post-run consistency failures (only
 	// collected when Spec.CheckInvariants is set).
 	InvariantViolations []string
-}
-
-type hooked struct {
-	sam.App
-	hook func(rank int, step int64)
-	rank int
-}
-
-func (h *hooked) Step(p *sam.Proc, step int64) bool {
-	if h.hook != nil {
-		h.hook(h.rank, step)
-	}
-	return h.App.Step(p, step)
 }
 
 type answerBox struct {
@@ -221,26 +185,10 @@ func barnesParams(s Scale) barnes.Params {
 // long is hung, and Run halts it and reports the timeout.
 var runTimeout = 2 * time.Minute
 
-// Run executes one spec to completion and collects the metrics. The cluster
-// is halted by the time Run returns, whatever the outcome.
-func Run(spec Spec) (Result, error) {
-	if spec.N <= 0 {
-		spec.N = 1
-	}
-	ans := &answerBox{}
-	var cl *cluster.Cluster
-	killOnces := make([]sync.Once, len(spec.Kills))
-	var killsApplied atomic.Int64
-	// fire executes kill event i exactly once.
-	fire := func(i int) {
-		killOnces[i].Do(func() {
-			if cl.Kill(spec.Kills[i].Rank) {
-				killsApplied.Add(1)
-			}
-		})
-	}
-
-	factory := func(rank int) sam.App {
+// appFactory builds spec's application for each rank; rank 0's reports the
+// run's answer into ans.
+func appFactory(spec Spec, ans *answerBox) func(rank int) sam.App {
+	return func(rank int) sam.App {
 		var app sam.App
 		switch spec.App {
 		case GPS:
@@ -260,9 +208,8 @@ func Run(spec Spec) (Result, error) {
 			}
 			a := water.New(rank, spec.N, wp)
 			if rank == 0 {
-				steps := waterParams(spec.Scale).Steps
 				a.OnEnergy = func(step int64, e float64) {
-					if step == steps {
+					if step == wp.Steps {
 						ans.put(e)
 					}
 				}
@@ -275,9 +222,8 @@ func Run(spec Spec) (Result, error) {
 			}
 			a := barnes.New(rank, spec.N, bp)
 			if rank == 0 {
-				steps := barnesParams(spec.Scale).Steps
 				a.OnStep = func(step int64, mass float64) {
-					if step == steps {
+					if step == bp.Steps {
 						ans.put(mass)
 					}
 				}
@@ -287,22 +233,15 @@ func Run(spec Spec) (Result, error) {
 		if spec.Consistent {
 			app = ckpt.NewConsistent(app, rank, spec.N, ckpt.DefaultConsistentConfig())
 		}
-		hook := func(r int, s int64) {
-			for i := range spec.Kills {
-				ev := spec.Kills[i]
-				if ev.OnRecovery {
-					continue
-				}
-				if ev.Step > 0 && r == ev.Rank && s >= ev.Step {
-					fire(i)
-				} else if ev.AtModeledSec > 0 && cl.ElapsedModeledSec() >= ev.AtModeledSec {
-					fire(i)
-				}
-			}
-		}
-		return &hooked{App: app, hook: hook, rank: rank}
+		return app
 	}
+}
 
+// Run executes one spec to completion and collects the metrics. The cluster
+// is halted by the time Run returns, whatever the outcome.
+func Run(spec Spec) (Result, error) {
+	spec.N = max(spec.N, 1)
+	ans := &answerBox{}
 	var chaos *netsim.FaultPlan
 	if spec.JitterUS > 0 || spec.NotifyDrop || spec.NotifyDup {
 		chaos = &netsim.FaultPlan{
@@ -312,11 +251,7 @@ func Run(spec Spec) (Result, error) {
 			DupNotify:  spec.NotifyDup,
 		}
 	}
-	// respawnSeen counts each rank's respawns so RecoveryCount triggers can
-	// target a specific replacement incarnation.
-	respawnSeen := make([]int, spec.N)
-	var respawnMu sync.Mutex
-	cl = cluster.New(cluster.Config{
+	cl := cluster.New(cluster.Config{
 		N:            spec.N,
 		Policy:       spec.Policy,
 		Degree:       spec.Degree,
@@ -326,55 +261,45 @@ func Run(spec Spec) (Result, error) {
 		ECData:       spec.ECData,
 		ECParity:     spec.ECParity,
 		HostSlowdown: spec.HostSlowdown,
-		AppFactory:   factory,
+		AppFactory:   appFactory(spec, ans),
+		Kills:        spec.Kills,
 		Chaos:        chaos,
 		Tracer:       spec.Tracer,
-		OnRespawn: func(rank int, _ pvm.TID) {
-			respawnMu.Lock()
-			nth := 0
-			if rank >= 0 && rank < len(respawnSeen) {
-				respawnSeen[rank]++
-				nth = respawnSeen[rank]
-			}
-			respawnMu.Unlock()
-			for i := range spec.Kills {
-				ev := spec.Kills[i]
-				if ev.OnRecovery && ev.RecoveryOf == rank &&
-					(ev.RecoveryCount == 0 || ev.RecoveryCount == nth) {
-					fire(i)
-				}
-			}
-		},
 	})
-	var violations []string
 	cl.Start()
-	err := cl.WaitFinished(runTimeout)
-	if err == nil && spec.CheckInvariants && !cl.Quiesce(10*time.Second) {
-		violations = append(violations, "quiesce: protocol traffic did not settle")
-	}
-	cl.Halt()
-	if err == nil {
-		err = cl.Err()
-	}
+	violations, err := settle(cl, spec, runTimeout)
 	if err != nil {
 		return Result{}, err
 	}
 	rep := cl.Report()
-	if spec.CheckInvariants && len(violations) == 0 {
-		degree := spec.Degree
-		if degree <= 0 {
-			degree = 1
-		}
-		violations = CheckInvariants(cl.InvariantSnapshots(), spec.N, degree, spec.ECData, spec.ECParity)
-	}
 	return Result{
 		Spec:                spec,
 		ModeledSec:          rep.Elapsed,
 		Report:              rep,
 		Answer:              ans.get(),
-		KillsApplied:        int(killsApplied.Load()),
+		KillsApplied:        cl.KillsApplied(),
 		InvariantViolations: violations,
 	}, nil
+}
+
+// settle sees a started cluster through to its end: it waits (up to
+// timeout) for every application to finish, halts the cluster whatever the
+// outcome, and — when spec asks for the invariants — quiesces it first and
+// returns the end-state violations.
+func settle(cl *cluster.Cluster, spec Spec, timeout time.Duration) ([]string, error) {
+	err := cl.WaitFinished(timeout)
+	settled := err != nil || !spec.CheckInvariants || cl.Quiesce(10*time.Second)
+	cl.Halt()
+	if err == nil {
+		err = cl.Err()
+	}
+	switch {
+	case err != nil || !spec.CheckInvariants:
+		return nil, err
+	case !settled:
+		return []string{"quiesce: protocol traffic did not settle"}, nil
+	}
+	return CheckInvariants(cl.InvariantSnapshots(), spec.N, max(spec.Degree, 1), spec.ECData, spec.ECParity), nil
 }
 
 // FigureRow is one (procs, variant) cell of a speedup figure.

@@ -25,10 +25,7 @@ func SetParallelism(n int) int {
 	parMu.Lock()
 	defer parMu.Unlock()
 	prev := parOverride
-	if n <= 0 {
-		n = 0
-	}
-	parOverride = n
+	parOverride = max(n, 0)
 	return prev
 }
 
@@ -57,7 +54,7 @@ type RunError struct {
 
 func (e *RunError) Error() string {
 	return fmt.Sprintf("%v n=%d policy=%v kills=[%s] chaos-seed=%d: %v",
-		e.Spec.App, e.Spec.N, e.Spec.Policy, formatKills(e.Spec.Kills), e.Spec.ChaosSeed, e.Err)
+		e.Spec.App, e.Spec.N, e.Spec.Policy, FormatKills(e.Spec.Kills), e.Spec.ChaosSeed, e.Err)
 }
 
 func (e *RunError) Unwrap() error { return e.Err }

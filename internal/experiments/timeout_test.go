@@ -14,10 +14,11 @@ import (
 )
 
 // TestHungRunIsARedRunWithItsTrace: a run that is still going at the run
-// timeout is halted and reported like any other red run — by the chaos
-// sweep and the scenario runner alike — with the kill schedule and chaos
-// seed that reproduce it and the directory its timeline was dumped to,
-// instead of taking the test binary down with a goroutine dump.
+// timeout is halted and reported like any other red run — a generated
+// chaos schedule and a scenario file alike — with the kill schedule and
+// chaos seed that reproduce it and the directory it was dumped to: its
+// timeline and the scenario.json that replays it, instead of taking the
+// test binary down with a goroutine dump.
 func TestHungRunIsARedRunWithItsTrace(t *testing.T) {
 	defer experiments.ExpireRunTimeout()()
 	root := t.TempDir()
@@ -38,12 +39,23 @@ func TestHungRunIsARedRunWithItsTrace(t *testing.T) {
 		if fi, err := os.Stat(filepath.Join(root, dir, "trace.json")); err != nil || fi.Size() == 0 {
 			t.Errorf("no trace dumped for the hung run: %v", err)
 		}
+		replay, err := scenario.LoadFile(filepath.Join(root, dir, "scenario.json"))
+		if err != nil {
+			t.Fatalf("the hung run's dump does not replay: %v", err)
+		}
+		if got := "kills=[" + experiments.FormatKills(scenario.Compile(replay, "").Spec.Kills) + "]"; got != wants[0] {
+			t.Errorf("dumped scenario.json schedules %s, the hung run had %s", got, wants[0])
+		}
 	}
 
-	t.Run("RunChaos", func(t *testing.T) {
+	t.Run("chaos", func(t *testing.T) {
 		// Every run hangs; the first schedule is the one reported.
-		_, err := experiments.RunChaos(experiments.ChaosSpec{App: experiments.GPS, Seed: 7, Schedules: 2})
-		check(t, err, 0, "GPS-seed7-schedule00", "kills=[kill 0 at step 2, kill 1 at step 2]", "chaos-seed=7")
+		cs, err := scenario.Build(scenario.ChaosSpec{Fleet: scenario.Fleet{App: "gps"}, Seed: 7, Schedules: 2}.Scenarios()...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = scenario.RunSet(cs, "")
+		check(t, err, 0, "scenario-GPS-seed7-schedule00", "kills=[kill 0 at step 2, kill 1 at step 2]", "chaos-seed=7")
 	})
 	t.Run("scenario.RunSet", func(t *testing.T) {
 		s, err := scenario.Load([]byte(`{

@@ -79,6 +79,10 @@ type Endpoint struct {
 	qHead   int  // first unscanned entry
 	waiting bool // a receiver is parked in cond.Wait
 	mbox    *mailbox
+	// enqueued counts every message ever appended to queue (exit
+	// notifications included). A plain field under mu: delivery already
+	// holds it, so the hot path pays no extra atomic.
+	enqueued int64
 	// rec is this endpoint's trace track; nil when tracing is disabled,
 	// making every instrumentation site a single-branch no-op.
 	rec *trace.Recorder
@@ -337,6 +341,7 @@ func (e *Endpoint) deliver(src, dst TID, tag int, id int64, payload []byte, arri
 	}
 	//samlint:allow noalloc -- ingress queue append; capacity converges after warm-up (allocs/op pinned by BenchmarkSendRecv)
 	e.queue = append(e.queue, Message{Src: src, Dst: dst, Tag: tag, ID: id, Payload: payload, ArrivalUS: arrival})
+	e.enqueued++
 	wake := e.waiting
 	e.waiting = false
 	e.mu.Unlock()
@@ -359,6 +364,7 @@ func (e *Endpoint) deliverExit(m *Message) bool {
 		return false
 	}
 	e.queue = append(e.queue, *m)
+	e.enqueued++
 	wake := e.waiting
 	e.waiting = false
 	e.mu.Unlock()
@@ -569,6 +575,16 @@ func (e *Endpoint) Probe(src TID, tag int) bool {
 	defer e.mu.Unlock()
 	e.drainAll()
 	return e.mbox.peek(src, tag)
+}
+
+// Enqueued returns how many messages were ever delivered into this
+// endpoint's mailbox, taken out since or not. A harness that also counts
+// the messages a process has finished handling can tell a drained cluster
+// from a busy one without sampling (see cluster.Quiesce).
+func (e *Endpoint) Enqueued() int64 {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.enqueued
 }
 
 // Pending returns the number of queued messages. Intended for tests.

@@ -187,10 +187,13 @@ func (p *Proc) handleCmd(c *cmd) {
 	case opFinish:
 		p.appFinished = true
 		p.flushUseNotices()
-		p.reply(c, nil, nil)
 		// Triggers queued while the application was running its last step
 		// can proceed now: the process is permanently at a boundary.
 		p.maybeStartTx()
+		// The reply comes last: once every application has returned from
+		// finish, only message handlers send, which is what lets the harness
+		// decide quiescence by counting frames (cluster.Quiesce).
+		p.reply(c, nil, nil)
 	default:
 		p.reply(c, nil, fmt.Errorf("unknown op %d", c.op))
 	}

@@ -87,8 +87,9 @@ type Proc struct {
 	relayedFail   map[failKey]bool
 	contributedTo map[int]netsim.TID
 
-	// nProcessed counts runtime-loop events (messages and commands); the
-	// harness samples it to detect quiescence before invariant checks.
+	// nProcessed counts the network messages whose handler has returned.
+	// The harness sets it against the endpoint's enqueue count to decide
+	// quiescence before invariant checks (cluster.Quiesce).
 	nProcessed atomic.Int64
 
 	runDone chan struct{} // closed when the runtime goroutine exits
@@ -284,13 +285,13 @@ func (p *Proc) runtime() {
 			p.nProcessed.Add(1)
 		case c := <-p.cmdq:
 			p.handleCmd(c)
-			p.nProcessed.Add(1)
 		}
 	}
 }
 
-// ProcessedCount reports how many runtime events (messages and commands)
-// this process has handled. The harness polls it to detect quiescence.
+// ProcessedCount reports how many network messages this process has
+// finished handling: every frame its endpoint ever enqueued, once the
+// process is idle.
 func (p *Proc) ProcessedCount() int64 { return p.nProcessed.Load() }
 
 // reply completes an application command.

@@ -32,23 +32,28 @@ type Compiled struct {
 // scenario that passed Load (or validate): unknown enum values panic
 // here rather than guess.
 func Compile(s *Scenario, path string) Compiled {
-	spec := experiments.Spec{
+	// The baseline twin is the fleet and its FT configuration, nothing else;
+	// the faulted run adds every perturbation — kills, network chaos, host
+	// slowdowns — none of which may change the computed answer, so the
+	// answer comparison isolates the faults.
+	baseline := experiments.Spec{
 		N:         s.Fleet.Procs,
-		App:       compileApp(s.Fleet.App),
-		Policy:    compilePolicy(s.Fleet.FT.Policy),
+		App:       lower(apps, "app", s.Fleet.App),
+		Policy:    lower(policies, "policy", s.Fleet.FT.Policy),
 		Degree:    s.Fleet.FT.Degree,
-		Placement: compilePlacement(s.Fleet.FT.Placement),
-		ChaosSeed: s.Seed,
+		Placement: lower(placements, "placement", s.Fleet.FT.Placement),
 	}
-	if spec.Degree == 0 {
-		spec.Degree = defaultDegree
+	if baseline.Degree == 0 {
+		baseline.Degree = defaultDegree
 	}
 	if s.Fleet.Scale == "paper" {
-		spec.Scale = experiments.Paper
+		baseline.Scale = experiments.Paper
 	}
 	if ec := s.Fleet.FT.EC; ec != nil {
-		spec.ECData, spec.ECParity = ec.Data, ec.Parity
+		baseline.ECData, baseline.ECParity = ec.Data, ec.Parity
 	}
+	spec := baseline
+	spec.ChaosSeed = s.Seed
 	for _, ev := range s.Events {
 		switch {
 		case ev.Kill != nil:
@@ -81,19 +86,6 @@ func Compile(s *Scenario, path string) Compiled {
 	}
 	spec.CheckInvariants = boolOr(s.Assert.Invariants, true)
 
-	// The baseline twin keeps the fleet and FT configuration (so the
-	// answer comparison isolates the faults) but drops every perturbation:
-	// kills, network chaos, and host slowdowns, none of which may change
-	// the computed answer.
-	baseline := spec
-	baseline.Kills = nil
-	baseline.ChaosSeed = 0
-	baseline.JitterUS = 0
-	baseline.NotifyDrop, baseline.NotifyDup = false, false
-	baseline.HostSlowdown = nil
-	baseline.CheckInvariants = false
-	baseline.Tracer = nil
-
 	c := Compiled{
 		Scenario:       s,
 		Path:           path,
@@ -101,47 +93,34 @@ func Compile(s *Scenario, path string) Compiled {
 		Baseline:       baseline,
 		CheckAnswer:    boolOr(s.Assert.AnswerMatchesBaseline, true),
 		MaxRecoverySec: s.Assert.MaxRecoveryModeledSec,
+		MinKills:       countKills(s),
 	}
 	if s.Assert.MinKillsApplied != nil {
 		c.MinKills = *s.Assert.MinKillsApplied
-	} else {
-		c.MinKills = countKills(s)
 	}
 	return c
 }
 
-func compileApp(app string) experiments.AppKind {
-	switch app {
-	case "gps":
-		return experiments.GPS
-	case "water":
-		return experiments.Water
-	case "barnes":
-		return experiments.Barnes
+// The schema's enumerations, each in one table: what the validator
+// accepts, what Compile lowers it to, and (apps) what the chaos generator
+// names a sweep after.
+var (
+	apps = map[string]experiments.AppKind{
+		"gps": experiments.GPS, "water": experiments.Water, "barnes": experiments.Barnes,
 	}
-	panic("scenario: Compile on unvalidated app " + app)
-}
+	policies = map[string]ft.Policy{
+		"": ft.PolicySAM, "sam": ft.PolicySAM, "naive": ft.PolicyNaive, "off": ft.PolicyOff,
+	}
+	placements = map[string]ckptstore.Kind{
+		"": ckptstore.Ring, "ring": ckptstore.Ring, "affinity": ckptstore.Affinity, "spread": ckptstore.Spread,
+	}
+)
 
-func compilePolicy(p string) ft.Policy {
-	switch p {
-	case "", "sam":
-		return ft.PolicySAM
-	case "naive":
-		return ft.PolicyNaive
-	case "off":
-		return ft.PolicyOff
+// lower maps a validated enum value through its table.
+func lower[V any](table map[string]V, what, value string) V {
+	v, ok := table[value]
+	if !ok {
+		panic("scenario: Compile on unvalidated " + what + " " + value)
 	}
-	panic("scenario: Compile on unvalidated policy " + p)
-}
-
-func compilePlacement(p string) ckptstore.Kind {
-	switch p {
-	case "", "ring":
-		return ckptstore.Ring
-	case "affinity":
-		return ckptstore.Affinity
-	case "spread":
-		return ckptstore.Spread
-	}
-	panic("scenario: Compile on unvalidated placement " + p)
+	return v
 }

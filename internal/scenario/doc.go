@@ -45,11 +45,11 @@
 // file:line:col: path: message, so a campaign of many files fails with
 // errors an editor can jump to.
 //
-// The campaign runner executes each scenario's fault-free baseline twin
-// and its faulted run through experiments.RunAll (bounded parallelism,
-// deterministic result order) and evaluates the assertions. Failing
-// scenarios auto-dump their virtual-time traces under
-// experiments.TraceRoot (the SAMFT_TRACE_DIR wiring CI already uploads).
+// RunSet is the one judged batch, for files, the chaos sweep's generated
+// scenarios (ChaosSpec) and ftbench's tables (Build) alike: every faulted
+// run and each distinct fault-free twin once through experiments.RunAll,
+// judged by experiments.Judge. A failing or hung run is dumped as
+// scenario-<name>/{scenario.json,trace.json,recovery.txt}; samrun replays it.
 //
 // cmd/samrun is the CLI: `samrun validate f.json...`, `samrun run
 // f.json`, `samrun campaign dir/`.

@@ -33,6 +33,7 @@ func TestGoldenErrors(t *testing.T) {
 		{"bad-rank.json", `9`, true, "events[0].kill.rank", "rank 9 out of range [0,4)"},
 		{"bad-ec-budget.json", `{ "data"`, true, "fleet.ft.ec", "ec(2,2) needs 4 non-owner ranks but the fleet has 3"},
 		{"bad-recovery-ref.json", `3`, true, "events[1].kill.on_recovery_of", "rank 3 is not killed by an earlier event"},
+		{"bad-recovery-chain.json", `{ "rank": 3`, true, "events[2].kill", "on_recovery_of chain has 3 distinct ranks down at once, exceeding the survivable budget of 2"},
 		{"bad-assert.json", `3`, true, "assert.min_kills_applied", "requires 3 applied kills but the schedule has only 1"},
 	}
 	for _, tc := range cases {

@@ -1,9 +1,12 @@
 package scenario
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
-	"math"
+	"os"
+	"path/filepath"
 
 	"samft/internal/experiments"
 	"samft/internal/trace"
@@ -13,89 +16,155 @@ import (
 type Outcome struct {
 	Path string
 	Name string
-	// Verdict holds every failed assertion (Problems; empty = green),
-	// harness warnings, and where the faulted run's trace was dumped.
-	experiments.Verdict
-	// Result is the faulted run; BaselineAnswer the fault-free twin's
-	// answer (NaN when the answer assertion is off).
-	Result         experiments.Result
-	BaselineAnswer float64
+	// Problems lists everything wrong with the run (empty = green): what
+	// experiments.Judge found, the scenario's own failed assertions, and —
+	// so a red run either keeps its timeline or says why not — a failed
+	// dump of a failing run.
+	Problems []string
+	// Warnings lists harness-side defects that do not fail the run (a
+	// requested dump failing on a passing run).
+	Warnings []string
+	// TraceDir is where the run was dumped ("" if it was not): scenario.json
+	// (what `samrun run` replays), trace.json (Perfetto loadable) and
+	// recovery.txt.
+	TraceDir string
+	// Result is the faulted run.
+	Result experiments.Result
 	// RecoveryModeledSec is the faulted run's recovery time, read off its
 	// trace (experiments.RecoveryWindowSec); max_recovery_modeled_sec
 	// bounds it.
 	RecoveryModeledSec float64
 }
 
-// RunOne executes a single compiled scenario.
-func RunOne(c Compiled, traceDir string) (Outcome, error) {
-	outs, err := RunSet([]Compiled{c}, traceDir)
-	if err != nil {
-		return Outcome{}, err
+// Failed reports whether the run has any problem.
+func (o Outcome) Failed() bool { return len(o.Problems) > 0 }
+
+// Build validates and compiles scenarios constructed in Go (the chaos
+// generator's, ftbench's tables) under the rules Load holds a file to, so
+// the scenario.json dumped beside a built scenario's trace replays.
+func Build(scenarios ...*Scenario) ([]Compiled, error) {
+	cs := make([]Compiled, len(scenarios))
+	for i, s := range scenarios {
+		if errs := validate(s, &posIndex{file: s.Name}); len(errs) > 0 {
+			return nil, errs
+		}
+		cs[i] = Compile(s, "")
 	}
-	return outs[0], nil
+	return cs, nil
 }
 
-// RunSet executes a batch of compiled scenarios — every fault-free
-// baseline twin and every faulted run — through experiments.RunAll, so a
-// campaign gets the same bounded parallelism and deterministic result
-// ordering as the figure sweeps, then evaluates each scenario's
-// assertions.
+// RunSet executes a batch of compiled scenarios — every faulted run, and
+// each distinct fault-free baseline twin once — through
+// experiments.RunAll, so a campaign gets the same bounded parallelism and
+// deterministic result ordering as the figure sweeps, then evaluates each
+// scenario's assertions.
 //
-// Every faulted run records its virtual-time timeline; a failing
-// scenario dumps it under TraceRoot(traceDir)/scenario-<name> (the
-// SAMFT_TRACE_DIR wiring CI uploads), and with an explicit traceDir
-// passing scenarios dump too. The returned error reports harness
-// failures, not assertion misses: a run that errored out (hung until the
-// run timeout), with its scenario, kill schedule and dumped trace named.
+// Every faulted run records its virtual-time timeline; a failing scenario
+// is dumped (see dump; $SAMFT_TRACE_DIR is what CI uploads), and with an
+// explicit traceDir passing scenarios dump too. The returned error reports
+// harness failures, not assertion misses: a run that errored out (hung
+// until the run timeout), with its scenario, kill schedule and dump
+// directory named.
 func RunSet(cs []Compiled, traceDir string) ([]Outcome, error) {
-	specs := make([]experiments.Spec, 0, 2*len(cs))
-	names := make([]string, 0, 2*len(cs)) // trace directory per spec
-	baseIdx := make([]int, len(cs))       // index into specs, -1 when no baseline runs
-	runIdx := make([]int, len(cs))
+	// The faulted runs come first (scenario i is specs[i]), then the twins.
+	n := len(cs)
+	specs := make([]experiments.Spec, n, 2*n)
+	names := make([]string, n, 2*n) // what an errored run is reported as
+	twin := make([]int, n)          // scenario -> its twin in specs; -1 when the answer assertion is off
+	twins := make(map[string]int)   // rendered baseline spec -> its index in specs
 	for i := range cs {
-		baseIdx[i] = -1
-		if cs[i].CheckAnswer {
-			baseIdx[i] = len(specs)
-			specs = append(specs, cs[i].Baseline)
-			names = append(names, "scenario-"+cs[i].Scenario.Name+"-baseline")
+		specs[i] = cs[i].Spec
+		specs[i].Tracer = trace.New(0)
+		names[i] = "scenario-" + cs[i].Scenario.Name
+		twin[i] = -1
+		if !cs[i].CheckAnswer {
+			continue
 		}
-		run := cs[i].Spec
-		run.Tracer = trace.New(0)
-		runIdx[i] = len(specs)
-		specs = append(specs, run)
-		names = append(names, "scenario-"+cs[i].Scenario.Name)
+		key := twinKey(cs[i])
+		at, ok := twins[key]
+		if !ok {
+			at = len(specs)
+			twins[key] = at
+			specs = append(specs, cs[i].Baseline)
+			names = append(names, names[i]+"-baseline")
+		}
+		twin[i] = at
 	}
 	results, err := experiments.RunAll(specs)
+	var re *experiments.RunError
+	if errors.As(err, &re) {
+		// A run that errored out (in practice: hung until the run timeout)
+		// is as diagnosable as one that finished red.
+		where := "a fault-free twin records no trace"
+		if re.Index < n {
+			dir, derr := dump(cs[re.Index].Scenario, re.Spec.Tracer, traceDir)
+			where = "trace: " + dir
+			if derr != nil {
+				where = fmt.Sprintf("dump to %s failed: %v", dir, derr)
+			}
+		}
+		return nil, fmt.Errorf("%s: %w (%s)", names[re.Index], err, where)
+	}
 	if err != nil {
-		return nil, experiments.TraceRunError(err, traceDir, names)
+		return nil, err
 	}
 
 	outs := make([]Outcome, len(cs))
 	for i, c := range cs {
 		var baseline *experiments.Result
-		if baseIdx[i] >= 0 {
-			baseline = &results[baseIdx[i]]
+		if twin[i] >= 0 {
+			baseline = &results[twin[i]]
 		}
-		res := results[runIdx[i]]
-		outs[i] = assess(c, res, baseline, res.Spec.Tracer, traceDir)
+		outs[i] = assess(c, results[i], baseline, results[i].Spec.Tracer, traceDir)
 	}
 	return outs, nil
 }
 
+// twinKey identifies a scenario's fault-free twin. A baseline carries no
+// kills, slowdowns or tracer, so printing it is a faithful key: scenarios
+// that differ only in their faults share one twin.
+func twinKey(c Compiled) string { return fmt.Sprintf("%+v", c.Baseline) }
+
+// dump writes everything needed to study and replay one run into
+// <root>/scenario-<name>: the scenario itself (scenario.json, which `samrun
+// run` executes) next to its timeline (trace.json, recovery.txt). The root
+// is traceDir when set, else $SAMFT_TRACE_DIR, else chaos-traces. It
+// returns the directory.
+func dump(s *Scenario, tracer *trace.Tracer, traceDir string) (string, error) {
+	if traceDir == "" {
+		traceDir = os.Getenv("SAMFT_TRACE_DIR")
+	}
+	if traceDir == "" {
+		traceDir = "chaos-traces"
+	}
+	dir := filepath.Join(traceDir, "scenario-"+s.Name)
+	if _, err := trace.Dump(tracer, dir); err != nil {
+		return dir, err
+	}
+	data, err := encode(s)
+	if err != nil {
+		return dir, err
+	}
+	return dir, os.WriteFile(filepath.Join(dir, "scenario.json"), data, 0o644)
+}
+
+// encode renders a scenario as the file `samrun run` loads.
+func encode(s *Scenario) ([]byte, error) {
+	data, err := json.MarshalIndent(s, "", "  ")
+	return append(data, '\n'), err
+}
+
 // assess evaluates one scenario over its finished runs: the scenario-level
-// assertions (recovery bound, kills applied) here, everything else by the
-// judge shared with the chaos sweep. baseline is nil when the answer
-// assertion is off; tracer recorded the faulted run res.
+// assertions (recovery bound, kills applied) here, everything else by
+// experiments.Judge. baseline is nil when the answer assertion is off;
+// tracer recorded the faulted run res. A red run is dumped; with an
+// explicit traceDir a green one is too.
 func assess(c Compiled, res experiments.Result, baseline *experiments.Result, tracer *trace.Tracer, traceDir string) Outcome {
 	o := Outcome{
 		Path:               c.Path,
 		Name:               c.Scenario.Name,
 		Result:             res,
-		BaselineAnswer:     math.NaN(),
 		RecoveryModeledSec: experiments.RecoveryWindowSec(tracer),
-	}
-	if baseline != nil {
-		o.BaselineAnswer = baseline.Answer
 	}
 	var missed []string
 	if c.MaxRecoverySec > 0 && o.RecoveryModeledSec > c.MaxRecoverySec {
@@ -106,7 +175,21 @@ func assess(c Compiled, res experiments.Result, baseline *experiments.Result, tr
 		missed = append(missed, fmt.Sprintf(
 			"only %d/%d kills hit a live process (a scheduled kill was a no-op)", res.KillsApplied, c.MinKills))
 	}
-	o.Verdict = experiments.Judge(res, baseline, missed, tracer, traceDir, "scenario-"+o.Name)
+	o.Problems = experiments.Judge(res, baseline, missed)
+	if !o.Failed() && traceDir == "" {
+		return o
+	}
+	dir, err := dump(c.Scenario, tracer, traceDir)
+	switch {
+	case err == nil:
+		o.TraceDir = dir
+	case o.Failed():
+		// Never lose a red run's timeline silently; on a green run the
+		// simulation itself was fine, so the dump failure only warns.
+		o.Problems = append(o.Problems, fmt.Sprintf("trace dump to %s failed: %v", dir, err))
+	default:
+		o.Warnings = append(o.Warnings, fmt.Sprintf("trace dump to %s failed: %v", dir, err))
+	}
 	return o
 }
 

@@ -20,10 +20,11 @@ func TestRunOnePasses(t *testing.T) {
 		"events": [ { "kill": { "rank": 1, "at_step": 2 } } ],
 		"assert": { "max_recovery_modeled_sec": 5 }
 	}`)
-	out, err := RunOne(Compile(s, ""), "")
+	outs, err := RunSet([]Compiled{Compile(s, "")}, "")
 	if err != nil {
-		t.Fatalf("RunOne: %v", err)
+		t.Fatalf("RunSet: %v", err)
 	}
+	out := outs[0]
 	if out.Failed() {
 		t.Fatalf("scenario failed: %v", out.Problems)
 	}
@@ -47,10 +48,11 @@ func TestRunFailingScenarioDumpsTrace(t *testing.T) {
 		"events": [ { "kill": { "rank": 1, "at_step": 2 } } ],
 		"assert": { "max_recovery_modeled_sec": 1e-9 }
 	}`)
-	out, err := RunOne(Compile(s, "impossible.json"), "")
+	outs, err := RunSet([]Compiled{Compile(s, "impossible.json")}, "")
 	if err != nil {
-		t.Fatalf("RunOne: %v", err)
+		t.Fatalf("RunSet: %v", err)
 	}
+	out := outs[0]
 	if !out.Failed() {
 		t.Fatal("impossible recovery bound did not fail the scenario")
 	}
@@ -119,10 +121,11 @@ func TestRunDumpFailureIsWarning(t *testing.T) {
 		"fleet": { "procs": 4, "app": "gps" },
 		"events": [ { "kill": { "rank": 1, "at_step": 2 } } ]
 	}`)
-	out, err := RunOne(Compile(s, ""), blocked)
+	outs, err := RunSet([]Compiled{Compile(s, "")}, blocked)
 	if err != nil {
-		t.Fatalf("RunOne: %v", err)
+		t.Fatalf("RunSet: %v", err)
 	}
+	out := outs[0]
 	if out.Failed() {
 		t.Fatalf("scenario failed: %v", out.Problems)
 	}

@@ -25,11 +25,9 @@ func validate(s *Scenario, idx *posIndex) ErrorList {
 		add("fleet.procs", "procs must be >= 1 (got %d)", n)
 		n = 1 // keep rank-range checks from cascading
 	}
-	switch s.Fleet.App {
-	case "gps", "water", "barnes":
-	case "":
+	if s.Fleet.App == "" {
 		add("fleet.app", `app is required: "gps", "water", or "barnes"`)
-	default:
+	} else if _, ok := apps[s.Fleet.App]; !ok {
 		add("fleet.app", `unknown app %q (want "gps", "water", or "barnes")`, s.Fleet.App)
 	}
 	switch s.Fleet.Scale {
@@ -37,17 +35,13 @@ func validate(s *Scenario, idx *posIndex) ErrorList {
 	default:
 		add("fleet.scale", `unknown scale %q (want "small" or "paper")`, s.Fleet.Scale)
 	}
-	switch s.Fleet.FT.Policy {
-	case "", "sam", "naive", "off":
-	default:
+	if _, ok := policies[s.Fleet.FT.Policy]; !ok {
 		add("fleet.ft.policy", `unknown ft policy %q (want "sam", "naive", or "off")`, s.Fleet.FT.Policy)
 	}
 	if s.Fleet.FT.Degree < 0 {
 		add("fleet.ft.degree", "degree must be >= 0 (got %d)", s.Fleet.FT.Degree)
 	}
-	switch s.Fleet.FT.Placement {
-	case "", "ring", "affinity", "spread":
-	default:
+	if _, ok := placements[s.Fleet.FT.Placement]; !ok {
 		add("fleet.ft.placement", `unknown placement %q (want "ring", "affinity", or "spread")`, s.Fleet.FT.Placement)
 	}
 	if ec := s.Fleet.FT.EC; ec != nil {
@@ -89,24 +83,24 @@ func validate(s *Scenario, idx *posIndex) ErrorList {
 // validateEvents checks every event plus the cross-event rules: kill
 // triggers well-formed, ranks in range, on_recovery_of referencing an
 // earlier victim, at most one jitter/notify event, one slow_host per
-// rank, and the failure schedule inside the survivable budget.
+// rank, and the failure schedule inside the survivable budget — for the
+// ranks killed at one step, and for the ranks an on_recovery_of chain has
+// down at once.
 func validateEvents(s *Scenario, idx *posIndex, n int) ErrorList {
 	var errs ErrorList
 	add := func(path, format string, args ...interface{}) {
 		errs = append(errs, idx.at(path, fmt.Sprintf(format, args...)))
 	}
-	degree := s.Fleet.FT.Degree
-	if degree == 0 {
-		degree = defaultDegree
-	}
-	var ecp ckptstore.ECParams
-	if ec := s.Fleet.FT.EC; ec != nil {
-		ecp = ckptstore.ECParams{K: ec.Data, M: ec.Parity}
-	}
-	ecOn, budget := ecp.FeasibleFor(n), ckptstore.Survivable(n, degree, ecp)
+	fleet := s.Fleet
+	fleet.Procs = n
+	ecOn, budget := fleet.survivable()
 
 	victims := make(map[int]bool)
 	stepVictims := make(map[int64]map[int]bool) // at_step -> distinct ranks
+	// chain[r] is the set of ranks down together with r: a victim and every
+	// rank killed on a respawn along its on_recovery_of chain. A respawn is
+	// not a completed recovery, so the whole chain can be restoring at once.
+	chain := make(map[int]map[int]bool)
 	slowed := make(map[int]bool)
 	jitterSeen, notifySeen := false, false
 	for i, ev := range s.Events {
@@ -178,6 +172,19 @@ func validateEvents(s *Scenario, idx *posIndex, n int) ErrorList {
 							got, k.AtStep, budget, budgetName(ecOn))
 					}
 				}
+				if r := k.OnRecoveryOf; r != nil && victims[*r] {
+					down := chain[*r]
+					for m := range chain[k.Rank] { // k.Rank's own chain joins this one
+						down[m], chain[m] = true, down
+					}
+					down[k.Rank], chain[k.Rank] = true, down
+					if len(down) > budget {
+						add(path+".kill", "on_recovery_of chain has %d distinct ranks down at once, exceeding the survivable budget of %d (%s): a respawn is not a completed recovery",
+							len(down), budget, budgetName(ecOn))
+					}
+				} else if chain[k.Rank] == nil {
+					chain[k.Rank] = map[int]bool{k.Rank: true}
+				}
 				if ecOn && !victims[k.Rank] && len(victims) >= budget {
 					add(path+".kill", "kill of rank %d raises the schedule's distinct victims above ec parity %d; the code cannot guarantee decoding",
 						k.Rank, budget)
@@ -215,6 +222,22 @@ func validateEvents(s *Scenario, idx *posIndex, n int) ErrorList {
 		}
 	}
 	return errs
+}
+
+// survivable is the failure budget of a fleet — how many distinct ranks may
+// be down at once (ckptstore.Survivable) — and whether an erasure code sets
+// it. The validator holds schedules to it and the chaos generator clamps
+// its own by it.
+func (f Fleet) survivable() (ec bool, budget int) {
+	degree := f.FT.Degree
+	if degree == 0 {
+		degree = defaultDegree
+	}
+	var ecp ckptstore.ECParams
+	if f.FT.EC != nil {
+		ecp = ckptstore.ECParams{K: f.FT.EC.Data, M: f.FT.EC.Parity}
+	}
+	return ecp.FeasibleFor(f.Procs), ckptstore.Survivable(f.Procs, degree, ecp)
 }
 
 func budgetName(ec bool) string {
