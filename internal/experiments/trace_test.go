@@ -111,3 +111,89 @@ func TestUntracedRunHasNoTracer(t *testing.T) {
 		t.Fatal("no answer")
 	}
 }
+
+// TestBarnesTransactionsSendNothingTwice guards the three rules of a
+// checkpoint transaction (DESIGN §7) on a whole fault-free Barnes run, with
+// exact counts: no rank is handed one partition twice, every recipient of a
+// transaction acknowledges it once, and contents ride a transaction only
+// together with the checkpoint copy that covers them. Barnes reads its shared
+// data through UseValue alone, so every sam.fetch-data is a value arriving.
+func TestBarnesTransactionsSendNothingTwice(t *testing.T) {
+	tr := trace.New(0)
+	// CheckInvariants quiesces the cluster before it is halted, so the last
+	// transactions have collected their acks by the time they are counted.
+	res, err := Run(Spec{App: Barnes, N: 4, Policy: ft.PolicySAM, Scale: Small, Tracer: tr, CheckInvariants: true})
+	if err != nil || len(res.InvariantViolations) > 0 {
+		t.Fatal(err, res.InvariantViolations)
+	}
+
+	type tx struct {
+		rank int
+		seq  int64
+	}
+	type piece struct {
+		name uint64
+		note string
+		dst  int64
+	}
+	arrivals := map[[2]uint64]int{} // (rank, value) -> sam.fetch-data events
+	pieces := map[tx][]piece{}
+	for _, track := range tr.Snapshot() {
+		if track.Dropped > 0 {
+			t.Fatalf("track %s dropped %d events: the counts below would not be exact", track.Label, track.Dropped)
+		}
+		for _, e := range track.Events {
+			switch e.Kind {
+			case trace.SamFetchData:
+				arrivals[[2]uint64{uint64(e.Rank), e.Name}]++
+			case trace.SamCkptPiece:
+				k := tx{e.Rank, e.Aux}
+				pieces[k] = append(pieces[k], piece{name: e.Name, note: e.Note, dst: e.Dst})
+			}
+		}
+	}
+	if len(pieces) == 0 || len(arrivals) == 0 {
+		t.Fatalf("trace holds %d transactions and %d value arrivals: nothing to check", len(pieces), len(arrivals))
+	}
+
+	for k, n := range arrivals {
+		if n > 1 {
+			t.Errorf("rank %d was handed value %#x %d times", k[0], k[1], n)
+		}
+	}
+
+	var acksDue int64
+	for k, ps := range pieces {
+		inactiveTo, ackedTo := map[int64]bool{}, map[int64]int{}
+		copied := map[uint64]bool{}
+		for _, p := range ps {
+			if strings.Contains(p.note, "inactive") {
+				inactiveTo[p.dst] = true
+			}
+			if strings.HasSuffix(p.note, "+ack") {
+				ackedTo[p.dst]++
+			}
+			if strings.HasPrefix(p.note, "CkptCopy") {
+				copied[p.name] = true
+			}
+		}
+		if len(ackedTo) != len(inactiveTo) {
+			t.Errorf("rank %d seq %d: acks asked of %d destinations, inactive pieces went to %d", k.rank, k.seq, len(ackedTo), len(inactiveTo))
+		}
+		for dst, n := range ackedTo {
+			if n != 1 {
+				t.Errorf("rank %d seq %d asks rank %d for %d acks", k.rank, k.seq, dst, n)
+			}
+		}
+		acksDue += int64(len(inactiveTo))
+		for _, p := range ps {
+			if strings.HasPrefix(p.note, "ObjData") && !copied[p.name] {
+				t.Errorf("rank %d seq %d carries %#x to rank %d without checkpointing it: the contents were already covered",
+					k.rank, k.seq, p.name, p.dst)
+			}
+		}
+	}
+	if got := res.Report.Total.CkptAcks; got != acksDue {
+		t.Errorf("%d CkptAck frames were handled, want %d: one per transaction and destination", got, acksDue)
+	}
+}

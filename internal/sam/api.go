@@ -236,10 +236,13 @@ func (p *Proc) cmdGate(c *cmd) {
 	if c.initial && !p.hasCheckpointed {
 		p.pendingTriggers = append(p.pendingTriggers, trigger{kind: 0}) // bare checkpoint
 	}
-	if len(p.pendingTriggers) > 0 && p.tx == nil {
-		p.gateCmd = c
-		p.startTx()
-		return
+	if p.tx == nil {
+		p.sendCovered()
+		if len(p.pendingTriggers) > 0 {
+			p.gateCmd = c
+			p.startTx()
+			return
+		}
 	}
 	// Nothing to checkpoint, or a transaction is already mid-flight (started
 	// while the app was parked): the boundary completes independently and

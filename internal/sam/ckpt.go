@@ -2,6 +2,7 @@ package sam
 
 import (
 	"fmt"
+	"slices"
 
 	"samft/internal/ckptstore"
 	"samft/internal/codec"
@@ -14,20 +15,20 @@ import (
 // and the lazy reclamation of freeable main copies via the virtual-time
 // vectors, with force-checkpoint messages as the fallback.
 
-// ckptTx is one in-flight checkpoint transaction.
+// ckptTx is one checkpoint transaction: planned whole by startTx, sent by
+// sendTx, open until its last awaited ack commits it (DESIGN §7 "What a
+// transaction sends, and in what order").
 type ckptTx struct {
-	seq        int64
+	seq int64
+	// acksNeeded counts the destinations whose one ack is still out. sendTx
+	// fixes it before the first send: a piece to our own rank is acked
+	// inside send.
 	acksNeeded int
-	// inactive tracks the ranks that received inactive pieces and must be
-	// sent the activation at commit.
-	inactive map[int]bool
-	// pieces are all messages sent for this transaction, kept so they can
-	// be re-sent if a recipient fails mid-transaction (§4.5: "aborts and
-	// restarts any checkpoint it has started that involves process p").
+	// pieces are the transaction's messages in send order, kept so they can
+	// be re-sent, in that order, if a recipient fails mid-transaction (§4.5:
+	// "aborts and restarts any checkpoint it has started that involves
+	// process p").
 	pieces []txPiece
-	// migrations are accumulator ownership transfers that commit with the
-	// transaction.
-	migrations []txMigration
 	// dirtyAt records each replicated object's mutation counter at send
 	// time; dirty is cleared at commit only if unchanged since.
 	dirtyAt map[Name]int64
@@ -44,16 +45,37 @@ type ckptTx struct {
 	forced bool
 }
 
+// txPiece is one message of a transaction. The last inactive piece to each
+// destination is numbered (w.Piece >= 0) and draws that destination's ack.
 type txPiece struct {
-	rank      int
-	w         *wire
-	ackNeeded bool
-	acked     bool
+	rank  int
+	w     *wire
+	acked bool
 }
 
-type txMigration struct {
-	name   Name
-	target int
+// add plans one more piece for rank.
+func (tx *ckptTx) add(rank int, w *wire) {
+	tx.pieces = append(tx.pieces, txPiece{rank: rank, w: w})
+}
+
+// alreadyCarried is the nothing-rides-twice rule: a read or push of value o
+// for rank needs no send of its own when the open transaction — still being
+// planned, or sent and waiting for its acks — already takes o's contents
+// there, as a read reply or push, or as a full checkpoint copy, which the
+// activation makes usable like any cached copy (§4.4).
+func (p *Proc) alreadyCarried(o *object, rank int) bool {
+	if p.tx == nil || o.kind != ft.KindValue {
+		return false
+	}
+	for i := range p.tx.pieces {
+		pc := &p.tx.pieces[i]
+		if pc.rank == rank && Name(pc.w.Name) == o.name &&
+			(pc.w.Kind == kObjData || pc.w.Kind == kCkptCopy && pc.w.Shard == 0) {
+			p.st.DupSendsAvoided.Add(1)
+			return true
+		}
+	}
+	return false
 }
 
 // maxFreeBacklog models cache replacement pressure: once this many
@@ -108,7 +130,11 @@ func (p *Proc) addTrigger(t trigger) {
 // boundary snapshot plus deterministic replay reproduces it exactly), or
 // finished.
 func (p *Proc) maybeStartTx() {
-	if !p.ftEnabled() || p.tx != nil || len(p.pendingTriggers) == 0 {
+	if !p.ftEnabled() || p.tx != nil {
+		return
+	}
+	p.sendCovered()
+	if len(p.pendingTriggers) == 0 {
 		return
 	}
 	switch {
@@ -121,12 +147,30 @@ func (p *Proc) maybeStartTx() {
 	}
 }
 
-// startTx executes §4.4's checkpoint steps.
+// sendCovered sends the queued reads and pushes that need no transaction any
+// more: a commit since they were queued covered their object (they waited
+// behind an open transaction that did not serve their rank), so they leave
+// the way deliver would send them now.
+func (p *Proc) sendCovered() {
+	kept := p.pendingTriggers[:0]
+	for _, t := range p.pendingTriggers {
+		o := p.objs[t.name]
+		if t.kind == kObjData && o != nil && o.isMain && o.created &&
+			o.state == stPresent && !o.accLocked && !p.unstable(o) {
+			p.sendObject(o, kObjData, t.target, nil)
+			continue
+		}
+		kept = append(kept, t)
+	}
+	p.pendingTriggers = kept
+}
+
+// startTx executes §4.4's checkpoint steps as plan, then send: one pass
+// decides every piece of the transaction, a second sends them.
 func (p *Proc) startTx() {
 	seq := p.clocks.BeginCheckpoint()
 	tx := &ckptTx{
 		seq:         seq,
-		inactive:    make(map[int]bool),
 		dirtyAt:     make(map[Name]int64),
 		migrHolders: make(map[Name][]ckptstore.Holder),
 		forced:      p.pendingForced,
@@ -168,13 +212,12 @@ func (p *Proc) startTx() {
 	p.task.Charge(float64(len(body)) / packBytesPerUS)
 	p.st.PrivBytes.Add(int64(len(body)))
 	for _, r := range ft.PrivateStateRanks(p.cfg.Rank, p.cfg.N, p.cfg.Degree) {
-		p.txSend(r, &wire{Kind: kCkptPriv, Body: body, Seq: seq, Inactive: true}, true)
+		tx.add(r, &wire{Kind: kCkptPriv, Body: body, Seq: seq, Inactive: true})
 	}
 
 	// Steps 2–3: replicate owned objects changed since the last
 	// checkpoint. Nonreproducible objects go inactive (ack + activate);
 	// reproducible ones go active immediately.
-	copyHolders := make(map[Name]map[int]bool)
 	for _, name := range sortedKeys(p.objs) {
 		o := p.objs[name]
 		if !o.isMain || !o.created || o.state != stPresent {
@@ -194,20 +237,11 @@ func (p *Proc) startTx() {
 		ob := p.packObject(o)
 		o.setCommitted(seq, ob)
 		p.sendCkptCopies(o, ob, holders, owner, tx)
-		hs := make(map[int]bool, len(holders))
-		for _, h := range holders {
-			hs[h.Rank] = true
-		}
-		if !p.store.EC().Enabled() {
-			// Shards are not usable data, so step 4's "already sent as a
-			// checkpoint copy" dedup applies to full copies only.
-			copyHolders[o.name] = hs
-		}
 		// Stale holders from a previous placement drop their copies at
 		// commit (dropping earlier could destroy the only backup if this
 		// transaction aborts).
 		for _, old := range p.store.HolderRanks(uint64(o.name)) {
-			if !hs[old] {
+			if !slices.ContainsFunc(holders, func(h ckptstore.Holder) bool { return h.Rank == old }) {
 				tx.staleFrees = append(tx.staleFrees, txPiece{rank: old, w: &wire{Kind: kFreeCkpt, Name: uint64(o.name), Seq: seq}})
 			}
 		}
@@ -221,41 +255,59 @@ func (p *Proc) startTx() {
 		tx.dirtyAt[o.name] = o.dirtySeq
 	}
 
-	// Step 4: execute the sends that caused the checkpoint, inactive.
+	// Step 4: the sends that caused the checkpoint, inactive — each once.
 	for _, t := range trigs {
 		o := p.objs[t.name]
 		if t.kind == 0 || o == nil || !o.isMain || !o.created {
 			continue // bare checkpoint (initial or forced), or the object is gone
 		}
-		if t.kind == kObjData && o.kind == ft.KindValue && copyHolders[t.name][t.target] {
-			// Already sent to that process as a checkpoint copy; the
-			// activation will make it usable there (§4.4).
-			p.st.ObjectSends.Add(1)
-			p.st.CkptCausingSends.Add(1)
-			continue
+		if t.kind == kObjData && p.alreadyCarried(o, t.target) {
+			continue // an earlier trigger's piece, or a checkpoint copy, serves it
 		}
 		p.sendObject(o, t.kind, t.target, tx)
 	}
 
-	if tx.acksNeeded == 0 {
-		p.commitTx()
-	}
+	p.sendTx(tx)
 }
 
-// txSend transmits a transaction piece, recording it for possible
-// re-send if the recipient fails before acking. Pieces needing acks are
-// numbered so a duplicate ack (after a re-send) cannot be double-counted.
-func (p *Proc) txSend(rank int, w *wire, ackNeeded bool) {
-	w.Piece = -1
-	if ackNeeded {
-		w.Piece = len(p.tx.pieces)
-		p.tx.acksNeeded++
-		if w.Inactive {
-			p.tx.inactive[rank] = true
+// sendTx sends a planned transaction. Bulk first: the commit waits for the
+// slowest ack, and a piece's flight time is its size over the bandwidth. One
+// ack per recipient: a pair of processes sees messages in order, so the ack
+// of the last inactive piece to a destination vouches for the earlier ones.
+func (p *Proc) sendTx(tx *ckptTx) {
+	slices.SortStableFunc(tx.pieces, func(a, b txPiece) int { return len(b.w.Body) - len(a.w.Body) })
+	asked := make([]bool, p.cfg.N)
+	for i := len(tx.pieces) - 1; i >= 0; i-- {
+		pc := &tx.pieces[i]
+		pc.w.Piece = -1
+		if pc.w.Inactive && !asked[pc.rank] {
+			asked[pc.rank] = true
+			pc.w.Piece = i
+			tx.acksNeeded++
 		}
 	}
-	p.tx.pieces = append(p.tx.pieces, txPiece{rank: rank, w: w, ackNeeded: ackNeeded})
-	p.send(rank, w)
+	for i := range tx.pieces {
+		pc := &tx.pieces[i]
+		if p.rec != nil {
+			note := kindName(pc.w.Kind)
+			if pc.w.Inactive {
+				note += " inactive"
+			}
+			if pc.w.Piece >= 0 {
+				note += " +ack"
+			}
+			p.emit(trace.Event{
+				Kind: trace.SamCkptPiece, Dst: int64(pc.rank), Name: pc.w.Name,
+				Bytes: len(pc.w.Body), Aux: tx.seq, Note: note,
+			})
+		}
+		p.send(pc.rank, pc.w)
+	}
+	// A piece to our own rank is acked inside send, so the last ack can be in
+	// before this returns — and has then already committed the transaction.
+	if p.tx == tx && tx.acksNeeded == 0 {
+		p.commitTx()
+	}
 }
 
 // buildPrivateState assembles the §4.2 record. Accumulators migrating in
@@ -312,13 +364,27 @@ func (p *Proc) commitTx() {
 			o.dirty = false
 		}
 	}
-	for _, m := range tx.migrations {
-		p.store.Forget(uint64(m.name))
-		if o := p.objs[m.name]; o != nil && o.isMain {
-			p.handOff(o, m.target)
+	// A kill can cut a commit's sends anywhere, so they keep the order the
+	// recovery protocol was debugged under (DESIGN §7): the home hears of a
+	// migration before the new owner can act on it, and the new owner is not
+	// woken ahead of the holder of the copy that backs it.
+	for _, pc := range tx.pieces {
+		if pc.w.Kind != kAccData {
+			continue
+		}
+		p.store.Forget(pc.w.Name)
+		if o := p.objs[Name(pc.w.Name)]; o != nil && o.isMain {
+			p.handOff(o, pc.rank)
 		}
 	}
-	for _, r := range sortedKeys(tx.inactive) {
+	var awaited []int
+	for _, pc := range tx.pieces {
+		if pc.w.Piece >= 0 {
+			awaited = append(awaited, pc.rank)
+		}
+	}
+	slices.Sort(awaited)
+	for _, r := range awaited {
 		p.send(r, &wire{Kind: kActivate, Seq: tx.seq})
 	}
 	for _, sf := range tx.staleFrees {
@@ -487,10 +553,11 @@ func (p *Proc) storePriv(rank int, priv privImage) {
 	}
 }
 
-// ackPiece acknowledges an ack-requiring transaction piece. Receiving and
-// acknowledging checkpoint data is never deferred, even while this
-// process runs its own checkpoint (§4.4 allows it), which keeps
-// concurrent transactions deadlock-free.
+// ackPiece acknowledges a numbered transaction piece — the last inactive one
+// its sender addressed to us, so the ack covers the ones before it — whether
+// or not the piece was accepted. Receiving and acknowledging checkpoint data
+// is never deferred, even while this process runs its own checkpoint (§4.4
+// allows it), which keeps concurrent transactions deadlock-free.
 func (p *Proc) ackPiece(w *wire) {
 	if w.Piece < 0 {
 		return
@@ -575,6 +642,7 @@ func (p *Proc) applyCkptCopy(o *object, img *image) {
 }
 
 func (p *Proc) onCkptAck(w *wire) {
+	p.st.CkptAcks.Add(1)
 	tx := p.tx
 	if tx == nil || w.Seq != tx.seq {
 		return
@@ -584,8 +652,8 @@ func (p *Proc) onCkptAck(w *wire) {
 		return
 	}
 	pc := &tx.pieces[i]
-	if !pc.ackNeeded || pc.acked {
-		return
+	if pc.w.Piece != i || pc.acked {
+		return // not a numbered piece, or its re-sent twin was acked already
 	}
 	pc.acked = true
 	tx.acksNeeded--

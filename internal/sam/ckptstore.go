@@ -207,11 +207,11 @@ func (p *Proc) planCopies(name Name, owner int) []ckptstore.Holder {
 
 // sendCkptCopies is the one place a checkpoint copy leaves its owner: it
 // sends body — o's committed image — to each holder, whole (shard 0) or as
-// that holder's Reed–Solomon shard. Inside a transaction the copies are pieces
-// of tx, inactive when the contents are nonreproducible, and the caller
-// ledgers them under owner (the migration target when o is changing hands).
-// With tx nil they repair the committed image: committed on arrival, ledgered
-// here as they go.
+// that holder's Reed–Solomon shard. While startTx plans a transaction the
+// copies join tx as pieces, inactive when the contents are nonreproducible,
+// and the caller ledgers them under owner (the migration target when o is
+// changing hands). With tx nil they repair the committed image: sent now,
+// committed on arrival, ledgered here as they go.
 func (p *Proc) sendCkptCopies(o *object, body []byte, holders []ckptstore.Holder, owner int, tx *ckptTx) {
 	ec := p.store.EC()
 	var shards [][]byte
@@ -235,7 +235,7 @@ func (p *Proc) sendCkptCopies(o *object, body []byte, holders []ckptstore.Holder
 			w.Inactive = o.nonrepro
 			p.st.ReplicaObjects.Add(1)
 			p.st.ReplicaBytes.Add(int64(len(w.Body)))
-			p.txSend(h.Rank, w, o.nonrepro)
+			tx.add(h.Rank, w)
 			continue
 		}
 		if p.rec != nil {

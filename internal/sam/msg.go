@@ -43,9 +43,9 @@ const (
 	kAccOwner // old owner -> home: ownership moved to Target
 
 	// Checkpointing (§4.4).
-	kCkptPriv  // checkpointer -> designated: private state (ack required)
+	kCkptPriv  // checkpointer -> designated: private state, provisional until the activation
 	kCkptCopy  // checkpointer -> designated: object checkpoint copy
-	kCkptAck   // designated -> checkpointer: ack for priv state / inactive copy
+	kCkptAck   // recipient -> checkpointer: every inactive piece of the transaction up to the numbered one is here
 	kActivate  // checkpointer -> recipients: commit, activate Seq's objects
 	kForceCkpt // owner -> laggard: checkpoint so I can free (F = freeable time)
 	kForceAck  // laggard -> owner: done (the stamp carries the new c value; nothing else)
@@ -105,9 +105,11 @@ type wire struct {
 	// Seq identifies a checkpoint transaction (the checkpointer's virtual
 	// time) or an object copy's freshness.
 	Seq int64
-	// Piece numbers an ack-requiring transaction piece; acks echo it so a
-	// re-sent piece (after a recipient failure) cannot be double-counted.
-	// -1 marks out-of-transaction copies that need no ack bookkeeping.
+	// Piece numbers the one piece per destination of a checkpoint
+	// transaction that the destination acknowledges — the last inactive
+	// one sent there; the ack echoes it so a re-sent piece (after a
+	// recipient failure) cannot be double-counted. -1 on the pieces before
+	// it, and on out-of-transaction copies, which need no ack.
 	Piece int
 	// Inactive marks data that must not be used until the matching
 	// kActivate arrives (§4.4).

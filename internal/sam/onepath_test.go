@@ -216,38 +216,39 @@ func TestSelfHomedRequestsStayLocal(t *testing.T) {
 func TestKeptWireIsNotTheSendersWire(t *testing.T) {
 	p, tasks := testProc(t, 0, 4, false)
 	name := nameHomedAt(t, 4, 2)
-	// One ack is outstanding elsewhere (as step 1's private-state pieces
-	// always are), so the self-addressed pieces' synchronous acks do not
-	// commit this skeleton transaction.
-	p.tx = &ckptTx{seq: 5, inactive: map[int]bool{}, acksNeeded: 1}
+	// A planned transaction of three pieces: two to ourselves, and one to a
+	// peer whose ack stays out, so the transaction stays open.
+	tx := &ckptTx{seq: 5}
+	p.tx = tx
 
 	copyPiece := &wire{
 		Kind: kCkptCopy, Name: uint64(name), Body: packPayload(t, 1), Seq: 5,
 		Inactive: true, Owner: 3, Meta: ft.ObjectMeta{Version: 1}, HasMeta: true,
 	}
 	privPiece := &wire{Kind: kCkptPriv, Body: packPayload(t, 2), Seq: 5, Inactive: true}
-	p.txSend(0, copyPiece, true)
-	p.txSend(0, privPiece, true)
+	tx.add(0, copyPiece)
+	tx.add(0, privPiece)
+	tx.add(2, &wire{Kind: kCkptPriv, Body: packPayload(t, 2), Seq: 5, Inactive: true})
+	p.sendTx(tx)
+	recvWire(t, tasks[2])
 
 	pending, staged := p.obj(name).pending, p.privStaging[0]
 	if pending == nil || staged.body == nil {
 		t.Fatalf("self-addressed pieces were not retained: pending=%v staged=%+v", pending, staged)
 	}
-	if p.tx.acksNeeded != 1 {
-		t.Fatalf("self-addressed pieces left %d acks outstanding, want only the foreign one", p.tx.acksNeeded)
+	if p.tx != tx || tx.acksNeeded != 1 {
+		t.Fatalf("self-addressed pieces left %d acks outstanding (open=%v), want only the foreign one", tx.acksNeeded, p.tx == tx)
 	}
 	beforeCopy, beforePriv := *pending, staged
 
 	// A recipient failure re-sends the transaction's pieces (§4.5); here the
 	// sender's structs go out again, to a peer, and pick up a stamp.
-	for i := range p.tx.pieces {
-		p.send(1, p.tx.pieces[i].w)
+	for _, w := range []*wire{copyPiece, privPiece} {
+		p.send(1, w)
+		recvWire(t, tasks[1])
 	}
 	if !copyPiece.HasStamp || !privPiece.HasStamp {
 		t.Fatal("setup: re-sending did not rewrite the sender's wires")
-	}
-	for range p.tx.pieces {
-		recvWire(t, tasks[1])
 	}
 	if got := p.obj(name).pending; got != pending || !reflect.DeepEqual(*got, beforeCopy) {
 		t.Errorf("pending copy changed when the sender re-sent its piece: %+v, was %+v", got, beforeCopy)

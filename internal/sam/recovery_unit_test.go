@@ -474,7 +474,7 @@ func TestDeferredActivationsCountAtRecovery(t *testing.T) {
 	}
 
 	// Our own transaction is open, waiting for an ack.
-	p.tx = &ckptTx{seq: 1, acksNeeded: 1, inactive: map[int]bool{}, dirtyAt: map[Name]int64{}}
+	p.tx = &ckptTx{seq: 1, acksNeeded: 1, dirtyAt: map[Name]int64{}}
 	// Rank 3 checkpointed (we hold its private state), and rank 0 migrated
 	// an object to rank 3 (we hold the copy for the new owner). Both have
 	// committed: the activations are here, held back behind p.tx.

@@ -214,26 +214,29 @@ func (p *Proc) serveRead(name Name, requester int) {
 
 // deliver gets an owned object's contents to rank as kind: now, or — when
 // the contents are nonreproducible and uncovered (§4.1) — with the next
-// checkpoint transaction. Delivering to ourselves is a no-op: local waiters
-// are served where the contents become usable.
+// checkpoint transaction, unless the one that is open already takes the value
+// there. Delivering to ourselves is a no-op: local waiters are served where
+// the contents become usable.
 func (p *Proc) deliver(o *object, kind, rank int) {
 	if rank == p.cfg.Rank {
 		return
 	}
-	if p.unstable(o) {
-		p.addTrigger(trigger{kind: kind, name: o.name, target: rank})
+	if !p.unstable(o) {
+		p.sendObject(o, kind, rank, nil)
 		return
 	}
-	p.sendObject(o, kind, rank, nil)
+	if !p.alreadyCarried(o, rank) {
+		p.addTrigger(trigger{kind: kind, name: o.name, target: rank})
+	}
 }
 
 // sendObject is the one place an owned object's contents leave for a
 // consumer: a read reply or push (kObjData) or an ownership transfer
 // (kAccData), always with the owner's metadata. With tx nil the send is
-// immediate; otherwise it is an inactive, acknowledged piece of that
-// checkpoint transaction, unusable at the receiver until the activation
-// (§4.4 step 4). A value, immutable once created, is packed once however
-// often it is served (packObject's snapshot cache).
+// immediate; otherwise startTx is planning tx and the contents join it as an
+// inactive piece, unusable at the receiver until the activation (§4.4 step
+// 4). A value, immutable once created, is packed once however often it is
+// served (packObject's snapshot cache).
 func (p *Proc) sendObject(o *object, kind, rank int, tx *ckptTx) {
 	migration := kind == kAccData
 	w := &wire{Kind: kind, Name: uint64(o.name), Target: rank, Meta: o.meta(), HasMeta: true}
@@ -264,9 +267,8 @@ func (p *Proc) sendObject(o *object, kind, rank int, tx *ckptTx) {
 		// Ownership commits with the transaction (commitTx hands off).
 		w.Holders = packHolders(tx.migrHolders[o.name])
 		o.pendingMove = rank // block further local locks until commit
-		tx.migrations = append(tx.migrations, txMigration{name: o.name, target: rank})
 	}
-	p.txSend(rank, w, true)
+	tx.add(rank, w)
 }
 
 // serveLocalWaiters wakes application commands parked on this object.

@@ -46,6 +46,13 @@ type Proc struct {
 	SnapCacheBytesSaved atomic.Int64
 	// PrivBytes counts private-state bytes replicated.
 	PrivBytes atomic.Int64
+	// DupSendsAvoided counts reads and pushes of a value that were not sent
+	// because a checkpoint transaction — the one being planned, or the one
+	// still open — already took that value to that process.
+	DupSendsAvoided atomic.Int64
+	// CkptAcks counts checkpoint acknowledgements received; a transaction
+	// asks each recipient for one (Report.AcksPerCheckpoint).
+	CkptAcks atomic.Int64
 	// RepairObjects / RepairBytes count proactive coverage repairs: the
 	// checkpoint copies (or erasure shards) re-replicated after a failure
 	// destroyed holders, outside any checkpoint transaction.
@@ -72,6 +79,8 @@ type Snapshot struct {
 	SnapCacheMisses     int64
 	SnapCacheBytesSaved int64
 	PrivBytes           int64
+	DupSendsAvoided     int64
+	CkptAcks            int64
 	RepairObjects       int64
 	RepairBytes         int64
 	Recoveries          int64
@@ -94,6 +103,8 @@ func (p *Proc) Snapshot() Snapshot {
 		SnapCacheMisses:     p.SnapCacheMisses.Load(),
 		SnapCacheBytesSaved: p.SnapCacheBytesSaved.Load(),
 		PrivBytes:           p.PrivBytes.Load(),
+		DupSendsAvoided:     p.DupSendsAvoided.Load(),
+		CkptAcks:            p.CkptAcks.Load(),
 		RepairObjects:       p.RepairObjects.Load(),
 		RepairBytes:         p.RepairBytes.Load(),
 		Recoveries:          p.Recoveries.Load(),
@@ -116,6 +127,8 @@ func (s *Snapshot) Add(o Snapshot) {
 	s.SnapCacheMisses += o.SnapCacheMisses
 	s.SnapCacheBytesSaved += o.SnapCacheBytesSaved
 	s.PrivBytes += o.PrivBytes
+	s.DupSendsAvoided += o.DupSendsAvoided
+	s.CkptAcks += o.CkptAcks
 	s.RepairObjects += o.RepairObjects
 	s.RepairBytes += o.RepairBytes
 	s.Recoveries += o.Recoveries
@@ -142,6 +155,8 @@ func (s Snapshot) Delta(prev Snapshot) Snapshot {
 		SnapCacheMisses:     s.SnapCacheMisses - prev.SnapCacheMisses,
 		SnapCacheBytesSaved: s.SnapCacheBytesSaved - prev.SnapCacheBytesSaved,
 		PrivBytes:           s.PrivBytes - prev.PrivBytes,
+		DupSendsAvoided:     s.DupSendsAvoided - prev.DupSendsAvoided,
+		CkptAcks:            s.CkptAcks - prev.CkptAcks,
 		RepairObjects:       s.RepairObjects - prev.RepairObjects,
 		RepairBytes:         s.RepairBytes - prev.RepairBytes,
 		Recoveries:          s.Recoveries - prev.Recoveries,
@@ -212,6 +227,15 @@ func (r Report) SnapCacheHitPct() float64 {
 	return 100 * float64(r.Total.SnapCacheHits) / float64(total)
 }
 
+// AcksPerCheckpoint is the number of acknowledgements an average checkpoint
+// transaction collected before it could commit.
+func (r Report) AcksPerCheckpoint() float64 {
+	if r.Total.Checkpoints == 0 {
+		return 0
+	}
+	return float64(r.Total.CkptAcks) / float64(r.Total.Checkpoints)
+}
+
 // MissRatePct is the "average miss rate on shared data" row.
 func (r Report) MissRatePct() float64 {
 	if r.Total.SharedAccesses == 0 {
@@ -243,8 +267,8 @@ func (r Report) RecvQueuedSecPerProc() float64 {
 // tables.
 func (r Report) String() string {
 	return fmt.Sprintf(
-		"procs=%d elapsed=%.3fs ckpts/proc/s=%.3f sends-ckpt%%=%.2f force-msgs/proc/s=%.4f forced-ckpts/proc/s=%.4f miss%%=%.2f snap-cache-hit%%=%.2f snap-cache-saved-B=%d recv-idle-s/proc=%.4f recv-queued-s/proc=%.4f",
+		"procs=%d elapsed=%.3fs ckpts/proc/s=%.3f sends-ckpt%%=%.2f force-msgs/proc/s=%.4f forced-ckpts/proc/s=%.4f miss%%=%.2f snap-cache-hit%%=%.2f snap-cache-saved-B=%d dup-sends-avoided=%d acks/ckpt=%.2f recv-idle-s/proc=%.4f recv-queued-s/proc=%.4f",
 		r.Procs, r.Elapsed, r.CheckpointsPerProcPerSec(), r.PctSendsCausingCheckpoint(),
 		r.ForceCkptMsgsPerProcPerSec(), r.ForcedCkptsPerProcPerSec(), r.MissRatePct(),
-		r.SnapCacheHitPct(), r.Total.SnapCacheBytesSaved, r.RecvIdleSecPerProc(), r.RecvQueuedSecPerProc())
+		r.SnapCacheHitPct(), r.Total.SnapCacheBytesSaved, r.Total.DupSendsAvoided, r.AcksPerCheckpoint(), r.RecvIdleSecPerProc(), r.RecvQueuedSecPerProc())
 }

@@ -38,6 +38,7 @@ func TestReportRates(t *testing.T) {
 			CkptCausingSends:  50,
 			SharedAccesses:    10000,
 			Misses:            300,
+			CkptAcks:          200,
 		},
 		RecvIdleUS:   6e6,
 		RecvQueuedUS: 1e6,
@@ -57,6 +58,9 @@ func TestReportRates(t *testing.T) {
 	if got := r.MissRatePct(); got != 3 {
 		t.Fatalf("miss rate = %v", got)
 	}
+	if got := r.AcksPerCheckpoint(); got != 2.5 {
+		t.Fatalf("acks per checkpoint = %v", got)
+	}
 	if idle, queued := r.RecvIdleSecPerProc(), r.RecvQueuedSecPerProc(); idle != 1.5 || queued != 0.25 {
 		t.Fatalf("receive waits = %v idle, %v queued s/proc", idle, queued)
 	}
@@ -66,7 +70,7 @@ func TestReportZeroDenominators(t *testing.T) {
 	var r Report
 	if r.CheckpointsPerProcPerSec() != 0 || r.PctSendsCausingCheckpoint() != 0 ||
 		r.MissRatePct() != 0 || r.ForceCkptMsgsPerProcPerSec() != 0 ||
-		r.ForcedCkptsPerProcPerSec() != 0 || r.RecvIdleSecPerProc() != 0 || r.RecvQueuedSecPerProc() != 0 {
+		r.ForcedCkptsPerProcPerSec() != 0 || r.AcksPerCheckpoint() != 0 || r.RecvIdleSecPerProc() != 0 || r.RecvQueuedSecPerProc() != 0 {
 		t.Fatal("zero report produced nonzero rates")
 	}
 }
@@ -74,7 +78,7 @@ func TestReportZeroDenominators(t *testing.T) {
 func TestStringContainsRows(t *testing.T) {
 	r := Report{Procs: 2, Elapsed: 1}
 	s := r.String()
-	for _, want := range []string{"ckpts/proc/s", "miss%", "force-msgs", "recv-idle-s/proc", "recv-queued-s/proc"} {
+	for _, want := range []string{"ckpts/proc/s", "miss%", "force-msgs", "dup-sends-avoided", "acks/ckpt", "recv-idle-s/proc", "recv-queued-s/proc"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("report %q missing %q", s, want)
 		}

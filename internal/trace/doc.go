@@ -73,6 +73,9 @@
 //	pvm.spawn        task started (Note = spawn name)
 //	pvm.notify       watcher registered for a target's death (Dst = target)
 //	sam.ckpt-begin   checkpoint transaction opened (Aux = seq)
+//	sam.ckpt-piece   one message of the transaction leaves (Dst = rank, Name, Bytes = body, Aux = seq;
+//	                 Note = wire kind, then "inactive" if unusable until the activation, then "+ack"
+//	                 on the one piece per destination whose receipt that destination acknowledges)
 //	sam.ckpt-commit  checkpoint transaction committed (Aux = seq; Note "forced" if forced; T/C/D)
 //	sam.force-send   force-checkpoint message sent to a laggard (Dst = rank, Aux = freeable time)
 //	sam.force-recv   force-checkpoint request received (Note "ckpt" if it causes one, "covered" if not)

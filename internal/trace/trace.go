@@ -24,6 +24,7 @@ const (
 	PvmNotify Kind = "pvm.notify"
 
 	SamCkptBegin  Kind = "sam.ckpt-begin"
+	SamCkptPiece  Kind = "sam.ckpt-piece"
 	SamCkptCommit Kind = "sam.ckpt-commit"
 	SamForceSend  Kind = "sam.force-send"
 	SamForceRecv  Kind = "sam.force-recv"
