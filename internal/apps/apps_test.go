@@ -6,6 +6,7 @@ package apps_test
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -292,4 +293,72 @@ func TestBarnesSurvivesKill(t *testing.T) {
 			t.Fatalf("step %d mass after kill: %v vs %v", s, got[s], m)
 		}
 	}
+}
+
+// momentsProbe is rank 0's Barnes-Hut app, which after its last step waits
+// for every rank's last partition — created after that rank's last octant
+// update — and then totals the octant accumulators' body counts.
+type momentsProbe struct {
+	*barnes.App
+	n     int
+	steps int64
+	total *atomic.Int64
+}
+
+func (m *momentsProbe) Step(p *sam.Proc, step int64) bool {
+	if m.App.Step(p, step) {
+		return true
+	}
+	const famPart, famMom = 35, 36 // barnes' name families
+	for r := 0; r < m.n; r++ {
+		p.UseValue(sam.MkName(famPart, int(m.steps), r))
+		p.DoneValue(sam.MkName(famPart, int(m.steps), r))
+	}
+	var total int64
+	for oct := 0; oct < 8; oct++ {
+		total += p.UpdateAccum(sam.MkName(famMom, oct, 0)).(*barnes.Moments).Count
+		p.ReleaseAccum(sam.MkName(famMom, oct, 0))
+	}
+	m.total.Store(total)
+	return false
+}
+
+// TestBarnesMidstepKillKeepsTheMoments: Barnes-Hut's answer, the tree mass,
+// is computed from the bodies and never reads the octant accumulators, so
+// it cannot show an update lost or applied twice. Kills that land in the
+// accumulator phase — when rank 0, first in the octant chain, begins a
+// step, the later ranks are between octant updates — make replacements
+// replay logged updates; every rank's update must still count exactly once.
+func TestBarnesMidstepKillKeepsTheMoments(t *testing.T) {
+	const n = 8
+	prm := barnesParams()
+	var total, killed atomic.Int64
+	kills := map[int64]int{2: 6, 3: 5} // rank 0's step -> victim
+	var cl *cluster.Cluster
+	cl = cluster.New(cluster.Config{
+		N: n, Policy: ft.PolicySAM,
+		AppFactory: func(rank int) sam.App {
+			a := barnes.New(rank, n, prm)
+			if rank != 0 {
+				return a
+			}
+			return &hooked{App: &momentsProbe{App: a, n: n, steps: prm.Steps, total: &total}, rank: rank,
+				hook: func(_ int, step int64) {
+					if v, ok := kills[step]; ok && cl.Kill(v) {
+						killed.Add(1)
+					}
+				}}
+		},
+	})
+	rep, err := cl.Run(120 * time.Second)
+	if err != nil {
+		t.Fatalf("barnes cluster: %v", err)
+	}
+	if killed.Load() != 2 {
+		t.Fatalf("%d kills hit a live process, want 2", killed.Load())
+	}
+	if want := int64(prm.Bodies) * prm.Steps; total.Load() != want {
+		t.Fatalf("octant counts total %d after kills (%d logged results replayed), want %d", total.Load(), rep.Total.ReplayedOps, want)
+	}
+	t.Logf("%d logged results replayed", rep.Total.ReplayedOps)
 }

@@ -172,7 +172,7 @@ func New(cfg Config) *Cluster {
 // Start spawns every rank. The processes begin executing immediately.
 func (c *Cluster) Start() {
 	for rank := 0; rank < c.cfg.N; rank++ {
-		task := c.spawn(rank, false)
+		task := c.spawn(rank, false, 0)
 		c.tids[rank] = task.TID()
 		c.tasks[rank] = task
 		c.allTasks = append(c.allTasks, task)
@@ -180,8 +180,9 @@ func (c *Cluster) Start() {
 	close(c.started)
 }
 
-// spawn launches one rank's process body (initial or recovering).
-func (c *Cluster) spawn(rank int, recovering bool) *pvm.Task {
+// spawn launches one rank's process body (initial or recovering) with its
+// modeled clock at atUS.
+func (c *Cluster) spawn(rank int, recovering bool, atUS float64) *pvm.Task {
 	name := fmt.Sprintf("rank%d", rank)
 	if recovering {
 		name += "-r"
@@ -190,7 +191,7 @@ func (c *Cluster) spawn(rank int, recovering bool) *pvm.Task {
 	if rank < len(c.cfg.HostSlowdown) {
 		slowdown = c.cfg.HostSlowdown[rank]
 	}
-	task := c.machine.Spawn(name, func(t *pvm.Task) {
+	task := c.machine.SpawnAt(name, atUS, func(t *pvm.Task) {
 		<-c.started
 		c.mu.Lock()
 		ranks := append([]pvm.TID(nil), c.tids...)
@@ -243,13 +244,14 @@ func (c *Cluster) spawn(rank int, recovering bool) *pvm.Task {
 	return task
 }
 
-// respawn restarts a failed rank on behalf of the recovery coordinator
-// and returns the replacement's tid (NoTID while halting). It is
-// idempotent per failed incarnation: with overlapping failures, several
-// processes may briefly believe they coordinate the same recovery, and
-// only the first restart request for a given dead tid spawns a process —
-// later ones are answered with the already-running replacement's tid.
-func (c *Cluster) respawn(rank int, dead pvm.TID) pvm.TID {
+// respawn restarts a failed rank on behalf of the recovery coordinator, at
+// the coordinator's modeled instant atUS, and returns the replacement's tid
+// (NoTID while halting). It is idempotent per failed incarnation: with
+// overlapping failures, several processes may briefly believe they
+// coordinate the same recovery, and only the first restart request for a
+// given dead tid spawns a process — later ones are answered with the
+// already-running replacement's tid.
+func (c *Cluster) respawn(rank int, dead pvm.TID, atUS float64) pvm.TID {
 	// The lock is held across the spawn so the new task body (which also
 	// takes it to snapshot the rank table) observes its own fresh tid.
 	c.mu.Lock()
@@ -262,7 +264,7 @@ func (c *Cluster) respawn(rank int, dead pvm.TID) pvm.TID {
 		c.mu.Unlock()
 		return tid // already restarted by a competing coordinator
 	}
-	task := c.spawn(rank, true)
+	task := c.spawn(rank, true, atUS)
 	c.tids[rank] = task.TID()
 	c.tasks[rank] = task
 	c.procs[rank] = nil // until the replacement's body registers its own

@@ -8,6 +8,7 @@ import (
 	"samft/internal/codec"
 	"samft/internal/ft"
 	"samft/internal/sam"
+	"samft/internal/trace"
 )
 
 type killTestState struct {
@@ -97,6 +98,79 @@ func TestClusterKillSemantics(t *testing.T) {
 	}
 	if err := cl.Err(); err != nil {
 		t.Fatalf("unexpected task error: %v", err)
+	}
+}
+
+// aheadApp computes for computeUS modeled microseconds in step 1, says so on
+// ready and waits for release.
+type aheadApp struct {
+	computeUS float64
+	ready     chan<- struct{}
+	release   <-chan struct{}
+	st        killTestState
+}
+
+func (a *aheadApp) Init(*sam.Proc) {}
+
+func (a *aheadApp) Step(p *sam.Proc, step int64) bool {
+	if step == 1 {
+		p.Compute(a.computeUS)
+		a.ready <- struct{}{}
+		<-a.release
+	}
+	a.st.Step = step
+	return step < 2
+}
+
+func (a *aheadApp) Snapshot() interface{} { return &a.st }
+func (a *aheadApp) Restore(s interface{}) { a.st = *(s.(*killTestState)) }
+
+// TestReplacementIsBornNoEarlierThanTheKill: the coordinator respawns a
+// failed rank at its own modeled instant, so a recovery window measured from
+// the replacement's first event starts at the restart, not at the beginning
+// of the run. (Replacements used to start with their clock at 0.)
+func TestReplacementIsBornNoEarlierThanTheKill(t *testing.T) {
+	ready, release := make(chan struct{}, 3), make(chan struct{})
+	tr := trace.New(0)
+	cl := cluster.New(cluster.Config{
+		N: 2, Policy: ft.PolicySAM, Degree: 1, Tracer: tr,
+		AppFactory: func(rank int) sam.App {
+			us := 100.0
+			if rank == 0 {
+				us = 50000 // the coordinator is far ahead of the victim
+			}
+			return &aheadApp{computeUS: us, ready: ready, release: release}
+		},
+	})
+	cl.Start()
+	defer cl.Halt()
+	<-ready
+	<-ready
+	if !cl.Kill(1) {
+		t.Fatal("setup: the kill did not hit a live process")
+	}
+	close(release)
+	if err := cl.WaitFinished(2 * time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	cl.Halt()
+
+	killUS, bornUS := -1.0, -1.0
+	for _, tk := range tr.Snapshot() {
+		for _, e := range tk.Events {
+			if e.Kind == trace.ClusterKill && e.Rank == 1 {
+				killUS = e.VirtUS
+			}
+		}
+		if tk.Label == "rank1-r" && len(tk.Events) > 0 {
+			bornUS = tk.Events[0].VirtUS
+		}
+	}
+	if killUS <= 0 || bornUS < 0 {
+		t.Fatalf("setup: kill at %v µs, replacement's first event at %v µs", killUS, bornUS)
+	}
+	if bornUS < killUS {
+		t.Fatalf("the replacement's first event is at %.1f µs, before the kill at %.1f µs", bornUS, killUS)
 	}
 }
 

@@ -52,7 +52,8 @@ type ObjectMeta struct {
 }
 
 // PrivateState is the record replicated to another host at every
-// checkpoint (§4.2): the process's local application state plus the SAM
+// checkpoint (§4.2): the process's local application state — the snapshot
+// at the last step boundary plus the log of the step since — and the SAM
 // bookkeeping that cannot be reconstructed from other processes. Pending
 // requests *by other processes* and directory information *about objects
 // owned by others* are deliberately absent — the paper observes they can
@@ -77,6 +78,20 @@ type PrivateState struct {
 	Owned []ObjectMeta
 	// T, C, D are the virtual-time vectors of §4.3.
 	T, C, D []int64
+	// Log is the non-reexecutable results of step StepsDone+1 up to the
+	// checkpoint, in order; empty at a step boundary. Recovery replays that
+	// step from AppState and hands these back instead of performing the
+	// operations again.
+	Log []LogEntry
+}
+
+// LogEntry is one non-reexecutable result of the step in progress: the
+// operation, the object it named and what it returned, as a packed codec
+// frame (empty for an operation that returns nothing).
+type LogEntry struct {
+	Op   uint8
+	Name uint64
+	Body []byte
 }
 
 // RegisteredName is the codec type name under which PrivateState travels.

@@ -67,7 +67,15 @@ func (m *Machine) Network() *netsim.Network { return m.net }
 // SAM tasks only finish at application end, after which the harness halts
 // the machine). A panic in the body is captured and reported via Task.Err.
 func (m *Machine) Spawn(name string, body func(*Task)) *Task {
+	return m.SpawnAt(name, 0, body)
+}
+
+// SpawnAt is Spawn for a task started by another at modeled instant atUS
+// (a replacement process, respawned by its recovery coordinator): the new
+// task's clock starts there, not at the beginning of the run.
+func (m *Machine) SpawnAt(name string, atUS float64, body func(*Task)) *Task {
 	ep := m.net.NewEndpoint()
+	ep.AdvanceTo(atUS)
 	t := &Task{
 		machine: m,
 		ep:      ep,

@@ -1,6 +1,7 @@
 package sam
 
 import (
+	"errors"
 	"fmt"
 
 	"samft/internal/codec"
@@ -18,7 +19,11 @@ import (
 // ---- application commands ----
 
 func (p *Proc) cmdCreateAccum(c *cmd) {
+	if p.replay(c) {
+		return
+	}
 	o := p.obj(c.name)
+	p.logResult(c, nil)
 	if o.isMain && o.created && o.kind == ft.KindAccum {
 		// Recovery replay: the accumulator was restored from its
 		// checkpoint copy (or recreated); keep the restored contents.
@@ -34,7 +39,6 @@ func (p *Proc) cmdCreateAccum(c *cmd) {
 	o.dirty = true
 	o.dirtySeq++
 	o.accessesDeclared = Unlimited
-	p.stepTainted = true
 	p.taint.OnNonReexecutable()
 
 	p.send(p.home(c.name), &wire{Kind: kReg, Name: uint64(c.name)})
@@ -63,6 +67,9 @@ func (p *Proc) drainPendingGrants(o *object) {
 }
 
 func (p *Proc) cmdUpdateAccum(c *cmd) {
+	if p.replay(c) {
+		return
+	}
 	p.st.SharedAccesses.Add(1)
 	o := p.obj(c.name)
 	if o.isMain && o.created && o.state == stPresent && !o.accLocked && o.pendingMove < 0 {
@@ -90,18 +97,28 @@ func (p *Proc) cmdUpdateAccum(c *cmd) {
 // non-reexecutable operation.
 func (p *Proc) grantAccumLock(o *object, c *cmd) {
 	o.accLocked = true
-	p.stepTainted = true
+	p.locksHeld++
 	p.taint.OnNonReexecutable()
+	p.logResult(c, o)
 	p.reply(c, o.data, nil)
 }
 
 func (p *Proc) cmdReleaseAccum(c *cmd) {
+	if p.replayHeld[c.name] {
+		// A replayed update: its effect is already in the restored main
+		// copy, or left with the migration that followed it.
+		delete(p.replayHeld, c.name)
+		p.locksHeld--
+		p.reply(c, nil, nil)
+		return
+	}
 	o := p.objs[c.name]
 	if o == nil || !o.accLocked {
 		p.reply(c, nil, fmt.Errorf("ReleaseAccum(%v) without UpdateAccum", c.name))
 		return
 	}
 	o.accLocked = false
+	p.locksHeld--
 	o.dirty = true
 	o.dirtySeq++
 	o.version++
@@ -113,6 +130,9 @@ func (p *Proc) cmdReleaseAccum(c *cmd) {
 }
 
 func (p *Proc) cmdChaoticRead(c *cmd) {
+	if p.replay(c) {
+		return
+	}
 	p.st.SharedAccesses.Add(1)
 	o := p.obj(c.name)
 	if o.usable() && o.kind == ft.KindAccum {
@@ -129,9 +149,68 @@ func (p *Proc) cmdChaoticRead(c *cmd) {
 // contents if we own it, a stale cached version otherwise). A chaotic
 // read observes nondeterministic data and taints the step.
 func (p *Proc) serveChaoticLocal(o *object, c *cmd) {
-	p.stepTainted = true
 	p.taint.OnNonReexecutable()
+	p.logResult(c, o)
 	p.reply(c, o.data, nil)
+}
+
+// ---- the step log (DESIGN §7 "Mid-step checkpoints") ----
+
+// errReplayDiverged reports a step whose replay from a mid-step checkpoint
+// did not repeat the logged operations: the step is not deterministic.
+var errReplayDiverged = errors.New("replay diverged")
+
+// logResult appends what the application's command c returned to the step
+// log: o's contents as they stand now, or nothing (o nil) for a creation.
+// The body comes from the snapshot cache, so logging an accumulator that
+// has just arrived costs no pack.
+func (p *Proc) logResult(c *cmd, o *object) {
+	if !p.ftEnabled() {
+		return
+	}
+	e := ft.LogEntry{Op: uint8(c.op), Name: uint64(c.name)}
+	if o != nil {
+		e.Body = p.packObject(o)
+	}
+	p.stepLog = append(p.stepLog, e)
+	p.replayAt++
+}
+
+// replay answers c from the step log while the step in progress is being
+// replayed from a mid-step checkpoint, and reports whether it did. Nothing
+// is acquired, created or fetched: the restored state already reflects the
+// operation, and the accumulator may have migrated on since.
+func (p *Proc) replay(c *cmd) bool {
+	if p.replayAt == len(p.stepLog) {
+		return false
+	}
+	e := p.stepLog[p.replayAt]
+	if cmdOp(e.Op) != c.op || Name(e.Name) != c.name {
+		p.reply(c, nil, fmt.Errorf("%w: op %d on %v where the log has op %d on %v",
+			errReplayDiverged, c.op, c.name, e.Op, Name(e.Name)))
+		return true
+	}
+	p.replayAt++
+	p.st.ReplayedOps.Add(1)
+	p.taint.OnNonReexecutable()
+	if c.op == opCreateAccum {
+		p.reply(c, nil, nil)
+		return true
+	}
+	contents, err := codec.Unpack(e.Body)
+	if err != nil {
+		p.reply(c, nil, fmt.Errorf("replay %v: %w", c.name, err))
+		return true
+	}
+	if c.op == opUpdateAccum {
+		if p.replayHeld == nil {
+			p.replayHeld = make(map[Name]bool)
+		}
+		p.replayHeld[c.name] = true
+		p.locksHeld++
+	}
+	p.reply(c, contents, nil)
+	return true
 }
 
 // ---- home-side arbitration ----
@@ -145,8 +224,11 @@ func (p *Proc) pumpAccumQueue(d *dirEntry) {
 	next := d.acqQueue[0]
 	d.acqQueue = d.acqQueue[1:]
 	if next == d.owner {
-		// The owner re-requested what it already holds (a recovery
-		// replay); nothing to migrate.
+		// The owner asks for what the home's record — the committed
+		// migrations — says it holds: a replacement whose main copy is not
+		// restored yet, or a process holding a migration in doubt
+		// (dropProvisionalFrom). Nothing to migrate; confirm the record.
+		p.send(next, &wire{Kind: kOwnerReport, Name: uint64(d.name)})
 		p.pumpAccumQueue(d)
 		return
 	}
@@ -172,6 +254,9 @@ func (p *Proc) handleGrant(name Name, target int) {
 		oo := p.obj(name)
 		oo.pendingGrants = enqueue(oo.pendingGrants, target)
 		return
+	}
+	if o.inDoubt() {
+		p.activate(o) // the home grants from its record: the migration committed
 	}
 	o.pendingMove = target
 	p.tryMigrate(o)
@@ -239,7 +324,7 @@ func (p *Proc) onAccData(w *wire) {
 	o.nonrepro = true
 	o.dirty = true
 	o.dirtySeq++
-	o.invalidatePackCache()
+	o.keepPacked(w.Body)
 	if p.rec != nil {
 		p.emit(trace.Event{Kind: trace.SamMigrateIn, Name: w.Name, Src: int64(w.SrcRank), Bytes: len(w.Body)})
 	}
@@ -248,15 +333,19 @@ func (p *Proc) onAccData(w *wire) {
 	}
 	o.pendingMove = -1
 	o.migrationQueued = false
+	if p.inc != nil {
+		// Recovery data for the object still in flight is older than this.
+		p.inc.recoverInstalled[name] = true
+	}
 	if w.Inactive {
 		// Ownership commits with the sender's checkpoint (if the sender dies
-		// first, kRecovery reverts this entry and the home re-drives the
-		// acquisition), and that transaction also places fresh checkpoint
-		// copies of this object under our ownership, stamped with the
-		// sender's sequence number. Adopt them as our backing checkpoint:
-		// bookkeeping left over from an earlier ownership epoch names
-		// copies that are gone or stale, and would poison the recovery
-		// re-supply path and free accounting.
+		// before activating it, the entry is in doubt until the home
+		// settles it: dropProvisionalFrom), and that transaction also places
+		// fresh checkpoint copies of this object under our ownership,
+		// stamped with the sender's sequence number. Adopt them as our
+		// backing checkpoint: bookkeeping left over from an earlier
+		// ownership epoch names copies that are gone or stale, and would
+		// poison the recovery re-supply path and free accounting.
 		o.setCommitted(w.Seq, w.Body)
 		p.store.Record(uint64(name), w.Seq, unpackHolders(w.Holders))
 	}

@@ -213,8 +213,12 @@ func (p *Proc) cmdGate(c *cmd) {
 			return
 		}
 	}
+	if n := len(p.stepLog) - p.replayAt; n > 0 {
+		p.reply(c, nil, fmt.Errorf("%w: step %d ended with %d logged result(s) not asked for", errReplayDiverged, c.step, n))
+		return
+	}
 	p.stepsDone = c.step
-	p.stepTainted = false
+	p.stepLog, p.replayAt = p.stepLog[:0], 0
 	p.flushUseNotices()
 
 	if !p.ftEnabled() {

@@ -3,6 +3,7 @@ package sam
 import (
 	"fmt"
 	"slices"
+	"strings"
 
 	"samft/internal/ckptstore"
 	"samft/internal/codec"
@@ -43,6 +44,10 @@ type ckptTx struct {
 	// forced marks a transaction performed in response to a
 	// force-checkpoint message.
 	forced bool
+	// priv is the private state the transaction replicates; it becomes
+	// lastPriv only at commit. midstep marks one whose log is not empty.
+	priv    privImage
+	midstep bool
 }
 
 // txPiece is one message of a transaction. The last inactive piece to each
@@ -126,9 +131,10 @@ func (p *Proc) addTrigger(t trigger) {
 
 // maybeStartTx starts a checkpoint transaction if one is needed and the
 // application is at a consistent point: parked at a step boundary, parked
-// mid-step with no non-reexecutable operation performed this step (the
-// boundary snapshot plus deterministic replay reproduces it exactly), or
-// finished.
+// anywhere mid-step (the boundary snapshot plus the step log reproduces it
+// exactly), or finished. Parked mid-step excludes two cases: an accumulator
+// update lock is held — its contents are mid-mutation in the application's
+// hands — and Init is still running, so there is no boundary snapshot yet.
 func (p *Proc) maybeStartTx() {
 	if !p.ftEnabled() || p.tx != nil {
 		return
@@ -138,11 +144,9 @@ func (p *Proc) maybeStartTx() {
 		return
 	}
 	switch {
-	case p.gateCmd != nil:
+	case p.gateCmd != nil, p.appFinished:
 		p.startTx()
-	case p.appParked != nil && !p.stepTainted:
-		p.startTx()
-	case p.appFinished:
+	case p.appParked != nil && p.locksHeld == 0 && p.boundarySnap != nil:
 		p.startTx()
 	}
 }
@@ -174,15 +178,19 @@ func (p *Proc) startTx() {
 		dirtyAt:     make(map[Name]int64),
 		migrHolders: make(map[Name][]ckptstore.Holder),
 		forced:      p.pendingForced,
+		midstep:     len(p.stepLog) > 0,
 	}
 	p.pendingForced = false
 	p.tx = tx
 	if p.rec != nil {
 		note := ""
 		if tx.forced {
-			note = "forced"
+			note = "forced "
 		}
-		p.emit(trace.Event{Kind: trace.SamCkptBegin, Aux: seq, Note: note})
+		if tx.midstep {
+			note += "midstep"
+		}
+		p.emit(trace.Event{Kind: trace.SamCkptBegin, Aux: seq, Note: strings.TrimSpace(note)})
 	}
 
 	trigs := p.pendingTriggers
@@ -208,7 +216,7 @@ func (p *Proc) startTx() {
 	if err != nil {
 		panic(fmt.Errorf("sam: pack private state: %w", err))
 	}
-	p.lastPriv = privImage{seq: seq, body: body}
+	tx.priv = privImage{seq: seq, body: body}
 	p.task.Charge(float64(len(body)) / packBytesPerUS)
 	p.st.PrivBytes.Add(int64(len(body)))
 	for _, r := range ft.PrivateStateRanks(p.cfg.Rank, p.cfg.N, p.cfg.Degree) {
@@ -323,6 +331,9 @@ func (p *Proc) buildPrivateState(seq int64, migrating map[Name]int) *ft.PrivateS
 		StepsDone: p.stepsDone,
 		AppState:  append([]byte(nil), p.boundarySnap...),
 		T:         t, C: c, D: d,
+		// Every entry, handed back yet or not: the restored objects reflect
+		// them all.
+		Log: p.stepLog,
 	}
 	for _, o := range p.objs {
 		if o.isMain && o.created && o.state == stPresent {
@@ -341,7 +352,15 @@ func (p *Proc) buildPrivateState(seq int64, migrating map[Name]int) *ft.PrivateS
 func (p *Proc) commitTx() {
 	tx := p.tx
 	p.clocks.CommitCheckpoint()
-	p.taint.OnCheckpoint()
+	p.lastPriv = tx.priv
+	if tx.midstep {
+		// The taint stays: values the rest of the step creates ride the
+		// step-end transaction. Reproducible, each would be sent at once and
+		// then again as that transaction's checkpoint copy (DESIGN §7).
+		p.st.MidstepCkpts.Add(1)
+	} else {
+		p.taint.OnCheckpoint()
+	}
 	p.hasCheckpointed = true
 	p.st.Checkpoints.Add(1)
 	if tx.forced {
@@ -572,9 +591,14 @@ func (p *Proc) ackPiece(w *wire) {
 // contents.
 func (p *Proc) onCkptCopy(w *wire) {
 	o := p.obj(Name(w.Name))
+	// A pending copy whose commit is held back behind our own transaction is
+	// committed: install it before a newer copy takes its slot.
+	if pc := o.pending; pc != nil && slices.Contains(p.deferredActs, activation{from: pc.sender, seq: pc.seq}) {
+		p.commitPending(o)
+	}
 	if img := imageOf(w); p.acceptsCopy(o, img) {
 		if w.Inactive {
-			o.pending = img
+			o.pending, o.resupply = img, false
 		} else {
 			p.applyCkptCopy(o, img)
 		}
@@ -608,6 +632,18 @@ func (p *Proc) acceptsCopy(o *object, img *image) bool {
 	// the owner/sender-time rule decides: a copy backing a different owner
 	// than the held one is accepted, as is one no older by checkpoint seq.
 	return img.owner != o.copy.owner || img.seq >= o.copy.seq
+}
+
+// commitPending installs o's pending copy, whose sender has committed, and
+// sends it after a contribution that could not include it (resupply).
+func (p *Proc) commitPending(o *object) {
+	pc := o.pending
+	o.pending = nil
+	p.applyCkptCopy(o, pc)
+	if o.resupply {
+		o.resupply = false
+		p.send(pc.owner, pc.wire(kRecoverData))
+	}
 }
 
 // applyCkptCopy installs a checkpoint image as the backing copy for its
@@ -689,18 +725,22 @@ func (p *Proc) onActivate(a activation) {
 	for _, name := range sortedKeys(p.objs) {
 		o := p.objs[name]
 		if o.state == stInactive && o.awaits == a {
-			o.state = stPresent
-			o.fetchOutstanding = false
-			p.serveLocalWaiters(o) // grants a parked local acquire first
-			p.serveRemoteWaiters(o)
-			if o.kind == ft.KindAccum && o.isMain {
-				p.tryMigrate(o)
-			}
+			p.activate(o)
 		}
 		if pc := o.pending; pc != nil && pc.sender == a.from && pc.seq == a.seq {
-			o.pending = nil
-			p.applyCkptCopy(o, pc)
+			p.commitPending(o)
 		}
+	}
+}
+
+// activate makes contents received inactive usable: their sender committed.
+func (p *Proc) activate(o *object) {
+	o.state = stPresent
+	o.fetchOutstanding = false
+	p.serveLocalWaiters(o) // grants a parked local acquire first
+	p.serveRemoteWaiters(o)
+	if o.kind == ft.KindAccum && o.isMain {
+		p.tryMigrate(o)
 	}
 }
 

@@ -166,8 +166,8 @@ func (p *Proc) repairCoverage() {
 		delete(p.repairPending, name)
 		o := p.objs[name]
 		entry, ok := p.store.Lookup(uint64(name))
-		if o == nil || !o.isMain || !o.created || !ok || o.committed.seq == 0 || entry.Seq != o.committed.seq {
-			continue // freed, migrated away, or re-checkpointed since
+		if o == nil || !o.isMain || !o.created || o.state != stPresent || !ok || o.committed.seq == 0 || entry.Seq != o.committed.seq {
+			continue // freed, migrated away, still provisional, or re-checkpointed since
 		}
 		plan := p.store.RepairPlan(uint64(name), p.cfg.Rank, func(r int) bool {
 			_, dead := p.deadRanks[r]

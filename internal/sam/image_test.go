@@ -116,7 +116,7 @@ func TestOriginalProcessHasNoIncarnation(t *testing.T) {
 	name := nameHomedAt(t, 4, 0)
 	before := p.Invariants()
 	tBefore, cBefore, dBefore := p.clocks.Snapshot()
-	for _, kind := range []int{kRecoverPriv, kRecoverData, kOwnerReport, kOwnerHint, kRecoverFin, kOwnerDeny} {
+	for _, kind := range []int{kRecoverPriv, kRecoverData, kOwnerHint, kRecoverFin, kOwnerDeny} {
 		p.dispatch(&wire{
 			Kind: kind, SrcRank: 1, Name: uint64(name), Seq: 3, Body: packPayload(t, 1),
 			Meta: ft.ObjectMeta{Version: 2}, HasMeta: true,

@@ -57,7 +57,7 @@ const (
 	kRecoverPriv // priv-state holder -> new process: latest private state
 	kRecoverData // ckpt-copy holder -> new process: object main copy restoration
 	kDirReport   // object owner -> new process: I own this name homed at you (kReg, but counted as a recovery contribution)
-	kOwnerReport // surviving home -> new process: you own this object (authoritative)
+	kOwnerReport // home -> new process, or an owner asking for what it holds: you own this object (authoritative)
 	kOwnerHint   // previous holder -> new process: a migration sent this object to you (version-stamped)
 	kRecoverFin  // survivor -> new process: my recovery contribution is complete
 	kOwnerQuery  // new process -> home: do I own this hinted object? (version-stamped)

@@ -72,7 +72,11 @@ type object struct {
 	// does.
 	copy    *image
 	pending *image
-	// awaits is the activation that makes stInactive contents usable.
+	// resupply marks a pending copy whose owner's replacement we supplied
+	// without it: commitPending sends it on.
+	resupply bool
+	// awaits is the activation that makes stInactive contents usable; from
+	// -1 when none will come (inDoubt).
 	awaits activation
 
 	// forcedSent records that force-checkpoint messages for this freeable
@@ -128,15 +132,21 @@ type object struct {
 	// data as of mutation sequence packCacheSeq. While the object is
 	// unmutated (dirtySeq unchanged), checkpoint copies, fetch replies, and
 	// snapshots reuse these bytes instead of re-walking the object — the
-	// dominant cost of the checkpoint hot path. The cache is invalidated
-	// explicitly wherever data is replaced wholesale (migration arrival,
-	// recovery restore) and implicitly by any dirtySeq bump.
+	// dominant cost of the checkpoint hot path. Contents that arrive in a
+	// frame (migration, read reply) keep that frame as the cache; it is
+	// invalidated explicitly wherever data is replaced otherwise (recovery
+	// restore, a checkpoint copy) and implicitly by any dirtySeq bump.
 	packCache    []byte
 	packCacheSeq int64
 }
 
 // usable reports whether the local contents can satisfy an access.
 func (o *object) usable() bool { return o.state == stPresent && o.data != nil }
+
+// inDoubt reports a main copy that migrated here in a transaction whose
+// sender died before activating it (dropProvisionalFrom): whether that
+// transaction committed is the home's to say.
+func (o *object) inDoubt() bool { return o.state == stInactive && o.awaits.from < 0 }
 
 // noteSentTo records that rank received this object's contents, feeding
 // the affinity placement policy. Only the owner's record matters.
@@ -153,6 +163,13 @@ func (o *object) noteSentTo(rank int) {
 func (o *object) invalidatePackCache() {
 	o.packCache = nil
 	o.packCacheSeq = 0
+}
+
+// keepPacked makes body, the frame data was just unpacked from, the pack
+// cache: packing data again would reproduce it.
+func (o *object) keepPacked(body []byte) {
+	o.packCache = body
+	o.packCacheSeq = o.dirtySeq
 }
 
 // meta builds the checkpoint metadata record for an owned object.

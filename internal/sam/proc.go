@@ -43,9 +43,17 @@ type Proc struct {
 	appParked    *cmd   // the command the app is currently blocked on, if any
 	gateCmd      *cmd   // the gate command to release
 	stepsDone    int64  // completed steps (boundary index)
-	stepTainted  bool   // the in-progress step performed a non-reexecutable op
 	boundarySnap []byte // packed app snapshot at the last boundary
 	appFinished  bool
+	// stepLog is the in-progress step's non-reexecutable results (accum.go):
+	// entries before replayAt have happened in this incarnation, the rest
+	// were restored from a mid-step checkpoint and are still to be handed
+	// back by the replay. locksHeld counts the update locks the application
+	// holds, real or replayed; replayHeld names the replayed ones.
+	stepLog    []ft.LogEntry
+	replayAt   int
+	locksHeld  int
+	replayHeld map[Name]bool
 
 	// Fault tolerance.
 	// store is the replicated checkpoint store: placement policy plus the
@@ -65,7 +73,7 @@ type Proc struct {
 	deferredActs     []activation           // other processes' commits held back while tx is open
 	privStore        map[int]privImage      // rank -> newest committed private state held here
 	privStaging      map[int]privImage      // provisional private states awaiting activation
-	lastPriv         privImage              // our own last checkpointed private state
+	lastPriv         privImage              // our own last committed private state
 	useNotices       map[int]map[Name]int64 // owner rank -> name -> unreported uses
 	freePending      map[Name]bool          // freeable mains awaiting reclamation
 	forceReplies     []int                  // ranks owed a kForceAck at our next commit
@@ -300,10 +308,10 @@ func (p *Proc) reply(c *cmd, obj interface{}, err error) {
 }
 
 // park records that the application is blocked on c; the runtime keeps
-// serving while it waits. Parking is a checkpoint opportunity (§4.4): if
-// the in-progress step has performed no non-reexecutable operation, the
-// state at the last boundary plus deterministic replay reproduces the
-// process exactly, so pending checkpoint triggers can run now.
+// serving while it waits. Parking is a checkpoint opportunity (§4.4): the
+// state at the last boundary plus a replay of the step that hands back its
+// logged non-reexecutable results reproduces the process exactly, so
+// pending checkpoint triggers can run now.
 func (p *Proc) park(c *cmd) {
 	p.appParked = c
 	p.maybeStartTx()
@@ -350,7 +358,7 @@ func (p *Proc) emit(e trace.Event) {
 func (p *Proc) dispatch(w *wire) {
 	if p.inc == nil {
 		switch w.Kind {
-		case kRecoverPriv, kRecoverData, kOwnerReport, kOwnerHint, kRecoverFin, kOwnerDeny:
+		case kRecoverPriv, kRecoverData, kOwnerHint, kRecoverFin, kOwnerDeny:
 			// Only ever addressed to a restarted rank's new tid, and this
 			// process is not a replacement.
 			return

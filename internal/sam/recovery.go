@@ -2,6 +2,7 @@ package sam
 
 import (
 	"slices"
+	"strconv"
 
 	"samft/internal/codec"
 	"samft/internal/ft"
@@ -209,7 +210,7 @@ func (p *Proc) startRecovery(rank int, dead netsim.TID) {
 	if p.cfg.Respawn == nil {
 		return // harness does not support recovery (tests without it)
 	}
-	newTID := p.cfg.Respawn(rank, dead)
+	newTID := p.cfg.Respawn(rank, dead, p.task.ClockUS())
 	if newTID == pvm.NoTID {
 		return // harness is shutting down
 	}
@@ -352,8 +353,14 @@ func (p *Proc) contributeRecovery(rank int) {
 		if o.copy != nil && o.copy.owner == rank {
 			p.send(rank, o.copy.wire(kRecoverData))
 		}
-		if o.isMain && o.created && p.home(o.name) == rank {
-			// Directory information homed at the failed process. (Main
+		// A copy placed for a migration to the failed process, still pending:
+		// it follows at its sender's commit, maybe the only one there is.
+		if pc := o.pending; pc != nil && pc.owner == rank && pc.sender != rank {
+			o.resupply = true
+		}
+		if o.isMain && o.created && !o.inDoubt() && p.home(o.name) == rank {
+			// Directory information homed at the failed process — not for a
+			// migration in doubt, which may not have committed. (Main
 			// copies whose checkpoint copies died with it are re-supplied
 			// by the ledger-driven repair pass below, which also covers
 			// non-ring placements the old recomputation could not name.)
@@ -416,7 +423,14 @@ func (p *Proc) contributeRecovery(rank int) {
 // dropProvisionalFrom discards uncommitted checkpoint state received from
 // a process that failed before activating it: the staged private state,
 // staged checkpoint copies, and inactive data objects. Fetches satisfied
-// only by dropped inactive data are re-issued.
+// only by dropped inactive data are re-issued. An accumulator that migrated
+// here is kept in doubt instead: the sender may have committed — told the
+// home — before it died, and then no other copy of those contents exists.
+// The home settles it — a home learns ownership only from committed
+// migrations: its grant to pass the accumulator on (handleGrant, or one
+// already here) or its confirmation of the re-issued acquisition
+// (onOwnerReport) activates the copy; an uncommitted migration is re-driven
+// and replaces it.
 func (p *Proc) dropProvisionalFrom(rank int) {
 	delete(p.privStaging, rank)
 	for _, name := range sortedKeys(p.objs) {
@@ -424,17 +438,27 @@ func (p *Proc) dropProvisionalFrom(rank int) {
 		if o.pending != nil && o.pending.sender == rank {
 			o.pending = nil
 		}
-		if o.state == stInactive && o.awaits.from == rank {
-			// Revert to absent and re-drive the request so the restored
-			// process serves it again after its replay.
-			o.state = stAbsent
-			o.data = nil
-			o.isMain = false
-			o.created = false
-			o.invalidatePackCache()
-			if len(o.waiters) > 0 && o.fetchOutstanding && o.reqKind != 0 {
-				p.request(o, o.reqKind)
+		if o.state != stInactive || o.awaits.from != rank {
+			continue
+		}
+		if o.isMain {
+			o.awaits = activation{from: -1} // no activation will come
+			if o.pendingMove >= 0 {
+				p.activate(o) // the home's grant came first: its record names us
+			} else {
+				p.request(o, kAccAcq)
 			}
+			continue
+		}
+		// Revert to absent and re-drive the request so the restored
+		// process serves it again after its replay.
+		o.state = stAbsent
+		o.data = nil
+		o.isMain = false
+		o.created = false
+		o.invalidatePackCache()
+		if len(o.waiters) > 0 && o.fetchOutstanding && o.reqKind != 0 {
+			p.request(o, o.reqKind)
 		}
 	}
 }
@@ -535,6 +559,12 @@ func keepNewer(best map[Name]*image, img *image) {
 // migrations), and installs any stashed recovery data.
 func (p *Proc) onOwnerReport(w *wire) {
 	name := Name(w.Name)
+	if o := p.objs[name]; o != nil && o.inDoubt() {
+		p.activate(o) // the migration committed
+	}
+	if p.inc == nil {
+		return
+	}
 	if p.rec != nil {
 		p.emit(trace.Event{Kind: trace.SamOwnerGrant, Name: w.Name, Src: int64(w.SrcRank)})
 	}
@@ -550,6 +580,11 @@ func (p *Proc) onOwnerReport(w *wire) {
 // migration pointed at this process. Hints are only believed after every
 // survivor has reported and no live process claims the main copy.
 func (p *Proc) onOwnerHint(w *wire) {
+	if p.inc.orphansDecided {
+		// A re-sent contribution's duplicate: too late to count, and kept it
+		// would be queried again, as unresolved, when the home is replaced.
+		return
+	}
 	name := Name(w.Name)
 	if w.Meta.Version >= p.inc.orphanHints[name] {
 		p.inc.orphanHints[name] = w.Meta.Version
@@ -701,6 +736,7 @@ func (p *Proc) checkRestoreComplete() {
 	p.clocks.Restore(priv.T, priv.C, priv.D)
 	p.stepsDone = priv.StepsDone
 	p.boundarySnap = priv.AppState
+	p.stepLog, p.replayAt = priv.Log, 0
 	p.hasCheckpointed = true
 	// Retain the packed image: if a holder of our private-state copy fails
 	// before our next checkpoint, the re-replication path needs the bytes.
@@ -719,7 +755,7 @@ func (p *Proc) checkRestoreComplete() {
 	}
 	if p.rec != nil {
 		p.emit(trace.Event{
-			Kind: trace.SamRecRestore, Aux: priv.StepsDone,
+			Kind: trace.SamRecRestore, Aux: priv.StepsDone, Note: "log " + strconv.Itoa(len(priv.Log)),
 			T: trace.CopyVec(priv.T), C: trace.CopyVec(priv.C), D: trace.CopyVec(priv.D),
 		})
 	}

@@ -514,3 +514,196 @@ func TestDeferredActivationsCountAtRecovery(t *testing.T) {
 		t.Fatalf("contribution %v lacks the committed private state (%v) or object copy (%v)", kinds, gotPriv, gotData)
 	}
 }
+
+// TestCopyCommittedAfterTheContributionIsResupplied: rank 0 migrates an
+// object to rank 3, placing its checkpoint copy here, and rank 3 dies before
+// the activation. We supply rank 3's replacement while the copy is still
+// pending, so the contribution goes without it; when rank 0's commit
+// arrives, the copy — the only one of the object's committed contents — is
+// sent after it. (It was kept here, and the replacement waited for it
+// forever.)
+func TestCopyCommittedAfterTheContributionIsResupplied(t *testing.T) {
+	const sender, target = 0, 3
+	p, tasks := testProc(t, 1, 4, false)
+	name := nameHomedAt(t, 4, 2)
+	p.dispatch(&wire{
+		Kind: kCkptCopy, SrcRank: sender, Name: uint64(name), Owner: target, Seq: 4, Piece: -1,
+		Inactive: true, Body: packPayload(t, 7), Meta: ft.ObjectMeta{Version: 2}, HasMeta: true,
+	})
+
+	block := make(chan struct{})
+	t.Cleanup(func() { close(block) })
+	reborn := tasks[0].Machine().Spawn("t3b", func(*pvm.Task) { <-block })
+	p.noteIncarnation(target, reborn.TID(), false)
+	for w := recvWire(t, reborn); w.Kind != kRecoverFin; w = recvWire(t, reborn) {
+		if w.Kind == kRecoverData && Name(w.Name) == name {
+			t.Fatal("setup: the pending copy was contributed before its commit")
+		}
+	}
+
+	p.dispatch(&wire{Kind: kActivate, SrcRank: sender, Seq: 4})
+	if !reborn.Probe(pvm.AnySrc, TagSAM) {
+		t.Fatal("the copy committed after the contribution was not sent to the replacement")
+	}
+	if w := recvWire(t, reborn); w.Kind != kRecoverData || Name(w.Name) != name || w.Seq != 4 || w.Owner != target {
+		t.Fatalf("replacement got %s %v seq %d owner %d, want the committed copy", kindName(w.Kind), Name(w.Name), w.Seq, w.Owner)
+	}
+}
+
+// TestCommittedPendingCopyIsNotOverwritten: a copy's commit arrives while
+// our own transaction holds activations back, and a newer copy of the same
+// object arrives before that transaction commits. The held-back commit
+// installs the first copy before the second takes the pending slot. (The
+// second overwrote it, and the first — committed — was lost: its owner's
+// replacement waited forever for the contents.)
+func TestCommittedPendingCopyIsNotOverwritten(t *testing.T) {
+	const first, second = 0, 3
+	p, _ := testProc(t, 1, 4, false)
+	name := nameHomedAt(t, 4, 2)
+	p.tx = &ckptTx{seq: 1, acksNeeded: 1, dirtyAt: map[Name]int64{}}
+	p.dispatch(&wire{
+		Kind: kCkptCopy, SrcRank: first, Name: uint64(name), Owner: second, Seq: 2, Piece: -1,
+		Inactive: true, Body: packPayload(t, 7), Meta: ft.ObjectMeta{Version: 1}, HasMeta: true,
+	})
+	p.dispatch(&wire{Kind: kActivate, SrcRank: first, Seq: 2})
+	p.dispatch(&wire{
+		Kind: kCkptCopy, SrcRank: second, Name: uint64(name), Owner: 2, Seq: 5, Piece: -1,
+		Inactive: true, Body: packPayload(t, 8), Meta: ft.ObjectMeta{Version: 2}, HasMeta: true,
+	})
+	o := p.objs[name]
+	if o.copy == nil || o.copy.sender != first || o.copy.seq != 2 {
+		t.Fatalf("committed copy = %+v, want rank %d's, seq 2", o.copy, first)
+	}
+	if o.pending == nil || o.pending.sender != second {
+		t.Fatalf("pending copy = %+v, want rank %d's", o.pending, second)
+	}
+}
+
+// TestInDoubtMigrationIsSettledByTheHome: rank 3 migrates an accumulator
+// here and is replaced before its activation arrives — it may have
+// committed, telling the home, first; then these contents exist nowhere
+// else. They are kept, the acquisition goes to the home again, and the
+// home's word that we own them — a confirmation, or a grant to pass them on
+// — hands them to the application. (They were dropped, and the home ignored
+// a request from the rank it names owner, or waited for its grant: a hang.)
+func TestInDoubtMigrationIsSettledByTheHome(t *testing.T) {
+	const target, home, sender, next = 2, 1, 3, 0
+	for _, tc := range []struct {
+		name   string
+		settle *wire
+		early  bool // the settling word arrives before the sender is replaced
+	}{
+		{"confirmed", &wire{Kind: kOwnerReport, SrcRank: home}, false},
+		{"granted on", &wire{Kind: kAccGrant, SrcRank: home, Target: next}, false},
+		{"granted on first", &wire{Kind: kAccGrant, SrcRank: home, Target: next}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, tasks := testProc(t, target, 4, false)
+			name := nameHomedAt(t, 4, home)
+			c := appCmd(p, &cmd{op: opUpdateAccum, name: name})
+			if w := recvWire(t, tasks[home]); w.Kind != kAccAcq {
+				t.Fatalf("setup: the home got %s, want AccAcq", kindName(w.Kind))
+			}
+			p.dispatch(&wire{
+				Kind: kAccData, SrcRank: sender, Name: uint64(name), Target: target, Body: packPayload(t, 7),
+				Inactive: true, Seq: 5, Piece: 0, HasMeta: true,
+				Meta: ft.ObjectMeta{Name: uint64(name), Kind: uint8(ft.KindAccum), Nonreproducible: true, Version: 3},
+			})
+
+			tc.settle.Name = uint64(name)
+			if tc.early {
+				p.dispatch(tc.settle)
+			}
+			block := make(chan struct{})
+			t.Cleanup(func() { close(block) })
+			reborn := tasks[0].Machine().Spawn("t3b", func(*pvm.Task) { <-block })
+			p.noteIncarnation(sender, reborn.TID(), false)
+			if !tc.early {
+				if w := recvWire(t, tasks[home]); w.Kind != kAccAcq || Name(w.Name) != name {
+					t.Fatalf("the home got %s %v, want the acquisition again", kindName(w.Kind), Name(w.Name))
+				}
+				if _, ok := done(c); ok {
+					t.Fatal("the accumulator was granted before the home settled its migration")
+				}
+				p.dispatch(tc.settle)
+			}
+			r, ok := done(c)
+			if !ok || r.err != nil {
+				t.Fatalf("the home's word did not grant the accumulator (done=%v err=%v)", ok, r.err)
+			}
+			if got := r.obj.(*recoveryPayload); got.X != 7 {
+				t.Fatalf("granted contents %+v, want the migrated 7", got)
+			}
+		})
+	}
+}
+
+// TestHomeConfirmsAnOwnerAskingForWhatItHolds: a home's record names the
+// owner from the committed migrations, so an acquisition by that very rank
+// gets the record back instead of being dropped.
+func TestHomeConfirmsAnOwnerAskingForWhatItHolds(t *testing.T) {
+	const owner = 2
+	p, tasks := testProc(t, 0, 4, false)
+	name := nameHomedAt(t, 4, 0)
+	p.dispatch(&wire{Kind: kReg, SrcRank: owner, Name: uint64(name)})
+	p.dispatch(&wire{Kind: kAccAcq, SrcRank: owner, Name: uint64(name)})
+	if w := recvWire(t, tasks[owner]); w.Kind != kOwnerReport || Name(w.Name) != name {
+		t.Fatalf("the owner got %s %v, want OwnerReport %v", kindName(w.Kind), Name(w.Name), name)
+	}
+}
+
+// TestLateOwnerHintIsNotQueriedAgain: a survivor's re-sent contribution
+// repeats an ownership hint after this replacement has decided its orphans.
+// The hint is dropped; kept, it looked unresolved and was put to the home's
+// replacement when the home later died, which granted a stale claim — the
+// object's real owner, restoring at the home, lost it and the next acquirer
+// waited forever.
+func TestLateOwnerHintIsNotQueriedAgain(t *testing.T) {
+	const home = 2
+	p, tasks := testProc(t, 0, 4, true)
+	p.inc.restoring = false
+	name := nameHomedAt(t, 4, home)
+	for r := 1; r < 4; r++ {
+		p.onRecoverFin(&wire{Kind: kRecoverFin, SrcRank: r})
+	}
+	if !p.inc.orphansDecided {
+		t.Fatal("setup: orphans not decided")
+	}
+	p.dispatch(&wire{Kind: kOwnerHint, SrcRank: 3, Name: uint64(name), Meta: ft.ObjectMeta{Version: 4}, HasMeta: true})
+
+	block := make(chan struct{})
+	t.Cleanup(func() { close(block) })
+	reborn := tasks[0].Machine().Spawn("t2b", func(*pvm.Task) { <-block })
+	p.noteIncarnation(home, reborn.TID(), false)
+	for w := recvWire(t, reborn); w.Kind != kRecoverFin; w = recvWire(t, reborn) {
+		if w.Kind == kOwnerQuery {
+			t.Fatalf("the home's replacement was asked about %v on a hint that came after the decision", Name(w.Name))
+		}
+	}
+}
+
+// TestProvisionalMainCopyIsNotRepaired: an accumulator that migrated here is
+// inactive until its sender commits, and the holder of its checkpoint copy
+// is replaced meanwhile. The copy is not re-placed from here: the contents
+// are not committed, and a copy naming us would tell the holder we own them
+// — with the sender dead, it answered the home's re-driven grant with our
+// rank, and the accumulator forked.
+func TestProvisionalMainCopyIsNotRepaired(t *testing.T) {
+	const target, sender, holder = 2, 3, 1
+	p, tasks := testProc(t, target, 4, false)
+	name := nameHomedAt(t, 4, 0)
+	p.dispatch(&wire{
+		Kind: kAccData, SrcRank: sender, Name: uint64(name), Target: target, Body: packPayload(t, 7),
+		Inactive: true, Seq: 5, Piece: 0, HasMeta: true, Holders: []int64{holder << 16},
+		Meta: ft.ObjectMeta{Name: uint64(name), Kind: uint8(ft.KindAccum), Nonreproducible: true, Version: 3},
+	})
+	block := make(chan struct{})
+	t.Cleanup(func() { close(block) })
+	reborn := tasks[0].Machine().Spawn("t1b", func(*pvm.Task) { <-block })
+	p.noteIncarnation(holder, reborn.TID(), false)
+	for w := recvWire(t, reborn); w.Kind != kRecoverFin; w = recvWire(t, reborn) {
+		if w.Kind == kCkptCopy && Name(w.Name) == name {
+			t.Fatalf("an uncommitted main copy was re-placed at the replaced holder (seq %d, owner %d)", w.Seq, w.Owner)
+		}
+	}
+}

@@ -97,12 +97,13 @@ type Config struct {
 	// procedure: it waits for its private state instead of running Init.
 	Recovering bool
 	// Respawn is invoked on the recovery coordinator to restart a failed
-	// rank; dead names the incarnation being replaced so the harness can
-	// make the restart idempotent (if the rank was already restarted by a
-	// competing coordinator, the existing incarnation's tid is returned
-	// unchanged). Returns NoTID while the harness is shutting down.
-	// Supplied by the cluster harness.
-	Respawn func(rank int, dead pvm.TID) pvm.TID
+	// rank at the coordinator's modeled instant atUS; dead names the
+	// incarnation being replaced so the harness can make the restart
+	// idempotent (if the rank was already restarted by a competing
+	// coordinator, the existing incarnation's tid is returned unchanged).
+	// Returns NoTID while the harness is shutting down. Supplied by the
+	// cluster harness.
+	Respawn func(rank int, dead pvm.TID, atUS float64) pvm.TID
 }
 
 func (c *Config) fill() {

@@ -386,6 +386,47 @@ func TestTxReplacedRecipientGetsEveryPieceAgain(t *testing.T) {
 	}
 }
 
+// TestTxReplacedHolderGetsTheLastCommittedPrivateState: the holder of our
+// private state is replaced while a transaction is open. The replacement is
+// re-sent our last committed private state as committed, and the open
+// transaction's only as its staged piece. (lastPriv was set when a
+// transaction started, so the uncommitted state arrived as committed.)
+func TestTxReplacedHolderGetsTheLastCommittedPrivateState(t *testing.T) {
+	const privHolder = 1
+	p, tasks := txProc(t)
+	p.addTrigger(trigger{})
+	open(p)
+	first := p.tx.seq
+	ackAll(p, drain(t, tasks))
+	p.addTrigger(trigger{})
+	if p.tx == nil || p.tx.seq == first {
+		t.Fatal("setup: no second transaction open")
+	}
+	second := p.tx.seq
+	drain(t, tasks)
+
+	block := make(chan struct{})
+	t.Cleanup(func() { close(block) })
+	reborn := tasks[0].Machine().Spawn("t1b", func(*pvm.Task) { <-block })
+	tasks[privHolder] = reborn
+	p.noteIncarnation(privHolder, reborn.TID(), false)
+	var committed, staged []int64
+	for _, f := range drain(t, tasks) {
+		if f.to != privHolder || f.Kind != kCkptPriv {
+			continue
+		}
+		if f.Inactive {
+			staged = append(staged, f.Seq)
+		} else {
+			committed = append(committed, f.Seq)
+		}
+	}
+	if !slices.Equal(committed, []int64{first}) || !slices.Equal(staged, []int64{second}) {
+		t.Fatalf("the replacement got private states %v as committed and %v staged, want [%d] and [%d]",
+			committed, staged, first, second)
+	}
+}
+
 // migrate creates an accumulator at rank 0 whose home is rank 3 and whose
 // checkpoint copy, placed for new owner 2, goes to holder, and has the home
 // order it to rank 2. The transaction that moves it opens at once.

@@ -407,7 +407,7 @@ func (p *Proc) onObjData(w *wire) {
 	o.kind = kind
 	o.data = data
 	o.ownerRank = w.SrcRank
-	o.invalidatePackCache()
+	o.keepPacked(w.Body)
 	if p.rec != nil {
 		p.emit(trace.Event{Kind: trace.SamFetchData, Name: w.Name, Src: int64(w.SrcRank), Bytes: len(w.Body)})
 	}

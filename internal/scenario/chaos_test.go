@@ -85,7 +85,7 @@ func TestChaosGoldenOpenSchedules(t *testing.T) {
 
 // TestLibrarySharesBaselineTwins: scenarios that differ only in their
 // faults are compared against one fault-free run, not one each — RunSet
-// runs one twin per distinct twinKey, and the library's 11 files have 7.
+// runs one twin per distinct twinKey, and the library's 12 files have 8.
 func TestLibrarySharesBaselineTwins(t *testing.T) {
 	lib, paths, errs := LoadDir(filepath.Join("..", "..", "scenarios"))
 	if len(errs) > 0 {
@@ -95,7 +95,7 @@ func TestLibrarySharesBaselineTwins(t *testing.T) {
 	for i, s := range lib {
 		twins[twinKey(Compile(s, paths[i]))] = true
 	}
-	if len(lib) != 11 || len(twins) != 7 {
-		t.Errorf("%d scenarios share %d distinct fault-free twins, want 11 sharing 7", len(lib), len(twins))
+	if len(lib) != 12 || len(twins) != 8 {
+		t.Errorf("%d scenarios share %d distinct fault-free twins, want 12 sharing 8", len(lib), len(twins))
 	}
 }

@@ -197,3 +197,31 @@ func TestRecoveryFigureIsTraceWindow(t *testing.T) {
 		t.Errorf("bound just below the figure did not fail the scenario: %v", below.Problems)
 	}
 }
+
+// TestBarnesMidstepKillReplaysALog runs scenarios/barnes-midstep-kill.json:
+// the answer must match the fault-free twin's bit for bit, and some
+// replacement must have restored a mid-step checkpoint and handed back its
+// logged results (stats ReplayedOps). Where the kills land varies with
+// goroutine scheduling, so a green run that replayed nothing runs again, up
+// to three runs in all; the test cannot pass without a replay.
+func TestBarnesMidstepKillReplaysALog(t *testing.T) {
+	t.Setenv("SAMFT_TRACE_DIR", t.TempDir())
+	s, err := LoadFile(filepath.Join("..", "..", "scenarios", "barnes-midstep-kill.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 1; run <= 3; run++ {
+		outs, err := RunSet([]Compiled{Compile(s, "")}, "")
+		if err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+		if out := outs[0]; out.Failed() {
+			t.Fatalf("run %d: %v (trace: %s)", run, out.Problems, out.TraceDir)
+		}
+		if n := outs[0].Result.Report.Total.ReplayedOps; n > 0 {
+			t.Logf("run %d: %d logged results replayed", run, n)
+			return
+		}
+	}
+	t.Fatal("no replacement replayed a logged result in three runs: no kill landed mid-step")
+}

@@ -62,6 +62,12 @@ type Proc struct {
 	Recoveries atomic.Int64
 	// StepsExecuted counts application steps completed (including replays).
 	StepsExecuted atomic.Int64
+	// MidstepCkpts counts committed checkpoints taken mid-step: their
+	// private state carries a log of the step's non-reexecutable results (a
+	// subset of Checkpoints). ReplayedOps counts the logged results a
+	// restored process handed back instead of performing the operation.
+	MidstepCkpts atomic.Int64
+	ReplayedOps  atomic.Int64
 }
 
 // Snapshot is a plain-value copy of a Proc's counters.
@@ -85,6 +91,8 @@ type Snapshot struct {
 	RepairBytes         int64
 	Recoveries          int64
 	StepsExecuted       int64
+	MidstepCkpts        int64
+	ReplayedOps         int64
 }
 
 // Snapshot returns a consistent-enough copy for reporting.
@@ -109,6 +117,8 @@ func (p *Proc) Snapshot() Snapshot {
 		RepairBytes:         p.RepairBytes.Load(),
 		Recoveries:          p.Recoveries.Load(),
 		StepsExecuted:       p.StepsExecuted.Load(),
+		MidstepCkpts:        p.MidstepCkpts.Load(),
+		ReplayedOps:         p.ReplayedOps.Load(),
 	}
 }
 
@@ -133,6 +143,8 @@ func (s *Snapshot) Add(o Snapshot) {
 	s.RepairBytes += o.RepairBytes
 	s.Recoveries += o.Recoveries
 	s.StepsExecuted += o.StepsExecuted
+	s.MidstepCkpts += o.MidstepCkpts
+	s.ReplayedOps += o.ReplayedOps
 }
 
 // Delta returns s - prev field by field: the counter activity between two
@@ -161,6 +173,8 @@ func (s Snapshot) Delta(prev Snapshot) Snapshot {
 		RepairBytes:         s.RepairBytes - prev.RepairBytes,
 		Recoveries:          s.Recoveries - prev.Recoveries,
 		StepsExecuted:       s.StepsExecuted - prev.StepsExecuted,
+		MidstepCkpts:        s.MidstepCkpts - prev.MidstepCkpts,
+		ReplayedOps:         s.ReplayedOps - prev.ReplayedOps,
 	}
 }
 
@@ -267,8 +281,9 @@ func (r Report) RecvQueuedSecPerProc() float64 {
 // tables.
 func (r Report) String() string {
 	return fmt.Sprintf(
-		"procs=%d elapsed=%.3fs ckpts/proc/s=%.3f sends-ckpt%%=%.2f force-msgs/proc/s=%.4f forced-ckpts/proc/s=%.4f miss%%=%.2f snap-cache-hit%%=%.2f snap-cache-saved-B=%d dup-sends-avoided=%d acks/ckpt=%.2f recv-idle-s/proc=%.4f recv-queued-s/proc=%.4f",
+		"procs=%d elapsed=%.3fs ckpts/proc/s=%.3f sends-ckpt%%=%.2f force-msgs/proc/s=%.4f forced-ckpts/proc/s=%.4f miss%%=%.2f snap-cache-hit%%=%.2f snap-cache-saved-B=%d dup-sends-avoided=%d acks/ckpt=%.2f midstep-ckpts=%d replayed-ops=%d recv-idle-s/proc=%.4f recv-queued-s/proc=%.4f",
 		r.Procs, r.Elapsed, r.CheckpointsPerProcPerSec(), r.PctSendsCausingCheckpoint(),
 		r.ForceCkptMsgsPerProcPerSec(), r.ForcedCkptsPerProcPerSec(), r.MissRatePct(),
-		r.SnapCacheHitPct(), r.Total.SnapCacheBytesSaved, r.Total.DupSendsAvoided, r.AcksPerCheckpoint(), r.RecvIdleSecPerProc(), r.RecvQueuedSecPerProc())
+		r.SnapCacheHitPct(), r.Total.SnapCacheBytesSaved, r.Total.DupSendsAvoided, r.AcksPerCheckpoint(),
+		r.Total.MidstepCkpts, r.Total.ReplayedOps, r.RecvIdleSecPerProc(), r.RecvQueuedSecPerProc())
 }

@@ -72,7 +72,7 @@
 //	net.notify-dup   chaos duplicated a watcher's exit notification (Dst = watcher)
 //	pvm.spawn        task started (Note = spawn name)
 //	pvm.notify       watcher registered for a target's death (Dst = target)
-//	sam.ckpt-begin   checkpoint transaction opened (Aux = seq)
+//	sam.ckpt-begin   checkpoint transaction opened (Aux = seq; Note "forced" if forced, "midstep" if its private state carries a step log)
 //	sam.ckpt-piece   one message of the transaction leaves (Dst = rank, Name, Bytes = body, Aux = seq;
 //	                 Note = wire kind, then "inactive" if unusable until the activation, then "+ack"
 //	                 on the one piece per destination whose receipt that destination acknowledges)
@@ -87,7 +87,7 @@
 //	sam.snap-miss    snapshot-cache miss: object packed (Name, Bytes)
 //	sam.rec-solicit  recovering process announced itself and solicited contributions
 //	sam.rec-contrib  one recovery contribution processed (Note = wire kind, Src = rank)
-//	sam.rec-restore  private state + owned objects installed; app resuming (Aux = steps; Note "fresh" on a from-Init restart; T/C/D)
+//	sam.rec-restore  private state + owned objects installed; app resuming (Aux = steps; Note "fresh" on a from-Init restart, else "log <n>": the step-log entries the replay hands back; T/C/D)
 //	sam.rec-dir      directory rebuilt / orphan set decided (Aux = undecided orphan count)
 //	sam.owner-query  orphan-ownership query sent to a home (Name)
 //	sam.owner-grant  home confirmed ownership (Name)
