@@ -18,7 +18,7 @@
 //
 // Per-function "may allocate at these sites" summaries propagate
 // bottom-up through the call graph as facts, so a regression buried in a
-// mailbox helper three calls below Endpoint.Send is reported — at the
+// helper three calls below Endpoint.Send is reported — at the
 // allocation site, naming the hot-path root that reaches it. A site
 // excused with //samlint:allow noalloc is excluded from the summary
 // itself, so one annotation covers every hot path that reaches it.

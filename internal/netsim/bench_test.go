@@ -23,9 +23,8 @@ const (
 const msgsPerSec = "msgs/s"
 
 // BenchmarkSendRecv measures the steady-state cost of one send plus one
-// wildcard receive between a single pair of endpoints. The allocs/op
-// number is the send path's allocation budget: it must stay at (or very
-// near) one — the Message handed to the receiver.
+// wildcard receive between a single pair of endpoints. Its allocs/op is
+// zero, pinned by TestSendRecvAllocFree.
 func BenchmarkSendRecv(b *testing.B) {
 	n := netsim.New(netsim.DefaultConfig())
 	defer n.Close()
@@ -44,8 +43,8 @@ func BenchmarkSendRecv(b *testing.B) {
 }
 
 // BenchmarkSendRecvExact is BenchmarkSendRecv with an exact (src, tag)
-// match instead of wildcards, exercising the per-source/per-tag mailbox
-// index.
+// match instead of wildcards; with one message queued it too matches the
+// head.
 func BenchmarkSendRecvExact(b *testing.B) {
 	n := netsim.New(netsim.DefaultConfig())
 	defer n.Close()
@@ -63,15 +62,16 @@ func BenchmarkSendRecvExact(b *testing.B) {
 	}
 }
 
-// matchDeepQueue returns a benchmark that receives by exact tag from a
-// mailbox holding depth non-matching messages — the PVM-style matching
-// cost the mailbox index turns from O(queue) into O(1) amortized.
+// matchDeepQueue returns a benchmark that receives by exact tag past
+// depth non-matching messages — the matching scan's worst case, O(depth)
+// per receive. No runtime receives this way (their wildcard receive takes
+// the head); the number is the cost the scan accepts.
 func matchDeepQueue(depth int) func(b *testing.B) {
 	return func(b *testing.B) {
 		n := netsim.New(netsim.DefaultConfig())
 		defer n.Close()
 		a, dst := n.NewEndpoint(), n.NewEndpoint()
-		// Fill the mailbox with filler-tagged messages that never match.
+		// Fill the queue with filler-tagged messages that never match.
 		for i := 0; i < depth; i++ {
 			//samlint:allow tagflow -- the fill tag is deliberately never received; the benchmark measures matching past it
 			if err := a.Send(dst.TID(), TagBenchFill, nil); err != nil {

@@ -8,8 +8,8 @@ import (
 	"samft/internal/trace"
 )
 
-// Endpoint is one process's attachment to the network: a mailbox with
-// PVM-style matching, a modeled-time clock, and traffic statistics.
+// Endpoint is one process's attachment to the network: a message queue
+// with PVM-style matching, a modeled-time clock, and traffic statistics.
 //
 // An endpoint is intended to be driven by the goroutines of a single
 // simulated process, but all methods are safe for concurrent use.
@@ -18,11 +18,8 @@ import (
 // the modeled clock, and the traffic counters are atomics, so Stats,
 // liveness probes, and the sender-side bookkeeping of Send never take a
 // lock. Delivery appends the message (by value) to the receiver's queue
-// under its mutex — a critical section of a few instructions — and all
-// matching work happens on the receiver's side: a message is indexed
-// into the (src, tag) mailbox only when a receive scans past it, so in
-// the keep-up steady state (receives as fast as sends) messages are
-// matched straight out of the queue and never touch the index at all.
+// under its mutex — a critical section of a few instructions — and every
+// receive scans that queue for the first match in arrival order.
 type Endpoint struct {
 	net *Network
 	tid TID
@@ -69,16 +66,16 @@ type Endpoint struct {
 
 	mu   sync.Mutex //samlint:lockclass netsim.endpoint
 	cond *sync.Cond
-	// queue holds delivered messages by value in arrival order. Senders
-	// append under mu; the receiver scans from qHead, moving messages it
-	// skips into the indexed mailbox (mbox) so no message is scanned
-	// twice. Consumed and skipped entries are zeroed to release payload
-	// references; the slice is reset when fully drained, so its capacity
-	// converges on the endpoint's in-flight high-water mark.
+	// queue holds delivered messages by value in arrival order; senders
+	// append under mu. Entries before qHead were consumed at the head and
+	// zeroed to release their payloads. A receive scans from qHead for the
+	// first match: the runtimes' wildcard receive always takes the head,
+	// while an exact match deep in the queue costs O(depth) — accepted,
+	// since no runtime receives that way. The slice is reset when fully
+	// drained, so its capacity converges on the in-flight high-water mark.
 	queue   []Message
-	qHead   int  // first unscanned entry
+	qHead   int  // first queued entry
 	waiting bool // a receiver is parked in cond.Wait
-	mbox    *mailbox
 	// enqueued counts every message ever appended to queue (exit
 	// notifications included). A plain field under mu: delivery already
 	// holds it, so the hot path pays no extra atomic.
@@ -119,7 +116,7 @@ type EndpointStats struct {
 
 func newEndpoint(n *Network, tid TID) *Endpoint {
 	e := &Endpoint{
-		net: n, tid: tid, mbox: newMailbox(),
+		net: n, tid: tid,
 		sendOvUS:  n.cfg.Cost.SendOverheadUS,
 		recvOvUS:  n.cfg.Cost.RecvOverheadUS,
 		latencyUS: n.cfg.Cost.LatencyUS,
@@ -185,7 +182,6 @@ func (e *Endpoint) finishKill() {
 	e.queue = nil
 	e.qHead = 0
 	e.waiting = false
-	e.mbox.clear()
 	e.cond.Broadcast()
 	e.mu.Unlock()
 }
@@ -272,8 +268,8 @@ func (e *Endpoint) AdvanceTo(us float64) { e.raiseClock(us) }
 // to a TID that never existed is an error.
 //
 // The steady-state path is allocation-free: routing is an index into the
-// copy-on-write routing slice, the message travels by value through the
-// receiver's queue, and matching-side bookkeeping uses pooled nodes.
+// copy-on-write routing slice and the message travels by value through the
+// receiver's queue.
 //
 //samlint:hotpath
 func (e *Endpoint) Send(dst TID, tag int, payload []byte) error {
@@ -383,69 +379,52 @@ func (e *Endpoint) deliverExit(m *Message) bool {
 // fetch finds, removes, and returns (into out) the first message matching
 // (src, tag) in arrival order. Called with mu held.
 //
-// Arrival order is: indexed mailbox (oldest), then the unscanned queue
-// suffix. The invariant that makes this a total order is that a message
-// is only ever indexed when a fetch scans past it, so every indexed
-// message is older than every unscanned one. A fetch therefore first
-// consults the pattern's index list, then scans the queue — indexing the
-// messages it skips, so no message is ever scanned twice. In the keep-up
-// steady state the index stays empty and matches come straight off the
-// scan, costing a comparison or two and no index maintenance.
+// A match at the head — every (AnySrc, AnyTag) receive — advances qHead; a
+// match further in closes its gap with one copy of the tail.
 func (e *Endpoint) fetch(src TID, tag int, out *Message) bool {
-	if e.mbox.count != 0 {
-		if l := e.mbox.lookup(src, tag); l != nil && l.head != nil {
-			e.mbox.take(l.head, out)
-			return true
-		}
-	}
-	// A mid-queue match leaves a consumed (zeroed) prefix behind; compact
-	// once it dominates so the queue's footprint tracks the in-flight
-	// message count rather than the total ever received.
+	// Head matches leave a consumed (zeroed) prefix behind; compact once
+	// it dominates so the queue's footprint tracks the in-flight message
+	// count rather than the total ever received.
 	if e.qHead > 32 && e.qHead*2 > len(e.queue) {
 		n := copy(e.queue, e.queue[e.qHead:])
-		clearTail := e.queue[n:]
-		for i := range clearTail {
-			clearTail[i] = Message{}
-		}
+		clear(e.queue[n:])
 		e.queue = e.queue[:n]
 		e.qHead = 0
 	}
-	for e.qHead < len(e.queue) {
-		m := &e.queue[e.qHead]
-		e.qHead++
-		if matches(m, src, tag) {
-			*out = *m
-			*m = Message{}
-			if e.qHead == len(e.queue) {
-				e.queue = e.queue[:0]
-				e.qHead = 0
-			}
-			return true
-		}
-		e.mbox.push(m)
-		*m = Message{}
+	i := e.find(src, tag)
+	if i < 0 {
+		return false
 	}
-	e.queue = e.queue[:0]
-	e.qHead = 0
-	return false
+	*out = e.queue[i]
+	if i == e.qHead {
+		e.queue[i] = Message{}
+		e.qHead++
+		if e.qHead == len(e.queue) {
+			e.queue = e.queue[:0]
+			e.qHead = 0
+		}
+		return true
+	}
+	last := len(e.queue) - 1
+	copy(e.queue[i:], e.queue[i+1:])
+	e.queue[last] = Message{}
+	e.queue = e.queue[:last]
+	return true
+}
+
+// find returns the index of the first queued message matching (src, tag),
+// or -1. Called with mu held.
+func (e *Endpoint) find(src TID, tag int) int {
+	for i := e.qHead; i < len(e.queue); i++ {
+		if matches(&e.queue[i], src, tag) {
+			return i
+		}
+	}
+	return -1
 }
 
 func matches(m *Message, src TID, tag int) bool {
 	return (src == AnySrc || m.Src == src) && (tag == AnyTag || m.Tag == tag)
-}
-
-// drainAll indexes every queued message into the mailbox, for callers
-// that need a complete view without consuming (Probe, Pending). Called
-// with mu held.
-func (e *Endpoint) drainAll() {
-	for e.qHead < len(e.queue) {
-		m := &e.queue[e.qHead]
-		e.qHead++
-		e.mbox.push(m)
-		*m = Message{}
-	}
-	e.queue = e.queue[:0]
-	e.qHead = 0
 }
 
 // Accept charges the receiver for a message Take handed out: traffic
@@ -495,7 +474,7 @@ func (e *Endpoint) Accept(m *Message) {
 }
 
 // Take blocks until a message matching src/tag is available, removes it
-// from the mailbox and returns it — and does nothing else: no clock, no
+// from the queue and returns it — and does nothing else: no clock, no
 // counter, no trace event. The caller owes the endpoint one Accept for it.
 // It returns ErrKilled if the endpoint is killed while waiting and
 // ErrClosed if the network is shut down. Queued messages (in particular
@@ -573,12 +552,11 @@ func (e *Endpoint) TryRecv(src TID, tag int) (Message, bool, error) {
 func (e *Endpoint) Probe(src TID, tag int) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.drainAll()
-	return e.mbox.peek(src, tag)
+	return e.find(src, tag) >= 0
 }
 
 // Enqueued returns how many messages were ever delivered into this
-// endpoint's mailbox, taken out since or not. A harness that also counts
+// endpoint's queue, taken out since or not. A harness that also counts
 // the messages a process has finished handling can tell a drained cluster
 // from a busy one without sampling (see cluster.Quiesce).
 func (e *Endpoint) Enqueued() int64 {
@@ -591,6 +569,5 @@ func (e *Endpoint) Enqueued() int64 {
 func (e *Endpoint) Pending() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.drainAll()
-	return e.mbox.count
+	return len(e.queue) - e.qHead
 }

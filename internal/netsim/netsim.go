@@ -2,8 +2,8 @@
 // local-area network such as the AN2 ATM network used in the paper.
 //
 // The simulation runs every "process" as ordinary goroutines inside one Go
-// program. Communication goes through per-endpoint mailboxes with PVM-style
-// src/tag matching. The network never executes remote code; it only moves
+// program. Communication goes through one arrival-ordered queue per endpoint
+// with PVM-style src/tag matching. The network never executes remote code; it only moves
 // byte payloads, so the endpoints behave like separate address spaces as
 // long as callers only exchange serialized data (the codec and pvm packages
 // enforce this).
@@ -27,18 +27,18 @@
 //
 // # Scaling and lock order
 //
-// The fabric is built to scale to thousands of endpoints with O(1),
-// allocation-free per-message overhead. Routing goes through a
+// Per-message work is allocation-free. Routing goes through a
 // copy-on-write slice indexed by TID (published with an atomic pointer,
 // copied only on endpoint registration), so the send hot path takes no
 // network-wide lock and sends to distinct endpoints share no mutable
 // state. Delivery appends the message by value to the receiver's queue
-// under the receiver's mutex — a critical section of a few instructions
-// — and all PVM-style matching work happens on the receiver's side:
-// messages are indexed by source and tag (see mailbox.go) only when a
-// receive scans past them, so matching is O(1) amortized for every
-// wildcard pattern. Liveness flags, modeled clocks, and traffic counters
-// are atomics.
+// under the receiver's mutex — a critical section of a few instructions.
+// Matching is a scan of that queue in arrival order for the first message
+// fitting the (src, tag) pattern. The runtimes receive with both
+// wildcards, which always match the head; an exact match past a deep
+// queue is O(depth), by choice: no runtime receives that way, and a
+// source/tag index to make it O(1) cost more than it saved. Liveness
+// flags, modeled clocks, and traffic counters are atomics.
 //
 // Lock order: Network.mu (registration, watcher sets, shutdown) and
 // Endpoint.mu (one message queue) are both leaf locks — neither is ever
@@ -332,7 +332,7 @@ func (n *Network) Kill(tid TID, notifyTag int) bool {
 	// concurrent Notify must either land in the watcher set claimed above
 	// or observe the death and deliver immediately — never neither. The
 	// mark is an atomic store, so no endpoint lock nests under n.mu; the
-	// mailbox drain and receiver wakeup happen after the unlock.
+	// queue drain and receiver wakeup happen after the unlock.
 	e.markDead()
 	n.mu.Unlock()
 	e.finishKill()
@@ -421,18 +421,6 @@ func (n *Network) Close() {
 			e.closeNetwork()
 		}
 	}
-}
-
-// TIDs returns the ids of all live endpoints (order unspecified).
-func (n *Network) TIDs() []TID {
-	table := *n.routes.Load()
-	out := make([]TID, 0, len(table))
-	for tid, e := range table {
-		if e != nil && !e.isDead() {
-			out = append(out, TID(tid))
-		}
-	}
-	return out
 }
 
 // exitPayload encodes the dead task's id in the notification payload, as

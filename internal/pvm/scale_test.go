@@ -34,7 +34,7 @@ func TestThousandProcessRing(t *testing.T) {
 	cfg := netsim.DefaultConfig()
 	// Chaos on: seeded per-message jitter perturbs modeled arrival times
 	// throughout, so the scale run exercises the fault-injection plumbing
-	// alongside the indexed mailboxes and COW routing.
+	// alongside the endpoint queues and COW routing.
 	cfg.Chaos = &netsim.FaultPlan{Seed: 7, JitterUS: 25}
 	m := NewMachine(cfg)
 	defer m.Halt()
