@@ -125,6 +125,17 @@ func (p *Proc) cmdReleaseAccum(c *cmd) {
 	// Serve the chaotic reads deferred during the update, then a migration
 	// that arrived while the application held the lock.
 	p.serveRemoteWaiters(o)
+	if p.ftEnabled() && o.pendingMove >= 0 && p.tx == nil && p.locksHeld == 0 && p.boundarySnap != nil {
+		// The release is a checkpoint point (DESIGN §7 "Mid-step
+		// checkpoints"): the migration's transaction starts inside the call,
+		// and commitTx replies, maybe before tryMigrate returns. Returning
+		// before the commit would let the application charge its compute
+		// first, and the commit — the new owner's activation — would again
+		// be stamped after it.
+		p.heldCmd = c
+		p.tryMigrate(o)
+		return
+	}
 	p.tryMigrate(o)
 	p.reply(c, nil, nil)
 }

@@ -217,6 +217,13 @@ func (p *Proc) cmdGate(c *cmd) {
 		p.reply(c, nil, fmt.Errorf("%w: step %d ended with %d logged result(s) not asked for", errReplayDiverged, c.step, n))
 		return
 	}
+	if p.tx == nil && p.logCovered > 0 && p.logCovered == len(p.stepLog) {
+		// A committed mid-step checkpoint of this step holds the previous
+		// boundary and every non-reexecutable result the step had: the new
+		// boundary is reproducible (DESIGN §7 "Mid-step checkpoints").
+		p.taint.OnCheckpoint()
+	}
+	p.logCovered = 0
 	p.stepsDone = c.step
 	p.stepLog, p.replayAt = p.stepLog[:0], 0
 	p.flushUseNotices()
@@ -243,7 +250,7 @@ func (p *Proc) cmdGate(c *cmd) {
 	if p.tx == nil {
 		p.sendCovered()
 		if len(p.pendingTriggers) > 0 {
-			p.gateCmd = c
+			p.heldCmd = c
 			p.startTx()
 			return
 		}
@@ -254,11 +261,12 @@ func (p *Proc) cmdGate(c *cmd) {
 	p.reply(c, nil, nil)
 }
 
-// releaseGate completes a gate command that was held for a checkpoint.
-func (p *Proc) releaseGate() {
-	if p.gateCmd != nil {
-		g := p.gateCmd
-		p.gateCmd = nil
-		p.reply(g, nil, nil)
+// releaseHeld completes the command held for the transaction that just
+// committed.
+func (p *Proc) releaseHeld() {
+	if p.heldCmd != nil {
+		h := p.heldCmd
+		p.heldCmd = nil
+		p.reply(h, nil, nil)
 	}
 }

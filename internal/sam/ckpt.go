@@ -45,9 +45,13 @@ type ckptTx struct {
 	// force-checkpoint message.
 	forced bool
 	// priv is the private state the transaction replicates; it becomes
-	// lastPriv only at commit. midstep marks one whose log is not empty.
+	// lastPriv only at commit. logLen is the length of the step log it
+	// carries (mid-step when > 0), and step the stepsDone it started at.
+	// release marks one a held ReleaseAccum opened.
 	priv    privImage
-	midstep bool
+	logLen  int
+	step    int64
+	release bool
 }
 
 // txPiece is one message of a transaction. The last inactive piece to each
@@ -130,11 +134,12 @@ func (p *Proc) addTrigger(t trigger) {
 }
 
 // maybeStartTx starts a checkpoint transaction if one is needed and the
-// application is at a consistent point: parked at a step boundary, parked
-// anywhere mid-step (the boundary snapshot plus the step log reproduces it
-// exactly), or finished. Parked mid-step excludes two cases: an accumulator
-// update lock is held — its contents are mid-mutation in the application's
-// hands — and Init is still running, so there is no boundary snapshot yet.
+// application is at a consistent point: held at a step boundary or in a
+// release that owes a migration (cmdReleaseAccum), parked anywhere mid-step
+// (the boundary snapshot plus the step log reproduces it exactly), or
+// finished. Parked mid-step excludes two cases: an accumulator update lock
+// is held — its contents are mid-mutation in the application's hands — and
+// Init is still running, so there is no boundary snapshot yet.
 func (p *Proc) maybeStartTx() {
 	if !p.ftEnabled() || p.tx != nil {
 		return
@@ -144,7 +149,7 @@ func (p *Proc) maybeStartTx() {
 		return
 	}
 	switch {
-	case p.gateCmd != nil, p.appFinished:
+	case p.heldCmd != nil, p.appFinished:
 		p.startTx()
 	case p.appParked != nil && p.locksHeld == 0 && p.boundarySnap != nil:
 		p.startTx()
@@ -178,7 +183,9 @@ func (p *Proc) startTx() {
 		dirtyAt:     make(map[Name]int64),
 		migrHolders: make(map[Name][]ckptstore.Holder),
 		forced:      p.pendingForced,
-		midstep:     len(p.stepLog) > 0,
+		logLen:      len(p.stepLog),
+		step:        p.stepsDone,
+		release:     p.heldCmd != nil && p.heldCmd.op == opReleaseAccum,
 	}
 	p.pendingForced = false
 	p.tx = tx
@@ -187,8 +194,11 @@ func (p *Proc) startTx() {
 		if tx.forced {
 			note = "forced "
 		}
-		if tx.midstep {
-			note += "midstep"
+		if tx.logLen > 0 {
+			note += "midstep "
+		}
+		if tx.release {
+			note += "release"
 		}
 		p.emit(trace.Event{Kind: trace.SamCkptBegin, Aux: seq, Note: strings.TrimSpace(note)})
 	}
@@ -353,13 +363,20 @@ func (p *Proc) commitTx() {
 	tx := p.tx
 	p.clocks.CommitCheckpoint()
 	p.lastPriv = tx.priv
-	if tx.midstep {
+	if tx.logLen > 0 {
 		// The taint stays: values the rest of the step creates ride the
 		// step-end transaction. Reproducible, each would be sent at once and
-		// then again as that transaction's checkpoint copy (DESIGN §7).
+		// then again as that transaction's checkpoint copy (DESIGN §7). The
+		// gate clears it if nothing non-reexecutable follows (logCovered).
 		p.st.MidstepCkpts.Add(1)
+		if tx.step == p.stepsDone {
+			p.logCovered = tx.logLen
+		}
 	} else {
 		p.taint.OnCheckpoint()
+	}
+	if tx.release {
+		p.st.ReleaseCkpts.Add(1)
 	}
 	p.hasCheckpointed = true
 	p.st.Checkpoints.Add(1)
@@ -418,7 +435,7 @@ func (p *Proc) commitTx() {
 	}
 
 	p.tx = nil
-	p.releaseGate()
+	p.releaseHeld()
 
 	p.applyDeferred()
 

@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"samft/internal/ft"
+	"samft/internal/pvm"
 )
 
 // objState tracks a local object entry's lifecycle.
@@ -215,6 +216,11 @@ type dirEntry struct {
 
 	// pendingRead are ranks whose kReadReq arrived before an owner was known.
 	pendingRead []int
+	// ownerTID is the incarnation that registered the owner. unbacked are
+	// ranks whose reads went to a replacement of it: they follow the name to
+	// a new owner (setOwner; DESIGN §7 "Recovery holes").
+	ownerTID pvm.TID
+	unbacked []int
 
 	// Accumulator arbitration: FIFO of ranks waiting for the lock, and
 	// whether a migration grant is outstanding.

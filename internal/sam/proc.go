@@ -41,7 +41,7 @@ type Proc struct {
 	// Application coordination.
 	app          App
 	appParked    *cmd   // the command the app is currently blocked on, if any
-	gateCmd      *cmd   // the gate command to release
+	heldCmd      *cmd   // held until the open transaction commits: a gate, or a release whose migration rides it
 	stepsDone    int64  // completed steps (boundary index)
 	boundarySnap []byte // packed app snapshot at the last boundary
 	appFinished  bool
@@ -49,11 +49,14 @@ type Proc struct {
 	// entries before replayAt have happened in this incarnation, the rest
 	// were restored from a mid-step checkpoint and are still to be handed
 	// back by the replay. locksHeld counts the update locks the application
-	// holds, real or replayed; replayHeld names the replayed ones.
+	// holds, real or replayed; replayHeld names the replayed ones. logCovered
+	// is how many entries a committed mid-step checkpoint of this step
+	// carried (0: none).
 	stepLog    []ft.LogEntry
 	replayAt   int
 	locksHeld  int
 	replayHeld map[Name]bool
+	logCovered int
 
 	// Fault tolerance.
 	// store is the replicated checkpoint store: placement policy plus the

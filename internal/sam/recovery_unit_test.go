@@ -8,6 +8,7 @@ package sam
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -705,5 +706,50 @@ func TestProvisionalMainCopyIsNotRepaired(t *testing.T) {
 		if w.Kind == kCkptCopy && Name(w.Name) == name {
 			t.Fatalf("an uncommitted main copy was re-placed at the replaced holder (seq %d, owner %d)", w.Seq, w.Owner)
 		}
+	}
+}
+
+// TestReadForwardedToAReplacedClaimFollowsTheReregistration: a process
+// registered a value and died before any checkpoint covered it, so the step
+// that created it is re-executed from a state in which its non-reexecutable
+// result (a Jade task pop) can differ, and another rank creates the value. A
+// read the home forwarded to the replacement in between is kept at the home
+// and follows the new registration; the replacement would hold it forever.
+// (Water's pool, uncontended once a release checkpoints, let a rank pop and
+// register twice unchecked: 3 of 2 500 traced water8 kill runs hung with the
+// main process waiting for such a value.)
+func TestReadForwardedToAReplacedClaimFollowsTheReregistration(t *testing.T) {
+	const dead, reader, recreator = 3, 1, 2
+	for _, tc := range []struct {
+		name       string
+		registrant int
+		want       []string // what the new registration sends
+	}{
+		{"created elsewhere", recreator, []string{"ReadFwd"}},
+		{"created by the replacement", dead, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, tasks := testProc(t, 0, 5, false)
+			v := nameHomedAt(t, 5, 0)
+			p.dispatch(&wire{Kind: kReg, SrcRank: dead, Name: uint64(v)})
+			block := make(chan struct{})
+			t.Cleanup(func() { close(block) })
+			tasks[dead] = tasks[0].Machine().Spawn("t3b", func(*pvm.Task) { <-block })
+			p.noteIncarnation(dead, tasks[dead].TID(), false)
+			drain(t, tasks)
+
+			p.dispatch(&wire{Kind: kReadReq, SrcRank: reader, Name: uint64(v)})
+			if got := kindsTo(drain(t, tasks), dead); !slices.Equal(got, []string{"ReadFwd"}) {
+				t.Fatalf("setup: the replacement got %v, want the forwarded read", got)
+			}
+			p.dispatch(&wire{Kind: kReg, SrcRank: tc.registrant, Name: uint64(v)})
+			frames := drain(t, tasks)
+			if got := kindsTo(frames, tc.registrant); !slices.Equal(got, tc.want) {
+				t.Fatalf("registrant %d got %v, want %v", tc.registrant, got, tc.want)
+			}
+			if len(tc.want) > 0 && frames[0].Target != reader {
+				t.Errorf("the read was forwarded for rank %d, want %d", frames[0].Target, reader)
+			}
+		})
 	}
 }

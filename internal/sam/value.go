@@ -362,13 +362,16 @@ func (p *Proc) flushUseNotices() {
 // setOwner is the one writer of a directory entry's owner at this home — at
 // registration, a completed migration, a survivor's report rebuilding the
 // directory a restarted home lost, an orphan-ownership grant, our own restored
-// main copy — and routes what was waiting for one: parked reads, acquisitions.
+// main copy — and routes what was waiting for one: parked reads, acquisitions,
+// and on a change of owner the reads kept for a replaced registrant.
 func (p *Proc) setOwner(name Name, owner int) {
 	d := p.dirEnt(name)
-	d.known = true
-	d.owner = owner
 	reads := d.pendingRead
-	d.pendingRead = nil
+	if d.known && owner != d.owner {
+		reads = append(reads, d.unbacked...)
+	}
+	d.known, d.owner, d.ownerTID = true, owner, p.ranks[owner]
+	d.pendingRead, d.unbacked = nil, nil
 	for _, r := range reads {
 		p.onReadReq(name, r)
 	}
@@ -382,6 +385,12 @@ func (p *Proc) onReadReq(name Name, requester int) {
 	if !d.known {
 		d.pendingRead = enqueue(d.pendingRead, requester)
 		return
+	}
+	if p.ranks[d.owner] != d.ownerTID {
+		// The incarnation that registered the name was replaced. If no
+		// checkpoint covered the value, the replay can create it elsewhere:
+		// keep the read until the name is registered again.
+		d.unbacked = enqueue(d.unbacked, requester)
 	}
 	p.send(d.owner, &wire{Kind: kReadFwd, Name: uint64(name), Target: requester})
 }

@@ -68,6 +68,9 @@ type Proc struct {
 	// restored process handed back instead of performing the operation.
 	MidstepCkpts atomic.Int64
 	ReplayedOps  atomic.Int64
+	// ReleaseCkpts counts committed checkpoints a ReleaseAccum that owed a
+	// waiting migration took inside the call (a subset of MidstepCkpts).
+	ReleaseCkpts atomic.Int64
 }
 
 // Snapshot is a plain-value copy of a Proc's counters.
@@ -93,6 +96,7 @@ type Snapshot struct {
 	StepsExecuted       int64
 	MidstepCkpts        int64
 	ReplayedOps         int64
+	ReleaseCkpts        int64
 }
 
 // Snapshot returns a consistent-enough copy for reporting.
@@ -119,6 +123,7 @@ func (p *Proc) Snapshot() Snapshot {
 		StepsExecuted:       p.StepsExecuted.Load(),
 		MidstepCkpts:        p.MidstepCkpts.Load(),
 		ReplayedOps:         p.ReplayedOps.Load(),
+		ReleaseCkpts:        p.ReleaseCkpts.Load(),
 	}
 }
 
@@ -145,6 +150,7 @@ func (s *Snapshot) Add(o Snapshot) {
 	s.StepsExecuted += o.StepsExecuted
 	s.MidstepCkpts += o.MidstepCkpts
 	s.ReplayedOps += o.ReplayedOps
+	s.ReleaseCkpts += o.ReleaseCkpts
 }
 
 // Delta returns s - prev field by field: the counter activity between two
@@ -175,6 +181,7 @@ func (s Snapshot) Delta(prev Snapshot) Snapshot {
 		StepsExecuted:       s.StepsExecuted - prev.StepsExecuted,
 		MidstepCkpts:        s.MidstepCkpts - prev.MidstepCkpts,
 		ReplayedOps:         s.ReplayedOps - prev.ReplayedOps,
+		ReleaseCkpts:        s.ReleaseCkpts - prev.ReleaseCkpts,
 	}
 }
 
@@ -281,9 +288,9 @@ func (r Report) RecvQueuedSecPerProc() float64 {
 // tables.
 func (r Report) String() string {
 	return fmt.Sprintf(
-		"procs=%d elapsed=%.3fs ckpts/proc/s=%.3f sends-ckpt%%=%.2f force-msgs/proc/s=%.4f forced-ckpts/proc/s=%.4f miss%%=%.2f snap-cache-hit%%=%.2f snap-cache-saved-B=%d dup-sends-avoided=%d acks/ckpt=%.2f midstep-ckpts=%d replayed-ops=%d recv-idle-s/proc=%.4f recv-queued-s/proc=%.4f",
+		"procs=%d elapsed=%.3fs ckpts/proc/s=%.3f sends-ckpt%%=%.2f force-msgs/proc/s=%.4f forced-ckpts/proc/s=%.4f miss%%=%.2f snap-cache-hit%%=%.2f snap-cache-saved-B=%d dup-sends-avoided=%d acks/ckpt=%.2f midstep-ckpts=%d release-ckpts=%d replayed-ops=%d recv-idle-s/proc=%.4f recv-queued-s/proc=%.4f",
 		r.Procs, r.Elapsed, r.CheckpointsPerProcPerSec(), r.PctSendsCausingCheckpoint(),
 		r.ForceCkptMsgsPerProcPerSec(), r.ForcedCkptsPerProcPerSec(), r.MissRatePct(),
 		r.SnapCacheHitPct(), r.Total.SnapCacheBytesSaved, r.Total.DupSendsAvoided, r.AcksPerCheckpoint(),
-		r.Total.MidstepCkpts, r.Total.ReplayedOps, r.RecvIdleSecPerProc(), r.RecvQueuedSecPerProc())
+		r.Total.MidstepCkpts, r.Total.ReleaseCkpts, r.Total.ReplayedOps, r.RecvIdleSecPerProc(), r.RecvQueuedSecPerProc())
 }

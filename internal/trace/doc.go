@@ -72,7 +72,8 @@
 //	net.notify-dup   chaos duplicated a watcher's exit notification (Dst = watcher)
 //	pvm.spawn        task started (Note = spawn name)
 //	pvm.notify       watcher registered for a target's death (Dst = target)
-//	sam.ckpt-begin   checkpoint transaction opened (Aux = seq; Note "forced" if forced, "midstep" if its private state carries a step log)
+//	sam.ckpt-begin   checkpoint transaction opened (Aux = seq; Note "forced" if forced, "midstep" if its private state carries a step log,
+//	                 "release" if a ReleaseAccum that owed a waiting migration opened it and waits for its commit)
 //	sam.ckpt-piece   one message of the transaction leaves (Dst = rank, Name, Bytes = body, Aux = seq;
 //	                 Note = wire kind, then "inactive" if unusable until the activation, then "+ack"
 //	                 on the one piece per destination whose receipt that destination acknowledges)
