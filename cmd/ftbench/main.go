@@ -3,8 +3,8 @@
 // (Figures 3–5 and their statistics tables), the recovery-time result,
 // and the ablations from DESIGN.md (naive checkpointing policy,
 // replication degree, eager freeing, the consistent-global-checkpoint
-// baseline, the snapshot-cache ablation, and the checkpoint-placement /
-// erasure-coding ablation).
+// baseline, the snapshot-cache ablation, and the checkpoint-placement
+// ablation).
 //
 // Independent cells of each sweep run concurrently (bounded by -par);
 // output ordering is identical to a sequential sweep.
@@ -18,7 +18,6 @@
 //	ftbench -chaos              # seeded multi-failure chaos sweep
 //	ftbench -chaos -seed 42 -schedules 50
 //	ftbench -chaos -placement spread
-//	ftbench -exp recovery -ec 2,2
 //	ftbench -exp ablation-placement
 package main
 
@@ -48,10 +47,9 @@ type bench struct {
 	procs []int
 	// What the experiments that are scenario sets (recovery, chaos,
 	// ablation-placement) also take: -scale as the schema spells it, the
-	// checkpoint store of -placement/-ec, and -trace.
+	// placement policy of -placement, and -trace.
 	scaleName string
 	placement ckptstore.Kind
-	ec        ckptstore.ECParams
 	traceDir  string
 }
 
@@ -68,7 +66,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	seed := fs.Uint64("seed", 1, "chaos master seed (reproduces a sweep exactly)")
 	schedules := fs.Int("schedules", 20, "chaos kill schedules per application")
 	placementFlag := fs.String("placement", "", "checkpoint-copy placement policy for recovery/chaos runs: ring|affinity|spread (default ring)")
-	ecFlag := fs.String("ec", "", "erasure-code checkpoint copies as k,m Reed-Solomon shards for recovery/chaos runs (default off)")
 	traceDir := fs.String("trace", "", "dump every recovery/chaos run (scenario.json, Chrome trace JSON, recovery report) under this directory")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -90,9 +87,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 	if b.placement, err = ckptstore.ParseKind(*placementFlag); err != nil {
-		return fail(err)
-	}
-	if b.ec, err = ckptstore.ParseEC(*ecFlag); err != nil {
 		return fail(err)
 	}
 	if *par > 0 {
@@ -129,23 +123,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// storeFT renders a checkpoint-store configuration (placement policy,
-// optional erasure code) as a scenario's ft block.
-func storeFT(degree int, placement ckptstore.Kind, ec ckptstore.ECParams) scenario.FT {
-	out := scenario.FT{Policy: "sam", Degree: degree, Placement: placement.String()}
-	if ec.Enabled() {
-		out.EC = &scenario.EC{Data: ec.K, Parity: ec.M}
-	}
-	return out
-}
-
-// storeLabel renders the configuration for table output ("ring",
-// "spread+ec(2,1)").
-func storeLabel(s scenario.FT) string {
-	if s.EC != nil {
-		return fmt.Sprintf("%s+ec(%d,%d)", s.Placement, s.EC.Data, s.EC.Parity)
-	}
-	return s.Placement
+// storeFT renders a replication degree and placement policy as a
+// scenario's ft block.
+func storeFT(degree int, placement ckptstore.Kind) scenario.FT {
+	return scenario.FT{Policy: "sam", Degree: degree, Placement: placement.String()}
 }
 
 func parseProcs(s string) ([]int, error) {
@@ -217,8 +198,8 @@ func (b *bench) failed(outs []scenario.Outcome) error {
 // -trace, every run is dumped (scenario.json replays it) and the
 // phase-decomposed recovery report is printed.
 func (b *bench) recovery() error {
-	store := storeFT(1, b.placement, b.ec)
-	fmt.Fprintf(b.w, "== Recovery (kill one process mid-run, E4; placement=%s) ==\n", storeLabel(store))
+	store := storeFT(1, b.placement)
+	fmt.Fprintf(b.w, "== Recovery (kill one process mid-run, E4; placement=%s) ==\n", store.Placement)
 	fmt.Fprintf(b.w, "%-12s %8s %10s %14s %12s\n", "app", "procs", "killed", "recovery(s)", "answer-ok")
 	var set []*scenario.Scenario
 	for _, app := range []string{"gps", "water", "barnes"} {
@@ -253,13 +234,7 @@ func (b *bench) recovery() error {
 func (b *bench) chaos(seed uint64, schedules int) error {
 	var all []scenario.Outcome
 	for _, app := range []string{"gps", "water", "barnes"} {
-		fleet := scenario.Fleet{App: app, Scale: b.scaleName, FT: storeFT(2, b.placement, b.ec)}
-		if b.ec.Enabled() {
-			// The shards need N-1 >= k+m non-owner ranks to land on. (The
-			// schedule generator itself caps distinct victims at the code's
-			// m-loss budget, so MaxKills needs no forcing here.)
-			fleet.Procs = b.ec.Shards() + 1
-		}
+		fleet := scenario.Fleet{App: app, Scale: b.scaleName, FT: storeFT(2, b.placement)}
 		set := scenario.ChaosSpec{Fleet: fleet, Seed: seed, Schedules: schedules, Jitter: true, NotifyChaos: true}.Scenarios()
 		outs, err := b.runScenarios(set)
 		if err != nil {
@@ -378,8 +353,7 @@ func (b *bench) ablationSnapCache() error {
 	return nil
 }
 
-// ablationPlacement sweeps the ckptstore configurations (A6): the three
-// placement policies at full replication plus Reed-Solomon (k,m) cells,
+// ablationPlacement sweeps the three checkpoint placement policies (A6),
 // all on GPS at N=5 with a mid-run kill. Columns map to the EXPERIMENTS.md
 // ablation table: replica bytes are the memory/network overhead of the
 // redundancy, recovery(s) the replacement's modeled recovery window,
@@ -389,24 +363,13 @@ func (b *bench) ablationSnapCache() error {
 // after recovery.
 func (b *bench) ablationPlacement() error {
 	const n, degree = 5, 2
-	fmt.Fprintln(b.w, "== Ablation A6: checkpoint placement policy and erasure coding (GPS, 5 procs, 1 kill) ==")
+	fmt.Fprintln(b.w, "== Ablation A6: checkpoint placement policy (GPS, 5 procs, 1 kill) ==")
 	fmt.Fprintf(b.w, "%-16s %10s %14s %12s %12s %14s %12s\n",
 		"config", "survivable", "replica bytes", "recovery(s)", "repair objs", "repair bytes", "answer-ok")
-	cells := []struct {
-		name      string // the cell's scenario (and dump directory) name
-		placement ckptstore.Kind
-		ec        ckptstore.ECParams
-	}{
-		{"placement-ring", ckptstore.Ring, ckptstore.ECParams{}},
-		{"placement-affinity", ckptstore.Affinity, ckptstore.ECParams{}},
-		{"placement-spread", ckptstore.Spread, ckptstore.ECParams{}},
-		{"placement-ring-ec2-1", ckptstore.Ring, ckptstore.ECParams{K: 2, M: 1}},
-		{"placement-ring-ec2-2", ckptstore.Ring, ckptstore.ECParams{K: 2, M: 2}},
-		{"placement-ring-ec3-1", ckptstore.Ring, ckptstore.ECParams{K: 3, M: 1}},
-	}
 	var set []*scenario.Scenario
-	for _, c := range cells {
-		set = append(set, b.killOne(c.name, "gps", n, storeFT(degree, c.placement, c.ec)))
+	for _, k := range []ckptstore.Kind{ckptstore.Ring, ckptstore.Affinity, ckptstore.Spread} {
+		// The scenario (and dump directory) is named placement-<policy>.
+		set = append(set, b.killOne("placement-"+k.String(), "gps", n, storeFT(degree, k)))
 	}
 	outs, err := b.runScenarios(set)
 	if err != nil {
@@ -415,7 +378,7 @@ func (b *bench) ablationPlacement() error {
 	for i, o := range outs {
 		total := o.Result.Report.Total
 		fmt.Fprintf(b.w, "%-16s %10d %14d %12.3f %12d %14d %12v\n",
-			storeLabel(set[i].Fleet.FT), ckptstore.Survivable(n, degree, cells[i].ec), total.ReplicaBytes,
+			set[i].Fleet.FT.Placement, ckptstore.Survivable(n, degree), total.ReplicaBytes,
 			o.RecoveryModeledSec, total.RepairObjects, total.RepairBytes, !o.Failed())
 	}
 	fmt.Fprintln(b.w)

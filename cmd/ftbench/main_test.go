@@ -24,7 +24,7 @@ func TestRecoveryTable(t *testing.T) {
 	}
 }
 
-// TestBadFlagsExitNonZero: a malformed -procs or -ec is reported on stderr
+// TestBadFlagsExitNonZero: a malformed -procs or -placement is reported on stderr
 // and fails the command before anything runs.
 func TestBadFlagsExitNonZero(t *testing.T) {
 	for _, tc := range []struct {
@@ -32,7 +32,7 @@ func TestBadFlagsExitNonZero(t *testing.T) {
 		want string
 	}{
 		{[]string{"-exp", "recovery", "-procs", "1,zero"}, `bad proc count "zero"`},
-		{[]string{"-exp", "recovery", "-ec", "2"}, `bad erasure-coding spec "2"`},
+		{[]string{"-exp", "recovery", "-placement", "nearest"}, `unknown placement policy "nearest"`},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(tc.args, &stdout, &stderr); code == 0 {

@@ -224,13 +224,26 @@ func (a *App) Step(p *sam.Proc, step int64) bool {
 	return a.st.Timestep <= a.p.Steps
 }
 
+// wrap folds v into the periodic box [0, box)³. A molecule moves less than
+// a box width per step, so one add or subtract wraps it. One that moved
+// farther (a dataset whose molecules fly apart) is folded in one step, not
+// one box width per iteration: NaN and ±Inf come back as NaN.
 func wrap(v Vec, box float64) Vec {
 	w := func(x float64) float64 {
-		for x < 0 {
+		if x < 0 {
 			x += box
-		}
-		for x >= box {
+		} else if x >= box {
 			x -= box
+		}
+		if x < 0 || x >= box {
+			x -= box * math.Floor(x/box)
+			// Rounding can leave x just outside the box.
+			if x < 0 {
+				x += box
+			}
+			if x >= box {
+				x -= box
+			}
 		}
 		return x
 	}

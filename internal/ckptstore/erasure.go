@@ -9,11 +9,15 @@ package ckptstore
 // k shards are the plain frame split into stripes (a recovering owner with
 // all data shards pays no decode work), and the m parity rows are the
 // Vandermonde remainder normalized so any k rows stay invertible.
+//
+// The runtime replicates whole frames and does not use this coder: at
+// equal survivability, degree-m replication beat every (k,m) code on
+// modeled time for Water and Barnes-Hut at paper scale (EXPERIMENTS A6).
+// Encode and Decode remain as a timed layer of the repository benchmark.
 
 import "fmt"
 
-// ECParams configures erasure-coded checkpoint copies. The zero value
-// means erasure coding is off (full-frame replication).
+// ECParams is a (k, m) Reed–Solomon code; the zero value is no code.
 type ECParams struct {
 	// K is the number of data shards a frame is split into.
 	K int
@@ -22,68 +26,22 @@ type ECParams struct {
 	M int
 }
 
-// Enabled reports whether erasure coding is configured.
-func (p ECParams) Enabled() bool { return p.K > 0 && p.M > 0 }
-
-// Shards returns the total shard count k+m.
-func (p ECParams) Shards() int { return p.K + p.M }
+// shards returns the total shard count k+m.
+func (p ECParams) shards() int { return p.K + p.M }
 
 func (p ECParams) String() string {
-	if !p.Enabled() {
+	if p.K <= 0 || p.M <= 0 {
 		return "off"
 	}
 	return fmt.Sprintf("%d,%d", p.K, p.M)
-}
-
-// ParseEC parses the `ftbench -ec k,m` flag syntax. Empty or "off" means
-// no erasure coding.
-func ParseEC(s string) (ECParams, error) {
-	if s == "" || s == "off" {
-		return ECParams{}, nil
-	}
-	var p ECParams
-	if n, err := fmt.Sscanf(s, "%d,%d", &p.K, &p.M); n != 2 || err != nil {
-		return ECParams{}, fmt.Errorf("bad erasure-coding spec %q (want k,m)", s)
-	}
-	if err := p.validate(); err != nil {
-		return ECParams{}, err
-	}
-	return p, nil
-}
-
-// FeasibleFor reports whether the code can be used on n ranks: valid
-// parameters, and room for its k+m shards on distinct non-owner ranks. An
-// infeasible code is dropped and full replication applies.
-func (p ECParams) FeasibleFor(n int) bool {
-	return p.Enabled() && p.validate() == nil && p.Shards() <= n-1
-}
-
-// WantCopies is the number of copies a fully covered object has on n ranks:
-// min(degree, n-1) full frames, or k+m shards under a feasible code.
-func WantCopies(n, degree int, ec ECParams) int {
-	if ec.FeasibleFor(n) {
-		return ec.Shards()
-	}
-	return min(degree, n-1)
-}
-
-// Survivable is the number of distinct ranks that may be down at once with
-// recovery still guaranteed: min(degree, n-1) under full replication, m
-// under a feasible (k,m) code — and never less than the one failure the
-// paper's protocol is built for.
-func Survivable(n, degree int, ec ECParams) int {
-	if ec.FeasibleFor(n) {
-		return ec.M
-	}
-	return max(min(degree, n-1), 1)
 }
 
 func (p ECParams) validate() error {
 	if p.K < 1 || p.M < 1 {
 		return fmt.Errorf("erasure coding needs k >= 1 and m >= 1, got (%d,%d)", p.K, p.M)
 	}
-	if p.Shards() > 255 {
-		return fmt.Errorf("erasure coding supports at most 255 shards, got k+m = %d", p.Shards())
+	if p.shards() > 255 {
+		return fmt.Errorf("erasure coding supports at most 255 shards, got k+m = %d", p.shards())
 	}
 	return nil
 }
@@ -209,7 +167,7 @@ func Encode(p ECParams, frame []byte) ([][]byte, error) {
 		return nil, err
 	}
 	shardLen := (len(frame) + p.K - 1) / p.K
-	shards := make([][]byte, p.Shards())
+	shards := make([][]byte, p.shards())
 	for i := range shards {
 		shards[i] = make([]byte, shardLen)
 	}
@@ -224,8 +182,8 @@ func Encode(p ECParams, frame []byte) ([][]byte, error) {
 		}
 		copy(shards[i], frame[lo:hi])
 	}
-	mat := codingMatrix(p.K, p.Shards())
-	for i := p.K; i < p.Shards(); i++ {
+	mat := codingMatrix(p.K, p.shards())
+	for i := p.K; i < p.shards(); i++ {
 		row := mat[i]
 		out := shards[i]
 		for j := 0; j < p.K; j++ {
@@ -250,8 +208,8 @@ func Decode(p ECParams, shards [][]byte, frameLen int) ([]byte, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
-	if len(shards) != p.Shards() {
-		return nil, fmt.Errorf("decode: got %d shard slots, want %d", len(shards), p.Shards())
+	if len(shards) != p.shards() {
+		return nil, fmt.Errorf("decode: got %d shard slots, want %d", len(shards), p.shards())
 	}
 	present := make([]int, 0, p.K)
 	shardLen := -1
@@ -268,7 +226,7 @@ func Decode(p ECParams, shards [][]byte, frameLen int) ([]byte, error) {
 	}
 	if len(present) < p.K {
 		return nil, fmt.Errorf("decode: only %d of %d shards present, need %d — frame unrecoverable",
-			len(present), p.Shards(), p.K)
+			len(present), p.shards(), p.K)
 	}
 	if shardLen*p.K < frameLen {
 		return nil, fmt.Errorf("decode: shard length %d too short for frame length %d", shardLen, frameLen)
@@ -286,7 +244,7 @@ func Decode(p ECParams, shards [][]byte, frameLen int) ([]byte, error) {
 		data[i] = shards[i]
 	}
 	if !systematic {
-		mat := codingMatrix(p.K, p.Shards())
+		mat := codingMatrix(p.K, p.shards())
 		sub := make([][]byte, p.K)
 		for i, row := range present {
 			sub[i] = mat[row]

@@ -44,11 +44,11 @@ func TestErasureRoundTripAllLossPatterns(t *testing.T) {
 			if err != nil {
 				t.Fatalf("encode (%v, %d bytes): %v", p, size, err)
 			}
-			if len(shards) != p.Shards() {
-				t.Fatalf("encode (%v): %d shards, want %d", p, len(shards), p.Shards())
+			if len(shards) != p.shards() {
+				t.Fatalf("encode (%v): %d shards, want %d", p, len(shards), p.shards())
 			}
 			for loss := 0; loss <= p.M; loss++ {
-				for _, miss := range subsets(p.Shards(), loss) {
+				for _, miss := range subsets(p.shards(), loss) {
 					have := make([][]byte, len(shards))
 					copy(have, shards)
 					for _, i := range miss {
@@ -76,7 +76,7 @@ func TestErasureTooManyLossesFails(t *testing.T) {
 		if err != nil {
 			t.Fatalf("encode: %v", err)
 		}
-		for _, miss := range subsets(p.Shards(), p.M+1) {
+		for _, miss := range subsets(p.shards(), p.M+1) {
 			have := make([][]byte, len(shards))
 			copy(have, shards)
 			for _, i := range miss {
@@ -120,34 +120,12 @@ func TestErasureShardLengthsEqual(t *testing.T) {
 	}
 }
 
-func TestParseEC(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want ECParams
-		err  bool
-	}{
-		{"", ECParams{}, false},
-		{"off", ECParams{}, false},
-		{"2,2", ECParams{K: 2, M: 2}, false},
-		{"3,1", ECParams{K: 3, M: 1}, false},
-		{"0,2", ECParams{}, true},
-		{"2,0", ECParams{}, true},
-		{"2", ECParams{}, true},
-		{"200,200", ECParams{}, true},
-	} {
-		got, err := ParseEC(tc.in)
-		if (err != nil) != tc.err || got != tc.want {
-			t.Errorf("ParseEC(%q) = %v, %v; want %v, err=%v", tc.in, got, err, tc.want, tc.err)
-		}
-	}
-}
-
 // Any k-row subset of the coding matrix must be invertible — the property
 // every decode depends on. Exhaustive over a moderate parameter set.
 func TestCodingMatrixSubsetsInvertible(t *testing.T) {
 	for _, p := range []ECParams{{K: 2, M: 2}, {K: 3, M: 3}, {K: 4, M: 3}} {
-		mat := codingMatrix(p.K, p.Shards())
-		for _, rows := range subsets(p.Shards(), p.K) {
+		mat := codingMatrix(p.K, p.shards())
+		for _, rows := range subsets(p.shards(), p.K) {
 			sub := make([][]byte, p.K)
 			for i, r := range rows {
 				sub[i] = mat[r]

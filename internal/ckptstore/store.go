@@ -2,14 +2,12 @@ package ckptstore
 
 // The Store is one process's view of its own objects' checkpoint copies:
 // a coverage ledger mapping object name -> (checkpoint sequence, holder
-// set). The paper never needed this record because its placement was a
+// ranks). The paper never needed this record because its placement was a
 // pure function of the name — anybody could recompute where copies
-// *should* be. Three things break that:
+// *should* be. Two things break that:
 //
 //   - affinity placement depends on the owner's local caching knowledge,
 //     so holder sets are no longer recomputable by other processes;
-//   - erasure coding gives each holder a distinct shard, so "which rank
-//     holds what" carries real information;
 //   - failures destroy copies, and with no record of what was lost,
 //     redundancy silently decays until the next checkpoint happens to
 //     refresh it.
@@ -19,20 +17,13 @@ package ckptstore
 // consulted to plan repair traffic (RepairPlan) that proactively restores
 // full coverage.
 
-import "sort"
-
-// Holder records one checkpoint-copy holder. Shard is the 1-based
-// erasure-coding shard index the rank holds, or 0 for a full-frame copy.
-type Holder struct {
-	Rank  int
-	Shard int
-}
+import "slices"
 
 // Entry is the ledger record for one object: the checkpoint sequence its
-// copies were cut at and the ranks holding them.
+// copies were cut at and the distinct ranks holding them.
 type Entry struct {
 	Seq     int64
-	Holders []Holder
+	Holders []int
 }
 
 // Config configures one process's store.
@@ -41,7 +32,6 @@ type Config struct {
 	N      int
 	Degree int
 	Policy Kind
-	EC     ECParams
 	View   View
 }
 
@@ -52,15 +42,10 @@ type Store struct {
 	ledger map[uint64]Entry
 }
 
-// NewStore builds a store. The EC parameters are dropped (full
-// replication) when the cluster is too small to hold k+m shards on
-// distinct non-owner ranks.
+// NewStore builds a store.
 func NewStore(cfg Config) *Store {
 	if cfg.Degree <= 0 {
 		cfg.Degree = 1
-	}
-	if !cfg.EC.FeasibleFor(cfg.N) {
-		cfg.EC = ECParams{}
 	}
 	cfg.View.N = cfg.N
 	return &Store{
@@ -73,41 +58,43 @@ func NewStore(cfg Config) *Store {
 // Policy returns the active placement policy kind.
 func (s *Store) Policy() Kind { return s.cfg.Policy }
 
-// EC returns the active erasure-coding parameters (zero if disabled, which
-// includes the case where NewStore dropped an infeasible configuration).
-func (s *Store) EC() ECParams { return s.cfg.EC }
+// Want returns the number of copies a fully covered object has:
+// min(Degree, N-1).
+func (s *Store) Want() int { return min(s.cfg.Degree, s.cfg.N-1) }
 
-// Want returns the number of copies (or shards) a fully covered object
-// has: min(Degree, N-1) full frames, or k+m shards under erasure coding.
-func (s *Store) Want() int { return WantCopies(s.cfg.N, s.cfg.Degree, s.cfg.EC) }
+// Survivable is the number of distinct ranks that may be down at once with
+// recovery still guaranteed on n ranks at the given replication degree:
+// min(degree, n-1), and never less than the one failure the paper's
+// protocol is built for. The scenario validator, the chaos generator's
+// clamp and ftbench's survivable column share it.
+func Survivable(n, degree int) int {
+	return max(min(degree, n-1), 1)
+}
 
 // Plan returns the ranks that should receive the named object's next
-// checkpoint copies, in placement order. Under erasure coding the i-th
-// rank receives shard i+1.
+// checkpoint copies, in placement order.
 func (s *Store) Plan(name uint64, owner int) []int {
 	return s.place.Holders(name, owner, s.Want())
 }
 
 // Record replaces the ledger entry for name: a fresh checkpoint at seq
 // placed copies on holders.
-func (s *Store) Record(name uint64, seq int64, holders []Holder) {
-	s.ledger[name] = Entry{Seq: seq, Holders: append([]Holder(nil), holders...)}
+func (s *Store) Record(name uint64, seq int64, holders []int) {
+	s.ledger[name] = Entry{Seq: seq, Holders: append([]int(nil), holders...)}
 }
 
-// AddHolder appends one holder to name's entry — a repair copy joining an
-// existing checkpoint. A missing or stale entry is replaced.
-func (s *Store) AddHolder(name uint64, seq int64, h Holder) {
+// AddHolder appends one holder rank to name's entry — a repair copy
+// joining an existing checkpoint. A missing or stale entry is replaced.
+func (s *Store) AddHolder(name uint64, seq int64, rank int) {
 	e, ok := s.ledger[name]
 	if !ok || e.Seq != seq {
-		s.ledger[name] = Entry{Seq: seq, Holders: []Holder{h}}
+		s.ledger[name] = Entry{Seq: seq, Holders: []int{rank}}
 		return
 	}
-	for _, have := range e.Holders {
-		if have.Rank == h.Rank {
-			return
-		}
+	if slices.Contains(e.Holders, rank) {
+		return
 	}
-	e.Holders = append(e.Holders, h)
+	e.Holders = append(e.Holders, rank)
 	s.ledger[name] = e
 }
 
@@ -125,11 +112,8 @@ func (s *Store) HolderRanks(name uint64) []int {
 	if !ok {
 		return nil
 	}
-	out := make([]int, 0, len(e.Holders))
-	for _, h := range e.Holders {
-		out = append(out, h.Rank)
-	}
-	sort.Ints(out)
+	out := slices.Clone(e.Holders)
+	slices.Sort(out)
 	return out
 }
 
@@ -145,97 +129,47 @@ func (s *Store) Forget(name uint64) {
 func (s *Store) DropRank(rank int) []uint64 {
 	var affected []uint64
 	for name, e := range s.ledger {
-		kept := e.Holders[:0]
-		for _, h := range e.Holders {
-			if h.Rank != rank {
-				kept = append(kept, h)
-			}
-		}
-		if len(kept) != len(e.Holders) {
-			e.Holders = kept
+		if i := slices.Index(e.Holders, rank); i >= 0 {
+			e.Holders = slices.Delete(e.Holders, i, i+1)
 			s.ledger[name] = e
 			affected = append(affected, name)
 		}
 	}
-	sort.Slice(affected, func(i, j int) bool { return affected[i] < affected[j] })
+	slices.Sort(affected)
 	return affected
 }
 
-// Coverage returns how many copies of name the ledger records: distinct
-// holder ranks for full replication, distinct shard indices on distinct
-// ranks under erasure coding.
+// Coverage returns how many ranks the ledger records as holding a copy of
+// name.
 func (s *Store) Coverage(name uint64) int {
-	e, ok := s.ledger[name]
-	if !ok {
-		return 0
-	}
-	if !s.cfg.EC.Enabled() {
-		seen := make(map[int]bool, len(e.Holders))
-		for _, h := range e.Holders {
-			seen[h.Rank] = true
-		}
-		return len(seen)
-	}
-	idx := make(map[int]bool, len(e.Holders))
-	for _, h := range e.Holders {
-		if h.Shard > 0 {
-			idx[h.Shard] = true
-		}
-	}
-	return len(idx)
+	return len(s.ledger[name].Holders)
 }
 
-// RepairPlan returns the holders to create so that name regains full
-// coverage: which ranks should receive a repair copy, and (under erasure
-// coding) which shard each should hold. exclude, when non-nil, vetoes
-// candidate ranks the caller knows to be unusable right now (dead and not
-// yet replaced). An empty plan means coverage is already full or no
-// eligible ranks remain.
-func (s *Store) RepairPlan(name uint64, owner int, exclude func(rank int) bool) []Holder {
+// RepairPlan returns the ranks that should receive a repair copy so that
+// name regains full coverage. exclude, when non-nil, vetoes candidate
+// ranks the caller knows to be unusable right now (dead and not yet
+// replaced). An empty plan means coverage is already full or no eligible
+// ranks remain.
+func (s *Store) RepairPlan(name uint64, owner int, exclude func(rank int) bool) []int {
 	e, ok := s.ledger[name]
 	if !ok {
 		return nil
 	}
-	holding := make(map[int]bool, len(e.Holders))
-	for _, h := range e.Holders {
-		holding[h.Rank] = true
+	need := s.Want() - len(e.Holders)
+	if need <= 0 {
+		return nil
 	}
 	// The policy's full preference ordering, minus current holders and
 	// vetoed ranks, supplies new homes in deterministic order.
-	var cands []int
+	var out []int
 	for _, c := range s.place.Holders(name, owner, s.cfg.N-1) {
-		if holding[c] || (exclude != nil && exclude(c)) {
+		if len(out) == need {
+			break
+		}
+		if slices.Contains(e.Holders, c) || (exclude != nil && exclude(c)) {
 			continue
 		}
-		cands = append(cands, c)
-	}
-	if !s.cfg.EC.Enabled() {
-		need := s.Want() - len(holding)
-		if need <= 0 {
-			return nil
-		}
-		if need > len(cands) {
-			need = len(cands)
-		}
-		out := make([]Holder, 0, need)
-		for _, c := range cands[:need] {
-			out = append(out, Holder{Rank: c})
-		}
-		return out
-	}
-	have := make(map[int]bool, len(e.Holders))
-	for _, h := range e.Holders {
-		if h.Shard > 0 {
-			have[h.Shard] = true
-		}
-	}
-	var out []Holder
-	for idx := 1; idx <= s.cfg.EC.Shards() && len(cands) > 0; idx++ {
-		if have[idx] {
-			continue
-		}
-		out = append(out, Holder{Rank: cands[0], Shard: idx})
-		cands = cands[1:]
+		out = append(out, c)
 	}
 	return out
 }
@@ -246,6 +180,6 @@ func (s *Store) Names() []uint64 {
 	for name := range s.ledger {
 		out = append(out, name)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }

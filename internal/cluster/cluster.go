@@ -71,12 +71,6 @@ type Config struct {
 	// Placement selects the checkpoint-copy placement policy (ring,
 	// affinity, spread); see internal/ckptstore.
 	Placement ckptstore.Kind
-	// ECData/ECParity, when both positive, erasure-code checkpoint copies
-	// as k data + m parity shards instead of full replicas. Ignored when
-	// the cluster is too small (k+m > N-1); private state stays fully
-	// replicated at Degree either way.
-	ECData   int
-	ECParity int
 	// EagerFree disables the §4.3 lazy-free protocol (ablation).
 	EagerFree bool
 	// HostSlowdown, when non-nil, scales rank r's modeled compute costs by
@@ -204,8 +198,6 @@ func (c *Cluster) spawn(rank int, recovering bool, atUS float64) *pvm.Task {
 			Policy:      c.cfg.Policy,
 			Degree:      c.cfg.Degree,
 			Placement:   c.cfg.Placement,
-			ECData:      c.cfg.ECData,
-			ECParity:    c.cfg.ECParity,
 			EagerFree:   c.cfg.EagerFree,
 			NoSnapCache: c.cfg.NoSnapCache,
 			Stats:       st,

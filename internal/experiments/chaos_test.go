@@ -26,13 +26,9 @@ import (
 )
 
 // fleet is app on n workstations (0 = the generator's default, 4) at the
-// default degree 2, checkpoint copies erasure-coded when ec is set.
-func fleet(app string, n int, ec ckptstore.ECParams) scenario.Fleet {
-	f := scenario.Fleet{Procs: n, App: app}
-	if ec.Enabled() {
-		f.FT.EC = &scenario.EC{Data: ec.K, Parity: ec.M}
-	}
-	return f
+// default degree 2.
+func fleet(app string, n int) scenario.Fleet {
+	return scenario.Fleet{Procs: n, App: app}
 }
 
 // chaosSeed returns the sweep seed, overridable for CI's seed matrix.
@@ -75,7 +71,7 @@ func runChaos(t *testing.T, spec scenario.ChaosSpec, traceDir string) []scenario
 }
 
 func runChaosSweep(t *testing.T, app string) {
-	f := fleet(app, 0, ckptstore.ECParams{})
+	f := fleet(app, 0)
 	f.FT.Placement = chaosPlacement(t).String()
 	runChaosSweepSpec(t, scenario.ChaosSpec{Fleet: f, Seed: chaosSeed(t)})
 }
@@ -119,24 +115,15 @@ func TestChaosBarnes(t *testing.T) { runChaosSweep(t, "barnes") }
 // (seed, placement) matrix additionally runs the full per-app sweeps under
 // each policy.
 func TestChaosPlacementAffinity(t *testing.T) {
-	f := fleet("gps", 0, ckptstore.ECParams{})
+	f := fleet("gps", 0)
 	f.FT.Placement = "affinity"
 	runChaosSweepSpec(t, scenario.ChaosSpec{Fleet: f, Seed: chaosSeed(t), Schedules: 8})
 }
 
 func TestChaosPlacementSpread(t *testing.T) {
-	f := fleet("gps", 0, ckptstore.ECParams{})
+	f := fleet("gps", 0)
 	f.FT.Placement = "spread"
 	runChaosSweepSpec(t, scenario.ChaosSpec{Fleet: f, Seed: chaosSeed(t), Schedules: 8})
-}
-
-// Erasure-coded checkpoint copies: N=5 so a (2,2) code fits on the four
-// non-owner ranks, and MaxKills=2 keeps every schedule within the code's
-// loss budget (m=2 simultaneous failures).
-func TestChaosErasureCoding(t *testing.T) {
-	runChaosSweepSpec(t, scenario.ChaosSpec{
-		Fleet: fleet("gps", 5, ckptstore.ECParams{K: 2, M: 2}), Seed: chaosSeed(t), Schedules: 8, MaxKills: 2,
-	})
 }
 
 // TestChaosRepeatedFailureDecay is the redundancy-decay acceptance
@@ -159,11 +146,10 @@ func TestChaosRepeatedFailureDecay(t *testing.T) {
 
 // --- schedule-generation regression tests ---
 //
-// Two generator bugs are pinned here: (1) randomized schedules could take
-// down more distinct ranks than an active (k,m) erasure code's m-loss
-// budget, reporting unsurvivable-by-design runs as chaos failures; (2)
-// the fixed archetypes hard-code ranks 0-3, so at N < 4 some Kill calls
-// silently no-oped and the schedule tested less than it claimed.
+// One generator bug is pinned here: the fixed archetypes hard-code ranks
+// 0-3, so at N < 4 some Kill calls silently no-oped and the schedule
+// tested less than it claimed. Every schedule must also stay within the
+// fleet's survivable budget.
 
 // scheduleVictims returns the distinct victim ranks of a schedule.
 func scheduleVictims(kills []experiments.KillEvent) map[int]bool {
@@ -191,11 +177,8 @@ func generated(t *testing.T, spec scenario.ChaosSpec) [][]experiments.KillEvent 
 
 func checkSchedule(t *testing.T, spec scenario.ChaosSpec, i int, kills []experiments.KillEvent) {
 	t.Helper()
-	n, ec := spec.Fleet.Procs, ckptstore.ECParams{}
-	if c := spec.Fleet.FT.EC; c != nil {
-		ec = ckptstore.ECParams{K: c.Data, M: c.Parity}
-	}
-	budget := ckptstore.Survivable(n, 2, ec)
+	n := spec.Fleet.Procs
+	budget := ckptstore.Survivable(n, 2)
 	victims := scheduleVictims(kills)
 	if len(victims) > budget {
 		t.Errorf("schedule %d: %d distinct victims exceeds budget %d (%s)",
@@ -219,30 +202,12 @@ func checkSchedule(t *testing.T, spec scenario.ChaosSpec, i int, kills []experim
 	}
 }
 
-// TestChaosScheduleECBudget sweeps generated schedules across EC shapes
-// and seeds: with the code active, no schedule may exceed m distinct
-// victims (the pre-fix generator did at MaxKills > ECParity).
-func TestChaosScheduleECBudget(t *testing.T) {
-	for _, ec := range []struct{ k, m int }{{2, 1}, {2, 2}, {3, 1}} {
-		spec := scenario.ChaosSpec{
-			Fleet:    fleet("gps", ec.k+ec.m+1, ckptstore.ECParams{K: ec.k, M: ec.m}),
-			MaxKills: 4, Seed: chaosSeed(t), Schedules: 40,
-		}
-		if got := ckptstore.Survivable(spec.Fleet.Procs, 2, ckptstore.ECParams{K: ec.k, M: ec.m}); got != ec.m {
-			t.Fatalf("ec(%d,%d): survivable failures = %d, want parity %d", ec.k, ec.m, got, ec.m)
-		}
-		for i, kills := range generated(t, spec) {
-			checkSchedule(t, spec, i, kills)
-		}
-	}
-}
-
 // TestChaosScheduleSmallN pins the archetype clamp: at N of 2 and 3 every
 // generated event must address a real rank and stay within
 // min(Degree, N-1) distinct victims.
 func TestChaosScheduleSmallN(t *testing.T) {
 	for _, n := range []int{2, 3} {
-		spec := scenario.ChaosSpec{Fleet: fleet("water", n, ckptstore.ECParams{}), MaxKills: 3, Seed: chaosSeed(t), Schedules: 20}
+		spec := scenario.ChaosSpec{Fleet: fleet("water", n), MaxKills: 3, Seed: chaosSeed(t), Schedules: 20}
 		for i, kills := range generated(t, spec) {
 			checkSchedule(t, spec, i, kills)
 		}
@@ -254,7 +219,7 @@ func TestChaosScheduleSmallN(t *testing.T) {
 // a live process: the schedule's intent must survive the clamp, not just
 // its shape.
 func TestChaosSmallClusterKillsApply(t *testing.T) {
-	outs := runChaos(t, scenario.ChaosSpec{Fleet: fleet("gps", 3, ckptstore.ECParams{}), Seed: chaosSeed(t), Schedules: 4}, "")
+	outs := runChaos(t, scenario.ChaosSpec{Fleet: fleet("gps", 3), Seed: chaosSeed(t), Schedules: 4}, "")
 	for i, o := range outs {
 		for _, p := range o.Problems {
 			t.Errorf("schedule %d: %s", i, p)
@@ -271,17 +236,6 @@ func TestChaosSmallClusterKillsApply(t *testing.T) {
 	}
 }
 
-// TestChaosECRandomizedNoFalseFailures is the acceptance sweep for the EC
-// budget fix: randomized schedules with MaxKills above the (2,1) code's
-// one-loss budget must clamp into survivable shapes and report zero
-// failures. Before the fix this configuration scheduled two simultaneous
-// losses the code cannot decode.
-func TestChaosECRandomizedNoFalseFailures(t *testing.T) {
-	runChaosSweepSpec(t, scenario.ChaosSpec{
-		Fleet: fleet("gps", 4, ckptstore.ECParams{K: 2, M: 1}), Seed: chaosSeed(t), Schedules: 8, MaxKills: 3,
-	})
-}
-
 // TestChaosTraceDumpFailureReported pins the dump-error path: a requested
 // trace dump that cannot be written (here the target root is a regular
 // file) must surface on the schedule instead of vanishing.
@@ -290,7 +244,7 @@ func TestChaosTraceDumpFailureReported(t *testing.T) {
 	if err := os.WriteFile(blocked, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s := runChaos(t, scenario.ChaosSpec{Fleet: fleet("gps", 0, ckptstore.ECParams{}), Seed: chaosSeed(t), Schedules: 1}, blocked)[0]
+	s := runChaos(t, scenario.ChaosSpec{Fleet: fleet("gps", 0), Seed: chaosSeed(t), Schedules: 1}, blocked)[0]
 	if s.TraceDir != "" {
 		t.Fatalf("schedule claims a trace at %s despite the blocked root", s.TraceDir)
 	}

@@ -144,7 +144,7 @@ func awaitDecayQuiesce(cl *cluster.Cluster, wantRecoveries int) []string {
 					dead += s.DeadRanks
 				}
 				if dead == 0 {
-					last = CheckInvariants(snaps, decayN, decayDegree, 0, 0)
+					last = CheckInvariants(snaps, decayN, decayDegree)
 					if len(last) == 0 {
 						return nil
 					}

@@ -95,10 +95,6 @@ type Spec struct {
 	// Placement selects the checkpoint-copy placement policy (ring,
 	// affinity, spread); see internal/ckptstore.
 	Placement ckptstore.Kind
-	// ECData/ECParity, when both positive, erasure-code checkpoint copies
-	// as k data + m parity shards (ablation; ignored when k+m > N-1).
-	ECData   int
-	ECParity int
 	// Tracer, when non-nil, records the run's virtual-time event timeline
 	// (see internal/trace); analyze it after Run returns.
 	Tracer *trace.Tracer
@@ -258,8 +254,6 @@ func Run(spec Spec) (Result, error) {
 		EagerFree:    spec.EagerFree,
 		NoSnapCache:  spec.NoSnapCache,
 		Placement:    spec.Placement,
-		ECData:       spec.ECData,
-		ECParity:     spec.ECParity,
 		HostSlowdown: spec.HostSlowdown,
 		AppFactory:   appFactory(spec, ans),
 		Kills:        spec.Kills,
@@ -299,7 +293,7 @@ func settle(cl *cluster.Cluster, spec Spec, timeout time.Duration) ([]string, er
 	case !settled:
 		return []string{"quiesce: protocol traffic did not settle"}, nil
 	}
-	return CheckInvariants(cl.InvariantSnapshots(), spec.N, max(spec.Degree, 1), spec.ECData, spec.ECParity), nil
+	return CheckInvariants(cl.InvariantSnapshots(), spec.N, max(spec.Degree, 1)), nil
 }
 
 // FigureRow is one (procs, variant) cell of a speedup figure.

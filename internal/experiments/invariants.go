@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"samft/internal/ckptstore"
 	"samft/internal/sam"
 )
 
@@ -14,23 +13,19 @@ import (
 //
 //   - exactly one created main copy per object name across the cluster;
 //   - every non-freeable, checkpointed main copy is backed by at least
-//     min(degree, n-1) up-to-date checkpoint copies on other ranks — or,
-//     under erasure coding (ecK, ecM both positive and feasible for n),
-//     ecK+ecM distinct up-to-date shards;
+//     min(degree, n-1) up-to-date checkpoint copies on other ranks;
 //   - the coverage-repair pass reported no unreparable objects
 //     (InvariantSnapshot.RepairViolations);
 //   - no provisional state survived: no inactive objects, pending copies,
 //     staged private-state replicas, open transactions, or deferred
 //     messages.
-func CheckInvariants(snaps []sam.InvariantSnapshot, n, degree, ecK, ecM int) []string {
+func CheckInvariants(snaps []sam.InvariantSnapshot, n, degree int) []string {
 	var out []string
 	type copyRec struct {
 		rank, owner int
 		seq         int64
-		shard       int
 	}
-	ecp := ckptstore.ECParams{K: ecK, M: ecM}
-	ec, want := ecp.FeasibleFor(n), ckptstore.WantCopies(n, degree, ecp)
+	want := min(degree, n-1)
 	mains := make(map[uint64][]int)
 	copies := make(map[uint64][]copyRec)
 	for _, s := range snaps {
@@ -39,7 +34,7 @@ func CheckInvariants(snaps []sam.InvariantSnapshot, n, degree, ecK, ecM int) []s
 				mains[o.Name] = append(mains[o.Name], s.Rank)
 			}
 			if o.CkptCopy {
-				copies[o.Name] = append(copies[o.Name], copyRec{s.Rank, o.CopyOwner, o.CopySeq, o.Shard})
+				copies[o.Name] = append(copies[o.Name], copyRec{s.Rank, o.CopyOwner, o.CopySeq})
 			}
 			if o.Inactive {
 				out = append(out, fmt.Sprintf("rank %d: object %d left inactive (uncommitted checkpoint data)", s.Rank, o.Name))
@@ -71,20 +66,10 @@ func CheckInvariants(snaps []sam.InvariantSnapshot, n, degree, ecK, ecM int) []s
 				continue
 			}
 			got := 0
-			shardsSeen := make(map[int]bool)
 			for _, c := range copies[o.Name] {
-				if c.rank == s.Rank || c.owner != s.Rank || c.seq < o.CkptSeq {
-					continue
+				if c.rank != s.Rank && c.owner == s.Rank && c.seq >= o.CkptSeq {
+					got++
 				}
-				if ec && c.shard > 0 {
-					// Distinct shard indices only: two holders of the same
-					// shard add no erasure redundancy.
-					if shardsSeen[c.shard] {
-						continue
-					}
-					shardsSeen[c.shard] = true
-				}
-				got++
 			}
 			if got < want {
 				out = append(out, fmt.Sprintf(

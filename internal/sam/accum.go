@@ -358,7 +358,7 @@ func (p *Proc) onAccData(w *wire) {
 		// ownership epoch names copies that are gone or stale, and would
 		// poison the recovery re-supply path and free accounting.
 		o.setCommitted(w.Seq, w.Body)
-		p.store.Record(uint64(name), w.Seq, unpackHolders(w.Holders))
+		p.store.Record(uint64(name), w.Seq, w.Holders)
 	}
 	p.arrived(o, w)
 	// Grants stashed while we were not the owner become a pending move now;

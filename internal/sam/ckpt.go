@@ -5,7 +5,6 @@ import (
 	"slices"
 	"strings"
 
-	"samft/internal/ckptstore"
 	"samft/internal/codec"
 	"samft/internal/ft"
 	"samft/internal/trace"
@@ -40,7 +39,7 @@ type ckptTx struct {
 	// migrHolders are the ledger entries for objects migrating in this
 	// transaction: the copies were placed for the new owner, so the
 	// holder set rides the kAccData wire instead of our ledger.
-	migrHolders map[Name][]ckptstore.Holder
+	migrHolders map[Name][]int
 	// forced marks a transaction performed in response to a
 	// force-checkpoint message.
 	forced bool
@@ -79,7 +78,7 @@ func (p *Proc) alreadyCarried(o *object, rank int) bool {
 	for i := range p.tx.pieces {
 		pc := &p.tx.pieces[i]
 		if pc.rank == rank && Name(pc.w.Name) == o.name &&
-			(pc.w.Kind == kObjData || pc.w.Kind == kCkptCopy && pc.w.Shard == 0) {
+			(pc.w.Kind == kObjData || pc.w.Kind == kCkptCopy) {
 			p.st.DupSendsAvoided.Add(1)
 			return true
 		}
@@ -181,7 +180,7 @@ func (p *Proc) startTx() {
 	tx := &ckptTx{
 		seq:         seq,
 		dirtyAt:     make(map[Name]int64),
-		migrHolders: make(map[Name][]ckptstore.Holder),
+		migrHolders: make(map[Name][]int),
 		forced:      p.pendingForced,
 		logLen:      len(p.stepLog),
 		step:        p.stepsDone,
@@ -251,7 +250,7 @@ func (p *Proc) startTx() {
 		if !o.dirty && !isMigrating {
 			continue
 		}
-		holders := p.planCopies(o.name, owner)
+		holders := p.store.Plan(uint64(o.name), owner)
 		ob := p.packObject(o)
 		o.setCommitted(seq, ob)
 		p.sendCkptCopies(o, ob, holders, owner, tx)
@@ -259,7 +258,7 @@ func (p *Proc) startTx() {
 		// commit (dropping earlier could destroy the only backup if this
 		// transaction aborts).
 		for _, old := range p.store.HolderRanks(uint64(o.name)) {
-			if !slices.ContainsFunc(holders, func(h ckptstore.Holder) bool { return h.Rank == old }) {
+			if !slices.Contains(holders, old) {
 				tx.staleFrees = append(tx.staleFrees, txPiece{rank: old, w: &wire{Kind: kFreeCkpt, Name: uint64(o.name), Seq: seq}})
 			}
 		}
@@ -601,11 +600,9 @@ func (p *Proc) ackPiece(w *wire) {
 	p.send(w.SrcRank, &wire{Kind: kCkptAck, Seq: w.Seq, Target: w.Piece})
 }
 
-// onCkptCopy handles a checkpoint copy of another process's object: a full
-// replica of the owner's packed frame (Shard 0), or under erasure coding one
-// Reed–Solomon shard of it. Both follow the same protocol — the holder-side
-// freshness rule, then two-phase inactive/activate for nonreproducible
-// contents.
+// onCkptCopy handles a checkpoint copy of another process's object, a full
+// replica of the owner's packed frame: the holder-side freshness rule, then
+// two-phase inactive/activate for nonreproducible contents.
 func (p *Proc) onCkptCopy(w *wire) {
 	o := p.obj(Name(w.Name))
 	// A pending copy whose commit is held back behind our own transaction is
@@ -636,9 +633,7 @@ func (p *Proc) acceptsCopy(o *object, img *image) bool {
 	if o.isMain && img.owner == p.cfg.Rank {
 		return false
 	}
-	// Nothing held yet; or a full frame, which always replaces a shard (a
-	// shard is opaque, so there is no usable image to protect).
-	if o.copy == nil || (img.shard == 0 && o.copy.shard > 0) {
+	if o.copy == nil {
 		return true
 	}
 	// An object version at least as new as the held copy's wins outright.
@@ -664,29 +659,24 @@ func (p *Proc) commitPending(o *object) {
 }
 
 // applyCkptCopy installs a checkpoint image as the backing copy for its
-// owner. A full frame lives in the cache and is usable for local reads like
-// any cached data — the paper's core efficiency argument. A shard is opaque:
-// it never populates the cache (o.data untouched) and only participates in
-// recovery reassembly.
+// owner. The frame lives in the cache and is usable for local reads like
+// any cached data — the paper's core efficiency argument.
 func (p *Proc) applyCkptCopy(o *object, img *image) {
-	var data interface{}
-	if img.shard == 0 {
-		var err error
-		if data, err = codec.Unpack(img.body); err != nil {
-			return
-		}
-		o.invalidatePackCache() // contents now come from the owner's frame
+	data, err := codec.Unpack(img.body)
+	if err != nil {
+		return
 	}
+	o.invalidatePackCache() // contents now come from the owner's frame
 	o.copy = img
 	if img.hasMeta {
 		o.kind = ft.ObjKind(img.meta.Kind)
 	}
-	// Make a full frame usable as a cached copy when we do not hold newer
+	// Make the frame usable as a cached copy when we do not hold newer
 	// local contents (values are immutable; accumulator copies are as fresh
 	// as the owner's last checkpoint — exactly a "recent version"). An
 	// accumulator copy must not wake a parked UpdateAccum, though: only
 	// the migrated main copy grants the lock.
-	if img.shard == 0 && !o.isMain && !o.usable() {
+	if !o.isMain && !o.usable() {
 		o.data = data
 		o.state = stPresent
 		o.ownerRank = img.owner

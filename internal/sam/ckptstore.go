@@ -1,16 +1,15 @@
 package sam
 
 // Glue between the SAM runtime and the internal/ckptstore subsystem: the
-// owner-side view feeding the affinity policy, erasure shard encode /
-// reassembly, the packed ledger entries that ride kAccData migrations,
-// and the proactive coverage-repair pass that re-replicates checkpoint
-// copies destroyed by failures (instead of letting redundancy decay until
-// the next checkpoint refreshes it, as the paper's fixed placement did).
+// owner-side view feeding the affinity policy, the ledger record rebuilt
+// from recovery contributions, and the proactive coverage-repair pass that
+// re-replicates checkpoint copies destroyed by failures (instead of letting
+// redundancy decay until the next checkpoint refreshes it, as the paper's
+// fixed placement did).
 
 import (
 	"fmt"
 
-	"samft/internal/ckptstore"
 	"samft/internal/codec"
 	"samft/internal/ft"
 	"samft/internal/trace"
@@ -24,30 +23,6 @@ func (p *Proc) cachedRanks(name uint64) []int {
 		return sortedKeys(o.sentTo)
 	}
 	return nil
-}
-
-// packHolders / unpackHolders encode a ledger holder set for the wire
-// (kAccData migrations) as rank<<16 | shard.
-func packHolders(hs []ckptstore.Holder) []int64 {
-	if len(hs) == 0 {
-		return nil
-	}
-	out := make([]int64, len(hs))
-	for i, h := range hs {
-		out[i] = int64(h.Rank)<<16 | int64(h.Shard&0xffff)
-	}
-	return out
-}
-
-func unpackHolders(packed []int64) []ckptstore.Holder {
-	if len(packed) == 0 {
-		return nil
-	}
-	out := make([]ckptstore.Holder, len(packed))
-	for i, v := range packed {
-		out[i] = ckptstore.Holder{Rank: int(v >> 16), Shard: int(v & 0xffff)}
-	}
-	return out
 }
 
 // ckptImage returns the committed checkpoint frame of an owned object for
@@ -82,71 +57,22 @@ func (p *Proc) noteRecoverContrib(img *image) {
 
 // takeRecoverHolders consumes the recorded contributors for name whose
 // copies match the installed checkpoint seq, in rank order.
-func (p *Proc) takeRecoverHolders(name Name, seq int64) []ckptstore.Holder {
+func (p *Proc) takeRecoverHolders(name Name, seq int64) []int {
 	m := p.inc.recoverContrib[name]
 	delete(p.inc.recoverContrib, name)
-	var out []ckptstore.Holder
+	var out []int
 	for _, r := range sortedKeys(m) {
-		if h := m[r]; h.seq == seq {
-			out = append(out, ckptstore.Holder{Rank: r, Shard: h.shard})
+		if m[r].seq == seq {
+			out = append(out, r)
 		}
 	}
 	return out
 }
 
-// shardAsm accumulates the erasure shards of one object's image until k of
-// them permit a decode.
-type shardAsm struct {
-	seq      int64
-	k, m     int
-	frameLen int
-	shards   map[int]*image // 1-based shard index -> contribution
-}
-
-// assembleShards folds one contributed shard into the per-object assembler.
-// It returns the full-frame image once k shards (all from the same checkpoint
-// seq) decode, and nil while the object is still short — late duplicate
-// shards after an install are dropped by the caller's recoverInstalled check,
-// like full-frame duplicates.
-func (p *Proc) assembleShards(img *image) *image {
-	asm := p.inc.shardAsm
-	a := asm[img.name]
-	if a == nil || img.seq > a.seq || a.k != img.k || a.m != img.m {
-		a = &shardAsm{seq: img.seq, k: img.k, m: img.m, frameLen: img.frameLen, shards: make(map[int]*image)}
-		asm[img.name] = a
-	} else if img.seq < a.seq {
-		return nil // stale shard from an older checkpoint
-	}
-	if img.shard < 1 || img.shard > a.k+a.m {
-		return nil
-	}
-	a.shards[img.shard] = img
-	if len(a.shards) < a.k {
-		return nil
-	}
-	ec := ckptstore.ECParams{K: a.k, M: a.m}
-	slots := make([][]byte, ec.Shards())
-	idxs := sortedKeys(a.shards)
-	for _, idx := range idxs {
-		slots[idx-1] = a.shards[idx].body
-	}
-	frame, err := ckptstore.Decode(ec, slots, a.frameLen)
-	if err != nil {
-		return nil // impossible with k shards of one seq; wait for more
-	}
-	delete(asm, img.name)
-	// The decoded image is the lowest-numbered shard's (sender, owner, seq,
-	// metadata — all shards of one checkpoint agree) with the whole frame.
-	full := *a.shards[idxs[0]]
-	full.shard, full.k, full.m, full.frameLen = 0, 0, 0, 0
-	full.body = frame
-	return &full
-}
-
 // repairCoverage drains the repair queue: for every owned object whose
 // ledgered coverage fell below the store's target (holders died) or was
 // just rebuilt from recovery contributions, it re-replicates the missing
-// copies or shards out-of-transaction (Piece -1: committed on arrival,
+// copies out-of-transaction (Piece -1: committed on arrival,
 // like the historic post-failure re-supply). Ranks that are dead and not
 // yet replaced are skipped; DropRank re-queues the object when the
 // replacement incarnation installs, so repair converges once the cluster
@@ -190,67 +116,34 @@ func (p *Proc) repairCoverage() {
 	}
 }
 
-// planCopies returns the holders for the named object's next checkpoint
-// copies on behalf of owner, in placement order: full frames, or under
-// erasure coding shard i+1 at the i-th rank.
-func (p *Proc) planCopies(name Name, owner int) []ckptstore.Holder {
-	ranks := p.store.Plan(uint64(name), owner)
-	holders := make([]ckptstore.Holder, len(ranks))
-	for i, r := range ranks {
-		holders[i] = ckptstore.Holder{Rank: r}
-		if p.store.EC().Enabled() {
-			holders[i].Shard = i + 1
-		}
-	}
-	return holders
-}
-
 // sendCkptCopies is the one place a checkpoint copy leaves its owner: it
-// sends body — o's committed image — to each holder, whole (shard 0) or as
-// that holder's Reed–Solomon shard. While startTx plans a transaction the
-// copies join tx as pieces, inactive when the contents are nonreproducible,
-// and the caller ledgers them under owner (the migration target when o is
-// changing hands). With tx nil they repair the committed image: sent now,
-// committed on arrival, ledgered here as they go.
-func (p *Proc) sendCkptCopies(o *object, body []byte, holders []ckptstore.Holder, owner int, tx *ckptTx) {
-	ec := p.store.EC()
-	var shards [][]byte
-	if ec.Enabled() {
-		var err error
-		if shards, err = ckptstore.Encode(ec, body); err != nil {
-			panic(fmt.Errorf("sam: erasure-encode %v: %w", o.name, err))
-		}
-	}
-	for _, h := range holders {
+// sends body — o's committed image — to each holder. While startTx plans a
+// transaction the copies join tx as pieces, inactive when the contents are
+// nonreproducible, and the caller ledgers them under owner (the migration
+// target when o is changing hands). With tx nil they repair the committed
+// image: sent now, committed on arrival, ledgered here as they go.
+func (p *Proc) sendCkptCopies(o *object, body []byte, holders []int, owner int, tx *ckptTx) {
+	for _, r := range holders {
 		img := o.committed
 		img.owner, img.body = owner, body
-		if h.Shard > 0 {
-			img.body = shards[h.Shard-1]
-			img.shard, img.k, img.m, img.frameLen = h.Shard, ec.K, ec.M, len(body)
-		} else {
-			o.noteSentTo(h.Rank) // the copy doubles as a cached frame there
-		}
+		o.noteSentTo(r) // the copy doubles as a cached frame there
 		w := img.wire(kCkptCopy)
 		if tx != nil {
 			w.Inactive = o.nonrepro
 			p.st.ReplicaObjects.Add(1)
 			p.st.ReplicaBytes.Add(int64(len(w.Body)))
-			tx.add(h.Rank, w)
+			tx.add(r, w)
 			continue
 		}
 		if p.rec != nil {
-			note := ""
-			if h.Shard > 0 {
-				note = fmt.Sprintf("shard%d", h.Shard)
-			}
 			p.emit(trace.Event{
-				Kind: trace.SamRepairSend, Name: uint64(o.name), Dst: int64(h.Rank),
-				Bytes: len(w.Body), Aux: img.seq, Note: note,
+				Kind: trace.SamRepairSend, Name: uint64(o.name), Dst: int64(r),
+				Bytes: len(w.Body), Aux: img.seq,
 			})
 		}
 		p.st.RepairObjects.Add(1)
 		p.st.RepairBytes.Add(int64(len(w.Body)))
-		p.send(h.Rank, w)
-		p.store.AddHolder(uint64(o.name), img.seq, h)
+		p.send(r, w)
+		p.store.AddHolder(uint64(o.name), img.seq, r)
 	}
 }

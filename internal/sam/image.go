@@ -23,12 +23,8 @@ type image struct {
 	meta    ft.ObjectMeta
 	hasMeta bool
 	// body is the owner's packed frame, verbatim, so recovery restores the
-	// exact checkpointed contents — or, when shard > 0, that 1-based
-	// Reed–Solomon shard of it, cut as (k, m) over frameLen bytes. A shard
-	// is opaque: it only takes part in recovery reassembly.
-	body        []byte
-	shard, k, m int
-	frameLen    int
+	// exact checkpointed contents.
+	body []byte
 }
 
 // privImage is a process's packed private state (§4.2) as of checkpoint seq.
@@ -42,7 +38,6 @@ func imageOf(w *wire) *image {
 	return &image{
 		name: Name(w.Name), sender: w.SrcRank, owner: w.Owner, seq: w.Seq,
 		meta: w.Meta, hasMeta: w.HasMeta, body: w.Body,
-		shard: w.Shard, k: w.ShardK, m: w.ShardM, frameLen: w.FrameLen,
 	}
 }
 
@@ -52,6 +47,5 @@ func (im *image) wire(kind int) *wire {
 	return &wire{
 		Kind: kind, Name: uint64(im.name), Owner: im.owner, Seq: im.seq,
 		Meta: im.meta, HasMeta: im.hasMeta, Body: im.body, Piece: -1,
-		Shard: im.shard, ShardK: im.k, ShardM: im.m, FrameLen: im.frameLen,
 	}
 }

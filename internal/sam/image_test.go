@@ -41,7 +41,7 @@ func TestNoReceivedWireIsRetained(t *testing.T) {
 			}
 		}
 	}
-	for _, root := range []interface{}{Proc{}, object{}, incarnation{}, dirEntry{}, shardAsm{}} {
+	for _, root := range []interface{}{Proc{}, object{}, incarnation{}, dirEntry{}} {
 		ty := reflect.TypeOf(root)
 		walk(ty, ty.Name())
 	}
@@ -57,37 +57,26 @@ func TestNoReceivedWireIsRetained(t *testing.T) {
 func TestImageRoundTrip(t *testing.T) {
 	meta := ft.ObjectMeta{Name: 42, Kind: uint8(ft.KindAccum), Nonreproducible: true, AccessesDone: 3, Version: 9}
 	for _, kind := range []int{kCkptCopy, kRecoverData} {
-		for _, shard := range []int{0, 2} {
-			w := &wire{
-				Kind: kind, SrcRank: 3, Name: 42, Owner: 1, Seq: 17,
-				Meta: meta, HasMeta: true, Body: []byte{1, 2, 3}, Inactive: true, Piece: 4,
-			}
-			if shard > 0 {
-				w.Shard, w.ShardK, w.ShardM, w.FrameLen = shard, 2, 1, 6
-			}
-			img := imageOf(w)
-			want := image{
-				name: 42, sender: 3, owner: 1, seq: 17, meta: meta, hasMeta: true,
-				body: w.Body, shard: w.Shard, k: w.ShardK, m: w.ShardM, frameLen: w.FrameLen,
-			}
-			if !reflect.DeepEqual(*img, want) {
-				t.Errorf("%s shard %d: imageOf = %+v, want %+v", kindName(kind), shard, *img, want)
-			}
-			// The frame built from the image is a fresh one: sender, stamp,
-			// piece number and Inactive belong to the send, not the state.
-			out := img.wire(kind)
-			wantW := &wire{
-				Kind: kind, Name: 42, Owner: 1, Seq: 17, Meta: meta, HasMeta: true, Body: w.Body, Piece: -1,
-				Shard: w.Shard, ShardK: w.ShardK, ShardM: w.ShardM, FrameLen: w.FrameLen,
-			}
-			if !reflect.DeepEqual(out, wantW) {
-				t.Errorf("%s shard %d: wire = %+v, want %+v", kindName(kind), shard, out, wantW)
-			}
-			back := imageOf(out)
-			back.sender = img.sender // send's to fill in
-			if !reflect.DeepEqual(back, img) {
-				t.Errorf("%s shard %d: image -> wire -> image = %+v, want %+v", kindName(kind), shard, back, img)
-			}
+		w := &wire{
+			Kind: kind, SrcRank: 3, Name: 42, Owner: 1, Seq: 17,
+			Meta: meta, HasMeta: true, Body: []byte{1, 2, 3}, Inactive: true, Piece: 4,
+		}
+		img := imageOf(w)
+		want := image{name: 42, sender: 3, owner: 1, seq: 17, meta: meta, hasMeta: true, body: w.Body}
+		if !reflect.DeepEqual(*img, want) {
+			t.Errorf("%s: imageOf = %+v, want %+v", kindName(kind), *img, want)
+		}
+		// The frame built from the image is a fresh one: sender, stamp,
+		// piece number and Inactive belong to the send, not the state.
+		out := img.wire(kind)
+		wantW := &wire{Kind: kind, Name: 42, Owner: 1, Seq: 17, Meta: meta, HasMeta: true, Body: w.Body, Piece: -1}
+		if !reflect.DeepEqual(out, wantW) {
+			t.Errorf("%s: wire = %+v, want %+v", kindName(kind), out, wantW)
+		}
+		back := imageOf(out)
+		back.sender = img.sender // send's to fill in
+		if !reflect.DeepEqual(back, img) {
+			t.Errorf("%s: image -> wire -> image = %+v, want %+v", kindName(kind), back, img)
 		}
 	}
 }

@@ -21,14 +21,9 @@ type ObjectInvariant struct {
 	// (0 = never checkpointed).
 	CkptSeq int64
 	// CkptCopy entries back rank CopyOwner's main copy as of CopySeq.
-	// Under erasure coding the copy is shard Shard (1-based) of a
-	// (ShardK, ShardM) code; Shard 0 is a full-frame copy.
 	CkptCopy  bool
 	CopyOwner int
 	CopySeq   int64
-	Shard     int
-	ShardK    int
-	ShardM    int
 	// Inactive and PendingCopy mark provisional state from an uncommitted
 	// checkpoint transaction; none may survive a completed run.
 	Inactive    bool
@@ -85,7 +80,6 @@ func (p *Proc) Invariants() InvariantSnapshot {
 		}
 		if c := o.copy; c != nil {
 			oi.CkptCopy, oi.CopyOwner, oi.CopySeq = true, c.owner, c.seq
-			oi.Shard, oi.ShardK, oi.ShardM = c.shard, c.k, c.m
 		}
 		s.Objects = append(s.Objects, oi)
 	}

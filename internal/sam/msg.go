@@ -13,8 +13,9 @@ const TagSAM = pvm.TagUserBase + 1
 
 // Message kinds. One wire struct carries every kind and unused fields stay
 // at their zero values — but they are still encoded: the codec writes ints
-// at fixed width, so every frame carries the whole struct (192 bytes packed
-// for the smallest control message, 216 with a one-entry stamp). Renumbering
+// at fixed width, so every frame carries the whole struct (160 bytes packed
+// for the smallest control message, 184 with a one-entry stamp;
+// TestFrameSizes pins both). Renumbering
 // kinds therefore never moves a frame size.
 //
 // Values and accumulators are registered (kReg) and read — a value fetch, a
@@ -132,20 +133,11 @@ type wire struct {
 	// Fresh marks a kRecoverPriv that carries no state: the failed rank
 	// had never checkpointed and must restart from Init.
 	Fresh bool
-	// Erasure-coded checkpoint copies (kCkptCopy/kRecoverData): Shard is
-	// the 1-based shard index Body holds (0 = full frame), cut as
-	// (ShardK, ShardM) Reed–Solomon over a packed frame of FrameLen
-	// bytes.
-	Shard    int
-	ShardK   int
-	ShardM   int
-	FrameLen int
-	// Holders carries a packed coverage-ledger entry on kAccData
-	// migrations: the checkpoint-copy holders the sender placed for the
-	// new owner (rank<<16 | shard). Affinity placement is not
-	// recomputable by the receiver, so the holder set must travel with
-	// the ownership transfer.
-	Holders []int64
+	// Holders carries a coverage-ledger entry on kAccData migrations: the
+	// ranks the sender placed checkpoint copies on for the new owner.
+	// Affinity placement is not recomputable by the receiver, so the
+	// holder set must travel with the ownership transfer.
+	Holders []int
 	// Stamp piggyback (§4.3), delta-encoded (ft.DeltaStamp). HasStamp
 	// gates absorption: a stamp may legitimately carry no entries (nothing
 	// changed since the last message to this destination). StampT is the

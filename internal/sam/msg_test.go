@@ -1,6 +1,10 @@
 package sam
 
-import "testing"
+import (
+	"testing"
+
+	"samft/internal/codec"
+)
 
 // TestKindNameNoAlloc pins kindName at zero allocations: encodeWire's
 // error path and every trace line go through it.
@@ -45,5 +49,27 @@ func TestEveryKindIsNamed(t *testing.T) {
 			t.Errorf("kinds %d and %d are both named %q", prev, k, name)
 		}
 		seen[name] = k
+	}
+}
+
+// TestFrameSizes pins the frame sizes msg.go's comment states: every field
+// is encoded whether its kind uses it or not, so the smallest control frame
+// and one whose delta stamp carries a single changed entry have fixed sizes.
+func TestFrameSizes(t *testing.T) {
+	for _, tc := range []struct {
+		what string
+		w    *wire
+		want int
+	}{
+		{"bare control frame", &wire{Kind: kCkptAck, Seq: 7, Target: 1}, 160},
+		{"one-entry stamp", &wire{Kind: kCkptAck, Seq: 7, Target: 1, HasStamp: true, StampIdx: []int64{2}, StampVal: []int64{9}, StampC: 3}, 184},
+	} {
+		b, err := codec.Pack(tc.w)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.what, err)
+		}
+		if len(b) != tc.want {
+			t.Errorf("%s packs to %d bytes, want %d", tc.what, len(b), tc.want)
+		}
 	}
 }

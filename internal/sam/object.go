@@ -68,9 +68,8 @@ type object struct {
 	ownerRank int
 	// copy is the committed checkpoint image held here on behalf of
 	// copy.owner; pending is one received inactive, awaiting its sender's
-	// activation. Both are nil until a copy actually arrives. A full-frame
-	// copy also populates data and serves local cache hits; a shard never
-	// does.
+	// activation. Both are nil until a copy actually arrives. A committed
+	// copy also populates data and serves local cache hits.
 	copy    *image
 	pending *image
 	// resupply marks a pending copy whose owner's replacement we supplied

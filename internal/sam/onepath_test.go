@@ -23,7 +23,6 @@ type held struct {
 	owner   int
 	seq     int64
 	version int64
-	shard   int // 0 = full frame
 }
 
 func (h held) install(t *testing.T, p *Proc, o *object) {
@@ -31,17 +30,14 @@ func (h held) install(t *testing.T, p *Proc, o *object) {
 		Kind: kCkptCopy, Name: uint64(o.name), Owner: h.owner, Seq: h.seq,
 		Meta: ft.ObjectMeta{Version: h.version}, HasMeta: true, Body: packPayload(t, 1),
 	}
-	if h.shard > 0 {
-		w.Shard, w.ShardK, w.ShardM, w.FrameLen = h.shard, 2, 1, len(w.Body)
-	}
 	p.applyCkptCopy(o, imageOf(w))
-	if o.copy == nil || o.copy.shard != h.shard || (h.shard == 0) != o.usable() {
+	if o.copy == nil || !o.usable() {
 		t.Fatalf("setup: copy %+v installed as %+v, usable=%v", h, o.copy, o.usable())
 	}
 }
 
 // TestHolderFreshnessRule pins acceptsCopy, the one holder-side rule for
-// full replicas and erasure shards alike.
+// checkpoint copies.
 func TestHolderFreshnessRule(t *testing.T) {
 	const self, ownerA, ownerB = 0, 1, 2
 	ver := func(v int64) (ft.ObjectMeta, bool) { return ft.ObjectMeta{Version: v}, true }
@@ -56,22 +52,17 @@ func TestHolderFreshnessRule(t *testing.T) {
 		{name: "nothing held", img: image{owner: ownerA, seq: 1}, hasVer: -1, want: true},
 		{name: "own live main is authoritative", isMain: true, img: image{owner: self, seq: 9}, hasVer: 9, want: false},
 		{name: "main, but the copy backs the migration target", isMain: true, img: image{owner: ownerA, seq: 1}, hasVer: 1, want: true},
-		{name: "newer version", have: &held{ownerA, 5, 3, 0}, img: image{owner: ownerA, seq: 6}, hasVer: 4, want: true},
-		{name: "same version re-sent", have: &held{ownerA, 5, 3, 0}, img: image{owner: ownerA, seq: 5}, hasVer: 3, want: true},
-		{name: "older version, same owner, older seq", have: &held{ownerA, 5, 3, 0}, img: image{owner: ownerA, seq: 4}, hasVer: 2, want: false},
+		{name: "newer version", have: &held{ownerA, 5, 3}, img: image{owner: ownerA, seq: 6}, hasVer: 4, want: true},
+		{name: "same version re-sent", have: &held{ownerA, 5, 3}, img: image{owner: ownerA, seq: 5}, hasVer: 3, want: true},
+		{name: "older version, same owner, older seq", have: &held{ownerA, 5, 3}, img: image{owner: ownerA, seq: 4}, hasVer: 2, want: false},
 		// The fall-through: the version test does not reject, it hands an
 		// older version to the owner/seq test, which accepts a different
 		// owner (and a same-owner copy no older by seq).
-		{name: "older version, different owner", have: &held{ownerA, 5, 3, 0}, img: image{owner: ownerB, seq: 1}, hasVer: 2, want: true},
-		{name: "older version, same owner, newer seq", have: &held{ownerA, 5, 3, 0}, img: image{owner: ownerA, seq: 6}, hasVer: 2, want: true},
-		{name: "versionless, same owner, older seq", have: &held{ownerA, 5, 0, 0}, img: image{owner: ownerA, seq: 4}, hasVer: -1, want: false},
-		{name: "versionless, same owner, same seq", have: &held{ownerA, 5, 0, 0}, img: image{owner: ownerA, seq: 5}, hasVer: -1, want: true},
-		{name: "versionless, different owner", have: &held{ownerA, 5, 0, 0}, img: image{owner: ownerB, seq: 1}, hasVer: -1, want: true},
-		// One holder, both copy shapes.
-		{name: "full after shard, even when older", have: &held{ownerA, 5, 3, 2}, img: image{owner: ownerA, seq: 4}, hasVer: 2, want: true},
-		{name: "shard after full, newer", have: &held{ownerA, 5, 3, 0}, img: image{owner: ownerA, seq: 6, shard: 1}, hasVer: 4, want: true},
-		{name: "shard after full, older", have: &held{ownerA, 5, 3, 0}, img: image{owner: ownerA, seq: 4, shard: 1}, hasVer: 2, want: false},
-		{name: "shard after shard, older", have: &held{ownerA, 5, 3, 2}, img: image{owner: ownerA, seq: 4, shard: 2}, hasVer: 2, want: false},
+		{name: "older version, different owner", have: &held{ownerA, 5, 3}, img: image{owner: ownerB, seq: 1}, hasVer: 2, want: true},
+		{name: "older version, same owner, newer seq", have: &held{ownerA, 5, 3}, img: image{owner: ownerA, seq: 6}, hasVer: 2, want: true},
+		{name: "versionless, same owner, older seq", have: &held{ownerA, 5, 0}, img: image{owner: ownerA, seq: 4}, hasVer: -1, want: false},
+		{name: "versionless, same owner, same seq", have: &held{ownerA, 5, 0}, img: image{owner: ownerA, seq: 5}, hasVer: -1, want: true},
+		{name: "versionless, different owner", have: &held{ownerA, 5, 0}, img: image{owner: ownerB, seq: 1}, hasVer: -1, want: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

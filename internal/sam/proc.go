@@ -158,7 +158,6 @@ func NewProc(task *pvm.Task, cfg Config) *Proc {
 		N:      cfg.N,
 		Degree: cfg.Degree,
 		Policy: cfg.Placement,
-		EC:     ckptstore.ECParams{K: cfg.ECData, M: cfg.ECParity},
 		View:   ckptstore.View{N: cfg.N, CachedAt: p.cachedRanks},
 	})
 	if cfg.Recovering {

@@ -58,11 +58,8 @@ type incarnation struct {
 	// would fork the object.
 	recoverInstalled map[Name]bool
 	finsGot          map[int]bool // survivors whose recovery contribution arrived
-	// shardAsm reassembles erasure-coded kRecoverData shards per object
-	// until k of them allow a decode.
-	shardAsm map[Name]*shardAsm
-	// recoverContrib records which rank contributed which copy (and shard)
-	// of each recovered object, so the rebuilt ledger reflects the holders
+	// recoverContrib records which rank contributed which copy of each
+	// recovered object, so the rebuilt ledger reflects the holders
 	// that actually exist rather than a recomputed placement.
 	recoverContrib map[Name]map[int]*image
 	// pendingContrib defers our contributions to other restarted ranks
@@ -81,7 +78,6 @@ func newIncarnation() *incarnation {
 		orphanHints:      make(map[Name]int64),
 		recoverInstalled: make(map[Name]bool),
 		finsGot:          make(map[int]bool),
-		shardAsm:         make(map[Name]*shardAsm),
 		recoverContrib:   make(map[Name]map[int]*image),
 		pendingContrib:   make(map[int]bool),
 	}
@@ -493,16 +489,6 @@ func (p *Proc) onRecoverPriv(w *wire) {
 func (p *Proc) onRecoverData(w *wire) {
 	inc, img := p.inc, imageOf(w)
 	p.noteRecoverContrib(img)
-	if img.shard > 0 {
-		// An erasure shard: fold it into the assembler; only a decoded
-		// full frame proceeds into the install paths below.
-		if inc.recoverInstalled[img.name] {
-			return
-		}
-		if img = p.assembleShards(img); img == nil {
-			return
-		}
-	}
 	if inc.restoring {
 		keepNewer(inc.data, img)
 		p.checkRestoreComplete()

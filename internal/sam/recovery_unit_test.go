@@ -695,7 +695,7 @@ func TestProvisionalMainCopyIsNotRepaired(t *testing.T) {
 	name := nameHomedAt(t, 4, 0)
 	p.dispatch(&wire{
 		Kind: kAccData, SrcRank: sender, Name: uint64(name), Target: target, Body: packPayload(t, 7),
-		Inactive: true, Seq: 5, Piece: 0, HasMeta: true, Holders: []int64{holder << 16},
+		Inactive: true, Seq: 5, Piece: 0, HasMeta: true, Holders: []int{holder},
 		Meta: ft.ObjectMeta{Name: uint64(name), Kind: uint8(ft.KindAccum), Nonreproducible: true, Version: 3},
 	})
 	block := make(chan struct{})

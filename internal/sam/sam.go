@@ -72,15 +72,6 @@ type Config struct {
 	// Placement selects the ckptstore checkpoint-copy placement policy
 	// (ring, the paper's rule and the default; affinity; spread).
 	Placement ckptstore.Kind
-	// ECData/ECParity, when both positive, switch object checkpoint
-	// copies to Reed–Solomon erasure coding: each packed frame is cut
-	// into ECData data shards plus ECParity parity shards on distinct
-	// ranks, surviving ECParity simultaneous losses at a fraction of full
-	// replication's memory. Ignored (full replication) when the cluster
-	// is too small to hold ECData+ECParity shards on non-owner ranks.
-	// Private state stays fully replicated at Degree either way.
-	ECData   int
-	ECParity int
 	// EagerFree replaces the §4.3 virtual-time protocol for freeing main
 	// copies with an eager round-trip to all processes on every free — the
 	// ablation baseline. The zero value is the paper's lazy protocol.

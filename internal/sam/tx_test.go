@@ -45,7 +45,7 @@ func nameFor(t *testing.T, p *Proc, home, owner, holder int) Name {
 	for a := 0; a < 64; a++ {
 		for b := 0; b < 64; b++ {
 			name := MkName(7, a, b)
-			if p.home(name) == home && p.planCopies(name, owner)[0].Rank == holder {
+			if p.home(name) == home && p.store.Plan(uint64(name), owner)[0] == holder {
 				return name
 			}
 		}

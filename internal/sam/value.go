@@ -265,7 +265,7 @@ func (p *Proc) sendObject(o *object, kind, rank int, tx *ckptTx) {
 	w.Inactive, w.Seq = true, tx.seq
 	if migration {
 		// Ownership commits with the transaction (commitTx hands off).
-		w.Holders = packHolders(tx.migrHolders[o.name])
+		w.Holders = tx.migrHolders[o.name]
 		o.pendingMove = rank // block further local locks until commit
 	}
 	tx.add(rank, w)

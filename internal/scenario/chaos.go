@@ -19,10 +19,9 @@ import (
 type ChaosSpec struct {
 	// Fleet is what every generated scenario runs on — application, cluster
 	// size (default 4) and fault-tolerance configuration (degree 2 by
-	// default, like any scenario). Under an erasure code the generator caps
-	// each schedule's distinct victims at its parity: a (k,m) code survives
-	// at most m simultaneous losses, and excess kills become re-kills of an
-	// already-dead rank's replacement, which never exceed the loss budget.
+	// default, like any scenario). The generator caps each schedule's
+	// distinct victims at the fleet's survivable budget; excess kills become
+	// re-kills of an already-dead rank's replacement, which never exceed it.
 	Fleet Fleet
 	// Schedules is the number of seeded kill schedules to generate (default
 	// 20). The first few are fixed archetypes covering the known-hard cases
@@ -150,11 +149,9 @@ func chaosSchedule(spec ChaosSpec, app experiments.AppKind, i int) []experiments
 //     survivable envelope): an excess kill is redirected into a re-kill of
 //     the first victim's replacement, which keeps recovery pressure
 //     without manufacturing a state the paper's guarantee never promised
-//     to survive (the EC false-failure fix: randomized sweeps with
-//     MaxKills > ECParity used to schedule more simultaneous losses than
-//     the code can decode).
+//     to survive.
 func clampSchedule(fleet Fleet, kills []experiments.KillEvent) []experiments.KillEvent {
-	_, budget := fleet.survivable()
+	budget := fleet.survivable()
 	mod := func(r int) int { return ((r % fleet.Procs) + fleet.Procs) % fleet.Procs }
 	victims := make(map[int]bool)
 	seen := make(map[experiments.KillEvent]bool)

@@ -10,15 +10,15 @@ import (
 )
 
 // TestChaosScenariosLoadStrict: generator and validator share one
-// envelope. Every generated scenario — across the erasure-code shapes and
-// the small clusters the schedule-property tests sweep, where the clamp
-// does the most rewriting — survives json.Marshal and the strict Load
+// envelope. Every generated scenario — across fleet sizes and the small
+// clusters the schedule-property tests sweep, where the clamp does the
+// most rewriting — survives json.Marshal and the strict Load
 // unchanged, so whatever a sweep runs can be dumped and replayed as a file.
 func TestChaosScenariosLoadStrict(t *testing.T) {
 	var specs []ChaosSpec
-	for _, ec := range []struct{ k, m int }{{2, 1}, {2, 2}, {3, 1}} {
+	for _, n := range []int{3, 4, 5} {
 		specs = append(specs, ChaosSpec{
-			Fleet:    Fleet{Procs: ec.k + ec.m + 1, App: "gps", FT: FT{EC: &EC{Data: ec.k, Parity: ec.m}}},
+			Fleet:    Fleet{Procs: n, App: "gps"},
 			MaxKills: 4, Schedules: 40, Jitter: true, NotifyChaos: true,
 		})
 	}

@@ -49,9 +49,6 @@ func Compile(s *Scenario, path string) Compiled {
 	if s.Fleet.Scale == "paper" {
 		baseline.Scale = experiments.Paper
 	}
-	if ec := s.Fleet.FT.EC; ec != nil {
-		baseline.ECData, baseline.ECParity = ec.Data, ec.Parity
-	}
 	spec := baseline
 	spec.ChaosSeed = s.Seed
 	for _, ev := range s.Events {

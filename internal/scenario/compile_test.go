@@ -25,7 +25,7 @@ func TestCompile(t *testing.T) {
 			"procs": 5,
 			"app": "water",
 			"scale": "paper",
-			"ft": { "policy": "sam", "degree": 2, "placement": "spread", "ec": { "data": 2, "parity": 2 } }
+			"ft": { "policy": "sam", "degree": 2, "placement": "spread" }
 		},
 		"seed": 99,
 		"events": [
@@ -43,7 +43,7 @@ func TestCompile(t *testing.T) {
 	want := experiments.Spec{
 		N: 5, App: experiments.Water, Scale: experiments.Paper,
 		Policy: ft.PolicySAM, Degree: 2, Placement: ckptstore.Spread,
-		ECData: 2, ECParity: 2, ChaosSeed: 99,
+		ChaosSeed: 99,
 		Kills: []experiments.KillEvent{
 			{Rank: 1, Step: 2},
 			{Rank: 1, OnRecovery: true, RecoveryOf: 1, RecoveryCount: 1},

@@ -31,7 +31,9 @@ func TestGoldenErrors(t *testing.T) {
 		{"bad-type.json", `"four"`, true, "fleet.procs", "cannot unmarshal string"},
 		{"bad-enum.json", `"fortran"`, true, "fleet.app", `unknown app "fortran"`},
 		{"bad-rank.json", `9`, true, "events[0].kill.rank", "rank 9 out of range [0,4)"},
-		{"bad-ec-budget.json", `{ "data"`, true, "fleet.ft.ec", "ec(2,2) needs 4 non-owner ranks but the fleet has 3"},
+		// Erasure-coded copies are gone from the schema: a leftover ec
+		// block is an unknown field, not a silently ignored setting.
+		{"bad-ec-budget.json", `"ec"`, true, "fleet.ft.ec", `unknown field "ec"`},
 		{"bad-recovery-ref.json", `3`, true, "events[1].kill.on_recovery_of", "rank 3 is not killed by an earlier event"},
 		{"bad-recovery-chain.json", `{ "rank": 3`, true, "events[2].kill", "on_recovery_of chain has 3 distinct ranks down at once, exceeding the survivable budget of 2"},
 		{"bad-assert.json", `3`, true, "assert.min_kills_applied", "requires 3 applied kills but the schedule has only 1"},
@@ -124,13 +126,6 @@ func randScenario(r *xrand.Rand, i int) *Scenario {
 	}
 	if budget < 1 {
 		budget = 1
-	}
-	// EC only when it fits and leaves a usable budget.
-	if n >= 4 && r.Intn(3) == 0 {
-		data := 1 + r.Intn(n-2)
-		parity := 1 + r.Intn(n-1-data)
-		s.Fleet.FT.EC = &EC{Data: data, Parity: parity}
-		budget = parity
 	}
 
 	victims := make(map[int]bool)

@@ -36,14 +36,6 @@ type FT struct {
 	// Placement is the checkpoint-copy placement policy: "ring" (default),
 	// "affinity", or "spread".
 	Placement string `json:"placement,omitempty"`
-	// EC, when present, erasure-codes checkpoint copies.
-	EC *EC `json:"ec,omitempty"`
-}
-
-// EC is a Reed-Solomon (data, parity) shard configuration.
-type EC struct {
-	Data   int `json:"data"`
-	Parity int `json:"parity"`
 }
 
 // Event is one element of the schedule. Exactly one member must be set.
@@ -103,7 +95,7 @@ type Assert struct {
 	AnswerMatchesBaseline *bool `json:"answer_matches_baseline,omitempty"`
 	// Invariants requires the post-quiesce end-state checks to pass:
 	// exactly one main copy per object, checkpoint coverage at least
-	// min(degree, procs-1) (or k+m distinct shards under EC), no leaked
+	// min(degree, procs-1), no leaked
 	// provisional state (default true).
 	Invariants *bool `json:"invariants,omitempty"`
 	// MaxRecoveryModeledSec bounds the faulted run's recovery time: the

@@ -8,9 +8,9 @@ import (
 
 // validate performs every semantic check and returns all violations,
 // positioned via the index. The rules are deliberately stricter than the
-// runtime (which tolerates, say, an infeasible EC code by silently
-// falling back to full replication): a scenario file is a reviewable
-// claim, and a claim that silently means something else is a bug.
+// runtime (which tolerates, say, a degree above procs-1 by clamping it): a
+// scenario file is a reviewable claim, and a claim that silently means
+// something else is a bug.
 func validate(s *Scenario, idx *posIndex) ErrorList {
 	var errs ErrorList
 	add := func(path, format string, args ...interface{}) {
@@ -43,18 +43,6 @@ func validate(s *Scenario, idx *posIndex) ErrorList {
 	}
 	if _, ok := placements[s.Fleet.FT.Placement]; !ok {
 		add("fleet.ft.placement", `unknown placement %q (want "ring", "affinity", or "spread")`, s.Fleet.FT.Placement)
-	}
-	if ec := s.Fleet.FT.EC; ec != nil {
-		if ec.Data < 1 {
-			add("fleet.ft.ec.data", "ec data shards must be >= 1 (got %d)", ec.Data)
-		}
-		if ec.Parity < 1 {
-			add("fleet.ft.ec.parity", "ec parity shards must be >= 1 (got %d)", ec.Parity)
-		}
-		if ec.Data >= 1 && ec.Parity >= 1 && ec.Data+ec.Parity > n-1 {
-			add("fleet.ft.ec", "ec(%d,%d) needs %d non-owner ranks but the fleet has %d; the runtime would silently fall back to full replication",
-				ec.Data, ec.Parity, ec.Data+ec.Parity, n-1)
-		}
 	}
 
 	errs = append(errs, validateEvents(s, idx, n)...)
@@ -93,7 +81,7 @@ func validateEvents(s *Scenario, idx *posIndex, n int) ErrorList {
 	}
 	fleet := s.Fleet
 	fleet.Procs = n
-	ecOn, budget := fleet.survivable()
+	budget := fleet.survivable()
 
 	victims := make(map[int]bool)
 	stepVictims := make(map[int64]map[int]bool) // at_step -> distinct ranks
@@ -168,8 +156,8 @@ func validateEvents(s *Scenario, idx *posIndex, n int) ErrorList {
 					}
 					stepVictims[k.AtStep][k.Rank] = true
 					if got := len(stepVictims[k.AtStep]); got > budget {
-						add(path+".kill", "%d distinct ranks killed at step %d exceeds the survivable budget of %d (%s)",
-							got, k.AtStep, budget, budgetName(ecOn))
+						add(path+".kill", "%d distinct ranks killed at step %d exceeds the survivable budget of %d (min(degree, procs-1))",
+							got, k.AtStep, budget)
 					}
 				}
 				if r := k.OnRecoveryOf; r != nil && victims[*r] {
@@ -179,15 +167,11 @@ func validateEvents(s *Scenario, idx *posIndex, n int) ErrorList {
 					}
 					down[k.Rank], chain[k.Rank] = true, down
 					if len(down) > budget {
-						add(path+".kill", "on_recovery_of chain has %d distinct ranks down at once, exceeding the survivable budget of %d (%s): a respawn is not a completed recovery",
-							len(down), budget, budgetName(ecOn))
+						add(path+".kill", "on_recovery_of chain has %d distinct ranks down at once, exceeding the survivable budget of %d (min(degree, procs-1)): a respawn is not a completed recovery",
+							len(down), budget)
 					}
 				} else if chain[k.Rank] == nil {
 					chain[k.Rank] = map[int]bool{k.Rank: true}
-				}
-				if ecOn && !victims[k.Rank] && len(victims) >= budget {
-					add(path+".kill", "kill of rank %d raises the schedule's distinct victims above ec parity %d; the code cannot guarantee decoding",
-						k.Rank, budget)
 				}
 				victims[k.Rank] = true
 			}
@@ -224,27 +208,15 @@ func validateEvents(s *Scenario, idx *posIndex, n int) ErrorList {
 	return errs
 }
 
-// survivable is the failure budget of a fleet — how many distinct ranks may
-// be down at once (ckptstore.Survivable) — and whether an erasure code sets
-// it. The validator holds schedules to it and the chaos generator clamps
-// its own by it.
-func (f Fleet) survivable() (ec bool, budget int) {
+// survivable is the failure budget of a fleet: how many distinct ranks may
+// be down at once (ckptstore.Survivable). The validator holds schedules to
+// it and the chaos generator clamps its own by it.
+func (f Fleet) survivable() int {
 	degree := f.FT.Degree
 	if degree == 0 {
 		degree = defaultDegree
 	}
-	var ecp ckptstore.ECParams
-	if f.FT.EC != nil {
-		ecp = ckptstore.ECParams{K: f.FT.EC.Data, M: f.FT.EC.Parity}
-	}
-	return ecp.FeasibleFor(f.Procs), ckptstore.Survivable(f.Procs, degree, ecp)
-}
-
-func budgetName(ec bool) string {
-	if ec {
-		return "ec parity"
-	}
-	return "min(degree, procs-1)"
+	return ckptstore.Survivable(f.Procs, degree)
 }
 
 func countKills(s *Scenario) int {

@@ -54,7 +54,7 @@ type Proc struct {
 	// asks each recipient for one (Report.AcksPerCheckpoint).
 	CkptAcks atomic.Int64
 	// RepairObjects / RepairBytes count proactive coverage repairs: the
-	// checkpoint copies (or erasure shards) re-replicated after a failure
+	// checkpoint copies re-replicated after a failure
 	// destroyed holders, outside any checkpoint transaction.
 	RepairObjects atomic.Int64
 	RepairBytes   atomic.Int64

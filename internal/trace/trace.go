@@ -43,10 +43,9 @@ const (
 	SamOwnerDeny  Kind = "sam.owner-deny"
 	SamRecDone    Kind = "sam.rec-done"
 	// Coverage repair (ckptstore): a proactive re-replication of one
-	// object's checkpoint copy/shard to Dst (Bytes = frame or shard
-	// size, Aux = checkpoint seq, Note = "shard<i>" under erasure
-	// coding), and the completion of one repair round (Aux = objects
-	// repaired).
+	// object's checkpoint copy to Dst (Bytes = frame size, Aux =
+	// checkpoint seq), and the completion of one repair round (Aux =
+	// objects repaired).
 	SamRepairSend Kind = "sam.repair-send"
 	SamRepairDone Kind = "sam.repair-done"
 
