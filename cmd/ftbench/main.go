@@ -65,7 +65,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	chaosFlag := fs.Bool("chaos", false, "shorthand for -exp chaos")
 	seed := fs.Uint64("seed", 1, "chaos master seed (reproduces a sweep exactly)")
 	schedules := fs.Int("schedules", 20, "chaos kill schedules per application")
-	placementFlag := fs.String("placement", "", "checkpoint-copy placement policy for recovery/chaos runs: ring|affinity|spread (default ring)")
+	placementFlag := fs.String("placement", "", "checkpoint-copy placement policy for recovery/chaos runs: ring|spread (default ring)")
 	traceDir := fs.String("trace", "", "dump every recovery/chaos run (scenario.json, Chrome trace JSON, recovery report) under this directory")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -353,7 +353,7 @@ func (b *bench) ablationSnapCache() error {
 	return nil
 }
 
-// ablationPlacement sweeps the three checkpoint placement policies (A6),
+// ablationPlacement sweeps the two checkpoint placement policies (A6),
 // all on GPS at N=5 with a mid-run kill. Columns map to the EXPERIMENTS.md
 // ablation table: replica bytes are the memory/network overhead of the
 // redundancy, recovery(s) the replacement's modeled recovery window,
@@ -367,7 +367,7 @@ func (b *bench) ablationPlacement() error {
 	fmt.Fprintf(b.w, "%-16s %10s %14s %12s %12s %14s %12s\n",
 		"config", "survivable", "replica bytes", "recovery(s)", "repair objs", "repair bytes", "answer-ok")
 	var set []*scenario.Scenario
-	for _, k := range []ckptstore.Kind{ckptstore.Ring, ckptstore.Affinity, ckptstore.Spread} {
+	for _, k := range []ckptstore.Kind{ckptstore.Ring, ckptstore.Spread} {
 		// The scenario (and dump directory) is named placement-<policy>.
 		set = append(set, b.killOne("placement-"+k.String(), "gps", n, storeFT(degree, k)))
 	}

@@ -16,9 +16,6 @@
 //   - ring: the paper's shifted-ring rule, bit-compatible with the historic
 //     ft.CheckpointRanks so existing golden traces and seeded chaos
 //     schedules are unchanged under the default;
-//   - affinity: prefer ranks that already hold a cached frame of the
-//     object (its copy overwrites memory already spent on the object, and
-//     a holder that is also a consumer can serve fetches after recovery);
 //   - spread: rendezvous (highest-random-weight) hashing, giving each
 //     object an independent pseudo-random holder set so simultaneous
 //     failures of adjacent ranks do not wipe out correlated copy sets the
@@ -37,7 +34,9 @@ const (
 	// Ring is the paper's shifted-ring placement (the default),
 	// bit-compatible with the historic ft.CheckpointRanks rule.
 	Ring Kind = iota
-	// Affinity prefers ranks already holding cached frames of the object.
+	// Affinity prefers the ranks View.CachedAt reports. No configuration
+	// selects it (ParseKind rejects it); only the benchmark's timing of
+	// Store.Plan builds it.
 	Affinity
 	// Spread anti-affines copies via rendezvous hashing.
 	Spread
@@ -61,12 +60,10 @@ func ParseKind(s string) (Kind, error) {
 	switch s {
 	case "", "ring":
 		return Ring, nil
-	case "affinity":
-		return Affinity, nil
 	case "spread":
 		return Spread, nil
 	}
-	return Ring, fmt.Errorf("unknown placement policy %q (want ring, affinity, or spread)", s)
+	return Ring, fmt.Errorf("unknown placement policy %q (want ring or spread)", s)
 }
 
 // View is the process-local knowledge a placement policy may consult.

@@ -208,7 +208,7 @@ func TestParseKind(t *testing.T) {
 		want Kind
 		err  bool
 	}{
-		{"", Ring, false}, {"ring", Ring, false}, {"affinity", Affinity, false},
+		{"", Ring, false}, {"ring", Ring, false}, {"affinity", Ring, true},
 		{"spread", Spread, false}, {"raid", Ring, true},
 	} {
 		got, err := ParseKind(tc.in)

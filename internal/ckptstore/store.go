@@ -2,15 +2,11 @@ package ckptstore
 
 // The Store is one process's view of its own objects' checkpoint copies:
 // a coverage ledger mapping object name -> (checkpoint sequence, holder
-// ranks). The paper never needed this record because its placement was a
-// pure function of the name — anybody could recompute where copies
-// *should* be. Two things break that:
-//
-//   - affinity placement depends on the owner's local caching knowledge,
-//     so holder sets are no longer recomputable by other processes;
-//   - failures destroy copies, and with no record of what was lost,
-//     redundancy silently decays until the next checkpoint happens to
-//     refresh it.
+// ranks). The paper never needed this record because its placement is a
+// pure function of the name — anybody can recompute where copies *should*
+// be. But failures destroy copies, and with no record of what was lost,
+// redundancy silently decays until the next checkpoint happens to refresh
+// it.
 //
 // The ledger is owned by the object's owner, updated at checkpoint commit
 // time, invalidated when a rank's incarnation is replaced (DropRank), and
@@ -54,9 +50,6 @@ func NewStore(cfg Config) *Store {
 		ledger: make(map[uint64]Entry),
 	}
 }
-
-// Policy returns the active placement policy kind.
-func (s *Store) Policy() Kind { return s.cfg.Policy }
 
 // Want returns the number of copies a fully covered object has:
 // min(Degree, N-1).

@@ -68,8 +68,8 @@ type Config struct {
 	Policy ft.Policy
 	// Degree is the replication degree (default 1).
 	Degree int
-	// Placement selects the checkpoint-copy placement policy (ring,
-	// affinity, spread); see internal/ckptstore.
+	// Placement selects the checkpoint-copy placement policy (ring, the
+	// default, or spread); see internal/ckptstore.
 	Placement ckptstore.Kind
 	// EagerFree disables the §4.3 lazy-free protocol (ablation).
 	EagerFree bool

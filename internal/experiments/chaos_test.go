@@ -46,7 +46,7 @@ func chaosSeed(t *testing.T) uint64 {
 
 // chaosPlacement returns the checkpoint placement policy for the sweep,
 // overridable for CI's (seed, placement) matrix via SAMFT_PLACEMENT
-// (ring, affinity, spread).
+// (ring or spread).
 func chaosPlacement(t *testing.T) ckptstore.Kind {
 	k, err := ckptstore.ParseKind(os.Getenv("SAMFT_PLACEMENT"))
 	if err != nil {
@@ -110,16 +110,10 @@ func TestChaosGPS(t *testing.T)    { runChaosSweep(t, "gps") }
 func TestChaosWater(t *testing.T)  { runChaosSweep(t, "water") }
 func TestChaosBarnes(t *testing.T) { runChaosSweep(t, "barnes") }
 
-// The non-default placement policies get a dedicated (shorter) sweep each
-// so every local run covers them even when SAMFT_PLACEMENT is unset; CI's
+// The non-default placement policy gets a dedicated (shorter) sweep so
+// every local run covers it even when SAMFT_PLACEMENT is unset; CI's
 // (seed, placement) matrix additionally runs the full per-app sweeps under
 // each policy.
-func TestChaosPlacementAffinity(t *testing.T) {
-	f := fleet("gps", 0)
-	f.FT.Placement = "affinity"
-	runChaosSweepSpec(t, scenario.ChaosSpec{Fleet: f, Seed: chaosSeed(t), Schedules: 8})
-}
-
 func TestChaosPlacementSpread(t *testing.T) {
 	f := fleet("gps", 0)
 	f.FT.Placement = "spread"

@@ -92,8 +92,8 @@ type Spec struct {
 	// HostSlowdown scales rank r's modeled compute costs by HostSlowdown[r]
 	// (> 1 = slower workstation); see cluster.Config.HostSlowdown.
 	HostSlowdown []float64
-	// Placement selects the checkpoint-copy placement policy (ring,
-	// affinity, spread); see internal/ckptstore.
+	// Placement selects the checkpoint-copy placement policy (ring, the
+	// default, or spread); see internal/ckptstore.
 	Placement ckptstore.Kind
 	// Tracer, when non-nil, records the run's virtual-time event timeline
 	// (see internal/trace); analyze it after Run returns.

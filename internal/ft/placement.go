@@ -34,7 +34,7 @@ func HomeRank(name uint64, n int) int {
 }
 
 // Checkpoint-copy placement moved to internal/ckptstore, which owns the
-// policy choice (ring/affinity/spread), the coverage ledger, and repair;
+// policy choice (ring or spread), the coverage ledger, and repair;
 // its ring policy is bit-compatible with the rule that used to live here.
 
 // PrivateStateRanks returns the degree ranks that hold copies of rank's

@@ -66,14 +66,8 @@ type PrivateState struct {
 	// StepsDone is the application step counter at the checkpoint
 	// boundary; recovery resumes execution at step StepsDone+1.
 	StepsDone int64
-	// ReqSeq is the process's request-sequence counter, restored so that a
-	// replayed step issues protocol requests with the same identifiers.
-	ReqSeq uint64
 	// AppState is the packed application snapshot (a codec frame).
 	AppState []byte
-	// InUse lists names the application held accessor pointers to at the
-	// boundary; their owners must resupply them during recovery.
-	InUse []uint64
 	// Owned is the metadata for every object whose main copy is here.
 	Owned []ObjectMeta
 	// T, C, D are the virtual-time vectors of §4.3.

@@ -353,12 +353,13 @@ func (p *Proc) onAccData(w *wire) {
 		// before activating it, the entry is in doubt until the home
 		// settles it: dropProvisionalFrom), and that transaction also places
 		// fresh checkpoint copies of this object under our ownership,
-		// stamped with the sender's sequence number. Adopt them as our
-		// backing checkpoint: bookkeeping left over from an earlier
-		// ownership epoch names copies that are gone or stale, and would
-		// poison the recovery re-supply path and free accounting.
+		// stamped with the sender's sequence number, where our own
+		// placement puts them. Adopt them as our backing checkpoint:
+		// bookkeeping left over from an earlier ownership epoch names
+		// copies that are gone or stale, and would poison the recovery
+		// re-supply path and free accounting.
 		o.setCommitted(w.Seq, w.Body)
-		p.store.Record(uint64(name), w.Seq, w.Holders)
+		p.store.Record(uint64(name), w.Seq, p.store.Plan(uint64(name), p.cfg.Rank))
 	}
 	p.arrived(o, w)
 	// Grants stashed while we were not the owner become a pending move now;

@@ -36,10 +36,6 @@ type ckptTx struct {
 	// deferred to commit so an aborted transaction never drops the only
 	// backup of an object.
 	staleFrees []txPiece
-	// migrHolders are the ledger entries for objects migrating in this
-	// transaction: the copies were placed for the new owner, so the
-	// holder set rides the kAccData wire instead of our ledger.
-	migrHolders map[Name][]int
 	// forced marks a transaction performed in response to a
 	// force-checkpoint message.
 	forced bool
@@ -178,13 +174,12 @@ func (p *Proc) sendCovered() {
 func (p *Proc) startTx() {
 	seq := p.clocks.BeginCheckpoint()
 	tx := &ckptTx{
-		seq:         seq,
-		dirtyAt:     make(map[Name]int64),
-		migrHolders: make(map[Name][]int),
-		forced:      p.pendingForced,
-		logLen:      len(p.stepLog),
-		step:        p.stepsDone,
-		release:     p.heldCmd != nil && p.heldCmd.op == opReleaseAccum,
+		seq:     seq,
+		dirtyAt: make(map[Name]int64),
+		forced:  p.pendingForced,
+		logLen:  len(p.stepLog),
+		step:    p.stepsDone,
+		release: p.heldCmd != nil && p.heldCmd.op == opReleaseAccum,
 	}
 	p.pendingForced = false
 	p.tx = tx
@@ -262,11 +257,9 @@ func (p *Proc) startTx() {
 				tx.staleFrees = append(tx.staleFrees, txPiece{rank: old, w: &wire{Kind: kFreeCkpt, Name: uint64(o.name), Seq: seq}})
 			}
 		}
-		if isMigrating {
-			// The ledger entry travels to the new owner on the kAccData
-			// wire (step 4); ours is dropped when the migration commits.
-			tx.migrHolders[o.name] = holders
-		} else {
+		if !isMigrating {
+			// A migrating object's new owner ledgers the same placement
+			// itself (onAccData); ours is dropped when the migration commits.
 			p.store.Record(uint64(o.name), seq, holders)
 		}
 		tx.dirtyAt[o.name] = o.dirtySeq

@@ -1,11 +1,10 @@
 package sam
 
 // Glue between the SAM runtime and the internal/ckptstore subsystem: the
-// owner-side view feeding the affinity policy, the ledger record rebuilt
-// from recovery contributions, and the proactive coverage-repair pass that
-// re-replicates checkpoint copies destroyed by failures (instead of letting
-// redundancy decay until the next checkpoint refreshes it, as the paper's
-// fixed placement did).
+// ledger record rebuilt from recovery contributions, and the proactive
+// coverage-repair pass that re-replicates checkpoint copies destroyed by
+// failures (instead of letting redundancy decay until the next checkpoint
+// refreshes it, as the paper's fixed placement did).
 
 import (
 	"fmt"
@@ -14,16 +13,6 @@ import (
 	"samft/internal/ft"
 	"samft/internal/trace"
 )
-
-// cachedRanks is the ckptstore View callback: ranks this owner has sent
-// the named object's contents to. Runs on the runtime goroutine only (the
-// store is runtime-goroutine state).
-func (p *Proc) cachedRanks(name uint64) []int {
-	if o := p.objs[Name(name)]; o != nil {
-		return sortedKeys(o.sentTo)
-	}
-	return nil
-}
 
 // ckptImage returns the committed checkpoint frame of an owned object for
 // out-of-transaction re-replication: the frozen accumulator image, or a
@@ -119,14 +108,14 @@ func (p *Proc) repairCoverage() {
 // sendCkptCopies is the one place a checkpoint copy leaves its owner: it
 // sends body — o's committed image — to each holder. While startTx plans a
 // transaction the copies join tx as pieces, inactive when the contents are
-// nonreproducible, and the caller ledgers them under owner (the migration
-// target when o is changing hands). With tx nil they repair the committed
-// image: sent now, committed on arrival, ledgered here as they go.
+// nonreproducible, and the caller ledgers them, unless o is changing hands
+// and the copies name owner, the migration target, which ledgers them
+// itself. With tx nil they repair the committed image: sent now, committed
+// on arrival, ledgered here as they go.
 func (p *Proc) sendCkptCopies(o *object, body []byte, holders []int, owner int, tx *ckptTx) {
 	for _, r := range holders {
 		img := o.committed
 		img.owner, img.body = owner, body
-		o.noteSentTo(r) // the copy doubles as a cached frame there
 		w := img.wire(kCkptCopy)
 		if tx != nil {
 			w.Inactive = o.nonrepro

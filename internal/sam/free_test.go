@@ -1,0 +1,88 @@
+package sam
+
+// White-box tests for FreeValue, the explicit free of a value created with
+// Unlimited accesses (§4.3).
+
+import (
+	"slices"
+	"testing"
+
+	"samft/internal/ft"
+)
+
+// TestFreeValueReclaimsOnceCovered: a value its owner frees stays until
+// the owner and every other process have checkpointed past the free; then
+// it is reclaimed and its copy holder is told to drop the copy placed by
+// the checkpoint that covered it.
+func TestFreeValueReclaimsOnceCovered(t *testing.T) {
+	const holder = 2
+	p, tasks := txProc(t)
+	v := nameFor(t, p, 0, 0, holder)
+	createValue(t, p, v, 7)
+	checkpoint := func() {
+		t.Helper()
+		p.addTrigger(trigger{kind: 0})
+		open(p)
+		if ackAll(p, drain(t, tasks)) == 0 || p.tx != nil {
+			t.Fatal("setup: the checkpoint did not commit")
+		}
+		drain(t, tasks) // the activations
+	}
+	checkpoint()
+	placed := p.objs[v].committed.seq
+	if got := p.store.HolderRanks(uint64(v)); placed == 0 || !slices.Equal(got, []int{holder}) {
+		t.Fatalf("setup: copy of seq %d ledgered at %v, want a committed copy at [%d]", placed, got, holder)
+	}
+
+	if r, _ := done(appCmd(p, &cmd{op: opFreeValue, name: v})); r.err != nil {
+		t.Fatalf("FreeValue by the owner: %v", r.err)
+	}
+	f := p.objs[v].freeableAt
+	checkpoint()
+	if p.objs[v] == nil {
+		t.Fatal("reclaimed before the other processes checkpointed past the free")
+	}
+	// Each other process acknowledges a checkpoint taken knowing time f: its
+	// stamp carries c_{j,0} = f.
+	for j := 1; j < p.cfg.N; j++ {
+		if p.objs[v] == nil {
+			t.Fatalf("reclaimed with rank %d still behind the free", j)
+		}
+		p.dispatch(&wire{Kind: kForceAck, SrcRank: j, HasStamp: true, StampC: f})
+	}
+	if p.objs[v] != nil {
+		t.Fatal("not reclaimed once every process checkpointed past the free")
+	}
+	if _, ok := p.store.Lookup(uint64(v)); ok {
+		t.Error("the reclaimed value is still ledgered")
+	}
+	var frees []sent
+	for _, s := range drain(t, tasks) {
+		if s.Kind == kFreeCkpt {
+			frees = append(frees, s)
+		}
+	}
+	if len(frees) != 1 || frees[0].to != holder || Name(frees[0].Name) != v || frees[0].Seq != placed {
+		t.Fatalf("copy frees %+v, want one kFreeCkpt of %v seq %d to rank %d", frees, v, placed, holder)
+	}
+}
+
+// TestFreeValueByANonOwnerFails: only the owner of a value may free it; a
+// process holding a cached version gets an error and keeps the version.
+func TestFreeValueByANonOwnerFails(t *testing.T) {
+	p, _ := testProc(t, 0, 3, false)
+	cached := nameHomedAt(t, 3, 1)
+	p.dispatch(&wire{
+		Kind: kObjData, SrcRank: 1, Name: uint64(cached), Body: packPayload(t, 9),
+		Meta: ft.ObjectMeta{Kind: uint8(ft.KindValue)}, HasMeta: true,
+	})
+	for _, name := range []Name{cached, nameHomedAt(t, 3, 2)} {
+		r, ok := done(appCmd(p, &cmd{op: opFreeValue, name: name}))
+		if !ok || r.err == nil {
+			t.Errorf("FreeValue(%v) by a non-owner: done=%v err=%v, want an error", name, ok, r.err)
+		}
+	}
+	if o := p.objs[cached]; o == nil || o.freeable || !o.usable() {
+		t.Error("a failed FreeValue changed the cached version")
+	}
+}

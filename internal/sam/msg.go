@@ -13,8 +13,8 @@ const TagSAM = pvm.TagUserBase + 1
 
 // Message kinds. One wire struct carries every kind and unused fields stay
 // at their zero values — but they are still encoded: the codec writes ints
-// at fixed width, so every frame carries the whole struct (160 bytes packed
-// for the smallest control message, 184 with a one-entry stamp;
+// at fixed width, so every frame carries the whole struct (159 bytes packed
+// for the smallest control message, 183 with a one-entry stamp;
 // TestFrameSizes pins both). Renumbering
 // kinds therefore never moves a frame size.
 //
@@ -133,11 +133,6 @@ type wire struct {
 	// Fresh marks a kRecoverPriv that carries no state: the failed rank
 	// had never checkpointed and must restart from Init.
 	Fresh bool
-	// Holders carries a coverage-ledger entry on kAccData migrations: the
-	// ranks the sender placed checkpoint copies on for the new owner.
-	// Affinity placement is not recomputable by the receiver, so the
-	// holder set must travel with the ownership transfer.
-	Holders []int
 	// Stamp piggyback (§4.3), delta-encoded (ft.DeltaStamp). HasStamp
 	// gates absorption: a stamp may legitimately carry no entries (nothing
 	// changed since the last message to this destination). StampT is the

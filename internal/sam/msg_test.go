@@ -61,8 +61,8 @@ func TestFrameSizes(t *testing.T) {
 		w    *wire
 		want int
 	}{
-		{"bare control frame", &wire{Kind: kCkptAck, Seq: 7, Target: 1}, 160},
-		{"one-entry stamp", &wire{Kind: kCkptAck, Seq: 7, Target: 1, HasStamp: true, StampIdx: []int64{2}, StampVal: []int64{9}, StampC: 3}, 184},
+		{"bare control frame", &wire{Kind: kCkptAck, Seq: 7, Target: 1}, 159},
+		{"one-entry stamp", &wire{Kind: kCkptAck, Seq: 7, Target: 1, HasStamp: true, StampIdx: []int64{2}, StampVal: []int64{9}, StampC: 3}, 183},
 	} {
 		b, err := codec.Pack(tc.w)
 		if err != nil {

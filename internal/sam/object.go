@@ -119,15 +119,6 @@ type object struct {
 	// are repacked on demand, so theirs stays nil.
 	committed image
 
-	// sentTo records ranks this owner has sent the object's contents to
-	// (read replies, pushes, full checkpoint copies). The
-	// ckptstore affinity policy prefers these ranks as copy holders: they
-	// already spend cache memory on the object, and a holder that is also
-	// a consumer can serve reads after a recovery. Where the newest
-	// checkpoint copies actually live is the ckptstore ledger's job, not
-	// this object's.
-	sentTo map[int]bool
-
 	// packCache is the version-keyed snapshot cache: the packed frame of
 	// data as of mutation sequence packCacheSeq. While the object is
 	// unmutated (dirtySeq unchanged), checkpoint copies, fetch replies, and
@@ -147,15 +138,6 @@ func (o *object) usable() bool { return o.state == stPresent && o.data != nil }
 // sender died before activating it (dropProvisionalFrom): whether that
 // transaction committed is the home's to say.
 func (o *object) inDoubt() bool { return o.state == stInactive && o.awaits.from < 0 }
-
-// noteSentTo records that rank received this object's contents, feeding
-// the affinity placement policy. Only the owner's record matters.
-func (o *object) noteSentTo(rank int) {
-	if o.sentTo == nil {
-		o.sentTo = make(map[int]bool)
-	}
-	o.sentTo[rank] = true
-}
 
 // invalidatePackCache drops the cached packed frame. Callers invoke it
 // when the object's contents are replaced (rather than mutated under

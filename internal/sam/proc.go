@@ -158,7 +158,6 @@ func NewProc(task *pvm.Task, cfg Config) *Proc {
 		N:      cfg.N,
 		Degree: cfg.Degree,
 		Policy: cfg.Placement,
-		View:   ckptstore.View{N: cfg.N, CachedAt: p.cachedRanks},
 	})
 	if cfg.Recovering {
 		p.inc = newIncarnation()

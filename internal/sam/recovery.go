@@ -358,8 +358,8 @@ func (p *Proc) contributeRecovery(rank int) {
 			// Directory information homed at the failed process — not for a
 			// migration in doubt, which may not have committed. (Main
 			// copies whose checkpoint copies died with it are re-supplied
-			// by the ledger-driven repair pass below, which also covers
-			// non-ring placements the old recomputation could not name.)
+			// by the ledger-driven repair pass below, from the holders that
+			// actually exist rather than a recomputed placement.)
 			p.send(rank, &wire{Kind: kDirReport, Name: uint64(o.name)})
 		}
 		// As a previous holder of an accumulator whose last outbound
@@ -408,7 +408,7 @@ func (p *Proc) contributeRecovery(rank int) {
 	// Proactively restore coverage for our own objects whose copies died
 	// with the failed incarnation (queued by installNewIncarnation's
 	// ledger DropRank). The repair copies may target the restarted rank
-	// or, under affinity/spread placement, any other live rank.
+	// or, under spread placement, any other live rank.
 	p.repairCoverage()
 
 	// Everything this survivor contributes has been sent; the new process

@@ -693,9 +693,12 @@ func TestProvisionalMainCopyIsNotRepaired(t *testing.T) {
 	const target, sender, holder = 2, 3, 1
 	p, tasks := testProc(t, target, 4, false)
 	name := nameHomedAt(t, 4, 0)
+	if !slices.Contains(p.store.Plan(uint64(name), target), holder) {
+		t.Fatalf("rank %d holds no copy of %v placed for rank %d", holder, name, target)
+	}
 	p.dispatch(&wire{
 		Kind: kAccData, SrcRank: sender, Name: uint64(name), Target: target, Body: packPayload(t, 7),
-		Inactive: true, Seq: 5, Piece: 0, HasMeta: true, Holders: []int{holder},
+		Inactive: true, Seq: 5, Piece: 0, HasMeta: true,
 		Meta: ft.ObjectMeta{Name: uint64(name), Kind: uint8(ft.KindAccum), Nonreproducible: true, Version: 3},
 	})
 	block := make(chan struct{})

@@ -70,7 +70,7 @@ type Config struct {
 	// of simultaneous host failures that remain recoverable.
 	Degree int
 	// Placement selects the ckptstore checkpoint-copy placement policy
-	// (ring, the paper's rule and the default; affinity; spread).
+	// (ring, the paper's rule and the default; or spread).
 	Placement ckptstore.Kind
 	// EagerFree replaces the §4.3 virtual-time protocol for freeing main
 	// copies with an eager round-trip to all processes on every free — the

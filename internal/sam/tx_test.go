@@ -501,3 +501,31 @@ func TestTxLoopbackAckCannotCommitEarly(t *testing.T) {
 		t.Fatalf("after the commit: isMain=%v copy=%+v, want the new owner's copy held here", o.isMain, o.copy)
 	}
 }
+
+// TestTxNewOwnerLedgersTheCopiesPlacedForIt: a migrating accumulator's
+// checkpoint copies are placed for the new owner, and nothing but the
+// placement rule says where they went. The new owner, given the contents,
+// ledgers exactly the ranks the old owner's transaction sent copies to.
+func TestTxNewOwnerLedgersTheCopiesPlacedForIt(t *testing.T) {
+	const target, holder = 2, 4
+	p, tasks := txProc(t)
+	acc, pieces := migrate(t, p, tasks, holder, &recoveryPayload{X: 7})
+	var copies []int
+	var data *wire
+	for _, f := range pieces {
+		switch {
+		case f.Kind == kCkptCopy && Name(f.Name) == acc:
+			copies = append(copies, f.to)
+		case f.Kind == kAccData && f.to == target:
+			data = f.wire
+		}
+	}
+	if data == nil || !slices.Equal(copies, []int{holder}) {
+		t.Fatalf("setup: contents sent = %v, copies sent to %v, want the contents and one copy at %d", data != nil, copies, holder)
+	}
+	q, _ := testProcCfg(t, 5, Config{Rank: target, Policy: ft.PolicySAM, Degree: 1})
+	q.dispatch(data)
+	if e, ok := q.store.Lookup(uint64(acc)); !ok || e.Seq != data.Seq || !slices.Equal(e.Holders, copies) {
+		t.Fatalf("the new owner ledgered %+v (found %v), want seq %d held at %v", e, ok, data.Seq, copies)
+	}
+}

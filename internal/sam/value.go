@@ -244,8 +244,6 @@ func (p *Proc) sendObject(o *object, kind, rank int, tx *ckptTx) {
 		// An accumulator checkpointed in this transaction travels as the
 		// image steps 2–3 just replicated (nil when fault tolerance is off).
 		w.Body = o.committed.body
-	} else {
-		o.noteSentTo(rank)
 	}
 	if w.Body == nil {
 		w.Body = p.packObject(o)
@@ -265,7 +263,6 @@ func (p *Proc) sendObject(o *object, kind, rank int, tx *ckptTx) {
 	w.Inactive, w.Seq = true, tx.seq
 	if migration {
 		// Ownership commits with the transaction (commitTx hands off).
-		w.Holders = tx.migrHolders[o.name]
 		o.pendingMove = rank // block further local locks until commit
 	}
 	tx.add(rank, w)

@@ -49,33 +49,39 @@ func TestChaosScenariosLoadStrict(t *testing.T) {
 }
 
 // TestChaosGoldenOpenSchedules pins the generator — what (seed, app, index)
-// means — on the two schedules ROADMAP's ownership-race item starts from:
+// means — on the schedules ROADMAP's ownership-race item starts from:
 // scenarios/open/ holds, as files `samrun run` replays, exactly what the
-// Water sweep generates at seed 1 for indices 11 and 13 (each hangs about
-// once in 40 runs; LoadDir does not recurse, so the campaign skips them).
+// Water sweep generates at each (seed, index) below (LoadDir does not
+// recurse, so the campaign skips them; scenarios/README.md gives how often
+// each goes red).
 func TestChaosGoldenOpenSchedules(t *testing.T) {
-	set := ChaosSpec{
-		Fleet: Fleet{Procs: 4, App: "water", FT: FT{Policy: "sam", Degree: 2, Placement: "ring"}},
-		Seed:  1, Jitter: true, NotifyChaos: true,
-	}.Scenarios()
-	for i, schedule := range map[int]string{
-		11: "kill 2 at step 2, kill 3 during recovery of 2",
-		13: "kill 2 at step 1, kill 2 during recovery of 2",
+	for _, tc := range []struct {
+		seed     uint64
+		i        int
+		schedule string
+	}{
+		{1, 11, "kill 2 at step 2, kill 3 during recovery of 2"},
+		{1, 13, "kill 2 at step 1, kill 2 during recovery of 2"},
+		{46, 19, "kill 1 at step 1, kill 2 during recovery of 1"},
 	} {
-		if set[i].Description != schedule {
-			t.Errorf("schedule %d is %q, want %q", i, set[i].Description, schedule)
+		set := ChaosSpec{
+			Fleet: Fleet{Procs: 4, App: "water", FT: FT{Policy: "sam", Degree: 2, Placement: "ring"}},
+			Seed:  tc.seed, Jitter: true, NotifyChaos: true,
+		}.Scenarios()
+		if set[tc.i].Description != tc.schedule {
+			t.Errorf("schedule %d is %q, want %q", tc.i, set[tc.i].Description, tc.schedule)
 		}
-		path := filepath.Join("..", "..", "scenarios", "open", strings.ToLower(set[i].Name)+".json")
+		path := filepath.Join("..", "..", "scenarios", "open", strings.ToLower(set[tc.i].Name)+".json")
 		want, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := encode(set[i])
+		got, err := encode(set[tc.i])
 		if err != nil {
 			t.Fatal(err)
 		}
 		if string(got) != string(want) {
-			t.Errorf("%s is not what the generator emits for schedule %d:\n%s", path, i, got)
+			t.Errorf("%s is not what the generator emits for seed %d schedule %d:\n%s", path, tc.seed, tc.i, got)
 		}
 		if _, err := Load(want, path); err != nil {
 			t.Errorf("golden file does not load: %v", err)

@@ -109,7 +109,7 @@ var (
 		"": ft.PolicySAM, "sam": ft.PolicySAM, "naive": ft.PolicyNaive, "off": ft.PolicyOff,
 	}
 	placements = map[string]ckptstore.Kind{
-		"": ckptstore.Ring, "ring": ckptstore.Ring, "affinity": ckptstore.Affinity, "spread": ckptstore.Spread,
+		"": ckptstore.Ring, "ring": ckptstore.Ring, "spread": ckptstore.Spread,
 	}
 )
 

@@ -30,6 +30,8 @@ func TestGoldenErrors(t *testing.T) {
 		{"bad-unknown-field.json", `"frobnicate"`, true, "frobnicate", `unknown field "frobnicate"`},
 		{"bad-type.json", `"four"`, true, "fleet.procs", "cannot unmarshal string"},
 		{"bad-enum.json", `"fortran"`, true, "fleet.app", `unknown app "fortran"`},
+		// Affinity placement is gone: only ring and spread place copies.
+		{"bad-placement.json", `"affinity"`, true, "fleet.ft.placement", `unknown placement "affinity" (want "ring" or "spread")`},
 		{"bad-rank.json", `9`, true, "events[0].kill.rank", "rank 9 out of range [0,4)"},
 		// Erasure-coded copies are gone from the schema: a leftover ec
 		// block is an unknown field, not a silently ignored setting.
@@ -100,7 +102,7 @@ func TestLoadLibrary(t *testing.T) {
 func randScenario(r *xrand.Rand, i int) *Scenario {
 	apps := []string{"gps", "water", "barnes"}
 	scales := []string{"", "small", "paper"}
-	placements := []string{"", "ring", "affinity", "spread"}
+	placements := []string{"", "ring", "spread"}
 	n := 2 + r.Intn(7)
 	s := &Scenario{
 		Name: fmt.Sprintf("random-%d", i),

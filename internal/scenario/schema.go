@@ -33,8 +33,8 @@ type FT struct {
 	Policy string `json:"policy,omitempty"`
 	// Degree is the replication degree (default 2).
 	Degree int `json:"degree,omitempty"`
-	// Placement is the checkpoint-copy placement policy: "ring" (default),
-	// "affinity", or "spread".
+	// Placement is the checkpoint-copy placement policy: "ring" (default)
+	// or "spread".
 	Placement string `json:"placement,omitempty"`
 }
 

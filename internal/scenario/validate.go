@@ -42,7 +42,7 @@ func validate(s *Scenario, idx *posIndex) ErrorList {
 		add("fleet.ft.degree", "degree must be >= 0 (got %d)", s.Fleet.FT.Degree)
 	}
 	if _, ok := placements[s.Fleet.FT.Placement]; !ok {
-		add("fleet.ft.placement", `unknown placement %q (want "ring", "affinity", or "spread")`, s.Fleet.FT.Placement)
+		add("fleet.ft.placement", `unknown placement %q (want "ring" or "spread")`, s.Fleet.FT.Placement)
 	}
 
 	errs = append(errs, validateEvents(s, idx, n)...)
