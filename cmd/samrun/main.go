@@ -5,12 +5,14 @@
 //	samrun run scenario.json        execute one declarative scenario
 //	samrun validate a.json b.json   check scenario files, print positioned errors
 //	samrun campaign scenarios/      run every scenario in a directory
+//	samrun paper -exp gps           regenerate the paper's figures and ablations
 //
 // An ad-hoc run is a scenario file: scenarios/single-kill-water.json is
 // the one-kill Water run to copy and edit.
 //
-// Exit status: 0 success; 1 a scenario failed its assertions or the run
-// errored; 2 bad usage (unknown subcommand, malformed scenario file).
+// Exit status: 0 success; 1 a scenario failed its assertions or a run
+// errored; 2 bad usage (unknown subcommand or experiment, bad flag,
+// malformed scenario file).
 package main
 
 import (
@@ -24,8 +26,8 @@ import (
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// run dispatches on the subcommand; stdout/stderr receive only the
-// dispatcher's own output (usage, unknown-subcommand errors).
+// run dispatches on the subcommand: results on stdout, diagnostics on
+// stderr, and the exit status.
 func run(args []string, stdout, stderr io.Writer) int {
 	if len(args) == 0 {
 		usage(stderr)
@@ -33,11 +35,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	switch cmd, rest := args[0], args[1:]; cmd {
 	case "run":
-		return runScenarios(rest, false)
+		return runScenarios(rest, false, stdout, stderr)
 	case "campaign":
-		return runScenarios(rest, true)
+		return runScenarios(rest, true, stdout, stderr)
 	case "validate":
-		return runValidate(rest)
+		return runValidate(rest, stdout, stderr)
+	case "paper":
+		return runPaper(rest, stdout, stderr)
 	case "help", "-h", "-help", "--help":
 		usage(stdout)
 		return 0
@@ -53,6 +57,8 @@ func usage(w io.Writer) {
   samrun run <scenario.json> [...]     execute scenario files
   samrun validate <scenario.json> [...]  check files without running
   samrun campaign <dir>                run every *.json scenario in dir
+  samrun paper [-exp NAME] [-scale small|paper] [-procs 1,2,4,8]
+                                       regenerate the paper's figures and ablations
 
 An ad-hoc run is a scenario file; copy scenarios/single-kill-water.json.
 
@@ -65,19 +71,19 @@ run/campaign flags:
 }
 
 // runValidate loads each file and prints every positioned diagnostic.
-func runValidate(args []string) int {
+func runValidate(args []string, stdout, stderr io.Writer) int {
 	if len(args) == 0 {
-		fmt.Fprintln(os.Stderr, "samrun validate: no scenario files given")
+		fmt.Fprintln(stderr, "samrun validate: no scenario files given")
 		return 2
 	}
 	bad := 0
 	for _, path := range args {
 		if _, err := scenario.LoadFile(path); err != nil {
 			bad++
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			continue
 		}
-		fmt.Printf("ok   %s\n", path)
+		fmt.Fprintf(stdout, "ok   %s\n", path)
 	}
 	if bad > 0 {
 		return 2
@@ -87,12 +93,13 @@ func runValidate(args []string) int {
 
 // runScenarios executes scenario files ("run") or a directory of them
 // ("campaign") and reports each outcome.
-func runScenarios(args []string, campaign bool) int {
+func runScenarios(args []string, campaign bool, stdout, stderr io.Writer) int {
 	name := "run"
 	if campaign {
 		name = "campaign"
 	}
 	fs := flag.NewFlagSet("samrun "+name, flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	traceDir := fs.String("trace-dir", "", "dump every run's trace under this directory (not just failing runs)")
 	verbose := fs.Bool("v", false, "print each run's stats line, and trace locations for passing runs too")
 	if err := fs.Parse(args); err != nil {
@@ -100,7 +107,7 @@ func runScenarios(args []string, campaign bool) int {
 	}
 	args = fs.Args()
 	if len(args) == 0 {
-		fmt.Fprintf(os.Stderr, "samrun %s: no scenario %s given\n", name, map[bool]string{true: "directory", false: "files"}[campaign])
+		fmt.Fprintf(stderr, "samrun %s: no scenario %s given\n", name, map[bool]string{true: "directory", false: "files"}[campaign])
 		return 2
 	}
 
@@ -108,13 +115,13 @@ func runScenarios(args []string, campaign bool) int {
 	bad := 0
 	if campaign {
 		if len(args) != 1 {
-			fmt.Fprintln(os.Stderr, "samrun campaign: want exactly one scenario directory")
+			fmt.Fprintln(stderr, "samrun campaign: want exactly one scenario directory")
 			return 2
 		}
 		scenarios, paths, errs := scenario.LoadDir(args[0])
 		for _, err := range errs {
 			bad++
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 		}
 		for i, s := range scenarios {
 			compiled = append(compiled, scenario.Compile(s, paths[i]))
@@ -124,7 +131,7 @@ func runScenarios(args []string, campaign bool) int {
 			s, err := scenario.LoadFile(path)
 			if err != nil {
 				bad++
-				fmt.Fprintln(os.Stderr, err)
+				fmt.Fprintln(stderr, err)
 				continue
 			}
 			compiled = append(compiled, scenario.Compile(s, path))
@@ -136,17 +143,17 @@ func runScenarios(args []string, campaign bool) int {
 
 	outs, err := scenario.RunSet(compiled, *traceDir)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "samrun:", err)
+		fmt.Fprintln(stderr, "samrun:", err)
 		return 1
 	}
 	failed := 0
 	for _, o := range outs {
-		o.Print(os.Stdout, *verbose)
+		o.Print(stdout, *verbose)
 		if o.Failed() {
 			failed++
 		}
 	}
-	fmt.Printf("%d scenarios, %d failed\n", len(outs), failed)
+	fmt.Fprintf(stdout, "%d scenarios, %d failed\n", len(outs), failed)
 	if failed > 0 {
 		return 1
 	}

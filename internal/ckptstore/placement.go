@@ -1,8 +1,9 @@
 // Package ckptstore is the replicated in-memory checkpoint store: it owns
-// where checkpoint copies of shared objects are placed, tracks which ranks
-// actually hold which copies (the coverage ledger), and plans the repair
-// traffic that restores full redundancy after failures instead of letting
-// coverage decay until the next checkpoint.
+// every placement rule (HomeRank, PrivateStateRanks, and where checkpoint
+// copies of shared objects go), tracks which ranks actually hold which
+// copies (the coverage ledger), and plans the repair traffic that restores
+// full redundancy after failures instead of letting coverage decay until
+// the next checkpoint.
 //
 // The paper places copies with a fixed shifted-ring rule computed from the
 // object name, which makes placement a pure function every process can
@@ -54,8 +55,9 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// ParseKind parses a placement policy name as accepted by the
-// `ftbench -placement` flag. The empty string means Ring.
+// ParseKind parses a placement policy name as $SAMFT_PLACEMENT gives it to
+// the chaos sweeps (the names a scenario's ft.placement takes). The empty
+// string means Ring.
 func ParseKind(s string) (Kind, error) {
 	switch s {
 	case "", "ring":
@@ -98,9 +100,8 @@ func New(kind Kind, view View) Placement {
 	}
 }
 
-// fnv1a hashes a 64-bit name with the same constants as ft.HomeRank, kept
-// as a pure arithmetic function so placement needs no imports and the ring
-// policy stays bit-compatible with the historic ft.CheckpointRanks.
+// fnv1a is 64-bit FNV-1a over the name's little-endian bytes: HomeRank
+// hashes the name, ring and spread a mix of it.
 func fnv1a(name uint64) uint64 {
 	const (
 		offset = 14695981039346656037
@@ -114,11 +115,27 @@ func fnv1a(name uint64) uint64 {
 	return h
 }
 
-func clampDegree(n, owner, degree int) int {
-	if n-1 < degree {
-		degree = n - 1
+// HomeRank returns the rank that holds directory information for the
+// named object.
+func HomeRank(name uint64, n int) int {
+	if n <= 0 {
+		return 0
 	}
-	return degree
+	return int(fnv1a(name) % uint64(n))
+}
+
+// PrivateStateRanks returns the degree ranks that hold copies of rank's
+// private state: the next degree ranks in ring order.
+func PrivateStateRanks(rank, n, degree int) []int {
+	if n <= 1 || degree <= 0 {
+		return nil
+	}
+	degree = min(degree, n-1)
+	out := make([]int, 0, degree)
+	for i := 1; i <= degree; i++ {
+		out = append(out, (rank+i)%n)
+	}
+	return out
 }
 
 // ring is the paper's placement: hash the name to a start rank and walk
@@ -132,7 +149,7 @@ func (r ring) Holders(name uint64, owner, degree int) []int {
 	if n <= 1 || degree <= 0 {
 		return nil
 	}
-	degree = clampDegree(n, owner, degree)
+	degree = min(degree, n-1)
 	out := make([]int, 0, degree)
 	start := int(fnv1a(name^0x9e3779b97f4a7c15) % uint64(n))
 	for i := 0; len(out) < degree && i < n; i++ {
@@ -160,7 +177,7 @@ func (a affinity) Holders(name uint64, owner, degree int) []int {
 	if n <= 1 || degree <= 0 {
 		return nil
 	}
-	degree = clampDegree(n, owner, degree)
+	degree = min(degree, n-1)
 	out := make([]int, 0, degree)
 	used := make(map[int]bool, degree)
 	if a.view.CachedAt != nil {
@@ -203,7 +220,7 @@ func (s spread) Holders(name uint64, owner, degree int) []int {
 	if n <= 1 || degree <= 0 {
 		return nil
 	}
-	degree = clampDegree(n, owner, degree)
+	degree = min(degree, n-1)
 	type scored struct {
 		rank  int
 		score uint64

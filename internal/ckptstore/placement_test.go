@@ -1,6 +1,8 @@
 package ckptstore
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"testing"
 
 	"samft/internal/xrand"
@@ -215,5 +217,37 @@ func TestParseKind(t *testing.T) {
 		if (err != nil) != tc.err || got != tc.want {
 			t.Errorf("ParseKind(%q) = %v, %v; want %v, err=%v", tc.in, got, err, tc.want, tc.err)
 		}
+	}
+}
+
+// TestHomeRankIsFNV1a checks HomeRank against the reference FNV-1a
+// (hash/fnv's New64a over the name's little-endian bytes): every home
+// rank, and so every directory lookup, is that hash modulo n.
+func TestHomeRankIsFNV1a(t *testing.T) {
+	var b [8]byte
+	for name := uint64(0); name < 4096; name++ {
+		binary.LittleEndian.PutUint64(b[:], name)
+		h := fnv.New64a()
+		h.Write(b[:])
+		for _, n := range []int{1, 2, 3, 4, 5, 8, 64} {
+			if got, want := HomeRank(name, n), int(h.Sum64()%uint64(n)); got != want {
+				t.Fatalf("HomeRank(%d, %d) = %d, want %d", name, n, got, want)
+			}
+		}
+	}
+	if HomeRank(42, 0) != 0 {
+		t.Fatal("degenerate n")
+	}
+}
+
+func TestPrivateStateRanks(t *testing.T) {
+	if got := PrivateStateRanks(7, 8, 1); len(got) != 1 || got[0] != 0 {
+		t.Fatalf("ring wrap = %v", got)
+	}
+	if got := PrivateStateRanks(1, 4, 2); len(got) != 2 || got[0] != 2 || got[1] != 3 {
+		t.Fatalf("degree-2 = %v", got)
+	}
+	if got := PrivateStateRanks(0, 1, 1); got != nil {
+		t.Fatalf("n=1 = %v", got)
 	}
 }

@@ -58,8 +58,8 @@ func (s *Store) Want() int { return min(s.cfg.Degree, s.cfg.N-1) }
 // Survivable is the number of distinct ranks that may be down at once with
 // recovery still guaranteed on n ranks at the given replication degree:
 // min(degree, n-1), and never less than the one failure the paper's
-// protocol is built for. The scenario validator, the chaos generator's
-// clamp and ftbench's survivable column share it.
+// protocol is built for. The scenario validator and the chaos generator's
+// clamp share it.
 func Survivable(n, degree int) int {
 	return max(min(degree, n-1), 1)
 }

@@ -20,7 +20,7 @@ func TestStoreWant(t *testing.T) {
 }
 
 // TestSurvivableRule pins the copies a covered object wants and the one
-// failure budget the validator, the chaos clamp and ftbench share.
+// failure budget the validator and the chaos clamp share.
 func TestSurvivableRule(t *testing.T) {
 	cases := []struct{ n, degree, want, survivable int }{
 		{4, 2, 2, 2},

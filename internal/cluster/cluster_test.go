@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"samft/internal/ckptstore"
 	"samft/internal/cluster"
 	"samft/internal/codec"
 	"samft/internal/ft"
@@ -221,7 +222,7 @@ func (a *stallApp) Restore(s interface{}) { a.st = *(s.(*killTestState)) }
 // report quiescence while rank 1 sits on rank 0's registration.
 func TestQuiesceCountsUnhandledFrames(t *testing.T) {
 	name := sam.Name(1)
-	for ft.HomeRank(uint64(name), 2) != 1 {
+	for ckptstore.HomeRank(uint64(name), 2) != 1 {
 		name++
 	}
 	registered, stalled, release := make(chan struct{}), make(chan struct{}), make(chan struct{})

@@ -81,8 +81,7 @@ func runChaosSweepSpec(t *testing.T, spec scenario.ChaosSpec) {
 		spec.Schedules = 20
 		if testing.Short() {
 			// Under -short keep the fixed archetypes plus a few randomized
-			// schedules; the full 20-schedule sweep runs in CI and via
-			// `ftbench -chaos`.
+			// schedules; the full 20-schedule sweep runs without -short.
 			spec.Schedules = 6
 		}
 	}

@@ -1,12 +1,10 @@
-// Package experiments regenerates every table and figure of the paper's
-// evaluation (§5) plus the ablations listed in DESIGN.md. It is shared by
-// cmd/ftbench (human-readable output) and the repository's benchmark
-// harness.
+// Package experiments runs one configured cluster (Run) or a batch of them
+// (RunAll) and collects the metrics. The paper's figures and ablations
+// (`samrun paper`), every scenario (internal/scenario) and the
+// repository's benchmark are built on it.
 package experiments
 
 import (
-	"fmt"
-	"io"
 	"sync"
 	"time"
 
@@ -294,91 +292,4 @@ func settle(cl *cluster.Cluster, spec Spec, timeout time.Duration) ([]string, er
 		return []string{"quiesce: protocol traffic did not settle"}, nil
 	}
 	return CheckInvariants(cl.InvariantSnapshots(), spec.N, max(spec.Degree, 1)), nil
-}
-
-// FigureRow is one (procs, variant) cell of a speedup figure.
-type FigureRow struct {
-	Procs      int
-	ModeledSec float64
-	Speedup    float64
-	Report     stats.Report
-}
-
-// Figure is the reproduction of one of the paper's speedup figures: the
-// no-FT and FT curves plus the per-run statistics table.
-type Figure struct {
-	App    AppKind
-	Scale  Scale
-	NoFT   []FigureRow
-	WithFT []FigureRow
-}
-
-// RunFigure reproduces Fig 3/4/5 for the given processor counts. The
-// cells — every (policy, procs) pair — run concurrently via RunAll; the
-// rows are assembled from the ordered results afterwards, so the figure
-// is identical to a sequential sweep.
-func RunFigure(app AppKind, scale Scale, procs []int) (Figure, error) {
-	fig := Figure{App: app, Scale: scale}
-	variants := []ft.Policy{ft.PolicyOff, ft.PolicySAM}
-	specs := make([]Spec, 0, len(variants)*len(procs))
-	for _, variant := range variants {
-		for _, n := range procs {
-			specs = append(specs, Spec{App: app, N: n, Policy: variant, Scale: scale})
-		}
-	}
-	results, err := RunAll(specs)
-	if err != nil {
-		return fig, err
-	}
-	t1 := results[0].ModeledSec // first variant at the first proc count
-	for k, res := range results {
-		row := FigureRow{Procs: res.Spec.N, ModeledSec: res.ModeledSec, Report: res.Report}
-		if res.ModeledSec > 0 {
-			row.Speedup = t1 * float64(procs[0]) / res.ModeledSec
-		}
-		if k < len(procs) {
-			fig.NoFT = append(fig.NoFT, row)
-		} else {
-			fig.WithFT = append(fig.WithFT, row)
-		}
-	}
-	return fig, nil
-}
-
-// Print renders a figure in the paper's layout: speedup curves side by
-// side and the statistics rows underneath, via the shared stats.Table
-// formatter.
-func (f Figure) Print(w io.Writer) {
-	fmt.Fprintf(w, "== %s (scale=%v): speedup, no-FT vs FT ==\n", f.App, scaleName(f.Scale))
-	curves := stats.NewTable("procs", "T(noFT) s", "speedup", "T(FT) s", "speedup", "ovhd %")
-	for i := range f.NoFT {
-		a, b := f.NoFT[i], f.WithFT[i]
-		ovhd := 0.0
-		if a.ModeledSec > 0 {
-			ovhd = 100 * (b.ModeledSec - a.ModeledSec) / a.ModeledSec
-		}
-		curves.Row(a.Procs, a.ModeledSec, fmt.Sprintf("%.2f", a.Speedup),
-			b.ModeledSec, fmt.Sprintf("%.2f", b.Speedup), fmt.Sprintf("%.2f", ovhd))
-	}
-	curves.Fprint(w)
-	fmt.Fprintln(w, "-- FT statistics (paper table rows) --")
-	tbl := stats.NewTable("procs", "ckpts/proc/s", "sends-ckpt%", "force-msgs/ps", "forced/proc/s", "miss%noFT", "miss%FT")
-	for i := range f.WithFT {
-		a, b := f.NoFT[i], f.WithFT[i]
-		tbl.Row(b.Procs,
-			fmt.Sprintf("%.3f", b.Report.CheckpointsPerProcPerSec()),
-			fmt.Sprintf("%.2f", b.Report.PctSendsCausingCheckpoint()),
-			b.Report.ForceCkptMsgsPerProcPerSec(),
-			b.Report.ForcedCkptsPerProcPerSec(),
-			fmt.Sprintf("%.2f", a.Report.MissRatePct()),
-			fmt.Sprintf("%.2f", b.Report.MissRatePct()))
-	}
-	tbl.Fprint(w)
-}
-
-func scaleName(s Scale) string {
-	if s == Paper {
-		return "paper"
-	}
-	return "small"
 }

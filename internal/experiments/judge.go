@@ -8,11 +8,11 @@ import (
 )
 
 // Judge rules on one faulted run — the one pass/fail rule, whoever wrote
-// the run's description (a scenario file, the chaos generator, ftbench's
-// tables, the decay run): the answer must match the fault-free twin's bit
-// for bit (baseline nil skips the comparison), the end-state invariants
-// must hold, and the caller's own failed assertions count as problems. It
-// returns everything wrong with the run; none means green.
+// the run's description (a scenario file, the chaos generator, the decay
+// run): the answer must match the fault-free twin's bit for bit (baseline
+// nil skips the comparison), the end-state invariants must hold, and the
+// caller's own failed assertions count as problems. It returns everything
+// wrong with the run; none means green.
 func Judge(res Result, baseline *Result, assertions []string) []string {
 	var problems []string
 	if baseline != nil && math.Float64bits(res.Answer) != math.Float64bits(baseline.Answer) {

@@ -9,40 +9,9 @@ import (
 // The experiment grids (figures, ablations) are embarrassingly parallel:
 // every cell is an independent in-process simulated cluster with its own
 // PVM machine, virtual clocks, and statistics. RunAll executes a batch of
-// cells under a bounded worker pool while keeping results in spec order,
-// so callers that format tables produce byte-identical output regardless
-// of the pool size.
-
-var (
-	parMu       sync.Mutex
-	parOverride int // 0 = derive from GOMAXPROCS
-)
-
-// SetParallelism bounds the number of cluster simulations RunAll executes
-// concurrently. n <= 0 restores the default (GOMAXPROCS). Returns the
-// previous setting (0 if the default was in effect).
-func SetParallelism(n int) int {
-	parMu.Lock()
-	defer parMu.Unlock()
-	prev := parOverride
-	parOverride = max(n, 0)
-	return prev
-}
-
-// Parallelism reports the current RunAll worker-pool bound.
-func Parallelism() int {
-	parMu.Lock()
-	defer parMu.Unlock()
-	if parOverride > 0 {
-		return parOverride
-	}
-	// One simulated cluster per scheduler thread: each cell is itself
-	// many goroutines, so more workers only add memory pressure.
-	if n := runtime.GOMAXPROCS(0); n > 1 {
-		return n
-	}
-	return 1
-}
+// cells under a worker pool of GOMAXPROCS, one cluster per scheduler
+// thread, while keeping results in spec order, so callers that format
+// tables produce the same layout whatever the pool size.
 
 // RunError is one cell of a RunAll batch that errored out: its application
 // failed, or it was still running at the run timeout (hung).
@@ -60,12 +29,12 @@ func (e *RunError) Error() string {
 func (e *RunError) Unwrap() error { return e.Err }
 
 // RunAll executes every spec and returns the results in spec order. Cells
-// run concurrently up to Parallelism(); each failure is a *RunError, and the
+// run concurrently up to GOMAXPROCS; each failure is a *RunError, and the
 // first (by spec order) is returned after all cells finish.
 func RunAll(specs []Spec) ([]Result, error) {
 	results := make([]Result, len(specs))
 	errs := make([]error, len(specs))
-	sem := make(chan struct{}, Parallelism())
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	var wg sync.WaitGroup
 	for i := range specs {
 		wg.Add(1)

@@ -1,12 +1,15 @@
 package experiments
 
 import (
+	"runtime"
 	"testing"
+
+	"samft/internal/ft"
 )
 
 // TestRunAllPreservesSpecOrder runs a mixed batch under a wide pool and
-// checks every result lands at its spec's index (the property RunFigure
-// and the ftbench tables rely on for stable output).
+// checks every result lands at its spec's index (the property the
+// `samrun paper` tables rely on for stable output).
 func TestRunAllPreservesSpecOrder(t *testing.T) {
 	specs := []Spec{
 		{App: GPS, N: 2, Scale: Small},
@@ -14,8 +17,7 @@ func TestRunAllPreservesSpecOrder(t *testing.T) {
 		{App: GPS, N: 1, Scale: Small},
 		{App: Barnes, N: 2, Scale: Small},
 	}
-	prev := SetParallelism(4)
-	defer SetParallelism(prev)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	results, err := RunAll(specs)
 	if err != nil {
 		t.Fatal(err)
@@ -33,33 +35,35 @@ func TestRunAllPreservesSpecOrder(t *testing.T) {
 	}
 }
 
-// TestRunFigureParallelStructure checks that a parallel figure sweep
-// produces the same grid shape and row ordering as a sequential one.
-// Modeled times carry pre-existing run-to-run scheduling jitter, so only
-// the structure is compared.
+// TestRunFigureParallelStructure runs the small-scale GPS figure's cells
+// (no-FT then FT, each at 1 and 2 procs) one at a time and under a wide
+// pool, and checks both sweeps return every cell at its spec's index.
+// Modeled times carry run-to-run scheduling jitter, so only the structure
+// is compared.
 func TestRunFigureParallelStructure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure sweep skipped in -short mode")
 	}
-	procs := []int{1, 2}
-	prev := SetParallelism(1)
-	seq, err := RunFigure(GPS, Small, procs)
-	SetParallelism(4)
-	var par Figure
-	if err == nil {
-		par, err = RunFigure(GPS, Small, procs)
-	}
-	SetParallelism(prev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, fig := range []Figure{seq, par} {
-		if len(fig.NoFT) != len(procs) || len(fig.WithFT) != len(procs) {
-			t.Fatalf("figure has %d/%d rows, want %d each", len(fig.NoFT), len(fig.WithFT), len(procs))
+	var specs []Spec
+	for _, policy := range []ft.Policy{ft.PolicyOff, ft.PolicySAM} {
+		for _, n := range []int{1, 2} {
+			specs = append(specs, Spec{App: GPS, N: n, Policy: policy, Scale: Small})
 		}
-		for i, n := range procs {
-			if fig.NoFT[i].Procs != n || fig.WithFT[i].Procs != n {
-				t.Fatalf("row %d is for %d/%d procs, want %d", i, fig.NoFT[i].Procs, fig.WithFT[i].Procs, n)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, pool := range []int{1, 4} {
+		runtime.GOMAXPROCS(pool)
+		results, err := RunAll(specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(results) != len(specs) {
+			t.Fatalf("pool %d: %d results for %d specs", pool, len(results), len(specs))
+		}
+		for i, res := range results {
+			if res.Spec.N != specs[i].N || res.Spec.Policy != specs[i].Policy || res.ModeledSec <= 0 {
+				t.Fatalf("pool %d: result %d is %v procs policy %v (%.4f s), want spec %+v",
+					pool, i, res.Spec.N, res.Spec.Policy, res.ModeledSec, specs[i])
 			}
 		}
 	}

@@ -340,30 +340,3 @@ func TestPolicyString(t *testing.T) {
 		}
 	}
 }
-
-func TestHomeRankStableAndInRange(t *testing.T) {
-	for name := uint64(0); name < 1000; name++ {
-		r := HomeRank(name, 8)
-		if r < 0 || r >= 8 {
-			t.Fatalf("home(%d) = %d", name, r)
-		}
-		if r != HomeRank(name, 8) {
-			t.Fatal("home not deterministic")
-		}
-	}
-	if HomeRank(42, 0) != 0 {
-		t.Fatal("degenerate n")
-	}
-}
-
-func TestPrivateStateRanks(t *testing.T) {
-	if got := PrivateStateRanks(7, 8, 1); len(got) != 1 || got[0] != 0 {
-		t.Fatalf("ring wrap = %v", got)
-	}
-	if got := PrivateStateRanks(1, 4, 2); len(got) != 2 || got[0] != 2 || got[1] != 3 {
-		t.Fatalf("degree-2 = %v", got)
-	}
-	if got := PrivateStateRanks(0, 1, 1); got != nil {
-		t.Fatalf("n=1 = %v", got)
-	}
-}

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strings"
 
+	"samft/internal/ckptstore"
 	"samft/internal/codec"
 	"samft/internal/ft"
 	"samft/internal/trace"
@@ -223,7 +224,7 @@ func (p *Proc) startTx() {
 	tx.priv = privImage{seq: seq, body: body}
 	p.task.Charge(float64(len(body)) / packBytesPerUS)
 	p.st.PrivBytes.Add(int64(len(body)))
-	for _, r := range ft.PrivateStateRanks(p.cfg.Rank, p.cfg.N, p.cfg.Degree) {
+	for _, r := range ckptstore.PrivateStateRanks(p.cfg.Rank, p.cfg.N, p.cfg.Degree) {
 		tx.add(r, &wire{Kind: kCkptPriv, Body: body, Seq: seq, Inactive: true})
 	}
 

@@ -13,6 +13,7 @@ import (
 	"reflect"
 	"testing"
 
+	"samft/internal/ckptstore"
 	"samft/internal/codec"
 	"samft/internal/ft"
 	"samft/internal/pvm"
@@ -275,7 +276,7 @@ func TestPushAfterReclaimIsNoOp(t *testing.T) {
 	// Cache pressure: a backlog's worth of younger exhausted values.
 	for a, made := 0, 0; made < maxFreeBacklog; a++ {
 		filler := MkName(8, a, 0)
-		if ft.HomeRank(uint64(filler), 3) != 0 {
+		if ckptstore.HomeRank(uint64(filler), 3) != 0 {
 			continue // registering it would put a message on the network
 		}
 		made++

@@ -489,7 +489,7 @@ func (p *Proc) dirEnt(name Name) *dirEntry {
 }
 
 // home returns the rank holding directory information for name.
-func (p *Proc) home(name Name) int { return ft.HomeRank(uint64(name), p.cfg.N) }
+func (p *Proc) home(name Name) int { return ckptstore.HomeRank(uint64(name), p.cfg.N) }
 
 // finish marks the application complete; the runtime keeps serving other
 // processes until the harness halts the machine.

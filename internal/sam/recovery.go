@@ -4,6 +4,7 @@ import (
 	"slices"
 	"strconv"
 
+	"samft/internal/ckptstore"
 	"samft/internal/codec"
 	"samft/internal/ft"
 	"samft/internal/netsim"
@@ -332,13 +333,13 @@ func (p *Proc) contributeRecovery(rank int) {
 	// Private state of the failed process.
 	if priv, ok := p.privStore[rank]; ok {
 		p.send(rank, &wire{Kind: kRecoverPriv, Body: priv.body, Seq: priv.seq})
-	} else if slices.Contains(ft.PrivateStateRanks(rank, p.cfg.N, p.cfg.Degree), p.cfg.Rank) {
+	} else if slices.Contains(ckptstore.PrivateStateRanks(rank, p.cfg.N, p.cfg.Degree), p.cfg.Rank) {
 		p.send(rank, &wire{Kind: kRecoverPriv, Fresh: true})
 	}
 
 	// Re-replicate our own private state if its copy lived on the failed
 	// process (guards the window until our next checkpoint).
-	if p.lastPriv.body != nil && slices.Contains(ft.PrivateStateRanks(p.cfg.Rank, p.cfg.N, p.cfg.Degree), rank) {
+	if p.lastPriv.body != nil && slices.Contains(ckptstore.PrivateStateRanks(p.cfg.Rank, p.cfg.N, p.cfg.Degree), rank) {
 		p.send(rank, &wire{Kind: kCkptPriv, Body: p.lastPriv.body, Seq: p.lastPriv.seq, Piece: -1})
 	}
 
@@ -697,7 +698,7 @@ func (p *Proc) checkRestoreComplete() {
 	if priv == nil {
 		// Fresh restart only once every private-state holder has denied
 		// having a copy.
-		holders := ft.PrivateStateRanks(p.cfg.Rank, p.cfg.N, p.cfg.Degree)
+		holders := ckptstore.PrivateStateRanks(p.cfg.Rank, p.cfg.N, p.cfg.Degree)
 		if len(inc.freshVotes) < len(holders) {
 			return
 		}

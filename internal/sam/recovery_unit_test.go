@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"samft/internal/ckptstore"
 	"samft/internal/codec"
 	"samft/internal/ft"
 	"samft/internal/netsim"
@@ -96,7 +97,7 @@ func nameHomedAt(t *testing.T, n, want int) Name {
 	t.Helper()
 	for a := 0; a < 64*n; a++ {
 		name := MkName(7, a, 0)
-		if ft.HomeRank(uint64(name), n) == want {
+		if ckptstore.HomeRank(uint64(name), n) == want {
 			return name
 		}
 	}
@@ -254,7 +255,7 @@ func TestDecideOrphansConflictingHints(t *testing.T) {
 
 	claimed := nameHomedAt(t, 4, 0)
 	orphan := MkName(7, int(uint64(claimed)>>24&0xffffff)+1000, 0)
-	for ft.HomeRank(uint64(orphan), 4) != 0 {
+	for ckptstore.HomeRank(uint64(orphan), 4) != 0 {
 		orphan = MkName(7, int(uint64(orphan)>>24&0xffffff)+1, 0)
 	}
 
@@ -315,7 +316,7 @@ func TestDecideOrphansQueriesRemoteHome(t *testing.T) {
 	homeRank := 2
 	denied := nameHomedAt(t, 4, homeRank)
 	granted := MkName(9, 0, 0)
-	for ft.HomeRank(uint64(granted), 4) != homeRank {
+	for ckptstore.HomeRank(uint64(granted), 4) != homeRank {
 		granted = MkName(9, int(uint64(granted)>>24&0xffffff)+1, 0)
 	}
 
@@ -374,7 +375,7 @@ func TestOwnerQueryDeferredAtRecoveringHome(t *testing.T) {
 
 	free := nameHomedAt(t, 4, 0)
 	taken := MkName(11, 0, 0)
-	for ft.HomeRank(uint64(taken), 4) != 0 {
+	for ckptstore.HomeRank(uint64(taken), 4) != 0 {
 		taken = MkName(11, int(uint64(taken)>>24&0xffffff)+1, 0)
 	}
 

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"samft/internal/ckptstore"
 	"samft/internal/codec"
 	"samft/internal/ft"
 	"samft/internal/pvm"
@@ -31,7 +32,7 @@ func stepProc(t *testing.T) (*Proc, []*pvm.Task) {
 func homedAt(t *testing.T, family, home int) Name {
 	t.Helper()
 	for a := 0; a < 64; a++ {
-		if name := MkName(family, a, 0); ft.HomeRank(uint64(name), 5) == home {
+		if name := MkName(family, a, 0); ckptstore.HomeRank(uint64(name), 5) == home {
 			return name
 		}
 	}
@@ -212,7 +213,7 @@ func restoredProc(t *testing.T) (*Proc, []*pvm.Task, Name) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	holder := ft.PrivateStateRanks(0, 5, 1)[0]
+	holder := ckptstore.PrivateStateRanks(0, 5, 1)[0]
 	p.dispatch(&wire{Kind: kRecoverPriv, SrcRank: holder, Seq: 9, Body: priv})
 	p.dispatch(&wire{Kind: kRecoverData, SrcRank: holder, Name: uint64(a), Seq: 9, Body: packPayload(t, 8), Meta: meta, HasMeta: true})
 	select {

@@ -49,29 +49,35 @@ func TestChaosScenariosLoadStrict(t *testing.T) {
 }
 
 // TestChaosGoldenOpenSchedules pins the generator — what (seed, app, index)
-// means — on the schedules ROADMAP's ownership-race item starts from:
-// scenarios/open/ holds, as files `samrun run` replays, exactly what the
-// Water sweep generates at each (seed, index) below (LoadDir does not
-// recurse, so the campaign skips them; scenarios/README.md gives how often
-// each goes red).
+// means under a placement policy — on the schedules ROADMAP's
+// ownership-race item starts from: scenarios/open/ holds, as files `samrun
+// run` replays, exactly what the Water sweep generates at each (seed,
+// index, placement) below, named for the schedule plus the placement when
+// it is not ring (LoadDir does not recurse, so the campaign skips them;
+// scenarios/README.md gives how often each goes red).
 func TestChaosGoldenOpenSchedules(t *testing.T) {
 	for _, tc := range []struct {
-		seed     uint64
-		i        int
-		schedule string
+		seed      uint64
+		i         int
+		placement string
+		schedule  string
 	}{
-		{1, 11, "kill 2 at step 2, kill 3 during recovery of 2"},
-		{1, 13, "kill 2 at step 1, kill 2 during recovery of 2"},
-		{46, 19, "kill 1 at step 1, kill 2 during recovery of 1"},
+		{1, 11, "ring", "kill 2 at step 2, kill 3 during recovery of 2"},
+		{1, 13, "ring", "kill 2 at step 1, kill 2 during recovery of 2"},
+		{46, 19, "ring", "kill 1 at step 1, kill 2 during recovery of 1"},
 	} {
 		set := ChaosSpec{
-			Fleet: Fleet{Procs: 4, App: "water", FT: FT{Policy: "sam", Degree: 2, Placement: "ring"}},
+			Fleet: Fleet{Procs: 4, App: "water", FT: FT{Policy: "sam", Degree: 2, Placement: tc.placement}},
 			Seed:  tc.seed, Jitter: true, NotifyChaos: true,
 		}.Scenarios()
 		if set[tc.i].Description != tc.schedule {
 			t.Errorf("schedule %d is %q, want %q", tc.i, set[tc.i].Description, tc.schedule)
 		}
-		path := filepath.Join("..", "..", "scenarios", "open", strings.ToLower(set[tc.i].Name)+".json")
+		file := strings.ToLower(set[tc.i].Name)
+		if tc.placement != "ring" {
+			file += "-" + tc.placement
+		}
+		path := filepath.Join("..", "..", "scenarios", "open", file+".json")
 		want, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -81,7 +87,7 @@ func TestChaosGoldenOpenSchedules(t *testing.T) {
 			t.Fatal(err)
 		}
 		if string(got) != string(want) {
-			t.Errorf("%s is not what the generator emits for seed %d schedule %d:\n%s", path, tc.seed, tc.i, got)
+			t.Errorf("%s is not what the generator emits for seed %d schedule %d under %s:\n%s", path, tc.seed, tc.i, tc.placement, got)
 		}
 		if _, err := Load(want, path); err != nil {
 			t.Errorf("golden file does not load: %v", err)
@@ -91,7 +97,8 @@ func TestChaosGoldenOpenSchedules(t *testing.T) {
 
 // TestLibrarySharesBaselineTwins: scenarios that differ only in their
 // faults are compared against one fault-free run, not one each — RunSet
-// runs one twin per distinct twinKey, and the library's 12 files have 8.
+// runs one twin per distinct twinKey, and the library's 15 files have 11
+// (the three recovery-*.json files, at degree 1, share with nothing).
 func TestLibrarySharesBaselineTwins(t *testing.T) {
 	lib, paths, errs := LoadDir(filepath.Join("..", "..", "scenarios"))
 	if len(errs) > 0 {
@@ -101,7 +108,7 @@ func TestLibrarySharesBaselineTwins(t *testing.T) {
 	for i, s := range lib {
 		twins[twinKey(Compile(s, paths[i]))] = true
 	}
-	if len(lib) != 12 || len(twins) != 8 {
-		t.Errorf("%d scenarios share %d distinct fault-free twins, want 12 sharing 8", len(lib), len(twins))
+	if len(lib) != 15 || len(twins) != 11 {
+		t.Errorf("%d scenarios share %d distinct fault-free twins, want 15 sharing 11", len(lib), len(twins))
 	}
 }

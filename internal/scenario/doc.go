@@ -45,12 +45,13 @@
 // file:line:col: path: message, so a campaign of many files fails with
 // errors an editor can jump to.
 //
-// RunSet is the one judged batch, for files, the chaos sweep's generated
-// scenarios (ChaosSpec) and ftbench's tables (Build) alike: every faulted
-// run and each distinct fault-free twin once through experiments.RunAll,
-// judged by experiments.Judge. A failing or hung run is dumped as
+// RunSet is the one judged batch, for files and the chaos sweep's
+// generated scenarios (ChaosSpec, held to the file rules by Build) alike:
+// every faulted run and each distinct fault-free twin once through
+// experiments.RunAll, judged by experiments.Judge. A failing or hung run is dumped as
 // scenario-<name>/{scenario.json,trace.json,recovery.txt}; samrun replays it.
 //
 // cmd/samrun is the CLI: `samrun validate f.json...`, `samrun run
-// f.json`, `samrun campaign dir/`.
+// f.json`, `samrun campaign dir/` (and `samrun paper`, the fault-free
+// figures, which need no scenario).
 package scenario

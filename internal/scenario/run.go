@@ -40,8 +40,8 @@ type Outcome struct {
 func (o Outcome) Failed() bool { return len(o.Problems) > 0 }
 
 // Build validates and compiles scenarios constructed in Go (the chaos
-// generator's, ftbench's tables) under the rules Load holds a file to, so
-// the scenario.json dumped beside a built scenario's trace replays.
+// generator's) under the rules Load holds a file to, so the scenario.json
+// dumped beside a built scenario's trace replays.
 func Build(scenarios ...*Scenario) ([]Compiled, error) {
 	cs := make([]Compiled, len(scenarios))
 	for i, s := range scenarios {

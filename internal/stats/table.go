@@ -6,8 +6,8 @@ import (
 	"strings"
 )
 
-// Table is the shared fixed-width table formatter used by the experiment
-// sweeps, ftbench, and the trace analyzer's recovery reports. Columns are
+// Table is the shared fixed-width table formatter used by `samrun paper`'s
+// figures and ablations and the trace analyzer's recovery reports. Columns are
 // sized to their widest cell; the first column is left-aligned (labels),
 // all others right-aligned (numbers), matching the layout of the paper's
 // statistics tables.
