@@ -174,19 +174,29 @@ func packFrame(v interface{}) (*encoder, error) {
 	return e, nil
 }
 
+// Verify checks a frame's length and checksum without decoding it, so a
+// frame can be passed on or stored as it is, and decoded later, once it is
+// known to be intact. Unpack verifies the same way before it decodes.
+func Verify(frame []byte) error {
+	if len(frame) < 6 {
+		return fmt.Errorf("%w: short frame (%d bytes)", ErrCorrupt, len(frame))
+	}
+	body, sumBytes := frame[:len(frame)-4], frame[len(frame)-4:]
+	want := uint32(sumBytes[0])<<24 | uint32(sumBytes[1])<<16 | uint32(sumBytes[2])<<8 | uint32(sumBytes[3])
+	if crc32.ChecksumIEEE(body) != want {
+		return ErrChecksum
+	}
+	return nil
+}
+
 // Unpack deserializes a frame produced by Pack. It returns a pointer to a
 // freshly allocated value of the registered type (so the result is always
 // addressable), e.g. *Body for a frame packed from Body or *Body.
 func Unpack(data []byte) (interface{}, error) {
-	if len(data) < 6 {
-		return nil, fmt.Errorf("%w: short frame (%d bytes)", ErrCorrupt, len(data))
+	if err := Verify(data); err != nil {
+		return nil, err
 	}
-	body, sumBytes := data[:len(data)-4], data[len(data)-4:]
-	want := uint32(sumBytes[0])<<24 | uint32(sumBytes[1])<<16 | uint32(sumBytes[2])<<8 | uint32(sumBytes[3])
-	if crc32.ChecksumIEEE(body) != want {
-		return nil, ErrChecksum
-	}
-	d := getDecoder(body)
+	d := getDecoder(data[:len(data)-4])
 	defer putDecoder(d)
 	magic, err := d.u16()
 	if err != nil {

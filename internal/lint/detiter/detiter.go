@@ -26,7 +26,7 @@ var Analyzer = &analysis.Analyzer{
 // event on a trace track. Reaching one of these (directly or through
 // same-package helpers) from a map-range body is order-sensitive.
 var sendRoots = map[string]bool{
-	"Send": true, "send": true, "Emit": true, "emit": true, "txSend": true,
+	"Send": true, "SendParts": true, "send": true, "Emit": true, "emit": true, "txSend": true,
 }
 
 func run(pass *analysis.Pass) error {

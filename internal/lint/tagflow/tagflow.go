@@ -19,7 +19,7 @@
 //
 //   - where the payload's provenance is visible — the send site's bytes
 //     come from codec.Pack (possibly through a helper like
-//     sam.encodeWire) and the receive side type-asserts the result of
+//     sam.encodeHead) and the receive side type-asserts the result of
 //     codec.Unpack — the packed type must be among the types the
 //     receivers of that tag assert. Packing *wire and asserting
 //     *otherThing is a guaranteed decode-drop.
@@ -107,8 +107,9 @@ type flowFact struct {
 func (*flowFact) AFact() {}
 
 // tagMethods maps messaging method names to their tag argument index:
-// Send(dst, tag, payload), Recv/Take/TryRecv/Probe(src, tag).
-var tagMethods = map[string]int{"Send": 1, "Recv": 1, "Take": 1, "TryRecv": 1, "Probe": 1}
+// Send(dst, tag, payload), SendParts(dst, tag, payload, body),
+// Recv/Take/TryRecv/Probe(src, tag).
+var tagMethods = map[string]int{"Send": 1, "SendParts": 1, "Recv": 1, "Take": 1, "TryRecv": 1, "Probe": 1}
 
 func run(pass *analysis.Pass) error {
 	c := &checker{
@@ -358,7 +359,7 @@ func (c *checker) collectFlow(fn *types.Func, fd *ast.FuncDecl, flow *flowFact) 
 	info := c.pass.Pkg.Info
 
 	// Local payload provenance: var -> packed types, from single-call
-	// assignments (b := p.encodeWire(w, r); b, err := codec.Pack(x)).
+	// assignments (b := p.encodeHead(w, r); b, err := codec.Pack(x)).
 	prov := make(map[types.Object][]string)
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		as, ok := n.(*ast.AssignStmt)
@@ -427,7 +428,7 @@ func (c *checker) collectFlow(fn *types.Func, fd *ast.FuncDecl, flow *flowFact) 
 			if v < 0 {
 				return true
 			}
-			if sel.Sel.Name != "Send" {
+			if sel.Sel.Name != "Send" && sel.Sel.Name != "SendParts" {
 				noteTag(v)
 				return true
 			}
@@ -554,8 +555,8 @@ func checkNamespace(pass *analysis.Pass, uses []tagUse) map[int64]bool {
 		case u.Tag != wildcardTag:
 			pass.Reportf(u.Pos, "%s with unregistered tag value %d; declare a Tag* constant so the tag namespace stays collision-checked",
 				u.Method, u.Tag)
-		case u.Method == "Send":
-			pass.Reportf(u.Pos, "Send with wildcard tag %d (AnyTag is receive-only)", u.Tag)
+		case u.Method == "Send" || u.Method == "SendParts":
+			pass.Reportf(u.Pos, "%s with wildcard tag %d (AnyTag is receive-only)", u.Method, u.Tag)
 		}
 	}
 	return registered

@@ -16,8 +16,9 @@ type Message struct {
 // argument positions are what the analyzer matches).
 type Endpoint struct{}
 
-func (e *Endpoint) Send(dst, tag int, payload []byte) error { return nil }
-func (e *Endpoint) Recv(src, tag int) (Message, error)      { return Message{}, nil }
+func (e *Endpoint) Send(dst, tag int, payload []byte) error            { return nil }
+func (e *Endpoint) SendParts(dst, tag int, payload, body []byte) error { return nil }
+func (e *Endpoint) Recv(src, tag int) (Message, error)                 { return Message{}, nil }
 
 type wire struct{ N int }
 type other struct{ S string }
@@ -46,6 +47,13 @@ func SendOrphan(e *Endpoint) {
 func SendMismatch(e *Endpoint) {
 	b, _ := codec.Pack(&wire{N: 2})
 	_ = e.Send(1, TagMismatch, b) // want "receivers assert"
+}
+
+// SendPartsMismatch is a two-part send, checked like Send: its first part
+// is the payload whose provenance the receivers must match.
+func SendPartsMismatch(e *Endpoint, body []byte) {
+	b, _ := codec.Pack(&wire{N: 4})
+	_ = e.SendParts(1, TagMismatch, b, body) // want "receivers assert"
 }
 
 // SendViaHelper's payload provenance flows through encodeWire's

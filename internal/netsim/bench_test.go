@@ -25,7 +25,14 @@ const msgsPerSec = "msgs/s"
 // BenchmarkSendRecv measures the steady-state cost of one send plus one
 // wildcard receive between a single pair of endpoints. Its allocs/op is
 // zero, pinned by TestSendRecvAllocFree.
-func BenchmarkSendRecv(b *testing.B) {
+func BenchmarkSendRecv(b *testing.B) { sendRecv(b, nil) }
+
+// BenchmarkSendRecvBody56K is BenchmarkSendRecv with a two-part send whose
+// body is 56 KB, the size of a paper-scale Barnes partition frame. The body
+// moves by reference, so the cost is BenchmarkSendRecv's, whatever its size.
+func BenchmarkSendRecvBody56K(b *testing.B) { sendRecv(b, make([]byte, 56<<10)) }
+
+func sendRecv(b *testing.B, body []byte) {
 	n := netsim.New(netsim.DefaultConfig())
 	defer n.Close()
 	a, dst := n.NewEndpoint(), n.NewEndpoint()
@@ -33,7 +40,13 @@ func BenchmarkSendRecv(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := a.Send(dst.TID(), TagBench, payload); err != nil {
+		var err error
+		if body == nil {
+			err = a.Send(dst.TID(), TagBench, payload)
+		} else {
+			err = a.SendParts(dst.TID(), TagBench, payload, body)
+		}
+		if err != nil {
 			b.Fatal(err)
 		}
 		if _, err := dst.Recv(netsim.AnySrc, netsim.AnyTag); err != nil {

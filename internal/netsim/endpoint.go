@@ -4,6 +4,7 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"samft/internal/trace"
 )
@@ -73,7 +74,7 @@ type Endpoint struct {
 	// while an exact match deep in the queue costs O(depth) — accepted,
 	// since no runtime receives that way. The slice is reset when fully
 	// drained, so its capacity converges on the in-flight high-water mark.
-	queue   []Message
+	queue   []queued
 	qHead   int  // first queued entry
 	waiting bool // a receiver is parked in cond.Wait
 	// enqueued counts every message ever appended to queue (exit
@@ -83,6 +84,44 @@ type Endpoint struct {
 	// rec is this endpoint's trace track; nil when tracing is disabled,
 	// making every instrumentation site a single-branch no-op.
 	rec *trace.Recorder
+}
+
+// queued is a Message as it waits in a queue, in one 64-byte cache line
+// where a Message takes 80 bytes: each part is kept as a pointer and a
+// length, since a sent part is immutable and its spare capacity is
+// nobody's. The queue is copied entry by entry — appended to, scanned,
+// closed up behind a match — so its entries stay this size.
+type queued struct {
+	src     TID
+	tag     int
+	id      int64
+	arrival float64
+	payload *byte
+	plen    int
+	body    *byte
+	blen    int
+}
+
+func newQueued(src TID, tag int, id int64, arrival float64, payload, body []byte) queued {
+	return queued{
+		src: src, tag: tag, id: id, arrival: arrival,
+		payload: unsafe.SliceData(payload), plen: len(payload),
+		body: unsafe.SliceData(body), blen: len(body),
+	}
+}
+
+// unpack writes q into m field by field: a Message is too large for the
+// compiler to build in registers, and a literal would cost a zeroed
+// temporary and a copy on every receive. Receives unpack straight into
+// the Message they return.
+func (q *queued) unpack(m *Message) {
+	m.Src, m.Tag, m.ID, m.ArrivalUS = q.src, q.tag, q.id, q.arrival
+	m.Payload = unsafe.Slice(q.payload, q.plen)
+	m.Body = unsafe.Slice(q.body, q.blen)
+}
+
+func (q *queued) matches(src TID, tag int) bool {
+	return (src == AnySrc || q.src == src) && (tag == AnyTag || q.tag == tag)
 }
 
 // statCountShift splits the packed traffic counters: count above, bytes
@@ -261,27 +300,39 @@ func (e *Endpoint) Charge(us float64) {
 // message arrives from a process whose clock is ahead.
 func (e *Endpoint) AdvanceTo(us float64) { e.raiseClock(us) }
 
-// Send transmits a payload to dst. The payload is not copied; the caller
-// must not modify it afterwards (the pvm layer always hands over freshly
-// packed buffers). Sending to a dead endpoint silently drops the message —
-// exactly what a network does when a workstation has crashed — but sending
-// to a TID that never existed is an error.
+// Send transmits a payload to dst: SendParts with no body.
+//
+//samlint:hotpath
+func (e *Endpoint) Send(dst TID, tag int, payload []byte) error {
+	return e.SendParts(dst, tag, payload, nil)
+}
+
+// SendParts transmits a message of two parts to dst: a payload (the
+// sender's freshly packed header) and a body shared by reference. Neither
+// part is copied, and the receiver gets the very same bytes, so the body is
+// immutable from here on: the sender may hand it to any number of
+// destinations, and no holder may write to it (see Message). On the
+// modeled wire the message is one frame of both parts' length. Sending to a
+// dead endpoint silently drops the message — exactly what a network does
+// when a workstation has crashed — but sending to a TID that never existed
+// is an error.
 //
 // The steady-state path is allocation-free: routing is an index into the
 // copy-on-write routing slice and the message travels by value through the
 // receiver's queue.
 //
 //samlint:hotpath
-func (e *Endpoint) Send(dst TID, tag int, payload []byte) error {
+func (e *Endpoint) SendParts(dst TID, tag int, payload, body []byte) error {
 	if s := e.state.Load(); s != 0 {
 		if s&stateDead != 0 {
 			return ErrKilled
 		}
 		return ErrClosed
 	}
+	size := len(payload) + len(body)
 	senderClock := e.addClock(e.sendOvUS)
-	arrival := senderClock + e.latencyUS + float64(len(payload))*e.usPerByte
-	e.sent.Add(statOneMsg + uint64(len(payload)))
+	arrival := senderClock + e.latencyUS + float64(size)*e.usPerByte
+	e.sent.Add(statOneMsg + uint64(size))
 
 	// Chaos hook: seeded per-message jitter perturbs the arrival time.
 	var jitter float64
@@ -296,7 +347,7 @@ func (e *Endpoint) Send(dst TID, tag int, payload []byte) error {
 		e.rec.Emit(trace.Event{
 			Kind: trace.NetSend, VirtUS: senderClock, Rank: -1,
 			Src: int64(e.tid), Dst: int64(dst), Tag: tag,
-			Bytes: len(payload), MsgID: msgID, ExtraUS: jitter,
+			Bytes: size, MsgID: msgID, ExtraUS: jitter,
 		})
 	}
 
@@ -306,17 +357,17 @@ func (e *Endpoint) Send(dst TID, tag int, payload []byte) error {
 			e.rec.Emit(trace.Event{
 				Kind: trace.NetDrop, VirtUS: senderClock, Rank: -1,
 				Src: int64(e.tid), Dst: int64(dst), Tag: tag,
-				Bytes: len(payload), MsgID: msgID, Note: "unknown",
+				Bytes: size, MsgID: msgID, Note: "unknown",
 			})
 		}
 		return ErrUnknownDest
 	}
 	// deliver is a no-op on a dead endpoint: the message vanishes.
-	if !target.deliver(e.tid, dst, tag, msgID, payload, arrival) && e.rec != nil {
+	if !target.deliver(newQueued(e.tid, tag, msgID, arrival, payload, body)) && e.rec != nil {
 		e.rec.Emit(trace.Event{
 			Kind: trace.NetDrop, VirtUS: senderClock, Rank: -1,
 			Src: int64(e.tid), Dst: int64(dst), Tag: tag,
-			Bytes: len(payload), MsgID: msgID, Note: "dead",
+			Bytes: size, MsgID: msgID, Note: "dead",
 		})
 	}
 	return nil
@@ -329,14 +380,14 @@ func (e *Endpoint) Send(dst TID, tag int, payload []byte) error {
 // waiting under mu is guaranteed its Broadcast reaches the parked
 // receiver — and desirable because the woken receiver does not slam into
 // a still-held mutex.
-func (e *Endpoint) deliver(src, dst TID, tag int, id int64, payload []byte, arrival float64) bool {
+func (e *Endpoint) deliver(q queued) bool {
 	e.mu.Lock()
 	if e.state.Load() != 0 {
 		e.mu.Unlock()
 		return false
 	}
 	//samlint:allow noalloc -- ingress queue append; capacity converges after warm-up (allocs/op pinned by BenchmarkSendRecv)
-	e.queue = append(e.queue, Message{Src: src, Dst: dst, Tag: tag, ID: id, Payload: payload, ArrivalUS: arrival})
+	e.queue = append(e.queue, q)
 	e.enqueued++
 	wake := e.waiting
 	e.waiting = false
@@ -353,13 +404,14 @@ func (e *Endpoint) deliver(src, dst TID, tag int, id int64, payload []byte, arri
 // explicitly subscribed to (Recv matches queued messages before reporting
 // ErrClosed). Dead endpoints drop — the caller uses the return value to
 // guarantee at least one live watcher observes a kill.
-func (e *Endpoint) deliverExit(m *Message) bool {
+func (e *Endpoint) deliverExit(dead TID, tag int) bool {
+	q := newQueued(dead, tag, 0, 0, exitPayload(dead), nil)
 	e.mu.Lock()
 	if e.state.Load()&stateDead != 0 {
 		e.mu.Unlock()
 		return false
 	}
-	e.queue = append(e.queue, *m)
+	e.queue = append(e.queue, q)
 	e.enqueued++
 	wake := e.waiting
 	e.waiting = false
@@ -370,7 +422,7 @@ func (e *Endpoint) deliverExit(m *Message) bool {
 	if e.rec != nil {
 		e.rec.Emit(trace.Event{
 			Kind: trace.NetExit, VirtUS: e.ClockUS(), Rank: -1,
-			Src: int64(m.Src), Dst: int64(e.tid), Tag: m.Tag,
+			Src: int64(dead), Dst: int64(e.tid), Tag: tag,
 		})
 	}
 	return true
@@ -395,9 +447,9 @@ func (e *Endpoint) fetch(src TID, tag int, out *Message) bool {
 	if i < 0 {
 		return false
 	}
-	*out = e.queue[i]
+	e.queue[i].unpack(out)
 	if i == e.qHead {
-		e.queue[i] = Message{}
+		e.queue[i] = queued{}
 		e.qHead++
 		if e.qHead == len(e.queue) {
 			e.queue = e.queue[:0]
@@ -407,7 +459,7 @@ func (e *Endpoint) fetch(src TID, tag int, out *Message) bool {
 	}
 	last := len(e.queue) - 1
 	copy(e.queue[i:], e.queue[i+1:])
-	e.queue[last] = Message{}
+	e.queue[last] = queued{}
 	e.queue = e.queue[:last]
 	return true
 }
@@ -416,15 +468,11 @@ func (e *Endpoint) fetch(src TID, tag int, out *Message) bool {
 // or -1. Called with mu held.
 func (e *Endpoint) find(src TID, tag int) int {
 	for i := e.qHead; i < len(e.queue); i++ {
-		if matches(&e.queue[i], src, tag) {
+		if e.queue[i].matches(src, tag) {
 			return i
 		}
 	}
 	return -1
-}
-
-func matches(m *Message, src TID, tag int) bool {
-	return (src == AnySrc || m.Src == src) && (tag == AnyTag || m.Tag == tag)
 }
 
 // Accept charges the receiver for a message Take handed out: traffic
@@ -438,7 +486,7 @@ func matches(m *Message, src TID, tag int) bool {
 //
 //samlint:hotpath
 func (e *Endpoint) Accept(m *Message) {
-	e.recvd.Add(statOneMsg + uint64(len(m.Payload)))
+	e.recvd.Add(statOneMsg + uint64(m.Len()))
 	// Receiving synchronizes the modeled clocks: the receiver cannot have
 	// processed the message before it arrived. One CAS folds the
 	// raise-to-arrival and the receive overhead together.
@@ -468,7 +516,7 @@ func (e *Endpoint) Accept(m *Message) {
 		e.rec.Emit(trace.Event{
 			Kind: trace.NetRecv, VirtUS: now, Rank: -1,
 			Src: int64(m.Src), Dst: int64(e.tid), Tag: m.Tag,
-			Bytes: len(m.Payload), MsgID: m.ID,
+			Bytes: m.Len(), MsgID: m.ID,
 		})
 	}
 }
@@ -483,13 +531,15 @@ func (e *Endpoint) Accept(m *Message) {
 // was promised even while the machine halts.
 //
 //samlint:hotpath
-func (e *Endpoint) Take(src TID, tag int) (Message, error) {
-	var m Message
-	err := e.take(src, tag, &m)
+func (e *Endpoint) Take(src TID, tag int) (m Message, err error) {
+	err = e.take(src, tag, &m)
 	return m, err
 }
 
 // take is Take writing into out, so Recv pays no second copy of the message.
+// The receives write into their named result: a Message is larger than the
+// compiler zeroes and copies inline, and a local returned by value would
+// cost a second zeroing and a copy.
 func (e *Endpoint) take(src TID, tag int, out *Message) error {
 	e.mu.Lock()
 	for {
@@ -514,10 +564,8 @@ func (e *Endpoint) take(src TID, tag int, out *Message) error {
 // the instant it is matched.
 //
 //samlint:hotpath
-func (e *Endpoint) Recv(src TID, tag int) (Message, error) {
-	var m Message
-	err := e.take(src, tag, &m)
-	if err == nil {
+func (e *Endpoint) Recv(src TID, tag int) (m Message, err error) {
+	if err = e.take(src, tag, &m); err == nil {
 		e.Accept(&m)
 	}
 	return m, err
@@ -528,8 +576,7 @@ func (e *Endpoint) Recv(src TID, tag int) (Message, error) {
 // Recv, queued matches win over ErrClosed.
 //
 //samlint:hotpath
-func (e *Endpoint) TryRecv(src TID, tag int) (Message, bool, error) {
-	var m Message
+func (e *Endpoint) TryRecv(src TID, tag int) (m Message, ok bool, err error) {
 	e.mu.Lock()
 	if e.state.Load()&stateDead != 0 {
 		e.mu.Unlock()

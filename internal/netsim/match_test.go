@@ -3,6 +3,7 @@ package netsim
 import (
 	"encoding/binary"
 	"testing"
+	"unsafe"
 
 	"samft/internal/xrand"
 )
@@ -18,7 +19,7 @@ func (r *refMailbox) push(m *Message) { r.msgs = append(r.msgs, *m) }
 
 func (r *refMailbox) findIdx(src TID, tag int) int {
 	for i := range r.msgs {
-		if matches(&r.msgs[i], src, tag) {
+		if m := &r.msgs[i]; (src == AnySrc || m.Src == src) && (tag == AnyTag || m.Tag == tag) {
 			return i
 		}
 	}
@@ -185,10 +186,10 @@ func TestMailboxMatchesLinearScan(t *testing.T) {
 				for k := 0; k < burst; k++ {
 					nextID++
 					m := Message{
-						Src: TID(rng.Intn(6)), Dst: mb.TID(), Tag: rng.Intn(4),
+						Src: TID(rng.Intn(6)), Tag: rng.Intn(4),
 						ID: nextID, ArrivalUS: float64(nextID),
 					}
-					if !mb.deliver(m.Src, m.Dst, m.Tag, m.ID, nil, m.ArrivalUS) {
+					if !mb.deliver(newQueued(m.Src, m.Tag, m.ID, m.ArrivalUS, nil, nil)) {
 						t.Fatalf("seed %d step %d: deliver refused on a live endpoint", seed, step)
 					}
 					ref.push(&m)
@@ -290,13 +291,14 @@ func TestEndpointMatchesLinearScanUnderChaos(t *testing.T) {
 
 // TestSendRecvAllocFree pins the per-message allocation budget at zero
 // once an endpoint's queue has grown to its working size: a wildcard and
-// an exact send+receive pair, and an exact match taken from the middle of
-// a queue of eight.
+// an exact send+receive pair, an exact match taken from the middle of a
+// queue of eight, and a two-part send, whose body arrives as the very
+// bytes that were sent.
 func TestSendRecvAllocFree(t *testing.T) {
 	n := New(DefaultConfig())
 	defer n.Close()
 	a, b, dst := n.NewEndpoint(), n.NewEndpoint(), n.NewEndpoint()
-	payload := make([]byte, 64)
+	payload, body := make([]byte, 64), make([]byte, 56<<10)
 	send := func(from *Endpoint, tag int) {
 		if err := from.Send(dst.TID(), tag, payload); err != nil {
 			t.Fatal(err)
@@ -313,6 +315,19 @@ func TestSendRecvAllocFree(t *testing.T) {
 	}{
 		{"wildcard", func() { send(a, 1); recv(AnySrc, AnyTag) }},
 		{"exact", func() { send(a, 1); recv(a.TID(), 1) }},
+		{"two-part", func() {
+			if err := a.SendParts(dst.TID(), 1, payload, body); err != nil {
+				t.Fatal(err)
+			}
+			m, err := dst.Recv(AnySrc, AnyTag)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.Len() != len(payload)+len(body) || unsafe.SliceData(m.Body) != unsafe.SliceData(body) {
+				t.Fatalf("two-part send arrived as %d B with body at %p, want %d B with the sent body at %p",
+					m.Len(), unsafe.SliceData(m.Body), len(payload)+len(body), unsafe.SliceData(body))
+			}
+		}},
 		{"mid-queue exact", func() {
 			for i := 0; i < 8; i++ {
 				if i == 4 {

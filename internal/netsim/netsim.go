@@ -6,7 +6,9 @@
 // with PVM-style src/tag matching. The network never executes remote code; it only moves
 // byte payloads, so the endpoints behave like separate address spaces as
 // long as callers only exchange serialized data (the codec and pvm packages
-// enforce this).
+// enforce this). A message may carry a second part, a body passed by
+// reference (Endpoint.SendParts): separate address spaces holding the same
+// bytes, which is safe because a sent body is never written again.
 //
 // Two features distinguish netsim from a plain channel fabric:
 //
@@ -134,31 +136,35 @@ func DefaultConfig() Config {
 	return Config{Cost: AN2()}
 }
 
-// Message is one unit of communication: an opaque payload plus PVM-style
-// addressing metadata.
+// Message is one unit of communication: an opaque payload, an optional
+// body, and PVM-style addressing metadata.
 type Message struct {
 	Src TID
-	Dst TID
 	Tag int
 	// ID is a network-unique message id assigned at send time when
 	// tracing is enabled (0 otherwise). The send and receive trace events
 	// of one message share it, which lets the timeline exporter draw
 	// send→delivery flow arrows.
 	ID int64
-	// Payload is the serialized body. Receivers must not retain references
-	// into a payload they hand to other goroutines; the codec layer always
-	// copies during unpack.
+	// Payload is the serialized message, or with a Body its header. It is
+	// not copied either, so the sender must not modify it once sent.
 	Payload []byte
+	// Body is the second part of a two-part send (Endpoint.SendParts), nil
+	// otherwise. A sent body is immutable and shared: the sender, every
+	// destination it went to, and whatever they store it in hold the same
+	// bytes, so nobody may ever write to it.
+	Body []byte
 	// ArrivalUS is the modeled time at which the message reaches the
 	// destination endpoint.
 	ArrivalUS float64
 }
 
-// Len returns the payload size in bytes.
-func (m *Message) Len() int { return len(m.Payload) }
+// Len returns the message size in bytes: payload and body, as the
+// modeled wire carries them.
+func (m *Message) Len() int { return len(m.Payload) + len(m.Body) }
 
 func (m *Message) String() string {
-	return fmt.Sprintf("msg{%d->%d tag=%d %dB}", m.Src, m.Dst, m.Tag, len(m.Payload))
+	return fmt.Sprintf("msg{from %d tag=%d %dB}", m.Src, m.Tag, m.Len())
 }
 
 // routeTable is the immutable routing snapshot published by the
@@ -303,7 +309,7 @@ func (n *Network) Notify(watcher, target TID, tag int) {
 	}
 	n.mu.Unlock()
 	if dead && w != nil {
-		w.deliverExit(&Message{Src: target, Dst: watcher, Tag: tag, Payload: exitPayload(target)})
+		w.deliverExit(target, tag)
 	}
 }
 
@@ -384,7 +390,7 @@ func (n *Network) Kill(tid TID, notifyTag int) bool {
 		if we == nil {
 			return false
 		}
-		return we.deliverExit(&Message{Src: tid, Dst: w, Tag: notifyTag, Payload: exitPayload(tid)})
+		return we.deliverExit(tid, notifyTag)
 	}
 	delivered := 0
 	for i, w := range live {

@@ -175,7 +175,13 @@ func (t *Task) run(body func(*Task)) {
 // UDP-like transports. Sending from a killed task returns ErrKilled;
 // higher layers use that to unwind the dead process.
 func (t *Task) Send(dst TID, tag int, payload []byte) error {
-	return t.ep.Send(dst, tag, payload)
+	return t.ep.SendParts(dst, tag, payload, nil)
+}
+
+// SendParts is Send of a message in two parts: a payload and a body the
+// receiver gets by reference (netsim.Endpoint.SendParts).
+func (t *Task) SendParts(dst TID, tag int, payload, body []byte) error {
+	return t.ep.SendParts(dst, tag, payload, body)
 }
 
 // Recv blocks until a message matching src/tag arrives. It returns

@@ -5,6 +5,7 @@ import (
 
 	"samft/internal/codec"
 	"samft/internal/ft"
+	"samft/internal/netsim"
 	"samft/internal/pvm"
 )
 
@@ -14,8 +15,8 @@ const TagSAM = pvm.TagUserBase + 1
 // Message kinds. One wire struct carries every kind and unused fields stay
 // at their zero values — but they are still encoded: the codec writes ints
 // at fixed width, so every frame carries the whole struct (159 bytes packed
-// for the smallest control message, 183 with a one-entry stamp;
-// TestFrameSizes pins both). Renumbering
+// for the smallest control message, 183 with a one-entry stamp, 163 plus
+// the body for a frame with one; TestFrameSizes pins them). Renumbering
 // kinds therefore never moves a frame size.
 //
 // Values and accumulators are registered (kReg) and read — a value fetch, a
@@ -151,8 +152,30 @@ func init() {
 	codec.Register(ft.RegisteredName, ft.PrivateState{})
 }
 
-// encodeWire packs a wire message, attaching the sender's stamp for dst.
-func (p *Proc) encodeWire(w *wire, dstRank int) []byte {
+// A frame crosses the network in two parts (netsim.Endpoint.SendParts): a
+// header, packed per destination, and the body, passed by reference. The
+// header is the wire with its Body cut out and the sender's stamp for the
+// destination filled in. A body is itself a checksummed codec frame — the
+// owner's packed object or private state — so the one packed copy is
+// shared by the sender's cache, the network and every holder, and is
+// checked once, on arrival. On the modeled wire nothing changes: a header
+// whose wire has a body packs an empty one in its place, so it still
+// counts the body's presence and length words, and header plus body are
+// exactly the bytes of the single frame they replace (TestFrameSizes).
+
+// noBody is what a header carries in place of a body: empty, but not nil.
+var noBody = []byte{}
+
+// encodeHead packs w's header for dstRank. w is the same before and
+// after — a checkpoint transaction keeps its pieces' wires to re-send them,
+// and direct dispatch hands them to handlers — so the header's fields are
+// set on w only while it is packed, on the runtime goroutine that alone
+// touches it.
+func (p *Proc) encodeHead(w *wire, dstRank int) []byte {
+	sent := *w
+	if w.Body != nil {
+		w.Body = noBody
+	}
 	if p.cfg.Policy != 0 { // any FT policy: piggyback clocks
 		st := p.clocks.DeltaStampFor(dstRank)
 		w.HasStamp = true
@@ -162,20 +185,38 @@ func (p *Proc) encodeWire(w *wire, dstRank int) []byte {
 		w.StampC = st.CForDst
 	}
 	b, err := codec.Pack(w)
+	*w = sent
 	if err != nil {
 		panic(fmt.Errorf("sam: encode %s: %w", kindName(w.Kind), err))
 	}
 	return b
 }
 
-func decodeWire(payload []byte) (*wire, error) {
-	v, err := codec.Unpack(payload)
+// decodeFrame is encodeHead's inverse on a received message: it unpacks
+// the header, verifies the body, and attaches the body without copying it.
+// A header with no room for a body must come without one, and one with
+// room must come with an intact body.
+func decodeFrame(m *netsim.Message) (*wire, error) {
+	v, err := codec.Unpack(m.Payload)
 	if err != nil {
 		return nil, err
 	}
 	w, ok := v.(*wire)
 	if !ok {
 		return nil, fmt.Errorf("sam: unexpected message type %T", v)
+	}
+	switch {
+	case w.Body == nil:
+		if len(m.Body) != 0 {
+			return nil, fmt.Errorf("%w: %s header has no body but %d body bytes came with it", codec.ErrCorrupt, kindName(w.Kind), len(m.Body))
+		}
+	case len(w.Body) != 0:
+		return nil, fmt.Errorf("%w: %s header carries %d body bytes", codec.ErrCorrupt, kindName(w.Kind), len(w.Body))
+	default:
+		if err := codec.Verify(m.Body); err != nil {
+			return nil, err
+		}
+		w.Body = m.Body
 	}
 	return w, nil
 }

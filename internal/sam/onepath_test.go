@@ -202,9 +202,10 @@ func TestSelfHomedRequestsStayLocal(t *testing.T) {
 
 // TestKeptWireIsNotTheSendersWire covers direct dispatch's one hazard: a
 // transaction piece addressed to ourselves is handed to the handler as the
-// very struct the transaction keeps for re-sending, and re-sending rewrites
-// its sender and stamp fields. What the handler keeps is an image (or a
-// privImage), which has neither — and must stay as it was received.
+// very struct the transaction keeps for re-sending. Re-sending it to a peer
+// packs a header stamped for that peer and leaves the struct as it was;
+// what the handler keeps is an image (or a privImage), which has no sender
+// or stamp fields anyway — and must stay as it was received.
 func TestKeptWireIsNotTheSendersWire(t *testing.T) {
 	p, tasks := testProc(t, 0, 4, false)
 	name := nameHomedAt(t, 4, 2)
@@ -234,13 +235,16 @@ func TestKeptWireIsNotTheSendersWire(t *testing.T) {
 	beforeCopy, beforePriv := *pending, staged
 
 	// A recipient failure re-sends the transaction's pieces (§4.5); here the
-	// sender's structs go out again, to a peer, and pick up a stamp.
+	// sender's structs go out again, to a peer, whose headers carry a stamp.
 	for _, w := range []*wire{copyPiece, privPiece} {
+		was := *w
 		p.send(1, w)
-		recvWire(t, tasks[1])
-	}
-	if !copyPiece.HasStamp || !privPiece.HasStamp {
-		t.Fatal("setup: re-sending did not rewrite the sender's wires")
+		if got := recvWire(t, tasks[1]); !got.HasStamp {
+			t.Fatal("setup: the re-sent header carries no stamp")
+		}
+		if !reflect.DeepEqual(*w, was) {
+			t.Errorf("re-sending %s rewrote the sender's wire: %+v, was %+v", kindName(w.Kind), *w, was)
+		}
 	}
 	if got := p.obj(name).pending; got != pending || !reflect.DeepEqual(*got, beforeCopy) {
 		t.Errorf("pending copy changed when the sender re-sent its piece: %+v, was %+v", got, beforeCopy)

@@ -335,7 +335,7 @@ func (p *Proc) handleMessage(m netsim.Message) {
 		// exit notification nor a SAM frame is not ours to decode.
 		return
 	}
-	w, err := decodeWire(m.Payload)
+	w, err := decodeFrame(&m)
 	if err != nil {
 		// A corrupt frame is dropped like a line error; the protocol's
 		// re-issue paths cover loss.
@@ -461,11 +461,11 @@ func (p *Proc) send(rank int, w *wire) {
 		p.dispatch(w)
 		return
 	}
-	b := p.encodeWire(w, rank)
+	head := p.encodeHead(w, rank)
 	// ErrKilled means we are dead and the receiver goroutine is about to shut
 	// the runtime down; ErrUnknownDest is a dead incarnation. Either way the
 	// message is dropped.
-	_ = p.task.Send(p.ranks[rank], TagSAM, b)
+	_ = p.task.SendParts(p.ranks[rank], TagSAM, head, w.Body)
 }
 
 // obj returns the local entry for name, creating a placeholder if absent.

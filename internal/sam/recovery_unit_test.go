@@ -77,7 +77,7 @@ func recvWire(t *testing.T, task *pvm.Task) *wire {
 			ch <- res{nil, err}
 			return
 		}
-		w, err := decodeWire(msg.Payload)
+		w, err := decodeFrame(&msg)
 		ch <- res{w, err}
 	}()
 	select {

@@ -80,11 +80,11 @@ func drain(t *testing.T, tasks []*pvm.Task) []sent {
 			if err != nil {
 				t.Fatal(err)
 			}
-			w, err := decodeWire(m.Payload)
+			w, err := decodeFrame(&m)
 			if err != nil {
 				t.Fatal(err)
 			}
-			out = append(out, sent{wire: w, to: r, leftUS: m.ArrivalUS - cost.TransferUS(len(m.Payload))})
+			out = append(out, sent{wire: w, to: r, leftUS: m.ArrivalUS - cost.TransferUS(m.Len())})
 		}
 	}
 	slices.SortStableFunc(out, func(a, b sent) int { return cmp.Compare(a.leftUS, b.leftUS) })
