@@ -232,6 +232,8 @@ func barnesParams() barnes.Params {
 	return p
 }
 
+// runBarnes returns the Digest of the bodies rank 0 gathered at each step,
+// and checks on the way that every step's tree holds a total mass of ~1.
 func runBarnes(t *testing.T, n int, policy ft.Policy, kill func(*cluster.Cluster, int, int64)) map[int64]float64 {
 	t.Helper()
 	log := newResultLog(t)
@@ -242,7 +244,12 @@ func runBarnes(t *testing.T, n int, policy ft.Policy, kill func(*cluster.Cluster
 		AppFactory: func(rank int) sam.App {
 			a := barnes.New(rank, n, barnesParams())
 			if rank == 0 {
-				a.OnStep = func(step int64, mass float64) { log.put(step, mass) }
+				a.OnStep = func(step int64, mass, digest float64) {
+					if mass < 0.99 || mass > 1.01 {
+						t.Errorf("step %d: tree mass %v, want ~1", step, mass)
+					}
+					log.put(step, digest)
+				}
 			}
 			return &hooked{App: a, hook: func(r int, s int64) {
 				if kill != nil {
@@ -258,7 +265,7 @@ func runBarnes(t *testing.T, n int, policy ft.Policy, kill func(*cluster.Cluster
 	for s := int64(1); s <= barnesParams().Steps; s++ {
 		v, ok := log.get(s)
 		if !ok {
-			t.Fatalf("missing mass for step %d", s)
+			t.Fatalf("missing body digest for step %d", s)
 		}
 		out[s] = v
 	}
@@ -267,15 +274,10 @@ func runBarnes(t *testing.T, n int, policy ft.Policy, kill func(*cluster.Cluster
 
 func TestBarnesMassConservedAndFTDeterministic(t *testing.T) {
 	base := runBarnes(t, 4, ft.PolicyOff, nil)
-	for s, m := range base {
-		if m < 0.99 || m > 1.01 {
-			t.Fatalf("step %d: tree mass %v, want ~1", s, m)
-		}
-	}
 	ftRun := runBarnes(t, 4, ft.PolicySAM, nil)
-	for s, m := range base {
-		if ftRun[s] != m {
-			t.Fatalf("step %d mass: FT %v vs base %v", s, ftRun[s], m)
+	for s, d := range base {
+		if ftRun[s] != d {
+			t.Fatalf("step %d body digest: FT %v vs base %v", s, ftRun[s], d)
 		}
 	}
 }
@@ -288,9 +290,9 @@ func TestBarnesSurvivesKill(t *testing.T) {
 			once.Do(func() { cl.Kill(1) })
 		}
 	})
-	for s, m := range base {
-		if got[s] != m {
-			t.Fatalf("step %d mass after kill: %v vs %v", s, got[s], m)
+	for s, d := range base {
+		if got[s] != d {
+			t.Fatalf("step %d body digest after kill: %v vs %v", s, got[s], d)
 		}
 	}
 }
@@ -323,12 +325,12 @@ func (m *momentsProbe) Step(p *sam.Proc, step int64) bool {
 	return false
 }
 
-// TestBarnesMidstepKillKeepsTheMoments: Barnes-Hut's answer, the tree mass,
-// is computed from the bodies and never reads the octant accumulators, so
-// it cannot show an update lost or applied twice. Kills that land in the
-// accumulator phase — when rank 0, first in the octant chain, begins a
-// step, the later ranks are between octant updates — make replacements
-// replay logged updates; every rank's update must still count exactly once.
+// TestBarnesMidstepKillKeepsTheMoments: Barnes-Hut's answer, the digest of
+// the bodies, never depends on the octant accumulators, so it cannot show
+// an update lost or applied twice. Kills that land in the accumulator
+// phase — when rank 0, first in the octant chain, begins a step, the later
+// ranks are between octant updates — make replacements replay logged
+// updates; every rank's update must still count exactly once.
 func TestBarnesMidstepKillKeepsTheMoments(t *testing.T) {
 	const n = 8
 	prm := barnesParams()

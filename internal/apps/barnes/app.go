@@ -46,14 +46,16 @@ type App struct {
 	rank, n int
 	p       Params
 	st      State
-	// OnStep, when set on rank 0, receives the total tree mass each step
-	// (validation hook).
-	OnStep func(step int64, mass float64)
+	all     []Body // every partition of the previous step, gathered
+	tree    Tree
+	// OnStep, when set on rank 0, receives each step the total mass of the
+	// tree and the Digest of the gathered bodies (validation hook).
+	OnStep func(step int64, mass, digest float64)
 }
 
 // New builds the application for one rank.
 func New(rank, n int, p Params) *App {
-	return &App{rank: rank, n: n, p: p}
+	return &App{rank: rank, n: n, p: p, all: make([]Body, 0, p.Bodies)}
 }
 
 // plummerish samples a centrally condensed cluster, deterministic in seed.
@@ -133,11 +135,12 @@ func (a *App) Step(p *sam.Proc, step int64) bool {
 	}
 
 	// Gather all partitions of the previous step.
-	all := make([]Body, 0, a.p.Bodies)
+	all := a.all[:0]
 	for r := 0; r < a.n; r++ {
 		part := p.UseValue(partName(step-1, r)).(*Partition)
 		all = append(all, part.Bodies...)
 	}
+	a.all = all
 
 	// Cooperative top-of-tree: every process folds its octant moments into
 	// the shared accumulators. Each update migrates the accumulator here —
@@ -171,10 +174,12 @@ func (a *App) Step(p *sam.Proc, step int64) bool {
 	}
 
 	// Local tree assembly + force computation for our partition.
-	tree := BuildTree(all, a.p.Size)
+	tree := &a.tree
+	tree.Build(all, a.p.Size)
 	if a.rank == 0 && a.OnStep != nil {
-		a.OnStep(step, tree.Mass)
+		a.OnStep(step, tree.Mass(), Digest(all))
 	}
+	// next is published by reference below, so it is never reused.
 	next := make([]Body, hi-lo)
 	interactions := 0
 	for i := lo; i < hi; i++ {
@@ -202,6 +207,34 @@ func (a *App) Step(p *sam.Proc, step int64) bool {
 		}
 	}
 	return true
+}
+
+// Digest hashes the positions and velocities of bodies, in order, with
+// 64-bit FNV-1a over each float64's bits (least significant byte first)
+// and returns the hash's top 53 bits as a float64: a step's answer that
+// changes with any bit of the body state.
+func Digest(bodies []Body) float64 {
+	h := uint64(fnvOffset)
+	for i := range bodies {
+		b := &bodies[i]
+		h = fnvAdd(h, b.Pos[0], b.Pos[1], b.Pos[2], b.Vel[0], b.Vel[1], b.Vel[2])
+	}
+	return float64(h >> 11)
+}
+
+const fnvOffset = 14695981039346656037
+
+// fnvAdd folds the bits of vs into the 64-bit FNV-1a hash h.
+func fnvAdd(h uint64, vs ...float64) uint64 {
+	for _, v := range vs {
+		u := math.Float64bits(v)
+		for k := 0; k < 8; k++ {
+			h ^= u & 0xff
+			h *= 1099511628211
+			u >>= 8
+		}
+	}
+	return h
 }
 
 // Snapshot and Restore: bodies live in SAM values; no private state.

@@ -105,7 +105,8 @@ type Result struct {
 	Report     stats.Report
 	// Answer is an application-level scalar used to cross-check that
 	// different configurations compute the same thing (GPS best fitness,
-	// Water final potential energy, Barnes-Hut final tree mass).
+	// Water final potential energy, Barnes-Hut digest of the bodies its last
+	// step gathered).
 	Answer float64
 	// KillsApplied counts kill events that actually took down a live
 	// process (an event can be a no-op, e.g. an OnRecovery trigger whose
@@ -216,9 +217,9 @@ func appFactory(spec Spec, ans *answerBox) func(rank int) sam.App {
 			}
 			a := barnes.New(rank, spec.N, bp)
 			if rank == 0 {
-				a.OnStep = func(step int64, mass float64) {
+				a.OnStep = func(step int64, _, digest float64) {
 					if step == bp.Steps {
-						ans.put(mass)
+						ans.put(digest)
 					}
 				}
 			}
