@@ -176,17 +176,17 @@ func (a *App) generation(p *sam.Proc, gen int64) {
 	next := make([]Individual, len(a.st.Pop))
 	evalCost := 0.0
 	for i := range next {
-		var t *Node
+		var t Program
 		switch r.Intn(10) {
 		case 0: // mutation
 			t = Mutate(r, a.tournament(r, pool).Tree, NVars, a.p.MaxDepth)
-		case 1: // reproduction
-			t = a.tournament(r, pool).Tree.Clone()
+		case 1: // reproduction: programs are immutable, so share it
+			t = a.tournament(r, pool).Tree
 		default: // crossover
 			t = Crossover(r, a.tournament(r, pool).Tree, a.tournament(r, pool).Tree, a.p.MaxDepth)
 		}
 		next[i] = Individual{Tree: t, Fitness: a.data.Fitness(t)}
-		evalCost += float64(t.Size()*len(a.data.X)) * a.p.EvalCostUS
+		evalCost += float64(len(t)*len(a.data.X)) * a.p.EvalCostUS
 	}
 	a.st.Pop = next
 	p.Compute(evalCost)
@@ -216,8 +216,7 @@ func (a *App) topK(k int) []Individual {
 	}
 	out := make([]Individual, k)
 	for i := 0; i < k; i++ {
-		ind := a.st.Pop[idx[i]]
-		out[i] = Individual{Tree: ind.Tree.Clone(), Fitness: ind.Fitness}
+		out[i] = a.st.Pop[idx[i]]
 	}
 	return out
 }

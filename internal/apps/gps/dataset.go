@@ -42,7 +42,7 @@ func NewDataset(seed uint64, n int) *Dataset {
 // Fitness returns the root-mean-square error of a formula over the
 // dataset; infinite or NaN predictions are clamped to a large penalty so
 // fitness values totally order.
-func (d *Dataset) Fitness(t *Node) float64 {
+func (d *Dataset) Fitness(t Program) float64 {
 	var sum float64
 	for i, x := range d.X {
 		p := t.Eval(x)

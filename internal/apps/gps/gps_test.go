@@ -1,6 +1,7 @@
 package gps
 
 import (
+	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
@@ -16,7 +17,7 @@ func TestRandomTreeBounds(t *testing.T) {
 		if tr.Depth() > 6 {
 			t.Fatalf("tree depth %d > 6", tr.Depth())
 		}
-		if tr.Size() < 1 {
+		if len(tr) < 1 {
 			t.Fatal("empty tree")
 		}
 	}
@@ -24,21 +25,23 @@ func TestRandomTreeBounds(t *testing.T) {
 
 func TestEvalKnownTrees(t *testing.T) {
 	x := []float64{2, 3, 5, 7}
-	add := &Node{Op: OpAdd, Kids: []*Node{
-		{Op: OpVar, Index: 0}, {Op: OpVar, Index: 1},
-	}}
+	add := Program{{Op: OpAdd}, {Op: OpVar, Index: 0}, {Op: OpVar, Index: 1}}
 	if got := add.Eval(x); got != 5 {
 		t.Fatalf("2+3 = %v", got)
 	}
-	div := &Node{Op: OpDiv, Kids: []*Node{
-		{Op: OpConst, Value: 1}, {Op: OpConst, Value: 0},
-	}}
+	div := Program{{Op: OpDiv}, {Op: OpConst, Value: 1}, {Op: OpConst, Value: 0}}
 	if got := div.Eval(x); got != 1 {
 		t.Fatalf("protected division = %v, want 1", got)
 	}
-	neg := &Node{Op: OpNeg, Kids: []*Node{{Op: OpVar, Index: 3}}}
+	neg := Program{{Op: OpNeg}, {Op: OpVar, Index: 3}}
 	if got := neg.Eval(x); got != -7 {
 		t.Fatalf("-x3 = %v", got)
+	}
+	// Operands follow their operator in preorder, first operand first:
+	// (x0 - x1) / -(x3) reads as one flat array.
+	nested := Program{{Op: OpDiv}, {Op: OpSub}, {Op: OpVar, Index: 0}, {Op: OpVar, Index: 1}, {Op: OpNeg}, {Op: OpVar, Index: 3}}
+	if got := nested.Eval(x); got != 1.0/7 {
+		t.Fatalf("(x0-x1)/-x3 = %v, want %v", got, 1.0/7)
 	}
 }
 
@@ -46,13 +49,11 @@ func TestCloneIndependence(t *testing.T) {
 	r := xrand.New(3)
 	a := RandomTree(r, NVars, 5)
 	b := a.Clone()
-	if a.Size() != b.Size() {
+	if len(a) != len(b) {
 		t.Fatal("clone size differs")
 	}
-	b.Op = OpConst
-	b.Kids = nil
-	b.Value = 42
-	if a.Op == OpConst && a.Value == 42 {
+	b[0] = Node{Op: OpConst, Value: 42}
+	if a[0].Op == OpConst && a[0].Value == 42 {
 		t.Fatal("clone aliases original")
 	}
 }
@@ -105,7 +106,6 @@ func TestDatasetDeterministicAndBounded(t *testing.T) {
 
 func TestFitnessFinite(t *testing.T) {
 	d := NewDataset(5, 64)
-	r := xrand.New(17)
 	f := func(seed uint64) bool {
 		tr := RandomTree(xrand.New(seed), NVars, 7)
 		fit := d.Fitness(tr)
@@ -114,9 +114,12 @@ func TestFitnessFinite(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
-	_ = r
 }
 
+// TestTreeRoundTripsThroughCodec: a program survives pack and unpack
+// exactly, so a migrant or a restored shard breeds and scores like the
+// original: the copy re-packs to the same bytes and evaluates to the same
+// bits on every dataset row.
 func TestTreeRoundTripsThroughCodec(t *testing.T) {
 	r := xrand.New(23)
 	tr := RandomTree(r, NVars, 7)
@@ -128,9 +131,18 @@ func TestTreeRoundTripsThroughCodec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := []float64{0.1, 0.2, 0.3, 0.4}
-	if tr.Eval(x) != got.(*Node).Eval(x) {
-		t.Fatal("tree changed across codec round trip")
+	back := *got.(*Program)
+	again, err := codec.Pack(back)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, b) {
+		t.Fatal("unpacked program re-packs to different bytes")
+	}
+	for i, x := range NewDataset(5, 64).X {
+		if math.Float64bits(tr.Eval(x)) != math.Float64bits(back.Eval(x)) {
+			t.Fatalf("row %d: program changed across codec round trip", i)
+		}
 	}
 }
 
@@ -180,4 +192,82 @@ func tourn(r *xrand.Rand, pop []Individual) Individual {
 		}
 	}
 	return b
+}
+
+// TestHotPathsAllocate pins the allocation budget of the generation loop:
+// scoring allocates nothing, and breeding allocates the child alone.
+func TestHotPathsAllocate(t *testing.T) {
+	d := NewDataset(5, 64)
+	r := xrand.New(31)
+	a, b := RandomTree(r, NVars, 7), RandomTree(r, NVars, 7)
+	if n := testing.AllocsPerRun(100, func() { d.Fitness(a) }); n != 0 {
+		t.Errorf("Fitness: %v allocs, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { a.Eval(d.X[0]) }); n != 0 {
+		t.Errorf("Eval: %v allocs, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { Crossover(r, a, b, 7) }); n > 1 {
+		t.Errorf("Crossover: %v allocs, want at most 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { Mutate(r, a, NVars, 7) }); n > 1 {
+		t.Errorf("Mutate: %v allocs, want at most 1", n)
+	}
+}
+
+// paperShard is one rank's population at paper scale (1000 individuals
+// on 8 processes), scored against the paper-sized dataset.
+func paperShard() (*Dataset, []Individual) {
+	p := DefaultParams()
+	d := NewDataset(p.Seed, p.Samples)
+	r := xrand.New(p.Seed)
+	pop := make([]Individual, p.Population/8)
+	for i := range pop {
+		tr := RandomTree(r, NVars, p.MaxDepth)
+		pop[i] = Individual{Tree: tr, Fitness: d.Fitness(tr)}
+	}
+	return d, pop
+}
+
+// Benchmark results land here so the compiler cannot drop the calls.
+var (
+	fitnessSink float64
+	breedSink   []Program
+)
+
+// BenchmarkFitness scores one rank's shard: the evaluation every
+// generation pays for.
+func BenchmarkFitness(b *testing.B) {
+	d, pop := paperShard()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, ind := range pop {
+			fitnessSink += d.Fitness(ind.Tree)
+		}
+	}
+}
+
+// BenchmarkBreed breeds one rank's next shard the way App.generation does
+// (10 % mutation, 10 % reproduction, the rest crossover, tournament
+// selection), without scoring it.
+func BenchmarkBreed(b *testing.B) {
+	_, pop := paperShard()
+	maxDepth := DefaultParams().MaxDepth
+	next := make([]Program, len(pop))
+	r := xrand.New(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range next {
+			switch r.Intn(10) {
+			case 0:
+				next[j] = Mutate(r, tourn(r, pop).Tree, NVars, maxDepth)
+			case 1:
+				next[j] = tourn(r, pop).Tree
+			default:
+				next[j] = Crossover(r, tourn(r, pop).Tree, tourn(r, pop).Tree, maxDepth)
+			}
+		}
+	}
+	breedSink = next
 }

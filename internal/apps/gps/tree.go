@@ -16,7 +16,7 @@ import (
 )
 
 // Node operation codes. A Node is a typed union: OpConst uses Value,
-// OpVar uses Index, everything else uses Kids.
+// OpVar uses Index, everything else takes the subtrees that follow it.
 const (
 	OpConst int32 = iota
 	OpVar
@@ -30,30 +30,38 @@ const (
 	opCount
 )
 
-// arity maps operations to child counts.
-var arity = map[int32]int{
-	OpConst: 0, OpVar: 0,
-	OpAdd: 2, OpSub: 2, OpMul: 2, OpDiv: 2,
-	OpNeg: 1, OpSin: 1, OpCos: 1,
+// arity returns an operation's child count (0 for leaves and unknown ops).
+func arity(op int32) int {
+	switch {
+	case op >= OpAdd && op <= OpDiv:
+		return 2
+	case op >= OpNeg && op < opCount:
+		return 1
+	}
+	return 0
 }
 
-// Node is one vertex of an expression tree. The tree is a codec-friendly
-// pointer structure so whole individuals travel as SAM objects.
+// Node is one vertex of an expression tree.
 type Node struct {
 	Op    int32
-	Value float64
 	Index int32
-	Kids  []*Node
+	Value float64
 }
+
+// Program is an expression tree flattened in preorder: each node is
+// followed by its children's subtrees, first child first. A program is
+// immutable once built, so individuals share it instead of copying it,
+// and it travels as one slice of scalars inside SAM objects.
+type Program []Node
 
 // Individual is one candidate formula with its cached fitness.
 type Individual struct {
-	Tree    *Node
+	Tree    Program
 	Fitness float64 // lower is better (RMS error); NaN-free by construction
 }
 
 func init() {
-	codec.Register("gps.Node", Node{})
+	codec.Register("gps.Program", Program{})
 	codec.Register("gps.Individual", Individual{})
 	codec.Register("gps.Shard", Shard{})
 	codec.Register("gps.Best", Best{})
@@ -71,143 +79,129 @@ type Shard struct {
 type Best struct {
 	Fitness float64
 	Found   bool
-	Tree    *Node
+	Tree    Program
 }
 
-// Eval computes the tree's value on one sample.
-func (n *Node) Eval(x []float64) float64 {
+// Eval computes the program's value on one sample.
+func (p Program) Eval(x []float64) float64 {
+	v, _ := p.eval(0, x)
+	return v
+}
+
+// eval computes the subtree at i and returns its value and the index just
+// past it. Operands are evaluated first to last, as the tree reads.
+func (p Program) eval(i int, x []float64) (float64, int) {
+	n := &p[i]
 	switch n.Op {
 	case OpConst:
-		return n.Value
+		return n.Value, i + 1
 	case OpVar:
-		return x[int(n.Index)%len(x)]
-	case OpAdd:
-		return n.Kids[0].Eval(x) + n.Kids[1].Eval(x)
-	case OpSub:
-		return n.Kids[0].Eval(x) - n.Kids[1].Eval(x)
-	case OpMul:
-		return n.Kids[0].Eval(x) * n.Kids[1].Eval(x)
-	case OpDiv:
-		d := n.Kids[1].Eval(x)
-		if d == 0 {
-			return 1
+		return x[int(n.Index)%len(x)], i + 1
+	case OpNeg, OpSin, OpCos:
+		a, j := p.eval(i+1, x)
+		switch n.Op {
+		case OpNeg:
+			return -a, j
+		case OpSin:
+			return math.Sin(a), j
 		}
-		return n.Kids[0].Eval(x) / d
-	case OpNeg:
-		return -n.Kids[0].Eval(x)
-	case OpSin:
-		return math.Sin(n.Kids[0].Eval(x))
-	case OpCos:
-		return math.Cos(n.Kids[0].Eval(x))
-	default:
-		return 0
+		return math.Cos(a), j
+	case OpAdd, OpSub, OpMul, OpDiv:
+		a, j := p.eval(i+1, x)
+		b, j := p.eval(j, x)
+		switch n.Op {
+		case OpAdd:
+			return a + b, j
+		case OpSub:
+			return a - b, j
+		case OpMul:
+			return a * b, j
+		}
+		if b == 0 {
+			return 1, j
+		}
+		return a / b, j
 	}
+	return 0, i + 1
 }
 
-// Size returns the node count.
-func (n *Node) Size() int {
-	s := 1
-	for _, k := range n.Kids {
-		s += k.Size()
+// end returns the index just past the subtree rooted at i.
+func (p Program) end(i int) int {
+	for open := 1; open > 0; i++ {
+		open += arity(p[i].Op) - 1
 	}
-	return s
+	return i
 }
 
 // Depth returns the tree height.
-func (n *Node) Depth() int {
-	d := 0
-	for _, k := range n.Kids {
-		if kd := k.Depth(); kd > d {
-			d = kd
-		}
-	}
-	return d + 1
+func (p Program) Depth() int {
+	d, _ := p.depth(0)
+	return d
 }
 
-// Clone deep-copies the tree.
-func (n *Node) Clone() *Node {
-	c := &Node{Op: n.Op, Value: n.Value, Index: n.Index}
-	if len(n.Kids) > 0 {
-		c.Kids = make([]*Node, len(n.Kids))
-		for i, k := range n.Kids {
-			c.Kids[i] = k.Clone()
-		}
+// depth returns the height of the subtree at i and the index just past it.
+func (p Program) depth(i int) (int, int) {
+	d, j := 0, i+1
+	for k := arity(p[i].Op); k > 0; k-- {
+		var kd int
+		kd, j = p.depth(j)
+		d = max(d, kd)
 	}
-	return c
+	return d + 1, j
 }
 
-// RandomTree builds a random tree with the "grow" method up to maxDepth.
-func RandomTree(r *xrand.Rand, nvars, maxDepth int) *Node {
+// Clone copies the program.
+func (p Program) Clone() Program { return append(Program(nil), p...) }
+
+// RandomTree builds a random program with the "grow" method up to maxDepth.
+func RandomTree(r *xrand.Rand, nvars, maxDepth int) Program {
+	return appendRandom(nil, r, nvars, maxDepth)
+}
+
+// appendRandom appends a random subtree to p in preorder.
+func appendRandom(p Program, r *xrand.Rand, nvars, maxDepth int) Program {
 	if maxDepth <= 1 || r.Intn(4) == 0 {
 		if r.Intn(2) == 0 {
-			return &Node{Op: OpVar, Index: int32(r.Intn(nvars))}
+			return append(p, Node{Op: OpVar, Index: int32(r.Intn(nvars))})
 		}
-		return &Node{Op: OpConst, Value: math.Round((r.Float64()*4-2)*100) / 100}
+		return append(p, Node{Op: OpConst, Value: math.Round((r.Float64()*4-2)*100) / 100})
 	}
 	op := int32(r.Intn(int(opCount-OpAdd))) + OpAdd
-	n := &Node{Op: op, Kids: make([]*Node, arity[op])}
-	for i := range n.Kids {
-		n.Kids[i] = RandomTree(r, nvars, maxDepth-1)
+	p = append(p, Node{Op: op})
+	for k := arity(op); k > 0; k-- {
+		p = appendRandom(p, r, nvars, maxDepth-1)
 	}
-	return n
+	return p
 }
 
-// pickNode returns the i-th node (preorder) and its parent slot, walking
-// the tree; used by crossover and mutation.
-func pickNode(root *Node, idx int) (parent *Node, slot int, node *Node) {
-	var walk func(p *Node, s int, n *Node) bool
-	count := 0
-	var fp *Node
-	var fs int
-	var fn *Node
-	walk = func(p *Node, s int, n *Node) bool {
-		if count == idx {
-			fp, fs, fn = p, s, n
-			return true
-		}
-		count++
-		for i, k := range n.Kids {
-			if walk(n, i, k) {
-				return true
-			}
-		}
-		return false
-	}
-	walk(nil, -1, root)
-	return fp, fs, fn
-}
-
-// Crossover swaps a random subtree of a into a clone of b's structure,
-// returning a new tree (neither input is modified).
-func Crossover(r *xrand.Rand, a, b *Node, maxDepth int) *Node {
-	child := a.Clone()
-	pa, sa, na := pickNode(child, r.Intn(child.Size()))
-	_, _, nb := pickNode(b, r.Intn(b.Size()))
-	graft := nb.Clone()
-	if pa == nil {
-		child = graft
-	} else {
-		pa.Kids[sa] = graft
-		_ = na
-	}
+// Crossover grafts a random subtree of b over a random subtree of a copy
+// of a, returning a new program (neither input is modified). Offspring
+// deeper than maxDepth is rejected: a itself is returned.
+func Crossover(r *xrand.Rand, a, b Program, maxDepth int) Program {
+	i := r.Intn(len(a))
+	j := r.Intn(len(b))
+	ei, ej := a.end(i), b.end(j)
+	child := make(Program, 0, len(a)-(ei-i)+(ej-j))
+	child = append(append(append(child, a[:i]...), b[j:ej]...), a[ei:]...)
 	if child.Depth() > maxDepth {
-		return a.Clone() // reject oversized offspring
+		return a
 	}
 	return child
 }
 
-// Mutate replaces a random subtree with a fresh random one.
-func Mutate(r *xrand.Rand, a *Node, nvars, maxDepth int) *Node {
-	child := a.Clone()
-	pa, sa, _ := pickNode(child, r.Intn(child.Size()))
-	fresh := RandomTree(r, nvars, 3)
-	if pa == nil {
-		child = fresh
-	} else {
-		pa.Kids[sa] = fresh
-	}
+// freshDepth bounds the subtree Mutate grows; such a subtree has at most
+// 2^freshDepth-1 nodes.
+const freshDepth = 3
+
+// Mutate replaces a random subtree with a fresh random one. Offspring
+// deeper than maxDepth is rejected: a itself is returned.
+func Mutate(r *xrand.Rand, a Program, nvars, maxDepth int) Program {
+	i := r.Intn(len(a))
+	ei := a.end(i)
+	child := append(make(Program, 0, len(a)-(ei-i)+(1<<freshDepth-1)), a[:i]...)
+	child = append(appendRandom(child, r, nvars, freshDepth), a[ei:]...)
 	if child.Depth() > maxDepth {
-		return a.Clone()
+		return a
 	}
 	return child
 }

@@ -138,7 +138,7 @@ func NewProc(task *pvm.Task, cfg Config) *Proc {
 		clocks:        ft.NewClocks(cfg.Rank, cfg.N),
 		taint:         ft.NewTaint(cfg.Policy),
 		cmdq:          make(chan *cmd),
-		netq:          make(chan netsim.Message, 4096),
+		netq:          make(chan netsim.Message, netqDepth),
 		deadc:         make(chan struct{}),
 		runDone:       make(chan struct{}),
 		ranks:         append([]pvm.TID(nil), cfg.Ranks...),
@@ -241,6 +241,14 @@ func (p *Proc) Run(app App) (finished bool) {
 	p.finish()
 	return true
 }
+
+// netqDepth is the runtime queue's buffer. The deepest queue measured
+// was 41, 46 and 60 frames over 15 s of the gps8, water8 and barnes8
+// benchmark workloads, 68 over the scenario library and 107 over the
+// chaos sweeps. A full buffer only parks the receiver, with the frames
+// waiting in the endpoint's mailbox instead; the runtime loop, which
+// drains the queue, never waits for room in it.
+const netqDepth = 256
 
 // receiver moves messages from the PVM mailbox to the runtime queue. It
 // only dequeues (Take): the process has one modeled clock, and charging
