@@ -98,26 +98,22 @@ type Config struct {
 	Tracer *trace.Tracer
 }
 
-// Cluster.mu sits at the top of the module's lock hierarchy: respawn
-// deliberately holds it across spawning (so the new task body observes
-// its own fresh tid), which nests every layer's lock under it, and the
-// kill/error paths touch endpoint and task state under it. Nothing in
-// the lower layers ever calls back into the cluster while holding its
-// own lock, so the order below is acyclic.
-//
-//samlint:lockorder cluster.cluster < pvm.machine -- Spawn under the respawn lock
-//samlint:lockorder cluster.cluster < pvm.task -- error collection reads task state
-//samlint:lockorder cluster.cluster < netsim.network -- endpoint registration during spawn
-//samlint:lockorder cluster.cluster < netsim.endpoint -- Kill/SetSlowdown on the rank's endpoint
-//samlint:lockorder cluster.cluster < trace.tracer -- incarnation labels during spawn
-//samlint:lockorder cluster.cluster < trace.recorder -- track creation during spawn
-
 // Cluster is a running (or runnable) simulated cluster.
 type Cluster struct {
 	cfg     Config
 	machine *pvm.Machine
 
-	mu       sync.Mutex //samlint:lockclass cluster.cluster
+	// mu sits at the top of the module's lock hierarchy: respawn holds it
+	// across spawning (so the new task body observes its own fresh tid),
+	// and the kill and error paths touch endpoint and task state under it.
+	// Nothing in the lower layers calls back into the cluster while holding
+	// its own lock, so the order is acyclic. Taken under mu, by layer:
+	//   - pvm: Machine.mu (Spawn) and Task.mu (error collection);
+	//   - netsim: Network.mu (endpoint registration during spawn) and
+	//     Endpoint.mu (Kill and SetSlowdown on the rank's endpoint);
+	//   - trace: Tracer.mu and Recorder.mu (track creation and incarnation
+	//     labels during spawn).
+	mu       sync.Mutex
 	tids     []pvm.TID
 	tasks    []*pvm.Task
 	allTasks []*pvm.Task // every incarnation, for error collection and endpoint counters
@@ -526,6 +522,7 @@ func (c *Cluster) ElapsedModeledSec() float64 {
 	return c.elapsedLocked()
 }
 
+// elapsedLocked is ElapsedModeledSec for a caller that holds c.mu.
 func (c *Cluster) elapsedLocked() float64 {
 	var maxUS float64
 	for _, t := range c.tasks {

@@ -47,7 +47,6 @@ func putEncoder(e *encoder) {
 // addRef assigns the next reference index to a newly encoded pointee.
 func (e *encoder) addRef(addr uintptr) {
 	if e.refs == nil {
-		//samlint:allow noalloc -- ref map built once per pooled encoder, reused across Packs
 		e.refs = make(map[uintptr]uint64, 8)
 	}
 	e.refs[addr] = uint64(len(e.refs))
@@ -56,7 +55,6 @@ func (e *encoder) addRef(addr uintptr) {
 // grow pre-reserves capacity (a size hint from the compiled plan).
 func (e *encoder) grow(n int) {
 	if cap(e.buf)-len(e.buf) < n {
-		//samlint:allow noalloc -- pooled-buffer growth; capacity converges after warm-up (0 allocs/op steady state)
 		nb := make([]byte, len(e.buf), len(e.buf)+n)
 		copy(nb, e.buf)
 		e.buf = nb
@@ -65,24 +63,19 @@ func (e *encoder) grow(n int) {
 
 // The primitive appends below write into the pooled encoder buffer,
 // whose capacity converges after warm-up: growth is amortized to zero
-// in steady state (the send-path benchmark pins allocs/op), so each
-// append site carries a noalloc allow.
+// in steady state (TestPackAllocs pins it).
 
-//samlint:allow noalloc -- amortized pooled-buffer append
 func (e *encoder) u8(v uint8) { e.buf = append(e.buf, v) }
 
 func (e *encoder) u16(v uint16) {
-	//samlint:allow noalloc -- amortized pooled-buffer append
 	e.buf = append(e.buf, byte(v>>8), byte(v))
 }
 
 func (e *encoder) u32(v uint32) {
-	//samlint:allow noalloc -- amortized pooled-buffer append
 	e.buf = append(e.buf, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
 }
 
 func (e *encoder) u64(v uint64) {
-	//samlint:allow noalloc -- amortized pooled-buffer append
 	e.buf = append(e.buf,
 		byte(v>>56), byte(v>>48), byte(v>>40), byte(v>>32),
 		byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
@@ -90,13 +83,11 @@ func (e *encoder) u64(v uint64) {
 
 func (e *encoder) str(s string) {
 	e.u32(uint32(len(s)))
-	//samlint:allow noalloc -- amortized pooled-buffer append
 	e.buf = append(e.buf, s...)
 }
 
 func (e *encoder) bytes(b []byte) {
 	e.u32(uint32(len(b)))
-	//samlint:allow noalloc -- amortized pooled-buffer append
 	e.buf = append(e.buf, b...)
 }
 

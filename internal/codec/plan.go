@@ -31,10 +31,7 @@ var planCache sync.Map // reflect.Type -> *plan
 // references to t resolve through it.
 //
 // The miss path (placeholder + compile) runs once per type for the life
-// of the process; every later call is a lock-free cache hit. samlint's
-// noalloc analyzer treats the whole function as amortized one-time work.
-//
-//samlint:coldpath plan compilation runs once per type, then caches
+// of the process; every later call is a lock-free cache hit.
 func planFor(t reflect.Type) *plan {
 	if pi, ok := planCache.Load(t); ok {
 		return pi.(*plan)

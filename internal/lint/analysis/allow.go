@@ -6,14 +6,10 @@ import (
 	"strings"
 )
 
-// This file implements //samlint:allow suppression as a first-class
-// object shared between the driver and the analyzers. Historically the
-// driver filtered diagnostics against the directives after every
-// analyzer had run; the facts engine forces the index into the Pass,
-// because an interprocedural analyzer must honor a suppression while
-// *building* its summaries (an allowed allocation site must not poison
-// every hot-path caller's fact), and the staleallow check needs to know
-// which directives actually earned their keep.
+// This file implements //samlint:allow suppression as an object shared
+// between the driver and staleallow: the driver filters each reported
+// diagnostic against the index, which records the directives that
+// matched, and staleallow reports the ones that never did.
 
 // allowEntry is one key of one //samlint:allow directive.
 type allowEntry struct {
@@ -27,9 +23,8 @@ type allowEntry struct {
 // Allows is the module-wide index of //samlint:allow directives. A
 // directive suppresses matching diagnostics on its own line and on the
 // line directly below it (so it can trail the offending expression or
-// stand alone above it). Matching a diagnostic — through Suppressed or
-// an analyzer's Allowed probe — marks the entry used; Unused() is the
-// staleallow analyzer's input.
+// stand alone above it). Matching a diagnostic through Suppressed marks
+// the entry used; Unused() is the staleallow analyzer's input.
 type Allows struct {
 	byFile map[string]map[int][]*allowEntry
 	all    []*allowEntry
@@ -114,21 +109,6 @@ func (a *Allows) Suppressed(pos token.Position, category, analyzer string) (stri
 	return "", false
 }
 
-// Allowed reports whether any of keys (or "all") is allowed at pos.
-// Analyzers use it to honor suppressions while building facts — before
-// any diagnostic exists to filter. A match marks the directive used.
-func (a *Allows) Allowed(pos token.Position, keys ...string) bool {
-	for _, e := range a.entriesAt(pos) {
-		for _, k := range keys {
-			if e.key == k || e.key == "all" {
-				e.used = true
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // UnusedDirective describes one allow key that suppressed nothing.
 type UnusedDirective struct {
 	Pos token.Pos
@@ -138,8 +118,8 @@ type UnusedDirective struct {
 	Known bool
 }
 
-// Unused returns the directive keys that matched no diagnostic and no
-// analyzer probe, in file/line order.
+// Unused returns the directive keys that matched no diagnostic, in
+// file/line order.
 func (a *Allows) Unused() []UnusedDirective {
 	if a == nil {
 		return nil

@@ -21,6 +21,7 @@ func TestParseAllow(t *testing.T) {
 		{"//samlint:allow -- reason but no keys", nil, false},
 		{"// ordinary comment", nil, false},
 		{"//samlint:lockclass foo.bar", nil, false},
+		{"//nolint:all", nil, false},
 	}
 	for _, c := range cases {
 		keys, ok := ParseAllow(c.text)
@@ -114,24 +115,5 @@ func a() {
 	}
 	if unused[1].Key != "tyop" || unused[1].Known {
 		t.Errorf("second unused = %+v, want unknown key tyop", unused[1])
-	}
-}
-
-func TestAllowedProbeMarksUsed(t *testing.T) {
-	src := `package fix
-
-func a() {
-	_ = 1 //samlint:allow noalloc -- consumed by a summary probe
-}
-`
-	allows, _ := collectFromSource(t, src)
-	allows.Keys["noalloc"] = true
-
-	pos := token.Position{Filename: "fix.go", Line: 4}
-	if !allows.Allowed(pos, "noalloc") {
-		t.Fatal("Allowed probe missed the directive")
-	}
-	if got := allows.Unused(); len(got) != 0 {
-		t.Errorf("probed directive still reported unused: %+v", got)
 	}
 }

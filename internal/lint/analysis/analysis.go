@@ -25,23 +25,12 @@ type Analyzer struct {
 	// analyzer's Name is the key.
 	Category string
 	// ModuleScope marks analyses that need a whole-module view (for
-	// example cross-package tag uniqueness). The driver runs them once
-	// with Pass.Pkg == nil instead of once per package.
+	// example cross-package tag uniqueness, or a pack helper in one
+	// package feeding a send in another). The driver runs them once with
+	// Pass.Pkg == nil instead of once per package; they walk Pass.All.
 	ModuleScope bool
 	// Run executes the check, reporting findings through the Pass.
 	Run func(*Pass) error
-	// FactTypes declares the Fact types this analyzer may export. Facts
-	// flow from each package's pass to the passes of packages that
-	// depend on it (the driver checks packages in dependency order), so
-	// a non-empty FactTypes makes the analyzer interprocedural across
-	// package boundaries. Each entry is a typed nil pointer, e.g.
-	// (*lockFact)(nil).
-	FactTypes []Fact
-	// Finish, when non-nil, runs once after every package's Run has
-	// completed, with a module-wide Pass (Pkg == nil, All populated).
-	// Analyzers that export per-package facts use it to correlate the
-	// accumulated facts and report module-level findings.
-	Finish func(*Pass) error
 	// NeverSuppress exempts the analyzer's diagnostics from
 	// //samlint:allow filtering. staleallow sets it: a stale directive
 	// must not be able to hide the report about itself (an unused
@@ -87,16 +76,9 @@ type Pass struct {
 	// analyses can correlate declarations across packages.
 	All []*Package
 
-	// Facts is the run's shared cross-package fact store. The driver
-	// supplies one store for the whole run; see ExportObjectFact /
-	// ImportObjectFact in facts.go. Nil when the driver predates facts
-	// (fixture harnesses always supply one).
-	Facts *Facts
-
-	// Allows is the module's //samlint:allow index. Analyzers that build
-	// summaries (facts) consult it so a suppressed site does not poison
-	// downstream findings; consulting it marks directives used, feeding
-	// the staleallow check.
+	// Allows is the module's //samlint:allow index. The driver consults it
+	// when a diagnostic is reported, marking each directive that matched;
+	// staleallow reads what is left unmarked.
 	Allows *Allows
 
 	// Report receives each finding. The driver supplies it.

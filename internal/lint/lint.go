@@ -10,26 +10,19 @@ import (
 	"samft/internal/lint/codecregistered"
 	"samft/internal/lint/detiter"
 	"samft/internal/lint/load"
-	"samft/internal/lint/lockheld"
-	"samft/internal/lint/lockorder"
-	"samft/internal/lint/noalloc"
 	"samft/internal/lint/nowallclock"
 	"samft/internal/lint/staleallow"
 	"samft/internal/lint/tagflow"
 )
 
-// Analyzers returns the full samlint suite. Order matters in two places:
-// fact-exporting analyzers are independent of each other, but staleallow
-// must run last — it reports the //samlint:allow directives that no
-// earlier analyzer's diagnostic or summary probe consumed.
+// Analyzers returns the full samlint suite. staleallow must run last: it
+// reports the //samlint:allow directives that no earlier analyzer's
+// diagnostic consumed.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		nowallclock.Analyzer,
 		detiter.Analyzer,
-		lockheld.Analyzer,
 		codecregistered.Analyzer,
-		lockorder.Analyzer,
-		noalloc.Analyzer,
 		tagflow.Analyzer,
 		staleallow.Analyzer,
 	}
@@ -55,9 +48,8 @@ type Options struct {
 	// Patterns restricts which packages are analyzed (and, for
 	// module-scope analyzers, where findings may be reported). Supported
 	// forms: "./...", "./some/dir/...", "./some/dir", and bare import
-	// paths. Empty means everything. Fact-exporting analyzers still
-	// visit every package (facts must exist module-wide); only the
-	// reporting is restricted.
+	// paths. Empty means everything. Module-scope analyzers still see
+	// every package; only the reporting is restricted.
 	Patterns []string
 	// Analyzers overrides the suite (nil = Analyzers()).
 	Analyzers []*analysis.Analyzer
@@ -85,8 +77,8 @@ type Result struct {
 
 // Run loads the module containing opts.Dir and applies the analyzer
 // suite. The module is parsed and type-checked exactly once; every
-// analyzer — including the whole-module fact consumers — shares that one
-// load, which is what keeps the CI job's wall time bounded as the suite
+// analyzer — including the module-scope ones — shares that one load,
+// which is what keeps the CI job's wall time bounded as the suite
 // grows. Diagnostics suppressed by //samlint:allow directives are
 // recorded in Result.Suppressed; the rest are returned sorted by
 // position.
@@ -131,13 +123,11 @@ func RunPackages(fset *token.FileSet, pkgs []*analysis.Package, analyzers []*ana
 	return res.Diagnostics, nil
 }
 
-// runSuite is the shared driver core: one fact store and one allow index
-// for the whole run, packages visited in dependency order (load.Load
-// returns them topologically sorted, so a fact is always exported before
-// any importer could ask for it), suppression applied at report time so
-// directive usage is observable by the staleallow analyzer.
+// runSuite is the shared driver core: one allow index for the whole run,
+// packages in dependency order (load.Load returns them topologically
+// sorted), suppression applied at report time so directive usage is
+// observable by the staleallow analyzer.
 func runSuite(res *Result, fset *token.FileSet, pkgs []*analysis.Package, analyzers []*analysis.Analyzer, match func(string) bool) error {
-	facts := analysis.NewFacts()
 	allows := analysis.CollectAllows(fset, pkgs)
 	for _, a := range analyzers {
 		allows.Keys[a.Name] = true
@@ -165,7 +155,7 @@ func runSuite(res *Result, fset *token.FileSet, pkgs []*analysis.Package, analyz
 	newPass := func(a *analysis.Analyzer, pkg *analysis.Package) *analysis.Pass {
 		return &analysis.Pass{
 			Analyzer: a, Fset: fset, Pkg: pkg, All: pkgs,
-			Facts: facts, Allows: allows, Report: report,
+			Allows: allows, Report: report,
 		}
 	}
 
@@ -189,11 +179,6 @@ func runSuite(res *Result, fset *token.FileSet, pkgs []*analysis.Package, analyz
 				return fmt.Errorf("%s: %s: %w", a.Name, p.Path, err)
 			}
 		}
-		if a.Finish != nil {
-			if err := a.Finish(newPass(a, nil)); err != nil {
-				return fmt.Errorf("%s (finish): %w", a.Name, err)
-			}
-		}
 	}
 
 	pkgOf := make(map[string]string, len(pkgs)) // file -> package path
@@ -202,16 +187,10 @@ func runSuite(res *Result, fset *token.FileSet, pkgs []*analysis.Package, analyz
 			pkgOf[fset.Position(f.Pos()).Filename] = p.Path
 		}
 	}
-	seen := make(map[analysis.Diagnostic]bool, len(diags))
 	for _, d := range diags {
-		pos := fset.Position(d.Pos)
-		if !match(pkgOf[pos.Filename]) {
+		if !match(pkgOf[fset.Position(d.Pos).Filename]) {
 			continue // finding outside the requested patterns
 		}
-		if seen[d] {
-			continue // interprocedural passes can surface one site twice
-		}
-		seen[d] = true
 		res.Diagnostics = append(res.Diagnostics, d)
 	}
 	sort.Slice(res.Diagnostics, func(i, j int) bool {

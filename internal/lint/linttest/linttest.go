@@ -40,13 +40,7 @@ type expectation struct {
 // honored, so fixtures can also exercise the suppression syntax.
 func Run(t *testing.T, a *analysis.Analyzer) {
 	t.Helper()
-	RunDir(t, filepath.Join("testdata", "src"), a)
-}
-
-// RunDir is Run with an explicit fixture root.
-func RunDir(t *testing.T, dir string, a *analysis.Analyzer) {
-	t.Helper()
-	RunSuite(t, dir, a)
+	RunSuite(t, filepath.Join("testdata", "src"), a)
 }
 
 // RunSuite runs several analyzers together over one fixture tree,

@@ -29,9 +29,6 @@ type Config struct {
 	// empty, packages are addressed by their Dir-relative slash path
 	// (fixture mode, used by linttest).
 	ModulePath string
-	// IncludeTests, when set, also parses _test.go files that belong to
-	// the package under test (external _test packages are never loaded).
-	IncludeTests bool
 }
 
 // skipDirs are directory names never descended into.
@@ -57,7 +54,7 @@ func Load(cfg Config) ([]*analysis.Package, *token.FileSet, error) {
 	fset := token.NewFileSet()
 	pkgs := make(map[string]*rawPkg, len(dirs))
 	for _, dir := range dirs {
-		rp, err := parseDir(fset, dir, cfg.IncludeTests)
+		rp, err := parseDir(fset, dir)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -163,10 +160,9 @@ func packageDirs(root string) ([]string, error) {
 	return dirs, nil
 }
 
-// parseDir parses the buildable, non-test Go files of one directory (plus
-// in-package test files when includeTests is set). It returns nil when the
-// directory holds no Go files.
-func parseDir(fset *token.FileSet, dir string, includeTests bool) (*rawPkg, error) {
+// parseDir parses the non-test Go files of one directory. It returns nil
+// when the directory holds no Go files.
+func parseDir(fset *token.FileSet, dir string) (*rawPkg, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -178,7 +174,7 @@ func parseDir(fset *token.FileSet, dir string, includeTests bool) (*rawPkg, erro
 		if e.IsDir() || !strings.HasSuffix(name, ".go") {
 			continue
 		}
-		if !includeTests && strings.HasSuffix(name, "_test.go") {
+		if strings.HasSuffix(name, "_test.go") {
 			continue
 		}
 		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
@@ -186,9 +182,6 @@ func parseDir(fset *token.FileSet, dir string, includeTests bool) (*rawPkg, erro
 			return nil, fmt.Errorf("load: %w", err)
 		}
 		pkgName := f.Name.Name
-		if strings.HasSuffix(pkgName, "_test") {
-			continue // external test packages are out of scope
-		}
 		if rp.name == "" {
 			rp.name = pkgName
 		} else if rp.name != pkgName {

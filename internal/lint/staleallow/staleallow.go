@@ -3,10 +3,9 @@
 // it excused gets rewritten, the analyzer gets smarter, and the comment
 // lingers, silently ready to hide the next real finding on its line.
 // This pass closes the loop — the driver marks each directive key that
-// matched a diagnostic (or that an analyzer consulted while building its
-// summaries), and whatever remains unmarked after the whole suite has
-// run is reported here, including keys that were never valid for any
-// analyzer in the first place (typos).
+// matched a diagnostic, and whatever remains unmarked after the whole
+// suite has run is reported here, including keys that were never valid
+// for any analyzer in the first place (typos).
 //
 // staleallow must be the last analyzer in the suite: it reads the usage
 // state every earlier analyzer produced.

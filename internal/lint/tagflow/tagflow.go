@@ -24,16 +24,16 @@
 //     receivers of that tag assert. Packing *wire and asserting
 //     *otherThing is a guaranteed decode-drop.
 //
-// The dataflow checks are interprocedural: per-function pack/unpack provenance
-// ("returns bytes packed from T" / "asserts unpacked values to T")
-// travels as object facts, per-package send sites and receive evidence
-// travel as package facts, and the Finish hook correlates them
-// module-wide. Raw []byte payloads (netsim frames, benchmarks) have no
-// provenance and are exempt from the type check; dynamic (non-constant)
-// tags are exempt from both. Receive evidence is associated with
-// payload types at function granularity: a dispatcher that compares
-// m.Tag against a constant and asserts unpacked values is taken to
-// receive those types for that tag.
+// The dataflow checks are interprocedural and module-wide: one pass walks
+// every package in dependency order, keeping per-function pack/unpack
+// provenance ("returns bytes packed from T" / "asserts unpacked values to
+// T") in maps keyed by the function object, and collecting every send site
+// and every piece of receive evidence before correlating them. Raw []byte
+// payloads (netsim frames, benchmarks) have no provenance and are exempt
+// from the type check; dynamic (non-constant) tags are exempt from both.
+// Receive evidence is associated with payload types at function
+// granularity: a dispatcher that compares m.Tag against a constant and
+// asserts unpacked values is taken to receive those types for that tag.
 package tagflow
 
 import (
@@ -49,30 +49,19 @@ import (
 	"samft/internal/lint/analysis"
 )
 
-// Analyzer is the tagflow check.
+// Analyzer is the tagflow check (module-scope: a pack helper in one
+// package can feed a send in another, and the receivers of a tag may live
+// anywhere).
 var Analyzer = &analysis.Analyzer{
 	Name: "tagflow",
 	Doc: "tag constants are unique and at or above TagUserBase, call sites " +
 		"use registered tags, every constant tag sent has receive evidence, " +
 		"and packed payload types match what receivers assert",
-	FactTypes: []analysis.Fact{(*packsFact)(nil), (*unpacksFact)(nil), (*flowFact)(nil)},
-	Run:       run,
-	Finish:    finish,
+	ModuleScope: true,
+	Run:         run,
 }
 
 const codecPath = "samft/internal/codec"
-
-// packsFact marks a function whose returned bytes are produced by
-// codec.Pack, listing the packed types (full type strings).
-type packsFact struct{ Types []string }
-
-func (*packsFact) AFact() {}
-
-// unpacksFact marks a function that type-asserts values produced by
-// codec.Unpack, listing the asserted types.
-type unpacksFact struct{ Types []string }
-
-func (*unpacksFact) AFact() {}
 
 // sendSite is one Send call with a constant tag.
 type sendSite struct {
@@ -82,13 +71,6 @@ type sendSite struct {
 	Packed  []string // payload provenance; empty = raw bytes, unchecked
 }
 
-// recvSite is evidence that a tag is received or dispatched, with the
-// payload types the evidencing function asserts (may be empty).
-type recvSite struct {
-	Tag   int64
-	Types []string
-}
-
 // tagUse is one messaging call with a constant tag, wildcard included.
 type tagUse struct {
 	Pos    token.Pos
@@ -96,15 +78,16 @@ type tagUse struct {
 	Tag    int64
 }
 
-// flowFact is one package's constant-tag call sites, and of those its
-// sends and receive evidence.
-type flowFact struct {
-	Uses  []tagUse
-	Sends []sendSite
-	Recvs []recvSite
+// flow is the module's constant-tag call sites, and of those its sends
+// and receive evidence.
+type flow struct {
+	uses  []tagUse
+	sends []sendSite
+	// received holds each tag with receive evidence (a Recv, a .Tag
+	// comparison or a switch case), mapped to the payload types the
+	// evidencing functions assert, pointer-insensitively.
+	received map[int64]map[string]bool
 }
-
-func (*flowFact) AFact() {}
 
 // tagMethods maps messaging method names to their tag argument index:
 // Send(dst, tag, payload), SendParts(dst, tag, payload, body),
@@ -113,67 +96,50 @@ var tagMethods = map[string]int{"Send": 1, "SendParts": 1, "Recv": 1, "Take": 1,
 
 func run(pass *analysis.Pass) error {
 	c := &checker{
-		pass:    pass,
-		decls:   make(map[*types.Func]*ast.FuncDecl),
+		decls:   make(map[*types.Func]funcDecl),
 		packs:   make(map[*types.Func][]string),
 		unpacks: make(map[*types.Func][]string),
 	}
-	for _, f := range pass.Pkg.Files {
-		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
-				if fn, ok := pass.Pkg.Info.Defs[fd.Name].(*types.Func); ok {
-					c.decls[fn] = fd
+	var order []*types.Func
+	for _, p := range pass.All {
+		for _, f := range p.Files {
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
+					if fn, ok := p.Info.Defs[fd.Name].(*types.Func); ok {
+						c.decls[fn] = funcDecl{fd, p.Info}
+						order = append(order, fn)
+					}
 				}
 			}
 		}
 	}
-	for fn := range c.decls {
-		c.packsOf(fn, nil)
-		c.unpacksOf(fn, nil)
+	fl := flow{received: make(map[int64]map[string]bool)}
+	for _, fn := range order {
+		c.collectFlow(fn, &fl)
 	}
-	for fn, ts := range c.packs {
-		if len(ts) > 0 {
-			pass.ExportObjectFact(fn, &packsFact{Types: ts})
-		}
-	}
-	for fn, ts := range c.unpacks {
-		if len(ts) > 0 {
-			pass.ExportObjectFact(fn, &unpacksFact{Types: ts})
-		}
-	}
-
-	var flow flowFact
-	for fn, fd := range c.decls {
-		c.collectFlow(fn, fd, &flow)
-	}
-	sort.Slice(flow.Uses, func(i, j int) bool { return flow.Uses[i].Pos < flow.Uses[j].Pos })
-	sort.Slice(flow.Sends, func(i, j int) bool { return flow.Sends[i].Pos < flow.Sends[j].Pos })
-	sort.Slice(flow.Recvs, func(i, j int) bool {
-		if flow.Recvs[i].Tag != flow.Recvs[j].Tag {
-			return flow.Recvs[i].Tag < flow.Recvs[j].Tag
-		}
-		return strings.Join(flow.Recvs[i].Types, ",") < strings.Join(flow.Recvs[j].Types, ",")
-	})
-	if len(flow.Uses) > 0 || len(flow.Recvs) > 0 {
-		pass.ExportPackageFact(&flow)
-	}
+	fl.report(pass)
 	return nil
 }
 
+// funcDecl is one function body with its own package's type information.
+type funcDecl struct {
+	decl *ast.FuncDecl
+	info *types.Info
+}
+
 type checker struct {
-	pass    *analysis.Pass
-	decls   map[*types.Func]*ast.FuncDecl
+	decls   map[*types.Func]funcDecl
 	packs   map[*types.Func][]string
 	unpacks map[*types.Func][]string
 }
 
 // codecCall reports whether call invokes codec.<name>.
-func (c *checker) codecCall(call *ast.CallExpr, name string) bool {
+func codecCall(info *types.Info, call *ast.CallExpr, name string) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok || sel.Sel.Name != name {
 		return false
 	}
-	fn, ok := c.pass.Pkg.Info.Uses[sel.Sel].(*types.Func)
+	fn, ok := info.Uses[sel.Sel].(*types.Func)
 	if !ok || fn.Pkg() == nil {
 		return false
 	}
@@ -183,7 +149,7 @@ func (c *checker) codecCall(call *ast.CallExpr, name string) bool {
 	return fn.Pkg().Path() == codecPath || fn.Pkg().Name() == "codec"
 }
 
-func (c *checker) calleeFunc(call *ast.CallExpr) *types.Func {
+func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	var id *ast.Ident
 	switch f := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
@@ -193,11 +159,13 @@ func (c *checker) calleeFunc(call *ast.CallExpr) *types.Func {
 	default:
 		return nil
 	}
-	fn, _ := c.pass.Pkg.Info.Uses[id].(*types.Func)
-	return fn
+	if fn, ok := info.Uses[id].(*types.Func); ok {
+		return fn.Origin()
+	}
+	return nil
 }
 
-func (c *checker) typeString(t types.Type) string {
+func typeString(t types.Type) string {
 	if t == nil {
 		return ""
 	}
@@ -210,37 +178,28 @@ func (c *checker) packsOf(fn *types.Func, visiting map[*types.Func]bool) []strin
 	if s, ok := c.packs[fn]; ok {
 		return s
 	}
-	if fn.Pkg() != c.pass.Pkg.Types {
-		var f packsFact
-		if c.pass.ImportObjectFact(fn, &f) {
-			return f.Types
-		}
+	d, ok := c.decls[fn]
+	if !ok || visiting[fn] {
 		return nil
 	}
-	if visiting[fn] {
-		return nil
-	}
-	fd := c.decls[fn]
-	if fd == nil {
-		return nil
-	}
+	info := d.info
 	if visiting == nil {
 		visiting = make(map[*types.Func]bool)
 	}
 	visiting[fn] = true
 	set := make(map[string]bool)
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
+	ast.Inspect(d.decl.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
-		if c.codecCall(call, "Pack") && len(call.Args) == 1 {
-			if ts := c.typeString(c.pass.Pkg.Info.Types[call.Args[0]].Type); ts != "" {
+		if codecCall(info, call, "Pack") && len(call.Args) == 1 {
+			if ts := typeString(info.Types[call.Args[0]].Type); ts != "" {
 				set[ts] = true
 			}
 			return true
 		}
-		if callee := c.calleeFunc(call); callee != nil {
+		if callee := calleeFunc(info, call); callee != nil {
 			for _, t := range c.packsOf(callee, visiting) {
 				set[t] = true
 			}
@@ -259,20 +218,11 @@ func (c *checker) unpacksOf(fn *types.Func, visiting map[*types.Func]bool) []str
 	if s, ok := c.unpacks[fn]; ok {
 		return s
 	}
-	if fn.Pkg() != c.pass.Pkg.Types {
-		var f unpacksFact
-		if c.pass.ImportObjectFact(fn, &f) {
-			return f.Types
-		}
+	d, ok := c.decls[fn]
+	if !ok || visiting[fn] {
 		return nil
 	}
-	if visiting[fn] {
-		return nil
-	}
-	fd := c.decls[fn]
-	if fd == nil {
-		return nil
-	}
+	info := d.info
 	if visiting == nil {
 		visiting = make(map[*types.Func]bool)
 	}
@@ -281,34 +231,34 @@ func (c *checker) unpacksOf(fn *types.Func, visiting map[*types.Func]bool) []str
 
 	// Pass 1: which local vars hold codec.Unpack results.
 	unpacked := make(map[types.Object]bool)
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
+	ast.Inspect(d.decl.Body, func(n ast.Node) bool {
 		as, ok := n.(*ast.AssignStmt)
 		if !ok || len(as.Rhs) != 1 {
 			return true
 		}
 		call, ok := as.Rhs[0].(*ast.CallExpr)
-		if !ok || !c.codecCall(call, "Unpack") {
+		if !ok || !codecCall(info, call, "Unpack") {
 			return true
 		}
 		if id, ok := as.Lhs[0].(*ast.Ident); ok {
-			if obj := c.pass.Pkg.Info.Defs[id]; obj != nil {
+			if obj := info.Defs[id]; obj != nil {
 				unpacked[obj] = true
-			} else if obj := c.pass.Pkg.Info.Uses[id]; obj != nil {
+			} else if obj := info.Uses[id]; obj != nil {
 				unpacked[obj] = true
 			}
 		}
 		return true
 	})
 	// Pass 2: assertions on those vars, plus callee delegation.
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
+	ast.Inspect(d.decl.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.TypeAssertExpr:
 			id, ok := ast.Unparen(n.X).(*ast.Ident)
-			if !ok || !unpacked[c.pass.Pkg.Info.Uses[id]] {
+			if !ok || !unpacked[info.Uses[id]] {
 				return true
 			}
 			if n.Type != nil { // v.(T); v.(type) handled via TypeSwitch cases below
-				if ts := c.typeString(c.pass.Pkg.Info.Types[n.Type].Type); ts != "" {
+				if ts := typeString(info.Types[n.Type].Type); ts != "" {
 					set[ts] = true
 				}
 			}
@@ -325,7 +275,7 @@ func (c *checker) unpacksOf(fn *types.Func, visiting map[*types.Func]bool) []str
 				}
 			}
 			id, ok := ast.Unparen(x).(*ast.Ident)
-			if !ok || !unpacked[c.pass.Pkg.Info.Uses[id]] {
+			if !ok || !unpacked[info.Uses[id]] {
 				return true
 			}
 			for _, stmt := range n.Body.List {
@@ -334,13 +284,13 @@ func (c *checker) unpacksOf(fn *types.Func, visiting map[*types.Func]bool) []str
 					continue
 				}
 				for _, te := range cc.List {
-					if ts := c.typeString(c.pass.Pkg.Info.Types[te].Type); ts != "" {
+					if ts := typeString(info.Types[te].Type); ts != "" {
 						set[ts] = true
 					}
 				}
 			}
 		case *ast.CallExpr:
-			if callee := c.calleeFunc(n); callee != nil {
+			if callee := calleeFunc(info, n); callee != nil {
 				for _, t := range c.unpacksOf(callee, visiting) {
 					set[t] = true
 				}
@@ -355,13 +305,14 @@ func (c *checker) unpacksOf(fn *types.Func, visiting map[*types.Func]bool) []str
 }
 
 // collectFlow gathers fn's send sites and receive evidence.
-func (c *checker) collectFlow(fn *types.Func, fd *ast.FuncDecl, flow *flowFact) {
-	info := c.pass.Pkg.Info
+func (c *checker) collectFlow(fn *types.Func, fl *flow) {
+	d := c.decls[fn]
+	info := d.info
 
 	// Local payload provenance: var -> packed types, from single-call
 	// assignments (b := p.encodeHead(w, r); b, err := codec.Pack(x)).
 	prov := make(map[types.Object][]string)
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
+	ast.Inspect(d.decl.Body, func(n ast.Node) bool {
 		as, ok := n.(*ast.AssignStmt)
 		if !ok || len(as.Rhs) != 1 {
 			return true
@@ -371,11 +322,11 @@ func (c *checker) collectFlow(fn *types.Func, fd *ast.FuncDecl, flow *flowFact) 
 			return true
 		}
 		var packed []string
-		if c.codecCall(call, "Pack") && len(call.Args) == 1 {
-			if ts := c.typeString(info.Types[call.Args[0]].Type); ts != "" {
+		if codecCall(info, call, "Pack") && len(call.Args) == 1 {
+			if ts := typeString(info.Types[call.Args[0]].Type); ts != "" {
 				packed = []string{ts}
 			}
-		} else if callee := c.calleeFunc(call); callee != nil {
+		} else if callee := calleeFunc(info, call); callee != nil {
 			packed = c.packsOf(callee, nil)
 		}
 		if len(packed) == 0 {
@@ -409,7 +360,7 @@ func (c *checker) collectFlow(fn *types.Func, fd *ast.FuncDecl, flow *flowFact) 
 		return ok && sel.Sel.Name == "Tag"
 	}
 
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
+	ast.Inspect(d.decl.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
 			sel, ok := n.Fun.(*ast.SelectorExpr)
@@ -424,7 +375,7 @@ func (c *checker) collectFlow(fn *types.Func, fd *ast.FuncDecl, flow *flowFact) 
 			if !ok {
 				return true // dynamic tag: not statically checkable
 			}
-			flow.Uses = append(flow.Uses, tagUse{Pos: n.Args[idx].Pos(), Method: sel.Sel.Name, Tag: v})
+			fl.uses = append(fl.uses, tagUse{Pos: n.Args[idx].Pos(), Method: sel.Sel.Name, Tag: v})
 			if v < 0 {
 				return true
 			}
@@ -440,16 +391,16 @@ func (c *checker) collectFlow(fn *types.Func, fd *ast.FuncDecl, flow *flowFact) 
 						site.Packed = prov[obj]
 					}
 				case *ast.CallExpr:
-					if c.codecCall(payload, "Pack") && len(payload.Args) == 1 {
-						if ts := c.typeString(info.Types[payload.Args[0]].Type); ts != "" {
+					if codecCall(info, payload, "Pack") && len(payload.Args) == 1 {
+						if ts := typeString(info.Types[payload.Args[0]].Type); ts != "" {
 							site.Packed = []string{ts}
 						}
-					} else if callee := c.calleeFunc(payload); callee != nil {
+					} else if callee := calleeFunc(info, payload); callee != nil {
 						site.Packed = c.packsOf(callee, nil)
 					}
 				}
 			}
-			flow.Sends = append(flow.Sends, site)
+			fl.sends = append(fl.sends, site)
 		case *ast.BinaryExpr:
 			if n.Op != token.EQL && n.Op != token.NEQ {
 				return true
@@ -485,8 +436,15 @@ func (c *checker) collectFlow(fn *types.Func, fd *ast.FuncDecl, flow *flowFact) 
 		return
 	}
 	asserted := c.unpacksOf(fn, nil)
-	for _, v := range sortedKeys(evidence) {
-		flow.Recvs = append(flow.Recvs, recvSite{Tag: v, Types: asserted})
+	for v := range evidence {
+		want := fl.received[v]
+		if want == nil {
+			want = make(map[string]bool)
+			fl.received[v] = want
+		}
+		for _, t := range asserted {
+			want[derefName(t)] = true
+		}
 	}
 }
 
@@ -566,63 +524,29 @@ func checkNamespace(pass *analysis.Pass, uses []tagUse) map[int64]bool {
 // positions only.
 const wildcardTag = -1
 
-func finish(pass *analysis.Pass) error {
-	var uses []tagUse
-	var sends []sendSite
-	received := make(map[int64]bool)
-	recvTypes := make(map[int64]map[string]bool)
-	var f flowFact
-	for _, pf := range pass.AllPackageFacts(&f) {
-		flow := pf.Fact.(*flowFact)
-		uses = append(uses, flow.Uses...)
-		sends = append(sends, flow.Sends...)
-		for _, r := range flow.Recvs {
-			received[r.Tag] = true
-			for _, t := range r.Types {
-				if recvTypes[r.Tag] == nil {
-					recvTypes[r.Tag] = make(map[string]bool)
-				}
-				recvTypes[r.Tag][derefName(t)] = true
-			}
-		}
-	}
+// report correlates the module's sends with its receive evidence.
+func (fl *flow) report(pass *analysis.Pass) {
+	registered := checkNamespace(pass, fl.uses)
 
-	registered := checkNamespace(pass, uses)
-
-	sort.Slice(sends, func(i, j int) bool { return sends[i].Pos < sends[j].Pos })
-	for _, s := range sends {
+	for _, s := range fl.sends {
 		if !registered[s.Tag] {
 			continue // reported above; one finding per defect
 		}
-		if !received[s.Tag] {
-			pass.Report(analysis.Diagnostic{
-				Pos: s.Pos, Analyzer: pass.Analyzer.Name, Category: pass.Analyzer.Key(),
-				Message: "tag " + s.TagName + " is sent here but no Recv, .Tag comparison, " +
-					"or switch case anywhere in the module matches it; the message can never be consumed",
-			})
+		want, received := fl.received[s.Tag]
+		if !received {
+			pass.Reportf(s.Pos, "tag %s is sent here but no Recv, .Tag comparison, "+
+				"or switch case anywhere in the module matches it; the message can never be consumed", s.TagName)
 			continue
 		}
-		want := recvTypes[s.Tag]
 		if len(s.Packed) == 0 || len(want) == 0 {
 			continue
 		}
-		ok := false
-		for _, t := range s.Packed {
-			if want[derefName(t)] {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			pass.Report(analysis.Diagnostic{
-				Pos: s.Pos, Analyzer: pass.Analyzer.Name, Category: pass.Analyzer.Key(),
-				Message: "payload packed as " + strings.Join(s.Packed, " or ") +
-					" at this send of " + s.TagName + ", but its receivers assert " +
-					strings.Join(sortedKeys(want), ", ") + "; the decode will fail and the message will be dropped",
-			})
+		if !slices.ContainsFunc(s.Packed, func(t string) bool { return want[derefName(t)] }) {
+			pass.Reportf(s.Pos, "payload packed as %s at this send of %s, but its receivers assert %s; "+
+				"the decode will fail and the message will be dropped",
+				strings.Join(s.Packed, " or "), s.TagName, strings.Join(sortedKeys(want), ", "))
 		}
 	}
-	return nil
 }
 
 // derefName compares type names pointer-insensitively: Pack(*T) round-

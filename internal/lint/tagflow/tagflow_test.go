@@ -16,5 +16,5 @@ func TestTagFlow(t *testing.T) {
 // constants are checked module-wide, so they would collide with the dataflow
 // fixtures' (which sit below the namespace fixtures' TagUserBase).
 func TestTagNamespace(t *testing.T) {
-	linttest.RunDir(t, filepath.Join("testdata", "namespace"), tagflow.Analyzer)
+	linttest.RunSuite(t, filepath.Join("testdata", "namespace"), tagflow.Analyzer)
 }

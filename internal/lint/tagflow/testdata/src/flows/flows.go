@@ -57,7 +57,7 @@ func SendPartsMismatch(e *Endpoint, body []byte) {
 }
 
 // SendViaHelper's payload provenance flows through encodeWire's
-// exported packs fact.
+// recorded pack provenance.
 func SendViaHelper(e *Endpoint) {
 	b := encodeWire(3)
 	_ = e.Send(1, TagSwitched, b)

@@ -37,7 +37,7 @@ type FaultPlan struct {
 
 // chaosState is the mutable runtime of a FaultPlan.
 type chaosState struct {
-	mu   sync.Mutex //samlint:lockclass netsim.chaos
+	mu   sync.Mutex
 	plan FaultPlan
 	rng  *xrand.Rand
 }

@@ -65,7 +65,7 @@ type Endpoint struct {
 	latencyUS float64
 	usPerByte float64
 
-	mu   sync.Mutex //samlint:lockclass netsim.endpoint
+	mu   sync.Mutex
 	cond *sync.Cond
 	// queue holds delivered messages by value in arrival order; senders
 	// append under mu. Entries before qHead were consumed at the head and
@@ -301,8 +301,6 @@ func (e *Endpoint) Charge(us float64) {
 func (e *Endpoint) AdvanceTo(us float64) { e.raiseClock(us) }
 
 // Send transmits a payload to dst: SendParts with no body.
-//
-//samlint:hotpath
 func (e *Endpoint) Send(dst TID, tag int, payload []byte) error {
 	return e.SendParts(dst, tag, payload, nil)
 }
@@ -320,8 +318,6 @@ func (e *Endpoint) Send(dst TID, tag int, payload []byte) error {
 // The steady-state path is allocation-free: routing is an index into the
 // copy-on-write routing slice and the message travels by value through the
 // receiver's queue.
-//
-//samlint:hotpath
 func (e *Endpoint) SendParts(dst TID, tag int, payload, body []byte) error {
 	if s := e.state.Load(); s != 0 {
 		if s&stateDead != 0 {
@@ -386,7 +382,6 @@ func (e *Endpoint) deliver(q queued) bool {
 		e.mu.Unlock()
 		return false
 	}
-	//samlint:allow noalloc -- ingress queue append; capacity converges after warm-up (allocs/op pinned by BenchmarkSendRecv)
 	e.queue = append(e.queue, q)
 	e.enqueued++
 	wake := e.waiting
@@ -483,8 +478,6 @@ func (e *Endpoint) find(src TID, tag int) int {
 // Everything it touches is an atomic or the recorder's own leaf lock, so
 // Recv runs it after releasing mu — the receiver's critical section covers
 // only the match itself.
-//
-//samlint:hotpath
 func (e *Endpoint) Accept(m *Message) {
 	e.recvd.Add(statOneMsg + uint64(m.Len()))
 	// Receiving synchronizes the modeled clocks: the receiver cannot have
@@ -529,8 +522,6 @@ func (e *Endpoint) Accept(m *Message) {
 // exit notifications delivered during teardown) are matched before the
 // closed state is reported, so a subscriber can drain notifications it
 // was promised even while the machine halts.
-//
-//samlint:hotpath
 func (e *Endpoint) Take(src TID, tag int) (m Message, err error) {
 	err = e.take(src, tag, &m)
 	return m, err
@@ -562,8 +553,6 @@ func (e *Endpoint) take(src TID, tag int, out *Message) error {
 
 // Recv is Take followed by Accept: the message is charged to the receiver
 // the instant it is matched.
-//
-//samlint:hotpath
 func (e *Endpoint) Recv(src TID, tag int) (m Message, err error) {
 	if err = e.take(src, tag, &m); err == nil {
 		e.Accept(&m)
@@ -574,8 +563,6 @@ func (e *Endpoint) Recv(src TID, tag int) (m Message, err error) {
 // TryRecv returns a matching message if one is queued (ok reports whether
 // it did), charged like Recv. The error reports killed/closed states; like
 // Recv, queued matches win over ErrClosed.
-//
-//samlint:hotpath
 func (e *Endpoint) TryRecv(src TID, tag int) (m Message, ok bool, err error) {
 	e.mu.Lock()
 	if e.state.Load()&stateDead != 0 {

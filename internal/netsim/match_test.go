@@ -5,6 +5,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"samft/internal/trace"
 	"samft/internal/xrand"
 )
 
@@ -292,12 +293,22 @@ func TestEndpointMatchesLinearScanUnderChaos(t *testing.T) {
 // TestSendRecvAllocFree pins the per-message allocation budget at zero
 // once an endpoint's queue has grown to its working size: a wildcard and
 // an exact send+receive pair, an exact match taken from the middle of a
-// queue of eight, and a two-part send, whose body arrives as the very
-// bytes that were sent.
+// queue of eight, a two-part send, whose body arrives as the very bytes
+// that were sent, the runtimes' receive (Take, then Accept), TryRecv, a
+// send+receive pair on a network whose trace rings have wrapped, and one
+// on a network whose FaultPlan jitters every delivery.
 func TestSendRecvAllocFree(t *testing.T) {
 	n := New(DefaultConfig())
 	defer n.Close()
 	a, b, dst := n.NewEndpoint(), n.NewEndpoint(), n.NewEndpoint()
+	traced := New(Config{Cost: AN2(), Trace: trace.New(4)})
+	defer traced.Close()
+	ta, tdst := traced.NewEndpoint(), traced.NewEndpoint()
+	jcfg := DefaultConfig()
+	jcfg.Chaos = &FaultPlan{Seed: 1, JitterUS: 25}
+	jittered := New(jcfg)
+	defer jittered.Close()
+	ja, jdst := jittered.NewEndpoint(), jittered.NewEndpoint()
 	payload, body := make([]byte, 64), make([]byte, 56<<10)
 	send := func(from *Endpoint, tag int) {
 		if err := from.Send(dst.TID(), tag, payload); err != nil {
@@ -326,6 +337,38 @@ func TestSendRecvAllocFree(t *testing.T) {
 			if m.Len() != len(payload)+len(body) || unsafe.SliceData(m.Body) != unsafe.SliceData(body) {
 				t.Fatalf("two-part send arrived as %d B with body at %p, want %d B with the sent body at %p",
 					m.Len(), unsafe.SliceData(m.Body), len(payload)+len(body), unsafe.SliceData(body))
+			}
+		}},
+		{"take+accept", func() {
+			send(a, 1)
+			m, err := dst.Take(AnySrc, AnyTag)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dst.Accept(&m)
+		}},
+		{"tryrecv", func() {
+			send(a, 1)
+			if _, ok, err := dst.TryRecv(AnySrc, AnyTag); !ok || err != nil {
+				t.Fatalf("TryRecv = %v, %v; want a message", ok, err)
+			}
+		}},
+		{"traced", func() {
+			for i := 0; i < 5; i++ { // more events than a ring holds
+				if err := ta.Send(tdst.TID(), 1, payload); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := tdst.Recv(AnySrc, AnyTag); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}},
+		{"jitter", func() {
+			if err := ja.Send(jdst.TID(), 1, payload); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := jdst.Recv(AnySrc, AnyTag); err != nil {
+				t.Fatal(err)
 			}
 		}},
 		{"mid-queue exact", func() {

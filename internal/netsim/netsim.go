@@ -43,12 +43,13 @@
 // flags, modeled clocks, and traffic counters are atomics.
 //
 // Lock order: Network.mu (registration, watcher sets, shutdown) and
-// Endpoint.mu (one message queue) are both leaf locks — neither is ever
-// acquired while the other is held. Network.Kill marks the victim dead
-// with an atomic store while holding Network.mu (the commit point a
-// concurrent Notify must observe) and drains the queue only after
-// releasing it. The only lock acquired under Endpoint.mu is the trace
-// recorder's, which is a leaf by construction.
+// Endpoint.mu (one message queue) are never held together. Network.Kill
+// marks the victim dead with an atomic store while holding Network.mu (the
+// commit point a concurrent Notify must observe) and drains the queue only
+// after releasing it. Endpoint.mu is a leaf: trace events are emitted after
+// it is released. The one lock taken under Network.mu is the tracer's:
+// NewEndpoint creates the endpoint's trace track (trace.Tracer.Track) while
+// registering it. The trace locks are leaves.
 package netsim
 
 import (
@@ -187,10 +188,8 @@ type Network struct {
 	// mu guards registration, the watcher sets, and shutdown. No
 	// Endpoint mutex is ever taken while it is held (see the package
 	// lock-order note); the one lock acquired under it is the tracer's,
-	// when registration creates the endpoint's trace track:
-	//
-	//samlint:lockorder netsim.network < trace.tracer -- NewEndpoint creates the trace track under mu
-	mu      sync.Mutex //samlint:lockclass netsim.network
+	// when registration creates the endpoint's trace track.
+	mu      sync.Mutex
 	nextTID TID
 	// watchers maps a watched TID to the set of endpoints that asked to be
 	// notified when it dies (pvm_notify).
@@ -322,9 +321,7 @@ func (n *Network) Notify(watcher, target TID, tag int) {
 //
 // Kill is reachable from the Send hot path through chaos triggers, but
 // fires at most once per endpoint per run — a rare event, not a
-// per-message cost, so noalloc treats the whole fan-out as cold.
-//
-//samlint:coldpath kill fan-out runs at most once per endpoint
+// per-message cost, so its fan-out may allocate.
 func (n *Network) Kill(tid TID, notifyTag int) bool {
 	n.mu.Lock()
 	e := n.route(tid)

@@ -45,7 +45,7 @@ var ErrHalted = netsim.ErrClosed
 type Machine struct {
 	net *netsim.Network
 
-	mu    sync.Mutex //samlint:lockclass pvm.machine
+	mu    sync.Mutex
 	tasks map[TID]*Task
 }
 
@@ -126,8 +126,8 @@ type Task struct {
 	name    string
 
 	done chan struct{}
-	mu   sync.Mutex //samlint:lockclass pvm.task
-	err  error      // non-nil if body panicked with a real error
+	mu   sync.Mutex
+	err  error // non-nil if body panicked with a real error
 }
 
 // TID returns the task's id.

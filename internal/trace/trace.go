@@ -86,7 +86,7 @@ type Recorder struct {
 	key    int64
 	index  int // creation order within the tracer, for deterministic merges
 
-	mu      sync.Mutex //samlint:lockclass trace.recorder
+	mu      sync.Mutex
 	label   string
 	rank    int
 	buf     []Event
@@ -115,7 +115,6 @@ func (r *Recorder) Emit(e Event) {
 	r.mu.Lock()
 	e.Seq = r.next
 	if len(r.buf) < r.cap {
-		//samlint:allow noalloc -- the ring fills once to capacity, then overwrites in place
 		r.buf = append(r.buf, e)
 	} else {
 		r.buf[int(r.next)%r.cap] = e
@@ -170,7 +169,7 @@ func (r *Recorder) Dropped() uint64 {
 type Tracer struct {
 	capacity int
 
-	mu     sync.Mutex //samlint:lockclass trace.tracer
+	mu     sync.Mutex
 	tracks map[int64]*Recorder
 	order  []*Recorder
 }
@@ -198,10 +197,8 @@ func (t *Tracer) Track(key int64) *Recorder {
 	if r, ok := t.tracks[key]; ok {
 		return r
 	}
-	//samlint:allow noalloc -- one recorder per track key, created on first use only
 	r := &Recorder{tracer: t, key: key, index: len(t.order), rank: -1, cap: t.capacity}
 	t.tracks[key] = r
-	//samlint:allow noalloc -- one recorder per track key, created on first use only
 	t.order = append(t.order, r)
 	return r
 }

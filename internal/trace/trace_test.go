@@ -51,6 +51,23 @@ func TestRingWrap(t *testing.T) {
 	}
 }
 
+// TestEmitAndTrackAllocateNothing pins the steady state every traced
+// message goes through: Emit into a ring that has wrapped overwrites in
+// place, and Track on a key that already has a recorder only looks it up.
+func TestEmitAndTrackAllocateNothing(t *testing.T) {
+	tr := New(4)
+	r := tr.Track(1)
+	for i := 0; i < 4; i++ {
+		r.Emit(Event{Kind: NetSend})
+	}
+	if n := testing.AllocsPerRun(100, func() { r.Emit(Event{Kind: NetSend, Aux: 1}) }); n != 0 {
+		t.Errorf("Emit on a full ring made %.1f allocs per run, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { tr.Track(1) }); n != 0 {
+		t.Errorf("Track on an existing key made %.1f allocs per run, want 0", n)
+	}
+}
+
 func TestConcurrentEmit(t *testing.T) {
 	// Run with -race: many goroutines emitting into the same and different
 	// tracks while a reader snapshots mid-flight.
