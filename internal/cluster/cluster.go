@@ -423,31 +423,13 @@ func (c *Cluster) drained() bool {
 	return handled == enqueued
 }
 
-// InvariantSnapshots collects each rank's end-of-run state summary. Call
-// only after Halt: snapshots read runtime-goroutine state, so each
-// process's runtime must have exited (this method waits for that).
-func (c *Cluster) InvariantSnapshots() []sam.InvariantSnapshot {
-	c.mu.Lock()
-	procs := append([]*sam.Proc(nil), c.procs...)
-	c.mu.Unlock()
-	snaps := make([]sam.InvariantSnapshot, 0, len(procs))
-	for _, p := range procs {
-		if p == nil {
-			continue
-		}
-		<-p.Done()
-		snaps = append(snaps, p.Invariants())
-	}
-	return snaps
-}
-
-// LiveInvariantSnapshots collects a mid-run state summary from each
-// rank's current incarnation through its command queue, without halting
-// the machine. Ranks whose process is dead (killed, mid-respawn) or not
-// yet registered are skipped — callers asserting cluster-wide properties
-// should require len(snaps) == N. The chaos harness uses this to check
-// checkpoint coverage after each recovery round rather than only at the
-// end of a run.
+// LiveInvariantSnapshots collects a state summary from each rank's
+// current incarnation through its command queue, without halting the
+// machine. Ranks whose process is dead (killed, mid-respawn) or not yet
+// registered are skipped — callers asserting cluster-wide properties
+// should require len(snaps) == N. experiments.Run takes these after
+// Quiesce for the end-state checks; the chaos harness also takes them
+// after each recovery round.
 func (c *Cluster) LiveInvariantSnapshots() []sam.InvariantSnapshot {
 	c.mu.Lock()
 	procs := append([]*sam.Proc(nil), c.procs...)

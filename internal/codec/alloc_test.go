@@ -46,13 +46,12 @@ func TestPackAllocs(t *testing.T) {
 // recomputed first, so the bytes reach the decoding plans instead of
 // stopping at Verify. Unpack must never panic, and a value it accepts must
 // Pack again. The seeds are a packed frame of every type the package's
-// tests register, including a cyclic pointer graph and a struct with a map.
+// tests register and can pack, including a cyclic pointer graph.
 func FuzzUnpack(f *testing.F) {
 	shared := &treeNode{Val: 99}
 	for _, v := range []interface{}{
-		scalars{B: true, I: -3, U16: 7, F64: 1.5, S: "s", C: complex(1, -1)},
-		molecule{ID: 7, Pos: vec3{1, 2, 3}, Bonds: []int{3, 1, 4}, Tags: map[string]float64{"a": 1, "b": 2},
-			Raw: []byte("raw"), Grid: [4]int32{9, 8, 7, 6}},
+		scalars{B: true, I: -3, U16: 7, F64: 1.5, S: "s"},
+		molecule{ID: 7, Pos: vec3{1, 2, 3}, Bonds: []int{3, 1, 4}, Raw: []byte("raw"), Grid: [4]int32{9, 8, 7, 6}},
 		benchGraph(),
 		&treeNode{Val: 1, Children: []*treeNode{shared, shared}},
 		withUnexported{Public: 5},

@@ -50,7 +50,6 @@ func BenchmarkPackAggregate(b *testing.B) {
 		Pos:   vec3{1, 2, 3},
 		Vel:   vec3{-0.5, 0.25, 0},
 		Bonds: []int{3, 1, 4, 1, 5, 9, 2, 6},
-		Tags:  map[string]float64{"mass": 18.015, "charge": 0},
 		Raw:   []byte("0123456789abcdef"),
 		Grid:  [4]int32{9, 8, 7, 6},
 	}

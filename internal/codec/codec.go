@@ -118,11 +118,7 @@ const frameMagic uint16 = 0x5A4D
 //
 // Once v's type has been packed before (its plan compiled, the pooled
 // encoder grown to the frame's size), Pack makes exactly one allocation:
-// the frame it returns. The exception is a non-nil map anywhere in v: its
-// entries are sorted by their encoded keys so that equal maps pack to
-// equal frames, and the sort allocates per entry (MapKeys, each key's
-// bytes, the sorted slice); no type registered outside tests has a map
-// field. TestPackAllocs pins the contract.
+// the frame it returns. TestPackAllocs pins the contract.
 func Pack(v interface{}) ([]byte, error) {
 	e, err := packFrame(v)
 	if err != nil {
@@ -249,8 +245,7 @@ func DeepCopy(v interface{}) (interface{}, error) {
 // PackedSize returns the frame size for v without retaining the buffer.
 // The sam layer uses it to charge modeled transfer time. Unlike Pack, the
 // frame is encoded into pooled scratch and never copied out, so after
-// warm-up PackedSize allocates nothing, with the same map exception as
-// Pack.
+// warm-up PackedSize allocates nothing.
 func PackedSize(v interface{}) (int, error) {
 	e, err := packFrame(v)
 	if err != nil {

@@ -3,6 +3,7 @@ package codec
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -25,7 +26,6 @@ type scalars struct {
 	F32 float32
 	F64 float64
 	S   string
-	C   complex128
 }
 
 type vec3 struct{ X, Y, Z float64 }
@@ -35,7 +35,6 @@ type molecule struct {
 	Pos   vec3
 	Vel   vec3
 	Bonds []int
-	Tags  map[string]float64
 	Raw   []byte
 	Grid  [4]int32
 }
@@ -51,12 +50,26 @@ type withUnexported struct {
 	secret int
 }
 
+// withMap and withComplex register fine but have a field of a kind the
+// codec does not encode.
+type withMap struct {
+	ID   int
+	Tags map[string]float64
+}
+
+type withComplex struct {
+	ID int
+	Z  complex128
+}
+
 func init() {
 	Register("scalars", scalars{})
 	Register("molecule", molecule{})
 	Register("treeNode", treeNode{})
 	Register("withUnexported", withUnexported{})
 	Register("vec3", vec3{})
+	Register("withMap", withMap{})
+	Register("withComplex", withComplex{})
 }
 
 func roundTrip(t *testing.T, v interface{}) interface{} {
@@ -76,7 +89,7 @@ func TestScalarsRoundTrip(t *testing.T) {
 	in := scalars{
 		B: true, I: -42, I8: -8, I16: -1600, I32: 1 << 30, I64: -(1 << 60),
 		U: 42, U8: 255, U16: 65535, U32: 1 << 31, U64: 1 << 63,
-		F32: 3.5, F64: math.Pi, S: "liquid water", C: complex(1.5, -2.5),
+		F32: 3.5, F64: math.Pi, S: "liquid water",
 	}
 	got := roundTrip(t, in).(*scalars)
 	if *got != in {
@@ -90,7 +103,6 @@ func TestAggregateRoundTrip(t *testing.T) {
 		Pos:   vec3{1, 2, 3},
 		Vel:   vec3{-0.5, 0.25, 0},
 		Bonds: []int{3, 1, 4, 1, 5},
-		Tags:  map[string]float64{"mass": 18.015, "charge": 0},
 		Raw:   []byte{0, 1, 2, 255},
 		Grid:  [4]int32{9, 8, 7, 6},
 	}
@@ -118,13 +130,6 @@ func TestNilSliceVsEmptySlice(t *testing.T) {
 	got = roundTrip(t, in).(*molecule)
 	if got.Bonds == nil || len(got.Bonds) != 0 {
 		t.Fatal("empty slice not preserved")
-	}
-}
-
-func TestNilMapPreserved(t *testing.T) {
-	got := roundTrip(t, molecule{}).(*molecule)
-	if got.Tags != nil {
-		t.Fatal("nil map became non-nil")
 	}
 }
 
@@ -217,15 +222,14 @@ func TestUnpackTruncated(t *testing.T) {
 }
 
 func TestDeepCopyIsolation(t *testing.T) {
-	in := &molecule{Bonds: []int{1, 2}, Tags: map[string]float64{"a": 1}}
+	in := &molecule{Bonds: []int{1, 2}}
 	cp, err := DeepCopy(in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := cp.(*molecule)
 	got.Bonds[0] = 99
-	got.Tags["a"] = 99
-	if in.Bonds[0] != 1 || in.Tags["a"] != 1 {
+	if in.Bonds[0] != 1 {
 		t.Fatal("DeepCopy aliases the original")
 	}
 }
@@ -244,19 +248,21 @@ func TestPackedSize(t *testing.T) {
 	}
 }
 
-func TestCanonicalMapEncoding(t *testing.T) {
-	in := molecule{Tags: map[string]float64{"a": 1, "b": 2, "c": 3, "d": 4, "e": 5}}
-	first, err := Pack(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 20; i++ {
-		again, err := Pack(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(again) != string(first) {
-			t.Fatal("map encoding not canonical across Pack calls")
+// TestUnencodableKindsFail pins the codec's boundary: a registered type
+// with a map or complex field packs to the "cannot encode kind" error,
+// not a panic and not a frame.
+func TestUnencodableKindsFail(t *testing.T) {
+	for _, c := range []struct {
+		v    interface{}
+		kind string
+	}{
+		{withMap{ID: 1, Tags: map[string]float64{"a": 1}}, "map"},
+		{withMap{ID: 1}, "map"},
+		{withComplex{ID: 1, Z: complex(1, -1)}, "complex128"},
+	} {
+		b, err := Pack(c.v)
+		if err == nil || !strings.Contains(err.Error(), "cannot encode kind "+c.kind) {
+			t.Errorf("Pack(%T) = %d bytes, %v; want a cannot-encode-kind-%s error", c.v, len(b), err, c.kind)
 		}
 	}
 }
@@ -288,8 +294,8 @@ func TestQuickScalars(t *testing.T) {
 }
 
 func TestQuickMolecule(t *testing.T) {
-	f := func(id int, pos, vel vec3, bonds []int, raw []byte, tags map[string]float64) bool {
-		in := molecule{ID: id, Pos: pos, Vel: vel, Bonds: bonds, Raw: raw, Tags: tags}
+	f := func(id int, pos, vel vec3, bonds []int, raw []byte) bool {
+		in := molecule{ID: id, Pos: pos, Vel: vel, Bonds: bonds, Raw: raw}
 		got := roundTrip(t, in).(*molecule)
 		return reflect.DeepEqual(*got, in)
 	}

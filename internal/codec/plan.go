@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"sort"
 	"sync"
 )
 
@@ -171,28 +170,6 @@ func compile(t reflect.Type) *plan {
 				return nil
 			},
 		}
-	case reflect.Complex64, reflect.Complex128:
-		return &plan{
-			fixed: 16,
-			enc: func(e *encoder, rv reflect.Value) error {
-				c := rv.Complex()
-				e.u64(math.Float64bits(real(c)))
-				e.u64(math.Float64bits(imag(c)))
-				return nil
-			},
-			dec: func(d *decoder, rv reflect.Value) error {
-				re, err := d.u64()
-				if err != nil {
-					return err
-				}
-				im, err := d.u64()
-				if err != nil {
-					return err
-				}
-				rv.SetComplex(complex(math.Float64frombits(re), math.Float64frombits(im)))
-				return nil
-			},
-		}
 	case reflect.String:
 		return &plan{
 			fixed: -1,
@@ -213,8 +190,6 @@ func compile(t reflect.Type) *plan {
 		return compileSlice(t)
 	case reflect.Array:
 		return compileArray(t)
-	case reflect.Map:
-		return compileMap(t)
 	case reflect.Ptr:
 		return compilePtr(t)
 	case reflect.Struct:
@@ -342,90 +317,6 @@ func compileArray(t reflect.Type) *plan {
 					return err
 				}
 			}
-			return nil
-		},
-	}
-}
-
-// compileMap keeps the canonical ordering of the original encoder: entries
-// sort by their encoded key bytes so identical maps encode identically
-// regardless of Go's randomized iteration order.
-func compileMap(t reflect.Type) *plan {
-	kp := planFor(t.Key())
-	vp := planFor(t.Elem())
-	return &plan{
-		fixed: -1,
-		enc: func(e *encoder, rv reflect.Value) error {
-			if rv.IsNil() {
-				e.u8(0)
-				return nil
-			}
-			e.u8(1)
-			type kv struct {
-				keyEnc []byte
-				key    reflect.Value
-			}
-			keys := rv.MapKeys()
-			encoded := make([]kv, 0, len(keys))
-			for _, k := range keys {
-				ke := getEncoder()
-				if err := kp.enc(ke, k); err != nil {
-					putEncoder(ke)
-					return err
-				}
-				if len(ke.refs) > 0 {
-					// Pointer-bearing keys cannot be encoded canonically
-					// (their reference indices would depend on encoding
-					// order).
-					putEncoder(ke)
-					return fmt.Errorf("codec: map key type %v contains pointers", k.Type())
-				}
-				kb := append([]byte(nil), ke.buf...)
-				putEncoder(ke)
-				encoded = append(encoded, kv{kb, k})
-			}
-			sort.Slice(encoded, func(i, j int) bool {
-				return string(encoded[i].keyEnc) < string(encoded[j].keyEnc)
-			})
-			e.u32(uint32(len(encoded)))
-			for _, p := range encoded {
-				e.buf = append(e.buf, p.keyEnc...)
-				if err := vp.enc(e, rv.MapIndex(p.key)); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-		dec: func(d *decoder, rv reflect.Value) error {
-			present, err := d.u8()
-			if err != nil {
-				return err
-			}
-			if present == 0 {
-				rv.Set(reflect.Zero(rv.Type()))
-				return nil
-			}
-			n, err := d.u32()
-			if err != nil {
-				return err
-			}
-			if int(n) > d.remaining() {
-				return fmt.Errorf("%w: map length %d exceeds frame", ErrCorrupt, n)
-			}
-			m := reflect.MakeMapWithSize(rv.Type(), int(n))
-			kt, vt := rv.Type().Key(), rv.Type().Elem()
-			for i := 0; i < int(n); i++ {
-				k := reflect.New(kt).Elem()
-				if err := kp.dec(d, k); err != nil {
-					return err
-				}
-				v := reflect.New(vt).Elem()
-				if err := vp.dec(d, v); err != nil {
-					return err
-				}
-				m.SetMapIndex(k, v)
-			}
-			rv.Set(m)
 			return nil
 		},
 	}

@@ -5,6 +5,7 @@
 package experiments
 
 import (
+	"fmt"
 	"sync"
 	"time"
 
@@ -277,20 +278,28 @@ func Run(spec Spec) (Result, error) {
 
 // settle sees a started cluster through to its end: it waits (up to
 // timeout) for every application to finish, halts the cluster whatever the
-// outcome, and — when spec asks for the invariants — quiesces it first and
-// returns the end-state violations.
+// outcome, and — when spec asks for the invariants — first quiesces it and
+// snapshots every rank's live state, returning the end-state violations.
 func settle(cl *cluster.Cluster, spec Spec, timeout time.Duration) ([]string, error) {
 	err := cl.WaitFinished(timeout)
-	settled := err != nil || !spec.CheckInvariants || cl.Quiesce(10*time.Second)
+	var violations []string
+	if err == nil && spec.CheckInvariants {
+		if cl.Quiesce(10 * time.Second) {
+			snaps := cl.LiveInvariantSnapshots()
+			violations = CheckInvariants(snaps, spec.N, max(spec.Degree, 1))
+			if len(snaps) < spec.N {
+				violations = append(violations, fmt.Sprintf("only %d/%d live snapshots", len(snaps), spec.N))
+			}
+		} else {
+			violations = []string{"quiesce: protocol traffic did not settle"}
+		}
+	}
 	cl.Halt()
 	if err == nil {
 		err = cl.Err()
 	}
-	switch {
-	case err != nil || !spec.CheckInvariants:
+	if err != nil {
 		return nil, err
-	case !settled:
-		return []string{"quiesce: protocol traffic did not settle"}, nil
 	}
-	return CheckInvariants(cl.InvariantSnapshots(), spec.N, max(spec.Degree, 1)), nil
+	return violations, nil
 }

@@ -44,9 +44,6 @@ type Taint struct {
 // NewTaint returns a tracker for the given policy.
 func NewTaint(p Policy) *Taint { return &Taint{policy: p} }
 
-// Policy returns the policy in force.
-func (t *Taint) Policy() Policy { return t.policy }
-
 // OnNonReexecutable records that the process performed an operation whose
 // re-execution is not guaranteed to produce identical effects: completing
 // an accumulator update, creating an accumulator, observing a chaotic

@@ -58,9 +58,6 @@ func NewClocks(self, n int) *Clocks {
 	}
 }
 
-// N returns the number of processes tracked.
-func (c *Clocks) N() int { return len(c.T) }
-
 // Now returns the process's current virtual time.
 func (c *Clocks) Now() int64 { return c.T[c.self] }
 

@@ -32,7 +32,7 @@ func Analyzers() []*analysis.Analyzer {
 // function of the simulation inputs: everything under internal/ — the
 // simulator layers (netsim, pvm, sam, ft, jade, trace, codec, ckpt), the
 // harness (cluster, experiments), and the applications. cmd/ and
-// examples/ are host-side front ends and may read the wall clock.
+// examples/quickstart are host-side front ends and may read the wall clock.
 const deterministicPrefix = "samft/internal/"
 
 // Deterministic reports whether the package at path must obey the
@@ -168,7 +168,7 @@ func runSuite(res *Result, fset *token.FileSet, pkgs []*analysis.Package, analyz
 		}
 		for _, p := range pkgs {
 			// The wall-clock ban only binds the deterministic simulation
-			// layers; host-side packages (cmd/, examples/ — anything with a
+			// layers; host-side packages (cmd/, examples/quickstart — anything with a
 			// module-qualified path outside internal/) are exempt. Fixture
 			// packages load with bare src-relative paths and are always
 			// checked, so analyzer tests see their findings.

@@ -34,10 +34,10 @@ func TestPatternMatcher(t *testing.T) {
 
 func TestDeterministic(t *testing.T) {
 	for path, want := range map[string]bool{
-		"samft/internal/sam":  true,
-		"samft/internal/lint": true,
-		"samft/cmd/samlint":   false,
-		"samft/examples/gps":  false,
+		"samft/internal/sam":        true,
+		"samft/internal/lint":       true,
+		"samft/cmd/samlint":         false,
+		"samft/examples/quickstart": false,
 	} {
 		if Deterministic(path) != want {
 			t.Errorf("Deterministic(%q) = %v, want %v", path, Deterministic(path), want)

@@ -243,9 +243,6 @@ func (n *Network) route(tid TID) *Endpoint {
 // Cost returns the network's cost model.
 func (n *Network) Cost() CostModel { return n.cfg.Cost }
 
-// Tracer returns the network's tracer (nil when tracing is disabled).
-func (n *Network) Tracer() *trace.Tracer { return n.tracer }
-
 // NewEndpoint allocates a live endpoint with a fresh TID and publishes a
 // new routing snapshot. Registration is the only operation that copies
 // the table; it is O(endpoints) but runs once per spawn, never per

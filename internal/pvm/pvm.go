@@ -44,17 +44,11 @@ var ErrHalted = netsim.ErrClosed
 // cluster. All methods are safe for concurrent use.
 type Machine struct {
 	net *netsim.Network
-
-	mu    sync.Mutex
-	tasks map[TID]*Task
 }
 
 // NewMachine boots a virtual machine over a fresh simulated network.
 func NewMachine(cfg netsim.Config) *Machine {
-	return &Machine{
-		net:   netsim.New(cfg),
-		tasks: make(map[TID]*Task),
-	}
+	return &Machine{net: netsim.New(cfg)}
 }
 
 // Network exposes the underlying simulated network (for cost-model and
@@ -77,14 +71,10 @@ func (m *Machine) SpawnAt(name string, atUS float64, body func(*Task)) *Task {
 	ep := m.net.NewEndpoint()
 	ep.AdvanceTo(atUS)
 	t := &Task{
-		machine: m,
-		ep:      ep,
-		name:    name,
-		done:    make(chan struct{}),
+		ep:   ep,
+		name: name,
+		done: make(chan struct{}),
 	}
-	m.mu.Lock()
-	m.tasks[ep.TID()] = t
-	m.mu.Unlock()
 
 	if rec := ep.TraceRecorder(); rec != nil {
 		rec.Emit(trace.Event{
@@ -105,25 +95,14 @@ func (m *Machine) Kill(tid TID) bool {
 	return m.net.Kill(tid, TagTaskExit)
 }
 
-// Alive reports whether the tid denotes a live task.
-func (m *Machine) Alive(tid TID) bool { return m.net.Alive(tid) }
-
-// Task returns the Task for a tid, or nil.
-func (m *Machine) Task(tid TID) *Task {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.tasks[tid]
-}
-
 // Halt shuts the whole machine down, unblocking every task.
 func (m *Machine) Halt() { m.net.Close() }
 
 // Task is one PVM task: the handle through which a simulated process
 // communicates.
 type Task struct {
-	machine *Machine
-	ep      *netsim.Endpoint
-	name    string
+	ep   *netsim.Endpoint
+	name string // spawn name, for panic reports
 
 	done chan struct{}
 	mu   sync.Mutex
@@ -132,12 +111,6 @@ type Task struct {
 
 // TID returns the task's id.
 func (t *Task) TID() TID { return t.ep.TID() }
-
-// Name returns the task's spawn name (diagnostic only).
-func (t *Task) Name() string { return t.name }
-
-// Machine returns the owning virtual machine.
-func (t *Task) Machine() *Machine { return t.machine }
 
 // Endpoint exposes the task's network endpoint for clock/stat access.
 func (t *Task) Endpoint() *netsim.Endpoint { return t.ep }
@@ -223,7 +196,7 @@ func (t *Task) Notify(target TID) {
 			Src: int64(t.TID()), Dst: int64(target),
 		})
 	}
-	t.machine.net.Notify(t.TID(), target, TagTaskExit)
+	t.ep.Network().Notify(t.TID(), target, TagTaskExit)
 }
 
 // Charge advances the task's modeled clock by us microseconds of local

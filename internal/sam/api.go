@@ -23,7 +23,7 @@ const (
 	opPrefetch
 	opGate
 	opFinish
-	opInvariants // harness: mid-run invariant snapshot (LiveInvariants)
+	opInvariants // harness: live invariant snapshot (LiveInvariants)
 )
 
 // cmd is one application request to the runtime goroutine.
@@ -183,7 +183,7 @@ func (p *Proc) handleCmd(c *cmd) {
 	case opGate:
 		p.cmdGate(c)
 	case opInvariants:
-		p.reply(c, p.Invariants(), nil)
+		p.reply(c, p.invariants(), nil)
 	case opFinish:
 		p.appFinished = true
 		p.flushUseNotices()

@@ -67,6 +67,96 @@ func TestFreeValueReclaimsOnceCovered(t *testing.T) {
 	}
 }
 
+// TestForceCheckpointsUnderCachePressure: with lazy freeing, values freed
+// while the other processes lag cost no messages until the backlog
+// outgrows the modeled cache (maxFreeBacklog). The free that passes it
+// sends one kForceCkpt per (value, lagging rank) and none again for those
+// values, and each value is reclaimed once the kForceAck stamps cover its
+// freeable mark (§4.3).
+func TestForceCheckpointsUnderCachePressure(t *testing.T) {
+	p, tasks := txProc(t)
+	type pair struct {
+		name Name
+		to   int
+	}
+	forced := func() map[pair]int {
+		t.Helper()
+		out := make(map[pair]int)
+		for _, s := range drain(t, tasks) {
+			if s.Kind != kForceCkpt {
+				continue
+			}
+			if o := p.objs[Name(s.Name)]; o == nil || s.F != o.freeableAt {
+				t.Fatalf("kForceCkpt of %v asks for time %d, not its freeable mark", Name(s.Name), s.F)
+			}
+			out[pair{Name(s.Name), s.to}]++
+		}
+		return out
+	}
+
+	var names []Name
+	for i := 0; i <= maxFreeBacklog; i++ {
+		v := MkName(7, 1+i/64, i%64)
+		createValue(t, p, v, int64(i))
+		if r, _ := done(appCmd(p, &cmd{op: opFreeValue, name: v})); r.err != nil {
+			t.Fatalf("FreeValue(%v): %v", v, r.err)
+		}
+		names = append(names, v)
+		if got := forced(); len(names) <= maxFreeBacklog && len(got) != 0 {
+			t.Fatalf("%d force-checkpoints with %d values backlogged, want none until %d", len(got), len(names), maxFreeBacklog+1)
+		} else if len(names) > maxFreeBacklog {
+			if len(got) != len(names)*(p.cfg.N-1) {
+				t.Fatalf("%d (value, rank) pairs forced past the backlog, want %d", len(got), len(names)*(p.cfg.N-1))
+			}
+			for _, v := range names {
+				for j := 1; j < p.cfg.N; j++ {
+					if n := got[pair{v, j}]; n != 1 {
+						t.Fatalf("%d force-checkpoints of %v to rank %d, want 1", n, v, j)
+					}
+				}
+			}
+		}
+	}
+	p.retryFrees()
+	if got := forced(); len(got) != 0 {
+		t.Fatalf("retryFrees forced %d (value, rank) pairs again", len(got))
+	}
+
+	// The owner checkpoints past every free; that alone reclaims nothing
+	// and forces nothing more.
+	open(p)
+	if ackAll(p, drain(t, tasks)) == 0 || p.tx != nil {
+		t.Fatal("setup: the checkpoint did not commit")
+	}
+	if got := forced(); len(got) != 0 || len(p.freePending) != len(names) {
+		t.Fatalf("the checkpoint forced %d pairs and left %d of %d values pending", len(got), len(p.freePending), len(names))
+	}
+
+	// Acks covering the middle value's mark reclaim it and every older
+	// value, once the last lagging rank's ack is in.
+	mid := p.objs[names[len(names)/2]].freeableAt
+	for _, f := range []int64{mid, p.objs[names[len(names)-1]].freeableAt} {
+		marks := make(map[Name]int64, len(p.freePending))
+		for v := range p.freePending {
+			marks[v] = p.objs[v].freeableAt
+		}
+		for j := 1; j < p.cfg.N; j++ {
+			if len(p.freePending) != len(marks) {
+				t.Fatalf("reclaimed before rank %d acknowledged time %d", j, f)
+			}
+			p.dispatch(&wire{Kind: kForceAck, SrcRank: j, HasStamp: true, StampC: f})
+		}
+		for v, mark := range marks {
+			if gone := p.objs[v] == nil; gone != (mark <= f) {
+				t.Fatalf("%v (freeable at %d) reclaimed=%v with every rank covering %d", v, mark, gone, f)
+			}
+		}
+	}
+	if len(p.freePending) != 0 || len(forced()) != 0 {
+		t.Fatalf("%d values still pending after every mark was covered", len(p.freePending))
+	}
+}
+
 // TestFreeValueByANonOwnerFails: only the owner of a value may free it; a
 // process holding a cached version gets an error and keeps the version.
 func TestFreeValueByANonOwnerFails(t *testing.T) {

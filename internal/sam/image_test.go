@@ -103,7 +103,7 @@ func TestOriginalProcessHasNoIncarnation(t *testing.T) {
 	}
 
 	name := nameHomedAt(t, 4, 0)
-	before := p.Invariants()
+	before := p.invariants()
 	tBefore, cBefore, dBefore := p.clocks.Snapshot()
 	for _, kind := range []int{kRecoverPriv, kRecoverData, kOwnerHint, kRecoverFin, kOwnerDeny} {
 		p.dispatch(&wire{
@@ -113,7 +113,7 @@ func TestOriginalProcessHasNoIncarnation(t *testing.T) {
 		})
 	}
 	tAfter, cAfter, dAfter := p.clocks.Snapshot()
-	if !reflect.DeepEqual(p.Invariants(), before) || len(p.objs) != 0 || len(p.dir) != 0 ||
+	if !reflect.DeepEqual(p.invariants(), before) || len(p.objs) != 0 || len(p.dir) != 0 ||
 		!reflect.DeepEqual([][]int64{tAfter, cAfter, dAfter}, [][]int64{tBefore, cBefore, dBefore}) {
 		t.Errorf("recovery-only kinds touched an original process: objs=%d dir=%d T=%v", len(p.objs), len(p.dir), tAfter)
 	}

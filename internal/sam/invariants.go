@@ -4,10 +4,9 @@ package sam
 // that survived injected failures is in a consistent state: exactly one
 // created main copy per object across the cluster, checkpoint coverage
 // at the replication degree, and no provisional (uncommitted) state left
-// behind. Snapshots can be taken after the runtime exits (Invariants) or
-// mid-run through the command queue (LiveInvariants), which the chaos
-// harness uses to assert coverage after every recovery round rather than
-// only at the end of a run.
+// behind. Snapshots are taken through the command queue (LiveInvariants),
+// at the end of a quiesced run and, in the chaos harness, after every
+// recovery round.
 
 // ObjectInvariant is the externally checkable slice of one object entry.
 type ObjectInvariant struct {
@@ -53,11 +52,10 @@ type InvariantSnapshot struct {
 	Recoveries int64
 }
 
-// Invariants summarizes this process's object table for post-run checks.
-// It touches runtime-goroutine state without locking, so outside that
-// goroutine it must only be called after the runtime has exited (wait on
-// Done(), e.g. after the harness halts the machine).
-func (p *Proc) Invariants() InvariantSnapshot {
+// invariants summarizes this process's object table. It touches
+// runtime-goroutine state without locking, so it runs on the runtime
+// goroutine (opInvariants) or, in white-box tests, with no runtime.
+func (p *Proc) invariants() InvariantSnapshot {
 	s := InvariantSnapshot{
 		Rank:             p.cfg.Rank,
 		StagedPriv:       len(p.privStaging),

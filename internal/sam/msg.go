@@ -176,7 +176,7 @@ func (p *Proc) encodeHead(w *wire, dstRank int) []byte {
 	if w.Body != nil {
 		w.Body = noBody
 	}
-	if p.cfg.Policy != 0 { // any FT policy: piggyback clocks
+	if p.cfg.Policy != ft.PolicyOff { // any FT policy: piggyback clocks
 		st := p.clocks.DeltaStampFor(dstRank)
 		w.HasStamp = true
 		w.StampT = st.Full

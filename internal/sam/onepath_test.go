@@ -468,9 +468,7 @@ func TestInactiveSnapshotIsRefetchedWhenItsSenderDies(t *testing.T) {
 			}
 
 			// The owner dies before activating and is restarted.
-			block := make(chan struct{})
-			t.Cleanup(func() { close(block) })
-			reborn := tasks[0].Machine().Spawn("t1b", func(*pvm.Task) { <-block })
+			reborn := respawn(t, p, "t1b")
 			p.noteIncarnation(sender, reborn.TID(), false)
 
 			if o := p.objs[name]; o.state != stAbsent || o.data != nil || !o.fetchOutstanding {

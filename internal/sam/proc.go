@@ -102,8 +102,6 @@ type Proc struct {
 	// The harness sets it against the endpoint's enqueue count to decide
 	// quiescence before invariant checks (cluster.Quiesce).
 	nProcessed atomic.Int64
-
-	runDone chan struct{} // closed when the runtime goroutine exits
 }
 
 // failKey identifies one relay of a failure report: a (failed incarnation,
@@ -140,7 +138,6 @@ func NewProc(task *pvm.Task, cfg Config) *Proc {
 		cmdq:          make(chan *cmd),
 		netq:          make(chan netsim.Message, netqDepth),
 		deadc:         make(chan struct{}),
-		runDone:       make(chan struct{}),
 		ranks:         append([]pvm.TID(nil), cfg.Ranks...),
 		objs:          make(map[Name]*object),
 		dir:           make(map[Name]*dirEntry),
@@ -267,7 +264,6 @@ func (p *Proc) receiver() {
 
 // runtime is the message/command loop owning all shared-object state.
 func (p *Proc) runtime() {
-	defer close(p.runDone)
 	defer close(p.deadc)
 	// Watch every peer for failure (pvm_notify), as the paper's recovery
 	// procedure requires.
@@ -509,6 +505,3 @@ func (p *Proc) finish() {
 	case <-p.deadc:
 	}
 }
-
-// Done exposes the runtime's termination (kill or halt) to the harness.
-func (p *Proc) Done() <-chan struct{} { return p.runDone }

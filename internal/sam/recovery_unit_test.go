@@ -9,6 +9,7 @@ package sam
 import (
 	"fmt"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -55,12 +56,32 @@ func testProcCfg(t *testing.T, n int, cfg Config) (*Proc, []*pvm.Task) {
 		tasks[i] = m.Spawn(fmt.Sprintf("t%d", i), func(*pvm.Task) { <-block })
 		tids[i] = tasks[i].TID()
 	}
+	cfg.N, cfg.Ranks = n, tids
+	p := NewProc(tasks[cfg.Rank], cfg)
+	testMachines.Store(p, m)
 	t.Cleanup(func() {
 		close(block)
 		m.Halt()
+		testMachines.Delete(p)
 	})
-	cfg.N, cfg.Ranks = n, tids
-	return NewProc(tasks[cfg.Rank], cfg), tasks
+	return p, tasks
+}
+
+// testMachines maps each Proc testProcCfg builds to the machine its tasks
+// run on, so a test can kill ranks and spawn replacements there.
+var testMachines sync.Map // *Proc -> *pvm.Machine
+
+func machineOf(p *Proc) *pvm.Machine {
+	m, _ := testMachines.Load(p)
+	return m.(*pvm.Machine)
+}
+
+// respawn starts a replacement task on p's machine, as a recovery
+// coordinator would after a rank dies; it blocks until the test ends.
+func respawn(t *testing.T, p *Proc, name string) *pvm.Task {
+	block := make(chan struct{})
+	t.Cleanup(func() { close(block) })
+	return machineOf(p).Spawn(name, func(*pvm.Task) { <-block })
 }
 
 // recvWire receives and decodes the next SAM protocol message at a task.
@@ -428,7 +449,7 @@ func TestRelayToDeadCoordinatorIsNoticed(t *testing.T) {
 	p, tasks := testProc(t, 3, 4, false)
 	// No watches are registered (the runtime loop is not running), which
 	// models every notification to this process having been dropped.
-	m := tasks[0].Machine()
+	m := machineOf(p)
 	m.Kill(tasks[0].TID())
 	m.Kill(tasks[1].TID())
 
@@ -468,7 +489,7 @@ func TestRelayToDeadCoordinatorIsNoticed(t *testing.T) {
 // object nobody will send again.
 func TestDeferredActivationsCountAtRecovery(t *testing.T) {
 	const checkpointer, failed = 0, 3
-	p, tasks := testProc(t, 1, 4, false)
+	p, _ := testProc(t, 1, 4, false)
 	name := nameHomedAt(t, 4, 0)
 	priv, err := codec.Pack(&ft.PrivateState{Rank: failed, Seq: 5})
 	if err != nil {
@@ -492,9 +513,7 @@ func TestDeferredActivationsCountAtRecovery(t *testing.T) {
 	}
 
 	// Rank 3 dies and comes back under a new tid.
-	block := make(chan struct{})
-	t.Cleanup(func() { close(block) })
-	reborn := tasks[0].Machine().Spawn("t3b", func(*pvm.Task) { <-block })
+	reborn := respawn(t, p, "t3b")
 	p.noteIncarnation(failed, reborn.TID(), false)
 
 	var kinds []string
@@ -526,16 +545,14 @@ func TestDeferredActivationsCountAtRecovery(t *testing.T) {
 // forever.)
 func TestCopyCommittedAfterTheContributionIsResupplied(t *testing.T) {
 	const sender, target = 0, 3
-	p, tasks := testProc(t, 1, 4, false)
+	p, _ := testProc(t, 1, 4, false)
 	name := nameHomedAt(t, 4, 2)
 	p.dispatch(&wire{
 		Kind: kCkptCopy, SrcRank: sender, Name: uint64(name), Owner: target, Seq: 4, Piece: -1,
 		Inactive: true, Body: packPayload(t, 7), Meta: ft.ObjectMeta{Version: 2}, HasMeta: true,
 	})
 
-	block := make(chan struct{})
-	t.Cleanup(func() { close(block) })
-	reborn := tasks[0].Machine().Spawn("t3b", func(*pvm.Task) { <-block })
+	reborn := respawn(t, p, "t3b")
 	p.noteIncarnation(target, reborn.TID(), false)
 	for w := recvWire(t, reborn); w.Kind != kRecoverFin; w = recvWire(t, reborn) {
 		if w.Kind == kRecoverData && Name(w.Name) == name {
@@ -616,9 +633,7 @@ func TestInDoubtMigrationIsSettledByTheHome(t *testing.T) {
 			if tc.early {
 				p.dispatch(tc.settle)
 			}
-			block := make(chan struct{})
-			t.Cleanup(func() { close(block) })
-			reborn := tasks[0].Machine().Spawn("t3b", func(*pvm.Task) { <-block })
+			reborn := respawn(t, p, "t3b")
 			p.noteIncarnation(sender, reborn.TID(), false)
 			if !tc.early {
 				if w := recvWire(t, tasks[home]); w.Kind != kAccAcq || Name(w.Name) != name {
@@ -662,7 +677,7 @@ func TestHomeConfirmsAnOwnerAskingForWhatItHolds(t *testing.T) {
 // waited forever.
 func TestLateOwnerHintIsNotQueriedAgain(t *testing.T) {
 	const home = 2
-	p, tasks := testProc(t, 0, 4, true)
+	p, _ := testProc(t, 0, 4, true)
 	p.inc.restoring = false
 	name := nameHomedAt(t, 4, home)
 	for r := 1; r < 4; r++ {
@@ -673,9 +688,7 @@ func TestLateOwnerHintIsNotQueriedAgain(t *testing.T) {
 	}
 	p.dispatch(&wire{Kind: kOwnerHint, SrcRank: 3, Name: uint64(name), Meta: ft.ObjectMeta{Version: 4}, HasMeta: true})
 
-	block := make(chan struct{})
-	t.Cleanup(func() { close(block) })
-	reborn := tasks[0].Machine().Spawn("t2b", func(*pvm.Task) { <-block })
+	reborn := respawn(t, p, "t2b")
 	p.noteIncarnation(home, reborn.TID(), false)
 	for w := recvWire(t, reborn); w.Kind != kRecoverFin; w = recvWire(t, reborn) {
 		if w.Kind == kOwnerQuery {
@@ -692,7 +705,7 @@ func TestLateOwnerHintIsNotQueriedAgain(t *testing.T) {
 // rank, and the accumulator forked.
 func TestProvisionalMainCopyIsNotRepaired(t *testing.T) {
 	const target, sender, holder = 2, 3, 1
-	p, tasks := testProc(t, target, 4, false)
+	p, _ := testProc(t, target, 4, false)
 	name := nameHomedAt(t, 4, 0)
 	if !slices.Contains(p.store.Plan(uint64(name), target), holder) {
 		t.Fatalf("rank %d holds no copy of %v placed for rank %d", holder, name, target)
@@ -702,9 +715,7 @@ func TestProvisionalMainCopyIsNotRepaired(t *testing.T) {
 		Inactive: true, Seq: 5, Piece: 0, HasMeta: true,
 		Meta: ft.ObjectMeta{Name: uint64(name), Kind: uint8(ft.KindAccum), Nonreproducible: true, Version: 3},
 	})
-	block := make(chan struct{})
-	t.Cleanup(func() { close(block) })
-	reborn := tasks[0].Machine().Spawn("t1b", func(*pvm.Task) { <-block })
+	reborn := respawn(t, p, "t1b")
 	p.noteIncarnation(holder, reborn.TID(), false)
 	for w := recvWire(t, reborn); w.Kind != kRecoverFin; w = recvWire(t, reborn) {
 		if w.Kind == kCkptCopy && Name(w.Name) == name {
@@ -736,9 +747,7 @@ func TestReadForwardedToAReplacedClaimFollowsTheReregistration(t *testing.T) {
 			p, tasks := testProc(t, 0, 5, false)
 			v := nameHomedAt(t, 5, 0)
 			p.dispatch(&wire{Kind: kReg, SrcRank: dead, Name: uint64(v)})
-			block := make(chan struct{})
-			t.Cleanup(func() { close(block) })
-			tasks[dead] = tasks[0].Machine().Spawn("t3b", func(*pvm.Task) { <-block })
+			tasks[dead] = respawn(t, p, "t3b")
 			p.noteIncarnation(dead, tasks[dead].TID(), false)
 			drain(t, tasks)
 

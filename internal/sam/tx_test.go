@@ -353,9 +353,7 @@ func TestTxReplacedRecipientGetsEveryPieceAgain(t *testing.T) {
 	p, tasks, pieces := threeToOne(t)
 	want := kindsTo(pieces, 1)
 
-	block := make(chan struct{})
-	t.Cleanup(func() { close(block) })
-	reborn := tasks[0].Machine().Spawn("t1b", func(*pvm.Task) { <-block })
+	reborn := respawn(t, p, "t1b")
 	tasks[1] = reborn
 	p.noteIncarnation(1, reborn.TID(), false)
 
@@ -405,9 +403,7 @@ func TestTxReplacedHolderGetsTheLastCommittedPrivateState(t *testing.T) {
 	second := p.tx.seq
 	drain(t, tasks)
 
-	block := make(chan struct{})
-	t.Cleanup(func() { close(block) })
-	reborn := tasks[0].Machine().Spawn("t1b", func(*pvm.Task) { <-block })
+	reborn := respawn(t, p, "t1b")
 	tasks[privHolder] = reborn
 	p.noteIncarnation(privHolder, reborn.TID(), false)
 	var committed, staged []int64

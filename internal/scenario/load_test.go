@@ -39,6 +39,10 @@ func TestGoldenErrors(t *testing.T) {
 		{"bad-recovery-ref.json", `3`, true, "events[1].kill.on_recovery_of", "rank 3 is not killed by an earlier event"},
 		{"bad-recovery-chain.json", `{ "rank": 3`, true, "events[2].kill", "on_recovery_of chain has 3 distinct ranks down at once, exceeding the survivable budget of 2"},
 		{"bad-assert.json", `3`, true, "assert.min_kills_applied", "requires 3 applied kills but the schedule has only 1"},
+		// An absent path is reported at its nearest ancestor in the file:
+		// the enclosing object, or the document's opening brace.
+		{"bad-missing-procs.json", `{ "app"`, true, "fleet.procs", "procs must be >= 1 (got 0)"},
+		{"bad-missing-name.json", `{`, true, "name", "scenario name is required"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.file, func(t *testing.T) {

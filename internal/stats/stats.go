@@ -153,38 +153,6 @@ func (s *Snapshot) Add(o Snapshot) {
 	s.ReleaseCkpts += o.ReleaseCkpts
 }
 
-// Delta returns s - prev field by field: the counter activity between two
-// snapshots of the same process. Counters only ever grow during a run, so
-// a delta over a live Proc is non-negative; taking deltas around a window
-// of interest (a recovery, one application phase) isolates its cost from
-// the run's cumulative totals.
-func (s Snapshot) Delta(prev Snapshot) Snapshot {
-	return Snapshot{
-		Checkpoints:         s.Checkpoints - prev.Checkpoints,
-		ForcedCheckpoints:   s.ForcedCheckpoints - prev.ForcedCheckpoints,
-		ForceCkptMsgsSent:   s.ForceCkptMsgsSent - prev.ForceCkptMsgsSent,
-		ObjectSends:         s.ObjectSends - prev.ObjectSends,
-		CkptCausingSends:    s.CkptCausingSends - prev.CkptCausingSends,
-		SharedAccesses:      s.SharedAccesses - prev.SharedAccesses,
-		Misses:              s.Misses - prev.Misses,
-		ReplicaObjects:      s.ReplicaObjects - prev.ReplicaObjects,
-		ReplicaBytes:        s.ReplicaBytes - prev.ReplicaBytes,
-		SnapCacheHits:       s.SnapCacheHits - prev.SnapCacheHits,
-		SnapCacheMisses:     s.SnapCacheMisses - prev.SnapCacheMisses,
-		SnapCacheBytesSaved: s.SnapCacheBytesSaved - prev.SnapCacheBytesSaved,
-		PrivBytes:           s.PrivBytes - prev.PrivBytes,
-		DupSendsAvoided:     s.DupSendsAvoided - prev.DupSendsAvoided,
-		CkptAcks:            s.CkptAcks - prev.CkptAcks,
-		RepairObjects:       s.RepairObjects - prev.RepairObjects,
-		RepairBytes:         s.RepairBytes - prev.RepairBytes,
-		Recoveries:          s.Recoveries - prev.Recoveries,
-		StepsExecuted:       s.StepsExecuted - prev.StepsExecuted,
-		MidstepCkpts:        s.MidstepCkpts - prev.MidstepCkpts,
-		ReplayedOps:         s.ReplayedOps - prev.ReplayedOps,
-		ReleaseCkpts:        s.ReleaseCkpts - prev.ReleaseCkpts,
-	}
-}
-
 // Report is the paper-style statistics block for a whole run.
 type Report struct {
 	Procs   int

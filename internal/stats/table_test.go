@@ -5,37 +5,6 @@ import (
 	"testing"
 )
 
-func TestDelta(t *testing.T) {
-	var p Proc
-	p.Checkpoints.Add(3)
-	p.ReplicaBytes.Add(100)
-	before := p.Snapshot()
-
-	p.Checkpoints.Add(2)
-	p.ReplicaBytes.Add(50)
-	p.Recoveries.Add(1)
-	after := p.Snapshot()
-
-	d := after.Delta(before)
-	if d.Checkpoints != 2 || d.ReplicaBytes != 50 || d.Recoveries != 1 {
-		t.Fatalf("delta %+v", d)
-	}
-	if d.ObjectSends != 0 || d.StepsExecuted != 0 {
-		t.Fatalf("untouched counters leaked into delta: %+v", d)
-	}
-	// Delta against itself is zero everywhere.
-	z := after.Delta(after)
-	if z != (Snapshot{}) {
-		t.Fatalf("self delta %+v", z)
-	}
-	// Delta composes with Add: before + delta == after.
-	sum := before
-	sum.Add(d)
-	if sum != after {
-		t.Fatalf("before+delta = %+v, want %+v", sum, after)
-	}
-}
-
 func TestTableAlignment(t *testing.T) {
 	tb := NewTable("name", "count", "share %")
 	tb.Row("alpha", 10, 1.5)

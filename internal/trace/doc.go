@@ -33,9 +33,7 @@
 //
 // Each Event carries:
 //
-//   - Seq     — per-track emission sequence number (uint64, from 0). The
-//     tie-breaker that makes merged timelines deterministic for events
-//     with equal virtual time.
+//   - Seq     — per-track emission sequence number (uint64, from 0).
 //   - VirtUS  — modeled virtual time in microseconds, from the clock of
 //     the endpoint/process that emitted the event.
 //   - WallNS  — wall-clock time (UnixNano) at emission, for correlating

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"sort"
 	"sync"
 	"time"
 )
@@ -108,8 +107,8 @@ func (r *Recorder) Emit(e Event) {
 		return
 	}
 	if e.WallNS == 0 {
-		// Diagnostic host timestamp only: merged timelines order and
-		// tie-break on virtual time (VirtUS, Seq), never on WallNS.
+		// Diagnostic host timestamp only: merged timelines order on
+		// virtual time, never on WallNS.
 		e.WallNS = time.Now().UnixNano() //samlint:allow wallclock -- diagnostic timestamp, never ordering
 	}
 	r.mu.Lock()
@@ -239,51 +238,6 @@ func (t *Tracer) Snapshot() []TrackEvents {
 			Events: r.Events(),
 		})
 	}
-	return out
-}
-
-// TimelineEvent is one merged-timeline entry: an event plus its track.
-type TimelineEvent struct {
-	Track string
-	Key   int64
-	Rank  int
-	Event
-}
-
-// Timeline merges every track by virtual time into one causally
-// consistent sequence. Ties (equal VirtUS) are broken by track-creation
-// order then per-track sequence number, so the merge is deterministic
-// for a given set of recorded events.
-func (t *Tracer) Timeline() []TimelineEvent {
-	snaps := t.Snapshot()
-	total := 0
-	for _, s := range snaps {
-		total += len(s.Events)
-	}
-	out := make([]TimelineEvent, 0, total)
-	for _, s := range snaps {
-		label := s.Label
-		if label == "" {
-			label = trackName(s.Key)
-		}
-		for _, e := range s.Events {
-			out = append(out, TimelineEvent{Track: label, Key: s.Key, Rank: s.Rank, Event: e})
-		}
-	}
-	trackIdx := make(map[int64]int, len(snaps))
-	for i, s := range snaps {
-		trackIdx[s.Key] = i
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.VirtUS != b.VirtUS {
-			return a.VirtUS < b.VirtUS
-		}
-		if trackIdx[a.Key] != trackIdx[b.Key] {
-			return trackIdx[a.Key] < trackIdx[b.Key]
-		}
-		return a.Seq < b.Seq
-	})
 	return out
 }
 

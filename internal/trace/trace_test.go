@@ -13,7 +13,7 @@ func TestNilTracerAndRecorderAreNoOps(t *testing.T) {
 	if tr.Control() != nil {
 		t.Fatal("nil tracer returned a live control recorder")
 	}
-	if tr.Snapshot() != nil || len(tr.Timeline()) != 0 {
+	if tr.Snapshot() != nil {
 		t.Fatal("nil tracer produced data")
 	}
 
@@ -103,59 +103,27 @@ func TestConcurrentEmit(t *testing.T) {
 	}
 }
 
-func TestTimelineDeterministicTieBreak(t *testing.T) {
-	build := func() *Tracer {
-		tr := New(0)
-		a := tr.Track(10) // created first
-		b := tr.Track(20)
-		// Same virtual time everywhere: order must fall back to track
-		// creation order, then per-track sequence.
-		b.Emit(Event{Kind: NetRecv, VirtUS: 5, Aux: 3})
-		a.Emit(Event{Kind: NetSend, VirtUS: 5, Aux: 1})
-		a.Emit(Event{Kind: NetSend, VirtUS: 5, Aux: 2})
-		b.Emit(Event{Kind: NetRecv, VirtUS: 5, Aux: 4})
-		a.Emit(Event{Kind: NetSend, VirtUS: 1, Aux: 0}) // earlier time sorts first
-		return tr
-	}
-	want := []int64{0, 1, 2, 3, 4}
-	for run := 0; run < 3; run++ {
-		tl := build().Timeline()
-		if len(tl) != len(want) {
-			t.Fatalf("timeline length %d", len(tl))
-		}
-		for i, e := range tl {
-			if e.Aux != want[i] {
-				got := make([]int64, len(tl))
-				for j := range tl {
-					got[j] = tl[j].Aux
-				}
-				t.Fatalf("run %d: order %v, want %v", run, got, want)
-			}
-		}
-	}
-}
-
-func TestTimelineLabelsAndSeqFill(t *testing.T) {
+func TestSnapshotLabelsAndWallFill(t *testing.T) {
 	tr := New(0)
 	tr.Label(7, "rank0", 0)
 	tr.Track(7).Emit(Event{Kind: PvmSpawn, VirtUS: 1})
 	tr.Control().Emit(Event{Kind: ClusterKill, VirtUS: 2})
 	tr.Track(9).Emit(Event{Kind: NetSend, VirtUS: 3})
 
-	tl := tr.Timeline()
-	if len(tl) != 3 {
-		t.Fatalf("timeline %v", tl)
+	snaps := tr.Snapshot()
+	if len(snaps) != 3 {
+		t.Fatalf("snapshot %v", snaps)
 	}
-	if tl[0].Track != "rank0" || tl[0].Rank != 0 {
-		t.Fatalf("labeled track = %q rank %d", tl[0].Track, tl[0].Rank)
+	if snaps[0].Label != "rank0" || snaps[0].Rank != 0 {
+		t.Fatalf("labeled track = %q rank %d", snaps[0].Label, snaps[0].Rank)
 	}
-	if tl[1].Track != "cluster" {
-		t.Fatalf("control track = %q", tl[1].Track)
+	if got := trackName(snaps[1].Key); got != "cluster" {
+		t.Fatalf("control track = %q", got)
 	}
-	if tl[2].Track != "tid9" {
-		t.Fatalf("unlabeled track = %q", tl[2].Track)
+	if got := trackName(snaps[2].Key); snaps[2].Label != "" || got != "tid9" {
+		t.Fatalf("unlabeled track = %q (label %q)", got, snaps[2].Label)
 	}
-	if tl[0].WallNS == 0 {
+	if snaps[0].Events[0].WallNS == 0 {
 		t.Fatal("Emit did not fill WallNS")
 	}
 }
