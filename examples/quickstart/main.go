@@ -2,12 +2,14 @@
 // library's SAM API — mutual exclusion through an accumulator,
 // producer/consumer synchronization through a single-assignment value,
 // and bounded buffering through value renaming — run on a simulated
-// 2-workstation cluster with fault tolerance enabled.
+// 2-workstation cluster with fault tolerance enabled. It exits 1 unless
+// each idiom gave the answer the paper's figure implies.
 package main
 
 import (
 	"fmt"
 	"log"
+	"slices"
 	"time"
 
 	"samft/internal/cluster"
@@ -35,9 +37,17 @@ var (
 
 func buf(round int64) sam.Name { return sam.MkName(3, int(round), 0) }
 
+// observed is what the run read through each idiom, checked once it ends.
+type observed struct {
+	message string  // rank 1's read of the producer's value
+	rounds  []int64 // rank 1's read of round 3's buffer
+	hits    int64   // rank 0's last read of the counter
+}
+
 type app struct {
 	rank int
 	st   state
+	seen *observed
 }
 
 func (a *app) Init(p *sam.Proc) {
@@ -65,6 +75,7 @@ func (a *app) Step(p *sam.Proc, step int64) bool {
 			p.CreateValue(note, &Message{Text: "hello from the producer"}, 1)
 		} else {
 			m := p.UseValue(note).(*Message)
+			a.seen.message = m.Text
 			fmt.Printf("rank 1 consumed: %q\n", m.Text)
 			p.DoneValue(note)
 		}
@@ -82,6 +93,7 @@ func (a *app) Step(p *sam.Proc, step int64) bool {
 		} else {
 			b := p.UseValue(buf(round - 1)).(*Buffer)
 			if round == 3 {
+				a.seen.rounds = slices.Clone(b.Items)
 				fmt.Printf("rank 1 sees buffer rounds: %v\n", b.Items)
 			}
 			p.DoneValue(buf(round - 1))
@@ -90,6 +102,7 @@ func (a *app) Step(p *sam.Proc, step int64) bool {
 	case 6:
 		if a.rank == 0 {
 			c := p.UpdateAccum(counter).(*Counter)
+			a.seen.hits = c.Hits
 			fmt.Printf("total hits: %d (want 2)\n", c.Hits)
 			p.ReleaseAccum(counter)
 		}
@@ -103,11 +116,12 @@ func (a *app) Snapshot() interface{} { return &a.st }
 func (a *app) Restore(s interface{}) { a.st = *(s.(*state)) }
 
 func main() {
+	var seen observed
 	c := cluster.New(cluster.Config{
 		N:      2,
 		Policy: ft.PolicySAM,
 		AppFactory: func(rank int) sam.App {
-			return &app{rank: rank}
+			return &app{rank: rank, seen: &seen}
 		},
 	})
 	rep, err := c.Run(30 * time.Second)
@@ -115,4 +129,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("done; %s\n", rep)
+	if seen.message != "hello from the producer" || !slices.Equal(seen.rounds, []int64{0, 1, 2}) || seen.hits != 2 {
+		log.Fatalf("quickstart: read %+v, want the producer's message, buffer rounds [0 1 2] and 2 hits", seen)
+	}
 }

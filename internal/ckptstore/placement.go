@@ -36,8 +36,8 @@ const (
 	// bit-compatible with the historic ft.CheckpointRanks rule.
 	Ring Kind = iota
 	// Affinity prefers the ranks View.CachedAt reports. No configuration
-	// selects it (ParseKind rejects it); only the benchmark's timing of
-	// Store.Plan builds it.
+	// selects it (a scenario's placement is ring or spread); only the
+	// benchmark's timing of Store.Plan builds it.
 	Affinity
 	// Spread anti-affines copies via rendezvous hashing.
 	Spread
@@ -53,19 +53,6 @@ func (k Kind) String() string {
 		return "spread"
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
-}
-
-// ParseKind parses a placement policy name as $SAMFT_PLACEMENT gives it to
-// the chaos sweeps (the names a scenario's ft.placement takes). The empty
-// string means Ring.
-func ParseKind(s string) (Kind, error) {
-	switch s {
-	case "", "ring":
-		return Ring, nil
-	case "spread":
-		return Spread, nil
-	}
-	return Ring, fmt.Errorf("unknown placement policy %q (want ring or spread)", s)
 }
 
 // View is the process-local knowledge a placement policy may consult.

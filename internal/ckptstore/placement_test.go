@@ -204,22 +204,6 @@ func TestSpreadDecorrelatesPairs(t *testing.T) {
 	}
 }
 
-func TestParseKind(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Kind
-		err  bool
-	}{
-		{"", Ring, false}, {"ring", Ring, false}, {"affinity", Ring, true},
-		{"spread", Spread, false}, {"raid", Ring, true},
-	} {
-		got, err := ParseKind(tc.in)
-		if (err != nil) != tc.err || got != tc.want {
-			t.Errorf("ParseKind(%q) = %v, %v; want %v, err=%v", tc.in, got, err, tc.want, tc.err)
-		}
-	}
-}
-
 // TestHomeRankIsFNV1a checks HomeRank against the reference FNV-1a
 // (hash/fnv's New64a over the name's little-endian bytes): every home
 // rank, and so every directory lookup, is that hash modulo n.

@@ -524,6 +524,3 @@ func (c *Cluster) ProcStats(rank int) *stats.Proc {
 	defer c.mu.Unlock()
 	return c.stats[rank]
 }
-
-// Machine exposes the PVM machine (tests use it for low-level poking).
-func (c *Cluster) Machine() *pvm.Machine { return c.machine }

@@ -54,8 +54,8 @@ func FuzzUnpack(f *testing.F) {
 		molecule{ID: 7, Pos: vec3{1, 2, 3}, Bonds: []int{3, 1, 4}, Raw: []byte("raw"), Grid: [4]int32{9, 8, 7, 6}},
 		benchGraph(),
 		&treeNode{Val: 1, Children: []*treeNode{shared, shared}},
-		withUnexported{Public: 5},
 		vec3{1, 2, 3},
+		&vec3{4, 5, 6}, // a rooted frame of a flat struct
 		benchSmall{ID: 7, Mass: 18.015},
 	} {
 		b, err := Pack(v)

@@ -10,6 +10,13 @@
 // (fixed-width big-endian scalars, explicit lengths, reference-encoded
 // pointers). Pointer graphs may be shared or cyclic; identity is preserved
 // across a pack/unpack round trip. Every frame carries a CRC-32 checksum.
+//
+// As with the preprocessor, a type is either described whole or rejected:
+// Register panics on a type whose field graph reaches an unexported field
+// or a kind the wire format has no encoding for (maps, complex numbers,
+// interfaces, channels, functions), naming the path to that field. Nothing
+// is dropped from a frame silently, and every registration is checked when
+// its package initialises.
 package codec
 
 import (
@@ -17,7 +24,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"reflect"
-	"sort"
 	"sync"
 )
 
@@ -45,7 +51,8 @@ var defaultRegistry = &registry{
 // typically a zero value: Register("Body", Body{}). Registering the same
 // name/type pair again is a no-op; re-registering a name with a different
 // type panics, because it indicates two incompatible modules sharing a
-// cluster.
+// cluster. A type the codec cannot encode whole panics too, and is left
+// unregistered.
 func Register(name string, sample interface{}) {
 	t := reflect.TypeOf(sample)
 	if t == nil {
@@ -55,6 +62,9 @@ func Register(name string, sample interface{}) {
 	// always transmitted by value at top level.
 	for t.Kind() == reflect.Ptr {
 		t = t.Elem()
+	}
+	if err := encodable(t); err != nil {
+		panic(fmt.Sprintf("codec: Register(%q): %v", name, err))
 	}
 	defaultRegistry.mu.Lock()
 	prev, known := defaultRegistry.byName[name]
@@ -73,9 +83,9 @@ func Register(name string, sample interface{}) {
 	planFor(t)
 }
 
-// TypeName returns the registered name for v's type (pointers are
+// typeName returns the registered name for v's type (pointers are
 // dereferenced), or "" if unregistered.
-func TypeName(v interface{}) string {
+func typeName(v interface{}) string {
 	t := reflect.TypeOf(v)
 	for t != nil && t.Kind() == reflect.Ptr {
 		t = t.Elem()
@@ -83,19 +93,6 @@ func TypeName(v interface{}) string {
 	defaultRegistry.mu.RLock()
 	defer defaultRegistry.mu.RUnlock()
 	return defaultRegistry.nameFor[t]
-}
-
-// RegisteredNames returns all registered type names, sorted. Intended for
-// diagnostics and tests.
-func RegisteredNames() []string {
-	defaultRegistry.mu.RLock()
-	defer defaultRegistry.mu.RUnlock()
-	out := make([]string, 0, len(defaultRegistry.byName))
-	for n := range defaultRegistry.byName {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 func lookupType(name string) (reflect.Type, bool) {
@@ -142,7 +139,7 @@ func packFrame(v interface{}) (*encoder, error) {
 		root = rv
 		rv = rv.Elem()
 	}
-	name := TypeName(v)
+	name := typeName(v)
 	if name == "" {
 		return nil, fmt.Errorf("%w: %T", ErrNotRegistered, v)
 	}

@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"strings"
@@ -45,31 +46,11 @@ type treeNode struct {
 	Parent   *treeNode
 }
 
-type withUnexported struct {
-	Public int
-	secret int
-}
-
-// withMap and withComplex register fine but have a field of a kind the
-// codec does not encode.
-type withMap struct {
-	ID   int
-	Tags map[string]float64
-}
-
-type withComplex struct {
-	ID int
-	Z  complex128
-}
-
 func init() {
 	Register("scalars", scalars{})
 	Register("molecule", molecule{})
 	Register("treeNode", treeNode{})
-	Register("withUnexported", withUnexported{})
 	Register("vec3", vec3{})
-	Register("withMap", withMap{})
-	Register("withComplex", withComplex{})
 }
 
 func roundTrip(t *testing.T, v interface{}) interface{} {
@@ -155,21 +136,77 @@ func TestCyclicStructure(t *testing.T) {
 	}
 }
 
-func TestUnexportedFieldsSkipped(t *testing.T) {
-	in := withUnexported{Public: 5, secret: 6}
-	got := roundTrip(t, in).(*withUnexported)
-	if got.Public != 5 {
-		t.Fatalf("Public = %d", got.Public)
+// Types the codec cannot encode whole. They are registered only inside the
+// tests below, which expect Register to refuse them.
+type (
+	// Leaky has a private field a frame would drop.
+	Leaky struct {
+		A      int64
+		hidden int64
 	}
-	if got.secret != 0 {
-		t.Fatalf("secret transmitted: %d", got.secret)
+	// Nested reaches Leaky's private field one level down.
+	Nested struct{ Inner Leaky }
+	// cyclic reaches its private field through a pointer cycle.
+	cyclic struct {
+		Next *cyclic
+		Kids []cyclic
+		note string
 	}
+	withMap struct {
+		ID   int
+		Tags map[string]float64
+	}
+	withComplex struct {
+		ID int
+		Z  complex128
+	}
+)
+
+// mustRefuse registers v under name and checks that Register panics with a
+// message containing want and leaves the type unregistered.
+func mustRefuse(t *testing.T, name string, v interface{}, want string) {
+	t.Helper()
+	func() {
+		defer func() {
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, want) {
+				t.Errorf("Register(%q) panicked with %q, want a message containing %q", name, msg, want)
+			}
+		}()
+		Register(name, v)
+	}()
+	if _, err := Pack(v); !errors.Is(err, ErrNotRegistered) {
+		t.Errorf("Pack(%T) after a refused Register: %v, want ErrNotRegistered", v, err)
+	}
+}
+
+// TestRegisterRefusesUnexportedFields: a frame never drops state, so a type
+// whose field graph reaches an unexported field is refused at Register,
+// which names the path to the field.
+func TestRegisterRefusesUnexportedFields(t *testing.T) {
+	mustRefuse(t, "Leaky", Leaky{}, "Leaky.hidden is unexported")
+	mustRefuse(t, "Nested", &Nested{}, "Nested.Inner.hidden is unexported")
+	mustRefuse(t, "cyclic", cyclic{}, "cyclic.note is unexported")
+}
+
+// TestUnencodableKindsFail pins the codec's boundary: a type with a map or
+// complex field is refused at Register, which names the field and its kind.
+func TestUnencodableKindsFail(t *testing.T) {
+	mustRefuse(t, "withMap", withMap{}, "withMap.Tags: cannot encode kind map")
+	mustRefuse(t, "withComplex", withComplex{}, "withComplex.Z: cannot encode kind complex128")
+	mustRefuse(t, "mapSlice", []map[int]int{}, "[]map[int]int[]: cannot encode kind map")
 }
 
 func TestUnregisteredType(t *testing.T) {
 	type anon struct{ X int }
-	if _, err := Pack(anon{1}); err == nil {
-		t.Fatal("packed unregistered type")
+	if _, err := Pack(anon{1}); !errors.Is(err, ErrNotRegistered) {
+		t.Errorf("Pack of an unregistered type: %v, want ErrNotRegistered", err)
+	}
+	if _, err := PackedSize(&anon{1}); !errors.Is(err, ErrNotRegistered) {
+		t.Errorf("PackedSize of an unregistered type: %v, want ErrNotRegistered", err)
+	}
+	if _, err := DeepCopy(anon{1}); !errors.Is(err, ErrNotRegistered) {
+		t.Errorf("DeepCopy of an unregistered type: %v, want ErrNotRegistered", err)
 	}
 }
 
@@ -248,35 +285,16 @@ func TestPackedSize(t *testing.T) {
 	}
 }
 
-// TestUnencodableKindsFail pins the codec's boundary: a registered type
-// with a map or complex field packs to the "cannot encode kind" error,
-// not a panic and not a frame.
-func TestUnencodableKindsFail(t *testing.T) {
-	for _, c := range []struct {
-		v    interface{}
-		kind string
-	}{
-		{withMap{ID: 1, Tags: map[string]float64{"a": 1}}, "map"},
-		{withMap{ID: 1}, "map"},
-		{withComplex{ID: 1, Z: complex(1, -1)}, "complex128"},
-	} {
-		b, err := Pack(c.v)
-		if err == nil || !strings.Contains(err.Error(), "cannot encode kind "+c.kind) {
-			t.Errorf("Pack(%T) = %d bytes, %v; want a cannot-encode-kind-%s error", c.v, len(b), err, c.kind)
-		}
-	}
-}
-
 func TestTypeName(t *testing.T) {
-	if got := TypeName(vec3{}); got != "vec3" {
-		t.Fatalf("TypeName = %q", got)
+	if got := typeName(vec3{}); got != "vec3" {
+		t.Fatalf("typeName = %q", got)
 	}
-	if got := TypeName(&vec3{}); got != "vec3" {
-		t.Fatalf("TypeName(ptr) = %q", got)
+	if got := typeName(&vec3{}); got != "vec3" {
+		t.Fatalf("typeName(ptr) = %q", got)
 	}
 	type anon struct{ Y int }
-	if got := TypeName(anon{}); got != "" {
-		t.Fatalf("TypeName(unregistered) = %q", got)
+	if got := typeName(anon{}); got != "" {
+		t.Fatalf("typeName(unregistered) = %q", got)
 	}
 }
 

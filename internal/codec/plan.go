@@ -195,13 +195,54 @@ func compile(t reflect.Type) *plan {
 	case reflect.Struct:
 		return compileStruct(t)
 	default:
-		err := fmt.Errorf("codec: cannot encode kind %v", t.Kind())
-		return &plan{
-			fixed: -1,
-			enc:   func(*encoder, reflect.Value) error { return err },
-			dec:   func(*decoder, reflect.Value) error { return err },
-		}
+		// Pack and Unpack only reach registered types, and Register
+		// rejected every type whose graph reaches such a kind.
+		panic(fmt.Sprintf("codec: no plan for kind %v", t.Kind()))
 	}
+}
+
+// encodable returns why values of t cannot be encoded whole, naming the
+// path from t to the first field the wire format cannot carry: an
+// unexported field ("Nested.Inner.hidden is unexported") or a kind with no
+// plan ("withMap.Tags: cannot encode kind map"). It returns nil when every
+// type reachable from t has a plan.
+func encodable(t reflect.Type) error {
+	name := t.Name()
+	if name == "" {
+		name = t.String()
+	}
+	return reaches(t, name, make(map[reflect.Type]bool))
+}
+
+func reaches(t reflect.Type, path string, seen map[reflect.Type]bool) error {
+	if seen[t] {
+		return nil
+	}
+	seen[t] = true
+	switch t.Kind() {
+	case reflect.Bool, reflect.String,
+		reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64:
+		return nil
+	case reflect.Slice, reflect.Array:
+		return reaches(t.Elem(), path+"[]", seen)
+	case reflect.Ptr:
+		return reaches(t.Elem(), path, seen)
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			f := t.Field(i)
+			fp := path + "." + f.Name
+			if !f.IsExported() {
+				return fmt.Errorf("%s is unexported", fp)
+			}
+			if err := reaches(f.Type, fp, seen); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	return fmt.Errorf("%s: cannot encode kind %v", path, t.Kind())
 }
 
 func compileSlice(t reflect.Type) *plan {
@@ -384,16 +425,12 @@ func compileStruct(t reflect.Type) *plan {
 		sub     *plan
 		errName string
 	}
+	// Every field is encoded: Register refused types with unexported
+	// fields, so no state is dropped from a frame.
 	var fields []fieldPlan
 	fixed := 0
 	for i := 0; i < t.NumField(); i++ {
 		f := t.Field(i)
-		if f.PkgPath != "" {
-			// Unexported fields are process-local state and are not
-			// transmitted, matching how SAM only communicates the declared
-			// shared representation.
-			continue
-		}
 		sub := planFor(f.Type)
 		fields = append(fields, fieldPlan{i, sub, t.Name() + "." + f.Name})
 		if fixed >= 0 && sub.fixed >= 0 {

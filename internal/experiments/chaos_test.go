@@ -48,11 +48,15 @@ func chaosSeed(t *testing.T) uint64 {
 // overridable for CI's (seed, placement) matrix via SAMFT_PLACEMENT
 // (ring or spread).
 func chaosPlacement(t *testing.T) ckptstore.Kind {
-	k, err := ckptstore.ParseKind(os.Getenv("SAMFT_PLACEMENT"))
-	if err != nil {
-		t.Fatalf("bad SAMFT_PLACEMENT: %v", err)
+	switch p := os.Getenv("SAMFT_PLACEMENT"); p {
+	case "", "ring":
+		return ckptstore.Ring
+	case "spread":
+		return ckptstore.Spread
+	default:
+		t.Fatalf("bad SAMFT_PLACEMENT %q (want ring or spread)", p)
+		return 0
 	}
-	return k
 }
 
 // runChaos generates spec's scenarios, holds them to the file format's

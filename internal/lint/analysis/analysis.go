@@ -19,8 +19,6 @@ import (
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and test output.
 	Name string
-	// Doc is the one-paragraph description printed by samlint -help.
-	Doc string
 	// Category is the //samlint:allow suppression key. Empty means the
 	// analyzer's Name is the key.
 	Category string

@@ -17,9 +17,7 @@ import (
 // Analyzer is the detiter check.
 var Analyzer = &analysis.Analyzer{
 	Name: "detiter",
-	Doc: "flag range-over-map loops that send messages or emit trace " +
-		"events in map order; iterate a sorted key snapshot instead",
-	Run: run,
+	Run:  run,
 }
 
 // sendRoots are callee names that directly put bytes on the wire or an

@@ -17,10 +17,6 @@
 //     send or trace emit without an intervening sort: map order is
 //     random per process, so anything it feeds onto the wire or into a
 //     trace track breaks run-to-run reproducibility.
-//   - codecregistered — verifies every concrete type passed to
-//     codec.Pack / codec.PackedSize / codec.DeepCopy is registered, and
-//     that registered types carry no unexported fields, which the codec
-//     silently drops from the wire format.
 //   - tagflow — the message-tag namespace and the dataflow through it,
 //     from one module walk. Namespace: collects every PVM/SAM message-tag
 //     constant (names matching Tag*), rejects duplicate tag values, tags
@@ -38,11 +34,11 @@
 //
 // # Module scope
 //
-// codecregistered, tagflow and staleallow are module-scope analyzers: the
-// driver runs each once over every loaded package, in dependency order,
-// instead of once per package. A Register call in one package legitimizes
-// a Pack in another, and a pack helper in one package can feed a send in
-// another, so these checks need the whole module. tagflow keeps pack and
+// tagflow and staleallow are module-scope analyzers: the driver runs each
+// once over every loaded package, in dependency order, instead of once per
+// package. A pack helper in one package can feed a send in another, and a
+// directive is stale only if no analyzer anywhere used it, so these checks
+// need the whole module. tagflow keeps pack and
 // unpack provenance in maps keyed by *types.Func (the loader type-checks
 // each package once, so an object is the same wherever it is used), and
 // correlates every send with every piece of receive evidence at the end of
@@ -70,17 +66,18 @@
 //
 // # Running
 //
-// The multichecker binary lives in cmd/samlint:
+// The suite has one driver, the TestModuleClean test in this package:
 //
-//	go run ./cmd/samlint ./...        # human-readable findings
-//	go run ./cmd/samlint -json ./...  # machine-readable, incl. suppressed
+//	go test -run '^TestModuleClean$' ./internal/lint
 //
-// It exits 0 when the tree is clean, 1 when there are findings, and 2 on
-// load/type-check failure. Unlike go/analysis-based vet tools, samlint
-// cannot be plugged into `go vet -vettool=...`: the vet protocol drives
-// one package at a time, while the module-scope analyzers need the whole
-// module at once (and the offline build cannot vendor x/tools, whose
-// unitchecker implements that protocol). CI runs
-// the standalone binary right next to `go vet`, which covers the same
-// ground with one shared type-check for the entire suite.
+// It loads and type-checks the whole module once, runs the four analyzers
+// over every package, and fails on any finding or type error. CI runs it
+// as its own step, without -race: the suite runs in one goroutine, so the
+// race detector finds nothing and only slows the load. The module-scope
+// analyzers need the whole module at once, so the suite cannot run as a
+// one-package-at-a-time `go vet -vettool` plugin.
+//
+// Registration rules for the codec are not lint: codec.Register refuses a
+// type it cannot encode whole when its package initialises, and Pack of an
+// unregistered type returns codec.ErrNotRegistered.
 package lint

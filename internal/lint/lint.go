@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"samft/internal/lint/analysis"
-	"samft/internal/lint/codecregistered"
 	"samft/internal/lint/detiter"
 	"samft/internal/lint/load"
 	"samft/internal/lint/nowallclock"
@@ -22,7 +21,6 @@ func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		nowallclock.Analyzer,
 		detiter.Analyzer,
-		codecregistered.Analyzer,
 		tagflow.Analyzer,
 		staleallow.Analyzer,
 	}
@@ -41,23 +39,8 @@ func Deterministic(path string) bool {
 	return strings.HasPrefix(path, deterministicPrefix)
 }
 
-// Options configures one Run.
-type Options struct {
-	// Dir is any directory inside the module to lint.
-	Dir string
-	// Patterns restricts which packages are analyzed (and, for
-	// module-scope analyzers, where findings may be reported). Supported
-	// forms: "./...", "./some/dir/...", "./some/dir", and bare import
-	// paths. Empty means everything. Module-scope analyzers still see
-	// every package; only the reporting is restricted.
-	Patterns []string
-	// Analyzers overrides the suite (nil = Analyzers()).
-	Analyzers []*analysis.Analyzer
-}
-
 // SuppressedDiagnostic records a finding that a //samlint:allow
-// directive silenced, and the key that matched. samlint -json surfaces
-// these so suppression debt is visible in machine-readable output.
+// directive silenced, and the key that matched.
 type SuppressedDiagnostic struct {
 	Diagnostic analysis.Diagnostic
 	Key        string
@@ -75,15 +58,13 @@ type Result struct {
 	TypeErrors map[string][]error
 }
 
-// Run loads the module containing opts.Dir and applies the analyzer
-// suite. The module is parsed and type-checked exactly once; every
-// analyzer — including the module-scope ones — shares that one load,
-// which is what keeps the CI job's wall time bounded as the suite
-// grows. Diagnostics suppressed by //samlint:allow directives are
-// recorded in Result.Suppressed; the rest are returned sorted by
-// position.
-func Run(opts Options) (*Result, error) {
-	modPath, modRoot, err := load.ModulePathOf(opts.Dir)
+// Run loads the module containing dir and applies the analyzer suite to
+// every package in it. The module is parsed and type-checked exactly once;
+// every analyzer — including the module-scope ones — shares that one load.
+// Diagnostics suppressed by //samlint:allow directives are recorded in
+// Result.Suppressed; the rest are returned sorted by position.
+func Run(dir string) (*Result, error) {
+	modPath, modRoot, err := load.ModulePathOf(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -91,22 +72,13 @@ func Run(opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	match, err := patternMatcher(modPath, opts.Patterns)
-	if err != nil {
-		return nil, err
-	}
-	analyzers := opts.Analyzers
-	if analyzers == nil {
-		analyzers = Analyzers()
-	}
-
 	res := &Result{Fset: fset, TypeErrors: make(map[string][]error)}
 	for _, p := range pkgs {
 		if len(p.TypeErrors) > 0 {
 			res.TypeErrors[p.Path] = p.TypeErrors
 		}
 	}
-	if err := runSuite(res, fset, pkgs, analyzers, match); err != nil {
+	if err := runSuite(res, fset, pkgs, Analyzers()); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -117,7 +89,7 @@ func Run(opts Options) (*Result, error) {
 // the way the real driver drives the module.
 func RunPackages(fset *token.FileSet, pkgs []*analysis.Package, analyzers []*analysis.Analyzer) ([]analysis.Diagnostic, error) {
 	res := &Result{Fset: fset}
-	if err := runSuite(res, fset, pkgs, analyzers, func(string) bool { return true }); err != nil {
+	if err := runSuite(res, fset, pkgs, analyzers); err != nil {
 		return nil, err
 	}
 	return res.Diagnostics, nil
@@ -127,7 +99,7 @@ func RunPackages(fset *token.FileSet, pkgs []*analysis.Package, analyzers []*ana
 // packages in dependency order (load.Load returns them topologically
 // sorted), suppression applied at report time so directive usage is
 // observable by the staleallow analyzer.
-func runSuite(res *Result, fset *token.FileSet, pkgs []*analysis.Package, analyzers []*analysis.Analyzer, match func(string) bool) error {
+func runSuite(res *Result, fset *token.FileSet, pkgs []*analysis.Package, analyzers []*analysis.Analyzer) error {
 	allows := analysis.CollectAllows(fset, pkgs)
 	for _, a := range analyzers {
 		allows.Keys[a.Name] = true
@@ -140,7 +112,6 @@ func runSuite(res *Result, fset *token.FileSet, pkgs []*analysis.Package, analyz
 			neverSuppress[a.Name] = true
 		}
 	}
-	var diags []analysis.Diagnostic
 	report := func(d analysis.Diagnostic) {
 		if !neverSuppress[d.Analyzer] {
 			pos := fset.Position(d.Pos)
@@ -149,7 +120,7 @@ func runSuite(res *Result, fset *token.FileSet, pkgs []*analysis.Package, analyz
 				return
 			}
 		}
-		diags = append(diags, d)
+		res.Diagnostics = append(res.Diagnostics, d)
 	}
 
 	newPass := func(a *analysis.Analyzer, pkg *analysis.Package) *analysis.Pass {
@@ -181,18 +152,6 @@ func runSuite(res *Result, fset *token.FileSet, pkgs []*analysis.Package, analyz
 		}
 	}
 
-	pkgOf := make(map[string]string, len(pkgs)) // file -> package path
-	for _, p := range pkgs {
-		for _, f := range p.Files {
-			pkgOf[fset.Position(f.Pos()).Filename] = p.Path
-		}
-	}
-	for _, d := range diags {
-		if !match(pkgOf[fset.Position(d.Pos).Filename]) {
-			continue // finding outside the requested patterns
-		}
-		res.Diagnostics = append(res.Diagnostics, d)
-	}
 	sort.Slice(res.Diagnostics, func(i, j int) bool {
 		pi, pj := fset.Position(res.Diagnostics[i].Pos), fset.Position(res.Diagnostics[j].Pos)
 		if pi.Filename != pj.Filename {
@@ -204,50 +163,6 @@ func runSuite(res *Result, fset *token.FileSet, pkgs []*analysis.Package, analyz
 		return res.Diagnostics[i].Analyzer < res.Diagnostics[j].Analyzer
 	})
 	return nil
-}
-
-// patternMatcher compiles go-tool-style package patterns against the
-// module's import paths.
-func patternMatcher(modPath string, patterns []string) (func(string) bool, error) {
-	if len(patterns) == 0 {
-		return func(string) bool { return true }, nil
-	}
-	type rule struct {
-		prefix string // match path == prefix or path starting with prefix+"/"
-		exact  bool
-	}
-	var rules []rule
-	for _, pat := range patterns {
-		p := strings.TrimSuffix(pat, "/")
-		recursive := false
-		if strings.HasSuffix(p, "/...") || p == "..." {
-			recursive = true
-			p = strings.TrimSuffix(strings.TrimSuffix(p, "..."), "/")
-		}
-		switch {
-		case p == "." || p == "":
-			p = modPath
-		case strings.HasPrefix(p, "./"):
-			p = modPath + "/" + strings.TrimPrefix(p, "./")
-		case !strings.HasPrefix(p, modPath):
-			p = modPath + "/" + p
-		}
-		rules = append(rules, rule{prefix: p, exact: !recursive})
-	}
-	return func(path string) bool {
-		if path == "" {
-			return false
-		}
-		for _, r := range rules {
-			if path == r.prefix {
-				return true
-			}
-			if !r.exact && strings.HasPrefix(path, r.prefix+"/") {
-				return true
-			}
-		}
-		return false
-	}, nil
 }
 
 // FormatDiagnostic renders one finding in the standard file:line:col

@@ -4,39 +4,11 @@ import (
 	"testing"
 )
 
-func TestPatternMatcher(t *testing.T) {
-	match, err := patternMatcher("samft", []string{"./internal/sam", "./internal/lint/...", "cmd/samlint"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for path, want := range map[string]bool{
-		"samft/internal/sam":          true,
-		"samft/internal/sam/sub":      false, // non-recursive pattern
-		"samft/internal/lint":         true,
-		"samft/internal/lint/detiter": true, // recursive pattern
-		"samft/cmd/samlint":           true, // bare path
-		"samft/internal/cluster":      false,
-		"":                            false,
-	} {
-		if match(path) != want {
-			t.Errorf("match(%q) = %v, want %v", path, match(path), want)
-		}
-	}
-
-	all, err := patternMatcher("samft", []string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !all("samft") || !all("samft/internal/sam") {
-		t.Error("./... must match the module root and everything under it")
-	}
-}
-
 func TestDeterministic(t *testing.T) {
 	for path, want := range map[string]bool{
 		"samft/internal/sam":        true,
 		"samft/internal/lint":       true,
-		"samft/cmd/samlint":         false,
+		"samft/cmd/samrun":          false,
 		"samft/examples/quickstart": false,
 	} {
 		if Deterministic(path) != want {
@@ -46,13 +18,13 @@ func TestDeterministic(t *testing.T) {
 }
 
 // TestModuleClean runs the full suite over the repository itself: the
-// tree must stay samlint-clean (the CI job enforces the same thing via
-// cmd/samlint; this keeps `go test ./...` self-sufficient).
+// tree must stay samlint-clean. It is the suite's only driver, and CI runs
+// it as its own step.
 func TestModuleClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("module-wide load is slow; skipped with -short")
 	}
-	res, err := Run(Options{Dir: "../..", Patterns: []string{"./..."}})
+	res, err := Run("../..")
 	if err != nil {
 		t.Fatalf("lint.Run: %v", err)
 	}

@@ -20,10 +20,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name:     "nowallclock",
 	Category: "wallclock",
-	Doc: "forbid time.Now/Since/Sleep/Until/Tick/After/AfterFunc and " +
-		"global math/rand in deterministic packages; use modeled time and " +
-		"xrand instead",
-	Run: run,
+	Run:      run,
 }
 
 // bannedTime lists the time-package functions that read or wait on the

@@ -18,7 +18,6 @@ import (
 // Analyzer is the staleallow check.
 var Analyzer = &analysis.Analyzer{
 	Name:          "staleallow",
-	Doc:           "report //samlint:allow directives that no longer suppress any diagnostic",
 	ModuleScope:   true,
 	NeverSuppress: true,
 	Run:           run,

@@ -53,10 +53,7 @@ import (
 // package can feed a send in another, and the receivers of a tag may live
 // anywhere).
 var Analyzer = &analysis.Analyzer{
-	Name: "tagflow",
-	Doc: "tag constants are unique and at or above TagUserBase, call sites " +
-		"use registered tags, every constant tag sent has receive evidence, " +
-		"and packed payload types match what receivers assert",
+	Name:        "tagflow",
 	ModuleScope: true,
 	Run:         run,
 }
@@ -145,7 +142,7 @@ func codecCall(info *types.Info, call *ast.CallExpr, name string) bool {
 	}
 	// Match the real module path, or any package simply named "codec" so
 	// fixture trees (whose import paths are src-relative) exercise the
-	// same provenance logic — the codecregistered analyzer's convention.
+	// same provenance logic.
 	return fn.Pkg().Path() == codecPath || fn.Pkg().Name() == "codec"
 }
 

@@ -176,3 +176,58 @@ func TestFreeValueByANonOwnerFails(t *testing.T) {
 		t.Error("a failed FreeValue changed the cached version")
 	}
 }
+
+// TestForceCkptAtTheLaggard: §4.3's force-checkpoint protocol at the
+// process asked to checkpoint. A request for a time it has not checkpointed
+// past, with no transaction open, queues one bare forced checkpoint and
+// answers at that checkpoint's commit; a request its last checkpoint
+// already covers is answered at once and starts nothing.
+func TestForceCkptAtTheLaggard(t *testing.T) {
+	const privHolder, origin, f = 1, 2, 3
+	p, tasks := txProc(t)
+	// The owner's kForceCkpt carries its stamp, so the request's time f is
+	// known here before the request is judged.
+	request := func() {
+		stamp := make([]int64, p.cfg.N)
+		stamp[origin] = f
+		p.dispatch(&wire{Kind: kForceCkpt, SrcRank: origin, F: f, HasStamp: true, StampT: stamp})
+	}
+
+	request()
+	if p.tx != nil || !p.pendingForced || len(p.pendingTriggers) != 1 || p.pendingTriggers[0] != (trigger{}) {
+		t.Fatalf("uncovered request mid-step: open=%v pendingForced=%v triggers=%+v, want one bare trigger marked forced",
+			p.tx != nil, p.pendingForced, p.pendingTriggers)
+	}
+	onlyTo(t, tasks, -1) // no ack before the checkpoint
+
+	open(p)
+	pieces := drain(t, tasks)
+	if p.tx == nil || !p.tx.forced {
+		t.Fatal("the forced trigger did not open a forced transaction")
+	}
+	if len(pieces) != 1 || pieces[0].to != privHolder || pieces[0].Kind != kCkptPriv {
+		t.Fatalf("the forced checkpoint sent %+v, want one CkptPriv to rank %d", pieces, privHolder)
+	}
+	ackAll(p, pieces)
+	after := drain(t, tasks)
+	if got := kindsTo(after, origin); !slices.Equal(got, []string{"ForceAck"}) {
+		t.Fatalf("requester got %v at the commit, want one ForceAck", got)
+	}
+	if got := kindsTo(after, privHolder); !slices.Equal(got, []string{"Activate"}) {
+		t.Fatalf("private-state holder got %v at the commit, want one Activate", got)
+	}
+	if n, forced := p.st.Checkpoints.Load(), p.st.ForcedCheckpoints.Load(); n != 1 || forced != 1 || p.tx != nil || p.pendingForced {
+		t.Fatalf("checkpoints=%d forced=%d open=%v pendingForced=%v, want 1, 1, false, false", n, forced, p.tx != nil, p.pendingForced)
+	}
+
+	request()
+	if p.tx != nil || len(p.pendingTriggers) != 0 || p.pendingForced {
+		t.Fatalf("covered request: open=%v triggers=%d pendingForced=%v, want no checkpoint", p.tx != nil, len(p.pendingTriggers), p.pendingForced)
+	}
+	if got := drain(t, tasks); len(got) != 1 || got[0].to != origin || got[0].Kind != kForceAck {
+		t.Fatalf("covered request answered with %+v, want one ForceAck to rank %d", got, origin)
+	}
+	if n, forced := p.st.Checkpoints.Load(), p.st.ForcedCheckpoints.Load(); n != 1 || forced != 1 {
+		t.Fatalf("checkpoints=%d forced=%d after a covered request, want 1, 1", n, forced)
+	}
+}
