@@ -1,6 +1,7 @@
 package gps
 
 import (
+	"slices"
 	"sort"
 
 	"samft/internal/codec"
@@ -60,6 +61,13 @@ type App struct {
 	p       Params
 	data    *Dataset
 	st      State
+	// Breeding buffers, reused every generation: the migrants read from
+	// the other processes, the pool the tournaments draw from (the shard
+	// followed by the migrants), and the population of the generation
+	// before st.Pop, which the next one is bred into. Programs are
+	// immutable, and what the application publishes (topK, champion) is
+	// copied out, so nothing outside the application aliases these slices.
+	migrants, pool, spare []Individual
 	// OnResult, when set on rank 0's instance, receives the final global
 	// best fitness (used by experiments; may be called again on replay).
 	OnResult func(best float64)
@@ -158,38 +166,19 @@ func (a *App) generation(p *sam.Proc, gen int64) {
 	}
 
 	// 2. Collect migrants from everyone else.
-	var migrants []Individual
+	a.migrants = a.migrants[:0]
 	for r := 0; r < a.n; r++ {
 		if r == a.rank {
 			continue
 		}
 		s := p.UseValue(shardName(gen, r)).(*Shard)
-		migrants = append(migrants, s.Tops...)
+		a.migrants = append(a.migrants, s.Tops...)
 		p.DoneValue(shardName(gen, r))
 	}
 
-	// 3. Breed the next shard from (local population + migrants) with
-	// tournament selection, crossover, and mutation; deterministic given
-	// (seed, rank, gen) so a recovery replay reproduces it exactly.
-	r := xrand.At(a.p.Seed, int64(a.rank), gen)
-	pool := append(append([]Individual(nil), a.st.Pop...), migrants...)
-	next := make([]Individual, len(a.st.Pop))
-	evalCost := 0.0
-	for i := range next {
-		var t Program
-		switch r.Intn(10) {
-		case 0: // mutation
-			t = Mutate(r, a.tournament(r, pool).Tree, NVars, a.p.MaxDepth)
-		case 1: // reproduction: programs are immutable, so share it
-			t = a.tournament(r, pool).Tree
-		default: // crossover
-			t = Crossover(r, a.tournament(r, pool).Tree, a.tournament(r, pool).Tree, a.p.MaxDepth)
-		}
-		next[i] = Individual{Tree: t, Fitness: a.data.Fitness(t)}
-		evalCost += float64(len(t)*len(a.data.X)) * a.p.EvalCostUS
-	}
-	a.st.Pop = next
-	p.Compute(evalCost)
+	// 3. Breed the next shard; deterministic given (seed, rank, gen) so a
+	// recovery replay reproduces it exactly.
+	p.Compute(a.breed(xrand.At(a.p.Seed, int64(a.rank), gen)))
 
 	// 4. Occasionally refresh the monitoring accumulator (a chaotic-read
 	// consumer could watch progress); this is the only nonreproducible
@@ -202,6 +191,37 @@ func (a *App) generation(p *sam.Proc, gen int64) {
 			b.Tree = c.Tree
 		}
 		p.ReleaseAccum(bestName())
+	}
+}
+
+// breed replaces the shard with the next generation, bred from the shard
+// and the migrants with tournament selection, crossover and mutation, and
+// returns the modeled cost of scoring it. The new shard goes into the
+// buffer of the generation before the current one, so once both buffers
+// and the pool have grown, breeding allocates only the children that
+// Crossover and Mutate make.
+func (a *App) breed(r *xrand.Rand) float64 {
+	a.pool = append(append(a.pool[:0], a.st.Pop...), a.migrants...)
+	next := slices.Grow(a.spare[:0], len(a.st.Pop))
+	evalCost := 0.0
+	for range a.st.Pop {
+		t := a.offspring(r)
+		next = append(next, Individual{Tree: t, Fitness: a.data.Fitness(t)})
+		evalCost += float64(len(t)*len(a.data.X)) * a.p.EvalCostUS
+	}
+	a.st.Pop, a.spare = next, a.st.Pop
+	return evalCost
+}
+
+// offspring breeds one child from the pool.
+func (a *App) offspring(r *xrand.Rand) Program {
+	switch r.Intn(10) {
+	case 0: // mutation
+		return Mutate(r, a.tournament(r, a.pool).Tree, NVars, a.p.MaxDepth)
+	case 1: // reproduction: programs are immutable, so share it
+		return a.tournament(r, a.pool).Tree
+	default: // crossover
+		return Crossover(r, a.tournament(r, a.pool).Tree, a.tournament(r, a.pool).Tree, a.p.MaxDepth)
 	}
 }
 

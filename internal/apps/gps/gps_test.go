@@ -3,6 +3,7 @@ package gps
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -211,6 +212,72 @@ func TestHotPathsAllocate(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { Mutate(r, a, NVars, 7) }); n > 1 {
 		t.Errorf("Mutate: %v allocs, want at most 1", n)
+	}
+}
+
+// breeder is rank 0's application at paper scale between two generations:
+// its shard scored, and the 28 migrants seven other ranks would publish.
+func breeder() (*App, []Individual) {
+	d, pop := paperShard()
+	a := &App{p: DefaultParams(), data: d}
+	a.st.Pop = slices.Clone(pop)
+	a.migrants = pop[:7*a.p.TopK]
+	return a, pop
+}
+
+// TestBreedAllocatesOnlyTheChildren: once the shard buffers and the pool
+// have grown, a generation's breeding allocates exactly what its offspring
+// calls do (TestHotPathsAllocate bounds those): the pool and the next shard
+// are reused, not made again.
+func TestBreedAllocatesOnlyTheChildren(t *testing.T) {
+	a, pop := breeder()
+	a.breed(xrand.New(1)) // grows the pool and the second shard buffer
+	a.breed(xrand.New(2))
+	bred := testing.AllocsPerRun(20, func() {
+		copy(a.st.Pop, pop) // the same pool every run, so the same draws
+		a.breed(xrand.New(3))
+	})
+	children := testing.AllocsPerRun(20, func() {
+		r := xrand.New(3)
+		for range a.st.Pop {
+			a.offspring(r)
+		}
+	})
+	if bred != children {
+		t.Errorf("breeding made %v allocs per generation, its offspring %v: want the same", bred, children)
+	}
+}
+
+// TestSnapshotSurvivesBreeding: a boundary snapshot of the shard still
+// unpacks to the boundary's individuals after two more generations, the
+// second of which is bred into the very buffer that held them, and the
+// programs those individuals share with later generations are unchanged.
+func TestSnapshotSurvivesBreeding(t *testing.T) {
+	a, _ := breeder()
+	a.breed(xrand.At(a.p.Seed, 0, 1))
+	snap, err := codec.Pack(a.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := slices.Clone(a.st.Pop)
+	buf := &a.st.Pop[0]
+	a.breed(xrand.At(a.p.Seed, 0, 2))
+	a.breed(xrand.At(a.p.Seed, 0, 3))
+	if &a.st.Pop[0] != buf {
+		t.Fatal("generation 3 was not bred into generation 1's buffer")
+	}
+	got, err := codec.Unpack(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := codec.Pack(&State{Pop: held})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.EqualFunc(got.(*State).Pop, held, func(x, y Individual) bool {
+		return slices.Equal(x.Tree, y.Tree) && math.Float64bits(x.Fitness) == math.Float64bits(y.Fitness)
+	}) || !bytes.Equal(again, snap) {
+		t.Fatal("the boundary snapshot changed after two more generations")
 	}
 }
 

@@ -3,6 +3,7 @@ package codec
 import (
 	"encoding/binary"
 	"hash/crc32"
+	"math/bits"
 	"slices"
 	"testing"
 )
@@ -39,6 +40,67 @@ func TestPackAllocs(t *testing.T) {
 		if n := testing.AllocsPerRun(100, pack); n != 1 {
 			t.Errorf("%s: Pack made %.1f allocs per run, want 1 (the frame)", c.name, n)
 		}
+	}
+}
+
+// TestAppendPackAllocs pins AppendPack's contract: once a type has been
+// packed, appending its frame to a buffer with room allocates nothing, for
+// a flat struct and a cyclic pointer graph alike; appending a fixed-size
+// type's frame to a buffer without room allocates exactly once; and a
+// large frame grows an empty buffer by doubling.
+func TestAppendPackAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled encoders at random under the race detector")
+	}
+	var small interface{} = benchSmall{ID: 7, Pos: vec3{1, 2, 3}, Vel: vec3{-0.5, 0.25, 0}, Mass: 18.015}
+	for _, c := range []struct {
+		name string
+		v    interface{}
+	}{
+		{"small", small},
+		{"graph", benchGraph()},
+	} {
+		frame, err := Pack(c.v) // warm-up: compile the plan, pool an encoder
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, 0, len(frame))
+		appendInPlace := func() {
+			if buf, err = AppendPack(buf[:0], c.v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := testing.AllocsPerRun(100, appendInPlace); n != 0 {
+			t.Errorf("%s: AppendPack into a buffer with room made %.1f allocs per run, want 0", c.name, n)
+		}
+		if string(buf) != string(frame) {
+			t.Errorf("%s: AppendPack wrote %x, want %x", c.name, buf, frame)
+		}
+	}
+	short := make([]byte, 0, 8)
+	appendShort := func() {
+		if _, err := AppendPack(short, small); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(100, appendShort); n != 1 {
+		t.Errorf("AppendPack into a short buffer made %.1f allocs per run, want 1 (the grown buffer)", n)
+	}
+
+	// Doubling takes at most log2(size) allocations from empty; append's
+	// 1.25× growth of large slices takes more and allocates 5× the frame.
+	var big interface{} = molecule{ID: 7, Bonds: make([]int, 8000), Raw: make([]byte, 100)}
+	frame, err := Pack(big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendEmpty := func() {
+		if _, err := AppendPack(nil, big); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, most := testing.AllocsPerRun(20, appendEmpty), float64(bits.Len(uint(len(frame)))); n > most {
+		t.Errorf("AppendPack of a %d-byte frame into an empty buffer made %.1f allocs per run, want at most %.0f", len(frame), n, most)
 	}
 }
 

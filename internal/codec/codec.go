@@ -115,7 +115,8 @@ const frameMagic uint16 = 0x5A4D
 //
 // Once v's type has been packed before (its plan compiled, the pooled
 // encoder grown to the frame's size), Pack makes exactly one allocation:
-// the frame it returns. TestPackAllocs pins the contract.
+// the frame it returns. TestPackAllocs pins the contract. A caller that
+// owns a buffer to reuse packs into it with AppendPack instead.
 func Pack(v interface{}) ([]byte, error) {
 	e, err := packFrame(v)
 	if err != nil {
@@ -127,29 +128,60 @@ func Pack(v interface{}) ([]byte, error) {
 	return out, nil
 }
 
+// AppendPack appends v's frame, the bytes Pack would return, to dst and
+// returns the extended slice. The encoder writes straight into dst's spare
+// capacity, so once v's type has been packed AppendPack allocates nothing
+// when dst has room for the frame; when it has not, the buffer grows by at
+// least doubling (one allocation for a type of fixed size). On error dst is
+// returned at its old length, though its spare capacity may have been
+// written. TestAppendPackAllocs pins the contract.
+func AppendPack(dst []byte, v interface{}) ([]byte, error) {
+	e := getEncoder()
+	scratch := e.buf
+	e.buf = dst
+	err := e.frame(v)
+	out := e.buf
+	e.buf = scratch
+	putEncoder(e)
+	if err != nil {
+		return dst, err
+	}
+	return out, nil
+}
+
 // packFrame encodes v into a pooled encoder. On success the caller owns
 // the encoder and must return it with putEncoder.
 func packFrame(v interface{}) (*encoder, error) {
+	e := getEncoder()
+	if err := e.frame(v); err != nil {
+		putEncoder(e)
+		return nil, err
+	}
+	return e, nil
+}
+
+// frame appends v's frame to e.buf.
+func (e *encoder) frame(v interface{}) error {
 	rv := reflect.ValueOf(v)
 	var root reflect.Value // innermost pointer to the packed object, if any
 	for rv.Kind() == reflect.Ptr {
 		if rv.IsNil() {
-			return nil, errors.New("codec: Pack of nil pointer")
+			return errors.New("codec: Pack of nil pointer")
 		}
 		root = rv
 		rv = rv.Elem()
 	}
 	name := typeName(v)
 	if name == "" {
-		return nil, fmt.Errorf("%w: %T", ErrNotRegistered, v)
+		return fmt.Errorf("%w: %T", ErrNotRegistered, v)
 	}
 	pl := planFor(rv.Type())
-	e := getEncoder()
 	if pl.fixed >= 0 {
 		// Size hint: header + body + checksum, so scalar-only types encode
 		// with zero buffer growth.
 		e.grow(2 + 4 + len(name) + 1 + pl.fixed + 4)
 	}
+	start := len(e.buf)
 	e.u16(frameMagic)
 	e.str(name)
 	if root.IsValid() {
@@ -162,12 +194,10 @@ func packFrame(v interface{}) (*encoder, error) {
 		e.u8(0)
 	}
 	if err := pl.enc(e, rv); err != nil {
-		putEncoder(e)
-		return nil, err
+		return err
 	}
-	sum := crc32.ChecksumIEEE(e.buf)
-	e.u32(sum)
-	return e, nil
+	e.u32(crc32.ChecksumIEEE(e.buf[start:]))
+	return nil
 }
 
 // Verify checks a frame's length and checksum without decoding it, so a

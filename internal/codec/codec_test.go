@@ -285,6 +285,39 @@ func TestPackedSize(t *testing.T) {
 	}
 }
 
+// TestAppendPackMatchesPack: AppendPack appends exactly the frame Pack
+// returns (its checksum covers the frame, not what dst held before), leaves
+// the prefix alone, and keeps dst's length when v cannot be packed.
+func TestAppendPackMatchesPack(t *testing.T) {
+	prefix := []byte("held")
+	for _, v := range []interface{}{
+		vec3{1, 2, 3},
+		molecule{ID: 7, Bonds: []int{3, 1, 4}, Raw: []byte("raw")},
+		benchGraph(),
+	} {
+		want, err := Pack(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := AppendPack(append([]byte(nil), prefix...), v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got[:len(prefix)]) != string(prefix) || string(got[len(prefix):]) != string(want) {
+			t.Fatalf("%T: AppendPack gave %x, want %x after the prefix", v, got, want)
+		}
+		if _, err := Unpack(got[len(prefix):]); err != nil {
+			t.Fatalf("%T: the appended frame does not unpack: %v", v, err)
+		}
+	}
+	type unreg struct{ X int }
+	dst := make([]byte, 2, 64)
+	got, err := AppendPack(dst, unreg{})
+	if !errors.Is(err, ErrNotRegistered) || len(got) != 2 {
+		t.Fatalf("AppendPack(unregistered) = %d bytes, %v; want 2 bytes, ErrNotRegistered", len(got), err)
+	}
+}
+
 func TestTypeName(t *testing.T) {
 	if got := typeName(vec3{}); got != "vec3" {
 		t.Fatalf("typeName = %q", got)

@@ -9,7 +9,8 @@ import "sync"
 //
 // Encoders are pooled: steady-state packing reuses a grown buffer and an
 // emptied reference table, so Pack's only allocation for scalar-only types
-// is the returned frame itself.
+// is the returned frame itself. AppendPack lends a pooled encoder the
+// caller's buffer for one frame and takes its own scratch back after.
 type encoder struct {
 	buf []byte
 	// refs maps an already-encoded pointer to its reference index. It is
@@ -52,41 +53,59 @@ func (e *encoder) addRef(addr uintptr) {
 	e.refs[addr] = uint64(len(e.refs))
 }
 
-// grow pre-reserves capacity (a size hint from the compiled plan).
+// grow reserves room for n more bytes: a size hint from the compiled
+// plan, or the next primitive's width. A buffer that must grow at least
+// doubles, so encoding an N-byte frame into an empty buffer allocates
+// about 2N in all, where append's growth of large slices (1.25×) would
+// allocate about 5N.
 func (e *encoder) grow(n int) {
 	if cap(e.buf)-len(e.buf) < n {
-		nb := make([]byte, len(e.buf), len(e.buf)+n)
-		copy(nb, e.buf)
-		e.buf = nb
+		e.realloc(n)
 	}
 }
 
-// The primitive appends below write into the pooled encoder buffer,
-// whose capacity converges after warm-up: growth is amortized to zero
-// in steady state (TestPackAllocs pins it).
+// realloc is grow's slow path, apart so that grow inlines into every
+// primitive.
+func (e *encoder) realloc(n int) {
+	nb := make([]byte, len(e.buf), max(2*cap(e.buf), len(e.buf)+n))
+	copy(nb, e.buf)
+	e.buf = nb
+}
 
-func (e *encoder) u8(v uint8) { e.buf = append(e.buf, v) }
+// The primitive appends below write into the encoder's buffer, pooled or
+// lent, whose capacity converges after warm-up: growth is amortized to
+// zero in steady state (TestPackAllocs and TestAppendPackAllocs pin it).
+
+func (e *encoder) u8(v uint8) {
+	e.grow(1)
+	e.buf = append(e.buf, v)
+}
 
 func (e *encoder) u16(v uint16) {
+	e.grow(2)
 	e.buf = append(e.buf, byte(v>>8), byte(v))
 }
 
 func (e *encoder) u32(v uint32) {
+	e.grow(4)
 	e.buf = append(e.buf, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
 }
 
 func (e *encoder) u64(v uint64) {
+	e.grow(8)
 	e.buf = append(e.buf,
 		byte(v>>56), byte(v>>48), byte(v>>40), byte(v>>32),
 		byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
 }
 
 func (e *encoder) str(s string) {
+	e.grow(4 + len(s))
 	e.u32(uint32(len(s)))
 	e.buf = append(e.buf, s...)
 }
 
 func (e *encoder) bytes(b []byte) {
+	e.grow(4 + len(b))
 	e.u32(uint32(len(b)))
 	e.buf = append(e.buf, b...)
 }

@@ -234,9 +234,11 @@ func (p *Proc) cmdGate(c *cmd) {
 	}
 
 	// Capture the boundary snapshot: the state recovery restores and
-	// replays from. Charged as modeled pack time.
+	// replays from. Charged as modeled pack time. The buffer is the
+	// runtime's, repacked in place: nothing sends it by reference, and the
+	// private state packs its own copy (buildPrivateState).
 	snap := p.app.Snapshot()
-	b, err := codec.Pack(snap)
+	b, err := codec.AppendPack(p.boundarySnap[:0], snap)
 	if err != nil {
 		p.reply(c, nil, fmt.Errorf("snapshot: %w", err))
 		return

@@ -323,7 +323,9 @@ func (p *Proc) sendTx(tx *ckptTx) {
 
 // buildPrivateState assembles the §4.2 record. Accumulators migrating in
 // this transaction are excluded from the owned set: the checkpoint
-// represents the state after the triggering sends.
+// represents the state after the triggering sends. The record aliases the
+// boundary snapshot, which the next gate repacks in place, so the caller
+// packs it before the runtime goroutine handles anything else.
 func (p *Proc) buildPrivateState(seq int64, migrating map[Name]int) *ft.PrivateState {
 	t, _, d := p.clocks.Snapshot()
 	c := append([]int64(nil), t...)
@@ -332,7 +334,7 @@ func (p *Proc) buildPrivateState(seq int64, migrating map[Name]int) *ft.PrivateS
 		Rank:      p.cfg.Rank,
 		Seq:       seq,
 		StepsDone: p.stepsDone,
-		AppState:  append([]byte(nil), p.boundarySnap...),
+		AppState:  p.boundarySnap,
 		T:         t, C: c, D: d,
 		// Every entry, handed back yet or not: the restored objects reflect
 		// them all.
@@ -656,21 +658,27 @@ func (p *Proc) commitPending(o *object) {
 // owner. The frame lives in the cache and is usable for local reads like
 // any cached data — the paper's core efficiency argument.
 func (p *Proc) applyCkptCopy(o *object, img *image) {
-	data, err := codec.Unpack(img.body)
-	if err != nil {
-		return
+	// Make the frame usable as a cached copy when we do not hold newer
+	// local contents (values are immutable; accumulator copies are as fresh
+	// as the owner's last checkpoint — exactly a "recent version"). Only
+	// then is it decoded: decodeFrame verified its checksum, and a copy
+	// whose body does not decode is not installed. An accumulator copy
+	// must not wake a parked UpdateAccum, though: only the migrated main
+	// copy grants the lock.
+	install := !o.isMain && !o.usable()
+	var data interface{}
+	if install {
+		var err error
+		if data, err = codec.Unpack(img.body); err != nil {
+			return
+		}
 	}
 	o.invalidatePackCache() // contents now come from the owner's frame
 	o.copy = img
 	if img.hasMeta {
 		o.kind = ft.ObjKind(img.meta.Kind)
 	}
-	// Make the frame usable as a cached copy when we do not hold newer
-	// local contents (values are immutable; accumulator copies are as fresh
-	// as the owner's last checkpoint — exactly a "recent version"). An
-	// accumulator copy must not wake a parked UpdateAccum, though: only
-	// the migrated main copy grants the lock.
-	if !o.isMain && !o.usable() {
+	if install {
 		o.data = data
 		o.state = stPresent
 		o.ownerRank = img.owner

@@ -84,6 +84,41 @@ func TestHolderFreshnessRule(t *testing.T) {
 	}
 }
 
+// TestCommittedCopyDecodesOnlyWhenInstalled: a checkpoint copy committed for
+// an object whose contents are already usable here becomes its backing copy
+// undecoded, so o.data keeps its pointer and nothing is allocated. A copy for
+// an object with no usable contents is decoded and installed, unless its body
+// does not decode.
+func TestCommittedCopyDecodesOnlyWhenInstalled(t *testing.T) {
+	p, _ := testProc(t, 0, 4, false)
+	copyOf := func(name Name, body []byte) *image {
+		return imageOf(&wire{Kind: kCkptCopy, Name: uint64(name), Owner: 1, Seq: 2, Body: body})
+	}
+
+	o := p.obj(MkName(7, 1, 0))
+	held{owner: 1, seq: 1, version: 1}.install(t, p, o)
+	data := o.data.(*recoveryPayload)
+	img := copyOf(o.name, packPayload(t, 2))
+	if n := testing.AllocsPerRun(10, func() { p.applyCkptCopy(o, img) }); n != 0 {
+		t.Errorf("committing a copy over usable contents made %v allocs, want 0 (nothing decoded)", n)
+	}
+	if o.copy != img || o.data.(*recoveryPayload) != data || data.X != 1 {
+		t.Errorf("copy %p, data %p (X=%d): want the new copy behind the old data %p (X=1)", o.copy, o.data, data.X, data)
+	}
+
+	fresh := p.obj(MkName(7, 2, 0))
+	p.applyCkptCopy(fresh, copyOf(fresh.name, packPayload(t, 3)))
+	if !fresh.usable() || fresh.data.(*recoveryPayload).X != 3 {
+		t.Errorf("a copy of an object with no contents here was not installed: usable=%v data=%v", fresh.usable(), fresh.data)
+	}
+
+	bad := p.obj(MkName(7, 3, 0))
+	p.applyCkptCopy(bad, copyOf(bad.name, []byte("not a frame")))
+	if bad.copy != nil || bad.usable() {
+		t.Errorf("a copy whose body does not decode was installed: copy %+v, usable=%v", bad.copy, bad.usable())
+	}
+}
+
 // TestRecoveringFreshnessRule pins keepNewer, the one recovering-side rule
 // (the restore stash and unconfirmedData both go through it). Unlike the holder
 // side there is no fall-through: with metadata on both, the version decides.

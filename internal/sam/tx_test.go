@@ -525,3 +525,56 @@ func TestTxNewOwnerLedgersTheCopiesPlacedForIt(t *testing.T) {
 		t.Fatalf("the new owner ledgered %+v (found %v), want seq %d held at %v", e, ok, data.Seq, copies)
 	}
 }
+
+// snapApp is an application whose boundary snapshot holds x.
+type snapApp struct{ x int64 }
+
+func (*snapApp) Init(*Proc)                { panic("not run") }
+func (*snapApp) Step(*Proc, int64) bool    { panic("not run") }
+func (a *snapApp) Snapshot() interface{}   { return &recoveryPayload{X: a.x} }
+func (*snapApp) Restore(state interface{}) { panic("not run") }
+
+// TestTxPrivateStateOwnsItsSnapshot: the boundary snapshot is the runtime's
+// buffer, repacked in place at every gate, and the private state only aliases
+// it until startTx packs the record. So a later gate leaves the packed private
+// state, at the checkpointer and at its holder, byte for byte as it was.
+func TestTxPrivateStateOwnsItsSnapshot(t *testing.T) {
+	p, tasks := txProc(t)
+	app := &snapApp{x: 1}
+	p.app = app
+	gate := appCmd(p, &cmd{op: opGate, initial: true}) // the initial checkpoint
+	frames := drain(t, tasks)
+	ackAll(p, frames)
+	if _, ok := done(gate); !ok || p.tx != nil || len(p.lastPriv.body) == 0 {
+		t.Fatalf("setup: the initial checkpoint did not commit (frames %v)", kindsTo(frames, 1))
+	}
+	holder, _ := testProcCfg(t, 5, Config{Rank: 1, Policy: ft.PolicySAM, Degree: 1})
+	for _, f := range frames {
+		if f.Kind == kCkptPriv {
+			holder.dispatch(f.wire)
+		}
+	}
+	held := holder.privStaging[0].body
+	if len(held) == 0 {
+		t.Fatal("setup: the holder keeps no private state")
+	}
+	own, kept := slices.Clone(p.lastPriv.body), slices.Clone(held)
+
+	app.x = 2
+	buf := &p.boundarySnap[0]
+	mustDo(t, p, &cmd{op: opGate, step: 1})
+	if &p.boundarySnap[0] != buf {
+		t.Fatal("the gate did not repack the boundary snapshot in place")
+	}
+	if !slices.Equal(p.lastPriv.body, own) || !slices.Equal(held, kept) {
+		t.Fatal("repacking the boundary snapshot changed a packed private state")
+	}
+	v, err := codec.Unpack(held)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := codec.Unpack(v.(*ft.PrivateState).AppState)
+	if err != nil || snap.(*recoveryPayload).X != 1 {
+		t.Fatalf("the held private state restores %v (%v), want the first boundary's X=1", snap, err)
+	}
+}
