@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"samft/internal/cluster"
 	"samft/internal/experiments"
 	"samft/internal/ft"
 )
@@ -43,14 +44,14 @@ func TestPaperGridsRunTheFtbenchSpecs(t *testing.T) {
 		small              = experiments.Small
 	)
 	s := func(app experiments.AppKind, n int, p ft.Policy) experiments.Spec {
-		return experiments.Spec{App: app, N: n, Policy: p, Scale: small}
+		return experiments.Spec{App: app, Scale: small, Config: cluster.Config{N: n, Policy: p}}
 	}
 	figure := func(app experiments.AppKind) []experiments.Spec {
 		return []experiments.Spec{s(app, 1, off), s(app, 2, off), s(app, 4, off), s(app, 8, off),
 			s(app, 1, sam), s(app, 2, sam), s(app, 4, sam), s(app, 8, sam)}
 	}
 	cons := func(app experiments.AppKind, n int) experiments.Spec {
-		return experiments.Spec{App: app, N: n, Policy: off, Consistent: true, Scale: small}
+		return experiments.Spec{App: app, Consistent: true, Scale: small, Config: cluster.Config{N: n, Policy: off}}
 	}
 	want := []struct {
 		name  string
@@ -65,17 +66,17 @@ func TestPaperGridsRunTheFtbenchSpecs(t *testing.T) {
 			s(barnes, 2, sam), s(barnes, 2, naive), s(barnes, 4, sam), s(barnes, 4, naive), s(barnes, 8, sam), s(barnes, 8, naive),
 		}},
 		{"ablation-degree", []experiments.Spec{
-			{App: gps, N: 4, Policy: sam, Degree: 1, Scale: small},
-			{App: gps, N: 4, Policy: sam, Degree: 2, Scale: small},
-			{App: gps, N: 4, Policy: sam, Degree: 3, Scale: small},
+			{App: gps, Scale: small, Config: cluster.Config{N: 4, Policy: sam, Degree: 1}},
+			{App: gps, Scale: small, Config: cluster.Config{N: 4, Policy: sam, Degree: 2}},
+			{App: gps, Scale: small, Config: cluster.Config{N: 4, Policy: sam, Degree: 3}},
 		}},
 		{"ablation-force", []experiments.Spec{
 			s(water, 4, sam),
-			{App: water, N: 4, Policy: sam, EagerFree: true, Scale: small},
+			{App: water, Scale: small, Config: cluster.Config{N: 4, Policy: sam, EagerFree: true}},
 		}},
 		{"ablation-snapcache", []experiments.Spec{
 			s(water, 4, sam),
-			{App: water, N: 4, Policy: sam, NoSnapCache: true, Scale: small},
+			{App: water, Scale: small, Config: cluster.Config{N: 4, Policy: sam, NoSnapCache: true}},
 		}},
 		{"baseline-consistent", []experiments.Spec{
 			s(gps, 2, sam), cons(gps, 2), s(gps, 4, sam), cons(gps, 4), s(gps, 8, sam), cons(gps, 8),

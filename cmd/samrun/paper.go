@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 
+	"samft/internal/cluster"
 	"samft/internal/experiments"
 	"samft/internal/ft"
 	"samft/internal/stats"
@@ -35,11 +36,12 @@ var scales = map[string]experiments.Scale{"small": experiments.Small, "paper": e
 // given scale and processor counts.
 func grids(scale string, procs []int) []grid {
 	sc := scales[scale]
-	degree1 := experiments.Spec{App: experiments.GPS, N: 4, Policy: ft.PolicySAM, Degree: 1, Scale: sc}
-	lazy := experiments.Spec{App: experiments.Water, N: 4, Policy: ft.PolicySAM, Scale: sc}
+	degree1 := experiments.Spec{App: experiments.GPS, Scale: sc, Config: cluster.Config{N: 4, Policy: ft.PolicySAM, Degree: 1}}
+	lazy := experiments.Spec{App: experiments.Water, Scale: sc, Config: cluster.Config{N: 4, Policy: ft.PolicySAM}}
 	degree2, degree3, eager, repack := degree1, degree1, lazy, lazy
 	degree2.Degree, degree3.Degree = 2, 3
 	eager.EagerFree, repack.NoSnapCache = true, true
+	samFT := experiments.Spec{Config: cluster.Config{Policy: ft.PolicySAM}}
 	return []grid{
 		figure("gps", experiments.GPS, scale, procs),
 		figure("water", experiments.Water, scale, procs),
@@ -49,7 +51,7 @@ func grids(scale string, procs []int) []grid {
 			// checkpoint on every send.
 			name: "ablation-naive",
 			specs: versus(sc, procs, []experiments.AppKind{experiments.GPS, experiments.Water, experiments.Barnes},
-				experiments.Spec{Policy: ft.PolicySAM}, experiments.Spec{Policy: ft.PolicyNaive}),
+				samFT, experiments.Spec{Config: cluster.Config{Policy: ft.PolicyNaive}}),
 			tables: []table{{
 				"== Ablation A1: SAM-informed policy vs naive every-send checkpointing ==",
 				[]string{"app", "procs", "T(sam) s", "T(naive) s", "ckpts/ps (sam)", "ckpts/ps (naive)"},
@@ -102,7 +104,7 @@ func grids(scale string, procs []int) []grid {
 			// illustration of why the paper avoids global coordination.
 			name: "baseline-consistent",
 			specs: versus(sc, procs, []experiments.AppKind{experiments.GPS, experiments.Barnes},
-				experiments.Spec{Policy: ft.PolicySAM}, experiments.Spec{Policy: ft.PolicyOff, Consistent: true}),
+				samFT, experiments.Spec{Consistent: true, Config: cluster.Config{Policy: ft.PolicyOff}}),
 			tables: []table{{
 				"== Baseline A3: paper's method vs consistent global checkpointing to disk ==",
 				[]string{"app", "procs", "T(sam-ft) s", "T(consistent) s"},
@@ -122,7 +124,7 @@ func figure(name string, app experiments.AppKind, scale string, procs []int) gri
 	var specs []experiments.Spec
 	for _, policy := range []ft.Policy{ft.PolicyOff, ft.PolicySAM} {
 		for _, n := range procs {
-			specs = append(specs, experiments.Spec{App: app, N: n, Policy: policy, Scale: scales[scale]})
+			specs = append(specs, experiments.Spec{App: app, Scale: scales[scale], Config: cluster.Config{N: n, Policy: policy}})
 		}
 	}
 	// sideBySide pairs the no-FT run at each processor count with the FT one.

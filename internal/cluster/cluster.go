@@ -66,7 +66,8 @@ type Config struct {
 	N int
 	// Policy selects the fault-tolerance mode.
 	Policy ft.Policy
-	// Degree is the replication degree (default 1).
+	// Degree is the replication degree n of §4.2; 0 means 1 (a scenario
+	// file that omits it asks for 2).
 	Degree int
 	// Placement selects the checkpoint-copy placement policy (ring, the
 	// default, or spread); see internal/ckptstore.
@@ -74,10 +75,10 @@ type Config struct {
 	// EagerFree disables the §4.3 lazy-free protocol (ablation).
 	EagerFree bool
 	// HostSlowdown, when non-nil, scales rank r's modeled compute costs by
-	// HostSlowdown[r] (> 1 = slower workstation; see Endpoint.SetSlowdown).
-	// A replacement process respawned after a failure lands on the same
-	// modeled host and inherits the factor. Ranks beyond the slice run at
-	// nominal speed.
+	// HostSlowdown[r] (> 1 = slower workstation, 0 or 1 = nominal speed;
+	// see Endpoint.SetSlowdown). A replacement process respawned after a
+	// failure lands on the same modeled host and inherits the factor.
+	// Ranks beyond the slice run at nominal speed.
 	HostSlowdown []float64
 	// NoSnapCache disables the version-keyed snapshot cache (ablation).
 	NoSnapCache bool
@@ -89,10 +90,9 @@ type Config struct {
 	// each application step begins, on-recovery triggers as a replacement
 	// is spawned. Each event fires at most once.
 	Kills []KillEvent
-	// Chaos, when non-nil, attaches a seeded netsim fault-injection plan
-	// (jitter, notification drop/duplication) to the
-	// simulated network.
-	Chaos *netsim.FaultPlan
+	// FaultPlan is the simulated network's seeded chaos (jitter,
+	// notification drop/duplication); the zero plan injects none.
+	netsim.FaultPlan
 	// Tracer, when non-nil, records every layer's events into one
 	// virtual-time track per process incarnation (see internal/trace).
 	Tracer *trace.Tracer
@@ -138,10 +138,9 @@ func New(cfg Config) *Cluster {
 	if cfg.AppFactory == nil {
 		panic("cluster: AppFactory required")
 	}
-	netCfg := netsim.Config{Chaos: cfg.Chaos, Trace: cfg.Tracer}
 	c := &Cluster{
 		cfg:      cfg,
-		machine:  pvm.NewMachine(netCfg),
+		machine:  pvm.NewMachine(netsim.Config{Chaos: cfg.FaultPlan, Trace: cfg.Tracer}),
 		tids:     make([]pvm.TID, cfg.N),
 		tasks:    make([]*pvm.Task, cfg.N),
 		procs:    make([]*sam.Proc, cfg.N),
@@ -189,7 +188,6 @@ func (c *Cluster) spawn(rank int, recovering bool, atUS float64) *pvm.Task {
 		c.mu.Unlock()
 		cfg := sam.Config{
 			Rank:        rank,
-			N:           c.cfg.N,
 			Ranks:       ranks,
 			Policy:      c.cfg.Policy,
 			Degree:      c.cfg.Degree,

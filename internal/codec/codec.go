@@ -268,17 +268,3 @@ func DeepCopy(v interface{}) (interface{}, error) {
 	}
 	return Unpack(b)
 }
-
-// PackedSize returns the frame size for v without retaining the buffer.
-// The sam layer uses it to charge modeled transfer time. Unlike Pack, the
-// frame is encoded into pooled scratch and never copied out, so after
-// warm-up PackedSize allocates nothing.
-func PackedSize(v interface{}) (int, error) {
-	e, err := packFrame(v)
-	if err != nil {
-		return 0, err
-	}
-	n := len(e.buf)
-	putEncoder(e)
-	return n, nil
-}

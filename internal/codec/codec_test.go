@@ -202,9 +202,6 @@ func TestUnregisteredType(t *testing.T) {
 	if _, err := Pack(anon{1}); !errors.Is(err, ErrNotRegistered) {
 		t.Errorf("Pack of an unregistered type: %v, want ErrNotRegistered", err)
 	}
-	if _, err := PackedSize(&anon{1}); !errors.Is(err, ErrNotRegistered) {
-		t.Errorf("PackedSize of an unregistered type: %v, want ErrNotRegistered", err)
-	}
 	if _, err := DeepCopy(anon{1}); !errors.Is(err, ErrNotRegistered) {
 		t.Errorf("DeepCopy of an unregistered type: %v, want ErrNotRegistered", err)
 	}
@@ -268,20 +265,6 @@ func TestDeepCopyIsolation(t *testing.T) {
 	got.Bonds[0] = 99
 	if in.Bonds[0] != 1 {
 		t.Fatal("DeepCopy aliases the original")
-	}
-}
-
-func TestPackedSize(t *testing.T) {
-	small, err := PackedSize(vec3{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	big, err := PackedSize(molecule{Raw: make([]byte, 10000)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if big < small+10000 {
-		t.Fatalf("sizes do not reflect payload: small=%d big=%d", small, big)
 	}
 }
 

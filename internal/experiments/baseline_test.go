@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"samft/internal/ckpt"
+	"samft/internal/cluster"
 	"samft/internal/ft"
 )
 
@@ -14,7 +15,7 @@ import (
 // changes what the run costs — by at least one disk access — and never what
 // it computes.
 func TestConsistentBaselineCostsTimeNotAnswers(t *testing.T) {
-	plain := Spec{App: GPS, N: 4, Policy: ft.PolicyOff, Scale: Small}
+	plain := Spec{App: GPS, Scale: Small, Config: cluster.Config{N: 4, Policy: ft.PolicyOff}}
 	wrapped := plain
 	wrapped.Consistent = true
 	res, err := RunAll([]Spec{plain, wrapped})

@@ -21,6 +21,7 @@ import (
 	"testing"
 
 	"samft/internal/ckptstore"
+	"samft/internal/cluster"
 	"samft/internal/experiments"
 	"samft/internal/scenario"
 )
@@ -149,7 +150,7 @@ func TestChaosRepeatedFailureDecay(t *testing.T) {
 // fleet's survivable budget.
 
 // scheduleVictims returns the distinct victim ranks of a schedule.
-func scheduleVictims(kills []experiments.KillEvent) map[int]bool {
+func scheduleVictims(kills []cluster.KillEvent) map[int]bool {
 	v := make(map[int]bool)
 	for _, k := range kills {
 		v[k.Rank] = true
@@ -159,20 +160,20 @@ func scheduleVictims(kills []experiments.KillEvent) map[int]bool {
 
 // generated returns the kill schedules spec generates, read back off the
 // compiled scenarios — what a run of them executes.
-func generated(t *testing.T, spec scenario.ChaosSpec) [][]experiments.KillEvent {
+func generated(t *testing.T, spec scenario.ChaosSpec) [][]cluster.KillEvent {
 	t.Helper()
 	cs, err := scenario.Build(spec.Scenarios()...)
 	if err != nil {
 		t.Fatalf("generated scenario rejected by the validator: %v", err)
 	}
-	out := make([][]experiments.KillEvent, len(cs))
+	out := make([][]cluster.KillEvent, len(cs))
 	for i, c := range cs {
 		out[i] = c.Spec.Kills
 	}
 	return out
 }
 
-func checkSchedule(t *testing.T, spec scenario.ChaosSpec, i int, kills []experiments.KillEvent) {
+func checkSchedule(t *testing.T, spec scenario.ChaosSpec, i int, kills []cluster.KillEvent) {
 	t.Helper()
 	n := spec.Fleet.Procs
 	budget := ckptstore.Survivable(n, 2)
@@ -181,7 +182,7 @@ func checkSchedule(t *testing.T, spec scenario.ChaosSpec, i int, kills []experim
 		t.Errorf("schedule %d: %d distinct victims exceeds budget %d (%s)",
 			i, len(victims), budget, experiments.FormatKills(kills))
 	}
-	seen := make(map[experiments.KillEvent]bool)
+	seen := make(map[cluster.KillEvent]bool)
 	for _, k := range kills {
 		if k.Rank < 0 || k.Rank >= n {
 			t.Errorf("schedule %d: rank %d out of range [0,%d)", i, k.Rank, n)

@@ -69,7 +69,8 @@ func (g *gated) Step(p *sam.Proc, step int64) bool {
 // checkpoint placement.
 func RunDecay(placement ckptstore.Kind) (DecayResult, error) {
 	var out DecayResult
-	spec := Spec{App: GPS, N: decayN, Policy: ft.PolicySAM, Degree: decayDegree, Scale: Small, Placement: placement}
+	spec := Spec{App: GPS, Scale: Small}
+	spec.N, spec.Policy, spec.Degree, spec.Placement = decayN, ft.PolicySAM, decayDegree, placement
 	base, err := Run(spec)
 	if err != nil {
 		return out, fmt.Errorf("decay baseline: %w", err)
@@ -82,13 +83,9 @@ func RunDecay(placement ckptstore.Kind) (DecayResult, error) {
 	gate := make(chan struct{})
 	ans := &answerBox{}
 	factory := appFactory(spec, ans)
-	cl := cluster.New(cluster.Config{
-		N:          spec.N,
-		Policy:     spec.Policy,
-		Degree:     spec.Degree,
-		Placement:  spec.Placement,
-		AppFactory: func(rank int) sam.App { return &gated{App: factory(rank), gate: gate} },
-	})
+	cfg := spec.Config
+	cfg.AppFactory = func(rank int) sam.App { return &gated{App: factory(rank), gate: gate} }
+	cl := cluster.New(cfg)
 	cl.Start()
 
 	wantRecoveries := 0

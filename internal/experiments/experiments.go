@@ -13,13 +13,9 @@ import (
 	"samft/internal/apps/gps"
 	"samft/internal/apps/water"
 	"samft/internal/ckpt"
-	"samft/internal/ckptstore"
 	"samft/internal/cluster"
-	"samft/internal/ft"
-	"samft/internal/netsim"
 	"samft/internal/sam"
 	"samft/internal/stats"
-	"samft/internal/trace"
 )
 
 // AppKind selects one of the paper's three applications.
@@ -54,49 +50,21 @@ const (
 	Paper
 )
 
-// KillEvent schedules one failure injection within a run; the cluster
-// interprets the schedule (cluster.Config.Kills).
-type KillEvent = cluster.KillEvent
-
-// Spec describes one cluster run.
+// Spec describes one cluster run: the cluster (fleet, fault tolerance,
+// kills, network chaos, tracer; see cluster.Config, whose AppFactory Run
+// fills in) plus the application it runs.
 type Spec struct {
-	App    AppKind
-	N      int
-	Policy ft.Policy
-	Degree int
-	// EagerFree selects the eager-free ablation (A4); the zero value is the
-	// paper's lazy §4.3 protocol.
-	EagerFree bool
-	// Consistent wraps the app with the global-checkpointing baseline (A3).
-	Consistent bool
-	Scale      Scale
-	// Kills is the failure-injection schedule (empty = fault-free run);
-	// see cluster.Config.Kills.
-	Kills []KillEvent
-	// Chaos-network knobs: seeded per-message delay jitter (microseconds)
-	// and exit-notification drop/duplication. Any nonzero setting attaches
-	// a netsim fault plan seeded with ChaosSeed.
-	ChaosSeed  uint64
-	JitterUS   float64
-	NotifyDrop bool
-	NotifyDup  bool
-	// CheckInvariants runs post-completion consistency checks (quiesce,
-	// then per-rank state snapshots); violations land in the Result.
-	CheckInvariants bool
+	cluster.Config
+	App   AppKind
+	Scale Scale
 	// Seed, when nonzero, overrides the application's default master seed
 	// (per-cell seeds for sweeps that want independent datasets).
 	Seed uint64
-	// NoSnapCache disables the sam-layer snapshot cache (ablation).
-	NoSnapCache bool
-	// HostSlowdown scales rank r's modeled compute costs by HostSlowdown[r]
-	// (> 1 = slower workstation); see cluster.Config.HostSlowdown.
-	HostSlowdown []float64
-	// Placement selects the checkpoint-copy placement policy (ring, the
-	// default, or spread); see internal/ckptstore.
-	Placement ckptstore.Kind
-	// Tracer, when non-nil, records the run's virtual-time event timeline
-	// (see internal/trace); analyze it after Run returns.
-	Tracer *trace.Tracer
+	// Consistent wraps the app with the global-checkpointing baseline (A3).
+	Consistent bool
+	// CheckInvariants runs post-completion consistency checks (quiesce,
+	// then per-rank state snapshots); violations land in the Result.
+	CheckInvariants bool
 }
 
 // Result is one run's outcome.
@@ -238,28 +206,9 @@ func appFactory(spec Spec, ans *answerBox) func(rank int) sam.App {
 func Run(spec Spec) (Result, error) {
 	spec.N = max(spec.N, 1)
 	ans := &answerBox{}
-	var chaos *netsim.FaultPlan
-	if spec.JitterUS > 0 || spec.NotifyDrop || spec.NotifyDup {
-		chaos = &netsim.FaultPlan{
-			Seed:       spec.ChaosSeed,
-			JitterUS:   spec.JitterUS,
-			DropNotify: spec.NotifyDrop,
-			DupNotify:  spec.NotifyDup,
-		}
-	}
-	cl := cluster.New(cluster.Config{
-		N:            spec.N,
-		Policy:       spec.Policy,
-		Degree:       spec.Degree,
-		EagerFree:    spec.EagerFree,
-		NoSnapCache:  spec.NoSnapCache,
-		Placement:    spec.Placement,
-		HostSlowdown: spec.HostSlowdown,
-		AppFactory:   appFactory(spec, ans),
-		Kills:        spec.Kills,
-		Chaos:        chaos,
-		Tracer:       spec.Tracer,
-	})
+	cfg := spec.Config
+	cfg.AppFactory = appFactory(spec, ans)
+	cl := cluster.New(cfg)
 	cl.Start()
 	violations, err := settle(cl, spec, runTimeout)
 	if err != nil {

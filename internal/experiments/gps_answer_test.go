@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"samft/internal/cluster"
 	"samft/internal/ft"
 )
 
@@ -16,7 +17,7 @@ const gpsPaperAnswer = 0x3fb867a53bdb8a5f
 // TestGPSPaperAnswer pins GPS's paper-scale answer bit for bit, with
 // fault tolerance on (degree 1, as the benchmark runs it) and off.
 func TestGPSPaperAnswer(t *testing.T) {
-	ftOn := Spec{App: GPS, N: 8, Policy: ft.PolicySAM, Degree: 1, Scale: Paper}
+	ftOn := Spec{App: GPS, Scale: Paper, Config: cluster.Config{N: 8, Policy: ft.PolicySAM, Degree: 1}}
 	off := ftOn
 	off.Policy = ft.PolicyOff
 	res, err := RunAll([]Spec{ftOn, off})

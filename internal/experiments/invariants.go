@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"samft/internal/cluster"
 	"samft/internal/sam"
 )
 
@@ -82,7 +83,7 @@ func CheckInvariants(snaps []sam.InvariantSnapshot, n, degree int) []string {
 }
 
 // FormatKills renders a kill schedule for reports and error messages.
-func FormatKills(kills []KillEvent) string {
+func FormatKills(kills []cluster.KillEvent) string {
 	parts := make([]string, len(kills))
 	for i, k := range kills {
 		parts[i] = k.String()

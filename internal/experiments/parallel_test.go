@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"samft/internal/cluster"
 	"samft/internal/ft"
 )
 
@@ -12,10 +13,10 @@ import (
 // `samrun paper` tables rely on for stable output).
 func TestRunAllPreservesSpecOrder(t *testing.T) {
 	specs := []Spec{
-		{App: GPS, N: 2, Scale: Small},
-		{App: Barnes, N: 1, Scale: Small},
-		{App: GPS, N: 1, Scale: Small},
-		{App: Barnes, N: 2, Scale: Small},
+		{App: GPS, Scale: Small, Config: cluster.Config{N: 2}},
+		{App: Barnes, Scale: Small, Config: cluster.Config{N: 1}},
+		{App: GPS, Scale: Small, Config: cluster.Config{N: 1}},
+		{App: Barnes, Scale: Small, Config: cluster.Config{N: 2}},
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	results, err := RunAll(specs)
@@ -47,7 +48,7 @@ func TestRunFigureParallelStructure(t *testing.T) {
 	var specs []Spec
 	for _, policy := range []ft.Policy{ft.PolicyOff, ft.PolicySAM} {
 		for _, n := range []int{1, 2} {
-			specs = append(specs, Spec{App: GPS, N: n, Policy: policy, Scale: Small})
+			specs = append(specs, Spec{App: GPS, Scale: Small, Config: cluster.Config{N: n, Policy: policy}})
 		}
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))

@@ -6,7 +6,9 @@ import (
 	"strings"
 	"testing"
 
+	"samft/internal/cluster"
 	"samft/internal/ft"
+	"samft/internal/netsim"
 	"samft/internal/trace"
 )
 
@@ -17,11 +19,11 @@ import (
 // and matched flow events.
 func TestTracedKilledRun(t *testing.T) {
 	tr := trace.New(0)
-	res, err := Run(Spec{
-		App: GPS, N: 4, Policy: ft.PolicySAM, Scale: Small,
-		Kills:  []KillEvent{{Rank: 2, Step: 2}},
+	res, err := Run(Spec{App: GPS, Scale: Small, Config: cluster.Config{
+		N: 4, Policy: ft.PolicySAM,
+		Kills:  []cluster.KillEvent{{Rank: 2, Step: 2}},
 		Tracer: tr,
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,10 +102,53 @@ func TestTracedKilledRun(t *testing.T) {
 	}
 }
 
+// TestRunAppliesTheFaultPlan checks that a Spec's fault plan reaches the
+// simulated network: jitter shows as extra delay on the traced sends,
+// notification chaos as drop/duplicate events on the control track, and
+// the zero plan perturbs nothing.
+func TestRunAppliesTheFaultPlan(t *testing.T) {
+	perturbed := func(plan netsim.FaultPlan) (jittered, notifyChaos int) {
+		t.Helper()
+		tr := trace.New(0)
+		res, err := Run(Spec{App: GPS, Scale: Small, Config: cluster.Config{
+			N: 4, Policy: ft.PolicySAM, Kills: []cluster.KillEvent{{Rank: 2, Step: 2}},
+			FaultPlan: plan, Tracer: tr,
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.KillsApplied != 1 {
+			t.Fatalf("plan %+v: %d kills applied, want 1", plan, res.KillsApplied)
+		}
+		for _, track := range tr.Snapshot() {
+			for _, e := range track.Events {
+				switch {
+				case e.Kind == trace.NetSend && e.ExtraUS > 0:
+					jittered++
+				case e.Kind == trace.NetNotifyDrop || e.Kind == trace.NetNotifyDup:
+					notifyChaos++
+				}
+			}
+		}
+		return jittered, notifyChaos
+	}
+	if j, n := perturbed(netsim.FaultPlan{}); j != 0 || n != 0 {
+		t.Errorf("zero plan: %d jittered sends, %d notification drops/duplicates, want none", j, n)
+	}
+	if j, _ := perturbed(netsim.FaultPlan{ChaosSeed: 1, JitterUS: 40}); j == 0 {
+		t.Error("JitterUS 40: no send carries extra delay")
+	}
+	// Without jitter only the kill's fan-out draws from the plan's seed;
+	// seed 3 drops the first two notifications of any fan-out.
+	if _, n := perturbed(netsim.FaultPlan{ChaosSeed: 3, NotifyDrop: true, NotifyDup: true}); n == 0 {
+		t.Error("NotifyDrop+NotifyDup: the kill's exit notifications were neither dropped nor duplicated")
+	}
+}
+
 // TestUntracedRunHasNoTracer makes sure a Spec without a Tracer runs with
 // tracing fully disabled (the nil fast path) and still completes.
 func TestUntracedRunHasNoTracer(t *testing.T) {
-	res, err := Run(Spec{App: GPS, N: 2, Policy: ft.PolicySAM, Scale: Small})
+	res, err := Run(Spec{App: GPS, Scale: Small, Config: cluster.Config{N: 2, Policy: ft.PolicySAM}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +167,7 @@ func TestBarnesTransactionsSendNothingTwice(t *testing.T) {
 	tr := trace.New(0)
 	// CheckInvariants quiesces the cluster before it is halted, so the last
 	// transactions have collected their acks by the time they are counted.
-	res, err := Run(Spec{App: Barnes, N: 4, Policy: ft.PolicySAM, Scale: Small, Tracer: tr, CheckInvariants: true})
+	res, err := Run(Spec{App: Barnes, Scale: Small, CheckInvariants: true, Config: cluster.Config{N: 4, Policy: ft.PolicySAM, Tracer: tr}})
 	if err != nil || len(res.InvariantViolations) > 0 {
 		t.Fatal(err, res.InvariantViolations)
 	}

@@ -57,7 +57,7 @@
 // "wallclock", so the canonical escape hatch for an intentional
 // wall-clock read is:
 //
-//	e.WallNS = time.Now().UnixNano() //samlint:allow wallclock
+//	start := time.Now() //samlint:allow wallclock -- host-side timing only
 //
 // The key "all" suppresses every analyzer on that line; prefer naming
 // the specific check. An optional "--" introduces a free-form reason.

@@ -3,9 +3,8 @@
 // experiments, bit-identical answers across chaos schedules, replayable
 // recovery — hold only if every layer derives behavior from modeled time
 // (netsim virtual clocks) and seeded xrand generators, never from the
-// host's clock or math/rand's global source. Intentional wall-clock
-// sites (for example the diagnostic WallNS stamp on trace events) are
-// annotated with //samlint:allow wallclock.
+// host's clock or math/rand's global source. An intentional wall-clock
+// site must say so with //samlint:allow wallclock.
 package nowallclock
 
 import (

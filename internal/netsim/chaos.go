@@ -20,19 +20,20 @@ import (
 // matter where in the exchange a failure lands, so the chaos suite checks
 // answers against a fault-free run rather than message traces.
 
-// FaultPlan is a seeded chaos schedule for one Network.
+// FaultPlan is a seeded chaos schedule for one Network. The zero plan is a
+// fault-free network.
 type FaultPlan struct {
-	// Seed drives jitter and notification drop/duplicate decisions.
-	Seed uint64
+	// ChaosSeed drives jitter and notification drop/duplicate decisions.
+	ChaosSeed uint64
 	// JitterUS adds a uniform [0, JitterUS) extra delay to every message's
 	// modeled arrival time, perturbing delivery order between endpoints.
 	JitterUS float64
-	// DropNotify drops a random subset of the exit notifications a Kill
+	// NotifyDrop drops a random subset of the exit notifications a Kill
 	// fans out — but never all of them, since a totally unobserved failure
-	// would hang any detector without timeouts. DupNotify delivers some
+	// would hang any detector without timeouts. NotifyDup delivers some
 	// notifications twice, exercising receiver-side dedup.
-	DropNotify bool
-	DupNotify  bool
+	NotifyDrop bool
+	NotifyDup  bool
 }
 
 // chaosState is the mutable runtime of a FaultPlan.
@@ -42,11 +43,12 @@ type chaosState struct {
 	rng  *xrand.Rand
 }
 
-func newChaosState(plan *FaultPlan) *chaosState {
-	if plan == nil {
+// newChaosState returns nil for a plan that perturbs nothing.
+func newChaosState(plan FaultPlan) *chaosState {
+	if plan.JitterUS <= 0 && !plan.NotifyDrop && !plan.NotifyDup {
 		return nil
 	}
-	return &chaosState{plan: *plan, rng: xrand.New(plan.Seed)}
+	return &chaosState{plan: plan, rng: xrand.New(plan.ChaosSeed)}
 }
 
 // onSend returns the seeded extra latency for the next message.
@@ -76,11 +78,11 @@ func (c *chaosState) notifyFates(n int) []int {
 	defer c.mu.Unlock()
 	delivered := false
 	for i := range fates {
-		if c.plan.DropNotify && c.rng.Float64() < 0.3 {
+		if c.plan.NotifyDrop && c.rng.Float64() < 0.3 {
 			fates[i] = 0
 			continue
 		}
-		if c.plan.DupNotify && c.rng.Float64() < 0.3 {
+		if c.plan.NotifyDup && c.rng.Float64() < 0.3 {
 			fates[i] = 2
 		}
 		delivered = true

@@ -9,7 +9,7 @@ import (
 func chaosNet(t *testing.T, plan FaultPlan, eps int) (*Network, []*Endpoint) {
 	t.Helper()
 	cfg := DefaultConfig()
-	cfg.Chaos = &plan
+	cfg.Chaos = plan
 	n := New(cfg)
 	t.Cleanup(n.Close)
 	out := make([]*Endpoint, eps)
@@ -21,7 +21,7 @@ func chaosNet(t *testing.T, plan FaultPlan, eps int) (*Network, []*Endpoint) {
 
 func TestChaosJitterPerturbsArrivalReproducibly(t *testing.T) {
 	run := func(seed uint64) []float64 {
-		_, eps := chaosNet(t, FaultPlan{Seed: seed, JitterUS: 200}, 2)
+		_, eps := chaosNet(t, FaultPlan{ChaosSeed: seed, JitterUS: 200}, 2)
 		a, b := eps[0], eps[1]
 		arrivals := make([]float64, 0, 8)
 		for i := 0; i < 8; i++ {
@@ -55,7 +55,7 @@ func TestChaosJitterPerturbsArrivalReproducibly(t *testing.T) {
 	}
 
 	// And jitter never reorders a message before its unjittered cost.
-	_, eps := chaosNet(t, FaultPlan{Seed: 7, JitterUS: 50}, 2)
+	_, eps := chaosNet(t, FaultPlan{ChaosSeed: 7, JitterUS: 50}, 2)
 	a, b := eps[0], eps[1]
 	cost := DefaultConfig().Cost
 	if err := a.Send(b.TID(), 7, []byte("xy")); err != nil {
@@ -75,7 +75,7 @@ func TestChaosDropNotifyNeverDropsAll(t *testing.T) {
 	for seed := uint64(0); seed < 30; seed++ {
 		func() {
 			const watchers = 6
-			plan := FaultPlan{Seed: seed, DropNotify: true}
+			plan := FaultPlan{ChaosSeed: seed, NotifyDrop: true}
 			n, eps := chaosNet(t, plan, watchers+1)
 			victim := eps[0]
 			for _, w := range eps[1:] {
@@ -112,7 +112,7 @@ func TestChaosDropNotifyNeverDropsAll(t *testing.T) {
 func TestChaosDropNotifyDeadWatcherDoesNotAbsorbGuarantee(t *testing.T) {
 	for seed := uint64(0); seed < 40; seed++ {
 		func() {
-			plan := FaultPlan{Seed: seed, DropNotify: true}
+			plan := FaultPlan{ChaosSeed: seed, NotifyDrop: true}
 			n, eps := chaosNet(t, plan, 3)
 			victim, deadWatcher, liveWatcher := eps[0], eps[1], eps[2]
 			n.Notify(deadWatcher.TID(), victim.TID(), 1)
@@ -144,7 +144,7 @@ func TestChaosDupNotifyDuplicatesSome(t *testing.T) {
 	sawDup := false
 	for seed := uint64(0); seed < 30 && !sawDup; seed++ {
 		const watchers = 6
-		plan := FaultPlan{Seed: seed, DupNotify: true}
+		plan := FaultPlan{ChaosSeed: seed, NotifyDup: true}
 		n, eps := chaosNet(t, plan, watchers+1)
 		victim := eps[0]
 		for _, w := range eps[1:] {
@@ -181,7 +181,7 @@ func TestChaosDupNotifyDuplicatesSome(t *testing.T) {
 // target must synchronously deliver a drainable exit notification rather
 // than registering a watcher that will never fire.
 func TestNotifyOnDeadTargetDeliversImmediately(t *testing.T) {
-	n, eps := chaosNet(t, FaultPlan{Seed: 1}, 2)
+	n, eps := chaosNet(t, FaultPlan{ChaosSeed: 1}, 2)
 	w, victim := eps[0], eps[1]
 
 	n.Kill(victim.TID(), 1)
@@ -226,7 +226,7 @@ func TestNotifyKillRaceNeverLosesNotification(t *testing.T) {
 			t.Fatalf("iter %d: exit notification lost in the Notify/Kill race", i)
 		}
 		if _, extra, _ := w.TryRecv(AnySrc, 1); extra {
-			t.Fatalf("iter %d: duplicate exit notification without DupNotify", i)
+			t.Fatalf("iter %d: duplicate exit notification without NotifyDup", i)
 		}
 		n.Close()
 	}

@@ -52,7 +52,7 @@ func TestMatchingIsArrivalOrder(t *testing.T) {
 	var headMatches, midMatches, compactions int
 	for seed := uint64(1); seed <= 8; seed++ {
 		cfg := DefaultConfig()
-		cfg.Chaos = &FaultPlan{Seed: seed, JitterUS: 25}
+		cfg.Chaos = FaultPlan{ChaosSeed: seed, JitterUS: 25}
 		n := New(cfg)
 		dst := n.NewEndpoint()
 		srcs := make([]*Endpoint, 6)
@@ -242,7 +242,7 @@ func TestMailboxMatchesLinearScan(t *testing.T) {
 func TestEndpointMatchesLinearScanUnderChaos(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		cfg := DefaultConfig()
-		cfg.Chaos = &FaultPlan{Seed: seed, JitterUS: 25}
+		cfg.Chaos = FaultPlan{ChaosSeed: seed, JitterUS: 25}
 		n := New(cfg)
 		dst := n.NewEndpoint()
 		srcs := make([]*Endpoint, 5)
@@ -305,7 +305,7 @@ func TestSendRecvAllocFree(t *testing.T) {
 	defer traced.Close()
 	ta, tdst := traced.NewEndpoint(), traced.NewEndpoint()
 	jcfg := DefaultConfig()
-	jcfg.Chaos = &FaultPlan{Seed: 1, JitterUS: 25}
+	jcfg.Chaos = FaultPlan{ChaosSeed: 1, JitterUS: 25}
 	jittered := New(jcfg)
 	defer jittered.Close()
 	ja, jdst := jittered.NewEndpoint(), jittered.NewEndpoint()

@@ -123,9 +123,9 @@ func (c CostModel) TransferUS(bytes int) float64 {
 // Config configures a Network.
 type Config struct {
 	Cost CostModel
-	// Chaos, when non-nil, attaches a seeded fault-injection plan (see
-	// FaultPlan) to the network.
-	Chaos *FaultPlan
+	// Chaos is the seeded fault-injection plan (see FaultPlan); the zero
+	// plan injects nothing.
+	Chaos FaultPlan
 	// Trace, when non-nil, records every network event into one trace
 	// track per endpoint. A nil tracer disables tracing at the cost of a
 	// single branch per potential event.
@@ -201,7 +201,7 @@ type Network struct {
 	// path multiplies instead of dividing.
 	usPerByte float64
 
-	// chaos is the fault-injection runtime, nil unless Config.Chaos was set.
+	// chaos is the fault-injection runtime, nil unless Config.Chaos perturbs.
 	chaos *chaosState
 
 	// tracer is the event recorder, nil unless Config.Trace was set.
@@ -360,7 +360,7 @@ func (n *Network) Kill(tid TID, notifyTag int) bool {
 	for i := range fates {
 		fates[i] = 1
 	}
-	if n.chaos != nil && (n.chaos.plan.DropNotify || n.chaos.plan.DupNotify) {
+	if n.chaos != nil && (n.chaos.plan.NotifyDrop || n.chaos.plan.NotifyDup) {
 		fates = n.chaos.notifyFates(len(live))
 		if ctl := n.tracer.Control(); ctl != nil {
 			for i, w := range live {

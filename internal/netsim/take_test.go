@@ -29,11 +29,7 @@ type recvState struct {
 }
 
 func stateOf(e *Endpoint) recvState {
-	evs := e.TraceRecorder().Events()
-	for i := range evs {
-		evs[i].WallNS = 0 // host timestamp: diagnostic, differs run to run
-	}
-	return recvState{clock: e.ClockUS(), stats: e.Stats(), events: evs}
+	return recvState{clock: e.ClockUS(), stats: e.Stats(), events: e.TraceRecorder().Events()}
 }
 
 func sameState(a, b recvState) bool {

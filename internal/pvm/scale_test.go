@@ -35,7 +35,7 @@ func TestThousandProcessRing(t *testing.T) {
 	// Chaos on: seeded per-message jitter perturbs modeled arrival times
 	// throughout, so the scale run exercises the fault-injection plumbing
 	// alongside the endpoint queues and COW routing.
-	cfg.Chaos = &netsim.FaultPlan{Seed: 7, JitterUS: 25}
+	cfg.Chaos = netsim.FaultPlan{ChaosSeed: 7, JitterUS: 25}
 	m := NewMachine(cfg)
 	defer m.Halt()
 	coord := m.Network().NewEndpoint()

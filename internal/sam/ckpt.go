@@ -224,7 +224,7 @@ func (p *Proc) startTx() {
 	tx.priv = privImage{seq: seq, body: body}
 	p.task.Charge(float64(len(body)) / packBytesPerUS)
 	p.st.PrivBytes.Add(int64(len(body)))
-	for _, r := range ckptstore.PrivateStateRanks(p.cfg.Rank, p.cfg.N, p.cfg.Degree) {
+	for _, r := range ckptstore.PrivateStateRanks(p.cfg.Rank, len(p.ranks), p.cfg.Degree) {
 		tx.add(r, &wire{Kind: kCkptPriv, Body: body, Seq: seq, Inactive: true})
 	}
 
@@ -287,7 +287,7 @@ func (p *Proc) startTx() {
 // of the last inactive piece to a destination vouches for the earlier ones.
 func (p *Proc) sendTx(tx *ckptTx) {
 	slices.SortStableFunc(tx.pieces, func(a, b txPiece) int { return len(b.w.Body) - len(a.w.Body) })
-	asked := make([]bool, p.cfg.N)
+	asked := make([]bool, len(p.ranks))
 	for i := len(tx.pieces) - 1; i >= 0; i-- {
 		pc := &tx.pieces[i]
 		pc.w.Piece = -1
@@ -461,7 +461,7 @@ func (p *Proc) markFreeable(o *object) {
 	if p.ftEnabled() && p.cfg.EagerFree {
 		// Eager ablation: round-trip to every other process immediately.
 		var others []int
-		for j := 0; j < p.cfg.N; j++ {
+		for j := 0; j < len(p.ranks); j++ {
 			if j != p.cfg.Rank {
 				others = append(others, j)
 			}

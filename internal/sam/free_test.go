@@ -44,7 +44,7 @@ func TestFreeValueReclaimsOnceCovered(t *testing.T) {
 	}
 	// Each other process acknowledges a checkpoint taken knowing time f: its
 	// stamp carries c_{j,0} = f.
-	for j := 1; j < p.cfg.N; j++ {
+	for j := 1; j < len(p.ranks); j++ {
 		if p.objs[v] == nil {
 			t.Fatalf("reclaimed with rank %d still behind the free", j)
 		}
@@ -105,11 +105,11 @@ func TestForceCheckpointsUnderCachePressure(t *testing.T) {
 		if got := forced(); len(names) <= maxFreeBacklog && len(got) != 0 {
 			t.Fatalf("%d force-checkpoints with %d values backlogged, want none until %d", len(got), len(names), maxFreeBacklog+1)
 		} else if len(names) > maxFreeBacklog {
-			if len(got) != len(names)*(p.cfg.N-1) {
-				t.Fatalf("%d (value, rank) pairs forced past the backlog, want %d", len(got), len(names)*(p.cfg.N-1))
+			if len(got) != len(names)*(len(p.ranks)-1) {
+				t.Fatalf("%d (value, rank) pairs forced past the backlog, want %d", len(got), len(names)*(len(p.ranks)-1))
 			}
 			for _, v := range names {
-				for j := 1; j < p.cfg.N; j++ {
+				for j := 1; j < len(p.ranks); j++ {
 					if n := got[pair{v, j}]; n != 1 {
 						t.Fatalf("%d force-checkpoints of %v to rank %d, want 1", n, v, j)
 					}
@@ -140,7 +140,7 @@ func TestForceCheckpointsUnderCachePressure(t *testing.T) {
 		for v := range p.freePending {
 			marks[v] = p.objs[v].freeableAt
 		}
-		for j := 1; j < p.cfg.N; j++ {
+		for j := 1; j < len(p.ranks); j++ {
 			if len(p.freePending) != len(marks) {
 				t.Fatalf("reclaimed before rank %d acknowledged time %d", j, f)
 			}
@@ -188,7 +188,7 @@ func TestForceCkptAtTheLaggard(t *testing.T) {
 	// The owner's kForceCkpt carries its stamp, so the request's time f is
 	// known here before the request is judged.
 	request := func() {
-		stamp := make([]int64, p.cfg.N)
+		stamp := make([]int64, len(p.ranks))
 		stamp[origin] = f
 		p.dispatch(&wire{Kind: kForceCkpt, SrcRank: origin, F: f, HasStamp: true, StampT: stamp})
 	}

@@ -47,9 +47,6 @@ type InvariantSnapshot struct {
 	// restore to the target redundancy with the cluster whole. Any entry
 	// fails the chaos sweep.
 	RepairViolations []string
-	// Recoveries counts recovery rounds this process has completed (as
-	// contributor or restartee), letting pollers detect quiescence.
-	Recoveries int64
 }
 
 // invariants summarizes this process's object table. It touches
@@ -63,7 +60,6 @@ func (p *Proc) invariants() InvariantSnapshot {
 		DeferredMsgs:     len(p.deferredActs),
 		DeadRanks:        len(p.deadRanks),
 		RepairViolations: append([]string(nil), p.repairViolations...),
-		Recoveries:       p.st.Recoveries.Load(),
 	}
 	for _, name := range sortedKeys(p.objs) {
 		o := p.objs[name]

@@ -32,7 +32,7 @@ func TestStalledRuntimeHandlesEveryFrameInOrder(t *testing.T) {
 		close(block)
 		m.Halt()
 	})
-	p := NewProc(tasks[0], Config{Rank: 0, N: n, Ranks: tids, Policy: ft.PolicyOff})
+	p := NewProc(tasks[0], Config{Rank: 0, Ranks: tids, Policy: ft.PolicyOff})
 	go p.receiver() // the runtime loop is not running yet
 
 	// Reads of a name homed here that nobody registered: each one parks

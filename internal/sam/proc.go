@@ -125,15 +125,12 @@ type trigger struct {
 // on the application goroutine to start it.
 func NewProc(task *pvm.Task, cfg Config) *Proc {
 	cfg.fill()
-	if len(cfg.Ranks) != cfg.N {
-		panic(fmt.Sprintf("sam: rank table has %d entries for N=%d", len(cfg.Ranks), cfg.N))
-	}
 	p := &Proc{
 		cfg:           cfg,
 		task:          task,
 		st:            cfg.Stats,
 		rec:           task.Endpoint().TraceRecorder(),
-		clocks:        ft.NewClocks(cfg.Rank, cfg.N),
+		clocks:        ft.NewClocks(cfg.Rank, len(cfg.Ranks)),
 		taint:         ft.NewTaint(cfg.Policy),
 		cmdq:          make(chan *cmd),
 		netq:          make(chan netsim.Message, netqDepth),
@@ -152,7 +149,7 @@ func NewProc(task *pvm.Task, cfg Config) *Proc {
 	}
 	p.store = ckptstore.NewStore(ckptstore.Config{
 		Rank:   cfg.Rank,
-		N:      cfg.N,
+		N:      len(cfg.Ranks),
 		Degree: cfg.Degree,
 		Policy: cfg.Placement,
 	})
@@ -162,22 +159,13 @@ func NewProc(task *pvm.Task, cfg Config) *Proc {
 	return p
 }
 
-// Rank returns this process's logical rank.
-func (p *Proc) Rank() int { return p.cfg.Rank }
-
-// N returns the number of processes in the computation.
-func (p *Proc) N() int { return p.cfg.N }
-
 // Compute charges us microseconds of modeled local computation.
 func (p *Proc) Compute(us float64) { p.task.Charge(us) }
-
-// ClockUS returns the process's modeled local time.
-func (p *Proc) ClockUS() float64 { return p.task.ClockUS() }
 
 // ftEnabled reports whether fault tolerance is active: a policy is set
 // and there is at least one other host to replicate to.
 func (p *Proc) ftEnabled() bool {
-	return p.cfg.Policy != ft.PolicyOff && p.cfg.N > 1
+	return p.cfg.Policy != ft.PolicyOff && len(p.ranks) > 1
 }
 
 // procKilled unwinds the application goroutine when the process dies.
@@ -493,7 +481,7 @@ func (p *Proc) dirEnt(name Name) *dirEntry {
 }
 
 // home returns the rank holding directory information for name.
-func (p *Proc) home(name Name) int { return ckptstore.HomeRank(uint64(name), p.cfg.N) }
+func (p *Proc) home(name Name) int { return ckptstore.HomeRank(uint64(name), len(p.ranks)) }
 
 // finish marks the application complete; the runtime keeps serving other
 // processes until the harness halts the machine.

@@ -136,7 +136,7 @@ func (p *Proc) handleTaskExit(dead netsim.TID) {
 
 func (p *Proc) onFailed(w *wire) {
 	rank := w.Target
-	if rank < 0 || rank >= p.cfg.N || rank == p.cfg.Rank {
+	if rank < 0 || rank >= len(p.ranks) || rank == p.cfg.Rank {
 		return
 	}
 	dead := netsim.TID(w.Seq)
@@ -155,7 +155,7 @@ func (p *Proc) onFailed(w *wire) {
 // disagree (failure knowledge is local), which is safe because restarts
 // are idempotent in the harness (keyed on the dead incarnation's tid).
 func (p *Proc) liveCoordinator(failed int) int {
-	for r := 0; r < p.cfg.N; r++ {
+	for r := 0; r < len(p.ranks); r++ {
 		if r == failed {
 			continue
 		}
@@ -236,7 +236,7 @@ func (p *Proc) onRecovery(w *wire) {
 // per incarnation, or again when resend is set. TIDs increase monotonically,
 // so ordering resolves races between competing announcements for one rank.
 func (p *Proc) noteIncarnation(rank int, newTID netsim.TID, resend bool) {
-	if rank < 0 || rank >= p.cfg.N || rank == p.cfg.Rank {
+	if rank < 0 || rank >= len(p.ranks) || rank == p.cfg.Rank {
 		return
 	}
 	if newTID < p.ranks[rank] {
@@ -333,13 +333,13 @@ func (p *Proc) contributeRecovery(rank int) {
 	// Private state of the failed process.
 	if priv, ok := p.privStore[rank]; ok {
 		p.send(rank, &wire{Kind: kRecoverPriv, Body: priv.body, Seq: priv.seq})
-	} else if slices.Contains(ckptstore.PrivateStateRanks(rank, p.cfg.N, p.cfg.Degree), p.cfg.Rank) {
+	} else if slices.Contains(ckptstore.PrivateStateRanks(rank, len(p.ranks), p.cfg.Degree), p.cfg.Rank) {
 		p.send(rank, &wire{Kind: kRecoverPriv, Fresh: true})
 	}
 
 	// Re-replicate our own private state if its copy lived on the failed
 	// process (guards the window until our next checkpoint).
-	if p.lastPriv.body != nil && slices.Contains(ckptstore.PrivateStateRanks(p.cfg.Rank, p.cfg.N, p.cfg.Degree), rank) {
+	if p.lastPriv.body != nil && slices.Contains(ckptstore.PrivateStateRanks(p.cfg.Rank, len(p.ranks), p.cfg.Degree), rank) {
 		p.send(rank, &wire{Kind: kCkptPriv, Body: p.lastPriv.body, Seq: p.lastPriv.seq, Piece: -1})
 	}
 
@@ -595,7 +595,7 @@ func (p *Proc) onRecoverFin(w *wire) {
 // effectively re-derived from the live incarnation set.
 func (p *Proc) decideOrphans() {
 	inc := p.inc
-	if inc.orphansDecided || len(inc.finsGot) < p.cfg.N-1 {
+	if inc.orphansDecided || len(inc.finsGot) < len(p.ranks)-1 {
 		return
 	}
 	inc.orphansDecided = true
@@ -698,7 +698,7 @@ func (p *Proc) checkRestoreComplete() {
 	if priv == nil {
 		// Fresh restart only once every private-state holder has denied
 		// having a copy.
-		holders := ckptstore.PrivateStateRanks(p.cfg.Rank, p.cfg.N, p.cfg.Degree)
+		holders := ckptstore.PrivateStateRanks(p.cfg.Rank, len(p.ranks), p.cfg.Degree)
 		if len(inc.freshVotes) < len(holders) {
 			return
 		}

@@ -56,7 +56,7 @@ func testProcCfg(t *testing.T, n int, cfg Config) (*Proc, []*pvm.Task) {
 		tasks[i] = m.Spawn(fmt.Sprintf("t%d", i), func(*pvm.Task) { <-block })
 		tids[i] = tasks[i].TID()
 	}
-	cfg.N, cfg.Ranks = n, tids
+	cfg.Ranks = tids
 	p := NewProc(tasks[cfg.Rank], cfg)
 	testMachines.Store(p, m)
 	t.Cleanup(func() {

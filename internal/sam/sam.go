@@ -60,9 +60,8 @@ type Config struct {
 	// Rank is this process's stable logical index, 0..N-1. Ranks survive
 	// recovery; PVM task ids do not.
 	Rank int
-	// N is the number of processes in the computation.
-	N int
-	// Ranks maps rank -> current PVM tid at boot time.
+	// Ranks maps rank -> current PVM tid at boot time; its length is the
+	// number of processes N in the computation.
 	Ranks []pvm.TID
 	// Policy selects the fault-tolerance policy (off / paper / naive).
 	Policy ft.Policy

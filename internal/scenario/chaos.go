@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 
+	"samft/internal/cluster"
 	"samft/internal/experiments"
 	"samft/internal/xrand"
 )
@@ -88,7 +89,7 @@ func (spec ChaosSpec) Scenarios() []*Scenario {
 
 // archetypes are the fixed schedules every sweep starts with, hitting the
 // hardened recovery paths.
-var archetypes = [][]experiments.KillEvent{
+var archetypes = [][]cluster.KillEvent{
 	// Two simultaneous kills including the coordinator (rank 0) and a
 	// survivor that holds recovery state for it.
 	{{Rank: 0, Step: 2}, {Rank: 1, Step: 2}},
@@ -108,11 +109,11 @@ var archetypes = [][]experiments.KillEvent{
 // schedule passes through clampSchedule, so the archetypes (written for
 // the default N=4) stay meaningful at smaller N and randomized schedules
 // never exceed the configuration's survivable failure budget.
-func chaosSchedule(spec ChaosSpec, app experiments.AppKind, i int) []experiments.KillEvent {
+func chaosSchedule(spec ChaosSpec, app experiments.AppKind, i int) []cluster.KillEvent {
 	if i < len(archetypes) {
 		return clampSchedule(spec.Fleet, archetypes[i])
 	}
-	type kill = experiments.KillEvent
+	type kill = cluster.KillEvent
 	rng, procs := xrand.At(spec.Seed, int64(app), int64(i)), spec.Fleet.Procs
 	n := 1 + rng.Intn(spec.MaxKills)
 	kills := make([]kill, 0, n)
@@ -150,20 +151,20 @@ func chaosSchedule(spec ChaosSpec, app experiments.AppKind, i int) []experiments
 //     the first victim's replacement, which keeps recovery pressure
 //     without manufacturing a state the paper's guarantee never promised
 //     to survive.
-func clampSchedule(fleet Fleet, kills []experiments.KillEvent) []experiments.KillEvent {
+func clampSchedule(fleet Fleet, kills []cluster.KillEvent) []cluster.KillEvent {
 	budget := fleet.survivable()
 	mod := func(r int) int { return ((r % fleet.Procs) + fleet.Procs) % fleet.Procs }
 	victims := make(map[int]bool)
-	seen := make(map[experiments.KillEvent]bool)
+	seen := make(map[cluster.KillEvent]bool)
 	firstVictim := -1
-	out := make([]experiments.KillEvent, 0, len(kills))
+	out := make([]cluster.KillEvent, 0, len(kills))
 	for _, k := range kills {
 		k.Rank = mod(k.Rank)
 		if k.OnRecovery {
 			k.RecoveryOf = mod(k.RecoveryOf)
 		}
 		if !victims[k.Rank] && len(victims) >= budget {
-			k = experiments.KillEvent{Rank: firstVictim, OnRecovery: true, RecoveryOf: firstVictim}
+			k = cluster.KillEvent{Rank: firstVictim, OnRecovery: true, RecoveryOf: firstVictim}
 		}
 		if k.OnRecovery && !victims[k.RecoveryOf] {
 			// A trigger riding a rank that is never killed would not fire;

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"samft/internal/ckptstore"
+	"samft/internal/cluster"
 	"samft/internal/experiments"
 	"samft/internal/ft"
 )
@@ -36,13 +37,12 @@ func Compile(s *Scenario, path string) Compiled {
 	// the faulted run adds every perturbation — kills, network chaos, host
 	// slowdowns — none of which may change the computed answer, so the
 	// answer comparison isolates the faults.
-	baseline := experiments.Spec{
+	baseline := experiments.Spec{App: lower(apps, "app", s.Fleet.App), Config: cluster.Config{
 		N:         s.Fleet.Procs,
-		App:       lower(apps, "app", s.Fleet.App),
 		Policy:    lower(policies, "policy", s.Fleet.FT.Policy),
 		Degree:    s.Fleet.FT.Degree,
 		Placement: lower(placements, "placement", s.Fleet.FT.Placement),
-	}
+	}}
 	if baseline.Degree == 0 {
 		baseline.Degree = defaultDegree
 	}
@@ -55,7 +55,7 @@ func Compile(s *Scenario, path string) Compiled {
 		switch {
 		case ev.Kill != nil:
 			k := ev.Kill
-			kill := experiments.KillEvent{
+			kill := cluster.KillEvent{
 				Rank:         k.Rank,
 				Step:         k.AtStep,
 				AtModeledSec: k.AtModeledSec,
@@ -73,10 +73,7 @@ func Compile(s *Scenario, path string) Compiled {
 			spec.NotifyDup = ev.Notify.Dup
 		case ev.SlowHost != nil:
 			if spec.HostSlowdown == nil {
-				spec.HostSlowdown = make([]float64, s.Fleet.Procs)
-				for i := range spec.HostSlowdown {
-					spec.HostSlowdown[i] = 1
-				}
+				spec.HostSlowdown = make([]float64, s.Fleet.Procs) // 0: nominal speed
 			}
 			spec.HostSlowdown[ev.SlowHost.Rank] = ev.SlowHost.Factor
 		}

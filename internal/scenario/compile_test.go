@@ -5,8 +5,10 @@ import (
 	"testing"
 
 	"samft/internal/ckptstore"
+	"samft/internal/cluster"
 	"samft/internal/experiments"
 	"samft/internal/ft"
+	"samft/internal/netsim"
 )
 
 func mustLoad(t *testing.T, doc string) *Scenario {
@@ -40,27 +42,22 @@ func TestCompile(t *testing.T) {
 	}`)
 	c := Compile(s, "test.json")
 
-	want := experiments.Spec{
-		N: 5, App: experiments.Water, Scale: experiments.Paper,
-		Policy: ft.PolicySAM, Degree: 2, Placement: ckptstore.Spread,
-		ChaosSeed: 99,
-		Kills: []experiments.KillEvent{
+	want := experiments.Spec{App: experiments.Water, Scale: experiments.Paper, CheckInvariants: true, Config: cluster.Config{
+		N: 5, Policy: ft.PolicySAM, Degree: 2, Placement: ckptstore.Spread,
+		Kills: []cluster.KillEvent{
 			{Rank: 1, Step: 2},
 			{Rank: 1, OnRecovery: true, RecoveryOf: 1, RecoveryCount: 1},
 			{Rank: 3, AtModeledSec: 0.01},
 		},
-		JitterUS: 80, NotifyDrop: true, NotifyDup: true,
-		HostSlowdown:    []float64{1, 1, 1, 1, 2.5},
-		CheckInvariants: true,
-	}
+		FaultPlan:    netsim.FaultPlan{ChaosSeed: 99, JitterUS: 80, NotifyDrop: true, NotifyDup: true},
+		HostSlowdown: []float64{0, 0, 0, 0, 2.5},
+	}}
 	if !reflect.DeepEqual(c.Spec, want) {
 		t.Errorf("Spec:\n got %+v\nwant %+v", c.Spec, want)
 	}
 	base := want
 	base.Kills = nil
-	base.ChaosSeed = 0
-	base.JitterUS = 0
-	base.NotifyDrop, base.NotifyDup = false, false
+	base.FaultPlan = netsim.FaultPlan{}
 	base.HostSlowdown = nil
 	base.CheckInvariants = false
 	if !reflect.DeepEqual(c.Baseline, base) {

@@ -1,7 +1,9 @@
 // Package scenario implements the declarative failure-scenario format:
 // JSON files describing a fleet, a timed fault schedule, and end-state
-// assertions, compiled down to experiments.Spec runs and executed as
-// campaigns. It is the data-driven face of the chaos layer — the paper's
+// assertions, compiled to experiments.Spec runs and executed as campaigns.
+// Compile fills the Spec's embedded cluster.Config (procs, fault
+// tolerance, kills, the network's netsim.FaultPlan, host slowdowns) and
+// picks the application; nothing below re-declares those fields. It is the data-driven face of the chaos layer — the paper's
 // behavioral claim ("degree-k replication survives k workstation failures
 // transparently") expressed as a library of reviewable files instead of
 // hand-written Go structs.

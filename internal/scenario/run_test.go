@@ -205,11 +205,22 @@ func TestRecoveryFigureIsTraceWindow(t *testing.T) {
 // goroutine scheduling, so a green run that replayed nothing runs again, up
 // to three runs in all; the test cannot pass without a replay.
 func TestBarnesMidstepKillReplaysALog(t *testing.T) {
-	t.Setenv("SAMFT_TRACE_DIR", t.TempDir())
+	traceDir := t.TempDir()
+	t.Setenv("SAMFT_TRACE_DIR", traceDir)
 	s, err := LoadFile(filepath.Join("..", "..", "scenarios", "barnes-midstep-kill.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A red or hung run is dumped under traceDir, which goes with the test:
+	// keep its recovery report in the log.
+	t.Cleanup(func() {
+		if !t.Failed() {
+			return
+		}
+		if report, err := os.ReadFile(filepath.Join(traceDir, "scenario-"+s.Name, "recovery.txt")); err == nil {
+			t.Logf("recovery.txt of the dumped run:\n%s", report)
+		}
+	})
 	for run := 1; run <= 3; run++ {
 		outs, err := RunSet([]Compiled{Compile(s, "")}, "")
 		if err != nil {

@@ -36,8 +36,6 @@
 //   - Seq     — per-track emission sequence number (uint64, from 0).
 //   - VirtUS  — modeled virtual time in microseconds, from the clock of
 //     the endpoint/process that emitted the event.
-//   - WallNS  — wall-clock time (UnixNano) at emission, for correlating
-//     with host-level profiles. Excluded from golden/Chrome output.
 //   - Kind    — dotted event name; the layer prefix is "net.", "pvm.",
 //     "sam.", or "cluster." (constants below).
 //   - Rank    — SAM logical rank, -1 when not applicable.

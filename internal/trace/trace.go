@@ -1,9 +1,6 @@
 package trace
 
-import (
-	"sync"
-	"time"
-)
+import "sync"
 
 // Kind names one event type; see the package documentation for the full
 // schema.
@@ -57,7 +54,6 @@ const (
 type Event struct {
 	Seq     uint64
 	VirtUS  float64
-	WallNS  int64
 	Kind    Kind
 	Rank    int
 	Src     int64
@@ -99,17 +95,11 @@ type Recorder struct {
 // when tracing is off.
 func (r *Recorder) Enabled() bool { return r != nil }
 
-// Emit records one event. The recorder fills in Seq, and WallNS when the
-// caller left it zero. If the ring is full the oldest event is
-// overwritten.
+// Emit records one event. The recorder fills in Seq. If the ring is full
+// the oldest event is overwritten.
 func (r *Recorder) Emit(e Event) {
 	if r == nil {
 		return
-	}
-	if e.WallNS == 0 {
-		// Diagnostic host timestamp only: merged timelines order on
-		// virtual time, never on WallNS.
-		e.WallNS = time.Now().UnixNano() //samlint:allow wallclock -- diagnostic timestamp, never ordering
 	}
 	r.mu.Lock()
 	e.Seq = r.next
