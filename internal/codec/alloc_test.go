@@ -1,9 +1,11 @@
 package codec
 
 import (
+	"bytes"
 	"encoding/binary"
 	"hash/crc32"
 	"math/bits"
+	"reflect"
 	"slices"
 	"testing"
 )
@@ -95,11 +97,53 @@ func TestAppendPackAllocs(t *testing.T) {
 	}
 }
 
+// TestUnpackAllocs pins Unpack's contract: once a type has been unpacked,
+// a frame of a flat struct costs one allocation, the value (the type name
+// is looked up in the frame's bytes, not copied out of them). UnpackInto
+// into a value whose slices have room allocates nothing.
+func TestUnpackAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled decoders at random under the race detector")
+	}
+	frame, err := Pack(benchSmall{ID: 7, Pos: vec3{1, 2, 3}, Mass: 18.015})
+	if err != nil {
+		t.Fatal(err)
+	}
+	unpack := func() {
+		if _, err := Unpack(frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	unpack() // warm-up: pool a decoder
+	if n := testing.AllocsPerRun(100, unpack); n != 1 {
+		t.Errorf("Unpack made %.1f allocs per run, want 1 (the value)", n)
+	}
+
+	frame, err = Pack(molecule{ID: 7, Bonds: []int{3, 1, 4}, Raw: []byte("raw"), Grid: [4]int32{9, 8, 7, 6}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dst molecule
+	into := func() {
+		if err := UnpackInto(frame, &dst); err != nil {
+			t.Fatal(err)
+		}
+	}
+	into() // warm-up: grow dst's slices
+	if n := testing.AllocsPerRun(100, into); n != 0 {
+		t.Errorf("UnpackInto into a value with room made %.1f allocs per run, want 0", n)
+	}
+}
+
 // FuzzUnpack feeds Unpack hostile frames. With reseal set the checksum is
 // recomputed first, so the bytes reach the decoding plans instead of
 // stopping at Verify. Unpack must never panic, and a value it accepts must
-// Pack again. The seeds are a packed frame of every type the package's
-// tests register and can pack, including a cyclic pointer graph.
+// Pack again. UnpackInto decodes every accepted frame into one destination
+// per type, reused across inputs, and must give the fresh value's frame
+// (frames are compared, not values: a NaN is not DeepEqual to itself); it
+// must reject what Unpack rejects. The seeds are a packed frame of every
+// type the package's tests register and can pack, including a cyclic
+// pointer graph.
 func FuzzUnpack(f *testing.F) {
 	shared := &treeNode{Val: 99}
 	for _, v := range []interface{}{
@@ -118,6 +162,7 @@ func FuzzUnpack(f *testing.F) {
 		f.Add(b, false)
 		f.Add(b, true)
 	}
+	reused := map[reflect.Type]reflect.Value{}
 	f.Fuzz(func(t *testing.T, frame []byte, reseal bool) {
 		if reseal && len(frame) >= 6 {
 			frame = slices.Clone(frame)
@@ -125,10 +170,28 @@ func FuzzUnpack(f *testing.F) {
 		}
 		v, err := Unpack(frame)
 		if err != nil {
+			for _, dst := range reused {
+				if UnpackInto(frame, dst.Interface()) == nil {
+					t.Fatalf("UnpackInto into a %v accepted a frame Unpack rejects (%v)", dst.Type(), err)
+				}
+			}
 			return
 		}
-		if _, err := Pack(v); err != nil {
+		fresh, err := Pack(v)
+		if err != nil {
 			t.Fatalf("Unpack accepted a frame as %T that does not Pack again: %v", v, err)
+		}
+		ty := reflect.TypeOf(v)
+		dst, ok := reused[ty]
+		if !ok {
+			dst = reflect.New(ty.Elem())
+			reused[ty] = dst
+		}
+		if err := UnpackInto(frame, dst.Interface()); err != nil {
+			t.Fatalf("UnpackInto rejected a frame Unpack accepts: %v", err)
+		}
+		if got, err := Pack(dst.Interface()); err != nil || !bytes.Equal(got, fresh) {
+			t.Fatalf("UnpackInto into a reused %v packs to %x (%v), a fresh Unpack to %x", ty, got, err, fresh)
 		}
 	})
 }

@@ -95,10 +95,12 @@ func typeName(v interface{}) string {
 	return defaultRegistry.nameFor[t]
 }
 
-func lookupType(name string) (reflect.Type, bool) {
+// lookupType finds the type registered under name, read straight from a
+// frame: indexing the map by string(name) makes no copy of it.
+func lookupType(name []byte) (reflect.Type, bool) {
 	defaultRegistry.mu.RLock()
 	defer defaultRegistry.mu.RUnlock()
-	t, ok := defaultRegistry.byName[name]
+	t, ok := defaultRegistry.byName[string(name)]
 	return t, ok
 }
 
@@ -217,44 +219,79 @@ func Verify(frame []byte) error {
 
 // Unpack deserializes a frame produced by Pack. It returns a pointer to a
 // freshly allocated value of the registered type (so the result is always
-// addressable), e.g. *Body for a frame packed from Body or *Body.
+// addressable), e.g. *Body for a frame packed from Body or *Body. Once the
+// type has been unpacked before, a frame of a flat struct costs exactly
+// one allocation, the value (TestUnpackAllocs).
 func Unpack(data []byte) (interface{}, error) {
-	if err := Verify(data); err != nil {
+	p, err := unpack(data, reflect.Value{})
+	if err != nil {
 		return nil, err
+	}
+	return p.Interface(), nil
+}
+
+// UnpackInto deserializes a frame produced by Pack into *dst, which must be
+// a non-nil pointer to a value of the frame's registered type; a frame of
+// another type is ErrCorrupt. The result is the value Unpack would return,
+// but built in dst's storage: every field is overwritten, and a slice keeps
+// its backing array when that has room for the decoded elements, so a
+// caller that decodes frame after frame into one value stops allocating
+// once its slices have grown. A nil slice and an empty one stay distinct.
+// Pointees are always allocated afresh, so a pointer graph dst shared with
+// anything else is never written through. The caller must own dst's slices
+// outright: their old contents are overwritten in place. On error dst holds
+// a partial decode.
+func UnpackInto(data []byte, dst interface{}) error {
+	p := reflect.ValueOf(dst)
+	if p.Kind() != reflect.Ptr || p.IsNil() {
+		return fmt.Errorf("codec: UnpackInto needs a non-nil pointer, not %T", dst)
+	}
+	_, err := unpack(data, p)
+	return err
+}
+
+// unpack decodes a frame into *p, or into a fresh value of the frame's
+// type when p is the zero Value, and returns the pointer it decoded into.
+func unpack(data []byte, p reflect.Value) (reflect.Value, error) {
+	if err := Verify(data); err != nil {
+		return p, err
 	}
 	d := getDecoder(data[:len(data)-4])
 	defer putDecoder(d)
 	magic, err := d.u16()
 	if err != nil {
-		return nil, err
+		return p, err
 	}
 	if magic != frameMagic {
-		return nil, fmt.Errorf("%w: bad magic %#x", ErrCorrupt, magic)
+		return p, fmt.Errorf("%w: bad magic %#x", ErrCorrupt, magic)
 	}
-	name, err := d.str()
+	name, err := d.raw()
 	if err != nil {
-		return nil, err
+		return p, err
 	}
 	t, ok := lookupType(name)
 	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNotRegistered, name)
+		return p, fmt.Errorf("%w: %q", ErrNotRegistered, name)
+	}
+	if !p.IsValid() {
+		p = reflect.New(t)
+	} else if p.Type().Elem() != t {
+		return p, fmt.Errorf("%w: a %q frame cannot decode into %v", ErrCorrupt, name, p.Type())
 	}
 	rooted, err := d.u8()
 	if err != nil {
-		return nil, err
+		return p, err
 	}
-	pl := planFor(t)
-	p := reflect.New(t)
 	if rooted == 1 {
 		d.ptrs = append(d.ptrs, p)
 	}
-	if err := pl.dec(d, p.Elem()); err != nil {
-		return nil, err
+	if err := planFor(t).dec(d, p.Elem()); err != nil {
+		return p, err
 	}
 	if d.remaining() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, d.remaining())
+		return p, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, d.remaining())
 	}
-	return p.Interface(), nil
+	return p, nil
 }
 
 // DeepCopy copies a value of a registered type through the wire format.

@@ -255,6 +255,105 @@ func TestUnpackTruncated(t *testing.T) {
 	}
 }
 
+// TestUnpackIntoReusesTheDestination: decoding into a value that held
+// another value of the same type gives what a fresh Unpack gives — over
+// longer and shorter slices, nil and empty ones, scalars, and a shared
+// pointer graph — while a slice with room keeps its backing array and the
+// pointees the destination held are never written through.
+func TestUnpackIntoReusesTheDestination(t *testing.T) {
+	shared := &treeNode{Val: 7}
+	oldLeaf := &treeNode{Val: -1}
+	for _, c := range []struct {
+		name      string
+		held, src interface{}
+	}{
+		{"longer to shorter", &molecule{ID: 1, Bonds: []int{1, 2, 3, 4, 5}, Raw: []byte("abcdef"), Grid: [4]int32{1}},
+			&molecule{ID: 2, Bonds: []int{9, 8}, Raw: []byte("xy"), Grid: [4]int32{5, 6}}},
+		{"shorter to longer", &molecule{Bonds: []int{1}, Raw: []byte("a")},
+			&molecule{Bonds: []int{4, 5, 6, 7}, Raw: []byte("wxyz")}},
+		{"full to nil", &molecule{Bonds: []int{1, 2}, Raw: []byte("a")}, &molecule{}},
+		{"full to empty", &molecule{Bonds: []int{1, 2}, Raw: []byte("a")}, &molecule{Bonds: []int{}, Raw: []byte{}}},
+		{"nil to empty", &molecule{}, &molecule{Bonds: []int{}, Raw: []byte{}}},
+		{"scalars", &scalars{S: "held", I: 3}, &scalars{S: "sent", F64: 2.5}},
+		{"shared pointer graph", &treeNode{Val: 1, Children: []*treeNode{oldLeaf, oldLeaf, oldLeaf}},
+			&treeNode{Val: 2, Children: []*treeNode{shared, shared}}},
+	} {
+		frame, err := Pack(c.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Unpack(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := UnpackInto(frame, c.held); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !reflect.DeepEqual(c.held, want) {
+			t.Errorf("%s: UnpackInto gave %+v, a fresh Unpack %+v", c.name, c.held, want)
+		}
+	}
+	if oldLeaf.Val != -1 || oldLeaf.Children != nil {
+		t.Errorf("UnpackInto wrote through a pointee the destination held: %+v", oldLeaf)
+	}
+
+	// Identity: the second child is the first, and a back-reference to
+	// the root resolves to the destination itself.
+	var g treeNode
+	root := &treeNode{Val: 1}
+	root.Children = []*treeNode{shared, shared, {Val: 3, Parent: root}}
+	frame, err := Pack(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := UnpackInto(frame, &g); err != nil {
+		t.Fatal(err)
+	}
+	if g.Children[0] != g.Children[1] || g.Children[2].Parent != &g {
+		t.Error("UnpackInto lost the pointer identities of a shared graph")
+	}
+
+	// A slice with room keeps its backing array.
+	held := &molecule{Bonds: make([]int, 8), Raw: make([]byte, 8)}
+	bonds, raw := &held.Bonds[:1][0], &held.Raw[:1][0]
+	frame, err = Pack(molecule{Bonds: []int{1, 2, 3}, Raw: []byte("ab")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := UnpackInto(frame, held); err != nil {
+		t.Fatal(err)
+	}
+	if &held.Bonds[0] != bonds || &held.Raw[0] != raw {
+		t.Error("UnpackInto replaced a backing array that had room")
+	}
+}
+
+// TestUnpackIntoRefusesAnotherType: a frame decodes only into a value of
+// its own registered type, and only through a pointer.
+func TestUnpackIntoRefusesAnotherType(t *testing.T) {
+	frame, err := Pack(vec3{1, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m molecule
+	if err := UnpackInto(frame, &m); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("a vec3 frame into a molecule: err = %v, want ErrCorrupt", err)
+	}
+	if !reflect.DeepEqual(m, molecule{}) {
+		t.Errorf("the refused destination was written: %+v", m)
+	}
+	var v vec3
+	if err := UnpackInto(frame, v); err == nil {
+		t.Error("UnpackInto into a non-pointer succeeded")
+	}
+	if err := UnpackInto(frame, (*vec3)(nil)); err == nil {
+		t.Error("UnpackInto into a nil pointer succeeded")
+	}
+	if err := UnpackInto(frame, &v); err != nil || v != (vec3{1, 2, 3}) {
+		t.Errorf("UnpackInto(&vec3) = %v, %+v", err, v)
+	}
+}
+
 func TestDeepCopyIsolation(t *testing.T) {
 	in := &molecule{Bonds: []int{1, 2}}
 	cp, err := DeepCopy(in)

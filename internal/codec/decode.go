@@ -88,20 +88,9 @@ func (d *decoder) u64() (uint64, error) {
 	return v, nil
 }
 
-func (d *decoder) str() (string, error) {
-	n, err := d.u32()
-	if err != nil {
-		return "", err
-	}
-	if err := d.need(int(n)); err != nil {
-		return "", err
-	}
-	s := string(d.buf[d.off : d.off+int(n)])
-	d.off += int(n)
-	return s, nil
-}
-
-func (d *decoder) byteSlice() ([]byte, error) {
+// raw consumes a length-prefixed run and returns it in place: the bytes
+// alias the frame, so the caller copies what it keeps.
+func (d *decoder) raw() ([]byte, error) {
 	n, err := d.u32()
 	if err != nil {
 		return nil, err
@@ -109,8 +98,7 @@ func (d *decoder) byteSlice() ([]byte, error) {
 	if err := d.need(int(n)); err != nil {
 		return nil, err
 	}
-	out := make([]byte, n)
-	copy(out, d.buf[d.off:d.off+int(n)])
+	b := d.buf[d.off : d.off+int(n)]
 	d.off += int(n)
-	return out, nil
+	return b, nil
 }

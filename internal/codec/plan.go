@@ -178,11 +178,11 @@ func compile(t reflect.Type) *plan {
 				return nil
 			},
 			dec: func(d *decoder, rv reflect.Value) error {
-				s, err := d.str()
+				b, err := d.raw()
 				if err != nil {
 					return err
 				}
-				rv.SetString(s)
+				rv.SetString(string(b))
 				return nil
 			},
 		}
@@ -245,11 +245,26 @@ func reaches(t reflect.Type, path string, seen map[reflect.Type]bool) error {
 	return fmt.Errorf("%s: cannot encode kind %v", path, t.Kind())
 }
 
+// resize gives the slice rv n elements to decode into, reusing its backing
+// array when that has room (UnpackInto; a fresh value's slices are nil). A
+// nil rv decoding no elements becomes empty, the shared zero-capacity
+// slice of its type, so nil and empty stay distinct without allocating.
+func resize(rv reflect.Value, n int, empty reflect.Value) {
+	switch {
+	case n == 0 && rv.IsNil():
+		rv.Set(empty)
+	case rv.Cap() >= n:
+		rv.SetLen(n)
+	default:
+		rv.Set(reflect.MakeSlice(rv.Type(), n, n))
+	}
+}
+
 func compileSlice(t reflect.Type) *plan {
+	empty := reflect.MakeSlice(t, 0, 0)
 	if t.Elem().Kind() == reflect.Uint8 {
 		// Byte slices (including named byte-like element types) transmit as
 		// a raw length-prefixed run.
-		isPlainByte := t.Elem() == reflect.TypeOf(byte(0))
 		return &plan{
 			fixed: -1,
 			enc: func(e *encoder, rv reflect.Value) error {
@@ -267,22 +282,15 @@ func compileSlice(t reflect.Type) *plan {
 					return err
 				}
 				if present == 0 {
-					rv.Set(reflect.Zero(rv.Type()))
+					rv.SetZero()
 					return nil
 				}
-				b, err := d.byteSlice()
+				b, err := d.raw()
 				if err != nil {
 					return err
 				}
-				if isPlainByte {
-					rv.SetBytes(b)
-					return nil
-				}
-				s := reflect.MakeSlice(rv.Type(), len(b), len(b))
-				for i, bb := range b {
-					s.Index(i).SetUint(uint64(bb))
-				}
-				rv.Set(s)
+				resize(rv, len(b), empty)
+				copy(rv.Bytes(), b)
 				return nil
 			},
 		}
@@ -311,7 +319,7 @@ func compileSlice(t reflect.Type) *plan {
 				return err
 			}
 			if present == 0 {
-				rv.Set(reflect.Zero(rv.Type()))
+				rv.SetZero()
 				return nil
 			}
 			n, err := d.u32()
@@ -323,13 +331,12 @@ func compileSlice(t reflect.Type) *plan {
 				// lengths before allocating.
 				return fmt.Errorf("%w: slice length %d exceeds frame", ErrCorrupt, n)
 			}
-			s := reflect.MakeSlice(rv.Type(), int(n), int(n))
+			resize(rv, int(n), empty)
 			for i := 0; i < int(n); i++ {
-				if err := ep.dec(d, s.Index(i)); err != nil {
+				if err := ep.dec(d, rv.Index(i)); err != nil {
 					return err
 				}
 			}
-			rv.Set(s)
 			return nil
 		},
 	}

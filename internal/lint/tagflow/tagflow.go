@@ -18,11 +18,11 @@
 //     partner forever, with no runtime error to point at; and
 //
 //   - where the payload's provenance is visible — the send site's bytes
-//     come from codec.Pack (possibly through a helper like
-//     sam.encodeHead) and the receive side type-asserts the result of
-//     codec.Unpack — the packed type must be among the types the
-//     receivers of that tag assert. Packing *wire and asserting
-//     *otherThing is a guaranteed decode-drop.
+//     come from codec.Pack or codec.AppendPack (possibly through a helper
+//     like sam.encodeHead) and the receive side type-asserts the result of
+//     codec.Unpack or decodes with codec.UnpackInto — the packed type must
+//     be among the types the receivers of that tag assert or decode into.
+//     Packing *wire and asserting *otherThing is a guaranteed decode-drop.
 //
 // The dataflow checks are interprocedural and module-wide: one pass walks
 // every package in dependency order, keeping per-function pack/unpack
@@ -146,6 +146,18 @@ func codecCall(info *types.Info, call *ast.CallExpr, name string) bool {
 	return fn.Pkg().Path() == codecPath || fn.Pkg().Name() == "codec"
 }
 
+// packedArg returns the value call packs when it is codec.Pack(v) or
+// codec.AppendPack(dst, v), and nil otherwise.
+func packedArg(info *types.Info, call *ast.CallExpr) ast.Expr {
+	switch {
+	case codecCall(info, call, "Pack") && len(call.Args) == 1:
+		return call.Args[0]
+	case codecCall(info, call, "AppendPack") && len(call.Args) == 2:
+		return call.Args[1]
+	}
+	return nil
+}
+
 func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	var id *ast.Ident
 	switch f := ast.Unparen(call.Fun).(type) {
@@ -190,8 +202,8 @@ func (c *checker) packsOf(fn *types.Func, visiting map[*types.Func]bool) []strin
 		if !ok {
 			return true
 		}
-		if codecCall(info, call, "Pack") && len(call.Args) == 1 {
-			if ts := typeString(info.Types[call.Args[0]].Type); ts != "" {
+		if v := packedArg(info, call); v != nil {
+			if ts := typeString(info.Types[v].Type); ts != "" {
 				set[ts] = true
 			}
 			return true
@@ -287,6 +299,13 @@ func (c *checker) unpacksOf(fn *types.Func, visiting map[*types.Func]bool) []str
 				}
 			}
 		case *ast.CallExpr:
+			if codecCall(info, n, "UnpackInto") && len(n.Args) == 2 {
+				// Decoding into a destination receives its type.
+				if ts := typeString(info.Types[n.Args[1]].Type); ts != "" {
+					set[ts] = true
+				}
+				return true
+			}
 			if callee := calleeFunc(info, n); callee != nil {
 				for _, t := range c.unpacksOf(callee, visiting) {
 					set[t] = true
@@ -319,8 +338,8 @@ func (c *checker) collectFlow(fn *types.Func, fl *flow) {
 			return true
 		}
 		var packed []string
-		if codecCall(info, call, "Pack") && len(call.Args) == 1 {
-			if ts := typeString(info.Types[call.Args[0]].Type); ts != "" {
+		if v := packedArg(info, call); v != nil {
+			if ts := typeString(info.Types[v].Type); ts != "" {
 				packed = []string{ts}
 			}
 		} else if callee := calleeFunc(info, call); callee != nil {
@@ -388,8 +407,8 @@ func (c *checker) collectFlow(fn *types.Func, fl *flow) {
 						site.Packed = prov[obj]
 					}
 				case *ast.CallExpr:
-					if codecCall(info, payload, "Pack") && len(payload.Args) == 1 {
-						if ts := typeString(info.Types[payload.Args[0]].Type); ts != "" {
+					if v := packedArg(info, payload); v != nil {
+						if ts := typeString(info.Types[v].Type); ts != "" {
 							site.Packed = []string{ts}
 						}
 					} else if callee := calleeFunc(info, payload); callee != nil {

@@ -33,6 +33,9 @@ const (
 	TagMismatch = 12
 	// TagSwitched gets its receive evidence from a switch on .Tag.
 	TagSwitched = 13
+	// TagInto is packed into a reused buffer and decoded into a reused
+	// value, of different types.
+	TagInto = 14
 )
 
 func SendGood(e *Endpoint) {
@@ -104,5 +107,23 @@ func dispatchSwitch(m Message) {
 		switch v.(type) {
 		case *wire:
 		}
+	}
+}
+
+// SendInto's payload is appended into a buffer, and its receiver decodes
+// into an *other: provenance flows through AppendPack and UnpackInto.
+func SendInto(e *Endpoint, buf []byte) {
+	b := encodeInto(buf)
+	_ = e.Send(1, TagInto, b) // want "receivers assert"
+}
+
+func encodeInto(buf []byte) []byte {
+	b, _ := codec.AppendPack(buf, &wire{N: 5})
+	return b
+}
+
+func dispatchInto(m Message, o *other) {
+	if m.Tag == TagInto {
+		_ = codec.UnpackInto(m.Payload, o)
 	}
 }

@@ -87,17 +87,21 @@ type Endpoint struct {
 }
 
 // queued is a Message as it waits in a queue, in one 64-byte cache line
-// where a Message takes 80 bytes: each part is kept as a pointer and a
-// length, since a sent part is immutable and its spare capacity is
-// nobody's. The queue is copied entry by entry — appended to, scanned,
-// closed up behind a match — so its entries stay this size.
+// where a Message takes 80 bytes: each part is kept as a pointer and its
+// sizes. The payload keeps its length and capacity, as two 32-bit words,
+// because it is handed over whole: the receiver may reuse its buffer (see
+// Message.Payload). The body keeps only its length, since a sent body is
+// shared and immutable and its spare capacity is nobody's. The queue is
+// copied entry by entry — appended to, scanned, closed up behind a match —
+// so its entries stay this size.
 type queued struct {
 	src     TID
 	tag     int
 	id      int64
 	arrival float64
 	payload *byte
-	plen    int
+	plen    uint32
+	pcap    uint32
 	body    *byte
 	blen    int
 }
@@ -105,7 +109,7 @@ type queued struct {
 func newQueued(src TID, tag int, id int64, arrival float64, payload, body []byte) queued {
 	return queued{
 		src: src, tag: tag, id: id, arrival: arrival,
-		payload: unsafe.SliceData(payload), plen: len(payload),
+		payload: unsafe.SliceData(payload), plen: uint32(len(payload)), pcap: uint32(cap(payload)),
 		body: unsafe.SliceData(body), blen: len(body),
 	}
 }
@@ -116,7 +120,7 @@ func newQueued(src TID, tag int, id int64, arrival float64, payload, body []byte
 // the Message they return.
 func (q *queued) unpack(m *Message) {
 	m.Src, m.Tag, m.ID, m.ArrivalUS = q.src, q.tag, q.id, q.arrival
-	m.Payload = unsafe.Slice(q.payload, q.plen)
+	m.Payload = unsafe.Slice(q.payload, q.pcap)[:q.plen]
 	m.Body = unsafe.Slice(q.body, q.blen)
 }
 
@@ -307,7 +311,9 @@ func (e *Endpoint) Send(dst TID, tag int, payload []byte) error {
 
 // SendParts transmits a message of two parts to dst: a payload (the
 // sender's freshly packed header) and a body shared by reference. Neither
-// part is copied, and the receiver gets the very same bytes, so the body is
+// part is copied, and the receiver gets the very same bytes. The payload is
+// handed over whole, spare capacity included: the sender gives it up and
+// sends it once, and the receiver may reuse the buffer. The body is
 // immutable from here on: the sender may hand it to any number of
 // destinations, and no holder may write to it (see Message). On the
 // modeled wire the message is one frame of both parts' length. Sending to a

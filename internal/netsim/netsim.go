@@ -148,7 +148,13 @@ type Message struct {
 	// send→delivery flow arrows.
 	ID int64
 	// Payload is the serialized message, or with a Body its header. It is
-	// not copied either, so the sender must not modify it once sent.
+	// handed over whole and delivered at most once: it is not copied, it
+	// keeps the capacity it was sent with, and once sent it is the
+	// receiver's, who may write into it and reuse the buffer (a SAM
+	// process packs its next header there). So the sender must not touch
+	// it again, nor send it twice. Chaos duplicates only exit
+	// notifications, whose payloads nobody reuses; a fault that duplicates
+	// data-plane messages must copy each payload it duplicates.
 	Payload []byte
 	// Body is the second part of a two-part send (Endpoint.SendParts), nil
 	// otherwise. A sent body is immutable and shared: the sender, every

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func pair(t *testing.T) (*Network, *Endpoint, *Endpoint) {
@@ -24,6 +25,32 @@ func TestSendRecvBasic(t *testing.T) {
 	}
 	if string(m.Payload) != "hello" || m.Src != a.TID() || m.Tag != 7 {
 		t.Fatalf("bad message: %v", m)
+	}
+}
+
+// TestPayloadIsHandedOverWhole: a received payload is the sender's very
+// buffer, spare capacity included, so the receiver can reuse it; a body
+// arrives with its length as its capacity (it is shared, so its spare room
+// is nobody's). A queue entry stays one 64-byte cache line.
+func TestPayloadIsHandedOverWhole(t *testing.T) {
+	if size := unsafe.Sizeof(queued{}); size != 64 {
+		t.Errorf("a queue entry is %d bytes, want one 64-byte line", size)
+	}
+	_, a, b := pair(t)
+	payload := append(make([]byte, 0, 100), "head"...)
+	body := append(make([]byte, 0, 50), "body"...)
+	if err := a.SendParts(b.TID(), 7, payload, body); err != nil {
+		t.Fatal(err)
+	}
+	m, err := b.Recv(AnySrc, AnyTag)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(m.Payload) != "head" || cap(m.Payload) != 100 || unsafe.SliceData(m.Payload) != unsafe.SliceData(payload) {
+		t.Errorf("payload arrived as %q with capacity %d, want the sender's buffer, capacity 100", m.Payload, cap(m.Payload))
+	}
+	if string(m.Body) != "body" || cap(m.Body) != len(m.Body) {
+		t.Errorf("body arrived as %q with capacity %d, want its length", m.Body, cap(m.Body))
 	}
 }
 

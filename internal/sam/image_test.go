@@ -14,15 +14,20 @@ import (
 // TestNoReceivedWireIsRetained walks every type reachable from a process's
 // state and fails if a wire can be stored there. The one allowed home of a
 // *wire is the sender's own transaction (ckptTx.pieces / staleFrees), which
-// holds frames it built and may have to send again.
+// holds frames it built and may have to send again; the only wires a
+// process holds by value are the frame path's two scratch wires (msg.go),
+// which every header is packed from and decoded into.
 func TestNoReceivedWireIsRetained(t *testing.T) {
 	wireT, txT := reflect.TypeOf(wire{}), reflect.TypeOf(ckptTx{})
+	scratch := map[string]bool{"Proc.headWire": true, "Proc.recvWire": true}
 	pkg := wireT.PkgPath()
 	seen := map[reflect.Type]bool{}
 	var walk func(ty reflect.Type, path string)
 	walk = func(ty reflect.Type, path string) {
 		if ty == wireT {
-			t.Errorf("%s can hold a wire", path)
+			if !scratch[path] {
+				t.Errorf("%s can hold a wire", path)
+			}
 			return
 		}
 		if ty == txT || seen[ty] || (ty.Name() != "" && ty.PkgPath() != pkg) {

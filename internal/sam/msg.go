@@ -25,7 +25,9 @@ const TagSAM = pvm.TagUserBase + 1
 // what accumulators alone do — migrate under mutual exclusion — has its own.
 //
 // A wire is a frame and nothing else: a handler reads what it needs out of
-// the one it is given and keeps none (TestNoReceivedWireIsRetained).
+// the one it is given and keeps none of it, not even its slices, since
+// every received header is decoded into one reused wire
+// (TestNoReceivedWireIsRetained).
 // Checkpointed state that outlives a message is an image or a privImage
 // (image.go), converted at the frame boundary by imageOf and image.wire —
 // so splitting this struct into a header plus per-kind payloads is a change
@@ -162,61 +164,86 @@ func init() {
 // whose wire has a body packs an empty one in its place, so it still
 // counts the body's presence and length words, and header plus body are
 // exactly the bytes of the single frame they replace (TestFrameSizes).
+//
+// A header costs no allocation at either end (TestFrameHeadersAllocNothing).
+// The sender copies the wire into its one scratch header wire (Proc.headWire)
+// and packs that, so the caller's wire never reaches the codec, into a
+// buffer from its free list (Proc.headFree). The buffer travels as the
+// message's payload and becomes the receiver's: it decodes the header into
+// its one receive wire (Proc.recvWire) and puts the buffer on its own free
+// list. A body is never recycled: it belongs to nobody.
 
 // noBody is what a header carries in place of a body: empty, but not nil.
 var noBody = []byte{}
 
-// encodeHead packs w's header for dstRank. w is the same before and
-// after — a checkpoint transaction keeps its pieces' wires to re-send them,
-// and direct dispatch hands them to handlers — so the header's fields are
-// set on w only while it is packed, on the runtime goroutine that alone
-// touches it.
+// maxFreeHeads bounds a process's free list of header buffers: a process
+// that receives more frames than it sends leaves the surplus to the GC.
+const maxFreeHeads = 8
+
+// encodeHead packs w's header for dstRank into a buffer the caller hands
+// to the network, which gives it to the receiver. w itself is only read:
+// a checkpoint transaction keeps its pieces' wires to re-send them, and
+// direct dispatch hands them to handlers.
 func (p *Proc) encodeHead(w *wire, dstRank int) []byte {
-	sent := *w
+	h := &p.headWire
+	*h = *w
 	if w.Body != nil {
-		w.Body = noBody
+		h.Body = noBody
 	}
 	if p.cfg.Policy != ft.PolicyOff { // any FT policy: piggyback clocks
 		st := p.clocks.DeltaStampFor(dstRank)
-		w.HasStamp = true
-		w.StampT = st.Full
-		w.StampIdx = st.Idx
-		w.StampVal = st.Val
-		w.StampC = st.CForDst
+		h.HasStamp = true
+		h.StampT = st.Full
+		h.StampIdx = st.Idx
+		h.StampVal = st.Val
+		h.StampC = st.CForDst
 	}
-	b, err := codec.Pack(w)
-	*w = sent
+	var buf []byte
+	if n := len(p.headFree); n > 0 {
+		buf = p.headFree[n-1][:0]
+		p.headFree = p.headFree[:n-1]
+	} else {
+		buf = make([]byte, 0, p.headMax)
+	}
+	b, err := codec.AppendPack(buf, h)
 	if err != nil {
 		panic(fmt.Errorf("sam: encode %s: %w", kindName(w.Kind), err))
 	}
+	p.headMax = max(p.headMax, len(b))
 	return b
 }
 
-// decodeFrame is encodeHead's inverse on a received message: it unpacks
-// the header, verifies the body, and attaches the body without copying it.
-// A header with no room for a body must come without one, and one with
-// room must come with an intact body.
-func decodeFrame(m *netsim.Message) (*wire, error) {
-	v, err := codec.Unpack(m.Payload)
-	if err != nil {
-		return nil, err
+// recycleHead puts a received header's buffer on the free list, if there
+// is room.
+func (p *Proc) recycleHead(b []byte) {
+	if len(p.headFree) < maxFreeHeads {
+		p.headFree = append(p.headFree, b)
 	}
-	w, ok := v.(*wire)
-	if !ok {
-		return nil, fmt.Errorf("sam: unexpected message type %T", v)
+}
+
+// decodeFrame is encodeHead's inverse on a received message: it unpacks
+// the header into w, reusing w's slices, verifies the body, and attaches
+// the body without copying it. A header with no room for a body must come
+// without one, and one with room must come with an intact body. w's old
+// body is dropped first, so the decoder never writes into a shared body.
+// On error w holds a partial decode.
+func decodeFrame(m *netsim.Message, w *wire) error {
+	w.Body = nil
+	if err := codec.UnpackInto(m.Payload, w); err != nil {
+		return err
 	}
 	switch {
 	case w.Body == nil:
 		if len(m.Body) != 0 {
-			return nil, fmt.Errorf("%w: %s header has no body but %d body bytes came with it", codec.ErrCorrupt, kindName(w.Kind), len(m.Body))
+			return fmt.Errorf("%w: %s header has no body but %d body bytes came with it", codec.ErrCorrupt, kindName(w.Kind), len(m.Body))
 		}
 	case len(w.Body) != 0:
-		return nil, fmt.Errorf("%w: %s header carries %d body bytes", codec.ErrCorrupt, kindName(w.Kind), len(w.Body))
+		return fmt.Errorf("%w: %s header carries %d body bytes", codec.ErrCorrupt, kindName(w.Kind), len(w.Body))
 	default:
 		if err := codec.Verify(m.Body); err != nil {
-			return nil, err
+			return err
 		}
 		w.Body = m.Body
 	}
-	return w, nil
+	return nil
 }

@@ -2,6 +2,7 @@ package sam
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"reflect"
 	"slices"
@@ -11,6 +12,7 @@ import (
 	"samft/internal/codec"
 	"samft/internal/ft"
 	"samft/internal/netsim"
+	"samft/internal/pvm"
 )
 
 // TestKindNameNoAlloc pins kindName at zero allocations: encodeWire's
@@ -92,13 +94,73 @@ func TestFrameSizes(t *testing.T) {
 			t.Errorf("%s is %d B of header + %d B of body = %d B, want %d B, the single frame's %d B",
 				tc.what, len(m.Payload), len(m.Body), m.Len(), tc.want, len(single))
 		}
-		got, err := decodeFrame(&m)
-		if err != nil {
+		got := new(wire)
+		if err := decodeFrame(&m, got); err != nil {
 			t.Fatalf("%s: decode: %v", tc.what, err)
 		}
 		if !reflect.DeepEqual(got, tc.w) {
 			t.Errorf("%s decodes to %+v, want %+v", tc.what, got, tc.w)
 		}
+	}
+}
+
+// TestFrameHeadersAllocNothing pins the frame path's allocation contract
+// (msg.go): between two real processes, a stamped frame sent through the
+// network and handled by handleMessage allocates nothing once the header
+// buffers circulate, with a body and without one. Each round is one frame
+// each way, so every buffer a process packs into came back from its peer.
+func TestFrameHeadersAllocNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops the codec's pooled encoders at random under the race detector")
+	}
+	m := pvm.NewMachine(netsim.Config{})
+	block := make(chan struct{})
+	tasks := make([]*pvm.Task, 2)
+	tids := make([]pvm.TID, 2)
+	for i := range tasks {
+		tasks[i] = m.Spawn(fmt.Sprintf("t%d", i), func(*pvm.Task) { <-block })
+		tids[i] = tasks[i].TID()
+	}
+	t.Cleanup(func() {
+		close(block)
+		m.Halt()
+	})
+	var procs [2]*Proc
+	for r := range procs {
+		procs[r] = NewProc(tasks[r], Config{Rank: r, Ranks: tids, Policy: ft.PolicySAM, Degree: 1})
+	}
+	body := packPayload(t, 1)
+	for _, c := range []struct {
+		what string
+		w    wire
+	}{
+		{"control frame", wire{Kind: kForceAck}},
+		{"frame with a body", wire{Kind: kCkptPriv, Body: body, Seq: 5, Inactive: true, Piece: -1}},
+	} {
+		round := func() {
+			for r, p := range procs {
+				w := c.w // a wire literal at a send site, as in the runtime
+				p.send(1-r, &w)
+				msg, err := tasks[1-r].Take(pvm.AnySrc, pvm.AnyTag)
+				if err != nil {
+					t.Fatal(err)
+				}
+				procs[1-r].handleMessage(msg)
+			}
+		}
+		round() // warm-up: pool the codec's scratch, grow the stamps
+		round()
+		if n := testing.AllocsPerRun(100, round); n != 0 {
+			t.Errorf("%s: a round trip made %.1f allocs, want 0", c.what, n)
+		}
+		for _, p := range procs {
+			if got := p.recvWire; got.Kind != c.w.Kind || !got.HasStamp {
+				t.Fatalf("%s: the last frame handled was %s (stamped %v)", c.what, kindName(got.Kind), got.HasStamp)
+			}
+		}
+	}
+	if got := procs[1].privStaging[0]; got.seq != 5 || unsafe.SliceData(got.body) != unsafe.SliceData(body) {
+		t.Fatalf("the private state piece was not staged by reference: %+v", got)
 	}
 }
 
@@ -162,7 +224,9 @@ func TestSentBodiesAreShared(t *testing.T) {
 // FuzzDecodeFrame feeds decodeFrame arbitrary (header, body) pairs. It must
 // never panic, and a pair it accepts must be rejected again with any one of
 // its bytes changed: the header and the body are each covered by their own
-// checksum. With reseal set, the header's checksum is recomputed first, so
+// checksum. Every pair is also decoded into one wire reused across inputs,
+// as a process's receive wire is, which must reach the same verdict and,
+// on an accepted pair, the wire a fresh decode gives. With reseal set, the header's checksum is recomputed first, so
 // that hostile bytes reach the decoder proper instead of stopping at the
 // checksum. The seeds are a packed frame of every type the package
 // registers and a frame of every message kind.
@@ -193,13 +257,23 @@ func FuzzDecodeFrame(f *testing.F) {
 		f.Add(head, w.Body, uint(k), byte(0x80), false)
 		f.Add(head, w.Body, uint(len(head)), byte(0xff), true)
 	}
+	var reused wire
 	f.Fuzz(func(t *testing.T, head, body []byte, at uint, flip byte, reseal bool) {
 		if reseal && len(head) >= 6 {
 			head = slices.Clone(head)
 			binary.BigEndian.PutUint32(head[len(head)-4:], crc32.ChecksumIEEE(head[:len(head)-4]))
 		}
-		if _, err := decodeFrame(&netsim.Message{Payload: head, Body: body}); err != nil {
+		m := netsim.Message{Payload: head, Body: body}
+		fresh := new(wire)
+		err := decodeFrame(&m, fresh)
+		if errReused := decodeFrame(&m, &reused); (err == nil) != (errReused == nil) {
+			t.Fatalf("a fresh wire decodes with %v, the reused one with %v", err, errReused)
+		}
+		if err != nil {
 			return
+		}
+		if !reflect.DeepEqual(&reused, fresh) {
+			t.Fatalf("the reused wire decodes to %+v, a fresh one to %+v", reused, *fresh)
 		}
 		if flip == 0 {
 			flip = 1
@@ -211,7 +285,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		} else {
 			b[i-len(h)] ^= flip
 		}
-		if w, err := decodeFrame(&netsim.Message{Payload: h, Body: b}); err == nil {
+		if w := new(wire); decodeFrame(&netsim.Message{Payload: h, Body: b}, w) == nil {
 			t.Fatalf("byte %d of %d xor %#x was accepted: %+v", i, len(h)+len(b), flip, w)
 		}
 	})

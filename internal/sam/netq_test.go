@@ -2,6 +2,7 @@ package sam
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -44,7 +45,9 @@ func TestStalledRuntimeHandlesEveryFrameInOrder(t *testing.T) {
 	}
 	total := cap(p.netq) + extra
 	for i := 0; i < total; i++ {
-		if err := tasks[1].Send(tids[0], TagSAM, frame); err != nil {
+		// A payload is handed over whole and sent once: the receiver
+		// recycles its buffer.
+		if err := tasks[1].Send(tids[0], TagSAM, slices.Clone(frame)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -98,6 +98,16 @@ type Proc struct {
 	relayedFail   map[failKey]bool
 	contributedTo map[int]netsim.TID
 
+	// The frame path's scratch (msg.go): the wire a header is packed from,
+	// the wire every received header is decoded into — so no handler may
+	// retain the wire it is given, nor its slices — and the free list of
+	// header buffers, with the size of the largest header packed so far,
+	// which a new buffer is made to hold.
+	headWire wire
+	recvWire wire
+	headFree [][]byte
+	headMax  int
+
 	// nProcessed counts the network messages whose handler has returned.
 	// The harness sets it against the endpoint's enqueue count to decide
 	// quiescence before invariant checks (cluster.Quiesce).
@@ -327,13 +337,14 @@ func (p *Proc) handleMessage(m netsim.Message) {
 		// exit notification nor a SAM frame is not ours to decode.
 		return
 	}
-	w, err := decodeFrame(&m)
-	if err != nil {
+	if err := decodeFrame(&m, &p.recvWire); err != nil {
 		// A corrupt frame is dropped like a line error; the protocol's
 		// re-issue paths cover loss.
 		return
 	}
-	p.dispatch(w)
+	// The header is decoded: its buffer is ours to pack our own into.
+	p.recycleHead(m.Payload)
+	p.dispatch(&p.recvWire)
 }
 
 // emit records one event on this process's trace track, stamping the

@@ -98,8 +98,8 @@ func recvWire(t *testing.T, task *pvm.Task) *wire {
 			ch <- res{nil, err}
 			return
 		}
-		w, err := decodeFrame(&msg)
-		ch <- res{w, err}
+		w := new(wire)
+		ch <- res{w, decodeFrame(&msg, w)}
 	}()
 	select {
 	case r := <-ch:

@@ -80,8 +80,8 @@ func drain(t *testing.T, tasks []*pvm.Task) []sent {
 			if err != nil {
 				t.Fatal(err)
 			}
-			w, err := decodeFrame(&m)
-			if err != nil {
+			w := new(wire)
+			if err := decodeFrame(&m, w); err != nil {
 				t.Fatal(err)
 			}
 			out = append(out, sent{wire: w, to: r, leftUS: m.ArrivalUS - cost.TransferUS(m.Len())})

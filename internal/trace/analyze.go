@@ -148,16 +148,13 @@ func analyzeTrack(tk TrackEvents) (IncarnationReport, bool) {
 	}
 	inc.EndUS = end
 
-	// Phase boundaries, clamped monotone so the five phases partition
-	// [StartUS, EndUS] exactly.
+	// Phase boundaries, clamped monotone and into the window, so the five
+	// phases partition [StartUS, EndUS] exactly: a marker after the window
+	// closed (an ownership verdict after sam.rec-done) ends its phase at
+	// EndUS instead of stretching it past the window.
 	bounds := [6]float64{inc.StartUS, firstContrib, restore, dir, lastArb, end}
 	for i := 1; i < len(bounds); i++ {
-		if bounds[i] < bounds[i-1] {
-			bounds[i] = bounds[i-1]
-		}
-	}
-	if bounds[5] > end {
-		bounds[5] = end
+		bounds[i] = min(max(bounds[i], bounds[i-1]), end)
 	}
 	inc.Phases = make([]PhaseReport, len(PhaseNames))
 	for i, name := range PhaseNames {

@@ -129,6 +129,40 @@ func TestAnalyzeRecoveryIncompleteAndNil(t *testing.T) {
 	}
 }
 
+// TestAnalyzeRecoveryVerdictAfterDone: an ownership verdict can reach a
+// replacement after its replay is over. The window still ends at
+// sam.rec-done, so arbitrate ends there too, restart is empty, and the
+// phases still sum to the window.
+func TestAnalyzeRecoveryVerdictAfterDone(t *testing.T) {
+	tr := New(0)
+	r := tr.Track(1)
+	r.Label("rank1-r", 1)
+	r.Emit(Event{Kind: SamRecSolicit, VirtUS: 100, Rank: 1})
+	r.Emit(Event{Kind: SamRecContrib, VirtUS: 120, Rank: 1})
+	r.Emit(Event{Kind: SamRecRestore, VirtUS: 150, Rank: 1})
+	r.Emit(Event{Kind: SamRecDir, VirtUS: 160, Rank: 1})
+	r.Emit(Event{Kind: SamRecDone, VirtUS: 200, Rank: 1})
+	r.Emit(Event{Kind: SamOwnerGrant, VirtUS: 500, Rank: 1, Name: 7})
+	rep := AnalyzeRecovery(tr)
+	if len(rep.Incarnations) != 1 {
+		t.Fatalf("incarnations = %d", len(rep.Incarnations))
+	}
+	inc := rep.Incarnations[0]
+	if inc.StartUS != 100 || inc.EndUS != 200 {
+		t.Fatalf("window [%v, %v], want [100, 200]", inc.StartUS, inc.EndUS)
+	}
+	arb, restart := inc.Phases[3], inc.Phases[4]
+	if arb.StartUS != 160 || arb.EndUS != 200 {
+		t.Errorf("arbitrate = [%v, %v], want [160, 200]: it ends with the window", arb.StartUS, arb.EndUS)
+	}
+	if restart.DurUS() < 0 {
+		t.Errorf("restart lasts %v us", restart.DurUS())
+	}
+	if got := inc.AttributedFraction(); math.Abs(got-1) > 1e-12 {
+		t.Errorf("the phases cover %v of the window, want all of it", got)
+	}
+}
+
 func TestChromeGolden(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteChrome(scriptedKillRecover(), &buf); err != nil {
