@@ -148,6 +148,19 @@ func (c *Clocks) Laggards(f int64) []int {
 	return out
 }
 
+// OthersCovered reports whether Laggards(f) is empty, without building it:
+// every other process's last known checkpoint covers our virtual time f.
+// It is the test retryFrees makes for every freeable main copy on every
+// retry, so it allocates nothing.
+func (c *Clocks) OthersCovered(f int64) bool {
+	for j, d := range c.D {
+		if j != c.self && d < f {
+			return false
+		}
+	}
+	return true
+}
+
 // SelfCovered reports whether this process has itself checkpointed since
 // its virtual time was f. Recovery of this process replays from its own
 // last checkpoint, so an object it used since then must survive too.

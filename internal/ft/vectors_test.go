@@ -340,3 +340,36 @@ func TestPolicyString(t *testing.T) {
 		}
 	}
 }
+
+// TestLaggardPredicateMatchesLaggards: OthersCovered(f) is true exactly
+// when Laggards(f) is empty, whatever the D vector, the own rank's entry
+// included (it never counts).
+func TestLaggardPredicateMatchesLaggards(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		self int
+		d    []int64
+		f    int64
+		want bool
+	}{
+		{"alone", 0, []int64{0}, 5, true},
+		{"all covered", 1, []int64{5, 0, 7}, 5, true},
+		{"one short", 1, []int64{5, 0, 4}, 5, false},
+		{"all short", 0, []int64{9, 1, 2, 3}, 4, false},
+		{"own entry ignored", 2, []int64{6, 6, 0}, 6, true},
+		{"zero mark", 0, []int64{0, 0}, 0, true},
+		{"first peer short", 3, []int64{2, 3, 3, 0}, 3, false},
+	} {
+		c := NewClocks(tc.self, len(tc.d))
+		copy(c.D, tc.d)
+		if got := c.OthersCovered(tc.f); got != tc.want {
+			t.Errorf("%s: OthersCovered(%d) = %v, want %v", tc.name, tc.f, got, tc.want)
+		}
+		if got, lag := c.OthersCovered(tc.f), c.Laggards(tc.f); got != (len(lag) == 0) {
+			t.Errorf("%s: OthersCovered(%d) = %v but Laggards = %v", tc.name, tc.f, got, lag)
+		}
+		if n := testing.AllocsPerRun(10, func() { c.OthersCovered(tc.f) }); n != 0 {
+			t.Errorf("%s: OthersCovered made %.0f allocs", tc.name, n)
+		}
+	}
+}

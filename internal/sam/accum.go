@@ -326,6 +326,7 @@ func (p *Proc) onAccData(w *wire) {
 	o := p.obj(name)
 	data, err := codec.Unpack(w.Body)
 	if err != nil {
+		p.undecodable(o, err)
 		return
 	}
 	o.kind = ft.KindAccum

@@ -26,7 +26,10 @@ const (
 	opInvariants // harness: live invariant snapshot (LiveInvariants)
 )
 
-// cmd is one application request to the runtime goroutine.
+// cmd is one application request to the runtime goroutine. The
+// application's own commands share one slot (Proc.slot): the application
+// goroutine has at most one call in flight, and a handler never reads the
+// command once it has answered it.
 type cmd struct {
 	op       cmdOp
 	name     Name
@@ -36,6 +39,7 @@ type cmd struct {
 	step     int64 // gate: the step just completed
 	initial  bool  // gate: force the initial checkpoint
 	res      chan cmdResult
+	answered bool // reply has run: a second answer is a runtime bug
 }
 
 type cmdResult struct {
@@ -45,15 +49,18 @@ type cmdResult struct {
 
 // call submits a command and blocks the application until it completes.
 // If the process dies while waiting, the application goroutine unwinds.
-func (p *Proc) call(c *cmd) interface{} {
-	c.res = make(chan cmdResult, 1)
+// The command travels in the process's one slot and is answered on its one
+// reply channel, so a call allocates nothing of its own.
+func (p *Proc) call(c cmd) interface{} {
+	c.res = p.replies
+	p.slot = c
 	select {
-	case p.cmdq <- c:
+	case p.cmdq <- &p.slot:
 	case <-p.deadc:
 		panic(procKilled{p.cfg.Rank})
 	}
 	select {
-	case r := <-c.res:
+	case r := <-p.replies:
 		if r.err != nil {
 			panic(fmt.Errorf("sam: rank %d %v: %w", p.cfg.Rank, c.op, r.err))
 		}
@@ -69,7 +76,7 @@ func (p *Proc) call(c *cmd) interface{} {
 // must be of a codec-registered type and must not be mutated afterwards:
 // values are immutable once created.
 func (p *Proc) CreateValue(name Name, contents interface{}, accesses int64) {
-	p.call(&cmd{op: opCreateValue, name: name, obj: contents, accesses: accesses})
+	p.call(cmd{op: opCreateValue, name: name, obj: contents, accesses: accesses})
 }
 
 // UseValue blocks until the named value has been created and is available
@@ -77,18 +84,18 @@ func (p *Proc) CreateValue(name Name, contents interface{}, accesses int64) {
 // paired with DoneValue; accessors must not outlive the enclosing
 // application step. The returned object must be treated as read-only.
 func (p *Proc) UseValue(name Name) interface{} {
-	return p.call(&cmd{op: opUseValue, name: name})
+	return p.call(cmd{op: opUseValue, name: name})
 }
 
 // DoneValue ends the accessor started by UseValue.
 func (p *Proc) DoneValue(name Name) {
-	p.call(&cmd{op: opDoneValue, name: name})
+	p.call(cmd{op: opDoneValue, name: name})
 }
 
 // FreeValue declares that all accesses to a value this process owns have
 // occurred (for values created with Unlimited accesses).
 func (p *Proc) FreeValue(name Name) {
-	p.call(&cmd{op: opFreeValue, name: name})
+	p.call(cmd{op: opFreeValue, name: name})
 }
 
 // RenameValue reuses the storage of an exhausted value as a new value: it
@@ -96,33 +103,33 @@ func (p *Proc) FreeValue(name Name) {
 // the contents for in-place update. The update must be completed and the
 // new value published with CreateRenamed before the step ends.
 func (p *Proc) RenameValue(old, new Name) interface{} {
-	return p.call(&cmd{op: opRenameValue, name: old})
+	return p.call(cmd{op: opRenameValue, name: old})
 }
 
 // CreateRenamed publishes the value obtained from RenameValue under its
 // new name. The contents argument is the (possibly updated) object
 // returned by RenameValue.
 func (p *Proc) CreateRenamed(name Name, contents interface{}, accesses int64) {
-	p.call(&cmd{op: opCreateValue, name: name, obj: contents, accesses: accesses})
+	p.call(cmd{op: opCreateValue, name: name, obj: contents, accesses: accesses})
 }
 
 // CreateAccum creates the named accumulator with the given initial
 // contents; this process becomes its first owner. Creating an accumulator
 // is not reexecutable, so it taints the current step.
 func (p *Proc) CreateAccum(name Name, contents interface{}) {
-	p.call(&cmd{op: opCreateAccum, name: name, obj: contents})
+	p.call(cmd{op: opCreateAccum, name: name, obj: contents})
 }
 
 // UpdateAccum obtains mutual exclusion on the accumulator, migrating it
 // to this process if necessary, and returns its contents for update. It
 // must be paired with ReleaseAccum before the step ends.
 func (p *Proc) UpdateAccum(name Name) interface{} {
-	return p.call(&cmd{op: opUpdateAccum, name: name})
+	return p.call(cmd{op: opUpdateAccum, name: name})
 }
 
 // ReleaseAccum ends the update started by UpdateAccum.
 func (p *Proc) ReleaseAccum(name Name) {
-	p.call(&cmd{op: opReleaseAccum, name: name})
+	p.call(cmd{op: opReleaseAccum, name: name})
 }
 
 // ChaoticRead returns a "recent" version of the accumulator without
@@ -130,7 +137,7 @@ func (p *Proc) ReleaseAccum(name Name) {
 // snapshot fetched from the owner. The result may be stale and the read
 // is not reexecutable.
 func (p *Proc) ChaoticRead(name Name) interface{} {
-	return p.call(&cmd{op: opChaoticRead, name: name})
+	return p.call(cmd{op: opChaoticRead, name: name})
 }
 
 // Push proactively sends a copy of an owned value to another process's
@@ -140,19 +147,19 @@ func (p *Proc) ChaoticRead(name Name) interface{} {
 // pushing a value that has already been reclaimed (every declared use
 // happened before the Push was reached) does nothing.
 func (p *Proc) Push(name Name, rank int) {
-	p.call(&cmd{op: opPush, name: name, rank: rank})
+	p.call(cmd{op: opPush, name: name, rank: rank})
 }
 
 // Prefetch starts fetching a value into the local cache without blocking;
 // a later UseValue will hit locally if the fetch has completed.
 func (p *Proc) Prefetch(name Name) {
-	p.call(&cmd{op: opPrefetch, name: name})
+	p.call(cmd{op: opPrefetch, name: name})
 }
 
 // gate marks a step boundary: the runtime captures the application
 // snapshot and runs any pending checkpoint work before the next step.
 func (p *Proc) gate(step int64, initial bool) {
-	p.call(&cmd{op: opGate, step: step, initial: initial})
+	p.call(cmd{op: opGate, step: step, initial: initial})
 }
 
 // handleCmd processes one application command on the runtime goroutine.
@@ -267,8 +274,6 @@ func (p *Proc) cmdGate(c *cmd) {
 // committed.
 func (p *Proc) releaseHeld() {
 	if p.heldCmd != nil {
-		h := p.heldCmd
-		p.heldCmd = nil
-		p.reply(h, nil, nil)
+		p.reply(p.heldCmd, nil, nil)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"strings"
 
-	"samft/internal/ckptstore"
 	"samft/internal/codec"
 	"samft/internal/ft"
 	"samft/internal/trace"
@@ -30,6 +29,10 @@ type ckptTx struct {
 	// "aborts and restarts any checkpoint it has started that involves
 	// process p").
 	pieces []txPiece
+	// awaited marks, by rank, the destinations of a numbered piece: the
+	// ranks whose ack commits the transaction and that the activation goes
+	// to.
+	awaited []bool
 	// dirtyAt records each replicated object's mutation counter at send
 	// time; dirty is cleared at commit only if unchanged since.
 	dirtyAt map[Name]int64
@@ -50,17 +53,49 @@ type ckptTx struct {
 	release bool
 }
 
-// txPiece is one message of a transaction. The last inactive piece to each
-// destination is numbered (w.Piece >= 0) and draws that destination's ack.
+// txPiece is one message of a transaction, its wire held by value. The last
+// inactive piece to each destination is numbered (w.Piece >= 0) and draws
+// that destination's ack.
 type txPiece struct {
 	rank  int
-	w     *wire
+	w     wire
 	acked bool
 }
 
-// add plans one more piece for rank.
+// add plans one more piece for rank: a copy of w, so the caller's wire can
+// live on its stack.
 func (tx *ckptTx) add(rank int, w *wire) {
-	tx.pieces = append(tx.pieces, txPiece{rank: rank, w: w})
+	tx.pieces = append(tx.pieces, txPiece{rank: rank, w: *w})
+}
+
+// newTx returns the transaction startTx plans into: the one the last
+// commit finished with (p.txFree), emptied, so its pieces array, stale-free
+// list and maps are reused, or a fresh one.
+func (p *Proc) newTx() *ckptTx {
+	tx := p.txFree
+	p.txFree = nil
+	if tx == nil {
+		return &ckptTx{dirtyAt: make(map[Name]int64)}
+	}
+	*tx = ckptTx{
+		pieces:     tx.pieces[:0],
+		awaited:    tx.awaited[:0],
+		dirtyAt:    tx.dirtyAt,
+		staleFrees: tx.staleFrees[:0],
+	}
+	if tx.dirtyAt == nil {
+		tx.dirtyAt = make(map[Name]int64)
+	}
+	return tx
+}
+
+// retireTx keeps a committed transaction for the next startTx, its pieces
+// zeroed so they hold no bodies.
+func (p *Proc) retireTx(tx *ckptTx) {
+	clear(tx.pieces)
+	clear(tx.staleFrees)
+	clear(tx.dirtyAt)
+	p.txFree = tx
 }
 
 // alreadyCarried is the nothing-rides-twice rule: a read or push of value o
@@ -174,14 +209,12 @@ func (p *Proc) sendCovered() {
 // decides every piece of the transaction, a second sends them.
 func (p *Proc) startTx() {
 	seq := p.clocks.BeginCheckpoint()
-	tx := &ckptTx{
-		seq:     seq,
-		dirtyAt: make(map[Name]int64),
-		forced:  p.pendingForced,
-		logLen:  len(p.stepLog),
-		step:    p.stepsDone,
-		release: p.heldCmd != nil && p.heldCmd.op == opReleaseAccum,
-	}
+	tx := p.newTx()
+	tx.seq = seq
+	tx.forced = p.pendingForced
+	tx.logLen = len(p.stepLog)
+	tx.step = p.stepsDone
+	tx.release = p.heldCmd != nil && p.heldCmd.op == opReleaseAccum
 	p.pendingForced = false
 	p.tx = tx
 	if p.rec != nil {
@@ -198,8 +231,10 @@ func (p *Proc) startTx() {
 		p.emit(trace.Event{Kind: trace.SamCkptBegin, Aux: seq, Note: strings.TrimSpace(note)})
 	}
 
+	// The triggers are double-buffered: sends planned below may queue new
+	// ones, for the next transaction.
 	trigs := p.pendingTriggers
-	p.pendingTriggers = nil
+	p.pendingTriggers, p.trigSpare = p.trigSpare[:0], nil
 
 	// Accumulators migrating in this transaction: ownership transfers
 	// commit with the checkpoint, so the private state records them as
@@ -216,22 +251,23 @@ func (p *Proc) startTx() {
 	// the holder and promoted by the activation at commit, so a process
 	// that dies mid-transaction recovers from its previous committed
 	// checkpoint (its uncommitted pieces are dropped by the survivors).
-	priv := p.buildPrivateState(seq, migrating)
-	body, err := codec.Pack(priv)
+	body, err := codec.Pack(p.buildPrivateState(seq, migrating))
 	if err != nil {
 		panic(fmt.Errorf("sam: pack private state: %w", err))
 	}
 	tx.priv = privImage{seq: seq, body: body}
 	p.task.Charge(float64(len(body)) / packBytesPerUS)
 	p.st.PrivBytes.Add(int64(len(body)))
-	for _, r := range ckptstore.PrivateStateRanks(p.cfg.Rank, len(p.ranks), p.cfg.Degree) {
-		tx.add(r, &wire{Kind: kCkptPriv, Body: body, Seq: seq, Inactive: true})
+	privPiece := wire{Kind: kCkptPriv, Body: body, Seq: seq, Inactive: true}
+	for _, r := range p.privHolders {
+		tx.add(r, &privPiece)
 	}
 
 	// Steps 2–3: replicate owned objects changed since the last
 	// checkpoint. Nonreproducible objects go inactive (ack + activate);
 	// reproducible ones go active immediately.
-	for _, name := range sortedKeys(p.objs) {
+	names := sortedNames(p, p.objs)
+	for _, name := range names {
 		o := p.objs[name]
 		if !o.isMain || !o.created || o.state != stPresent {
 			continue
@@ -255,7 +291,7 @@ func (p *Proc) startTx() {
 		// transaction aborts).
 		for _, old := range p.store.HolderRanks(uint64(o.name)) {
 			if !slices.Contains(holders, old) {
-				tx.staleFrees = append(tx.staleFrees, txPiece{rank: old, w: &wire{Kind: kFreeCkpt, Name: uint64(o.name), Seq: seq}})
+				tx.staleFrees = append(tx.staleFrees, txPiece{rank: old, w: wire{Kind: kFreeCkpt, Name: uint64(o.name), Seq: seq}})
 			}
 		}
 		if !isMigrating {
@@ -265,6 +301,7 @@ func (p *Proc) startTx() {
 		}
 		tx.dirtyAt[o.name] = o.dirtySeq
 	}
+	p.putNames(names)
 
 	// Step 4: the sends that caused the checkpoint, inactive — each once.
 	for _, t := range trigs {
@@ -277,6 +314,7 @@ func (p *Proc) startTx() {
 		}
 		p.sendObject(o, t.kind, t.target, tx)
 	}
+	p.trigSpare = trigs[:0]
 
 	p.sendTx(tx)
 }
@@ -287,16 +325,19 @@ func (p *Proc) startTx() {
 // of the last inactive piece to a destination vouches for the earlier ones.
 func (p *Proc) sendTx(tx *ckptTx) {
 	slices.SortStableFunc(tx.pieces, func(a, b txPiece) int { return len(b.w.Body) - len(a.w.Body) })
-	asked := make([]bool, len(p.ranks))
+	tx.awaited = append(tx.awaited[:0], make([]bool, len(p.ranks))...)
 	for i := len(tx.pieces) - 1; i >= 0; i-- {
 		pc := &tx.pieces[i]
 		pc.w.Piece = -1
-		if pc.w.Inactive && !asked[pc.rank] {
-			asked[pc.rank] = true
+		if pc.w.Inactive && !tx.awaited[pc.rank] {
+			tx.awaited[pc.rank] = true
 			pc.w.Piece = i
 			tx.acksNeeded++
 		}
 	}
+	// The private state goes inactive to another rank, whose ack cannot come
+	// in before this loop ends: no commit, which hands tx to the next
+	// transaction (retireTx), happens inside it.
 	for i := range tx.pieces {
 		pc := &tx.pieces[i]
 		if p.rec != nil {
@@ -312,7 +353,7 @@ func (p *Proc) sendTx(tx *ckptTx) {
 				Bytes: len(pc.w.Body), Aux: tx.seq, Note: note,
 			})
 		}
-		p.send(pc.rank, pc.w)
+		p.send(pc.rank, &pc.w)
 	}
 	// A piece to our own rank is acked inside send, so the last ack can be in
 	// before this returns — and has then already committed the transaction.
@@ -321,25 +362,29 @@ func (p *Proc) sendTx(tx *ckptTx) {
 	}
 }
 
-// buildPrivateState assembles the §4.2 record. Accumulators migrating in
-// this transaction are excluded from the owned set: the checkpoint
-// represents the state after the triggering sends. The record aliases the
-// boundary snapshot, which the next gate repacks in place, so the caller
-// packs it before the runtime goroutine handles anything else.
+// buildPrivateState assembles the §4.2 record in the process's one
+// private-state record (p.privRec), reusing its vectors. Accumulators
+// migrating in this transaction are excluded from the owned set: the
+// checkpoint represents the state after the triggering sends. The record
+// aliases the boundary snapshot, which the next gate repacks in place, and
+// the next transaction rebuilds it, so the caller packs it before the
+// runtime goroutine handles anything else.
 func (p *Proc) buildPrivateState(seq int64, migrating map[Name]int) *ft.PrivateState {
-	t, _, d := p.clocks.Snapshot()
-	c := append([]int64(nil), t...)
-	c[p.cfg.Rank] = seq
-	priv := &ft.PrivateState{
+	priv := &p.privRec
+	*priv = ft.PrivateState{
 		Rank:      p.cfg.Rank,
 		Seq:       seq,
 		StepsDone: p.stepsDone,
 		AppState:  p.boundarySnap,
-		T:         t, C: c, D: d,
+		T:         append(priv.T[:0], p.clocks.T...),
+		C:         append(priv.C[:0], p.clocks.T...),
+		D:         append(priv.D[:0], p.clocks.D...),
+		Owned:     priv.Owned[:0],
 		// Every entry, handed back yet or not: the restored objects reflect
 		// them all.
 		Log: p.stepLog,
 	}
+	priv.C[p.cfg.Rank] = seq
 	for _, o := range p.objs {
 		if o.isMain && o.created && o.state == stPresent {
 			if _, ok := migrating[o.name]; ok {
@@ -347,6 +392,9 @@ func (p *Proc) buildPrivateState(seq int64, migrating map[Name]int) *ft.PrivateS
 			}
 			priv.Owned = append(priv.Owned, o.meta())
 		}
+	}
+	if len(priv.Owned) == 0 {
+		priv.Owned = nil // packs as absent, a byte, where an empty list takes five
 	}
 	return priv
 }
@@ -399,7 +447,8 @@ func (p *Proc) commitTx() {
 	// recovery protocol was debugged under (DESIGN §7): the home hears of a
 	// migration before the new owner can act on it, and the new owner is not
 	// woken ahead of the holder of the copy that backs it.
-	for _, pc := range tx.pieces {
+	for i := range tx.pieces {
+		pc := &tx.pieces[i]
 		if pc.w.Kind != kAccData {
 			continue
 		}
@@ -408,18 +457,14 @@ func (p *Proc) commitTx() {
 			p.handOff(o, pc.rank)
 		}
 	}
-	var awaited []int
-	for _, pc := range tx.pieces {
-		if pc.w.Piece >= 0 {
-			awaited = append(awaited, pc.rank)
+	for r, awaited := range tx.awaited {
+		if awaited {
+			p.send(r, &wire{Kind: kActivate, Seq: tx.seq})
 		}
 	}
-	slices.Sort(awaited)
-	for _, r := range awaited {
-		p.send(r, &wire{Kind: kActivate, Seq: tx.seq})
-	}
-	for _, sf := range tx.staleFrees {
-		p.send(sf.rank, sf.w)
+	for i := range tx.staleFrees {
+		sf := &tx.staleFrees[i]
+		p.send(sf.rank, &sf.w)
 	}
 
 	// Answer force-checkpoint requests now covered by this checkpoint.
@@ -430,6 +475,7 @@ func (p *Proc) commitTx() {
 	}
 
 	p.tx = nil
+	p.retireTx(tx)
 	p.releaseHeld()
 
 	p.applyDeferred()
@@ -483,21 +529,19 @@ func (p *Proc) retryFrees() {
 		p.dropOldestFrees()
 		return
 	}
-	var freed []Name
-	for _, name := range sortedKeys(p.freePending) {
+	names := sortedNames(p, p.freePending)
+	for _, name := range names {
 		o := p.objs[name]
 		if o == nil {
-			freed = append(freed, name)
+			delete(p.freePending, name)
 			continue
 		}
-		if o.pins == 0 && p.clocks.SelfCovered(o.freeableAt) && len(p.clocks.Laggards(o.freeableAt)) == 0 {
+		if o.pins == 0 && p.clocks.SelfCovered(o.freeableAt) && p.clocks.OthersCovered(o.freeableAt) {
 			p.doFree(o)
-			freed = append(freed, name)
+			delete(p.freePending, name)
 		}
 	}
-	for _, n := range freed {
-		delete(p.freePending, n)
-	}
+	p.putNames(names)
 	if !p.cfg.EagerFree && len(p.freePending) > maxFreeBacklog {
 		p.forceOldestFrees()
 	}
@@ -650,7 +694,8 @@ func (p *Proc) commitPending(o *object) {
 	p.applyCkptCopy(o, pc)
 	if o.resupply {
 		o.resupply = false
-		p.send(pc.owner, pc.wire(kRecoverData))
+		w := pc.wire(kRecoverData)
+		p.send(pc.owner, &w)
 	}
 }
 
@@ -731,7 +776,8 @@ func (p *Proc) onActivate(a activation) {
 		delete(p.privStaging, a.from)
 		p.storePriv(a.from, st)
 	}
-	for _, name := range sortedKeys(p.objs) {
+	names := sortedNames(p, p.objs)
+	for _, name := range names {
 		o := p.objs[name]
 		if o.state == stInactive && o.awaits == a {
 			p.activate(o)
@@ -740,6 +786,7 @@ func (p *Proc) onActivate(a activation) {
 			p.commitPending(o)
 		}
 	}
+	p.putNames(names)
 }
 
 // activate makes contents received inactive usable: their sender committed.

@@ -121,7 +121,7 @@ func (p *Proc) sendCkptCopies(o *object, body []byte, holders []int, owner int, 
 			w.Inactive = o.nonrepro
 			p.st.ReplicaObjects.Add(1)
 			p.st.ReplicaBytes.Add(int64(len(w.Body)))
-			tx.add(r, w)
+			tx.add(r, &w)
 			continue
 		}
 		if p.rec != nil {
@@ -132,7 +132,7 @@ func (p *Proc) sendCkptCopies(o *object, body []byte, holders []int, owner int, 
 		}
 		p.st.RepairObjects.Add(1)
 		p.st.RepairBytes.Add(int64(len(w.Body)))
-		p.send(r, w)
+		p.send(r, &w)
 		p.store.AddHolder(uint64(o.name), img.seq, r)
 	}
 }

@@ -43,8 +43,8 @@ func imageOf(w *wire) *image {
 
 // wire frames the image as kind (kCkptCopy or kRecoverData), outside any
 // transaction; send fills in the sender.
-func (im *image) wire(kind int) *wire {
-	return &wire{
+func (im *image) wire(kind int) wire {
+	return wire{
 		Kind: kind, Name: uint64(im.name), Owner: im.owner, Seq: im.seq,
 		Meta: im.meta, HasMeta: im.hasMeta, Body: im.body, Piece: -1,
 	}

@@ -13,10 +13,10 @@ import (
 
 // TestNoReceivedWireIsRetained walks every type reachable from a process's
 // state and fails if a wire can be stored there. The one allowed home of a
-// *wire is the sender's own transaction (ckptTx.pieces / staleFrees), which
-// holds frames it built and may have to send again; the only wires a
-// process holds by value are the frame path's two scratch wires (msg.go),
-// which every header is packed from and decoded into.
+// kept wire is the sender's own transaction (ckptTx.pieces / staleFrees,
+// held by value), which holds frames it built and may have to send again;
+// the only other wires a process holds are the frame path's two scratch
+// wires (msg.go), which every header is packed from and decoded into.
 func TestNoReceivedWireIsRetained(t *testing.T) {
 	wireT, txT := reflect.TypeOf(wire{}), reflect.TypeOf(ckptTx{})
 	scratch := map[string]bool{"Proc.headWire": true, "Proc.recvWire": true}
@@ -74,11 +74,11 @@ func TestImageRoundTrip(t *testing.T) {
 		// The frame built from the image is a fresh one: sender, stamp,
 		// piece number and Inactive belong to the send, not the state.
 		out := img.wire(kind)
-		wantW := &wire{Kind: kind, Name: 42, Owner: 1, Seq: 17, Meta: meta, HasMeta: true, Body: w.Body, Piece: -1}
+		wantW := wire{Kind: kind, Name: 42, Owner: 1, Seq: 17, Meta: meta, HasMeta: true, Body: w.Body, Piece: -1}
 		if !reflect.DeepEqual(out, wantW) {
 			t.Errorf("%s: wire = %+v, want %+v", kindName(kind), out, wantW)
 		}
-		back := imageOf(out)
+		back := imageOf(&out)
 		back.sender = img.sender // send's to fill in
 		if !reflect.DeepEqual(back, img) {
 			t.Errorf("%s: image -> wire -> image = %+v, want %+v", kindName(kind), back, img)

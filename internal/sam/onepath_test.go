@@ -237,7 +237,7 @@ func TestSelfHomedRequestsStayLocal(t *testing.T) {
 
 // TestKeptWireIsNotTheSendersWire covers direct dispatch's one hazard: a
 // transaction piece addressed to ourselves is handed to the handler as the
-// very struct the transaction keeps for re-sending. Re-sending it to a peer
+// very wire the transaction keeps, by value, for re-sending. Re-sending it to a peer
 // packs a header stamped for that peer and leaves the struct as it was;
 // what the handler keeps is an image (or a privImage), which has no sender
 // or stamp fields anyway — and must stay as it was received.
@@ -270,15 +270,20 @@ func TestKeptWireIsNotTheSendersWire(t *testing.T) {
 	beforeCopy, beforePriv := *pending, staged
 
 	// A recipient failure re-sends the transaction's pieces (§4.5); here the
-	// sender's structs go out again, to a peer, whose headers carry a stamp.
-	for _, w := range []*wire{copyPiece, privPiece} {
-		was := *w
-		p.send(1, w)
+	// wires the transaction holds go out again, to a peer, whose headers
+	// carry a stamp.
+	for i := range tx.pieces {
+		pc := &tx.pieces[i]
+		if pc.rank != 0 {
+			continue
+		}
+		was := pc.w
+		p.send(1, &pc.w)
 		if got := recvWire(t, tasks[1]); !got.HasStamp {
 			t.Fatal("setup: the re-sent header carries no stamp")
 		}
-		if !reflect.DeepEqual(*w, was) {
-			t.Errorf("re-sending %s rewrote the sender's wire: %+v, was %+v", kindName(w.Kind), *w, was)
+		if !reflect.DeepEqual(pc.w, was) {
+			t.Errorf("re-sending %s rewrote the transaction's wire: %+v, was %+v", kindName(pc.w.Kind), pc.w, was)
 		}
 	}
 	if got := p.obj(name).pending; got != pending || !reflect.DeepEqual(*got, beforeCopy) {

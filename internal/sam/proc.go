@@ -31,6 +31,13 @@ type Proc struct {
 	netq  chan netsim.Message
 	deadc chan struct{}
 
+	// The application goroutine's one command in flight and the channel
+	// it is answered on (call). The application fills the slot, the
+	// runtime reads it until reply, and the application reuses it for its
+	// next call: DESIGN §7 "One command in flight".
+	slot    cmd
+	replies chan cmdResult
+
 	// ---- runtime-goroutine state below ----
 
 	ranks []pvm.TID // rank -> current tid
@@ -40,8 +47,8 @@ type Proc struct {
 
 	// Application coordination.
 	app          App
-	appParked    *cmd   // the command the app is currently blocked on, if any
-	heldCmd      *cmd   // held until the open transaction commits: a gate, or a release whose migration rides it
+	appParked    *cmd   // the command the app is currently blocked on, if any; reply clears it
+	heldCmd      *cmd   // held until the open transaction commits: a gate, or a release whose migration rides it; reply clears it
 	stepsDone    int64  // completed steps (boundary index)
 	boundarySnap []byte // packed app snapshot at the last boundary
 	appFinished  bool
@@ -73,13 +80,13 @@ type Proc struct {
 	tx               *ckptTx
 	pendingTriggers  []trigger
 	pendingForced    bool
-	deferredActs     []activation           // other processes' commits held back while tx is open
-	privStore        map[int]privImage      // rank -> newest committed private state held here
-	privStaging      map[int]privImage      // provisional private states awaiting activation
-	lastPriv         privImage              // our own last committed private state
-	useNotices       map[int]map[Name]int64 // owner rank -> name -> unreported uses
-	freePending      map[Name]bool          // freeable mains awaiting reclamation
-	forceReplies     []int                  // ranks owed a kForceAck at our next commit
+	deferredActs     []activation      // other processes' commits held back while tx is open
+	privStore        map[int]privImage // rank -> newest committed private state held here
+	privStaging      map[int]privImage // provisional private states awaiting activation
+	lastPriv         privImage         // our own last committed private state
+	useNotices       []map[Name]int64  // owner rank -> name -> unreported uses, cleared at each flush
+	freePending      map[Name]bool     // freeable mains awaiting reclamation
+	forceReplies     []int             // ranks owed a kForceAck at our next commit
 	hasCheckpointed  bool
 
 	// inc is what only a replacement process has: the state it is being
@@ -107,6 +114,19 @@ type Proc struct {
 	recvWire wire
 	headFree [][]byte
 	headMax  int
+
+	// What the per-operation paths reuse instead of allocating afresh:
+	// the transaction the last commit finished with (newTx), the trigger
+	// list startTx is not planning from, the private-state record, the
+	// ranks that hold our private state (fixed for the process's life), the
+	// sortedNames buffer, and the name and count lists of a use report.
+	txFree      *ckptTx
+	trigSpare   []trigger
+	privRec     ft.PrivateState
+	privHolders []int
+	nameScratch []Name
+	useNames    []uint64
+	useCounts   []int64
 
 	// nProcessed counts the network messages whose handler has returned.
 	// The harness sets it against the endpoint's enqueue count to decide
@@ -143,6 +163,7 @@ func NewProc(task *pvm.Task, cfg Config) *Proc {
 		clocks:        ft.NewClocks(cfg.Rank, len(cfg.Ranks)),
 		taint:         ft.NewTaint(cfg.Policy),
 		cmdq:          make(chan *cmd),
+		replies:       make(chan cmdResult, 1),
 		netq:          make(chan netsim.Message, netqDepth),
 		deadc:         make(chan struct{}),
 		ranks:         append([]pvm.TID(nil), cfg.Ranks...),
@@ -150,7 +171,7 @@ func NewProc(task *pvm.Task, cfg Config) *Proc {
 		dir:           make(map[Name]*dirEntry),
 		privStore:     make(map[int]privImage),
 		privStaging:   make(map[int]privImage),
-		useNotices:    make(map[int]map[Name]int64),
+		useNotices:    make([]map[Name]int64, len(cfg.Ranks)),
 		freePending:   make(map[Name]bool),
 		deadRanks:     make(map[int]netsim.TID),
 		relayedFail:   make(map[failKey]bool),
@@ -163,6 +184,7 @@ func NewProc(task *pvm.Task, cfg Config) *Proc {
 		Degree: cfg.Degree,
 		Policy: cfg.Placement,
 	})
+	p.privHolders = ckptstore.PrivateStateRanks(cfg.Rank, len(cfg.Ranks), cfg.Degree)
 	if cfg.Recovering {
 		p.inc = newIncarnation()
 	}
@@ -305,8 +327,20 @@ func (p *Proc) runtime() {
 // process is idle.
 func (p *Proc) ProcessedCount() int64 { return p.nProcessed.Load() }
 
-// reply completes an application command.
+// reply completes a command, exactly once. The application may refill its
+// slot as soon as the answer is sent, so the runtime's references to the
+// command go first, and no handler reads c after calling reply.
 func (p *Proc) reply(c *cmd, obj interface{}, err error) {
+	if c.answered {
+		panic(fmt.Sprintf("sam: rank %d answered op %d on %v twice", p.cfg.Rank, c.op, c.name))
+	}
+	c.answered = true
+	if p.appParked == c {
+		p.appParked = nil
+	}
+	if p.heldCmd == c {
+		p.heldCmd = nil
+	}
 	c.res <- cmdResult{obj: obj, err: err}
 }
 
@@ -497,10 +531,10 @@ func (p *Proc) home(name Name) int { return ckptstore.HomeRank(uint64(name), len
 // finish marks the application complete; the runtime keeps serving other
 // processes until the harness halts the machine.
 func (p *Proc) finish() {
-	c := &cmd{op: opFinish, res: make(chan cmdResult, 1)}
+	p.slot = cmd{op: opFinish, res: p.replies}
 	select {
-	case p.cmdq <- c:
-		<-c.res
+	case p.cmdq <- &p.slot:
+		<-p.replies
 	case <-p.deadc:
 	}
 }

@@ -339,7 +339,7 @@ func (p *Proc) contributeRecovery(rank int) {
 
 	// Re-replicate our own private state if its copy lived on the failed
 	// process (guards the window until our next checkpoint).
-	if p.lastPriv.body != nil && slices.Contains(ckptstore.PrivateStateRanks(p.cfg.Rank, len(p.ranks), p.cfg.Degree), rank) {
+	if p.lastPriv.body != nil && slices.Contains(p.privHolders, rank) {
 		p.send(rank, &wire{Kind: kCkptPriv, Body: p.lastPriv.body, Seq: p.lastPriv.seq, Piece: -1})
 	}
 
@@ -348,7 +348,8 @@ func (p *Proc) contributeRecovery(rank int) {
 		// Checkpoint copies whose main copy was at the failed process:
 		// restore them (the new process again holds the main copy).
 		if o.copy != nil && o.copy.owner == rank {
-			p.send(rank, o.copy.wire(kRecoverData))
+			w := o.copy.wire(kRecoverData)
+			p.send(rank, &w)
 		}
 		// A copy placed for a migration to the failed process, still pending:
 		// it follows at its sender's commit, maybe the only one there is.
@@ -401,7 +402,7 @@ func (p *Proc) contributeRecovery(rank int) {
 		for i := range p.tx.pieces {
 			pc := &p.tx.pieces[i]
 			if pc.rank == rank {
-				p.send(rank, pc.w)
+				p.send(rank, &pc.w)
 			}
 		}
 	}
@@ -698,8 +699,7 @@ func (p *Proc) checkRestoreComplete() {
 	if priv == nil {
 		// Fresh restart only once every private-state holder has denied
 		// having a copy.
-		holders := ckptstore.PrivateStateRanks(p.cfg.Rank, len(p.ranks), p.cfg.Degree)
-		if len(inc.freshVotes) < len(holders) {
+		if len(inc.freshVotes) < len(p.privHolders) {
 			return
 		}
 		if p.rec != nil {

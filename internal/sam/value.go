@@ -129,9 +129,6 @@ func (p *Proc) completeRename(o *object, c *cmd) {
 		return
 	}
 	o.frozen = true
-	if p.appParked == c {
-		p.appParked = nil
-	}
 	p.reply(c, cp, nil)
 }
 
@@ -239,7 +236,7 @@ func (p *Proc) deliver(o *object, kind, rank int) {
 // served (packObject's snapshot cache).
 func (p *Proc) sendObject(o *object, kind, rank int, tx *ckptTx) {
 	migration := kind == kAccData
-	w := &wire{Kind: kind, Name: uint64(o.name), Target: rank, Meta: o.meta(), HasMeta: true}
+	w := wire{Kind: kind, Name: uint64(o.name), Target: rank, Meta: o.meta(), HasMeta: true}
 	if migration {
 		// An accumulator checkpointed in this transaction travels as the
 		// image steps 2–3 just replicated (nil when fault tolerance is off).
@@ -253,7 +250,7 @@ func (p *Proc) sendObject(o *object, kind, rank int, tx *ckptTx) {
 		p.emit(trace.Event{Kind: trace.SamMigrateOut, Name: uint64(o.name), Dst: int64(rank), Bytes: len(w.Body)})
 	}
 	if tx == nil {
-		p.send(rank, w)
+		p.send(rank, &w)
 		if migration {
 			p.handOff(o, rank)
 		}
@@ -265,7 +262,7 @@ func (p *Proc) sendObject(o *object, kind, rank int, tx *ckptTx) {
 		// Ownership commits with the transaction (commitTx hands off).
 		o.pendingMove = rank // block further local locks until commit
 	}
-	tx.add(rank, w)
+	tx.add(rank, &w)
 }
 
 // serveLocalWaiters wakes application commands parked on this object.
@@ -282,6 +279,7 @@ func (p *Proc) serveLocalWaiters(o *object) {
 			o.waiters = append(o.waiters, c)
 			continue
 		}
+		// Unparked before the grant, which may start a transaction.
 		if p.appParked == c {
 			p.appParked = nil
 		}
@@ -319,7 +317,8 @@ func (p *Proc) checkExhausted(o *object) {
 }
 
 // noteUse moves an object's unreported local uses into the batched
-// per-owner notice map.
+// per-owner notice map. An owner's map lives as long as the process: the
+// flush empties it.
 func (p *Proc) noteUse(o *object) {
 	if o.unreportedUses == 0 || o.isMain || o.ownerRank < 0 {
 		return
@@ -334,23 +333,26 @@ func (p *Proc) noteUse(o *object) {
 }
 
 // flushUseNotices sends batched use reports to owners (one message per
-// owner per boundary), keeping the hot access path free of communication.
+// owner per boundary, in rank order), keeping the hot access path free of
+// communication.
 func (p *Proc) flushUseNotices() {
 	for _, o := range p.objs {
 		p.noteUse(o)
 	}
-	for _, owner := range sortedKeys(p.useNotices) {
-		m := p.useNotices[owner]
+	for owner, m := range p.useNotices {
 		if len(m) == 0 {
 			continue
 		}
-		w := &wire{Kind: kValUsed}
-		for _, n := range sortedKeys(m) {
+		names := sortedNames(p, m)
+		w := wire{Kind: kValUsed, Names: p.useNames[:0], Counts: p.useCounts[:0]}
+		for _, n := range names {
 			w.Names = append(w.Names, uint64(n))
 			w.Counts = append(w.Counts, m[n])
 		}
-		p.send(owner, w)
-		delete(p.useNotices, owner)
+		p.putNames(names)
+		clear(m)
+		p.useNames, p.useCounts = w.Names, w.Counts
+		p.send(owner, &w)
 	}
 }
 
@@ -408,7 +410,8 @@ func (p *Proc) onObjData(w *wire) {
 	}
 	data, err := codec.Unpack(w.Body)
 	if err != nil {
-		return // dropped like a corrupt frame; re-issue paths recover
+		p.undecodable(o, err)
+		return
 	}
 	o.kind = kind
 	o.data = data
@@ -418,6 +421,19 @@ func (p *Proc) onObjData(w *wire) {
 		p.emit(trace.Event{Kind: trace.SamFetchData, Name: w.Name, Src: int64(w.SrcRank), Bytes: len(w.Body)})
 	}
 	p.arrived(o, w)
+}
+
+// undecodable answers the commands parked on o with err: contents arrived
+// for them, passed their checksum, and do not decode — a type this process
+// has not registered, say. Nothing would re-issue the fetch, so the reader
+// would otherwise wait until the run times out. A later access asks again.
+func (p *Proc) undecodable(o *object, err error) {
+	o.fetchOutstanding = false
+	waiters := o.waiters
+	o.waiters = nil
+	for _, c := range waiters {
+		p.reply(c, nil, fmt.Errorf("contents of %v: %w", o.name, err))
+	}
 }
 
 // arrived is the one tail of contents arriving for o, as a cached copy
