@@ -67,6 +67,10 @@ type App struct {
 	// before st.Pop, which the next one is bred into. Programs are
 	// immutable, and what the application publishes (topK, champion) is
 	// copied out, so nothing outside the application aliases these slices.
+	// A migrant's program lives in the storage of the shard it was read
+	// from, which SAM reuses once the step has ended (sam.Proc.UseValue):
+	// what outlives the step — a bred shard, the global best — holds a
+	// clone of it, never the program itself.
 	migrants, pool, spare []Individual
 	// OnResult, when set on rank 0's instance, receives the final global
 	// best fitness (used by experiments; may be called again on replay).
@@ -123,6 +127,7 @@ func (a *App) Step(p *sam.Proc, step int64) bool {
 			if len(s.Tops) > 0 && (!found || s.Tops[0].Fitness < champ.Fitness) {
 				found = true
 				champ = s.Tops[0]
+				champ.Tree = champ.Tree.Clone() // the accumulator outlives the step
 			}
 			p.DoneValue(finalName(r))
 		}
@@ -213,16 +218,34 @@ func (a *App) breed(r *xrand.Rand) float64 {
 	return evalCost
 }
 
-// offspring breeds one child from the pool.
+// offspring breeds one child from the pool. A child that is a parent whole
+// — reproduction, or a crossover or mutation that was rejected — shares
+// the parent's program, which is immutable, unless the parent is a migrant:
+// that program lives in storage the step does not own, so the child clones it.
 func (a *App) offspring(r *xrand.Rand) Program {
+	var child Program
 	switch r.Intn(10) {
 	case 0: // mutation
-		return Mutate(r, a.tournament(r, a.pool).Tree, NVars, a.p.MaxDepth)
-	case 1: // reproduction: programs are immutable, so share it
-		return a.tournament(r, a.pool).Tree
+		child = Mutate(r, a.tournament(r, a.pool).Tree, NVars, a.p.MaxDepth)
+	case 1: // reproduction
+		child = a.tournament(r, a.pool).Tree
 	default: // crossover
-		return Crossover(r, a.tournament(r, a.pool).Tree, a.tournament(r, a.pool).Tree, a.p.MaxDepth)
+		child = Crossover(r, a.tournament(r, a.pool).Tree, a.tournament(r, a.pool).Tree, a.p.MaxDepth)
 	}
+	if a.isMigrant(child) {
+		child = child.Clone()
+	}
+	return child
+}
+
+// isMigrant reports whether t is a migrant's program itself, not a copy.
+func (a *App) isMigrant(t Program) bool {
+	for _, m := range a.migrants {
+		if len(m.Tree) > 0 && len(t) > 0 && &m.Tree[0] == &t[0] {
+			return true
+		}
+	}
+	return false
 }
 
 func (a *App) topK(k int) []Individual {

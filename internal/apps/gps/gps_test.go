@@ -225,6 +225,39 @@ func breeder() (*App, []Individual) {
 	return a, pop
 }
 
+// TestBredShardHoldsNoMigrant: a bred shard outlives its step, and a
+// migrant's program lives in the storage of a shard SAM reuses once the
+// step has ended, so no individual of the next shard may share a migrant's
+// program, whether it was reproduced whole or was the parent a rejected
+// crossover or mutation returned.
+func TestBredShardHoldsNoMigrant(t *testing.T) {
+	a, pop := breeder()
+	a.migrants = nil
+	for _, ind := range pop[:7*a.p.TopK] {
+		ind.Tree = ind.Tree.Clone() // decoded from a shard: storage of its own
+		a.migrants = append(a.migrants, ind)
+	}
+	a.breed(xrand.New(5))
+	shared, whole := 0, 0
+	for _, ind := range a.st.Pop {
+		if a.isMigrant(ind.Tree) {
+			shared++
+		}
+		for _, m := range a.migrants {
+			if slices.Equal(ind.Tree, m.Tree) {
+				whole++
+				break
+			}
+		}
+	}
+	if shared != 0 {
+		t.Errorf("%d of %d bred individuals share a migrant's program", shared, len(a.st.Pop))
+	}
+	if whole == 0 {
+		t.Error("no migrant was reproduced whole: the case is not exercised")
+	}
+}
+
 // TestBreedAllocatesOnlyTheChildren: once the shard buffers and the pool
 // have grown, a generation's breeding allocates exactly what its offspring
 // calls do (TestHotPathsAllocate bounds those): the pool and the next shard

@@ -157,7 +157,8 @@ func TestReplacementIsBornNoEarlierThanTheKill(t *testing.T) {
 	cl.Halt()
 
 	killUS, bornUS := -1.0, -1.0
-	for _, tk := range tr.Snapshot() {
+	tracks := tr.Snapshot()
+	for _, tk := range tracks {
 		for _, e := range tk.Events {
 			if e.Kind == trace.ClusterKill && e.Rank == 1 {
 				killUS = e.VirtUS
@@ -168,6 +169,11 @@ func TestReplacementIsBornNoEarlierThanTheKill(t *testing.T) {
 		}
 	}
 	if killUS <= 0 || bornUS < 0 {
+		// Say where the replacement's events went: every track, by label,
+		// key and event count.
+		for _, tk := range tracks {
+			t.Logf("track %q key %d: %d events", tk.Label, tk.Key, len(tk.Events))
+		}
 		t.Fatalf("setup: kill at %v µs, replacement's first event at %v µs", killUS, bornUS)
 	}
 	if bornUS < killUS {

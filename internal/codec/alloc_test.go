@@ -100,7 +100,8 @@ func TestAppendPackAllocs(t *testing.T) {
 // TestUnpackAllocs pins Unpack's contract: once a type has been unpacked,
 // a frame of a flat struct costs one allocation, the value (the type name
 // is looked up in the frame's bytes, not copied out of them). UnpackInto
-// into a value whose slices have room allocates nothing.
+// into a value whose slices have room allocates nothing, and neither does
+// reading a frame's type with FrameType.
 func TestUnpackAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops pooled decoders at random under the race detector")
@@ -132,6 +133,13 @@ func TestUnpackAllocs(t *testing.T) {
 	into() // warm-up: grow dst's slices
 	if n := testing.AllocsPerRun(100, into); n != 0 {
 		t.Errorf("UnpackInto into a value with room made %.1f allocs per run, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := FrameType(frame); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("FrameType made %.1f allocs per run, want 0", n)
 	}
 }
 

@@ -250,6 +250,35 @@ func UnpackInto(data []byte, dst interface{}) error {
 	return err
 }
 
+// FrameType returns the registered type a frame holds, read from its
+// header without decoding the body or checking the checksum: UnpackInto can
+// decode the frame into a *T for the T returned. It allocates nothing.
+func FrameType(frame []byte) (reflect.Type, error) {
+	d := decoder{buf: frame}
+	return d.header()
+}
+
+// header consumes a frame's magic and type name and returns the type
+// registered under that name.
+func (d *decoder) header() (reflect.Type, error) {
+	magic, err := d.u16()
+	if err != nil {
+		return nil, err
+	}
+	if magic != frameMagic {
+		return nil, fmt.Errorf("%w: bad magic %#x", ErrCorrupt, magic)
+	}
+	name, err := d.raw()
+	if err != nil {
+		return nil, err
+	}
+	t, ok := lookupType(name)
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", ErrNotRegistered, name)
+	}
+	return t, nil
+}
+
 // unpack decodes a frame into *p, or into a fresh value of the frame's
 // type when p is the zero Value, and returns the pointer it decoded into.
 func unpack(data []byte, p reflect.Value) (reflect.Value, error) {
@@ -258,25 +287,14 @@ func unpack(data []byte, p reflect.Value) (reflect.Value, error) {
 	}
 	d := getDecoder(data[:len(data)-4])
 	defer putDecoder(d)
-	magic, err := d.u16()
+	t, err := d.header()
 	if err != nil {
 		return p, err
-	}
-	if magic != frameMagic {
-		return p, fmt.Errorf("%w: bad magic %#x", ErrCorrupt, magic)
-	}
-	name, err := d.raw()
-	if err != nil {
-		return p, err
-	}
-	t, ok := lookupType(name)
-	if !ok {
-		return p, fmt.Errorf("%w: %q", ErrNotRegistered, name)
 	}
 	if !p.IsValid() {
 		p = reflect.New(t)
 	} else if p.Type().Elem() != t {
-		return p, fmt.Errorf("%w: a %q frame cannot decode into %v", ErrCorrupt, name, p.Type())
+		return p, fmt.Errorf("%w: a %v frame cannot decode into %v", ErrCorrupt, t, p.Type())
 	}
 	rooted, err := d.u8()
 	if err != nil {

@@ -354,6 +354,32 @@ func TestUnpackIntoRefusesAnotherType(t *testing.T) {
 	}
 }
 
+// TestFrameTypeNamesTheDestination: FrameType reads the registered type
+// off a frame's header, the type UnpackInto can decode it into, and
+// refuses a header that is not a frame of a registered type.
+func TestFrameTypeNamesTheDestination(t *testing.T) {
+	frame, err := Pack(&vec3{1, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := FrameType(frame); err != nil || got != reflect.TypeOf(vec3{}) {
+		t.Errorf("FrameType = %v, %v; want vec3", got, err)
+	}
+	bad := append([]byte(nil), frame...)
+	bad[0] ^= 0xff
+	if _, err := FrameType(bad); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("bad magic: err = %v, want ErrCorrupt", err)
+	}
+	if _, err := FrameType(frame[:3]); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("short header: err = %v, want ErrCorrupt", err)
+	}
+	unknown := append([]byte(nil), frame...)
+	unknown[6] = 'w' // the type name's first byte: "wec3"
+	if _, err := FrameType(unknown); !errors.Is(err, ErrNotRegistered) {
+		t.Errorf("unregistered name: err = %v, want ErrNotRegistered", err)
+	}
+}
+
 func TestDeepCopyIsolation(t *testing.T) {
 	in := &molecule{Bonds: []int{1, 2}}
 	cp, err := DeepCopy(in)

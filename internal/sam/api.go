@@ -83,6 +83,10 @@ func (p *Proc) CreateValue(name Name, contents interface{}, accesses int64) {
 // locally, then returns a pointer to the local copy. Each UseValue must be
 // paired with DoneValue; accessors must not outlive the enclosing
 // application step. The returned object must be treated as read-only.
+// Once that step has ended, the runtime may decode another value into the
+// copy's storage, so nothing reachable from the returned value — its
+// slices and pointees included — may be kept past the step: copy out what
+// must outlive it.
 func (p *Proc) UseValue(name Name) interface{} {
 	return p.call(cmd{op: opUseValue, name: name})
 }

@@ -714,7 +714,7 @@ func (p *Proc) applyCkptCopy(o *object, img *image) {
 	var data interface{}
 	if install {
 		var err error
-		if data, err = codec.Unpack(img.body); err != nil {
+		if data, err = p.decodeCopy(img.body); err != nil {
 			return
 		}
 	}
@@ -844,10 +844,14 @@ func (p *Proc) onFreeCkpt(w *wire) {
 	if o.copy == nil || o.copy.owner != w.SrcRank {
 		return
 	}
+	if o.lent && o.packCache == nil {
+		o.keepPacked(o.copy.body) // a lent copy keeps a frame to decode from
+	}
 	o.copy = nil
 	// If the entry is nothing but the dropped copy, remove it entirely; if
 	// it also serves as a cached copy, it stays like any other cached object.
 	if !o.isMain && o.pins == 0 && len(o.waiters) == 0 && o.pending == nil {
+		o.unlend()
 		delete(p.objs, Name(w.Name))
 	}
 }

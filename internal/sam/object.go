@@ -129,10 +129,35 @@ type object struct {
 	// restore, a checkpoint copy) and implicitly by any dirtySeq bump.
 	packCache    []byte
 	packCacheSeq int64
+
+	// Consumer side of a cached value copy (DESIGN §7 "A consumed copy
+	// lends its storage"): usedAt is the stepsDone of its last read. Once
+	// that step has ended, an arriving copy of the same type may decode into
+	// data: the copy is then lent (data nil, frame() still holding its
+	// contents) until a read decodes it again. lendQ is the lenders queue o
+	// waits in from the DoneValue that releases it, if any.
+	usedAt             int64
+	lent               bool
+	lendQ              *lendQueue
+	lendPrev, lendNext *object
 }
 
-// usable reports whether the local contents can satisfy an access.
-func (o *object) usable() bool { return o.state == stPresent && o.data != nil }
+// usable reports whether the local contents can satisfy an access: decoded,
+// or lent and decodable again from their frame.
+func (o *object) usable() bool { return o.state == stPresent && (o.data != nil || o.lent) }
+
+// frame is the packed frame a cached copy's contents can be decoded from
+// again: the one they arrived in, or else the checkpoint image held here.
+// A lent copy always has one.
+func (o *object) frame() []byte {
+	if o.packCache != nil {
+		return o.packCache
+	}
+	if o.copy != nil {
+		return o.copy.body
+	}
+	return nil
+}
 
 // inDoubt reports a main copy that migrated here in a transaction whose
 // sender died before activating it (dropProvisionalFrom): whether that

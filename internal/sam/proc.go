@@ -2,6 +2,7 @@ package sam
 
 import (
 	"fmt"
+	"reflect"
 	"sync/atomic"
 
 	"samft/internal/ckptstore"
@@ -44,6 +45,9 @@ type Proc struct {
 
 	objs map[Name]*object
 	dir  map[Name]*dirEntry
+	// lenders queues the consumed cached copies by the registered type of
+	// their contents (lend.go).
+	lenders map[reflect.Type]*lendQueue
 
 	// Application coordination.
 	app          App
@@ -169,6 +173,7 @@ func NewProc(task *pvm.Task, cfg Config) *Proc {
 		ranks:         append([]pvm.TID(nil), cfg.Ranks...),
 		objs:          make(map[Name]*object),
 		dir:           make(map[Name]*dirEntry),
+		lenders:       make(map[reflect.Type]*lendQueue),
 		privStore:     make(map[int]privImage),
 		privStaging:   make(map[int]privImage),
 		useNotices:    make([]map[Name]int64, len(cfg.Ranks)),

@@ -778,7 +778,8 @@ func (p *Proc) installRecoveredMain(img *image, meta *ft.ObjectMeta) {
 	if err != nil {
 		return
 	}
-	o.data = data
+	o.data, o.lent = data, false
+	o.unlend()
 	o.state = stPresent
 	o.isMain = true
 	o.created = true

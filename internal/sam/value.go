@@ -46,8 +46,7 @@ func (p *Proc) cmdUseValue(c *cmd) {
 	p.st.SharedAccesses.Add(1)
 	o := p.obj(c.name)
 	if o.usable() {
-		p.grantUse(o)
-		p.reply(c, o.data, nil)
+		p.useContents(o, c)
 		return
 	}
 	p.st.Misses.Add(1)
@@ -56,7 +55,20 @@ func (p *Proc) cmdUseValue(c *cmd) {
 	p.park(c)
 }
 
-// grantUse records one access on a locally available value.
+// useContents answers a UseValue of a usable value with its contents,
+// decoding them again if the copy lent its storage, and records the access.
+func (p *Proc) useContents(o *object, c *cmd) {
+	data, err := p.contents(o)
+	if err != nil {
+		p.reply(c, nil, err)
+		return
+	}
+	p.grantUse(o)
+	p.reply(c, data, nil)
+}
+
+// grantUse records one access on a locally available value. A cached copy
+// notes the step that reads it and cannot lend while the access lasts.
 func (p *Proc) grantUse(o *object) {
 	o.pins++
 	if o.isMain {
@@ -64,6 +76,8 @@ func (p *Proc) grantUse(o *object) {
 		p.checkExhausted(o)
 	} else {
 		o.unreportedUses++
+		o.usedAt = p.stepsDone
+		o.unlend()
 	}
 }
 
@@ -76,6 +90,9 @@ func (p *Proc) cmdDoneValue(c *cmd) {
 	o.pins--
 	if o.pins == 0 && o.freeable {
 		p.retryFrees()
+	}
+	if o.pins == 0 && !o.isMain && o.kind == ft.KindValue {
+		p.offerLend(o)
 	}
 	p.reply(c, nil, nil)
 }
@@ -285,8 +302,7 @@ func (p *Proc) serveLocalWaiters(o *object) {
 		}
 		switch c.op {
 		case opUseValue:
-			p.grantUse(o)
-			p.reply(c, o.data, nil)
+			p.useContents(o, c)
 		case opUpdateAccum:
 			p.grantAccumLock(o, c)
 		case opChaoticRead:
@@ -408,7 +424,7 @@ func (p *Proc) onObjData(w *wire) {
 		o.fetchOutstanding = false
 		return
 	}
-	data, err := codec.Unpack(w.Body)
+	data, err := p.decodeCopy(w.Body)
 	if err != nil {
 		p.undecodable(o, err)
 		return

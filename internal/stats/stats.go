@@ -71,6 +71,12 @@ type Proc struct {
 	// ReleaseCkpts counts committed checkpoints a ReleaseAccum that owed a
 	// waiting migration took inside the call (a subset of MidstepCkpts).
 	ReleaseCkpts atomic.Int64
+	// LentDecodes counts cached copies decoded into the storage of a
+	// consumed copy whose step had ended, instead of into fresh storage;
+	// LentRedecodes counts lent copies read again, and so decoded again
+	// from their frame.
+	LentDecodes   atomic.Int64
+	LentRedecodes atomic.Int64
 }
 
 // Snapshot is a plain-value copy of a Proc's counters.
@@ -97,6 +103,8 @@ type Snapshot struct {
 	MidstepCkpts        int64
 	ReplayedOps         int64
 	ReleaseCkpts        int64
+	LentDecodes         int64
+	LentRedecodes       int64
 }
 
 // Snapshot returns a consistent-enough copy for reporting.
@@ -124,6 +132,8 @@ func (p *Proc) Snapshot() Snapshot {
 		MidstepCkpts:        p.MidstepCkpts.Load(),
 		ReplayedOps:         p.ReplayedOps.Load(),
 		ReleaseCkpts:        p.ReleaseCkpts.Load(),
+		LentDecodes:         p.LentDecodes.Load(),
+		LentRedecodes:       p.LentRedecodes.Load(),
 	}
 }
 
@@ -151,6 +161,8 @@ func (s *Snapshot) Add(o Snapshot) {
 	s.MidstepCkpts += o.MidstepCkpts
 	s.ReplayedOps += o.ReplayedOps
 	s.ReleaseCkpts += o.ReleaseCkpts
+	s.LentDecodes += o.LentDecodes
+	s.LentRedecodes += o.LentRedecodes
 }
 
 // Report is the paper-style statistics block for a whole run.
@@ -256,9 +268,10 @@ func (r Report) RecvQueuedSecPerProc() float64 {
 // tables.
 func (r Report) String() string {
 	return fmt.Sprintf(
-		"procs=%d elapsed=%.3fs ckpts/proc/s=%.3f sends-ckpt%%=%.2f force-msgs/proc/s=%.4f forced-ckpts/proc/s=%.4f miss%%=%.2f snap-cache-hit%%=%.2f snap-cache-saved-B=%d dup-sends-avoided=%d acks/ckpt=%.2f midstep-ckpts=%d release-ckpts=%d replayed-ops=%d recv-idle-s/proc=%.4f recv-queued-s/proc=%.4f",
+		"procs=%d elapsed=%.3fs ckpts/proc/s=%.3f sends-ckpt%%=%.2f force-msgs/proc/s=%.4f forced-ckpts/proc/s=%.4f miss%%=%.2f snap-cache-hit%%=%.2f snap-cache-saved-B=%d dup-sends-avoided=%d acks/ckpt=%.2f midstep-ckpts=%d release-ckpts=%d replayed-ops=%d lent-decodes=%d lent-redecodes=%d recv-idle-s/proc=%.4f recv-queued-s/proc=%.4f",
 		r.Procs, r.Elapsed, r.CheckpointsPerProcPerSec(), r.PctSendsCausingCheckpoint(),
 		r.ForceCkptMsgsPerProcPerSec(), r.ForcedCkptsPerProcPerSec(), r.MissRatePct(),
 		r.SnapCacheHitPct(), r.Total.SnapCacheBytesSaved, r.Total.DupSendsAvoided, r.AcksPerCheckpoint(),
-		r.Total.MidstepCkpts, r.Total.ReleaseCkpts, r.Total.ReplayedOps, r.RecvIdleSecPerProc(), r.RecvQueuedSecPerProc())
+		r.Total.MidstepCkpts, r.Total.ReleaseCkpts, r.Total.ReplayedOps, r.Total.LentDecodes, r.Total.LentRedecodes,
+		r.RecvIdleSecPerProc(), r.RecvQueuedSecPerProc())
 }
