@@ -19,29 +19,9 @@ import (
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and test output.
 	Name string
-	// Category is the //samlint:allow suppression key. Empty means the
-	// analyzer's Name is the key.
-	Category string
-	// ModuleScope marks analyses that need a whole-module view (for
-	// example cross-package tag uniqueness, or a pack helper in one
-	// package feeding a send in another). The driver runs them once with
-	// Pass.Pkg == nil instead of once per package; they walk Pass.All.
-	ModuleScope bool
-	// Run executes the check, reporting findings through the Pass.
+	// Run executes the check on one package, reporting findings through
+	// the Pass.
 	Run func(*Pass) error
-	// NeverSuppress exempts the analyzer's diagnostics from
-	// //samlint:allow filtering. staleallow sets it: a stale directive
-	// must not be able to hide the report about itself (an unused
-	// "allow all" would otherwise be unreportable).
-	NeverSuppress bool
-}
-
-// Key returns the suppression key for the analyzer's diagnostics.
-func (a *Analyzer) Key() string {
-	if a.Category != "" {
-		return a.Category
-	}
-	return a.Name
 }
 
 // Package is one loaded, type-checked package.
@@ -67,18 +47,8 @@ type Package struct {
 type Pass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
-	// Pkg is the package under analysis. It is nil for ModuleScope
-	// analyzers, which inspect All instead.
+	// Pkg is the package under analysis.
 	Pkg *Package
-	// All lists every loaded package in dependency order, so module-scope
-	// analyses can correlate declarations across packages.
-	All []*Package
-
-	// Allows is the module's //samlint:allow index. The driver consults it
-	// when a diagnostic is reported, marking each directive that matched;
-	// staleallow reads what is left unmarked.
-	Allows *Allows
-
 	// Report receives each finding. The driver supplies it.
 	Report func(Diagnostic)
 }
@@ -87,17 +57,10 @@ type Pass struct {
 type Diagnostic struct {
 	Pos      token.Pos
 	Analyzer string
-	// Category is the suppression key (see //samlint:allow).
-	Category string
 	Message  string
 }
 
-// Reportf reports a finding at pos with the analyzer's default category.
+// Reportf reports a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
-	p.Report(Diagnostic{
-		Pos:      pos,
-		Analyzer: p.Analyzer.Name,
-		Category: p.Analyzer.Key(),
-		Message:  fmt.Sprintf(format, args...),
-	})
+	p.Report(Diagnostic{Pos: pos, Analyzer: p.Analyzer.Name, Message: fmt.Sprintf(format, args...)})
 }

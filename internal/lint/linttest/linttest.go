@@ -36,20 +36,10 @@ type expectation struct {
 
 // Run loads testdata/src (relative to the test's working directory) and
 // applies the analyzer to every fixture package, comparing findings
-// against the fixtures' want comments. //samlint:allow directives are
-// honored, so fixtures can also exercise the suppression syntax.
+// against the fixtures' want comments.
 func Run(t *testing.T, a *analysis.Analyzer) {
 	t.Helper()
-	RunSuite(t, filepath.Join("testdata", "src"), a)
-}
-
-// RunSuite runs several analyzers together over one fixture tree,
-// matching their combined findings against the want comments. Fixtures
-// whose expectations depend on the interplay of analyzers need it — a
-// staleallow fixture, for example, only makes sense alongside the
-// analyzers whose suppressions it audits.
-func RunSuite(t *testing.T, dir string, analyzers ...*analysis.Analyzer) {
-	t.Helper()
+	dir := filepath.Join("testdata", "src")
 	pkgs, fset, err := load.Load(load.Config{Dir: dir})
 	if err != nil {
 		t.Fatalf("loading fixtures in %s: %v", dir, err)
@@ -63,9 +53,9 @@ func RunSuite(t *testing.T, dir string, analyzers ...*analysis.Analyzer) {
 		}
 	}
 
-	diags, err := lint.RunPackages(fset, pkgs, analyzers)
+	diags, err := lint.RunPackages(fset, pkgs, []*analysis.Analyzer{a})
 	if err != nil {
-		t.Fatalf("running fixture suite: %v", err)
+		t.Fatalf("running %s over the fixtures: %v", a.Name, err)
 	}
 
 	expects := collectWants(t, fset, pkgs)

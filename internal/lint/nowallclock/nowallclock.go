@@ -3,8 +3,8 @@
 // experiments, bit-identical answers across chaos schedules, replayable
 // recovery — hold only if every layer derives behavior from modeled time
 // (netsim virtual clocks) and seeded xrand generators, never from the
-// host's clock or math/rand's global source. An intentional wall-clock
-// site must say so with //samlint:allow wallclock.
+// host's clock or math/rand's global source. There is no escape: a
+// package that must read the wall clock lives outside internal/.
 package nowallclock
 
 import (
@@ -14,12 +14,10 @@ import (
 	"samft/internal/lint/analysis"
 )
 
-// Analyzer is the nowallclock check. Its suppression category is
-// "wallclock", so escapes read //samlint:allow wallclock.
+// Analyzer is the nowallclock check.
 var Analyzer = &analysis.Analyzer{
-	Name:     "nowallclock",
-	Category: "wallclock",
-	Run:      run,
+	Name: "nowallclock",
+	Run:  run,
 }
 
 // bannedTime lists the time-package functions that read or wait on the
@@ -49,7 +47,7 @@ func run(pass *analysis.Pass) error {
 			case "time":
 				if bannedTime[fn.Name()] {
 					pass.Reportf(sel.Pos(),
-						"wall-clock time.%s in deterministic package (use modeled time, or annotate //samlint:allow wallclock)",
+						"wall-clock time.%s in deterministic package (use modeled time)",
 						fn.Name())
 				}
 			case "math/rand", "math/rand/v2":
@@ -58,7 +56,7 @@ func run(pass *analysis.Pass) error {
 				// rand.New bypasses the repo's splittable xrand discipline.
 				if fn.Type().(*types.Signature).Recv() == nil {
 					pass.Reportf(sel.Pos(),
-						"math/rand.%s in deterministic package (use the seeded internal/xrand, or annotate //samlint:allow wallclock)",
+						"math/rand.%s in deterministic package (use the seeded internal/xrand)",
 						fn.Name())
 				}
 			}

@@ -1,5 +1,5 @@
 // Package clockuse exercises the nowallclock analyzer: banned wall-clock
-// reads, the legal timer constructors, and the //samlint:allow escape.
+// reads and the legal timer constructors.
 package clockuse
 
 import (
@@ -48,15 +48,4 @@ func badAfter(timeout time.Duration) {
 // badAfterFunc: time.AfterFunc fires a callback off the host clock.
 func badAfterFunc(f func()) {
 	time.AfterFunc(time.Second, f) // want "wall-clock time.AfterFunc"
-}
-
-// allowedNow: an annotated wall-clock read is suppressed.
-func allowedNow() int64 {
-	return time.Now().UnixNano() //samlint:allow wallclock -- diagnostic stamp
-}
-
-// allowedAbove: the directive may also sit on the line above.
-func allowedAbove() int64 {
-	//samlint:allow wallclock
-	return time.Now().UnixNano()
 }

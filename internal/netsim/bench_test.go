@@ -9,8 +9,7 @@ import (
 	"samft/internal/pvm"
 )
 
-// Benchmark fabric tags, registered in the module-wide Tag* namespace
-// (samlint tagflow).
+// Benchmark fabric tags, above the tags SAM and PVM use.
 const (
 	// TagBench marks the messages a benchmark measures.
 	TagBench = pvm.TagUserBase + 8
@@ -86,7 +85,6 @@ func matchDeepQueue(depth int) func(b *testing.B) {
 		a, dst := n.NewEndpoint(), n.NewEndpoint()
 		// Fill the queue with filler-tagged messages that never match.
 		for i := 0; i < depth; i++ {
-			//samlint:allow tagflow -- the fill tag is deliberately never received; the benchmark measures matching past it
 			if err := a.Send(dst.TID(), TagBenchFill, nil); err != nil {
 				b.Fatal(err)
 			}

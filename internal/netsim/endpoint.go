@@ -279,14 +279,6 @@ func (e *Endpoint) SetSlowdown(f float64) {
 	e.slowBits.Store(math.Float64bits(f))
 }
 
-// Slowdown returns the current host-speed factor (1 when unset).
-func (e *Endpoint) Slowdown() float64 {
-	if sb := e.slowBits.Load(); sb != 0 {
-		return math.Float64frombits(sb)
-	}
-	return 1
-}
-
 // Charge advances the modeled clock by us microseconds of local
 // computation, scaled by the endpoint's host-speed factor. Negative
 // charges are ignored.

@@ -281,9 +281,6 @@ func (n *Network) Lookup(tid TID) *Endpoint {
 	return e
 }
 
-// Alive reports whether the endpoint exists and has not been killed.
-func (n *Network) Alive(tid TID) bool { return n.Lookup(tid) != nil }
-
 // Notify registers watcher to receive an exit notification message (with
 // the given tag) when target dies. If target is already dead or unknown —
 // or the whole network has been shut down — the notification is delivered

@@ -92,7 +92,7 @@ func TestKillUnblocksTaskWithErrKilled(t *testing.T) {
 	if task.Err() != nil {
 		t.Fatalf("kill reported as error: %v", task.Err())
 	}
-	if m.Network().Alive(tid) {
+	if m.Network().Lookup(tid) != nil {
 		t.Fatal("killed task still alive")
 	}
 }

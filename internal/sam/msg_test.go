@@ -221,6 +221,73 @@ func TestSentBodiesAreShared(t *testing.T) {
 	}
 }
 
+// TestSAMTagIsAUserTag: SAM's one tag sits in the user range and is not
+// the exit notification's, the only other tag a process receives. Those
+// two are the whole tag namespace of a run.
+func TestSAMTagIsAUserTag(t *testing.T) {
+	if TagSAM < pvm.TagUserBase {
+		t.Errorf("TagSAM = %d is below pvm.TagUserBase = %d", TagSAM, pvm.TagUserBase)
+	}
+	if TagSAM == pvm.TagTaskExit {
+		t.Errorf("TagSAM = %d is the exit notification's tag", TagSAM)
+	}
+}
+
+// TestForeignMessagesAreDropped: the runtime receives on any tag, so
+// handleMessage must drop what is not SAM's to decode: a message on another
+// tag, even one carrying an intact SAM header (the runtime once decoded
+// every non-exit message as a SAM frame), and a TagSAM message whose header
+// is an intact frame of another registered type. A dropped message is
+// dispatched to no handler, draws no reply and leaves its buffer to the
+// network. The last row is the same header on TagSAM, which is all three.
+func TestForeignMessagesAreDropped(t *testing.T) {
+	priv, err := codec.Pack(&ft.PrivateState{Rank: 1, Seq: 3, T: []int64{1, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name     string
+		tag      int
+		priv     bool // the header is priv, not a SAM header
+		dispatch bool
+	}{
+		{"user tag", TagSAM + 1, false, false},
+		{"reserved tag", pvm.TagTaskExit + 1, false, false},
+		{"private state on TagSAM", TagSAM, true, false},
+		{"SAM header on TagSAM", TagSAM, false, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, tasks := testProc(t, 0, 2, false)
+			peer := NewProc(tasks[1], Config{Rank: 1, Ranks: p.cfg.Ranks, Policy: ft.PolicySAM, Degree: 1})
+			name := nameHomedAt(t, 2, 0)
+			head := priv
+			if !tc.priv {
+				head = peer.encodeHead(&wire{Kind: kReg, SrcRank: 1, Name: uint64(name)}, 0)
+			}
+			if err := tasks[1].SendParts(tasks[0].TID(), tc.tag, head, nil); err != nil {
+				t.Fatal(err)
+			}
+			m, err := tasks[0].Take(pvm.AnySrc, pvm.AnyTag)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.handleMessage(m)
+			d := p.dir[name]
+			if got := d != nil && d.known && d.owner == 1; got != tc.dispatch {
+				t.Errorf("the registration was dispatched: %v, want %v", got, tc.dispatch)
+			}
+			if got := len(p.headFree) == 1; got != tc.dispatch {
+				t.Errorf("the header buffer was recycled: %v, want %v", got, tc.dispatch)
+			}
+			for r, task := range tasks {
+				if task.Probe(pvm.AnySrc, pvm.AnyTag) {
+					t.Errorf("rank %d was sent a message", r)
+				}
+			}
+		})
+	}
+}
+
 // FuzzDecodeFrame feeds decodeFrame arbitrary (header, body) pairs. It must
 // never panic, and a pair it accepts must be rejected again with any one of
 // its bytes changed: the header and the body are each covered by their own

@@ -90,11 +90,6 @@ type Recorder struct {
 	dropped uint64
 }
 
-// Enabled reports whether events emitted here are recorded. It is the
-// guard instrumented call sites use to skip event construction entirely
-// when tracing is off.
-func (r *Recorder) Enabled() bool { return r != nil }
-
 // Emit records one event. The recorder fills in Seq. If the ring is full
 // the oldest event is overwritten.
 func (r *Recorder) Emit(e Event) {

@@ -18,9 +18,6 @@ func TestNilTracerAndRecorderAreNoOps(t *testing.T) {
 	}
 
 	var r *Recorder
-	if r.Enabled() {
-		t.Fatal("nil recorder enabled")
-	}
 	r.Emit(Event{Kind: NetSend}) // must not panic
 	r.Label("x", 0)
 	if r.Events() != nil || r.Dropped() != 0 {

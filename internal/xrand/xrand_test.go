@@ -3,7 +3,6 @@ package xrand
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -75,22 +74,5 @@ func TestNormFloat64Moments(t *testing.T) {
 	variance := sq/n - mean*mean
 	if math.Abs(mean) > 0.02 || math.Abs(variance-1) > 0.05 {
 		t.Fatalf("mean=%v var=%v", mean, variance)
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	f := func(seed uint64) bool {
-		p := New(seed).Perm(20)
-		seen := make([]bool, 20)
-		for _, v := range p {
-			if v < 0 || v >= 20 || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
