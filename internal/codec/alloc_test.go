@@ -12,7 +12,7 @@ import (
 
 // TestPackAllocs pins the allocation contract stated on Pack: once a type
 // has been packed, Pack allocates exactly the frame it returns, for a flat
-// struct and for a cyclic pointer graph alike.
+// struct and for a pointer tree alike.
 func TestPackAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops pooled encoders at random under the race detector")
@@ -22,7 +22,7 @@ func TestPackAllocs(t *testing.T) {
 		v    interface{}
 	}{
 		{"small", benchSmall{ID: 7, Pos: vec3{1, 2, 3}, Vel: vec3{-0.5, 0.25, 0}, Mass: 18.015}},
-		{"graph", benchGraph()},
+		{"tree", benchTree()},
 	} {
 		pack := func() {
 			if _, err := Pack(c.v); err != nil {
@@ -38,7 +38,7 @@ func TestPackAllocs(t *testing.T) {
 
 // TestAppendPackAllocs pins AppendPack's contract: once a type has been
 // packed, appending its frame to a buffer with room allocates nothing, for
-// a flat struct and a cyclic pointer graph alike; appending a fixed-size
+// a flat struct and a pointer tree alike; appending a fixed-size
 // type's frame to a buffer without room allocates exactly once; and a
 // large frame grows an empty buffer by doubling.
 func TestAppendPackAllocs(t *testing.T) {
@@ -51,7 +51,7 @@ func TestAppendPackAllocs(t *testing.T) {
 		v    interface{}
 	}{
 		{"small", small},
-		{"graph", benchGraph()},
+		{"tree", benchTree()},
 	} {
 		frame, err := Pack(c.v) // warm-up: compile the plan, pool an encoder
 		if err != nil {
@@ -150,17 +150,17 @@ func TestUnpackAllocs(t *testing.T) {
 // per type, reused across inputs, and must give the fresh value's frame
 // (frames are compared, not values: a NaN is not DeepEqual to itself); it
 // must reject what Unpack rejects. The seeds are a packed frame of every
-// type the package's tests register and can pack, including a cyclic
-// pointer graph.
+// type the package's tests register and can pack, including a pointer tree
+// with nil pointers and a shared pointee.
 func FuzzUnpack(f *testing.F) {
-	shared := &treeNode{Val: 99}
+	shared := &leaf{Val: 99}
 	for _, v := range []interface{}{
 		scalars{B: true, I: -3, U16: 7, F64: 1.5, S: "s"},
 		molecule{ID: 7, Pos: vec3{1, 2, 3}, Bonds: []int{3, 1, 4}, Raw: []byte("raw"), Grid: [4]int32{9, 8, 7, 6}},
-		benchGraph(),
-		&treeNode{Val: 1, Children: []*treeNode{shared, shared}},
+		benchTree(),
+		&tree{Val: 1, Branches: []*branch{nil, {Leaves: []*leaf{shared, shared}}}, Spare: shared},
 		vec3{1, 2, 3},
-		&vec3{4, 5, 6}, // a rooted frame of a flat struct
+		&vec3{4, 5, 6}, // packed through a pointer, framed like a value
 		benchSmall{ID: 7, Mass: 18.015},
 	} {
 		b, err := Pack(v)

@@ -21,14 +21,15 @@ func init() {
 	Register("benchSmall", benchSmall{})
 }
 
-func benchGraph() *treeNode {
-	root := &treeNode{Val: 0}
+// benchTree is a 41-node pointer tree: a root, 8 branches, 4 leaves each.
+func benchTree() *tree {
+	root := &tree{Val: 0}
 	for i := 0; i < 8; i++ {
-		child := &treeNode{Val: i + 1, Parent: root}
+		b := &branch{Val: i + 1}
 		for j := 0; j < 4; j++ {
-			child.Children = append(child.Children, &treeNode{Val: 100*i + j, Parent: child})
+			b.Leaves = append(b.Leaves, &leaf{Val: 100*i + j})
 		}
-		root.Children = append(root.Children, child)
+		root.Branches = append(root.Branches, b)
 	}
 	return root
 }
@@ -63,7 +64,7 @@ func BenchmarkPackAggregate(b *testing.B) {
 }
 
 func BenchmarkPackPointerGraph(b *testing.B) {
-	in := benchGraph()
+	in := benchTree()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -94,7 +95,7 @@ func BenchmarkUnpack(b *testing.B) {
 }
 
 func BenchmarkUnpackPointerGraph(b *testing.B) {
-	frame, err := Pack(benchGraph())
+	frame, err := Pack(benchTree())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -7,16 +7,18 @@
 // This package provides the same capability for Go types via reflection:
 // a process-wide type registry (playing the role of the preprocessor's
 // generated tables) and a canonical, architecture-independent wire format
-// (fixed-width big-endian scalars, explicit lengths, reference-encoded
-// pointers). Pointer graphs may be shared or cyclic; identity is preserved
-// across a pack/unpack round trip. Every frame carries a CRC-32 checksum.
+// (fixed-width big-endian scalars, explicit lengths). Pointers are encoded
+// as trees: a nil flag, then the pointee, so a pointee reached twice is
+// written twice and decodes as two equal, distinct values, as with
+// encoding/gob. Every frame carries a CRC-32 checksum.
 //
 // As with the preprocessor, a type is either described whole or rejected:
-// Register panics on a type whose field graph reaches an unexported field
-// or a kind the wire format has no encoding for (maps, complex numbers,
-// interfaces, channels, functions), naming the path to that field. Nothing
-// is dropped from a frame silently, and every registration is checked when
-// its package initialises.
+// Register panics on a type whose field graph reaches an unexported field,
+// a kind the wire format has no encoding for (maps, complex numbers,
+// interfaces, channels, functions), or the type itself again through a
+// pointer or a slice (a recursive type, whose values could be cyclic),
+// naming the path to that field. Nothing is dropped from a frame silently,
+// and every registration is checked when its package initialises.
 package codec
 
 import (
@@ -120,13 +122,13 @@ const frameMagic uint16 = 0x5A4D
 // the frame it returns. TestPackAllocs pins the contract. A caller that
 // owns a buffer to reuse packs into it with AppendPack instead.
 func Pack(v interface{}) ([]byte, error) {
-	e, err := packFrame(v)
-	if err != nil {
+	e := getEncoder()
+	defer putEncoder(e)
+	if err := e.frame(v); err != nil {
 		return nil, err
 	}
 	out := make([]byte, len(e.buf))
 	copy(out, e.buf)
-	putEncoder(e)
 	return out, nil
 }
 
@@ -151,26 +153,13 @@ func AppendPack(dst []byte, v interface{}) ([]byte, error) {
 	return out, nil
 }
 
-// packFrame encodes v into a pooled encoder. On success the caller owns
-// the encoder and must return it with putEncoder.
-func packFrame(v interface{}) (*encoder, error) {
-	e := getEncoder()
-	if err := e.frame(v); err != nil {
-		putEncoder(e)
-		return nil, err
-	}
-	return e, nil
-}
-
 // frame appends v's frame to e.buf.
 func (e *encoder) frame(v interface{}) error {
 	rv := reflect.ValueOf(v)
-	var root reflect.Value // innermost pointer to the packed object, if any
 	for rv.Kind() == reflect.Ptr {
 		if rv.IsNil() {
 			return errors.New("codec: Pack of nil pointer")
 		}
-		root = rv
 		rv = rv.Elem()
 	}
 	name := typeName(v)
@@ -181,20 +170,11 @@ func (e *encoder) frame(v interface{}) error {
 	if pl.fixed >= 0 {
 		// Size hint: header + body + checksum, so scalar-only types encode
 		// with zero buffer growth.
-		e.grow(2 + 4 + len(name) + 1 + pl.fixed + 4)
+		e.grow(2 + 4 + len(name) + pl.fixed + 4)
 	}
 	start := len(e.buf)
 	e.u16(frameMagic)
 	e.str(name)
-	if root.IsValid() {
-		// Seed the reference table with the root object so internal
-		// pointers back to it (e.g. a child's Parent link) resolve to the
-		// same identity after unpack.
-		e.u8(1)
-		e.addRef(root.Pointer())
-	} else {
-		e.u8(0)
-	}
 	if err := pl.enc(e, rv); err != nil {
 		return err
 	}
@@ -237,10 +217,10 @@ func Unpack(data []byte) (interface{}, error) {
 // its backing array when that has room for the decoded elements, so a
 // caller that decodes frame after frame into one value stops allocating
 // once its slices have grown. A nil slice and an empty one stay distinct.
-// Pointees are always allocated afresh, so a pointer graph dst shared with
-// anything else is never written through. The caller must own dst's slices
-// outright: their old contents are overwritten in place. On error dst holds
-// a partial decode.
+// Pointees are always allocated afresh, so whatever dst's pointers held is
+// never written through. The caller must own dst's slices outright: their
+// old contents are overwritten in place. On error dst holds a partial
+// decode.
 func UnpackInto(data []byte, dst interface{}) error {
 	p := reflect.ValueOf(dst)
 	if p.Kind() != reflect.Ptr || p.IsNil() {
@@ -296,13 +276,6 @@ func unpack(data []byte, p reflect.Value) (reflect.Value, error) {
 	} else if p.Type().Elem() != t {
 		return p, fmt.Errorf("%w: a %v frame cannot decode into %v", ErrCorrupt, t, p.Type())
 	}
-	rooted, err := d.u8()
-	if err != nil {
-		return p, err
-	}
-	if rooted == 1 {
-		d.ptrs = append(d.ptrs, p)
-	}
 	if err := planFor(t).dec(d, p.Elem()); err != nil {
 		return p, err
 	}
@@ -315,7 +288,8 @@ func unpack(data []byte, p reflect.Value) (reflect.Value, error) {
 // DeepCopy copies a value of a registered type through the wire format.
 // SAM uses this to hand a local process its own copy of an object without
 // aliasing the owner's storage (the simulated processes must behave like
-// separate address spaces).
+// separate address spaces). The copy is a tree: a pointee the original
+// reached twice is copied twice.
 func DeepCopy(v interface{}) (interface{}, error) {
 	b, err := Pack(v)
 	if err != nil {

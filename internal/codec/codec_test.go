@@ -5,12 +5,13 @@ import (
 	"math"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
 
 // Test types modeled on the kinds of shared objects SAM applications
-// declare: flat structs, nested aggregates, and linked structures.
+// declare: flat structs, nested aggregates, and pointer-linked trees.
 
 type scalars struct {
 	B   bool
@@ -40,16 +41,26 @@ type molecule struct {
 	Grid  [4]int32
 }
 
-type treeNode struct {
-	Val      int
-	Children []*treeNode
-	Parent   *treeNode
-}
+// tree is a pointer-linked object that is not recursive: a root points at
+// branches, a branch at leaves. leaf is reached along two paths (a
+// branch's Leaves and the root's Spare), which Register accepts.
+type (
+	leaf   struct{ Val int }
+	branch struct {
+		Val    int
+		Leaves []*leaf
+	}
+	tree struct {
+		Val      int
+		Branches []*branch
+		Spare    *leaf
+	}
+)
 
 func init() {
 	Register("scalars", scalars{})
 	Register("molecule", molecule{})
-	Register("treeNode", treeNode{})
+	Register("tree", tree{})
 	Register("vec3", vec3{})
 }
 
@@ -114,25 +125,54 @@ func TestNilSliceVsEmptySlice(t *testing.T) {
 	}
 }
 
-func TestSharedPointerIdentity(t *testing.T) {
-	shared := &treeNode{Val: 99}
-	in := treeNode{Val: 1, Children: []*treeNode{shared, shared}}
-	got := roundTrip(t, in).(*treeNode)
-	if got.Children[0] != got.Children[1] {
-		t.Fatal("shared pointee duplicated")
-	}
-	if got.Children[0].Val != 99 {
-		t.Fatalf("pointee value %d", got.Children[0].Val)
+// TestNestedPointersRoundTrip: a pointer below the top level, nil or not,
+// at every depth of a tree, decodes to the same value through Unpack and
+// through UnpackInto, whether the destination held nil or a pointee there.
+func TestNestedPointersRoundTrip(t *testing.T) {
+	for _, in := range []*tree{
+		{Val: 1},
+		{Val: 2, Spare: &leaf{Val: 3}},
+		{Val: 4, Branches: []*branch{nil, {Val: 5}, {Val: 6, Leaves: []*leaf{{Val: 7}, nil}}}},
+		benchTree(),
+	} {
+		if got := roundTrip(t, in).(*tree); !reflect.DeepEqual(got, in) {
+			t.Errorf("Unpack gave %+v, want %+v", got, in)
+		}
+		frame, err := Pack(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, held := range []*tree{new(tree), benchTree()} {
+			if err := UnpackInto(frame, held); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(held, in) {
+				t.Errorf("UnpackInto gave %+v, want %+v", held, in)
+			}
+		}
 	}
 }
 
-func TestCyclicStructure(t *testing.T) {
-	root := &treeNode{Val: 1}
-	child := &treeNode{Val: 2, Parent: root}
-	root.Children = []*treeNode{child}
-	got := roundTrip(t, root).(*treeNode)
-	if len(got.Children) != 1 || got.Children[0].Parent != got {
-		t.Fatal("cycle not reconstructed")
+// TestSharedPointeeDecodesAsCopies: pointers are encoded as trees, so a
+// pointee reached twice is written twice and decodes as two equal,
+// distinct values.
+func TestSharedPointeeDecodesAsCopies(t *testing.T) {
+	shared := &leaf{Val: 99}
+	in := tree{Branches: []*branch{{Leaves: []*leaf{shared, shared}}}, Spare: shared}
+	got := roundTrip(t, in).(*tree)
+	a, b, c := got.Branches[0].Leaves[0], got.Branches[0].Leaves[1], got.Spare
+	if *a != *shared || *b != *shared || *c != *shared {
+		t.Fatalf("shared pointee decoded as %+v, %+v, %+v; want %+v each", *a, *b, *c, *shared)
+	}
+	if a == b || a == c || b == c {
+		t.Fatal("a shared pointee decoded as one value")
+	}
+	plain, err := Pack(tree{Branches: []*branch{{Leaves: []*leaf{{Val: 99}, {Val: 99}}}}, Spare: &leaf{Val: 99}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if frame, err := Pack(in); err != nil || string(frame) != string(plain) {
+		t.Errorf("a shared pointee packs to %x (%v), distinct equal ones to %x", frame, err, plain)
 	}
 }
 
@@ -146,12 +186,18 @@ type (
 	}
 	// Nested reaches Leaky's private field one level down.
 	Nested struct{ Inner Leaky }
-	// cyclic reaches its private field through a pointer cycle.
-	cyclic struct {
-		Next *cyclic
-		Kids []cyclic
-		note string
+	// viaPtr reaches Leaky's private field through a pointer.
+	viaPtr struct{ P *Leaky }
+	// list reaches itself through a pointer.
+	list struct {
+		V    int
+		Next *list
 	}
+	// branchy reaches itself through a slice.
+	branchy struct{ Kids []branchy }
+	// outer reaches itself through a pointer in a field of another type.
+	outer   struct{ In inner }
+	inner   struct{ Back *outer }
 	withMap struct {
 		ID   int
 		Tags map[string]float64
@@ -186,7 +232,18 @@ func mustRefuse(t *testing.T, name string, v interface{}, want string) {
 func TestRegisterRefusesUnexportedFields(t *testing.T) {
 	mustRefuse(t, "Leaky", Leaky{}, "Leaky.hidden is unexported")
 	mustRefuse(t, "Nested", &Nested{}, "Nested.Inner.hidden is unexported")
-	mustRefuse(t, "cyclic", cyclic{}, "cyclic.note is unexported")
+	mustRefuse(t, "viaPtr", viaPtr{}, "viaPtr.P.hidden is unexported")
+}
+
+// TestRegisterRefusesRecursiveTypes: pointers are encoded as trees, so a
+// type that reaches itself through a pointer or a slice, whose values
+// could be cyclic, is refused at Register, which names the path on which
+// the type recurs.
+func TestRegisterRefusesRecursiveTypes(t *testing.T) {
+	mustRefuse(t, "list", list{}, "list.Next: cannot encode recursive type codec.list")
+	mustRefuse(t, "branchy", &branchy{}, "branchy.Kids[]: cannot encode recursive type codec.branchy")
+	mustRefuse(t, "outer", outer{}, "outer.In.Back: cannot encode recursive type codec.outer")
+	mustRefuse(t, "inner", inner{}, "inner.Back.In: cannot encode recursive type codec.inner")
 }
 
 // TestUnencodableKindsFail pins the codec's boundary: a type with a map or
@@ -257,12 +314,11 @@ func TestUnpackTruncated(t *testing.T) {
 
 // TestUnpackIntoReusesTheDestination: decoding into a value that held
 // another value of the same type gives what a fresh Unpack gives — over
-// longer and shorter slices, nil and empty ones, scalars, and a shared
-// pointer graph — while a slice with room keeps its backing array and the
-// pointees the destination held are never written through.
+// longer and shorter slices, nil and empty ones, scalars, and a pointer
+// tree — while a slice with room keeps its backing array and the pointees
+// the destination held are never written through.
 func TestUnpackIntoReusesTheDestination(t *testing.T) {
-	shared := &treeNode{Val: 7}
-	oldLeaf := &treeNode{Val: -1}
+	oldLeaf := &leaf{Val: -1}
 	for _, c := range []struct {
 		name      string
 		held, src interface{}
@@ -275,8 +331,8 @@ func TestUnpackIntoReusesTheDestination(t *testing.T) {
 		{"full to empty", &molecule{Bonds: []int{1, 2}, Raw: []byte("a")}, &molecule{Bonds: []int{}, Raw: []byte{}}},
 		{"nil to empty", &molecule{}, &molecule{Bonds: []int{}, Raw: []byte{}}},
 		{"scalars", &scalars{S: "held", I: 3}, &scalars{S: "sent", F64: 2.5}},
-		{"shared pointer graph", &treeNode{Val: 1, Children: []*treeNode{oldLeaf, oldLeaf, oldLeaf}},
-			&treeNode{Val: 2, Children: []*treeNode{shared, shared}}},
+		{"pointer tree", &tree{Val: 1, Branches: []*branch{{Leaves: []*leaf{oldLeaf, oldLeaf}}}, Spare: oldLeaf},
+			&tree{Val: 2, Branches: []*branch{{Val: 3, Leaves: []*leaf{{Val: 7}}}}, Spare: &leaf{Val: 8}}},
 	} {
 		frame, err := Pack(c.src)
 		if err != nil {
@@ -293,30 +349,14 @@ func TestUnpackIntoReusesTheDestination(t *testing.T) {
 			t.Errorf("%s: UnpackInto gave %+v, a fresh Unpack %+v", c.name, c.held, want)
 		}
 	}
-	if oldLeaf.Val != -1 || oldLeaf.Children != nil {
+	if oldLeaf.Val != -1 {
 		t.Errorf("UnpackInto wrote through a pointee the destination held: %+v", oldLeaf)
-	}
-
-	// Identity: the second child is the first, and a back-reference to
-	// the root resolves to the destination itself.
-	var g treeNode
-	root := &treeNode{Val: 1}
-	root.Children = []*treeNode{shared, shared, {Val: 3, Parent: root}}
-	frame, err := Pack(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := UnpackInto(frame, &g); err != nil {
-		t.Fatal(err)
-	}
-	if g.Children[0] != g.Children[1] || g.Children[2].Parent != &g {
-		t.Error("UnpackInto lost the pointer identities of a shared graph")
 	}
 
 	// A slice with room keeps its backing array.
 	held := &molecule{Bonds: make([]int, 8), Raw: make([]byte, 8)}
 	bonds, raw := &held.Bonds[:1][0], &held.Raw[:1][0]
-	frame, err = Pack(molecule{Bonds: []int{1, 2, 3}, Raw: []byte("ab")})
+	frame, err := Pack(molecule{Bonds: []int{1, 2, 3}, Raw: []byte("ab")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +441,7 @@ func TestAppendPackMatchesPack(t *testing.T) {
 	for _, v := range []interface{}{
 		vec3{1, 2, 3},
 		molecule{ID: 7, Bonds: []int{3, 1, 4}, Raw: []byte("raw")},
-		benchGraph(),
+		benchTree(),
 	} {
 		want, err := Pack(v)
 		if err != nil {
@@ -423,6 +463,31 @@ func TestAppendPackMatchesPack(t *testing.T) {
 	got, err := AppendPack(dst, unreg{})
 	if !errors.Is(err, ErrNotRegistered) || len(got) != 2 {
 		t.Fatalf("AppendPack(unregistered) = %d bytes, %v; want 2 bytes, ErrNotRegistered", len(got), err)
+	}
+}
+
+// TestPlanForConcurrentFirstUse: callers racing to compile the plan of a
+// type not yet cached all get the one plan that was stored first.
+func TestPlanForConcurrentFirstUse(t *testing.T) {
+	type fresh struct {
+		Spare *leaf
+		Grid  [2][]vec3
+	}
+	ty := reflect.TypeOf(fresh{})
+	plans := make([]*plan, 4)
+	var wg sync.WaitGroup
+	for i := range plans {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			plans[i] = planFor(ty)
+		}()
+	}
+	wg.Wait()
+	for i, p := range plans {
+		if p != plans[0] {
+			t.Errorf("caller %d got plan %p, caller 0 %p", i, p, plans[0])
+		}
 	}
 }
 

@@ -2,19 +2,16 @@ package codec
 
 import (
 	"fmt"
-	"reflect"
 	"sync"
 )
 
 // decoder mirrors encoder: it walks the compiled plan for the static type
-// and consumes the canonical byte stream, rebuilding pointer identity from
-// the reference table. Decoders are pooled; only the pointee table's
-// backing array is retained across uses.
+// and consumes the canonical byte stream, allocating a fresh pointee for
+// every non-nil pointer. Decoders are pooled so the plans, which take a
+// *decoder, never make Unpack allocate one.
 type decoder struct {
 	buf []byte
 	off int
-	// ptrs holds decoded pointees in reference-index order.
-	ptrs []reflect.Value
 }
 
 var decoderPool = sync.Pool{New: func() interface{} { return new(decoder) }}
@@ -28,15 +25,6 @@ func getDecoder(b []byte) *decoder {
 
 func putDecoder(d *decoder) {
 	d.buf = nil
-	if len(d.ptrs) > maxPooledRefs {
-		d.ptrs = nil
-	} else {
-		// Clear the elements so the pool does not pin decoded objects.
-		for i := range d.ptrs {
-			d.ptrs[i] = reflect.Value{}
-		}
-		d.ptrs = d.ptrs[:0]
-	}
 	decoderPool.Put(d)
 }
 

@@ -3,29 +3,23 @@ package codec
 import "sync"
 
 // encoder writes the canonical wire format: fixed-width big-endian
-// scalars, length-prefixed aggregates, and reference-encoded pointers.
-// Pointer identity within one frame is preserved via a table of already
-// encoded pointees, which also makes cyclic structures safe.
+// scalars, length-prefixed aggregates, and pointers as trees (a nil flag,
+// then the pointee). A pointee reached twice is written twice; Register
+// refuses recursive types, so every walk ends.
 //
-// Encoders are pooled: steady-state packing reuses a grown buffer and an
-// emptied reference table, so Pack's only allocation for scalar-only types
-// is the returned frame itself. AppendPack lends a pooled encoder the
-// caller's buffer for one frame and takes its own scratch back after.
+// Encoders are pooled: steady-state packing reuses a grown buffer, so
+// Pack's only allocation is the returned frame itself. AppendPack lends a
+// pooled encoder the caller's buffer for one frame and takes its own
+// scratch back after.
 type encoder struct {
 	buf []byte
-	// refs maps an already-encoded pointer to its reference index. It is
-	// allocated lazily so pointer-free types never pay for it.
-	refs map[uintptr]uint64
 }
 
 var encoderPool = sync.Pool{New: func() interface{} { return new(encoder) }}
 
-// Bounds above which pooled scratch state is discarded rather than
-// retained (a single huge frame must not pin its buffer forever).
-const (
-	maxPooledBuf  = 1 << 20
-	maxPooledRefs = 1 << 10
-)
+// maxPooledBuf is the capacity above which a pooled buffer is dropped
+// rather than retained (a single huge frame must not pin it forever).
+const maxPooledBuf = 1 << 20
 
 func getEncoder() *encoder { return encoderPool.Get().(*encoder) }
 
@@ -35,22 +29,7 @@ func putEncoder(e *encoder) {
 	} else {
 		e.buf = e.buf[:0]
 	}
-	if len(e.refs) > maxPooledRefs {
-		e.refs = nil
-	} else {
-		for k := range e.refs {
-			delete(e.refs, k)
-		}
-	}
 	encoderPool.Put(e)
-}
-
-// addRef assigns the next reference index to a newly encoded pointee.
-func (e *encoder) addRef(addr uintptr) {
-	if e.refs == nil {
-		e.refs = make(map[uintptr]uint64, 8)
-	}
-	e.refs[addr] = uint64(len(e.refs))
 }
 
 // grow reserves room for n more bytes: a size hint from the compiled
@@ -109,10 +88,3 @@ func (e *encoder) bytes(b []byte) {
 	e.u32(uint32(len(b)))
 	e.buf = append(e.buf, b...)
 }
-
-// Pointer reference markers.
-const (
-	ptrNil  = 0
-	ptrNew  = 1
-	ptrBack = 2
-)

@@ -25,39 +25,15 @@ type plan struct {
 var planCache sync.Map // reflect.Type -> *plan
 
 // planFor returns the compiled plan for t, compiling and caching it on
-// first use. Recursive types terminate through a late-bound placeholder:
-// the placeholder is cached before compilation starts, and inner
-// references to t resolve through it.
-//
-// The miss path (placeholder + compile) runs once per type for the life
-// of the process; every later call is a lock-free cache hit.
+// first use. Register refused recursive types, so compiling t's nested
+// plans ends. Two callers racing on a new type may both compile it; the
+// first plan stored wins. Every later call is a lock-free cache hit.
 func planFor(t reflect.Type) *plan {
 	if pi, ok := planCache.Load(t); ok {
 		return pi.(*plan)
 	}
-	var (
-		ready sync.WaitGroup
-		built *plan
-	)
-	ready.Add(1)
-	placeholder := &plan{
-		enc: func(e *encoder, rv reflect.Value) error {
-			ready.Wait()
-			return built.enc(e, rv)
-		},
-		dec: func(d *decoder, rv reflect.Value) error {
-			ready.Wait()
-			return built.dec(d, rv)
-		},
-		fixed: -1,
-	}
-	if prev, loaded := planCache.LoadOrStore(t, placeholder); loaded {
-		return prev.(*plan)
-	}
-	built = compile(t)
-	ready.Done()
-	planCache.Store(t, built)
-	return built
+	pi, _ := planCache.LoadOrStore(t, compile(t))
+	return pi.(*plan)
 }
 
 // compile builds the plan for one type. The closures reproduce the wire
@@ -203,9 +179,11 @@ func compile(t reflect.Type) *plan {
 
 // encodable returns why values of t cannot be encoded whole, naming the
 // path from t to the first field the wire format cannot carry: an
-// unexported field ("Nested.Inner.hidden is unexported") or a kind with no
-// plan ("withMap.Tags: cannot encode kind map"). It returns nil when every
-// type reachable from t has a plan.
+// unexported field ("Nested.Inner.hidden is unexported"), a kind with no
+// plan ("withMap.Tags: cannot encode kind map"), or a type that reaches
+// itself through a pointer or a slice ("list.Next: cannot encode recursive
+// type codec.list"), whose values could be cyclic. It returns nil when
+// every type reachable from t has a plan.
 func encodable(t reflect.Type) error {
 	name := t.Name()
 	if name == "" {
@@ -214,11 +192,18 @@ func encodable(t reflect.Type) error {
 	return reaches(t, name, make(map[reflect.Type]bool))
 }
 
-func reaches(t reflect.Type, path string, seen map[reflect.Type]bool) error {
-	if seen[t] {
+// reaches walks t's type graph depth first. open[t] is true while t's own
+// walk is in progress, so meeting t again then is recursion, and false once
+// t was walked and found encodable.
+func reaches(t reflect.Type, path string, open map[reflect.Type]bool) error {
+	if inProgress, seen := open[t]; seen {
+		if inProgress {
+			return fmt.Errorf("%s: cannot encode recursive type %v", path, t)
+		}
 		return nil
 	}
-	seen[t] = true
+	open[t] = true
+	defer func() { open[t] = false }()
 	switch t.Kind() {
 	case reflect.Bool, reflect.String,
 		reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
@@ -226,9 +211,9 @@ func reaches(t reflect.Type, path string, seen map[reflect.Type]bool) error {
 		reflect.Float32, reflect.Float64:
 		return nil
 	case reflect.Slice, reflect.Array:
-		return reaches(t.Elem(), path+"[]", seen)
+		return reaches(t.Elem(), path+"[]", open)
 	case reflect.Ptr:
-		return reaches(t.Elem(), path, seen)
+		return reaches(t.Elem(), path, open)
 	case reflect.Struct:
 		for i := 0; i < t.NumField(); i++ {
 			f := t.Field(i)
@@ -236,7 +221,7 @@ func reaches(t reflect.Type, path string, seen map[reflect.Type]bool) error {
 			if !f.IsExported() {
 				return fmt.Errorf("%s is unexported", fp)
 			}
-			if err := reaches(f.Type, fp, seen); err != nil {
+			if err := reaches(f.Type, fp, open); err != nil {
 				return err
 			}
 		}
@@ -370,6 +355,9 @@ func compileArray(t reflect.Type) *plan {
 	}
 }
 
+// compilePtr encodes a pointer as a tree: a nil flag, then the pointee.
+// Decoding allocates a fresh pointee, so a value the destination pointed
+// at is never written through.
 func compilePtr(t reflect.Type) *plan {
 	ep := planFor(t.Elem())
 	et := t.Elem()
@@ -377,50 +365,27 @@ func compilePtr(t reflect.Type) *plan {
 		fixed: -1,
 		enc: func(e *encoder, rv reflect.Value) error {
 			if rv.IsNil() {
-				e.u8(ptrNil)
+				e.u8(0)
 				return nil
 			}
-			addr := rv.Pointer()
-			if idx, ok := e.refs[addr]; ok {
-				e.u8(ptrBack)
-				e.u64(idx)
-				return nil
-			}
-			e.addRef(addr)
-			e.u8(ptrNew)
+			e.u8(1)
 			return ep.enc(e, rv.Elem())
 		},
 		dec: func(d *decoder, rv reflect.Value) error {
-			marker, err := d.u8()
+			present, err := d.u8()
 			if err != nil {
 				return err
 			}
-			switch marker {
-			case ptrNil:
-				rv.Set(reflect.Zero(rv.Type()))
+			switch present {
+			case 0:
+				rv.SetZero()
 				return nil
-			case ptrNew:
+			case 1:
 				p := reflect.New(et)
-				// Register before decoding the pointee so cycles resolve.
-				d.ptrs = append(d.ptrs, p)
 				rv.Set(p)
 				return ep.dec(d, p.Elem())
-			case ptrBack:
-				idx, err := d.u64()
-				if err != nil {
-					return err
-				}
-				if idx >= uint64(len(d.ptrs)) {
-					return fmt.Errorf("%w: backreference %d of %d", ErrCorrupt, idx, len(d.ptrs))
-				}
-				p := d.ptrs[idx]
-				if p.Type() != rv.Type() {
-					return fmt.Errorf("%w: backreference type %v, want %v", ErrCorrupt, p.Type(), rv.Type())
-				}
-				rv.Set(p)
-				return nil
 			default:
-				return fmt.Errorf("%w: bad pointer marker %d", ErrCorrupt, marker)
+				return fmt.Errorf("%w: bad pointer flag %d", ErrCorrupt, present)
 			}
 		},
 	}

@@ -43,7 +43,8 @@ type DeltaStamp struct {
 	// Idx/Val list the changed entries: T[Idx[k]] = Val[k].
 	Idx []int64
 	Val []int64
-	// CForDst is c_{sender,receiver}, as in Stamp.
+	// CForDst is c_{sender,receiver}: the receiver's virtual time as of
+	// the sender's last checkpoint.
 	CForDst int64
 }
 
@@ -148,28 +149,35 @@ func (c *Clocks) DeltaStampFor(dst int) DeltaStamp {
 	return s
 }
 
-// AbsorbDelta merges a received delta piggyback, the counterpart of
-// Absorb for full stamps. Unknown or out-of-range entries are ignored,
-// as are stale values (merging is a monotone max).
+// AbsorbDelta merges a received piggyback: the time vector entries are
+// max-merged (except our own entry, which only we advance) and D[from]
+// learns the sender's latest c_{from,self}. Unknown or out-of-range
+// entries are ignored, as are stale values (merging is a monotone max).
 func (c *Clocks) AbsorbDelta(s DeltaStamp) {
 	if s.From < 0 || s.From >= len(c.T) || s.From == c.self {
 		return
 	}
-	if s.Full != nil {
-		c.absorbVector(s.Full)
+	for j, v := range s.Full {
+		c.raise(int64(j), v)
 	}
 	for k, j := range s.Idx {
-		if j < 0 || j >= int64(len(c.T)) || int(j) == c.self || k >= len(s.Val) {
-			continue
-		}
-		if v := s.Val[k]; v > c.T[j] {
-			c.T[j] = v
-			c.delta.touch(int(j))
+		if k < len(s.Val) {
+			c.raise(j, s.Val[k])
 		}
 	}
 	if s.CForDst > c.D[s.From] {
 		c.D[s.From] = s.CForDst
 	}
+}
+
+// raise max-merges v into T[j], routing a change through the delta
+// tracker. Our own entry and out-of-range ranks are left alone.
+func (c *Clocks) raise(j, v int64) {
+	if j < 0 || j >= int64(len(c.T)) || int(j) == c.self || v <= c.T[j] {
+		return
+	}
+	c.T[j] = v
+	c.delta.touch(int(j))
 }
 
 // ResetPeer forgets the high-water mark for a peer whose incarnation

@@ -6,7 +6,7 @@ import (
 	"samft/internal/xrand"
 )
 
-// applyDelta carries a DeltaStamp across the "wire": the stamp's slices
+// copyDelta carries a DeltaStamp across the "wire": the stamp's slices
 // alias the sender's scratch buffers, so a real transport serializes them
 // before the sender builds another stamp. The copy here plays that role.
 func copyDelta(s DeltaStamp) DeltaStamp {
@@ -14,6 +14,12 @@ func copyDelta(s DeltaStamp) DeltaStamp {
 	s.Idx = append([]int64(nil), s.Idx...)
 	s.Val = append([]int64(nil), s.Val...)
 	return s
+}
+
+// fullStamp is §4.3's piggyback as the paper sends it: the sender's whole
+// T vector, every time.
+func fullStamp(c *Clocks, dst int) DeltaStamp {
+	return DeltaStamp{From: c.self, Full: append([]int64(nil), c.T...), CForDst: c.C[dst]}
 }
 
 func TestDeltaFirstContactSendsFullVector(t *testing.T) {
@@ -160,8 +166,8 @@ func TestDeltaEquivalentToFullStamps(t *testing.T) {
 				delta[i].Tick()
 			case 1: // checkpoint
 				i := rng.Intn(n)
-				full[i].OnCheckpoint()
-				delta[i].OnCheckpoint()
+				checkpoint(full[i])
+				checkpoint(delta[i])
 			case 2: // restart: restore from own snapshot, peers reset
 				i := rng.Intn(n)
 				ft, fc, fd := full[i].Snapshot()
@@ -178,7 +184,7 @@ func TestDeltaEquivalentToFullStamps(t *testing.T) {
 				if i == j {
 					continue
 				}
-				full[j].Absorb(full[i].StampFor(j))
+				full[j].AbsorbDelta(fullStamp(full[i], j))
 				delta[j].AbsorbDelta(copyDelta(delta[i].DeltaStampFor(j)))
 			}
 			check(step)

@@ -23,7 +23,8 @@ package ft
 //
 // The own virtual time is incremented at each checkpoint and at each free
 // of an owned object. Every fault-tolerance message from j to i piggybacks
-// T_j and c_{j,i}; Absorb merges them in.
+// T_j and c_{j,i}, delta-encoded (DeltaStampFor); AbsorbDelta merges them
+// in.
 type Clocks struct {
 	self int
 	T    []int64
@@ -33,18 +34,6 @@ type Clocks struct {
 	// (see delta.go). Every T-entry change must go through delta.touch so
 	// incremental stamps stay lossless.
 	delta deltaState
-}
-
-// Stamp is the piggyback attached to every fault-tolerance message. For a
-// message from process j to process i it carries T_j and c_{j,i}.
-type Stamp struct {
-	// From is the sender's process rank.
-	From int
-	// T is the sender's full time vector.
-	T []int64
-	// CForDst is c_{sender,receiver}: the receiver's virtual time as of the
-	// sender's last checkpoint.
-	CForDst int64
 }
 
 // NewClocks returns the zeroed bookkeeping for process self of n.
@@ -58,9 +47,6 @@ func NewClocks(self, n int) *Clocks {
 	}
 }
 
-// Now returns the process's current virtual time.
-func (c *Clocks) Now() int64 { return c.T[c.self] }
-
 // Tick increments the process's virtual time and returns the new value.
 // Call it at each checkpoint and at each free of an owned object.
 func (c *Clocks) Tick() int64 {
@@ -69,57 +55,16 @@ func (c *Clocks) Tick() int64 {
 	return c.T[c.self]
 }
 
-// OnCheckpoint records a completed checkpoint: the time is ticked and C
-// becomes a copy of T. The self entry of D advances too — the process has
-// trivially checkpointed since every time up to its own checkpoint.
-func (c *Clocks) OnCheckpoint() {
-	c.BeginCheckpoint()
-	c.CommitCheckpoint()
-}
-
 // BeginCheckpoint ticks the clock and returns the new time, which
 // identifies the checkpoint transaction.
 func (c *Clocks) BeginCheckpoint() int64 { return c.Tick() }
 
 // CommitCheckpoint records the transaction's completion: C becomes a copy
-// of the current T and the self entry of D advances.
+// of the current T and the self entry of D advances (the process has
+// trivially checkpointed since every time up to its own checkpoint).
 func (c *Clocks) CommitCheckpoint() {
 	copy(c.C, c.T)
 	c.D[c.self] = c.C[c.self]
-}
-
-// StampFor builds the piggyback for a fault-tolerance message to dst.
-func (c *Clocks) StampFor(dst int) Stamp {
-	t := make([]int64, len(c.T))
-	copy(t, c.T)
-	return Stamp{From: c.self, T: t, CForDst: c.C[dst]}
-}
-
-// Absorb merges a received piggyback: the time vector is merged
-// elementwise (except our own entry, which only we advance) and D[from]
-// learns the sender's latest c_{from,self}.
-func (c *Clocks) Absorb(s Stamp) {
-	if s.From < 0 || s.From >= len(c.T) || s.From == c.self {
-		return
-	}
-	c.absorbVector(s.T)
-	if s.CForDst > c.D[s.From] {
-		c.D[s.From] = s.CForDst
-	}
-}
-
-// absorbVector max-merges a full T vector (except our own entry, which
-// only we advance), routing changes through the delta tracker.
-func (c *Clocks) absorbVector(t []int64) {
-	for j, v := range t {
-		if j == c.self || j >= len(c.T) {
-			continue
-		}
-		if v > c.T[j] {
-			c.T[j] = v
-			c.delta.touch(j)
-		}
-	}
 }
 
 // Laggards returns the processes j (never self) whose last known

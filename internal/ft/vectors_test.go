@@ -5,10 +5,17 @@ import (
 	"testing/quick"
 )
 
+// checkpoint runs one whole checkpoint transaction on c, as sam does
+// around a transaction's pieces.
+func checkpoint(c *Clocks) {
+	c.BeginCheckpoint()
+	c.CommitCheckpoint()
+}
+
 func TestTickMonotonic(t *testing.T) {
 	c := NewClocks(0, 3)
-	if c.Now() != 0 {
-		t.Fatalf("initial time %d", c.Now())
+	if c.T[0] != 0 {
+		t.Fatalf("initial time %d", c.T[0])
 	}
 	for i := int64(1); i <= 5; i++ {
 		if got := c.Tick(); got != i {
@@ -20,8 +27,8 @@ func TestTickMonotonic(t *testing.T) {
 func TestOnCheckpointCopiesT(t *testing.T) {
 	c := NewClocks(1, 3)
 	c.Tick()
-	c.Absorb(Stamp{From: 0, T: []int64{7, 0, 0}})
-	c.OnCheckpoint()
+	c.AbsorbDelta(DeltaStamp{From: 0, Full: []int64{7, 0, 0}})
+	checkpoint(c)
 	if c.C[0] != 7 || c.C[1] != 2 {
 		t.Fatalf("C = %v", c.C)
 	}
@@ -40,13 +47,13 @@ func TestStampAbsorbUpdatesD(t *testing.T) {
 		p1.Tick()
 	}
 	// 1 sends an FT message to 0.
-	p0.Absorb(p1.StampFor(0))
+	p0.AbsorbDelta(p1.DeltaStampFor(0))
 	if p0.T[1] != 5 {
 		t.Fatalf("p0.T[1] = %d", p0.T[1])
 	}
-	p0.OnCheckpoint()
+	checkpoint(p0)
 	// 0 replies; 1 learns c_{0,1} = 5.
-	p1.Absorb(p0.StampFor(1))
+	p1.AbsorbDelta(p0.DeltaStampFor(1))
 	if p1.D[0] != 5 {
 		t.Fatalf("p1.D[0] = %d, want 5", p1.D[0])
 	}
@@ -62,8 +69,8 @@ func TestStampAbsorbUpdatesD(t *testing.T) {
 
 func TestAbsorbNeverLowersEntries(t *testing.T) {
 	c := NewClocks(0, 3)
-	c.Absorb(Stamp{From: 1, T: []int64{0, 9, 4}, CForDst: 6})
-	c.Absorb(Stamp{From: 1, T: []int64{0, 2, 1}, CForDst: 3})
+	c.AbsorbDelta(DeltaStamp{From: 1, Full: []int64{0, 9, 4}, CForDst: 6})
+	c.AbsorbDelta(DeltaStamp{From: 1, Full: []int64{0, 2, 1}, CForDst: 3})
 	if c.T[1] != 9 || c.T[2] != 4 {
 		t.Fatalf("T = %v", c.T)
 	}
@@ -75,17 +82,17 @@ func TestAbsorbNeverLowersEntries(t *testing.T) {
 func TestAbsorbIgnoresOwnAndBogusEntries(t *testing.T) {
 	c := NewClocks(0, 2)
 	c.Tick() // own time 1
-	c.Absorb(Stamp{From: 0, T: []int64{99, 99}, CForDst: 99})
-	if c.Now() != 1 || c.D[0] != 0 {
+	c.AbsorbDelta(DeltaStamp{From: 0, Full: []int64{99, 99}, CForDst: 99})
+	if c.T[0] != 1 || c.D[0] != 0 {
 		t.Fatal("absorbed a stamp from self")
 	}
-	c.Absorb(Stamp{From: 7, T: []int64{99, 99}})
-	c.Absorb(Stamp{From: -1, T: []int64{99, 99}})
+	c.AbsorbDelta(DeltaStamp{From: 7, Full: []int64{99, 99}})
+	c.AbsorbDelta(DeltaStamp{From: -1, Full: []int64{99, 99}})
 	if c.T[1] != 0 {
 		t.Fatal("absorbed a stamp from out-of-range rank")
 	}
 	// A stamp whose T vector is longer than ours must not panic.
-	c.Absorb(Stamp{From: 1, T: []int64{1, 2, 3, 4, 5}})
+	c.AbsorbDelta(DeltaStamp{From: 1, Full: []int64{1, 2, 3, 4, 5}})
 	if c.T[1] != 2 {
 		t.Fatalf("T = %v", c.T)
 	}
@@ -97,7 +104,7 @@ func TestSelfCovered(t *testing.T) {
 	if c.SelfCovered(1) {
 		t.Fatal("covered before any checkpoint")
 	}
-	c.OnCheckpoint() // t=2, C[0]=2
+	checkpoint(c) // t=2, C[0]=2
 	if !c.SelfCovered(1) {
 		t.Fatal("not covered after checkpoint at t=2")
 	}
@@ -113,8 +120,8 @@ func TestNeedsForcedCheckpoint(t *testing.T) {
 		t.Fatal("no forced checkpoint although C[0]=0 < 3")
 	}
 	// After absorbing 0's time and checkpointing, coverage is satisfied.
-	j.Absorb(Stamp{From: 0, T: []int64{5, 0}})
-	j.OnCheckpoint()
+	j.AbsorbDelta(DeltaStamp{From: 0, Full: []int64{5, 0}})
+	checkpoint(j)
 	if j.NeedsForcedCheckpoint(0, 3) {
 		t.Fatalf("forced checkpoint although C[0]=%d >= 3", j.C[0])
 	}
@@ -135,17 +142,17 @@ func TestForceCheckpointRoundTripFreesObject(t *testing.T) {
 		t.Fatalf("laggards = %v", lag)
 	}
 	// p0 sends force-checkpoint(f) to p1 with its stamp.
-	p1.Absorb(p0.StampFor(1))
+	p1.AbsorbDelta(p0.DeltaStampFor(1))
 	if !p1.NeedsForcedCheckpoint(0, f) {
 		t.Fatal("p1 skipped the forced checkpoint")
 	}
-	p1.OnCheckpoint()
+	checkpoint(p1)
 	// p1 replies with its stamp; c_{1,0} is now >= f.
-	p0.Absorb(p1.StampFor(0))
+	p0.AbsorbDelta(p1.DeltaStampFor(0))
 	if lag := p0.Laggards(f); len(lag) != 0 {
 		t.Fatalf("laggards after forced checkpoint = %v", lag)
 	}
-	p0.OnCheckpoint() // p0's own coverage
+	checkpoint(p0) // p0's own coverage
 	if !p0.SelfCovered(f) {
 		t.Fatal("self not covered")
 	}
@@ -154,8 +161,8 @@ func TestForceCheckpointRoundTripFreesObject(t *testing.T) {
 func TestSnapshotRestore(t *testing.T) {
 	c := NewClocks(0, 3)
 	c.Tick()
-	c.Absorb(Stamp{From: 2, T: []int64{0, 0, 8}, CForDst: 4})
-	c.OnCheckpoint()
+	c.AbsorbDelta(DeltaStamp{From: 2, Full: []int64{0, 0, 8}, CForDst: 4})
+	checkpoint(c)
 	tt, cc, dd := c.Snapshot()
 
 	fresh := NewClocks(0, 3)
@@ -182,7 +189,7 @@ func TestMergeAfterIncarnationBump(t *testing.T) {
 	p1 := NewClocks(1, 3)
 
 	p0.Tick()
-	p0.OnCheckpoint() // t=2; this is what recovery will restore
+	checkpoint(p0) // t=2; this is what recovery will restore
 	tt, cc, dd := p0.Snapshot()
 
 	// Pre-crash, p0 runs further and the cluster moves on without it.
@@ -190,25 +197,25 @@ func TestMergeAfterIncarnationBump(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		p1.Tick()
 	}
-	p1.OnCheckpoint()
+	checkpoint(p1)
 
 	// Crash + restore: the new incarnation resumes at the checkpointed
 	// time, which is behind both its own pre-crash time and p1's view.
 	r := NewClocks(0, 3)
 	r.Restore(tt, cc, dd)
-	if r.Now() != 2 {
-		t.Fatalf("restored time %d, want 2", r.Now())
+	if r.T[0] != 2 {
+		t.Fatalf("restored time %d, want 2", r.T[0])
 	}
 
 	// First post-recovery message from p1 carries p1's whole history. The
 	// bump to p1's entries must be monotone and the self entry untouched:
 	// only replay, not merging, may advance the incarnation's own clock.
-	r.Absorb(p1.StampFor(0))
+	r.AbsorbDelta(p1.DeltaStampFor(0))
 	if r.T[1] != 7 {
 		t.Fatalf("r.T[1] = %d, want 7", r.T[1])
 	}
-	if r.Now() != 2 {
-		t.Fatalf("merge advanced own time to %d", r.Now())
+	if r.T[0] != 2 {
+		t.Fatalf("merge advanced own time to %d", r.T[0])
 	}
 	if r.D[1] != 0 {
 		// p1 never saw p0 before the crash, so its checkpoint cannot promise
@@ -218,7 +225,7 @@ func TestMergeAfterIncarnationBump(t *testing.T) {
 
 	// A delayed pre-crash stamp (older T) arriving after the catch-up must
 	// be a no-op, not a rollback.
-	r.Absorb(Stamp{From: 1, T: []int64{0, 3, 0}, CForDst: 0})
+	r.AbsorbDelta(DeltaStamp{From: 1, Full: []int64{0, 3, 0}, CForDst: 0})
 	if r.T[1] != 7 {
 		t.Fatalf("stale stamp lowered T[1] to %d", r.T[1])
 	}
@@ -242,8 +249,8 @@ func TestPiggybackOntoNeverCommunicatedProcess(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		p2.Tick()
 	}
-	p2.OnCheckpoint()
-	p0.Absorb(p2.StampFor(0))
+	checkpoint(p2)
+	p0.AbsorbDelta(p2.DeltaStampFor(0))
 	if p0.T[2] != 4 {
 		t.Fatalf("p0.T[2] = %d, want 4", p0.T[2])
 	}
@@ -256,9 +263,9 @@ func TestPiggybackOntoNeverCommunicatedProcess(t *testing.T) {
 	}
 
 	// Only after p2 checkpoints with knowledge of f does coverage arrive.
-	p2.Absorb(p0.StampFor(2))
-	p2.OnCheckpoint()
-	p0.Absorb(p2.StampFor(0))
+	p2.AbsorbDelta(p0.DeltaStampFor(2))
+	checkpoint(p2)
+	p0.AbsorbDelta(p2.DeltaStampFor(0))
 	if p0.D[2] < f {
 		t.Fatalf("p0.D[2] = %d after covered checkpoint, want >= %d", p0.D[2], f)
 	}
@@ -287,7 +294,7 @@ func TestQuickAbsorbMonotone(t *testing.T) {
 					cv = -cv
 				}
 			}
-			c.Absorb(Stamp{From: 1, T: []int64{0, tv}, CForDst: cv})
+			c.AbsorbDelta(DeltaStamp{From: 1, Full: []int64{0, tv}, CForDst: cv})
 			if tv > maxT {
 				maxT = tv
 			}

@@ -14,8 +14,8 @@ const TagSAM = pvm.TagUserBase + 1
 
 // Message kinds. One wire struct carries every kind and unused fields stay
 // at their zero values — but they are still encoded: the codec writes ints
-// at fixed width, so every frame carries the whole struct (159 bytes packed
-// for the smallest control message, 183 with a one-entry stamp, 163 plus
+// at fixed width, so every frame carries the whole struct (158 bytes packed
+// for the smallest control message, 182 with a one-entry stamp, 162 plus
 // the body for a frame with one; TestFrameSizes pins them). Renumbering
 // kinds therefore never moves a frame size.
 //

@@ -65,7 +65,7 @@ func TestEveryKindIsNamed(t *testing.T) {
 // frame's two parts are the bytes of the one frame they replace: every field
 // is encoded whether its kind uses it or not, so the smallest control frame
 // and one whose delta stamp carries a single changed entry have fixed sizes,
-// and a frame with a body is 163 bytes of header plus the body. Each frame
+// and a frame with a body is 162 bytes of header plus the body. Each frame
 // also decodes back to the wire it was sent from, with the body attached.
 func TestFrameSizes(t *testing.T) {
 	var p Proc // no FT policy: encodeHead adds no stamp
@@ -76,14 +76,14 @@ func TestFrameSizes(t *testing.T) {
 		w    *wire
 		want int
 	}{
-		{"bare control frame", &wire{Kind: kCkptAck, Seq: 7, Target: 1}, 159},
-		{"one-entry stamp", &wire{Kind: kCkptAck, Seq: 7, Target: 1, HasStamp: true, StampIdx: []int64{2}, StampVal: []int64{9}, StampC: 3}, 183},
-		{"ObjData", &wire{Kind: kObjData, Name: 42, Body: body, Meta: meta, HasMeta: true, Inactive: true, Piece: 2}, 163 + len(body)},
-		{"AccData", &wire{Kind: kAccData, Name: 42, Target: 3, Body: body, Meta: meta, HasMeta: true}, 163 + len(body)},
-		{"CkptPriv", &wire{Kind: kCkptPriv, Body: body, Seq: 5, Inactive: true, Piece: -1}, 163 + len(body)},
-		{"CkptCopy", &wire{Kind: kCkptCopy, Name: 42, Owner: 1, Body: body, Seq: 5, Meta: meta, HasMeta: true, Piece: -1}, 163 + len(body)},
-		{"RecoverPriv", &wire{Kind: kRecoverPriv, Body: body, Seq: 5}, 163 + len(body)},
-		{"RecoverData", &wire{Kind: kRecoverData, Name: 42, Body: body, Seq: 5, Meta: meta, HasMeta: true, Piece: -1}, 163 + len(body)},
+		{"bare control frame", &wire{Kind: kCkptAck, Seq: 7, Target: 1}, 158},
+		{"one-entry stamp", &wire{Kind: kCkptAck, Seq: 7, Target: 1, HasStamp: true, StampIdx: []int64{2}, StampVal: []int64{9}, StampC: 3}, 182},
+		{"ObjData", &wire{Kind: kObjData, Name: 42, Body: body, Meta: meta, HasMeta: true, Inactive: true, Piece: 2}, 162 + len(body)},
+		{"AccData", &wire{Kind: kAccData, Name: 42, Target: 3, Body: body, Meta: meta, HasMeta: true}, 162 + len(body)},
+		{"CkptPriv", &wire{Kind: kCkptPriv, Body: body, Seq: 5, Inactive: true, Piece: -1}, 162 + len(body)},
+		{"CkptCopy", &wire{Kind: kCkptCopy, Name: 42, Owner: 1, Body: body, Seq: 5, Meta: meta, HasMeta: true, Piece: -1}, 162 + len(body)},
+		{"RecoverPriv", &wire{Kind: kRecoverPriv, Body: body, Seq: 5}, 162 + len(body)},
+		{"RecoverData", &wire{Kind: kRecoverData, Name: 42, Body: body, Seq: 5, Meta: meta, HasMeta: true, Piece: -1}, 162 + len(body)},
 	} {
 		single, err := codec.Pack(tc.w)
 		if err != nil {

@@ -1,6 +1,9 @@
 package trace
 
-import "sync"
+import (
+	"strconv"
+	"sync"
+)
 
 // Kind names one event type; see the package documentation for the full
 // schema.
@@ -77,9 +80,7 @@ const DefaultCapacity = 1 << 14
 // concurrent use, and every method on a nil *Recorder is a cheap no-op —
 // the disabled-tracing fast path is a single branch.
 type Recorder struct {
-	tracer *Tracer
-	key    int64
-	index  int // creation order within the tracer, for deterministic merges
+	key int64
 
 	mu      sync.Mutex
 	label   string
@@ -181,7 +182,7 @@ func (t *Tracer) Track(key int64) *Recorder {
 	if r, ok := t.tracks[key]; ok {
 		return r
 	}
-	r := &Recorder{tracer: t, key: key, index: len(t.order), rank: -1, cap: t.capacity}
+	r := &Recorder{key: key, rank: -1, cap: t.capacity}
 	t.tracks[key] = r
 	t.order = append(t.order, r)
 	return r
@@ -230,30 +231,7 @@ func trackName(key int64) string {
 	if key == ControlKey {
 		return "cluster"
 	}
-	return "tid" + itoa(key)
-}
-
-func itoa(v int64) string {
-	// Tiny helper to avoid fmt on hot-ish paths.
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	var b [24]byte
-	i := len(b)
-	for v > 0 {
-		i--
-		b[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		b[i] = '-'
-	}
-	return string(b[i:])
+	return "tid" + strconv.FormatInt(key, 10)
 }
 
 // CopyVec deep-copies a virtual-time vector for inclusion in an event.
