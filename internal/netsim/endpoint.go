@@ -12,15 +12,18 @@ import (
 // Endpoint is one process's attachment to the network: a message queue
 // with PVM-style matching, a modeled-time clock, and traffic statistics.
 //
-// An endpoint is intended to be driven by the goroutines of a single
-// simulated process, but all methods are safe for concurrent use.
+// The methods that move the modeled clock — Charge, AdvanceTo, Send,
+// SendParts, Accept, Recv and TryRecv — must be driven by one goroutine at
+// a time: the simulated process's, whose one CPU the clock models. Every
+// other method is safe for concurrent use, and any goroutine may read the
+// clock.
 //
 // Hot-path state is lock-free where it can be: liveness (dead/closed),
 // the modeled clock, and the traffic counters are atomics, so Stats,
-// liveness probes, and the sender-side bookkeeping of Send never take a
-// lock. Delivery appends the message (by value) to the receiver's queue
-// under its mutex — a critical section of a few instructions — and every
-// receive scans that queue for the first match in arrival order.
+// ClockUS, liveness probes, and the sender-side bookkeeping of Send never
+// take a lock. Delivery appends the message (by value) to the receiver's
+// queue under its mutex — a critical section of a few instructions — and
+// every receive scans that queue for the first match in arrival order.
 type Endpoint struct {
 	net *Network
 	tid TID
@@ -32,8 +35,9 @@ type Endpoint struct {
 	// observes kills atomically without nesting endpoint locks under it.
 	state atomic.Uint32
 
-	// clockBits is the modeled local time in microseconds (float64 bits),
-	// advanced with CAS so Charge/Send/AdvanceTo need no lock.
+	// clockBits is the modeled local time in microseconds (float64 bits).
+	// Its one writer loads and stores it; it is an atomic for the readers
+	// on other goroutines (kill triggers, reports, trace events).
 	clockBits atomic.Uint64
 
 	// slowBits is the host-speed factor applied to Charge (float64 bits;
@@ -243,26 +247,9 @@ func (e *Endpoint) ClockUS() float64 {
 
 // addClock advances the modeled clock by us and returns the new time.
 func (e *Endpoint) addClock(us float64) float64 {
-	for {
-		old := e.clockBits.Load()
-		now := math.Float64frombits(old) + us
-		if e.clockBits.CompareAndSwap(old, math.Float64bits(now)) {
-			return now
-		}
-	}
-}
-
-// raiseClock moves the modeled clock forward to at least us.
-func (e *Endpoint) raiseClock(us float64) {
-	for {
-		old := e.clockBits.Load()
-		if math.Float64frombits(old) >= us {
-			return
-		}
-		if e.clockBits.CompareAndSwap(old, math.Float64bits(us)) {
-			return
-		}
-	}
+	now := e.ClockUS() + us
+	e.clockBits.Store(math.Float64bits(now))
+	return now
 }
 
 // SetSlowdown sets the host-speed factor applied to subsequent Charge
@@ -292,9 +279,13 @@ func (e *Endpoint) Charge(us float64) {
 	e.addClock(us)
 }
 
-// AdvanceTo moves the modeled clock forward to at least us. Used when a
-// message arrives from a process whose clock is ahead.
-func (e *Endpoint) AdvanceTo(us float64) { e.raiseClock(us) }
+// AdvanceTo moves the modeled clock forward to at least us: a task
+// spawned at a later modeled instant starts its clock there.
+func (e *Endpoint) AdvanceTo(us float64) {
+	if e.ClockUS() < us {
+		e.clockBits.Store(math.Float64bits(us))
+	}
+}
 
 // Send transmits a payload to dst: SendParts with no body.
 func (e *Endpoint) Send(dst TID, tag int, payload []byte) error {
@@ -479,22 +470,10 @@ func (e *Endpoint) find(src TID, tag int) int {
 func (e *Endpoint) Accept(m *Message) {
 	e.recvd.Add(statOneMsg + uint64(m.Len()))
 	// Receiving synchronizes the modeled clocks: the receiver cannot have
-	// processed the message before it arrived. One CAS folds the
-	// raise-to-arrival and the receive overhead together.
-	ov := e.recvOvUS
-	var was, now float64
-	for {
-		old := e.clockBits.Load()
-		was = math.Float64frombits(old)
-		t := was
-		if t < m.ArrivalUS {
-			t = m.ArrivalUS
-		}
-		now = t + ov
-		if e.clockBits.CompareAndSwap(old, math.Float64bits(now)) {
-			break
-		}
-	}
+	// processed the message before it arrived.
+	was := e.ClockUS()
+	now := max(was, m.ArrivalUS) + e.recvOvUS
+	e.clockBits.Store(math.Float64bits(now))
 	// Who waited for whom: the process for the network (the clock was
 	// raised to the arrival) or the message for the process (it had
 	// already arrived when the process turned to it).

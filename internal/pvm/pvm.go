@@ -99,7 +99,9 @@ func (m *Machine) Kill(tid TID) bool {
 func (m *Machine) Halt() { m.net.Close() }
 
 // Task is one PVM task: the handle through which a simulated process
-// communicates.
+// communicates. Its methods that move the task's clock (Send, SendParts,
+// Recv, TryRecv, Accept, Charge) are driven by one goroutine at a time,
+// as netsim.Endpoint requires.
 type Task struct {
 	ep   *netsim.Endpoint
 	name string // spawn name, for panic reports

@@ -16,12 +16,14 @@ func machine(t *testing.T) *Machine {
 }
 
 // spawnIdle starts a task that parks until the machine halts, returning its
-// handle. Useful as a message target.
+// handle. Useful as a message target. It parks in Take, which moves no
+// clock, so the test goroutine is the one goroutine driving the task's
+// clock (see netsim.Endpoint).
 func spawnIdle(m *Machine, name string) *Task {
 	ready := make(chan *Task, 1)
 	m.Spawn(name, func(t *Task) {
 		ready <- t
-		_, _ = t.Recv(AnySrc, 12345) // park forever
+		_, _ = t.Take(AnySrc, 12345) // park forever
 	})
 	return <-ready
 }

@@ -22,6 +22,7 @@ const (
 	opPush
 	opPrefetch
 	opGate
+	opCompute
 	opFinish
 	opInvariants // harness: live invariant snapshot (LiveInvariants)
 )
@@ -35,9 +36,10 @@ type cmd struct {
 	name     Name
 	obj      interface{}
 	accesses int64
-	rank     int   // push destination
-	step     int64 // gate: the step just completed
-	initial  bool  // gate: force the initial checkpoint
+	rank     int     // push destination
+	step     int64   // gate: the step just completed
+	initial  bool    // gate: force the initial checkpoint
+	us       float64 // compute: modeled microseconds to charge
 	res      chan cmdResult
 	answered bool // reply has run: a second answer is a runtime bug
 }
@@ -160,6 +162,12 @@ func (p *Proc) Prefetch(name Name) {
 	p.call(cmd{op: opPrefetch, name: name})
 }
 
+// Compute charges us microseconds of modeled local computation. It is a
+// command: the runtime goroutine charges it, as it charges every message
+// the process handles or sends, so the process's clock has one writer
+// (DESIGN §7 "When a receive is charged").
+func (p *Proc) Compute(us float64) { p.call(cmd{op: opCompute, us: us}) }
+
 // gate marks a step boundary: the runtime captures the application
 // snapshot and runs any pending checkpoint work before the next step.
 func (p *Proc) gate(step int64, initial bool) {
@@ -193,6 +201,9 @@ func (p *Proc) handleCmd(c *cmd) {
 		p.cmdPrefetch(c)
 	case opGate:
 		p.cmdGate(c)
+	case opCompute:
+		p.task.Charge(c.us)
+		p.reply(c, nil, nil)
 	case opInvariants:
 		p.reply(c, p.invariants(), nil)
 	case opFinish:

@@ -172,6 +172,51 @@ func TestCommandAnsweredOnce(t *testing.T) {
 	})
 }
 
+// TestCommandComputeChargesOnTheRuntime: Compute is a command like the
+// others, so the process's clock has one writer, the runtime goroutine.
+// The application's call waits in the slot and leaves the clock alone; the
+// handler charges exactly the computed time and answers at once, and only
+// that answer lets Compute return. Compute never parks, so nothing of the
+// runtime's keeps the command.
+func TestCommandComputeChargesOnTheRuntime(t *testing.T) {
+	p, _ := testProc(t, 0, 2, false)
+	before := p.task.ClockUS()
+	returned := make(chan struct{})
+	go func() {
+		p.Compute(100)
+		close(returned)
+	}()
+	var c *cmd
+	select {
+	case c = <-p.cmdq:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Compute sent no command to the runtime")
+	}
+	if c.op != opCompute || c.us != 100 {
+		t.Fatalf("Compute sent op %d for %v us, want op %d for 100 us", c.op, c.us, opCompute)
+	}
+	if got := p.task.ClockUS(); got != before {
+		t.Fatalf("the clock moved from %v to %v before the runtime handled the command", before, got)
+	}
+	select {
+	case <-returned:
+		t.Fatal("Compute returned before the runtime answered it")
+	case <-time.After(10 * time.Millisecond):
+	}
+	p.handleCmd(c)
+	select {
+	case <-returned:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Compute did not return once answered")
+	}
+	if got := p.task.ClockUS() - before; got != 100 {
+		t.Errorf("the handler moved the clock by %v us, want 100", got)
+	}
+	if refs := refsTo(p, c); len(refs) != 0 {
+		t.Errorf("the answered command is still referenced from %v", refs)
+	}
+}
+
 // unregisteredFrame is a codec frame that passes its checksum but names a
 // type nobody registered: the test payload's frame with its type name's last
 // letter changed and the checksum recomputed.
@@ -271,7 +316,8 @@ func livePair(t *testing.T, policy ft.Policy) [2]*Proc {
 // processes with their runtime loops running: UseValue plus DoneValue of a
 // cached value, Push of a covered value (each process pushes to the other
 // and the round waits until both frames are handled, so header buffers
-// circulate), and UpdateAccum plus ReleaseAccum of a local main accumulator.
+// circulate), UpdateAccum plus ReleaseAccum of a local main accumulator,
+// and Compute.
 // The accumulator runs with fault tolerance off: with it on, UpdateAccum logs
 // the packed contents it hands out (the step log keeps them).
 func TestCommandsAllocNothing(t *testing.T) {
@@ -316,6 +362,7 @@ func TestCommandsAllocNothing(t *testing.T) {
 		{"Push of a covered value", push},
 		{"UseValue and DoneValue of a cached value", use},
 		{"UpdateAccum and ReleaseAccum of a local main accumulator", update},
+		{"Compute", func() { procs[0].Compute(10) }},
 	} {
 		for range 10 {
 			c.f() // warm-up: cache the value, pool the codec's scratch, fill the header free lists

@@ -196,9 +196,6 @@ func NewProc(task *pvm.Task, cfg Config) *Proc {
 	return p
 }
 
-// Compute charges us microseconds of modeled local computation.
-func (p *Proc) Compute(us float64) { p.task.Charge(us) }
-
 // ftEnabled reports whether fault tolerance is active: a policy is set
 // and there is at least one other host to replicate to.
 func (p *Proc) ftEnabled() bool {

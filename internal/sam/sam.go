@@ -8,11 +8,13 @@
 // Each SAM process runs three goroutines:
 //
 //   - the application goroutine (the caller of Run), which executes the
-//     application's Init/Step loop and issues API calls;
-//   - the runtime goroutine, which owns all shared-object state and
-//     processes both application commands and network messages, so the
-//     process keeps serving remote requests while the application
-//     computes or blocks;
+//     application's Init/Step loop; its only contact with the runtime is
+//     its one command slot, through which every API call goes, Compute
+//     included;
+//   - the runtime goroutine, which owns all shared-object state and the
+//     process's modeled clock, and processes both application commands
+//     and network messages, so the process keeps serving remote requests
+//     while the application computes or blocks;
 //   - the receiver goroutine, which moves messages from the PVM mailbox
 //     into the runtime's queue.
 //
