@@ -13,6 +13,7 @@ package water
 
 import (
 	"math"
+	"math/bits"
 
 	"samft/internal/codec"
 	"samft/internal/jade"
@@ -97,6 +98,7 @@ type App struct {
 	rank, n int
 	p       Params
 	st      waterState
+	grid    grid
 	// OnEnergy, when set on rank 0, receives the total potential energy
 	// of each completed step (used for cross-configuration validation).
 	OnEnergy func(step int64, potE float64)
@@ -104,7 +106,7 @@ type App struct {
 
 // New builds the application for one rank.
 func New(rank, n int, p Params) *App {
-	return &App{rank: rank, n: n, p: p}
+	return &App{rank: rank, n: n, p: p, grid: newGrid(p)}
 }
 
 // initialFrame builds the deterministic starting configuration: molecules
@@ -250,50 +252,127 @@ func wrap(v Vec, box float64) Vec {
 	return Vec{w(v.X), w(v.Y), w(v.Z)}
 }
 
+// Interaction constants of the truncated Lennard-Jones pair force.
+const (
+	sigma2 = 0.25
+	eps    = 1.0
+	cutoff = 2.5
+)
+
+// grid bins one frame's molecules into n slabs along each axis, each slab
+// wider than the cutoff. Set c of axis a holds the molecules of slabs c-1,
+// c and c+1, with wrap-around, so the three sets of a molecule's slabs
+// intersect in the molecules of the 27 cells around its own: every partner
+// within the cutoff, and about (3/4)³ of all molecules at paper scale. A
+// frame with a coordinate outside [0, box) (the initial lattice is not
+// wrapped) gets n = 1, so every molecule is a candidate.
+type grid struct {
+	frame *Frame
+	step  int64
+	slabs int      // n for a frame inside the box
+	n     int      // slabs per axis
+	inv   float64  // slabs per unit length
+	words int      // words per set
+	near  []uint64 // set c of axis a is near[(a*n+c)*words:][:words]
+}
+
+// newGrid sizes the grid storage for p once: the slab width exceeds the
+// cutoff by a margin far above rounding, and there are no more slabs per
+// axis than the cube root of the molecule count.
+func newGrid(p Params) grid {
+	n := math.Min(p.BoxSize/(cutoff*(1+1e-9)), math.Cbrt(float64(p.Molecules)))
+	if !(n >= 1) {
+		n = 1
+	}
+	words := (p.Molecules + 63) / 64
+	return grid{slabs: int(n), words: words, near: make([]uint64, 3*int(n)*words)}
+}
+
+// coord is x's slab. It never decreases as x grows.
+func (g *grid) coord(x float64) int { return max(0, min(int(x*g.inv), g.n-1)) }
+
+// set is the set of the molecules near coordinate x along axis a.
+func (g *grid) set(a int, x float64) []uint64 {
+	return g.near[(a*g.n+g.coord(x))*g.words:][:g.words]
+}
+
+// gridFor returns the grid of f, rebuilding the cached one in place for
+// another frame. The step is part of the key: a later frame can be decoded
+// into the storage of an earlier one.
+func (a *App) gridFor(f *Frame) *grid {
+	g, box := &a.grid, a.p.BoxSize
+	if g.frame == f && g.step == f.Step {
+		return g
+	}
+	g.frame, g.step, g.n = f, f.Step, g.slabs
+	for _, v := range f.Pos {
+		if !(v.X >= 0 && v.X < box && v.Y >= 0 && v.Y < box && v.Z >= 0 && v.Z < box) {
+			g.n = 1
+			break
+		}
+	}
+	g.inv = float64(g.n) / box
+	clear(g.near)
+	for j, v := range f.Pos {
+		for axis, x := range [3]float64{v.X, v.Y, v.Z} {
+			c := g.coord(x) + g.n
+			for _, s := range [3]int{c - 1, c, c + 1} {
+				g.near[(axis*g.n+s%g.n)*g.words+j>>6] |= 1 << (j & 63)
+			}
+		}
+	}
+	return g
+}
+
 // computeForces evaluates a truncated Lennard-Jones interaction of the
 // [lo,hi) molecules against the whole system with minimum-image periodic
-// boundaries — the same O(n²) shape as the MDG inner loop.
+// boundaries: the MDG inner loop, whose O(n²) cost is what Step charges.
+// Only the candidates the grid leaves are visited, in ascending j, so every
+// sum adds the same terms in the same order as a scan of all partners.
 func (a *App) computeForces(f *Frame, lo, hi int64) *Forces {
 	out := &Forces{Lo: lo, Hi: hi, F: make([]Vec, hi-lo)}
-	const (
-		sigma2 = 0.25
-		eps    = 1.0
-		cutoff = 2.5
-	)
 	box := a.p.BoxSize
+	g := a.gridFor(f)
 	for i := lo; i < hi; i++ {
+		nx, ny, nz := g.set(0, f.Pos[i].X), g.set(1, f.Pos[i].Y), g.set(2, f.Pos[i].Z)
 		var acc Vec
-		for j := 0; j < a.p.Molecules; j++ {
-			if int64(j) == i {
-				continue
+		for w := range nx {
+			for word := nx[w] & ny[w] & nz[w]; word != 0; word &= word - 1 {
+				j := w*64 + bits.TrailingZeros64(word)
+				if int64(j) == i {
+					continue
+				}
+				d := f.Pos[i].sub(f.Pos[j])
+				// Minimum image.
+				if d.X > box/2 {
+					d.X -= box
+				} else if d.X < -box/2 {
+					d.X += box
+				}
+				if d.X*d.X > cutoff*cutoff {
+					continue // r2 is at least d.X², so the r2 test below drops it too
+				}
+				if d.Y > box/2 {
+					d.Y -= box
+				} else if d.Y < -box/2 {
+					d.Y += box
+				}
+				if d.Z > box/2 {
+					d.Z -= box
+				} else if d.Z < -box/2 {
+					d.Z += box
+				}
+				r2 := d.norm2()
+				if r2 > cutoff*cutoff || r2 == 0 {
+					continue
+				}
+				s2 := sigma2 / r2
+				s6 := s2 * s2 * s2
+				// LJ force magnitude / r.
+				fm := 24 * eps * s6 * (2*s6 - 1) / r2
+				acc = acc.add(d.scale(fm))
+				out.PotE += 4 * eps * s6 * (s6 - 1) / 2 // half: pair counted twice
 			}
-			d := f.Pos[i].sub(f.Pos[j])
-			// Minimum image.
-			if d.X > box/2 {
-				d.X -= box
-			} else if d.X < -box/2 {
-				d.X += box
-			}
-			if d.Y > box/2 {
-				d.Y -= box
-			} else if d.Y < -box/2 {
-				d.Y += box
-			}
-			if d.Z > box/2 {
-				d.Z -= box
-			} else if d.Z < -box/2 {
-				d.Z += box
-			}
-			r2 := d.norm2()
-			if r2 > cutoff*cutoff || r2 == 0 {
-				continue
-			}
-			s2 := sigma2 / r2
-			s6 := s2 * s2 * s2
-			// LJ force magnitude / r.
-			fm := 24 * eps * s6 * (2*s6 - 1) / r2
-			acc = acc.add(d.scale(fm))
-			out.PotE += 4 * eps * s6 * (s6 - 1) / 2 // half: pair counted twice
 		}
 		out.F[i-lo] = acc
 	}
