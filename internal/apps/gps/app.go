@@ -79,7 +79,7 @@ type App struct {
 
 // New builds the application for one rank.
 func New(rank, n int, p Params) *App {
-	return &App{rank: rank, n: n, p: p, data: NewDataset(p.Seed, p.Samples)}
+	return &App{rank: rank, n: n, p: p, data: NewDataset(p.Seed, p.Samples, p.MaxDepth)}
 }
 
 // Init seeds the local shard and (on rank 0) the global-best accumulator.
@@ -201,7 +201,9 @@ func (a *App) generation(p *sam.Proc, gen int64) {
 
 // breed replaces the shard with the next generation, bred from the shard
 // and the migrants with tournament selection, crossover and mutation, and
-// returns the modeled cost of scoring it. The new shard goes into the
+// returns the modeled cost of scoring it. A child that is a parent whole
+// keeps the parent's fitness instead of being scored again; the modeled
+// cost charges every child all the same. The new shard goes into the
 // buffer of the generation before the current one, so once both buffers
 // and the pool have grown, breeding allocates only the children that
 // Crossover and Mutate make.
@@ -210,38 +212,56 @@ func (a *App) breed(r *xrand.Rand) float64 {
 	next := slices.Grow(a.spare[:0], len(a.st.Pop))
 	evalCost := 0.0
 	for range a.st.Pop {
-		t := a.offspring(r)
-		next = append(next, Individual{Tree: t, Fitness: a.data.Fitness(t)})
-		evalCost += float64(len(t)*len(a.data.X)) * a.p.EvalCostUS
+		child, whole := a.offspring(r)
+		if !whole {
+			child.Fitness = a.data.Fitness(child.Tree)
+		}
+		next = append(next, child)
+		evalCost += float64(len(child.Tree)*len(a.data.X)) * a.p.EvalCostUS
 	}
 	a.st.Pop, a.spare = next, a.st.Pop
 	return evalCost
 }
 
-// offspring breeds one child from the pool. A child that is a parent whole
-// — reproduction, or a crossover or mutation that was rejected — shares
-// the parent's program, which is immutable, unless the parent is a migrant:
-// that program lives in storage the step does not own, so the child clones it.
-func (a *App) offspring(r *xrand.Rand) Program {
-	var child Program
+// offspring breeds one child from the pool. A child that is its first
+// parent whole — reproduction, or a crossover or mutation that was
+// rejected — is that parent, fitness included, and whole is true. It shares
+// the parent's program, which is immutable, unless the parent is a
+// migrant: that program lives in storage the step does not own, so the
+// child clones it. The fitness still holds: the sender scored the program
+// on the same dataset. Any other child comes back unscored.
+func (a *App) offspring(r *xrand.Rand) (child Individual, whole bool) {
+	var t Program
 	switch r.Intn(10) {
 	case 0: // mutation
-		child = Mutate(r, a.tournament(r, a.pool).Tree, NVars, a.p.MaxDepth)
+		child = a.tournament(r, a.pool)
+		t = Mutate(r, child.Tree, NVars, a.p.MaxDepth)
 	case 1: // reproduction
-		child = a.tournament(r, a.pool).Tree
+		child = a.tournament(r, a.pool)
+		t = child.Tree
 	default: // crossover
-		child = Crossover(r, a.tournament(r, a.pool).Tree, a.tournament(r, a.pool).Tree, a.p.MaxDepth)
+		child = a.tournament(r, a.pool)
+		t = Crossover(r, child.Tree, a.tournament(r, a.pool).Tree, a.p.MaxDepth)
 	}
-	if a.isMigrant(child) {
-		child = child.Clone()
+	if !shares(t, child.Tree) {
+		return Individual{Tree: t}, false
 	}
-	return child
+	if a.isMigrant(t) {
+		child.Tree = t.Clone()
+	}
+	return child, true
+}
+
+// shares reports whether p and q are one program: the same backing array
+// and length, not merely equal nodes.
+func shares(p, q Program) bool {
+	return len(p) > 0 && len(p) == len(q) && &p[0] == &q[0]
 }
 
 // isMigrant reports whether t is a migrant's program itself, not a copy.
 func (a *App) isMigrant(t Program) bool {
 	for _, m := range a.migrants {
-		if len(m.Tree) > 0 && len(t) > 0 && &m.Tree[0] == &t[0] {
+		if shares(m.Tree, t) {
 			return true
 		}
 	}

@@ -3,6 +3,7 @@ package gps
 import (
 	"bytes"
 	"math"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -83,8 +84,8 @@ func TestMutateRespectsDepth(t *testing.T) {
 }
 
 func TestDatasetDeterministicAndBounded(t *testing.T) {
-	a := NewDataset(5, 100)
-	b := NewDataset(5, 100)
+	a := NewDataset(5, 100, 7)
+	b := NewDataset(5, 100, 7)
 	for i := range a.Y {
 		if a.Y[i] != b.Y[i] {
 			t.Fatal("dataset not deterministic")
@@ -93,7 +94,7 @@ func TestDatasetDeterministicAndBounded(t *testing.T) {
 			t.Fatalf("exposure %v out of [0,1]", a.Y[i])
 		}
 	}
-	c := NewDataset(6, 100)
+	c := NewDataset(6, 100, 7)
 	same := true
 	for i := range a.Y {
 		if a.Y[i] != c.Y[i] {
@@ -106,7 +107,7 @@ func TestDatasetDeterministicAndBounded(t *testing.T) {
 }
 
 func TestFitnessFinite(t *testing.T) {
-	d := NewDataset(5, 64)
+	d := NewDataset(5, 64, 7)
 	f := func(seed uint64) bool {
 		tr := RandomTree(xrand.New(seed), NVars, 7)
 		fit := d.Fitness(tr)
@@ -140,7 +141,7 @@ func TestTreeRoundTripsThroughCodec(t *testing.T) {
 	if !bytes.Equal(again, b) {
 		t.Fatal("unpacked program re-packs to different bytes")
 	}
-	for i, x := range NewDataset(5, 64).X {
+	for i, x := range NewDataset(5, 64, 7).X {
 		if math.Float64bits(tr.Eval(x)) != math.Float64bits(back.Eval(x)) {
 			t.Fatalf("row %d: program changed across codec round trip", i)
 		}
@@ -149,7 +150,7 @@ func TestTreeRoundTripsThroughCodec(t *testing.T) {
 
 func TestFitnessImprovesOverGenerations(t *testing.T) {
 	// Pure-library sanity: a tiny GP loop should not get worse.
-	d := NewDataset(5, 64)
+	d := NewDataset(5, 64, 7)
 	r := xrand.New(29)
 	pop := make([]Individual, 60)
 	for i := range pop {
@@ -196,11 +197,19 @@ func tourn(r *xrand.Rand, pop []Individual) Individual {
 }
 
 // TestHotPathsAllocate pins the allocation budget of the generation loop:
-// scoring allocates nothing, and breeding allocates the child alone.
+// scoring allocates nothing, not even the first call on a new dataset (its
+// scratch is sized when it is made), and breeding allocates the child alone.
 func TestHotPathsAllocate(t *testing.T) {
-	d := NewDataset(5, 64)
+	d := NewDataset(5, 64, 7)
 	r := xrand.New(31)
-	a, b := RandomTree(r, NVars, 7), RandomTree(r, NVars, 7)
+	a, b, deep := RandomTree(r, NVars, 7), RandomTree(r, NVars, 7), deepChain(7)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	d.Fitness(deep)
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Errorf("first Fitness of a depth-7 program: %v allocs, want 0", n)
+	}
 	if n := testing.AllocsPerRun(100, func() { d.Fitness(a) }); n != 0 {
 		t.Errorf("Fitness: %v allocs, want 0", n)
 	}
@@ -318,7 +327,7 @@ func TestSnapshotSurvivesBreeding(t *testing.T) {
 // on 8 processes), scored against the paper-sized dataset.
 func paperShard() (*Dataset, []Individual) {
 	p := DefaultParams()
-	d := NewDataset(p.Seed, p.Samples)
+	d := NewDataset(p.Seed, p.Samples, p.MaxDepth)
 	r := xrand.New(p.Seed)
 	pop := make([]Individual, p.Population/8)
 	for i := range pop {
@@ -370,4 +379,18 @@ func BenchmarkBreed(b *testing.B) {
 		}
 	}
 	breedSink = next
+}
+
+// BenchmarkGeneration breeds and scores one rank's next shard as
+// App.generation does, from the same shard and migrants every op: a child
+// that is a parent whole keeps its parent's fitness, the others are scored.
+func BenchmarkGeneration(b *testing.B) {
+	a, pop := breeder()
+	a.breed(xrand.New(1)) // grows the pool and the second shard buffer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(a.st.Pop, pop)
+		a.breed(xrand.New(uint64(i)))
+	}
 }

@@ -233,7 +233,7 @@ func sameEval(p Program, ref *refNode, rows [][]float64) error {
 // representations side by side: every result, every depth, the random
 // stream after every operator and every evaluation must agree.
 func TestFlatOperatorsMatchPointerOracle(t *testing.T) {
-	d := NewDataset(5, 64)
+	d := NewDataset(5, 64, 7)
 	for seed := uint64(1); seed <= 10000; seed++ {
 		maxDepth := 1 + int(seed%8)
 		r, rr := xrand.New(seed), xrand.New(seed)
@@ -307,7 +307,10 @@ func TestEvalEdgeCasesMatchOracle(t *testing.T) {
 
 // FuzzBreed runs crossover then mutation on two random parents against
 // the oracle: every result must be one well-formed tree no deeper than
-// maxDepth, equal to the oracle's, with the random streams in step.
+// maxDepth, equal to the oracle's, with the random streams in step. Then it
+// breeds two generations from the parents and a migrant: every program's
+// fitness, scored or taken from a whole parent, must have the per-sample
+// scorer's bits.
 func FuzzBreed(f *testing.F) {
 	f.Add(uint64(1), uint64(2), uint64(3), uint8(7))
 	f.Add(uint64(1996), uint64(7), uint64(0), uint8(1))
@@ -325,9 +328,24 @@ func FuzzBreed(f *testing.F) {
 		if err := oracleStep("Mutate", m, rm, r, rr); err != nil {
 			t.Fatal(err)
 		}
+		d := NewDataset(drawSeed, 16, maxDepth)
 		for _, p := range []Program{a, b, c, m} {
-			if d := p.Depth(); d > maxDepth {
-				t.Fatalf("depth %d > maxDepth %d", d, maxDepth)
+			if dp := p.Depth(); dp > maxDepth {
+				t.Fatalf("depth %d > maxDepth %d", dp, maxDepth)
+			}
+			if err := checkFitness(d, p, d.Fitness(p)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		app := &App{p: Params{MaxDepth: maxDepth}, data: d}
+		app.st.Pop = []Individual{{Tree: a, Fitness: d.Fitness(a)}, {Tree: b, Fitness: d.Fitness(b)}}
+		app.migrants = []Individual{{Tree: m.Clone(), Fitness: d.Fitness(m)}}
+		for gen := 1; gen <= 2; gen++ {
+			app.breed(r)
+			for i, ind := range app.st.Pop {
+				if err := checkFitness(d, ind.Tree, ind.Fitness); err != nil {
+					t.Fatalf("generation %d, child %d: %v", gen, i, err)
+				}
 			}
 		}
 	})
