@@ -24,7 +24,9 @@ const (
 // if this process is the owner, a cached copy, a checkpoint copy held for
 // another process, or a placeholder awaiting data. An object may be both
 // a cached copy for local use and a checkpoint copy (the paper's central
-// trick: replicas live in the cache and serve hits).
+// trick: replicas live in the cache and serve hits). Its flags sit beside
+// each other so the struct keeps to 480 bytes, a malloc size class
+// (TestObjectStaysInItsSizeClass).
 type object struct {
 	name Name
 	kind ft.ObjKind
@@ -50,8 +52,8 @@ type object struct {
 	accessesDeclared int64 // Unlimited (0) = explicit free
 	accessesDone     int64
 	freeable         bool
-	freeableAt       int64 // owner's virtual time at the freeable mark
 	frozen           bool  // renamed away: retained only for recovery
+	freeableAt       int64 // owner's virtual time at the freeable mark
 
 	// Consumer side: local uses not yet reported to the owner.
 	unreportedUses int64
@@ -75,13 +77,18 @@ type object struct {
 	// resupply marks a pending copy whose owner's replacement we supplied
 	// without it: commitPending sends it on.
 	resupply bool
+	// forcedSent records that force-checkpoint messages for this freeable
+	// object have been sent (at most once per object).
+	forcedSent bool
 	// awaits is the activation that makes stInactive contents usable; from
 	// -1 when none will come (inDoubt).
 	awaits activation
 
-	// forcedSent records that force-checkpoint messages for this freeable
-	// object have been sent (at most once per object).
-	forcedSent bool
+	// sentTo and usedBy are, on an owned value with fault tolerance on,
+	// bit sets of ranks below 64: those its contents were sent to, and
+	// those of them that reported a use since. They say what a replacement
+	// of one of them may read again (resend.go).
+	sentTo, usedBy uint64
 
 	// pendingGrants are migration targets received before this process's
 	// main copy was restored by recovery.

@@ -89,6 +89,7 @@ type Proc struct {
 	privStaging      map[int]privImage // provisional private states awaiting activation
 	lastPriv         privImage         // our own last committed private state
 	useNotices       []map[Name]int64  // owner rank -> name -> unreported uses, cleared at each flush
+	useEpochs        []useEpoch        // consumer rank -> its use reports since its clock last moved (resend.go)
 	freePending      map[Name]bool     // freeable mains awaiting reclamation
 	forceReplies     []int             // ranks owed a kForceAck at our next commit
 	hasCheckpointed  bool
@@ -177,6 +178,7 @@ func NewProc(task *pvm.Task, cfg Config) *Proc {
 		privStore:     make(map[int]privImage),
 		privStaging:   make(map[int]privImage),
 		useNotices:    make([]map[Name]int64, len(cfg.Ranks)),
+		useEpochs:     make([]useEpoch, len(cfg.Ranks)),
 		freePending:   make(map[Name]bool),
 		deadRanks:     make(map[int]netsim.TID),
 		relayedFail:   make(map[failKey]bool),

@@ -233,8 +233,11 @@ func (p *Proc) onRecovery(w *wire) {
 // learns that rank restarted as newTID (the coordinator's broadcast, the new
 // process's own request, or being the coordinator): update the rank table if
 // this is news, then supply the new process with everything it needs — once
-// per incarnation, or again when resend is set. TIDs increase monotonically,
-// so ordering resolves races between competing announcements for one rank.
+// per incarnation, or again when resend is set. A contribution sent again
+// to the same incarnation leaves out the replay inputs: the first one's
+// are on their way there, and a pair's messages are not lost. TIDs increase
+// monotonically, so ordering resolves races between competing announcements
+// for one rank.
 func (p *Proc) noteIncarnation(rank int, newTID netsim.TID, resend bool) {
 	if rank < 0 || rank >= len(p.ranks) || rank == p.cfg.Rank {
 		return
@@ -245,10 +248,11 @@ func (p *Proc) noteIncarnation(rank int, newTID netsim.TID, resend bool) {
 	if newTID > p.ranks[rank] {
 		p.installNewIncarnation(rank, newTID)
 	}
+	again := resend && p.contributedTo[rank] == newTID
 	if resend {
 		delete(p.contributedTo, rank)
 	}
-	p.contributeIfNeeded(rank)
+	p.contributeIfNeeded(rank, !again)
 }
 
 // installNewIncarnation switches the rank table to a restarted process's
@@ -313,8 +317,9 @@ func (p *Proc) installNewIncarnation(rank int, newTID netsim.TID) {
 // restarted rank's current incarnation, at most once per incarnation. A
 // process still restoring its own state defers: its tables are empty
 // until checkRestoreComplete, and a premature kRecoverFin would assert a
-// contribution that never happened.
-func (p *Proc) contributeIfNeeded(rank int) {
+// contribution that never happened. replayInputs says whether to re-send
+// the values the replay may read again.
+func (p *Proc) contributeIfNeeded(rank int, replayInputs bool) {
 	cur := p.ranks[rank]
 	if p.contributedTo[rank] == cur {
 		return
@@ -324,12 +329,15 @@ func (p *Proc) contributeIfNeeded(rank int) {
 		return
 	}
 	p.contributedTo[rank] = cur
-	p.contributeRecovery(rank)
+	p.contributeRecovery(rank, replayInputs)
 }
 
 // contributeRecovery supplies a restarted process with everything this
-// survivor holds for it, ending with kRecoverFin.
-func (p *Proc) contributeRecovery(rank int) {
+// survivor holds for it, ending with kRecoverFin, and then, if
+// replayInputs, re-sends the values its replay may read again (resend.go).
+// Those go after the fin: a pair's messages arrive in order, so a large
+// frame sent earlier would hold back the contributions behind it.
+func (p *Proc) contributeRecovery(rank int, replayInputs bool) {
 	// Private state of the failed process.
 	if priv, ok := p.privStore[rank]; ok {
 		p.send(rank, &wire{Kind: kRecoverPriv, Body: priv.body, Seq: priv.seq})
@@ -343,8 +351,12 @@ func (p *Proc) contributeRecovery(rank int) {
 		p.send(rank, &wire{Kind: kCkptPriv, Body: p.lastPriv.body, Seq: p.lastPriv.seq, Piece: -1})
 	}
 
+	var replay []*object
 	for _, name := range sortedKeys(p.objs) {
 		o := p.objs[name]
+		if replayInputs && o.isMain && o.created && !p.unstable(o) && p.mayReread(o, rank) {
+			replay = append(replay, o)
+		}
 		// Checkpoint copies whose main copy was at the failed process:
 		// restore them (the new process again holds the main copy).
 		if o.copy != nil && o.copy.owner == rank {
@@ -416,6 +428,9 @@ func (p *Proc) contributeRecovery(rank int) {
 	// Everything this survivor contributes has been sent; the new process
 	// decides orphan ownership once all contributions are in.
 	p.send(rank, &wire{Kind: kRecoverFin})
+	for _, o := range replay {
+		p.resend(o, rank)
+	}
 }
 
 // dropProvisionalFrom discards uncommitted checkpoint state received from
@@ -758,7 +773,7 @@ func (p *Proc) resume(res restoreResult) {
 	inc.priv, inc.privImg, inc.freshVotes, inc.data = nil, privImage{}, nil, nil
 	inc.restorec <- res
 	for _, r := range sortedKeys(inc.pendingContrib) {
-		p.contributeIfNeeded(r)
+		p.contributeIfNeeded(r, true)
 	}
 	inc.pendingContrib = nil
 	p.repairCoverage()

@@ -250,8 +250,9 @@ func (p *Proc) deliver(o *object, kind, rank int) {
 // immediate; otherwise startTx is planning tx and the contents join it as an
 // inactive piece, unusable at the receiver until the activation (§4.4 step
 // 4). A value, immutable once created, is packed once however often it is
-// served (packObject's snapshot cache).
-func (p *Proc) sendObject(o *object, kind, rank int, tx *ckptTx) {
+// served (packObject's snapshot cache). A value's send is recorded for a
+// replacement's replay (noteSent). It returns the length of the contents.
+func (p *Proc) sendObject(o *object, kind, rank int, tx *ckptTx) int {
 	migration := kind == kAccData
 	w := wire{Kind: kind, Name: uint64(o.name), Target: rank, Meta: o.meta(), HasMeta: true}
 	if migration {
@@ -266,12 +267,15 @@ func (p *Proc) sendObject(o *object, kind, rank int, tx *ckptTx) {
 	if migration && p.rec != nil {
 		p.emit(trace.Event{Kind: trace.SamMigrateOut, Name: uint64(o.name), Dst: int64(rank), Bytes: len(w.Body)})
 	}
+	if o.kind == ft.KindValue && p.ftEnabled() {
+		p.noteSent(o, rank)
+	}
 	if tx == nil {
 		p.send(rank, &w)
 		if migration {
 			p.handOff(o, rank)
 		}
-		return
+		return len(w.Body)
 	}
 	p.st.CkptCausingSends.Add(1)
 	w.Inactive, w.Seq = true, tx.seq
@@ -280,6 +284,7 @@ func (p *Proc) sendObject(o *object, kind, rank int, tx *ckptTx) {
 		o.pendingMove = rank // block further local locks until commit
 	}
 	tx.add(rank, &w)
+	return len(w.Body)
 }
 
 // serveLocalWaiters wakes application commands parked on this object.
@@ -479,6 +484,7 @@ func (p *Proc) onValUsed(w *wire) {
 			continue
 		}
 		o.accessesDone += w.Counts[i]
+		p.noteReported(o, w.SrcRank)
 		p.checkExhausted(o)
 	}
 }

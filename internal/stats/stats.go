@@ -77,6 +77,11 @@ type Proc struct {
 	// from their frame.
 	LentDecodes   atomic.Int64
 	LentRedecodes atomic.Int64
+	// Resent / ResentBytes count the values, and their bytes, a survivor
+	// re-sent to a replacement after its recovery contribution: inputs the
+	// replay may read again, which it then need not fetch.
+	Resent      atomic.Int64
+	ResentBytes atomic.Int64
 }
 
 // Snapshot is a plain-value copy of a Proc's counters.
@@ -105,6 +110,8 @@ type Snapshot struct {
 	ReleaseCkpts        int64
 	LentDecodes         int64
 	LentRedecodes       int64
+	Resent              int64
+	ResentBytes         int64
 }
 
 // Snapshot returns a consistent-enough copy for reporting.
@@ -134,6 +141,8 @@ func (p *Proc) Snapshot() Snapshot {
 		ReleaseCkpts:        p.ReleaseCkpts.Load(),
 		LentDecodes:         p.LentDecodes.Load(),
 		LentRedecodes:       p.LentRedecodes.Load(),
+		Resent:              p.Resent.Load(),
+		ResentBytes:         p.ResentBytes.Load(),
 	}
 }
 
@@ -163,6 +172,8 @@ func (s *Snapshot) Add(o Snapshot) {
 	s.ReleaseCkpts += o.ReleaseCkpts
 	s.LentDecodes += o.LentDecodes
 	s.LentRedecodes += o.LentRedecodes
+	s.Resent += o.Resent
+	s.ResentBytes += o.ResentBytes
 }
 
 // Report is the paper-style statistics block for a whole run.
@@ -268,10 +279,10 @@ func (r Report) RecvQueuedSecPerProc() float64 {
 // tables.
 func (r Report) String() string {
 	return fmt.Sprintf(
-		"procs=%d elapsed=%.3fs ckpts/proc/s=%.3f sends-ckpt%%=%.2f force-msgs/proc/s=%.4f forced-ckpts/proc/s=%.4f miss%%=%.2f snap-cache-hit%%=%.2f snap-cache-saved-B=%d dup-sends-avoided=%d acks/ckpt=%.2f midstep-ckpts=%d release-ckpts=%d replayed-ops=%d lent-decodes=%d lent-redecodes=%d recv-idle-s/proc=%.4f recv-queued-s/proc=%.4f",
+		"procs=%d elapsed=%.3fs ckpts/proc/s=%.3f sends-ckpt%%=%.2f force-msgs/proc/s=%.4f forced-ckpts/proc/s=%.4f miss%%=%.2f snap-cache-hit%%=%.2f snap-cache-saved-B=%d dup-sends-avoided=%d acks/ckpt=%.2f midstep-ckpts=%d release-ckpts=%d replayed-ops=%d lent-decodes=%d lent-redecodes=%d resent=%d resent-B=%d recv-idle-s/proc=%.4f recv-queued-s/proc=%.4f",
 		r.Procs, r.Elapsed, r.CheckpointsPerProcPerSec(), r.PctSendsCausingCheckpoint(),
 		r.ForceCkptMsgsPerProcPerSec(), r.ForcedCkptsPerProcPerSec(), r.MissRatePct(),
 		r.SnapCacheHitPct(), r.Total.SnapCacheBytesSaved, r.Total.DupSendsAvoided, r.AcksPerCheckpoint(),
 		r.Total.MidstepCkpts, r.Total.ReleaseCkpts, r.Total.ReplayedOps, r.Total.LentDecodes, r.Total.LentRedecodes,
-		r.RecvIdleSecPerProc(), r.RecvQueuedSecPerProc())
+		r.Total.Resent, r.Total.ResentBytes, r.RecvIdleSecPerProc(), r.RecvQueuedSecPerProc())
 }

@@ -78,7 +78,7 @@ func TestReportZeroDenominators(t *testing.T) {
 func TestStringContainsRows(t *testing.T) {
 	r := Report{Procs: 2, Elapsed: 1}
 	s := r.String()
-	for _, want := range []string{"ckpts/proc/s", "miss%", "force-msgs", "dup-sends-avoided", "acks/ckpt", "midstep-ckpts", "release-ckpts", "replayed-ops", "lent-decodes", "lent-redecodes", "recv-idle-s/proc", "recv-queued-s/proc"} {
+	for _, want := range []string{"ckpts/proc/s", "miss%", "force-msgs", "dup-sends-avoided", "acks/ckpt", "midstep-ckpts", "release-ckpts", "replayed-ops", "lent-decodes", "lent-redecodes", "resent=", "resent-B=", "recv-idle-s/proc", "recv-queued-s/proc"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("report %q missing %q", s, want)
 		}

@@ -90,6 +90,8 @@
 //	sam.owner-grant  home confirmed ownership (Name)
 //	sam.owner-deny   home denied ownership (Name)
 //	sam.rec-done     first application step boundary after recovery: replay finished
+//	sam.resend       survivor re-sent a value the replacement's replay may read again, after its
+//	                 recovery contribution (on the survivor's track; Name, Dst = rank, Bytes)
 //	cluster.kill     harness kill injection (Rank; Aux = victim TID)
 //	cluster.finished a rank's application completed (Rank)
 //

@@ -41,6 +41,7 @@ const (
 	SamOwnerGrant Kind = "sam.owner-grant"
 	SamOwnerDeny  Kind = "sam.owner-deny"
 	SamRecDone    Kind = "sam.rec-done"
+	SamResend     Kind = "sam.resend"
 	// Coverage repair (ckptstore): a proactive re-replication of one
 	// object's checkpoint copy to Dst (Bytes = frame size, Aux =
 	// checkpoint seq), and the completion of one repair round (Aux =
